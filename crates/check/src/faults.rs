@@ -126,10 +126,7 @@ fn first_fault_ns(report: &KernelReport) -> Option<u64> {
         .find(|ev| {
             matches!(
                 ev.kind,
-                TraceKind::TransferFault { .. }
-                    | TraceKind::TransferRejected { .. }
-                    | TraceKind::TransferTimeout { .. }
-                    | TraceKind::DeviceLost { .. }
+                TraceKind::OwnerLost
                     | TraceKind::NonOwnerLost { .. }
                     | TraceKind::EpTransferFault { .. }
                     | TraceKind::EpTransferRejected { .. }
@@ -557,8 +554,8 @@ fn transient_run(b: &BenchmarkSpec, plan_seed: u64, shrink: bool) -> (u64, u64, 
         let mut fault_at = None;
         for ev in &r.trace {
             match ev.kind {
-                TraceKind::TransferFault { .. } if fault_at.is_none() => fault_at = Some(ev.at),
-                TraceKind::CpuSubkernelStart { from, to, .. }
+                TraceKind::EpTransferFault { .. } if fault_at.is_none() => fault_at = Some(ev.at),
+                TraceKind::EpSubkernelStart { from, to, .. }
                     if fault_at.is_some_and(|f| ev.at >= f) =>
                 {
                     at_risk = at_risk.max(to.saturating_sub(from));

@@ -17,14 +17,16 @@
 //!   FluidiCL protocol — only writes, messages, merges and reads over
 //!   per-endpoint buffer copies;
 //! * a **trace lowering** ([`race_check_report`]) that maps a
-//!   [`KernelReport`]'s trace onto the engine: GPU waves and CPU subkernels
-//!   become writes (their element footprints computed symbolically from
-//!   the kernel's [`AccessPattern`](fluidicl_vcl::AccessPattern)
-//!   declarations via [`KernelDef::write_footprints`] — no replay), data
-//!   sends and status arrivals become the message edges of the in-order hd
-//!   queue, fault events void exactly the transfer they damaged, and the
-//!   diff-merge and the finisher's final read become [`HbOp::Merge`] /
-//!   [`HbOp::Read`] checks.
+//!   [`KernelReport`]'s trace onto the engine: owner waves and endpoint
+//!   subkernels become writes (their element footprints computed
+//!   symbolically from the kernel's
+//!   [`AccessPattern`](fluidicl_vcl::AccessPattern) declarations via
+//!   [`KernelDef::write_footprints`] — no replay), sends and status
+//!   arrivals become the message edges of each endpoint's in-order
+//!   upstream queue, fault events void exactly the transfer they damaged,
+//!   and the diff-merge and the finisher's final read become
+//!   [`HbOp::Merge`] / [`HbOp::Read`] checks. The paper's two-device
+//!   protocol is the single-endpoint case: the CPU is endpoint 0.
 //!
 //! Writes land in per-endpoint device copies, so duplicated work — the GPU
 //! recomputing a range the CPU also computed, which the paper's protocol
@@ -453,9 +455,8 @@ pub fn race_check_report(kernel: &KernelDef, report: &KernelReport) -> Vec<LintD
         )];
     }
     let events = lower_trace(kernel, meta, report);
-    // Legacy two-device traces use endpoints {OWNER, CONTRIB}; an N-device
-    // trace adds one engine endpoint per peer GPU (ep `dev` lowers to
-    // engine endpoint `dev + 1`, so ep0 — the CPU — stays CONTRIB).
+    // The owner is engine endpoint 0 and trace endpoint `dev` lowers to
+    // engine endpoint `dev + 1`, so ep0 — the CPU — is CONTRIB.
     let endpoints = 2 + report
         .trace
         .iter()
@@ -465,8 +466,7 @@ pub fn race_check_report(kernel: &KernelDef, report: &KernelReport) -> Vec<LintD
     check_hb(endpoints, meta.out_lens.len(), &events)
 }
 
-/// The endpoint index of a multi-device trace event, `None` for the legacy
-/// two-device vocabulary. Any `Some` in a trace marks it as multi-device.
+/// The endpoint index a trace event names, if any.
 fn ep_dev(kind: &TraceKind) -> Option<u32> {
     match *kind {
         TraceKind::EpSubkernelStart { dev, .. }
@@ -503,31 +503,39 @@ fn endpoint_of_finisher(f: Finisher) -> usize {
 /// event → edge table, mirrored in DESIGN.md §12).
 fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> Vec<HbEvent> {
     let total = meta.ndrange.num_groups();
+    let buffers = meta.out_lens.len();
     let fp = |from: u64, to: u64| -> Vec<DirtyRanges> {
         kernel
             .write_footprints(&meta.ndrange, &meta.scalars, &meta.out_lens, from, to)
             .expect("checked by has_write_footprints")
     };
-    // The merge covers everything above the *final* watermark — the lowest
-    // status boundary that ever arrived (paper §4.3).
-    let final_wm = report
+    let none = || vec![DirtyRanges::empty(); buffers];
+    let union_fp = |a: Vec<DirtyRanges>, b: &[DirtyRanges]| -> Vec<DirtyRanges> {
+        a.iter().zip(b).map(|(x, y)| x.union(y)).collect()
+    };
+    // The owner's walk stops at the final watermark — the lowest one
+    // reported since the last ownership change — so the merge must
+    // establish the covered suffix above it (paper §4.3) besides every
+    // delivered island. A legal trace delivered that suffix; a forged
+    // watermark surfaces as a stale or premature merge.
+    let epoch_start = report
         .trace
         .iter()
+        .rposition(|e| matches!(e.kind, TraceKind::OwnerPromoted { .. }))
+        .map_or(0, |i| i + 1);
+    let final_wm = report.trace[epoch_start..]
+        .iter()
         .filter_map(|e| match e.kind {
-            TraceKind::StatusArrived { boundary } => Some(boundary),
+            TraceKind::EpStatus { watermark, .. } => Some(watermark),
             _ => None,
         })
         .min()
         .unwrap_or(total);
-    let union_fp = |a: Vec<DirtyRanges>, b: &[DirtyRanges]| -> Vec<DirtyRanges> {
-        a.iter().zip(b).map(|(x, y)| x.union(y)).collect()
-    };
 
     // `Option` slots so a voided (faulted) send can be removed after the
     // fact: a transfer that never delivered carries no edge.
     let mut events: Vec<Option<HbEvent>> = Vec::new();
-    // Completed-but-unshipped subkernels per non-owner endpoint, oldest
-    // first (legacy CPU events use endpoint 0).
+    // Completed-but-unshipped subkernels per endpoint, oldest first.
     let mut completed: HashMap<u32, VecDeque<(u64, u64)>> = HashMap::new();
     // In-flight sends of each endpoint's in-order upstream queue: (event
     // slot, boundary, message id, shipped footprints). The k-th status from
@@ -537,10 +545,9 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
     // Shipped footprints by (endpoint, boundary), so a faulted transfer's
     // re-send (same batch, new attempt) reuses the recorded ranges.
     let mut sent_ranges: HashMap<(u32, u64), Vec<DirtyRanges>> = HashMap::new();
-    // Union of footprints whose status arrived at the owner — what a
-    // multi-device merge covers (claim islands below the watermark merge
-    // too, unlike the legacy suffix-only merge).
-    let mut delivered: Vec<DirtyRanges> = vec![DirtyRanges::empty(); meta.out_lens.len()];
+    // Union of footprints whose status arrived at the owner — what the
+    // merge folds in (claim islands below the watermark merge too).
+    let mut delivered = none();
     // Accepted sends per endpoint: (send event slot, shipped footprints).
     // Owner failover rolls the promoted endpoint's prior contributions
     // back (its ranges return to the frontier and a survivor re-ships
@@ -556,7 +563,6 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
     // A peer-degraded run reads its result at the surviving peer's
     // endpoint, not at the (dead) owner.
     let mut degraded_peer: Option<u32> = None;
-    let multi = report.trace.iter().any(|e| ep_dev(&e.kind).is_some());
     let mut next_msg = 0u64;
 
     for ev in &report.trace {
@@ -572,110 +578,10 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                     },
                 )));
             }
-            TraceKind::CpuSubkernelDone { from, to } => {
-                events.push(Some(HbEvent::new(
-                    CONTRIB,
-                    format!("subkernel {from}..{to}"),
-                    HbOp::Write {
-                        ranges: fp(*from, *to),
-                    },
-                )));
-                completed.entry(0).or_default().push_back((*from, *to));
-            }
-            TraceKind::HdEnqueued { boundary, .. } => {
-                let q = completed.entry(0).or_default();
-                let ranges = if let Some(pos) = q.iter().position(|(f, _)| f == boundary) {
-                    let (f, t) = q.remove(pos).expect("position exists");
-                    fp(f, t)
-                } else if let Some(r) = sent_ranges.get(&(0, *boundary)) {
-                    // Re-send of a faulted batch: same data, new attempt.
-                    r.clone()
-                } else {
-                    // Malformed trace (the linter flags the shape); ship
-                    // nothing so coverage checks surface the damage.
-                    vec![DirtyRanges::empty(); meta.out_lens.len()]
-                };
-                sent_ranges.insert((0, *boundary), ranges.clone());
-                let slot = events.len();
-                events.push(Some(HbEvent::new(
-                    CONTRIB,
-                    format!("send boundary {boundary}"),
-                    HbOp::Send {
-                        msg: next_msg,
-                        ranges: ranges.clone(),
-                    },
-                )));
-                fifo.entry(0)
-                    .or_default()
-                    .push_back((slot, *boundary, next_msg, ranges));
-                next_msg += 1;
-            }
-            TraceKind::CoalescedSend {
-                boundary,
-                subkernels,
-                ..
-            } => {
-                let q = completed.entry(0).or_default();
-                let mut ranges = vec![DirtyRanges::empty(); meta.out_lens.len()];
-                if q.len() >= *subkernels as usize
-                    && q.iter().take(*subkernels as usize).map(|(f, _)| *f).min() == Some(*boundary)
-                {
-                    for _ in 0..*subkernels {
-                        let (f, t) = q.pop_front().expect("length checked");
-                        ranges = union_fp(ranges, &fp(f, t));
-                    }
-                } else if let Some(r) = sent_ranges.get(&(0, *boundary)) {
-                    ranges = r.clone();
-                }
-                sent_ranges.insert((0, *boundary), ranges.clone());
-                let slot = events.len();
-                events.push(Some(HbEvent::new(
-                    CONTRIB,
-                    format!("coalesced send boundary {boundary}"),
-                    HbOp::Send {
-                        msg: next_msg,
-                        ranges: ranges.clone(),
-                    },
-                )));
-                fifo.entry(0)
-                    .or_default()
-                    .push_back((slot, *boundary, next_msg, ranges));
-                next_msg += 1;
-            }
-            TraceKind::TransferFault { boundary, .. }
-            | TraceKind::TransferRejected { boundary }
-            | TraceKind::TransferTimeout { boundary } => {
-                // The damaged transfer never delivered: void its send so it
-                // carries no edge (and no longer occupies the ack queue).
-                // Faults excuse exactly their own damage — nothing else.
-                let q = fifo.entry(0).or_default();
-                if let Some(pos) = q.iter().position(|(_, b, _, _)| b == boundary) {
-                    let (slot, ..) = q.remove(pos).expect("position exists");
-                    events[slot] = None;
-                }
-            }
-            TraceKind::StatusArrived { .. } => {
-                // In-order queue: the status acknowledges the oldest
-                // un-acked send, whatever boundary it claims (a forged
-                // boundary shows up as a stale or premature merge).
-                let msg = fifo
-                    .entry(0)
-                    .or_default()
-                    .pop_front()
-                    .map(|(_, _, m, _)| m)
-                    .unwrap_or_else(|| {
-                        let m = next_msg;
-                        next_msg += 1;
-                        m
-                    });
-                events.push(Some(HbEvent::new(OWNER, "status ack", HbOp::Recv { msg })));
-            }
             TraceKind::EpSubkernelDone { dev, from, to } => {
                 let ranges = fp(*from, *to);
                 if *dev > 0 {
-                    let w = peer_written
-                        .entry(*dev)
-                        .or_insert_with(|| vec![DirtyRanges::empty(); meta.out_lens.len()]);
+                    let w = peer_written.entry(*dev).or_insert_with(none);
                     *w = union_fp(w.clone(), &ranges);
                 }
                 events.push(Some(HbEvent::new(
@@ -691,11 +597,11 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                 subkernels,
                 ..
             } => {
-                // One endpoint's plain and coalesced sends share a shape:
-                // the batch is that endpoint's oldest `subkernels` completed
-                // ranges, whose minimum `from` must be the boundary.
+                // Plain and coalesced sends share a shape: the batch is the
+                // endpoint's oldest `subkernels` completed ranges, whose
+                // minimum `from` must be the boundary.
                 let q = completed.entry(*dev).or_default();
-                let mut ranges = vec![DirtyRanges::empty(); meta.out_lens.len()];
+                let mut ranges = none();
                 if q.len() >= *subkernels as usize
                     && q.iter().take(*subkernels as usize).map(|(f, _)| *f).min() == Some(*boundary)
                 {
@@ -704,6 +610,10 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                         ranges = union_fp(ranges, &fp(f, t));
                     }
                 } else if let Some(r) = sent_ranges.get(&(*dev, *boundary)) {
+                    // Re-send of a faulted batch: same data, new attempt.
+                    // Anything else is a malformed trace (the linter flags
+                    // the shape) and ships nothing, so coverage checks
+                    // surface the damage.
                     ranges = r.clone();
                 }
                 sent_ranges.insert((*dev, *boundary), ranges.clone());
@@ -725,10 +635,12 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
             | TraceKind::EpTransferRejected { dev, boundary }
             | TraceKind::EpTransferTimeout { dev, boundary }
             | TraceKind::EpochRejected { dev, boundary } => {
-                // Per-endpoint queues: a fault voids a send on exactly the
-                // endpoint it damaged. A stale-epoch rejection is the same
-                // edge-wise — the send delivered but was never applied, so
-                // it carries no happens-before edge and no data.
+                // A damaged transfer never delivered: void its send on
+                // exactly the endpoint it damaged, so it carries no edge
+                // (and no longer occupies the ack queue). A stale-epoch
+                // rejection is the same edge-wise — the send delivered but
+                // was never applied. Faults excuse exactly their own
+                // damage — nothing else.
                 let q = fifo.entry(*dev).or_default();
                 if let Some(pos) = q.iter().position(|(_, b, _, _)| b == boundary) {
                     let (slot, ..) = q.remove(pos).expect("position exists");
@@ -736,6 +648,8 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                 }
             }
             TraceKind::EpStatus { dev, .. } => {
+                // In-order queue: the status acknowledges the endpoint's
+                // oldest un-acked send, whatever boundary it claims.
                 let (msg, ranges) = match fifo.entry(*dev).or_default().pop_front() {
                     Some((slot, _, m, r)) => {
                         accepted.entry(*dev).or_default().push((slot, r.clone()));
@@ -744,7 +658,7 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                     None => {
                         let m = next_msg;
                         next_msg += 1;
-                        (m, vec![DirtyRanges::empty(); meta.out_lens.len()])
+                        (m, none())
                     }
                 };
                 delivered = union_fp(delivered, &ranges);
@@ -770,10 +684,10 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                         ..
                     }) = events[slot].as_mut()
                     {
-                        *ranges = vec![DirtyRanges::empty(); meta.out_lens.len()];
+                        *ranges = none();
                     }
                 }
-                delivered = vec![DirtyRanges::empty(); meta.out_lens.len()];
+                delivered = none();
                 for entries in accepted.values() {
                     for (_, r) in entries {
                         delivered = union_fp(delivered, r);
@@ -791,7 +705,7 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                     format!("ep{dev} promotion handoff"),
                     HbOp::Send {
                         msg: next_msg,
-                        ranges: vec![DirtyRanges::empty(); meta.out_lens.len()],
+                        ranges: none(),
                     },
                 )));
                 events.push(Some(HbEvent::new(
@@ -830,21 +744,15 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                 )));
             }
             TraceKind::MergeDone => {
-                // Legacy merge covers the contiguous suffix above the final
-                // watermark; a multi-device merge covers exactly what
-                // arrived — islands from a fast peer merge too.
-                let (label, ranges) = if multi {
-                    (
-                        "diff-merge of arrived claims".to_string(),
-                        delivered.clone(),
-                    )
-                } else {
-                    (
-                        format!("diff-merge {final_wm}..{total}"),
-                        fp(final_wm, total),
-                    )
-                };
-                events.push(Some(HbEvent::new(OWNER, label, HbOp::Merge { ranges })));
+                let mut ranges = delivered.clone();
+                if final_wm < total {
+                    ranges = union_fp(ranges, &fp(final_wm, total));
+                }
+                events.push(Some(HbEvent::new(
+                    OWNER,
+                    format!("diff-merge of arrivals (watermark {final_wm})"),
+                    HbOp::Merge { ranges },
+                )));
             }
             TraceKind::DegradedRun { device, from, to } => {
                 events.push(Some(HbEvent::new(
@@ -856,12 +764,13 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                 )));
             }
             TraceKind::KernelComplete { finisher } => {
-                if multi && *finisher == Finisher::Cpu {
+                if *finisher == Finisher::Cpu {
                     // Owner-GPU loss: the host folds each surviving peer's
                     // memory into its own copy before the final read. Model
                     // the fold as one join message per peer carrying its
-                    // cumulative writes, merged at the host endpoint.
-                    let mut folded = vec![DirtyRanges::empty(); meta.out_lens.len()];
+                    // cumulative writes, merged at the host endpoint. With
+                    // the CPU as the sole endpoint there is nothing to fold.
+                    let mut folded = none();
                     for (dev, ranges) in &peer_written {
                         if lost_devs.contains(dev) {
                             continue;

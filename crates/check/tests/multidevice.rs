@@ -1,7 +1,7 @@
 //! Integration tests for N-way co-execution: output correctness and trace
-//! hygiene on the three-device machine, byte-identity of the degenerate
-//! two-device configuration, the N=3-beats-N=2 virtual-time claim, and the
-//! `cpu_version_used` propagation on degraded runs.
+//! hygiene on the three-device machine, identity of the capped two-device
+//! configuration with the paper testbed, the N=3-beats-N=2 virtual-time
+//! claim, and the `cpu_version_used` propagation on degraded runs.
 
 use fluidicl::{render_timeline, Finisher, Fluidicl, FluidiclConfig, KernelReport, TraceKind};
 use fluidicl_check::{race_check_report, sweep_size, SWEEP_SEED};
@@ -11,27 +11,26 @@ use fluidicl_vcl::{
     ArgRole, ArgSpec, ClDriver, FaultKind, FaultPlan, KernelArg, KernelDef, NdRange, Program,
 };
 
-/// Whether a report's trace uses the multi-device (Ep*) vocabulary.
-fn is_multi(report: &KernelReport) -> bool {
+/// Whether any event of a report's trace names a peer endpoint (dev ≥ 1).
+fn names_a_peer(report: &KernelReport) -> bool {
     report.trace.iter().any(|e| {
         matches!(
             e.kind,
-            TraceKind::EpSubkernelStart { .. }
-                | TraceKind::EpSubkernelDone { .. }
-                | TraceKind::EpSend { .. }
-                | TraceKind::EpStatus { .. }
-                | TraceKind::NonOwnerLost { .. }
+            TraceKind::EpSubkernelStart { dev: 1.., .. }
+                | TraceKind::EpSend { dev: 1.., .. }
+                | TraceKind::EpStatus { dev: 1.., .. }
         )
     })
 }
 
 /// Every Polybench benchmark on the three-device machine must match its
-/// sequential reference, emit multi-device traces, and pass the
+/// sequential reference, let the peer take part, and pass the
 /// happens-before race check on every kernel.
 #[test]
 fn three_device_coexecution_matches_references() {
     let machine = MachineConfig::paper_testbed_3dev();
     let mut peer_wgs_total = 0u64;
+    let mut peer_kernels = 0usize;
     for b in all_benchmarks() {
         let n = sweep_size(b.name);
         let config = FluidiclConfig::default().with_validate_protocol(true);
@@ -40,12 +39,7 @@ fn three_device_coexecution_matches_references() {
         let ok = b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap();
         assert!(ok, "{}: 3-device run diverged from reference", b.name);
         for report in rt.reports() {
-            assert!(
-                is_multi(report),
-                "{} kernel `{}`: expected multi-device trace vocabulary",
-                b.name,
-                report.kernel
-            );
+            peer_kernels += usize::from(names_a_peer(report));
             peer_wgs_total += report.peer_executed_wgs.iter().sum::<u64>();
             let kdef = defs.kernel(&report.kernel).unwrap();
             let findings = race_check_report(&kdef, report);
@@ -58,14 +52,15 @@ fn three_device_coexecution_matches_references() {
         }
     }
     assert!(
-        peer_wgs_total > 0,
+        peer_wgs_total > 0 && peer_kernels > 0,
         "the peer GPU never executed a single work-group across the suite"
     );
 }
 
 /// `with_devices(2)` on the three-device machine must degenerate to the
-/// paper's two-device protocol exactly: every kernel's rendered timeline is
-/// byte-identical to a run on the plain paper testbed.
+/// paper's two-device protocol — the frontier with the CPU as its only
+/// endpoint: every kernel's rendered timeline is byte-identical to a run on
+/// the plain paper testbed.
 #[test]
 fn two_device_cap_reproduces_paper_testbed_traces() {
     for b in all_benchmarks() {
@@ -88,7 +83,7 @@ fn two_device_cap_reproduces_paper_testbed_traces() {
             .unwrap());
         assert_eq!(two.reports().len(), capped.reports().len());
         for (a, c) in two.reports().iter().zip(capped.reports()) {
-            assert!(!is_multi(c), "capped run must use the legacy vocabulary");
+            assert!(!names_a_peer(c), "capped run must not schedule the peer");
             assert_eq!(
                 render_timeline(&a.kernel, &a.trace),
                 render_timeline(&c.kernel, &c.trace),

@@ -43,7 +43,7 @@ fn rich_trace(reports: &[KernelReport]) -> Vec<TraceEvent> {
         .find(|t| {
             let statuses = t
                 .iter()
-                .filter(|e| matches!(e.kind, TraceKind::StatusArrived { .. }))
+                .filter(|e| matches!(e.kind, TraceKind::EpStatus { .. }))
                 .count();
             let waves = t
                 .iter()
@@ -90,16 +90,16 @@ fn mutation_rising_watermark() {
         TraceKind::Enqueued { total_wgs, .. } => total_wgs,
         _ => unreachable!(),
     };
-    // Make the last status claim a boundary above the whole NDRange: the
-    // watermark would have to rise.
+    // Make the last status report a watermark above the whole NDRange:
+    // the watermark would have to rise.
     let last_status = t
         .iter_mut()
         .rev()
-        .find(|e| matches!(e.kind, TraceKind::StatusArrived { .. }))
+        .find(|e| matches!(e.kind, TraceKind::EpStatus { .. }))
         .unwrap();
-    last_status.kind = TraceKind::StatusArrived {
-        boundary: total + 1,
-    };
+    if let TraceKind::EpStatus { watermark, .. } = &mut last_status.kind {
+        *watermark = total + 1;
+    }
     let rules = errors(&t);
     assert!(
         rules.contains(&"watermark-monotone".to_string()),
@@ -113,7 +113,7 @@ fn mutation_status_without_data() {
     let mut t = rich_trace(&reports);
     // Drop every data transfer: the in-order queue now delivers statuses
     // whose payload was never sent.
-    t.retain(|e| !matches!(e.kind, TraceKind::HdEnqueued { .. }));
+    t.retain(|e| !matches!(e.kind, TraceKind::EpSend { .. }));
     let rules = errors(&t);
     assert!(
         rules.contains(&"data-before-status".to_string()),
@@ -185,17 +185,55 @@ fn mutation_broken_subkernel_descent() {
     // descent at the top of the NDRange.
     let first = t
         .iter_mut()
-        .find(|e| matches!(e.kind, TraceKind::CpuSubkernelStart { .. }))
+        .find(|e| matches!(e.kind, TraceKind::EpSubkernelStart { .. }))
         .unwrap();
-    if let TraceKind::CpuSubkernelStart { from, to, version } = first.kind.clone() {
-        first.kind = TraceKind::CpuSubkernelStart {
-            from: from + 1,
-            to: to + 1,
-            version,
-        };
+    if let TraceKind::EpSubkernelStart { from, to, .. } = &mut first.kind {
+        *from += 1;
+        *to += 1;
     }
     let rules = errors(&t);
-    assert!(rules.contains(&"cpu-contiguity".to_string()), "{rules:?}");
+    assert!(rules.contains(&"claim-descent".to_string()), "{rules:?}");
+}
+
+#[test]
+fn mutation_peer_claim_below_the_frontier_top() {
+    // The descent rule covers every endpoint of an N-device trace: a peer
+    // claim that skips the current top of the frontier leaves unclaimed
+    // work-groups above it.
+    let b = all_benchmarks()
+        .into_iter()
+        .find(|b| b.name == "SYRK")
+        .unwrap();
+    let n = sweep_size(b.name);
+    let mut rt = Fluidicl::new(
+        MachineConfig::paper_testbed_3dev(),
+        FluidiclConfig::default(),
+        (b.program)(n),
+    );
+    assert!(b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap());
+    let mut t = rt
+        .reports()
+        .iter()
+        .map(|r| r.trace.clone())
+        .find(|t| {
+            t.iter()
+                .any(|e| matches!(e.kind, TraceKind::EpSubkernelStart { dev: 1.., .. }))
+        })
+        .expect("a peer claimed work");
+    assert!(
+        errors(&t).is_empty(),
+        "unmutated 3-device trace lints clean"
+    );
+    let peer = t
+        .iter_mut()
+        .find(|e| matches!(e.kind, TraceKind::EpSubkernelStart { dev: 1.., .. }))
+        .unwrap();
+    if let TraceKind::EpSubkernelStart { from, to, .. } = &mut peer.kind {
+        *from -= 1;
+        *to -= 1;
+    }
+    let rules = errors(&t);
+    assert!(rules.contains(&"claim-descent".to_string()), "{rules:?}");
 }
 
 #[test]

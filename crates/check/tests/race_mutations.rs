@@ -102,17 +102,15 @@ fn cooperative_base() -> (Arc<KernelDef>, KernelReport) {
         let defs = (b.program)(n);
         for report in rt.reports() {
             let subs = count(&report.trace, |k| {
-                matches!(k, TraceKind::CpuSubkernelDone { .. })
+                matches!(k, TraceKind::EpSubkernelDone { .. })
             });
-            let acks = count(&report.trace, |k| {
-                matches!(k, TraceKind::StatusArrived { .. })
-            });
+            let acks = count(&report.trace, |k| matches!(k, TraceKind::EpStatus { .. }));
             let merges = count(&report.trace, |k| matches!(k, TraceKind::MergeDone));
             let wm = report
                 .trace
                 .iter()
                 .filter_map(|e| match e.kind {
-                    TraceKind::StatusArrived { boundary } => Some(boundary),
+                    TraceKind::EpStatus { watermark, .. } => Some(watermark),
                     _ => None,
                 })
                 .min();
@@ -141,7 +139,7 @@ fn final_watermark(report: &KernelReport) -> u64 {
         .trace
         .iter()
         .filter_map(|e| match e.kind {
-            TraceKind::StatusArrived { boundary } => Some(boundary),
+            TraceKind::EpStatus { watermark, .. } => Some(watermark),
             _ => None,
         })
         .min()
@@ -171,7 +169,7 @@ fn mutation_merge_before_data_arrival_is_flagged() {
     let last_ack = report
         .trace
         .iter()
-        .rposition(|e| matches!(e.kind, TraceKind::StatusArrived { .. }))
+        .rposition(|e| matches!(e.kind, TraceKind::EpStatus { .. }))
         .expect("has acks");
     let merge = position(&report.trace, |k| matches!(k, TraceKind::MergeDone)).expect("has merge");
     assert!(last_ack < merge, "clean trace acks before merging");
@@ -198,23 +196,32 @@ fn mutation_overlapping_subkernel_writes_is_flagged() {
     // CPU subkernels descend: the first completion covers the highest
     // range and the second ends exactly where the first starts.
     let first = position(&report.trace, |k| {
-        matches!(k, TraceKind::CpuSubkernelDone { .. })
+        matches!(k, TraceKind::EpSubkernelDone { .. })
     })
     .expect("has subkernels");
-    let TraceKind::CpuSubkernelDone { from: f1, to: t1 } = report.trace[first].kind else {
+    let TraceKind::EpSubkernelDone {
+        from: f1, to: t1, ..
+    } = report.trace[first].kind
+    else {
         unreachable!()
     };
     let second = report.trace[first + 1..]
         .iter()
-        .position(|e| matches!(e.kind, TraceKind::CpuSubkernelDone { .. }))
+        .position(|e| matches!(e.kind, TraceKind::EpSubkernelDone { .. }))
         .map(|i| first + 1 + i)
         .expect("has a second subkernel");
-    let TraceKind::CpuSubkernelDone { from: f2, to: t2 } = report.trace[second].kind else {
+    let TraceKind::EpSubkernelDone {
+        dev,
+        from: f2,
+        to: t2,
+    } = report.trace[second].kind
+    else {
         unreachable!()
     };
     assert_eq!(t2, f1, "descending subkernels are contiguous");
     // Extend the second subkernel one work-group into the first's range.
-    report.trace[second].kind = TraceKind::CpuSubkernelDone {
+    report.trace[second].kind = TraceKind::EpSubkernelDone {
+        dev,
         from: f2,
         to: t2 + 1,
     };
@@ -234,17 +241,10 @@ fn mutation_overlapping_subkernel_writes_is_flagged() {
 fn mutation_status_ack_reorder_is_flagged() {
     let (kdef, base) = cooperative_base();
     let mut report = base.clone();
-    let first_ack = position(&report.trace, |k| {
-        matches!(k, TraceKind::StatusArrived { .. })
-    })
-    .expect("has acks");
-    let first_send = position(&report.trace, |k| {
-        matches!(
-            k,
-            TraceKind::HdEnqueued { .. } | TraceKind::CoalescedSend { .. }
-        )
-    })
-    .expect("has sends");
+    let first_ack =
+        position(&report.trace, |k| matches!(k, TraceKind::EpStatus { .. })).expect("has acks");
+    let first_send =
+        position(&report.trace, |k| matches!(k, TraceKind::EpSend { .. })).expect("has sends");
     assert!(first_send < first_ack, "clean trace sends before acking");
     let ack = report.trace.remove(first_ack);
     report.trace.insert(first_send, ack);
@@ -255,8 +255,8 @@ fn mutation_status_ack_reorder_is_flagged() {
     );
 }
 
-/// Mutation 4 — stale-snapshot read: the final status ack claims a lower
-/// boundary than any data actually shipped, so the merge covers elements
+/// Mutation 4 — stale-snapshot read: the final status ack reports a lower
+/// watermark than any data actually shipped, so the merge covers elements
 /// whose contribution was never sent — it would read a stale snapshot of
 /// the owner's copy: `race-stale-read`.
 #[test]
@@ -268,9 +268,57 @@ fn mutation_stale_snapshot_read_is_flagged() {
     let stale_ack = report
         .trace
         .iter()
-        .position(|e| matches!(e.kind, TraceKind::StatusArrived { boundary } if boundary == wm))
+        .position(|e| matches!(e.kind, TraceKind::EpStatus { watermark, .. } if watermark == wm))
         .expect("watermark ack exists");
-    report.trace[stale_ack].kind = TraceKind::StatusArrived { boundary: 0 };
+    if let TraceKind::EpStatus { watermark, .. } = &mut report.trace[stale_ack].kind {
+        *watermark = 0;
+    }
+    let flagged = rules(&kdef, &report);
+    assert!(
+        flagged.contains(&"race-stale-read"),
+        "expected race-stale-read, got {flagged:?}"
+    );
+}
+
+/// Mutation 5 — forged watermark on an N-device trace: a status from a
+/// peer-assisted kernel reports watermark 0, so the owner's walk would stop
+/// at once and the merge would have to establish the whole NDRange. The
+/// merge region includes the reported covered suffix on every trace, so
+/// the uncovered part is a stale read here too.
+#[test]
+fn mutation_forged_watermark_on_a_peer_trace_is_flagged() {
+    let (defs, mut report) = all_benchmarks()
+        .into_iter()
+        .find_map(|b| {
+            // Twice the sweep size: the peer's begin broadcast is amortised
+            // and its results reach the owner before the exit.
+            let n = 2 * sweep_size(b.name);
+            let config = FluidiclConfig::default().with_validate_protocol(true);
+            let mut rt = Fluidicl::new(MachineConfig::paper_testbed_3dev(), config, (b.program)(n));
+            assert!(b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap());
+            let report = rt.reports().iter().find(|r| {
+                r.trace
+                    .iter()
+                    .any(|e| matches!(e.kind, TraceKind::EpStatus { dev: 1.., .. }))
+                    && count(&r.trace, |k| matches!(k, TraceKind::MergeDone)) == 1
+                    && final_watermark(r) > 0
+            })?;
+            Some(((b.program)(n), report.clone()))
+        })
+        .expect("a peer delivered results on some benchmark");
+    let kdef = defs.kernel(&report.kernel).expect("kernel registered");
+    assert!(
+        rules(&kdef, &report).is_empty(),
+        "base report must be clean"
+    );
+    let last_ack = report
+        .trace
+        .iter()
+        .rposition(|e| matches!(e.kind, TraceKind::EpStatus { .. }))
+        .expect("has acks");
+    if let TraceKind::EpStatus { watermark, .. } = &mut report.trace[last_ack].kind {
+        *watermark = 0;
+    }
     let flagged = rules(&kdef, &report);
     assert!(
         flagged.contains(&"race-stale-read"),

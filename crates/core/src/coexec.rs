@@ -22,14 +22,13 @@
 //! * when the owner reaches the watermark it exits and a **diff-merge**
 //!   folds each endpoint's results into the owner's buffers as a merge
 //!   tree (§4.3) — one endpoint makes that the paper's single merge;
-//! * if the non-owners compute the whole NDRange first (two-device mode),
-//!   the CPU copy is authoritative and no device-to-host transfer is
+//! * if a single non-owner endpoint (the CPU) computes the whole NDRange
+//!   first, its copy is authoritative and no device-to-host transfer is
 //!   needed (§4.2, §6.2);
 //! * with a pipeline depth ≥ 2 an endpoint starts subkernel *k+1* while
 //!   subkernel *k*'s data + status is still being staged and shipped, and
 //!   copies that complete while its link is busy are coalesced into one
-//!   data payload + one status message; depth 1 reproduces the serial
-//!   protocol byte-for-byte;
+//!   data payload + one status message; depth 1 is the serial protocol;
 //! * recovery is per-endpoint: a lost endpoint's claimed-but-unshipped
 //!   ranges return to the frontier for the survivors, and a dead link
 //!   stops only its own endpoint.
@@ -316,11 +315,8 @@ struct EpState {
 pub(crate) struct Coexec<'a> {
     input: CoexecInput<'a>,
     /// Non-owner endpoints: `eps[0]` is always the CPU, the rest peers.
+    /// With the CPU alone this is the paper's two-device protocol.
     eps: Vec<EpState>,
-    /// More than one non-owner: dev-tagged trace vocabulary and the
-    /// merge-everything completion rule. With a single endpoint the engine
-    /// degenerates to the paper's two-device protocol, byte-for-byte.
-    multi: bool,
     /// One staging-copy engine per endpoint, each one copy at a time.
     staging: ChannelBank,
     // Geometry.
@@ -502,12 +498,10 @@ impl<'a> Coexec<'a> {
                 wgs_executed: 0,
             });
         }
-        let multi = eps.len() > 1;
         let staging = ChannelBank::new(eps.len(), SimTime::ZERO);
         let dh_free = input.dh_free;
         Ok(Coexec {
             eps,
-            multi,
             staging,
             total,
             items,
@@ -745,12 +739,7 @@ impl<'a> Coexec<'a> {
             // acting owner's walk re-covers them.
             self.eps[p].lost = true;
         }
-        self.record(
-            t,
-            TraceKind::DeviceLost {
-                device: DeviceKind::Gpu,
-            },
-        );
+        self.record(t, TraceKind::OwnerLost);
         // Owner failover (epoch-fenced): promote the lowest surviving peer
         // to owner instead of abandoning the run to survivor-finishes.
         if self.input.config.recovery.promote_on_owner_loss {
@@ -988,51 +977,14 @@ impl<'a> Coexec<'a> {
         // out — harmless, nothing reads it again.)
         let owner = self.owner_ep;
         let mut promoted_mem = owner.and_then(|p| self.eps[p].mem.take());
-        for e in 0..self.eps.len() {
-            if owner == Some(e) {
-                continue;
-            }
-            // The endpoint's address space and the owner's are separate
-            // fields, so the source copy is borrowed in place — no
-            // temporary clone per buffer.
-            let ep = &self.eps[e];
-            let src_mem: &Memory = match ep.mem.as_ref() {
-                Some(m) => m,
-                None => self.input.cpu_mem,
-            };
-            let gpu_mem: &mut Memory = match promoted_mem.as_mut() {
-                Some(m) => m,
-                None => self.input.gpu_mem,
-            };
-            for (j, (id, orig)) in self.orig_snapshots.iter().enumerate() {
-                let src = src_mem.get(*id)?;
-                let dst = gpu_mem.get_mut(*id)?;
-                if dst.len() != src.len() || src.len() != orig.len() {
-                    // A mis-sized buffer mid-simulation is a protocol breach,
-                    // not a programming error in the merge itself: surface it
-                    // through the runtime's error path instead of panicking.
-                    return Err(ClError::ProtocolViolation {
-                        kernel: self.input.launch.kernel.name().to_string(),
-                        detail: format!(
-                            "diff-merge size mismatch on buffer {}: gpu {} vs cpu {} vs original {} elements",
-                            id.0,
-                            dst.len(),
-                            src.len(),
-                            orig.len()
-                        ),
-                    });
-                }
-                // With dirty tracking the merge walks only what the
-                // endpoint actually changed; `cum_dirty` covers every
-                // element where its copy differs from `orig` (exactly, or
-                // rounded to pages on huge buffers — the extra elements are
-                // bitwise clean), so this is functionally identical to the
-                // full-buffer merge.
-                if self.dirty_enabled {
-                    diff_merge_tracked(dst, src, orig, &ep.cum_dirty[j])?;
-                } else {
-                    fluidicl_vcl::diff_merge(dst, src, orig);
-                }
+        let dst: &mut Memory = match promoted_mem.as_mut() {
+            Some(m) => m,
+            None => self.input.gpu_mem,
+        };
+        for (e, ep) in self.eps.iter().enumerate() {
+            if owner != Some(e) {
+                let src = ep.mem.as_ref().unwrap_or(self.input.cpu_mem);
+                fold_endpoint(dst, src, ep, &self.orig_snapshots, self.dirty_enabled)?;
             }
         }
         if let Some(p) = owner {
@@ -1109,19 +1061,15 @@ impl<'a> Coexec<'a> {
                 .compute_time(profile, self.items, wgs, self.input.config.wg_split)
         };
         let dev = self.eps[d].dev;
-        if self.multi {
-            self.record(
-                t,
-                TraceKind::EpSubkernelStart {
-                    dev,
-                    from,
-                    to,
-                    version,
-                },
-            );
-        } else {
-            self.record(t, TraceKind::CpuSubkernelStart { from, to, version });
-        }
+        self.record(
+            t,
+            TraceKind::EpSubkernelStart {
+                dev,
+                from,
+                to,
+                version,
+            },
+        );
         self.subkernels.push(Subkernel {
             dev,
             from,
@@ -1154,11 +1102,21 @@ impl<'a> Coexec<'a> {
 
     /// Index into `eps` of the endpoint that owns subkernel `idx`.
     fn ep_of(&self, idx: u32) -> usize {
-        let dev = self.subkernels[idx as usize].dev;
+        self.ep_index(self.subkernels[idx as usize].dev)
+    }
+
+    /// Index into `eps` of the endpoint that owns send `seq`.
+    fn ep_of_send(&self, seq: u32) -> usize {
+        self.ep_index(self.sends[seq as usize].dev)
+    }
+
+    /// Index into `eps` of endpoint `dev` (stable indices may skip peers
+    /// lost in earlier kernels).
+    fn ep_index(&self, dev: u32) -> usize {
         self.eps
             .iter()
             .position(|e| e.dev == dev)
-            .expect("subkernel dev indexes a live endpoint")
+            .expect("dev indexes a configured endpoint")
     }
 
     fn on_subkernel_watchdog(
@@ -1182,16 +1140,7 @@ impl<'a> Coexec<'a> {
         // the watermark — pick them up.
         self.eps[d].lost = true;
         let dev = self.eps[d].dev;
-        if self.multi {
-            self.record(t, TraceKind::NonOwnerLost { dev });
-        } else {
-            self.record(
-                t,
-                TraceKind::DeviceLost {
-                    device: DeviceKind::Cpu,
-                },
-            );
-        }
+        self.record(t, TraceKind::NonOwnerLost { dev });
         self.return_lost_ranges(d);
         if self.gpu_lost && self.eps.iter().all(|e| e.lost || e.promoted) {
             // Name the device that actually missed the deadline: the CPU
@@ -1241,13 +1190,9 @@ impl<'a> Coexec<'a> {
                 ranges.push((sk.from, sk.to));
             }
         }
-        // In multi-endpoint mode the dead endpoint's unsent results must
-        // never ship (another endpoint re-claims those ranges); the legacy
-        // two-device protocol lets a last in-flight copy ship as usual —
-        // the returned range is unreachable there anyway.
-        if self.multi {
-            self.eps[d].pending_batch.clear();
-        }
+        // The dead endpoint's unsent results never ship: the returned
+        // ranges belong to whoever claims them next (or to the owner's walk).
+        self.eps[d].pending_batch.clear();
         for (f, t) in ranges {
             self.frontier.return_range(f, t);
         }
@@ -1289,10 +1234,7 @@ impl<'a> Coexec<'a> {
             // The subkernel really computes its work-groups on the
             // endpoint's copy, using the selected kernel version's body.
             ep.launch.version = version;
-            let mem: &mut Memory = match ep.mem.as_mut() {
-                Some(m) => m,
-                None => self.input.cpu_mem,
-            };
+            let mem = ep.mem.as_mut().unwrap_or(self.input.cpu_mem);
             execute_groups_par(&ep.launch, mem, from, to, jobs)?;
         }
         // Dirty-range capture: diff the endpoint's copy against the
@@ -1305,10 +1247,7 @@ impl<'a> Coexec<'a> {
         if self.dirty_enabled {
             let snaps = &self.orig_snapshots;
             let ep = &mut self.eps[d];
-            let mem: &Memory = match ep.mem.as_ref() {
-                Some(m) => m,
-                None => self.input.cpu_mem,
-            };
+            let mem = ep.mem.as_ref().unwrap_or(self.input.cpu_mem);
             for (j, (id, orig)) in snaps.iter().enumerate() {
                 let cur = DirtyTracker::from_diff(mem.get(*id)?, orig);
                 let prev = ep.cum_dirty[j].element_count();
@@ -1320,11 +1259,7 @@ impl<'a> Coexec<'a> {
         let wgs = to - from;
         self.eps[d].wgs_executed += wgs;
         self.subkernel_log.push((wgs, duration));
-        if self.multi {
-            self.record(t, TraceKind::EpSubkernelDone { dev, from, to });
-        } else {
-            self.record(t, TraceKind::CpuSubkernelDone { from, to });
-        }
+        self.record(t, TraceKind::EpSubkernelDone { dev, from, to });
         if trial {
             self.trial_results.push((version, duration.div_count(wgs)));
             if self.trial_results.len() == self.trial_versions {
@@ -1382,7 +1317,7 @@ impl<'a> Coexec<'a> {
     fn on_copy_done(&mut self, sim: &mut Simulation<Ev>, t: SimTime, idx: u32) {
         let d = self.ep_of(idx);
         self.eps[d].unshipped = self.eps[d].unshipped.saturating_sub(1);
-        if self.multi && (self.eps[d].lost || self.eps[d].promoted) {
+        if self.eps[d].lost || self.eps[d].promoted {
             // The endpoint died (or was promoted to owner) after this copy
             // was enqueued; its range already returned to the frontier, so
             // the result must not ship (a survivor owns the range now).
@@ -1421,7 +1356,8 @@ impl<'a> Coexec<'a> {
     }
 
     /// Batch payload bytes (excluding the status message): the dirty sum
-    /// across the batch, or one whole-buffer image in legacy mode (a batch
+    /// across the batch, or one whole-buffer image under whole-buffer
+    /// transfers (a batch
     /// ships the buffers once, regardless of how many subkernels it
     /// carries — later results overwrite earlier ones in the same image).
     fn batch_payload(&self, subs: &[u32]) -> u64 {
@@ -1455,7 +1391,8 @@ impl<'a> Coexec<'a> {
             || self.gpu_lost
             || self.eps[d].link_wedged
             || self.eps[d].link_dead
-            || (self.multi && (self.eps[d].lost || self.eps[d].promoted))
+            || self.eps[d].lost
+            || self.eps[d].promoted
         {
             // Nobody is listening (or the queue is blocked, or the range
             // went back to the frontier): the send is dropped; the GPU
@@ -1481,37 +1418,16 @@ impl<'a> Coexec<'a> {
         self.hd_bytes += payload + STATUS_MSG_BYTES;
         let bytes = payload + STATUS_MSG_BYTES;
         let dev = self.eps[d].dev;
-        if self.multi {
-            self.record(
-                t,
-                TraceKind::EpSend {
-                    dev,
-                    boundary,
-                    bytes,
-                    dirty_bytes,
-                    subkernels: subs.len() as u32,
-                },
-            );
-        } else if subs.len() == 1 {
-            self.record(
-                t,
-                TraceKind::HdEnqueued {
-                    boundary,
-                    bytes,
-                    dirty_bytes,
-                },
-            );
-        } else {
-            self.record(
-                t,
-                TraceKind::CoalescedSend {
-                    boundary,
-                    bytes,
-                    dirty_bytes,
-                    subkernels: subs.len() as u32,
-                },
-            );
-        }
+        self.record(
+            t,
+            TraceKind::EpSend {
+                dev,
+                boundary,
+                bytes,
+                dirty_bytes,
+                subkernels: subs.len() as u32,
+            },
+        );
         let seq = self.sends.len() as u32;
         self.sends.push(SendOp {
             dev,
@@ -1560,15 +1476,6 @@ impl<'a> Coexec<'a> {
                 sim.schedule_at(status_arrival, Ev::TransferCorrupt { seq });
             }
         }
-    }
-
-    /// Index into `eps` of the endpoint that owns send `seq`.
-    fn ep_of_send(&self, seq: u32) -> usize {
-        let dev = self.sends[seq as usize].dev;
-        self.eps
-            .iter()
-            .position(|e| e.dev == dev)
-            .expect("send dev indexes a live endpoint")
     }
 
     fn on_status_arrived(
@@ -1637,18 +1544,14 @@ impl<'a> Coexec<'a> {
             self.coverage.add(sk.from, sk.to);
         }
         self.watermark = self.coverage.suffix_start();
-        if self.multi {
-            self.record(
-                t,
-                TraceKind::EpStatus {
-                    dev,
-                    boundary,
-                    watermark: self.watermark,
-                },
-            );
-        } else {
-            self.record(t, TraceKind::StatusArrived { boundary });
-        }
+        self.record(
+            t,
+            TraceKind::EpStatus {
+                dev,
+                boundary,
+                watermark: self.watermark,
+            },
+        );
         // A running wave fully covered by the non-owners aborts at its next
         // in-loop check (paper §6.4).
         if !self.input.config.abort_mode.allows_early_abort() {
@@ -1717,11 +1620,7 @@ impl<'a> Coexec<'a> {
             (s.dev, s.boundary)
         };
         self.sends[seq as usize].resolved = true;
-        if self.multi {
-            self.record(t, TraceKind::EpTransferTimeout { dev, boundary });
-        } else {
-            self.record(t, TraceKind::TransferTimeout { boundary });
-        }
+        self.record(t, TraceKind::EpTransferTimeout { dev, boundary });
         self.eps[d].link_wedged = false;
         self.eps[d].link_dead = true;
         self.eps[d].hd_free = self.eps[d].hd_free.max(t);
@@ -1747,18 +1646,14 @@ impl<'a> Coexec<'a> {
             let s = &self.sends[seq as usize];
             (s.dev, s.boundary, s.attempt)
         };
-        if self.multi {
-            self.record(
-                t,
-                TraceKind::EpTransferFault {
-                    dev,
-                    boundary,
-                    attempt,
-                },
-            );
-        } else {
-            self.record(t, TraceKind::TransferFault { boundary, attempt });
-        }
+        self.record(
+            t,
+            TraceKind::EpTransferFault {
+                dev,
+                boundary,
+                attempt,
+            },
+        );
         if attempt > self.input.config.recovery.max_transfer_retries {
             return Err(ClError::Timeout {
                 op: "h2d transfer".into(),
@@ -1801,11 +1696,7 @@ impl<'a> Coexec<'a> {
             // Reject-and-resend: the damaged delivery is discarded and the
             // batch's results are re-enqueued immediately (the payload is
             // still staged host-side from the intermediate copies).
-            if self.multi {
-                self.record(t, TraceKind::EpTransferRejected { dev, boundary });
-            } else {
-                self.record(t, TraceKind::TransferRejected { boundary });
-            }
+            self.record(t, TraceKind::EpTransferRejected { dev, boundary });
             if attempt == 1 {
                 self.eps[d].holes += 1;
             }
@@ -1831,10 +1722,7 @@ impl<'a> Coexec<'a> {
         let Some(id) = self.out_ids.first() else {
             return Ok(false);
         };
-        let mem: &Memory = match self.eps[d].mem.as_ref() {
-            Some(m) => m,
-            None => self.input.cpu_mem,
-        };
+        let mem = self.eps[d].mem.as_ref().unwrap_or(self.input.cpu_mem);
         let data = mem.get(*id)?;
         if data.is_empty() {
             return Ok(false);
@@ -1868,32 +1756,26 @@ impl<'a> Coexec<'a> {
         if self.watermark < self.total {
             self.merge_results()?;
         }
-        let gpu_results_at = merge_done;
         // With a single endpoint the paper's shortcut applies: a CPU that
         // computed the whole NDRange holds the authoritative data and the
         // host call returns at that instant. With several endpoints the
         // final data only ever exists assembled on the owner, so the
         // kernel always completes through the merge.
         let (complete_at, finished_by) = match self.cpu_finished_at {
-            Some(tc) if !self.multi && tc < merge_done => (tc, Finisher::Cpu),
+            Some(tc) if self.eps.len() == 1 && tc < merge_done => (tc, Finisher::Cpu),
             _ => (merge_done, Finisher::Gpu),
         };
         // Host-stale ranges: where the merged GPU content differs from the
         // CPU copy — i.e. everything the host does not already hold. The
         // D2H return and the functional mirror only need these ranges.
         // Empty when the CPU finished the whole range.
+        let owner = owner_mem(&self.eps, self.owner_ep, self.input.gpu_mem);
         let stales: Vec<DirtyTracker> = if self.dirty_enabled {
-            let owner_mem: &Memory = match self.owner_ep {
-                Some(p) => self.eps[p]
-                    .mem
-                    .as_ref()
-                    .expect("promoted owner is a peer with its own memory"),
-                None => self.input.gpu_mem,
-            };
-            let cpu_mem: &Memory = self.input.cpu_mem;
             self.out_ids
                 .iter()
-                .map(|id| DirtyTracker::try_from_diff(owner_mem.get(*id)?, cpu_mem.get(*id)?))
+                .map(|id| {
+                    DirtyTracker::try_from_diff(owner.get(*id)?, self.input.cpu_mem.get(*id)?)
+                })
                 .collect::<ClResult<_>>()?
         } else {
             Vec::new()
@@ -1908,14 +1790,7 @@ impl<'a> Coexec<'a> {
                 let bytes = if self.dirty_enabled {
                     stales[i].byte_count()
                 } else {
-                    let owner_mem: &Memory = match self.owner_ep {
-                        Some(p) => self.eps[p]
-                            .mem
-                            .as_ref()
-                            .expect("promoted owner is a peer with its own memory"),
-                        None => self.input.gpu_mem,
-                    };
-                    owner_mem.get(*id)?.len() as u64 * 4
+                    owner.get(*id)?.len() as u64 * 4
                 };
                 t += self.owner_d2h.transfer_time(bytes);
                 self.dh_bytes += bytes;
@@ -1929,15 +1804,8 @@ impl<'a> Coexec<'a> {
         // still-valid snapshot) are refreshed.
         let orig_copy_bytes = if self.dirty_enabled {
             let mut bytes = 0u64;
-            let owner_mem: &Memory = match self.owner_ep {
-                Some(p) => self.eps[p]
-                    .mem
-                    .as_ref()
-                    .expect("promoted owner is a peer with its own memory"),
-                None => self.input.gpu_mem,
-            };
             for (id, orig) in &self.orig_snapshots {
-                bytes += DirtyTracker::try_from_diff(owner_mem.get(*id)?, orig)?.byte_count();
+                bytes += DirtyTracker::try_from_diff(owner.get(*id)?, orig)?.byte_count();
             }
             bytes
         } else {
@@ -1946,29 +1814,39 @@ impl<'a> Coexec<'a> {
         let orig_copy = SimDuration::from_nanos(
             (2.0 * orig_copy_bytes as f64 / self.owner_gpu.peak_mem_bytes_per_ns()) as u64,
         );
-        let gpu_busy_until = merge_done + orig_copy;
         // Functional epilogue: the merged GPU content is the authoritative
         // final value (identical to each endpoint's copy wherever both
         // computed); mirror it into the CPU address space as the DH thread
         // does — ranged when the stale set is known, whole-buffer
         // otherwise.
-        {
-            let owner_mem: &Memory = match self.owner_ep {
-                Some(p) => self.eps[p]
-                    .mem
-                    .as_ref()
-                    .expect("promoted owner is a peer with its own memory"),
-                None => self.input.gpu_mem,
-            };
-            let cpu_mem: &mut Memory = self.input.cpu_mem;
-            for (i, id) in self.out_ids.iter().enumerate() {
-                if self.dirty_enabled {
-                    stales[i].copy_ranges(owner_mem.get(*id)?, cpu_mem.get_mut(*id)?)?;
-                } else {
-                    cpu_mem.write(*id, owner_mem.get(*id)?)?;
-                }
+        for (i, id) in self.out_ids.iter().enumerate() {
+            if self.dirty_enabled {
+                stales[i].copy_ranges(owner.get(*id)?, self.input.cpu_mem.get_mut(*id)?)?;
+            } else {
+                self.input.cpu_mem.write(*id, owner.get(*id)?)?;
             }
         }
+        self.outcome(
+            complete_at,
+            finished_by,
+            merge_done + orig_copy,
+            dh_free,
+            cpu_results_at,
+            merge_done,
+        )
+    }
+
+    /// Records the completion, releases the snapshots, and assembles the
+    /// kernel report and timeline outcome.
+    fn outcome(
+        mut self,
+        complete_at: SimTime,
+        finished_by: Finisher,
+        gpu_busy_until: SimTime,
+        dh_free: SimTime,
+        cpu_results_at: SimTime,
+        gpu_results_at: SimTime,
+    ) -> ClResult<CoexecOutcome> {
         // The snapshots served their purpose; recycle their allocations for
         // the next kernel of this runtime.
         self.release_snapshots();
@@ -1981,7 +1859,6 @@ impl<'a> Coexec<'a> {
         // The trace is recorded in handler order; sort by timestamp so the
         // rendered timeline is chronological even across the final events.
         self.trace.sort_by_key(|e| e.at);
-        let cpu_merged_wgs = self.coverage.covered_count();
         let report = KernelReport {
             kernel: self.input.launch.kernel.name().to_string(),
             kernel_id: self.input.kernel_id,
@@ -1990,7 +1867,12 @@ impl<'a> Coexec<'a> {
             total_wgs: self.total,
             gpu_executed_wgs: self.gpu_wgs_executed,
             cpu_executed_wgs: self.eps[0].wgs_executed,
-            cpu_merged_wgs,
+            // A lost owner merges nothing: the host assembled the result.
+            cpu_merged_wgs: if self.gpu_lost {
+                0
+            } else {
+                self.coverage.covered_count()
+            },
             subkernels: self.subkernels.len() as u64,
             subkernel_log: self.subkernel_log,
             hd_bytes: self.hd_bytes,
@@ -2014,8 +1896,8 @@ impl<'a> Coexec<'a> {
             cpu_results_at,
             gpu_results_at,
             report,
-            // A lost CPU still reaches this path: the owner finished the
-            // kernel normally (the un-delivered ranges stayed above the
+            // A lost CPU still completes: the owner finished the kernel
+            // normally (the un-delivered ranges stayed above the
             // watermark), but the runtime must stop scheduling CPU work.
             // A nonzero epoch means the primary card died and a promoted
             // peer finished the kernel — the primary leaves the roster,
@@ -2039,95 +1921,94 @@ impl<'a> Coexec<'a> {
     /// the owner is gone).
     fn finish_after_gpu_loss(mut self) -> ClResult<CoexecOutcome> {
         let finished = self.cpu_finished_at;
-        if finished.is_some() && self.multi {
+        if finished.is_some() {
             // Merge tree rooted at the host: each peer's results fold into
             // the CPU copy, wherever the peer's copy differs from the
             // pristine original. A lost peer's memory is safe to fold —
             // killed subkernels never executed, so its copy only differs
             // where completed subkernels really wrote.
-            for e in 1..self.eps.len() {
-                let ep = &self.eps[e];
-                let Some(src_mem) = ep.mem.as_ref() else {
-                    continue;
-                };
-                for (j, (id, orig)) in self.orig_snapshots.iter().enumerate() {
-                    let src = src_mem.get(*id)?;
-                    let dst = self.input.cpu_mem.get_mut(*id)?;
-                    if dst.len() != src.len() || src.len() != orig.len() {
-                        return Err(ClError::ProtocolViolation {
-                            kernel: self.input.launch.kernel.name().to_string(),
-                            detail: format!(
-                                "host-side diff-merge size mismatch on buffer {}: cpu {} vs peer {} vs original {} elements",
-                                id.0,
-                                dst.len(),
-                                src.len(),
-                                orig.len()
-                            ),
-                        });
-                    }
-                    if self.dirty_enabled {
-                        diff_merge_tracked(dst, src, orig, &ep.cum_dirty[j])?;
-                    } else {
-                        fluidicl_vcl::diff_merge(dst, src, orig);
-                    }
+            for ep in &self.eps[1..] {
+                if let Some(src) = ep.mem.as_ref() {
+                    fold_endpoint(
+                        self.input.cpu_mem,
+                        src,
+                        ep,
+                        &self.orig_snapshots,
+                        self.dirty_enabled,
+                    )?;
                 }
             }
         }
-        self.release_snapshots();
         let Some(complete_at) = finished else {
             // Neither the owner nor the non-owners produced the full
             // range; nothing can finish this kernel.
+            self.release_snapshots();
             return Err(ClError::DeviceLost {
                 device: DeviceKind::Gpu,
                 detail: "GPU lost and the CPU did not complete the NDRange".into(),
             });
         };
-        self.record(
+        let dh_free = self.dh_free;
+        self.outcome(
             complete_at,
-            TraceKind::KernelComplete {
-                finisher: Finisher::Cpu,
-            },
-        );
-        self.trace.sort_by_key(|e| e.at);
-        let report = KernelReport {
-            kernel: self.input.launch.kernel.name().to_string(),
-            kernel_id: self.input.kernel_id,
-            enqueued_at: self.input.enqueue_at,
+            Finisher::Cpu,
             complete_at,
-            total_wgs: self.total,
-            gpu_executed_wgs: self.gpu_wgs_executed,
-            cpu_executed_wgs: self.eps[0].wgs_executed,
-            cpu_merged_wgs: 0,
-            subkernels: self.subkernels.len() as u64,
-            subkernel_log: self.subkernel_log,
-            hd_bytes: self.hd_bytes,
-            dh_bytes: self.dh_bytes,
-            cpu_version_used: self.selected_version,
-            peer_executed_wgs: self.eps[1..].iter().map(|e| e.wgs_executed).collect(),
-            finished_by: Finisher::Cpu,
-            duration: complete_at.saturating_since(self.input.enqueue_at),
-            trace: self.trace,
-            launch_meta: Some(LaunchMeta {
-                ndrange: self.input.launch.ndrange,
-                scalars: self.input.launch.plan()?.scalars.clone(),
-                out_lens: self.out_lens,
-            }),
-        };
-        Ok(CoexecOutcome {
+            dh_free,
             complete_at,
-            gpu_busy_until: complete_at,
-            hd_free: self.eps[0].hd_free,
-            dh_free: self.dh_free,
-            cpu_results_at: complete_at,
-            gpu_results_at: complete_at,
-            report,
-            lost_cpu: self.eps[0].lost,
-            lost_gpu: true,
-            lost_peers: self.eps[1..]
-                .iter()
-                .filter(|e| e.lost)
-                .map(|e| e.dev)
-                .collect(),
-        })
+            complete_at,
+        )
     }
+}
+
+/// The acting owner's address space: a promoted peer's own memory after
+/// failover, the primary GPU's otherwise.
+fn owner_mem<'m>(eps: &'m [EpState], owner_ep: Option<usize>, gpu_mem: &'m Memory) -> &'m Memory {
+    match owner_ep {
+        Some(p) => eps[p]
+            .mem
+            .as_ref()
+            .expect("promoted owner is a peer with its own memory"),
+        None => gpu_mem,
+    }
+}
+
+/// Folds endpoint `ep`'s copy `src` into `dst` wherever it differs from the
+/// pristine `snaps` — the merge kernel of paper Figure 9, element-wise.
+/// With dirty tracking the fold walks only what the endpoint changed:
+/// `cum_dirty` covers every element where its copy differs from the
+/// snapshot (exactly, or rounded to pages on huge buffers — the extra
+/// elements are bitwise clean), so it is functionally the full fold.
+fn fold_endpoint(
+    dst: &mut Memory,
+    src: &Memory,
+    ep: &EpState,
+    snaps: &[(BufferId, Vec<f32>)],
+    dirty_enabled: bool,
+) -> ClResult<()> {
+    for (j, (id, orig)) in snaps.iter().enumerate() {
+        let from = src.get(*id)?;
+        let into = dst.get_mut(*id)?;
+        if into.len() != from.len() || from.len() != orig.len() {
+            // A mis-sized buffer mid-simulation is a protocol breach, not a
+            // programming error in the merge itself: surface it through
+            // the runtime's error path instead of panicking.
+            return Err(ClError::ProtocolViolation {
+                kernel: ep.launch.kernel.name().to_string(),
+                detail: format!(
+                    "diff-merge size mismatch on buffer {}: destination {} vs ep{} {} vs original {} elements",
+                    id.0,
+                    into.len(),
+                    ep.dev,
+                    from.len(),
+                    orig.len()
+                ),
+            });
+        }
+        if dirty_enabled {
+            diff_merge_tracked(into, from, orig, &ep.cum_dirty[j])?;
+        } else {
+            fluidicl_vcl::diff_merge(into, from, orig);
+        }
+    }
+    Ok(())
 }

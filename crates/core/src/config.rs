@@ -99,13 +99,12 @@ pub struct FluidiclConfig {
     /// GPU merge for the shipped bytes only, and track per-buffer dirty
     /// ranges so snapshot refreshes and D2H read-backs copy only stale
     /// data. On by default; [`FluidiclConfig::with_whole_buffer_transfers`]
-    /// restores the legacy whole-buffer protocol byte-for-byte.
+    /// restores the legacy whole-buffer protocol.
     pub dirty_range_transfers: bool,
     /// Bound on the CPU's compute/transfer overlap: how many completed
     /// subkernels may sit in the staging-copy/ship window before the
-    /// scheduler stops taking new work. Depth 1 reproduces the serial
-    /// protocol byte-for-byte (each subkernel waits for the previous one's
-    /// staging copy); depth ≥ 2 lets subkernel *k+1* compute while *k*'s
+    /// scheduler stops taking new work. Depth 1 is the serial protocol
+    /// (each subkernel waits for the previous one's staging copy); depth ≥ 2 lets subkernel *k+1* compute while *k*'s
     /// data+status is still in flight, and back-to-back completed
     /// subkernels waiting on a busy link are coalesced into one
     /// data+status batch. Default 2.
@@ -253,7 +252,8 @@ impl FluidiclConfig {
     /// every CPU subkernel ships its full output buffers and the merge
     /// walks them entirely. Compatibility alias for
     /// `with_dirty_range_transfers(false)` — with pipeline depth 1 it
-    /// reproduces the historical serial traces byte-for-byte.
+    /// reproduces the historical serial timings exactly (pinned by
+    /// `tests/golden/`).
     #[must_use]
     pub fn with_whole_buffer_transfers(self) -> Self {
         self.with_dirty_range_transfers(false)

@@ -3,44 +3,46 @@
 //!
 //! The co-execution engine records every protocol event with its virtual
 //! timestamp (sorted chronologically, ties in processing order), so the
-//! trace is a complete replayable record of one kernel's execution. This
-//! module replays it and verifies the properties the paper's protocol
-//! guarantees by construction:
+//! trace is a complete replayable record of one kernel's execution. Every
+//! co-execution uses one vocabulary — the owner's wave walk plus the
+//! shared-frontier endpoint events, with the paper's CPU as endpoint 0 —
+//! so one replay checks them all; the paper's two-device protocol is the
+//! case of a single endpoint. The replay verifies:
 //!
-//! * the CPU-completion **watermark only decreases** (paper §4.2 — status
-//!   boundaries move from the top of the NDRange downward);
-//! * **data precedes status** on the in-order host-to-device queue: the
-//!   k-th status message corresponds to the k-th enqueued transfer and
-//!   cannot arrive before it was sent (§4.2, §5.4);
+//! * non-owner **claims descend the frontier**: until recovery returns a
+//!   range, every claim ends at the top of the unclaimed region (§4.2,
+//!   Fig. 7); claims of live endpoints never overlap, and each endpoint
+//!   runs one subkernel at a time;
+//! * **data precedes status** on each endpoint's in-order queue: the k-th
+//!   status corresponds to the k-th send, which carries exactly the next
+//!   completed-but-unshipped subkernels and names the lowest of their
+//!   starts as its boundary (§4.2, §5.4); a batch of several subkernels
+//!   may not appear in a serial (depth-1) trace;
+//! * the **watermark only decreases** and every status reports exactly the
+//!   covered suffix of the ranges delivered so far (§4.2);
 //! * GPU **waves stay below the watermark** known when they start, ascend
-//!   contiguously from 0, and never run past the kernel exit (§4.2, Fig. 6);
-//! * CPU **subkernels descend contiguously** from the top of the NDRange
-//!   (§4.2, Fig. 7), one in flight at a time;
-//! * GPU-executed ranges and the CPU-merged region together **cover**
+//!   contiguously from 0, never run past the kernel exit, and an aborted
+//!   wave is followed by the exit (§4.2, §6.4, Fig. 6);
+//! * GPU-executed ranges and the merged suffix together **cover**
 //!   `[0, total)` — no work-group is lost (§4.3);
-//! * exactly one **exit → merge → complete** sequence, in order (§4.3–4.4);
-//! * under dirty-range transfers, every enqueued transfer ships exactly
-//!   its **coalesced dirty payload plus the status message** — no
-//!   over- or under-shipping;
-//! * under pipelined execution (the enqueue record carries the pipeline
-//!   depth), shipped batches — plain transfers and
-//!   [`TraceKind::CoalescedSend`] events alike — still pair the k-th
-//!   status with the k-th send, carry exactly the next unshipped completed
-//!   subkernels, and keep their **per-batch boundaries strictly
-//!   descending**; a coalesced send must carry at least two subkernels and
-//!   may not appear in a serial (depth-1) trace.
+//! * exactly one **exit → merge → complete** sequence, in order; a CPU
+//!   finisher completes strictly before the merge, and only when the CPU
+//!   is the sole endpoint (§4.2–4.4);
+//! * under dirty-range transfers, every send ships exactly its **coalesced
+//!   dirty payload plus the status message**.
 //!
-//! When the trace contains fault or recovery events
-//! ([`TraceKind::TransferFault`], [`TraceKind::TransferRejected`],
-//! [`TraceKind::TransferTimeout`], [`TraceKind::DeviceLost`],
-//! [`TraceKind::DegradedRun`]) the linter switches to a *recovery-aware*
-//! mode: retried and resent transfers may repeat boundaries out of the
-//! strict descent order, a truncated trace is legal as long as it is
-//! consistent with the recorded recovery (a lost CPU may leave its killed
-//! subkernel open; a lost GPU finishes without exit or merge, by the CPU),
-//! and a degraded single-device span replaces the co-execution shape
-//! entirely. Everything that is *not* explained by a recorded recovery
-//! event is still an error — faults excuse exactly the damage they cause.
+//! When the trace contains fault or recovery events (transfer faults,
+//! rejections and timeouts, endpoint or owner losses, promotions, stale
+//! epochs) the replay switches to a *recovery-aware* mode: resent
+//! transfers may repeat boundaries, statuses may apply out of send order
+//! behind a redelivery, returned ranges may be claimed again, and a lost
+//! owner's kernel is finished by the survivors without exit or merge.
+//! Everything that is *not* explained by a recorded recovery event is
+//! still an error — faults excuse exactly the damage they cause.
+//!
+//! Single-device runs — degraded runs after a permanent loss and graph
+//! nodes placed on a peer — record one solo span instead and are checked
+//! for exactly that shape.
 //!
 //! [`lint_trace`] checks a bare event log; [`lint_report`] additionally
 //! cross-checks the log against the [`KernelReport`] counters. The runtime
@@ -49,11 +51,13 @@
 //! (the default in debug and test builds) and fails the enqueue with
 //! [`ClError::ProtocolViolation`](fluidicl_vcl::ClError) on any error.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use fluidicl_des::SimTime;
 use fluidicl_vcl::DeviceKind;
 
+use crate::frontier::Coverage;
 use crate::stats::{Finisher, KernelReport};
 use crate::trace::{TraceEvent, TraceKind, STATUS_MSG_BYTES};
 
@@ -133,105 +137,7 @@ pub fn lint_trace(events: &[TraceEvent]) -> Vec<LintDiagnostic> {
         ));
         return out;
     };
-
-    // Pre-scan for fault/recovery events: their presence switches the
-    // replay into recovery-aware mode (see the module docs).
-    let mut lost_gpu = false;
-    let mut lost_cpu = false;
-    let mut degraded = false;
-    let mut relaxed = false;
-    for e in events {
-        match &e.kind {
-            TraceKind::TransferFault { .. }
-            | TraceKind::TransferRejected { .. }
-            | TraceKind::TransferTimeout { .. } => relaxed = true,
-            TraceKind::DeviceLost { device } => {
-                relaxed = true;
-                match device {
-                    DeviceKind::Gpu => lost_gpu = true,
-                    DeviceKind::Cpu => lost_cpu = true,
-                }
-            }
-            TraceKind::DegradedRun { .. } | TraceKind::EpDegradedRun { .. } => {
-                relaxed = true;
-                degraded = true;
-            }
-            TraceKind::OwnerPromoted { .. } | TraceKind::EpochRejected { .. } => relaxed = true,
-            _ => {}
-        }
-    }
-    // Graph-scheduled peer-lane nodes have their own three-event shape
-    // (the owner-lane nodes of a flushed graph keep the legacy co-execution
-    // vocabulary and replay below as usual).
-    if events
-        .iter()
-        .any(|e| matches!(&e.kind, TraceKind::GraphRun { .. }))
-    {
-        return lint_graph(events, total, out);
-    }
-    if degraded {
-        return lint_degraded(events, total, out);
-    }
-    // N-device traces use the dev-tagged event vocabulary throughout; their
-    // invariants (per-endpoint pairing, frontier disjointness, coverage
-    // watermark) are replayed separately. Two-device traces never contain
-    // these events, so the legacy replay below is untouched.
-    if events.iter().any(|e| {
-        matches!(
-            &e.kind,
-            TraceKind::EpSubkernelStart { .. }
-                | TraceKind::EpSubkernelDone { .. }
-                | TraceKind::EpSend { .. }
-                | TraceKind::EpStatus { .. }
-                | TraceKind::EpTransferFault { .. }
-                | TraceKind::EpTransferRejected { .. }
-                | TraceKind::EpTransferTimeout { .. }
-                | TraceKind::NonOwnerLost { .. }
-                | TraceKind::OwnerPromoted { .. }
-                | TraceKind::EpochRejected { .. }
-        )
-    }) {
-        let relaxed_multi = relaxed
-            || events.iter().any(|e| {
-                matches!(
-                    &e.kind,
-                    TraceKind::EpTransferFault { .. }
-                        | TraceKind::EpTransferRejected { .. }
-                        | TraceKind::EpTransferTimeout { .. }
-                        | TraceKind::NonOwnerLost { .. }
-                        | TraceKind::OwnerPromoted { .. }
-                        | TraceKind::EpochRejected { .. }
-                )
-            });
-        return lint_multidev(events, total, depth, relaxed_multi, out);
-    }
-
     let mut prev_at = first.at;
-    // Watermark replay: statuses are the only events that move it.
-    let mut watermark = total;
-    // In-order hd queue: (send time, boundary) of every enqueued transfer.
-    let mut hd_sends: Vec<(SimTime, u64)> = Vec::new();
-    let mut statuses_seen = 0usize;
-    // GPU wave replay.
-    let mut expected_next = 0u64;
-    let mut open_wave: Option<(u64, u64)> = None;
-    let mut wave_aborted = false;
-    let mut launches = 0usize;
-    let mut exec_ranges: Vec<(u64, u64)> = Vec::new();
-    let mut exit_at: Option<SimTime> = None;
-    let mut merge_at: Option<SimTime> = None;
-    // CPU subkernel replay.
-    let mut open_sub: Option<(u64, u64)> = None;
-    let mut next_sub_to = total;
-    let mut last_completed_from: Option<u64> = None;
-    let mut done_subs: Vec<(SimTime, u64, u64)> = Vec::new();
-    // Pipelined shipping replay: how many completed subkernels earlier
-    // sends (single or coalesced) have already carried to the GPU.
-    let mut shipped_subs = 0usize;
-    let mut completes: Vec<(SimTime, Finisher)> = Vec::new();
-    let mut gpu_lost_seen = false;
-    let mut cpu_lost_seen = false;
-
     for e in &events[1..] {
         if e.at < prev_at {
             out.push(LintDiagnostic::error(
@@ -240,17 +146,131 @@ pub fn lint_trace(events: &[TraceEvent]) -> Vec<LintDiagnostic> {
             ));
         }
         prev_at = e.at;
+        match &e.kind {
+            TraceKind::Enqueued { .. } => out.push(LintDiagnostic::error(
+                "trace-shape",
+                "duplicate enqueue record",
+            )),
+            TraceKind::CpuSubkernelStart { .. }
+            | TraceKind::CpuSubkernelDone { .. }
+            | TraceKind::HdEnqueued
+            | TraceKind::CoalescedSend => out.push(LintDiagnostic::error(
+                "trace-shape",
+                format!("retired two-device event `{}` in a trace", e.kind),
+            )),
+            _ => {}
+        }
+    }
+    if events.iter().any(|e| {
+        matches!(
+            e.kind,
+            TraceKind::DegradedRun { .. }
+                | TraceKind::EpDegradedRun { .. }
+                | TraceKind::GraphRun { .. }
+        )
+    }) {
+        lint_solo(events, total, &mut out);
+    } else {
+        lint_coexec(events, total, depth, &mut out);
+    }
+    out
+}
+
+/// Reports every gap in `[0, total)` that `spans` leave uncovered.
+fn check_cover(out: &mut Vec<LintDiagnostic>, mut spans: Vec<(u64, u64)>, total: u64, by: &str) {
+    spans.sort_unstable();
+    let mut reach = 0u64;
+    for (from, to) in spans {
+        if from > reach {
+            out.push(LintDiagnostic::error(
+                "coverage",
+                format!("work-groups {reach}..{from} were never executed by {by}"),
+            ));
+        }
+        reach = reach.max(to);
+    }
+    if reach < total {
+        out.push(LintDiagnostic::error(
+            "coverage",
+            format!("work-groups {reach}..{total} were never executed by {by}"),
+        ));
+    }
+}
+
+/// One enqueued send in the replay: `(at, boundary, consumed ranges)`.
+type EpSendRec = (SimTime, u64, Vec<(u64, u64)>);
+
+/// Per-endpoint replay state.
+#[derive(Default)]
+struct EpReplay {
+    open_sub: Option<(u64, u64)>,
+    /// Completed subkernels `(at, from, to)` in completion order.
+    done: Vec<(SimTime, u64, u64)>,
+    /// How many completed subkernels earlier sends already carried.
+    shipped: usize,
+    /// Every send in enqueue order.
+    sends: Vec<EpSendRec>,
+    statuses: usize,
+    lost: bool,
+}
+
+/// Replays a co-execution trace: the owner's wave walk, per endpoint the
+/// subkernel pairing and the send/status queue, and globally the frontier
+/// descent, claim disjointness and the coverage watermark.
+fn lint_coexec(events: &[TraceEvent], total: u64, depth: u32, out: &mut Vec<LintDiagnostic>) {
+    // Fault and recovery events switch the replay into recovery-aware
+    // mode (see the module docs).
+    let relaxed = events.iter().any(|e| {
+        matches!(
+            e.kind,
+            TraceKind::EpTransferFault { .. }
+                | TraceKind::EpTransferRejected { .. }
+                | TraceKind::EpTransferTimeout { .. }
+                | TraceKind::NonOwnerLost { .. }
+                | TraceKind::OwnerLost
+                | TraceKind::OwnerPromoted { .. }
+                | TraceKind::EpochRejected { .. }
+        )
+    });
+    let mut eps: BTreeMap<u32, EpReplay> = BTreeMap::new();
+    // All claimed ranges with their claimant, for frontier disjointness.
+    let mut claims: Vec<(u64, u64, u32)> = Vec::new();
+    // Top of the frontier's untouched region. Every claim takes the top of
+    // it until a loss or a promotion returns ranges to the frontier.
+    let mut frontier_top = total;
+    let mut frontier_exact = true;
+    let mut lost_devs: Vec<u32> = Vec::new();
+    // Owner-failover replay: every promotion hands the owner role to a
+    // surviving peer, bumps the epoch, and restarts the wave walk from 0.
+    let mut promotions = 0usize;
+    let mut owner_losses = 0usize;
+    let mut promoted_devs: Vec<u32> = Vec::new();
+    // Watermark replay: EpStatus events carry the engine's value; the
+    // linter recomputes it from delivered ranges and cross-checks.
+    let mut watermark = total;
+    let mut coverage = Coverage::new(total);
+    // Delivered-and-credited ranges per endpoint. Owner failover
+    // un-credits the promoted endpoint's deliveries, so the post-promotion
+    // watermark is the covered suffix of the *other* endpoints' ranges —
+    // this map is what lets the replay rebuild it exactly.
+    let mut applied_by_dev: BTreeMap<u32, Vec<(u64, u64)>> = BTreeMap::new();
+    // Owner wave replay.
+    let mut expected_next = 0u64;
+    let mut open_wave: Option<(u64, u64)> = None;
+    let mut wave_aborted = false;
+    let mut launches = 0usize;
+    let mut exec_ranges: Vec<(u64, u64)> = Vec::new();
+    let mut exit_at: Option<SimTime> = None;
+    let mut merge_at: Option<SimTime> = None;
+    let mut completes: Vec<(SimTime, Finisher)> = Vec::new();
+
+    for e in &events[1..] {
         let exited = exit_at.is_some();
         match &e.kind {
-            TraceKind::Enqueued { .. } => {
-                out.push(LintDiagnostic::error(
-                    "trace-shape",
-                    "duplicate enqueue record",
-                ));
-            }
             TraceKind::GpuLaunch => {
                 launches += 1;
-                if launches > 1 {
+                // Each promotion legally relaunches the owner walk once.
+                if launches > promotions + 1 {
                     out.push(LintDiagnostic::error("trace-shape", "gpu launched twice"));
                 }
                 if exited {
@@ -382,643 +402,6 @@ pub fn lint_trace(events: &[TraceEvent]) -> Vec<LintDiagnostic> {
                     merge_at = Some(e.at);
                 }
             }
-            TraceKind::CpuSubkernelStart { from, to, .. } => {
-                if exited {
-                    out.push(LintDiagnostic::error(
-                        "cpu-contiguity",
-                        format!("subkernel {from}..{to} started after the gpu exit"),
-                    ));
-                }
-                if open_sub.is_some() {
-                    out.push(LintDiagnostic::error(
-                        "cpu-contiguity",
-                        format!("subkernel {from}..{to} started while another is running"),
-                    ));
-                }
-                if *to != next_sub_to {
-                    out.push(LintDiagnostic::error(
-                        "cpu-contiguity",
-                        format!(
-                            "subkernel {from}..{to} breaks the descent; expected it to end \
-                             at {next_sub_to}"
-                        ),
-                    ));
-                }
-                if from >= to {
-                    out.push(LintDiagnostic::error(
-                        "cpu-contiguity",
-                        format!("subkernel {from}..{to} is empty or reversed"),
-                    ));
-                }
-                next_sub_to = *from;
-                open_sub = Some((*from, *to));
-            }
-            TraceKind::CpuSubkernelDone { from, to } => match open_sub.take() {
-                Some((sf, st)) if sf == *from && st == *to => {
-                    last_completed_from = Some(*from);
-                    done_subs.push((e.at, *from, *to));
-                }
-                other => {
-                    out.push(LintDiagnostic::error(
-                        "cpu-contiguity",
-                        format!("subkernel {from}..{to} finished but {other:?} was running"),
-                    ));
-                }
-            },
-            TraceKind::HdEnqueued {
-                boundary,
-                bytes,
-                dirty_bytes,
-            }
-            | TraceKind::CoalescedSend {
-                boundary,
-                bytes,
-                dirty_bytes,
-                ..
-            } => {
-                let batch = match &e.kind {
-                    TraceKind::CoalescedSend { subkernels, .. } => *subkernels as usize,
-                    _ => 1,
-                };
-                if let TraceKind::CoalescedSend { subkernels, .. } = &e.kind {
-                    // A coalesced send exists precisely because more than
-                    // one copy queued up behind a busy link; a singleton
-                    // batch must have been recorded as a plain transfer.
-                    if *subkernels < 2 {
-                        out.push(LintDiagnostic::error(
-                            "coalesced-send",
-                            format!(
-                                "coalesced send (boundary {boundary}) carries {subkernels} \
-                                 subkernels, expected at least 2"
-                            ),
-                        ));
-                    }
-                    if depth <= 1 {
-                        out.push(LintDiagnostic::error(
-                            "coalesced-send",
-                            format!(
-                                "coalesced send (boundary {boundary}) in a serial trace \
-                                 (pipeline depth {depth})"
-                            ),
-                        ));
-                    }
-                }
-                // Byte accounting under dirty-range transfers: the data
-                // message is exactly the coalesced dirty payload, followed
-                // by the fixed-size status message.
-                if let Some(d) = dirty_bytes {
-                    if *bytes != d + STATUS_MSG_BYTES {
-                        out.push(LintDiagnostic::error(
-                            "transfer-bytes",
-                            format!(
-                                "transfer (boundary {boundary}) ships {bytes} B but its dirty \
-                                 payload is {d} B + {STATUS_MSG_BYTES} B status"
-                            ),
-                        ));
-                    }
-                }
-                if exited {
-                    out.push(LintDiagnostic::error(
-                        "data-before-status",
-                        format!("transfer (boundary {boundary}) enqueued after the gpu exit"),
-                    ));
-                }
-                if relaxed {
-                    // Retries and resends re-ship an older boundary after
-                    // newer subkernels completed: any completed subkernel
-                    // start is a legal boundary under recovery.
-                    if !done_subs.iter().any(|(_, f, _)| f == boundary) {
-                        out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "transfer carries boundary {boundary} but no completed \
-                                 subkernel starts there"
-                            ),
-                        ));
-                    }
-                } else if depth <= 1 {
-                    match last_completed_from {
-                        None => out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "transfer (boundary {boundary}) enqueued before any subkernel \
-                                 completed"
-                            ),
-                        )),
-                        Some(f) if f != *boundary => out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "transfer carries boundary {boundary} but the last completed \
-                                 subkernel starts at {f}"
-                            ),
-                        )),
-                        Some(_) => {}
-                    }
-                } else {
-                    // Pipelined fault-free shipping: copies complete in
-                    // subkernel-completion order, so the k-th shipped batch
-                    // carries exactly the next `batch` completed-but-
-                    // unshipped subkernels and its boundary is the lowest
-                    // (last) of their starts. Boundaries therefore still
-                    // strictly descend per batch.
-                    match done_subs.get((shipped_subs + batch).saturating_sub(1)) {
-                        None => out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "transfer batch of {batch} (boundary {boundary}) outruns the \
-                                 {} completed subkernels",
-                                done_subs.len()
-                            ),
-                        )),
-                        Some((_, f, _)) if f != boundary => out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "transfer batch of {batch} carries boundary {boundary} but the \
-                                 batch's last unshipped subkernel starts at {f}"
-                            ),
-                        )),
-                        Some(_) => {}
-                    }
-                    shipped_subs += batch;
-                }
-                hd_sends.push((e.at, *boundary));
-            }
-            TraceKind::StatusArrived { boundary } => {
-                if exited {
-                    out.push(LintDiagnostic::error(
-                        "gpu-exit",
-                        format!("status (boundary {boundary}) arrived after the gpu exit"),
-                    ));
-                }
-                if relaxed {
-                    // Failed sends produce no status and resends duplicate
-                    // boundaries, so index pairing no longer holds. The
-                    // surviving invariant: every accepted status must follow
-                    // a transfer that carried its boundary.
-                    if !hd_sends
-                        .iter()
-                        .any(|(sent_at, b)| b == boundary && *sent_at <= e.at)
-                    {
-                        out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "status (boundary {boundary}) arrived without a prior \
-                                 transfer carrying it"
-                            ),
-                        ));
-                    }
-                } else {
-                    match hd_sends.get(statuses_seen) {
-                        None => out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "status (boundary {boundary}) arrived without a matching \
-                                 enqueued transfer"
-                            ),
-                        )),
-                        Some((sent_at, sent_boundary)) => {
-                            if sent_boundary != boundary {
-                                out.push(LintDiagnostic::error(
-                                    "data-before-status",
-                                    format!(
-                                        "status boundary {boundary} does not match the in-order \
-                                         queue (transfer {statuses_seen} carried \
-                                         {sent_boundary})"
-                                    ),
-                                ));
-                            }
-                            if e.at < *sent_at {
-                                out.push(LintDiagnostic::error(
-                                    "data-before-status",
-                                    format!(
-                                        "status (boundary {boundary}) arrived before it was sent"
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                }
-                statuses_seen += 1;
-                if *boundary > watermark {
-                    out.push(LintDiagnostic::error(
-                        "watermark-monotone",
-                        format!("watermark rose from {watermark} to {boundary}"),
-                    ));
-                }
-                watermark = watermark.min(*boundary);
-            }
-            TraceKind::KernelComplete { finisher } => {
-                completes.push((e.at, *finisher));
-            }
-            TraceKind::TransferFault { boundary, .. }
-            | TraceKind::TransferRejected { boundary }
-            | TraceKind::TransferTimeout { boundary } => {
-                if !hd_sends.iter().any(|(_, b)| b == boundary) {
-                    out.push(LintDiagnostic::error(
-                        "recovery",
-                        format!(
-                            "transfer fault reported for boundary {boundary} but no \
-                             enqueued transfer carried it"
-                        ),
-                    ));
-                }
-            }
-            TraceKind::DeviceLost { device } => {
-                let seen = match device {
-                    DeviceKind::Gpu => &mut gpu_lost_seen,
-                    DeviceKind::Cpu => &mut cpu_lost_seen,
-                };
-                if *seen {
-                    out.push(LintDiagnostic::error(
-                        "recovery",
-                        format!("device {device:?} was declared lost twice"),
-                    ));
-                }
-                *seen = true;
-            }
-            TraceKind::DegradedRun { .. } => {
-                out.push(LintDiagnostic::error(
-                    "trace-shape",
-                    "degraded single-device span inside a co-executed trace",
-                ));
-            }
-            // Multi-device events were dispatched to `lint_multidev` above;
-            // reaching here means a stray dev-tagged event in an otherwise
-            // legacy trace, which the dispatch predicate makes impossible.
-            TraceKind::EpSubkernelStart { .. }
-            | TraceKind::EpSubkernelDone { .. }
-            | TraceKind::EpSend { .. }
-            | TraceKind::EpStatus { .. }
-            | TraceKind::EpTransferFault { .. }
-            | TraceKind::EpTransferRejected { .. }
-            | TraceKind::EpTransferTimeout { .. }
-            | TraceKind::NonOwnerLost { .. }
-            | TraceKind::OwnerPromoted { .. }
-            | TraceKind::EpochRejected { .. } => unreachable!("dispatched to lint_multidev"),
-            // Peer-degraded spans were dispatched to `lint_degraded` above.
-            TraceKind::EpDegradedRun { .. } => unreachable!("dispatched to lint_degraded"),
-            // Graph-node spans were dispatched to `lint_graph` above.
-            TraceKind::GraphRun { .. } => unreachable!("dispatched to lint_graph"),
-        }
-    }
-
-    if launches == 0 && total > 0 {
-        out.push(LintDiagnostic::error(
-            "trace-shape",
-            "gpu was never launched",
-        ));
-    }
-    if let Some((sf, st)) = open_sub {
-        // A lost CPU legally leaves exactly its killed subkernel open.
-        if !lost_cpu {
-            out.push(LintDiagnostic::error(
-                "cpu-contiguity",
-                format!("subkernel {sf}..{st} never completed"),
-            ));
-        }
-    }
-    if lost_gpu {
-        // A lost GPU never exits and never merges: the CPU scheduler keeps
-        // descending and finishes the whole NDRange alone (engine
-        // `finish_after_gpu_loss`), so completion and coverage are judged
-        // against the CPU subkernel log instead.
-        if exit_at.is_some() {
-            out.push(LintDiagnostic::error(
-                "recovery",
-                "gpu exited although it was declared lost",
-            ));
-        }
-        if merge_at.is_some() {
-            out.push(LintDiagnostic::error(
-                "recovery",
-                "diff-merge completed although the gpu was lost",
-            ));
-        }
-        match completes.as_slice() {
-            [(at, Finisher::Cpu)] => {
-                if !done_subs.iter().any(|(t, f, _)| *f == 0 && t == at) {
-                    out.push(LintDiagnostic::error(
-                        "completion",
-                        "cpu finisher without a subkernel reaching work-group 0 at that time",
-                    ));
-                }
-            }
-            [(_, Finisher::Gpu)] => out.push(LintDiagnostic::error(
-                "completion",
-                "a kernel whose gpu was lost cannot be finished by the gpu",
-            )),
-            [] => out.push(LintDiagnostic::error(
-                "completion",
-                "kernel never completed",
-            )),
-            _ => out.push(LintDiagnostic::error(
-                "completion",
-                "kernel completed more than once",
-            )),
-        }
-        let mut covered: Vec<(u64, u64)> = done_subs.iter().map(|(_, f, t)| (*f, *t)).collect();
-        covered.sort_unstable();
-        let mut reach = 0u64;
-        for (from, to) in covered {
-            if from > reach {
-                out.push(LintDiagnostic::error(
-                    "coverage",
-                    format!("work-groups {reach}..{from} were never executed by the cpu"),
-                ));
-            }
-            reach = reach.max(to);
-        }
-        if reach < total {
-            out.push(LintDiagnostic::error(
-                "coverage",
-                format!("work-groups {reach}..{total} were never executed by the cpu"),
-            ));
-        }
-        return out;
-    }
-    if let Some((wf, wt)) = open_wave {
-        if exit_at.is_none() {
-            out.push(LintDiagnostic::error(
-                "gpu-exit",
-                format!("wave {wf}..{wt} never completed and the gpu never exited"),
-            ));
-        }
-    }
-    let Some(exit) = exit_at else {
-        out.push(LintDiagnostic::error("gpu-exit", "gpu never exited"));
-        return out;
-    };
-    let Some(merge) = merge_at else {
-        out.push(LintDiagnostic::error("merge", "diff-merge never completed"));
-        return out;
-    };
-    if merge < exit {
-        out.push(LintDiagnostic::error(
-            "merge",
-            "diff-merge completed before the gpu exit",
-        ));
-    }
-    match completes.as_slice() {
-        [(at, Finisher::Gpu)] => {
-            if *at != merge {
-                out.push(LintDiagnostic::error(
-                    "completion",
-                    "gpu-finished kernel must complete exactly at merge time",
-                ));
-            }
-        }
-        [(at, Finisher::Cpu)] => {
-            if *at >= merge {
-                out.push(LintDiagnostic::error(
-                    "completion",
-                    "cpu-finished kernel must complete strictly before the merge",
-                ));
-            }
-            if !done_subs.iter().any(|(t, f, _)| *f == 0 && t == at) {
-                out.push(LintDiagnostic::error(
-                    "completion",
-                    "cpu finisher without a subkernel reaching work-group 0 at that time",
-                ));
-            }
-        }
-        [] => out.push(LintDiagnostic::error(
-            "completion",
-            "kernel never completed",
-        )),
-        _ => out.push(LintDiagnostic::error(
-            "completion",
-            "kernel completed more than once",
-        )),
-    }
-
-    // Coverage: gpu-executed ranges plus the merged region [watermark, total)
-    // must cover every work-group.
-    let mut covered = exec_ranges;
-    if watermark < total {
-        covered.push((watermark, total));
-    }
-    covered.sort_unstable();
-    let mut reach = 0u64;
-    for (from, to) in covered {
-        if from > reach {
-            out.push(LintDiagnostic::error(
-                "coverage",
-                format!("work-groups {reach}..{from} were never executed by either device"),
-            ));
-        }
-        reach = reach.max(to);
-    }
-    if reach < total {
-        out.push(LintDiagnostic::error(
-            "coverage",
-            format!("work-groups {reach}..{total} were never executed by either device"),
-        ));
-    }
-    out
-}
-
-/// One enqueued send in the multi-device replay: `(at, boundary, consumed
-/// ranges)`.
-type EpSendRec = (SimTime, u64, Vec<(u64, u64)>);
-
-/// Per-endpoint replay state of the multi-device linter.
-#[derive(Default)]
-struct EpReplay {
-    open_sub: Option<(u64, u64)>,
-    /// Completed subkernels `(at, from, to)` in completion order.
-    done: Vec<(SimTime, u64, u64)>,
-    /// How many completed subkernels earlier sends already carried.
-    shipped: usize,
-    /// Every send in enqueue order.
-    sends: Vec<EpSendRec>,
-    statuses: usize,
-    lost: bool,
-}
-
-/// Lints an N-device trace: the dev-tagged vocabulary recorded whenever
-/// more than one non-owner endpoint co-executes. Replays, per endpoint,
-/// the subkernel pairing and the send/status queue; globally, the frontier
-/// claim disjointness, the coverage watermark, and the owner's wave walk.
-///
-/// `relaxed` mirrors the legacy linter's recovery-aware mode: retries,
-/// resends and endpoint losses excuse exactly the reordering they cause
-/// (claims may re-cover a lost endpoint's ranges, statuses may apply out
-/// of send order behind a redelivery), and nothing else.
-fn lint_multidev(
-    events: &[TraceEvent],
-    total: u64,
-    depth: u32,
-    relaxed: bool,
-    mut out: Vec<LintDiagnostic>,
-) -> Vec<LintDiagnostic> {
-    use std::collections::BTreeMap;
-
-    let mut prev_at = events[0].at;
-    let mut eps: BTreeMap<u32, EpReplay> = BTreeMap::new();
-    // All claimed ranges with their claimant, for frontier disjointness.
-    let mut claims: Vec<(u64, u64, u32)> = Vec::new();
-    let mut lost_devs: Vec<u32> = Vec::new();
-    // Owner-failover replay: every promotion hands the owner role to a
-    // surviving peer, bumps the epoch, and restarts the wave walk from 0.
-    let mut promotions = 0usize;
-    let mut gpu_losses = 0usize;
-    let mut promoted_devs: Vec<u32> = Vec::new();
-    // Watermark replay: EpStatus events carry the engine's value; the
-    // linter recomputes it from delivered ranges and cross-checks.
-    let mut watermark = total;
-    let mut coverage = crate::frontier::Coverage::new(total);
-    // Delivered-and-credited ranges per endpoint. Owner failover
-    // un-credits the promoted endpoint's deliveries, so the post-promotion
-    // watermark is the covered suffix of the *other* endpoints' ranges —
-    // this map is what lets the replay rebuild it exactly.
-    let mut applied_by_dev: BTreeMap<u32, Vec<(u64, u64)>> = BTreeMap::new();
-    // GPU wave replay, identical to the two-device linter.
-    let mut expected_next = 0u64;
-    let mut open_wave: Option<(u64, u64)> = None;
-    let mut launches = 0usize;
-    let mut exec_ranges: Vec<(u64, u64)> = Vec::new();
-    let mut exit_at: Option<SimTime> = None;
-    let mut merge_at: Option<SimTime> = None;
-    let mut completes: Vec<(SimTime, Finisher)> = Vec::new();
-
-    for e in &events[1..] {
-        if e.at < prev_at {
-            out.push(LintDiagnostic::error(
-                "chronology",
-                format!("event `{}` is timestamped before its predecessor", e.kind),
-            ));
-        }
-        prev_at = e.at;
-        let exited = exit_at.is_some();
-        match &e.kind {
-            TraceKind::Enqueued { .. } => {
-                out.push(LintDiagnostic::error(
-                    "trace-shape",
-                    "duplicate enqueue record",
-                ));
-            }
-            TraceKind::GpuLaunch => {
-                launches += 1;
-                // Each promotion legally relaunches the owner walk once.
-                if launches > promotions + 1 {
-                    out.push(LintDiagnostic::error("trace-shape", "gpu launched twice"));
-                }
-            }
-            TraceKind::GpuWaveStart { from, to } => {
-                if exited {
-                    out.push(LintDiagnostic::error(
-                        "gpu-exit",
-                        format!("wave {from}..{to} started after the gpu exit"),
-                    ));
-                }
-                if open_wave.is_some() {
-                    out.push(LintDiagnostic::error(
-                        "wave-contiguity",
-                        format!("wave {from}..{to} started while another wave is running"),
-                    ));
-                }
-                if *from != expected_next {
-                    out.push(LintDiagnostic::error(
-                        "wave-contiguity",
-                        format!("wave starts at {from}, expected {expected_next}"),
-                    ));
-                }
-                if from >= to {
-                    out.push(LintDiagnostic::error(
-                        "wave-bounds",
-                        format!("wave {from}..{to} is empty or reversed"),
-                    ));
-                }
-                let limit = watermark.min(total);
-                if *to > limit {
-                    out.push(LintDiagnostic::error(
-                        "wave-bounds",
-                        format!(
-                            "wave {from}..{to} runs past the watermark {limit} known at its start"
-                        ),
-                    ));
-                }
-                open_wave = Some((*from, *to));
-            }
-            TraceKind::GpuWaveDone {
-                from,
-                to,
-                executed_to,
-            } => match open_wave.take() {
-                Some((wf, wt)) if wf == *from && wt == *to => {
-                    if executed_to < from || executed_to > to {
-                        out.push(LintDiagnostic::error(
-                            "wave-bounds",
-                            format!("wave {from}..{to} reports executing up to {executed_to}"),
-                        ));
-                    }
-                    if *executed_to > *from {
-                        exec_ranges.push((*from, *executed_to));
-                    }
-                    expected_next = *to;
-                }
-                other => {
-                    out.push(LintDiagnostic::error(
-                        "wave-contiguity",
-                        format!("wave {from}..{to} finished but {other:?} was running"),
-                    ));
-                }
-            },
-            TraceKind::GpuWaveAborted { from, to } => match open_wave.take() {
-                Some((wf, wt)) if wf == *from && wt == *to => {
-                    if watermark > *from {
-                        out.push(LintDiagnostic::error(
-                            "wave-bounds",
-                            format!(
-                                "wave {from}..{to} aborted although the watermark {watermark} \
-                                 had not covered it"
-                            ),
-                        ));
-                    }
-                }
-                other => {
-                    out.push(LintDiagnostic::error(
-                        "wave-contiguity",
-                        format!("wave {from}..{to} aborted but {other:?} was running"),
-                    ));
-                }
-            },
-            TraceKind::GpuExit => {
-                if exited {
-                    out.push(LintDiagnostic::error("gpu-exit", "gpu exited twice"));
-                } else {
-                    if let Some((wf, wt)) = open_wave {
-                        out.push(LintDiagnostic::error(
-                            "gpu-exit",
-                            format!("gpu exited while wave {wf}..{wt} is still running"),
-                        ));
-                    }
-                    let limit = watermark.min(total);
-                    if expected_next < limit {
-                        out.push(LintDiagnostic::error(
-                            "gpu-exit",
-                            format!(
-                                "gpu exited at work-group {expected_next}, below the \
-                                 watermark {limit}"
-                            ),
-                        ));
-                    }
-                    exit_at = Some(e.at);
-                }
-            }
-            TraceKind::MergeDone => {
-                if merge_at.is_some() {
-                    out.push(LintDiagnostic::error("merge", "diff-merge completed twice"));
-                } else {
-                    if exit_at.is_none() {
-                        out.push(LintDiagnostic::error(
-                            "merge",
-                            "diff-merge completed before the gpu exited",
-                        ));
-                    }
-                    merge_at = Some(e.at);
-                }
-            }
             TraceKind::EpSubkernelStart { dev, from, to, .. } => {
                 if exited {
                     out.push(LintDiagnostic::error(
@@ -1051,6 +434,16 @@ fn lint_multidev(
                         ),
                     ));
                 }
+                if frontier_exact && *to != frontier_top {
+                    out.push(LintDiagnostic::error(
+                        "claim-descent",
+                        format!(
+                            "ep{dev} claim {from}..{to} breaks the descent; expected it to end \
+                             at the frontier top {frontier_top}"
+                        ),
+                    ));
+                }
+                frontier_top = frontier_top.min(*from);
                 // Frontier disjointness: a claim may only overlap a range a
                 // *lost* or *promoted* endpoint claimed — the frontier
                 // returned it (promotion re-enqueues un-acked claims).
@@ -1327,9 +720,26 @@ fn lint_multidev(
                 }
                 ep.lost = true;
                 lost_devs.push(*dev);
+                // The lost endpoint's unshipped claims return to the
+                // frontier.
+                frontier_exact = false;
+            }
+            TraceKind::OwnerLost => {
+                // A second owner loss is legal only when a promotion
+                // installed a new owner in between (cascading failover).
+                if owner_losses > promotions {
+                    out.push(LintDiagnostic::error(
+                        "recovery",
+                        "the owner gpu was declared lost twice",
+                    ));
+                }
+                owner_losses += 1;
+                // The acting owner died mid-walk: its running wave is
+                // abandoned, never completed.
+                open_wave = None;
             }
             TraceKind::OwnerPromoted { dev, epoch } => {
-                if promotions >= gpu_losses {
+                if promotions >= owner_losses {
                     out.push(LintDiagnostic::error(
                         "recovery",
                         format!("ep{dev} promoted although the acting owner was not lost"),
@@ -1353,15 +763,17 @@ fn lint_multidev(
                 }
                 promotions += 1;
                 promoted_devs.push(*dev);
+                frontier_exact = false;
                 // The new owner resumes the wave walk from work-group 0.
                 expected_next = 0;
+                wave_aborted = false;
                 // Promotion un-credits the promoted endpoint's delivered
                 // ranges (they leave coverage and return to the frontier
                 // for the survivors), so the engine's watermark may legally
                 // rise here: rebuild it as the covered suffix of the other
                 // endpoints' still-credited deliveries.
                 applied_by_dev.remove(dev);
-                let mut rebuilt = crate::frontier::Coverage::new(total);
+                let mut rebuilt = Coverage::new(total);
                 for ranges in applied_by_dev.values() {
                     for &(f, t) in ranges {
                         rebuilt.add(f, t);
@@ -1391,35 +803,18 @@ fn lint_multidev(
                     ));
                 }
             }
-            TraceKind::DeviceLost { device } => match device {
-                DeviceKind::Gpu => {
-                    // A second owner loss is legal only when a promotion
-                    // installed a new owner in between (cascading failover).
-                    if gpu_losses > promotions {
-                        out.push(LintDiagnostic::error(
-                            "recovery",
-                            "device Gpu was declared lost twice",
-                        ));
-                    }
-                    gpu_losses += 1;
-                    // The acting owner died mid-walk: its running wave is
-                    // abandoned, never completed.
-                    open_wave = None;
-                }
-                DeviceKind::Cpu => out.push(LintDiagnostic::error(
-                    "trace-shape",
-                    "legacy cpu-loss record inside a multi-device trace (expected ep0 loss)",
-                )),
-            },
             TraceKind::KernelComplete { finisher } => {
                 completes.push((e.at, *finisher));
             }
-            other => {
-                out.push(LintDiagnostic::error(
-                    "trace-shape",
-                    format!("legacy two-device event `{other}` inside a multi-device trace"),
-                ));
-            }
+            // Reported by `lint_trace`; solo spans never reach this replay.
+            TraceKind::Enqueued { .. }
+            | TraceKind::DegradedRun { .. }
+            | TraceKind::EpDegradedRun { .. }
+            | TraceKind::GraphRun { .. }
+            | TraceKind::CpuSubkernelStart { .. }
+            | TraceKind::CpuSubkernelDone { .. }
+            | TraceKind::HdEnqueued
+            | TraceKind::CoalescedSend => {}
         }
     }
 
@@ -1447,11 +842,10 @@ fn lint_multidev(
         .values()
         .flat_map(|ep| ep.done.iter().copied())
         .collect();
-    // The gpu-lost endgame applies only when the *final* acting owner is
+    // The lost-owner endgame applies only when the *final* acting owner is
     // dead — a promotion that installed a healthy new owner means the
     // kernel still exits, merges and completes through the owner role.
-    let acting_owner_lost = gpu_losses > promotions;
-    if acting_owner_lost {
+    if owner_losses > promotions {
         // A lost owner never exits and never merges; the non-owners finish
         // the whole NDRange among themselves and the host assembles.
         if exit_at.is_some() {
@@ -1479,34 +873,11 @@ fn lint_multidev(
                 "completion",
                 "a kernel whose gpu was lost cannot be finished by the gpu",
             )),
-            [] => out.push(LintDiagnostic::error(
-                "completion",
-                "kernel never completed",
-            )),
-            _ => out.push(LintDiagnostic::error(
-                "completion",
-                "kernel completed more than once",
-            )),
+            other => out.push(completion_count_error(other.len())),
         }
-        let mut covered: Vec<(u64, u64)> = all_done.iter().map(|(_, f, t)| (*f, *t)).collect();
-        covered.sort_unstable();
-        let mut reach = 0u64;
-        for (from, to) in covered {
-            if from > reach {
-                out.push(LintDiagnostic::error(
-                    "coverage",
-                    format!("work-groups {reach}..{from} were never executed by any survivor"),
-                ));
-            }
-            reach = reach.max(to);
-        }
-        if reach < total {
-            out.push(LintDiagnostic::error(
-                "coverage",
-                format!("work-groups {reach}..{total} were never executed by any survivor"),
-            ));
-        }
-        return out;
+        let done_spans = all_done.iter().map(|(_, f, t)| (*f, *t)).collect();
+        check_cover(out, done_spans, total, "any survivor");
+        return;
     }
     if let Some((wf, wt)) = open_wave {
         if exit_at.is_none() {
@@ -1518,11 +889,11 @@ fn lint_multidev(
     }
     let Some(exit) = exit_at else {
         out.push(LintDiagnostic::error("gpu-exit", "gpu never exited"));
-        return out;
+        return;
     };
     let Some(merge) = merge_at else {
         out.push(LintDiagnostic::error("merge", "diff-merge never completed"));
-        return out;
+        return;
     };
     if merge < exit {
         out.push(LintDiagnostic::error(
@@ -1530,8 +901,6 @@ fn lint_multidev(
             "diff-merge completed before the gpu exit",
         ));
     }
-    // With several endpoints the final data only ever exists assembled on
-    // the owner, so the kernel always completes through the merge.
     match completes.as_slice() {
         [(at, Finisher::Gpu)] => {
             if *at != merge {
@@ -1541,185 +910,114 @@ fn lint_multidev(
                 ));
             }
         }
-        [(_, Finisher::Cpu)] => out.push(LintDiagnostic::error(
-            "completion",
-            "a multi-device kernel with a healthy owner must be finished by the gpu",
-        )),
-        [] => out.push(LintDiagnostic::error(
-            "completion",
-            "kernel never completed",
-        )),
-        _ => out.push(LintDiagnostic::error(
-            "completion",
-            "kernel completed more than once",
-        )),
+        // The CPU's copy is authoritative only when it was the sole
+        // endpoint (paper §4.2); with peers the final data only ever exists
+        // assembled on the owner.
+        [(at, Finisher::Cpu)] => {
+            if eps.keys().any(|&dev| dev > 0) {
+                out.push(LintDiagnostic::error(
+                    "completion",
+                    "a kernel with peer endpoints and a healthy owner must be finished by the gpu",
+                ));
+            }
+            if *at >= merge {
+                out.push(LintDiagnostic::error(
+                    "completion",
+                    "cpu-finished kernel must complete strictly before the merge",
+                ));
+            }
+            if !eps
+                .get(&0)
+                .is_some_and(|ep| ep.done.iter().any(|(t, f, _)| *f == 0 && t == at))
+            {
+                out.push(LintDiagnostic::error(
+                    "completion",
+                    "cpu finisher without a subkernel reaching work-group 0 at that time",
+                ));
+            }
+        }
+        other => out.push(completion_count_error(other.len())),
     }
-
     // Coverage: the owner's executed ranges plus the delivered suffix
     // [watermark, total) must cover every work-group (delivered islands
     // below the watermark are re-executed by the owner — duplicated, never
     // lost).
-    let mut covered = exec_ranges;
     if watermark < total {
-        covered.push((watermark, total));
+        exec_ranges.push((watermark, total));
     }
-    covered.sort_unstable();
-    let mut reach = 0u64;
-    for (from, to) in covered {
-        if from > reach {
-            out.push(LintDiagnostic::error(
-                "coverage",
-                format!("work-groups {reach}..{from} were never executed by any device"),
-            ));
-        }
-        reach = reach.max(to);
-    }
-    if reach < total {
-        out.push(LintDiagnostic::error(
-            "coverage",
-            format!("work-groups {reach}..{total} were never executed by any device"),
-        ));
-    }
-    out
+    check_cover(out, exec_ranges, total, "any device");
 }
 
-/// Lints the trace of a degraded single-device run: after a permanent
-/// device loss, the runtime executes the whole NDRange on the survivor and
-/// records `[Enqueued, DegradedRun, KernelComplete]` — no co-execution
-/// machinery (waves, subkernels, transfers) may appear.
-fn lint_degraded(
-    events: &[TraceEvent],
-    total: u64,
-    mut out: Vec<LintDiagnostic>,
-) -> Vec<LintDiagnostic> {
-    let mut prev_at = events[0].at;
+/// The finding for a kernel that completed `n != 1` times.
+fn completion_count_error(n: usize) -> LintDiagnostic {
+    LintDiagnostic::error(
+        "completion",
+        if n == 0 {
+            "kernel never completed"
+        } else {
+            "kernel completed more than once"
+        },
+    )
+}
+
+/// Degraded runs after a permanent loss and graph nodes placed on a peer
+/// record `[Enqueued, solo span(s), KernelComplete]`: one device executes
+/// the whole NDRange alone, so no co-execution machinery (waves,
+/// subkernels, transfers) may appear.
+fn lint_solo(events: &[TraceEvent], total: u64, out: &mut Vec<LintDiagnostic>) {
     let mut spans: Vec<(u64, u64)> = Vec::new();
+    let mut devices: Vec<String> = Vec::new();
     let mut completes = 0usize;
     for e in &events[1..] {
-        if e.at < prev_at {
+        let (device, from, to) = match e.kind {
+            TraceKind::DegradedRun { device, from, to } => (device.name().to_string(), from, to),
+            TraceKind::EpDegradedRun { dev, from, to }
+            | TraceKind::GraphRun { dev, from, to, .. } => (format!("ep{dev}"), from, to),
+            TraceKind::KernelComplete { .. } => {
+                completes += 1;
+                continue;
+            }
+            // Reported by `lint_trace`.
+            TraceKind::Enqueued { .. }
+            | TraceKind::CpuSubkernelStart { .. }
+            | TraceKind::CpuSubkernelDone { .. }
+            | TraceKind::HdEnqueued
+            | TraceKind::CoalescedSend => continue,
+            ref other => {
+                out.push(LintDiagnostic::error(
+                    "solo-shape",
+                    format!("event `{other}` has no place in a single-device trace"),
+                ));
+                continue;
+            }
+        };
+        if from >= to {
             out.push(LintDiagnostic::error(
-                "chronology",
-                format!("event `{}` is timestamped before its predecessor", e.kind),
+                "solo-shape",
+                format!("single-device span {from}..{to} is empty or reversed"),
             ));
         }
-        prev_at = e.at;
-        match &e.kind {
-            TraceKind::DegradedRun { from, to, .. } | TraceKind::EpDegradedRun { from, to, .. } => {
-                if from >= to {
-                    out.push(LintDiagnostic::error(
-                        "degraded-shape",
-                        format!("degraded span {from}..{to} is empty or reversed"),
-                    ));
-                }
-                spans.push((*from, *to));
-            }
-            TraceKind::KernelComplete { .. } => completes += 1,
-            TraceKind::DeviceLost { .. } => {}
-            other => out.push(LintDiagnostic::error(
-                "degraded-shape",
-                format!("event `{other}` has no place in a degraded single-device trace"),
-            )),
+        spans.push((from, to));
+        if !devices.contains(&device) {
+            devices.push(device);
         }
     }
     if completes != 1 {
         out.push(LintDiagnostic::error(
             "completion",
-            format!("degraded run completed {completes} times, expected exactly once"),
+            format!("single-device run completed {completes} times, expected exactly once"),
         ));
     }
-    spans.sort_unstable();
-    let mut reach = 0u64;
-    for (from, to) in spans {
-        if from > reach {
-            out.push(LintDiagnostic::error(
-                "coverage",
-                format!("work-groups {reach}..{from} were never executed by the survivor"),
-            ));
-        }
-        reach = reach.max(to);
-    }
-    if reach < total {
+    if devices.len() > 1 {
         out.push(LintDiagnostic::error(
-            "coverage",
-            format!("work-groups {reach}..{total} were never executed by the survivor"),
+            "solo-shape",
+            format!(
+                "one single-device run spans more than one device ({})",
+                devices.join(", ")
+            ),
         ));
     }
-    out
-}
-
-/// Lints the trace of a graph-scheduled node that ran alone on one
-/// endpoint while its siblings used the other devices
-/// (`with_graph_scheduling`): the runtime records
-/// `[Enqueued, GraphRun, KernelComplete]` — no co-execution machinery
-/// (waves, subkernels, transfers) may appear, the runs must cover
-/// `[0, total)`, and they must all name the same endpoint (one node never
-/// migrates mid-flush).
-fn lint_graph(
-    events: &[TraceEvent],
-    total: u64,
-    mut out: Vec<LintDiagnostic>,
-) -> Vec<LintDiagnostic> {
-    let mut prev_at = events[0].at;
-    let mut spans: Vec<(u64, u64)> = Vec::new();
-    let mut devs: Vec<u32> = Vec::new();
-    let mut completes = 0usize;
-    for e in &events[1..] {
-        if e.at < prev_at {
-            out.push(LintDiagnostic::error(
-                "chronology",
-                format!("event `{}` is timestamped before its predecessor", e.kind),
-            ));
-        }
-        prev_at = e.at;
-        match &e.kind {
-            TraceKind::GraphRun { dev, from, to, .. } => {
-                if from >= to {
-                    out.push(LintDiagnostic::error(
-                        "graph-shape",
-                        format!("graph-run span {from}..{to} is empty or reversed"),
-                    ));
-                }
-                spans.push((*from, *to));
-                devs.push(*dev);
-            }
-            TraceKind::KernelComplete { .. } => completes += 1,
-            other => out.push(LintDiagnostic::error(
-                "graph-shape",
-                format!("event `{other}` has no place in a graph-run trace"),
-            )),
-        }
-    }
-    if completes != 1 {
-        out.push(LintDiagnostic::error(
-            "completion",
-            format!("graph node completed {completes} times, expected exactly once"),
-        ));
-    }
-    devs.dedup();
-    if devs.len() > 1 {
-        out.push(LintDiagnostic::error(
-            "graph-shape",
-            "one graph node ran on more than one endpoint",
-        ));
-    }
-    spans.sort_unstable();
-    let mut reach = 0u64;
-    for (from, to) in spans {
-        if from > reach {
-            out.push(LintDiagnostic::error(
-                "coverage",
-                format!("work-groups {reach}..{from} were never executed by the node's endpoint"),
-            ));
-        }
-        reach = reach.max(to);
-    }
-    if reach < total {
-        out.push(LintDiagnostic::error(
-            "coverage",
-            format!("work-groups {reach}..{total} were never executed by the node's endpoint"),
-        ));
-    }
-    out
+    check_cover(out, spans, total, "the sole device");
 }
 
 /// Lints a kernel report: runs [`lint_trace`] on its trace and cross-checks
@@ -1728,14 +1026,14 @@ pub fn lint_report(report: &KernelReport) -> Vec<LintDiagnostic> {
     let mut out = lint_trace(&report.trace);
     let mut gpu_executed = 0u64;
     let mut cpu_executed = 0u64;
+    let mut peer_executed = 0u64;
     let mut subkernel_starts = 0u64;
     let mut trace_hd_bytes = 0u64;
     let mut final_watermark = report.total_wgs;
     let mut complete: Option<(SimTime, Finisher)> = None;
     let mut trace_total: Option<u64> = None;
     let mut device_lost = false;
-    let mut multi = false;
-    let mut peer_executed = 0u64;
+    let mut peers = false;
     for e in &report.trace {
         match &e.kind {
             TraceKind::Enqueued { total_wgs, .. } => {
@@ -1750,55 +1048,30 @@ pub fn lint_report(report: &KernelReport) -> Vec<LintDiagnostic> {
             TraceKind::GpuWaveDone {
                 from, executed_to, ..
             } => gpu_executed += executed_to.saturating_sub(*from),
-            TraceKind::CpuSubkernelStart { .. } => subkernel_starts += 1,
-            TraceKind::CpuSubkernelDone { from, to } => cpu_executed += to - from,
-            TraceKind::HdEnqueued { bytes, .. } | TraceKind::CoalescedSend { bytes, .. } => {
-                trace_hd_bytes += bytes
-            }
-            TraceKind::StatusArrived { boundary } => {
-                final_watermark = final_watermark.min(*boundary);
-            }
-            TraceKind::KernelComplete { finisher } => complete = Some((e.at, *finisher)),
-            TraceKind::DegradedRun { device, from, to } => match device {
-                DeviceKind::Cpu => cpu_executed += to - from,
-                DeviceKind::Gpu => gpu_executed += to - from,
-            },
-            TraceKind::DeviceLost { .. } => device_lost = true,
-            TraceKind::EpSubkernelStart { .. } => {
-                multi = true;
+            TraceKind::EpSubkernelStart { dev, .. } => {
+                peers |= *dev > 0;
                 subkernel_starts += 1;
             }
             TraceKind::EpSubkernelDone { dev, from, to } => {
-                multi = true;
                 if *dev == 0 {
                     cpu_executed += to - from;
                 } else {
                     peer_executed += to - from;
                 }
             }
-            TraceKind::EpSend { bytes, .. } => {
-                multi = true;
-                trace_hd_bytes += bytes;
-            }
+            TraceKind::EpSend { bytes, .. } => trace_hd_bytes += bytes,
             TraceKind::EpStatus { watermark, .. } => {
-                multi = true;
                 final_watermark = final_watermark.min(*watermark);
             }
-            TraceKind::NonOwnerLost { .. } => {
-                multi = true;
-                device_lost = true;
-            }
-            TraceKind::OwnerPromoted { .. } | TraceKind::EpochRejected { .. } => {
-                multi = true;
-            }
-            TraceKind::EpDegradedRun { from, to, .. } => {
-                multi = true;
+            TraceKind::KernelComplete { finisher } => complete = Some((e.at, *finisher)),
+            TraceKind::DegradedRun { device, from, to } => match device {
+                DeviceKind::Cpu => cpu_executed += to - from,
+                DeviceKind::Gpu => gpu_executed += to - from,
+            },
+            TraceKind::EpDegradedRun { from, to, .. } | TraceKind::GraphRun { from, to, .. } => {
                 peer_executed += to - from;
             }
-            TraceKind::GraphRun { from, to, .. } => {
-                multi = true;
-                peer_executed += to - from;
-            }
+            TraceKind::OwnerLost | TraceKind::NonOwnerLost { .. } => device_lost = true,
             _ => {}
         }
     }
@@ -1825,42 +1098,32 @@ pub fn lint_report(report: &KernelReport) -> Vec<LintDiagnostic> {
         cpu_executed,
         report.cpu_executed_wgs,
     );
-    // After a device loss the merged region is decoupled from the
-    // watermark (a lost GPU merges nothing at all), so the watermark
-    // cross-check only holds for fault-free and transfer-fault runs. In a
-    // multi-device trace delivered islands below the final watermark also
-    // merge, so the watermark gives a lower bound instead of an equality.
-    if !device_lost && !multi {
-        mismatch(
-            "cpu-merged work-groups",
-            report.total_wgs - final_watermark,
-            report.cpu_merged_wgs,
-        );
-    }
-    if multi {
-        mismatch(
-            "peer-executed work-groups",
-            peer_executed,
-            report.peer_executed_wgs.iter().sum(),
-        );
-    }
+    mismatch(
+        "peer-executed work-groups",
+        peer_executed,
+        report.peer_executed_wgs.iter().sum(),
+    );
     mismatch("subkernels", subkernel_starts, report.subkernels);
     mismatch("hd bytes", trace_hd_bytes, report.hd_bytes);
-    // In a multi-device trace delivered islands below the final watermark
-    // also merge, so the watermark bounds the merged count from below and
-    // the endpoints' executed total bounds it from above.
-    if multi && !device_lost {
-        if report.cpu_merged_wgs < report.total_wgs - final_watermark {
+    // After a device loss the merged region is decoupled from the
+    // watermark (a lost owner merges nothing at all). Otherwise the CPU
+    // alone delivers a contiguous suffix, so the merged count is exactly
+    // the suffix; with peers, delivered islands below the final watermark
+    // merge too, so the suffix bounds the count from below and the
+    // endpoints' executed total bounds it from above.
+    if !device_lost {
+        let suffix = report.total_wgs - final_watermark;
+        if !peers {
+            mismatch("cpu-merged work-groups", suffix, report.cpu_merged_wgs);
+        } else if report.cpu_merged_wgs < suffix {
             out.push(LintDiagnostic::error(
                 "report-consistency",
                 format!(
-                    "report merges {} work-groups but the delivered suffix alone covers {}",
-                    report.cpu_merged_wgs,
-                    report.total_wgs - final_watermark
+                    "report merges {} work-groups but the delivered suffix alone covers {suffix}",
+                    report.cpu_merged_wgs
                 ),
             ));
-        }
-        if report.cpu_merged_wgs > cpu_executed + peer_executed {
+        } else if report.cpu_merged_wgs > cpu_executed + peer_executed {
             out.push(LintDiagnostic::error(
                 "report-consistency",
                 format!(
@@ -1894,45 +1157,61 @@ mod tests {
         }
     }
 
-    /// A legal co-execution over 4 work-groups: the CPU takes the top two
-    /// one at a time, the first status arrives in time, the second never
-    /// does (its transfer is in flight when the GPU exits).
+    fn start(dev: u32, from: u64, to: u64) -> TraceKind {
+        TraceKind::EpSubkernelStart {
+            dev,
+            from,
+            to,
+            version: 0,
+        }
+    }
+
+    fn done(dev: u32, from: u64, to: u64) -> TraceKind {
+        TraceKind::EpSubkernelDone { dev, from, to }
+    }
+
+    fn send(dev: u32, boundary: u64) -> TraceKind {
+        TraceKind::EpSend {
+            dev,
+            boundary,
+            bytes: 64,
+            dirty_bytes: None,
+            subkernels: 1,
+        }
+    }
+
+    fn status(dev: u32, boundary: u64, watermark: u64) -> TraceKind {
+        TraceKind::EpStatus {
+            dev,
+            boundary,
+            watermark,
+        }
+    }
+
+    fn enqueued(total_wgs: u64) -> TraceKind {
+        TraceKind::Enqueued {
+            total_wgs,
+            pipeline_depth: 1,
+        }
+    }
+
+    fn complete(finisher: Finisher) -> TraceKind {
+        TraceKind::KernelComplete { finisher }
+    }
+
+    /// A legal two-device co-execution over 4 work-groups: the CPU (ep0)
+    /// takes the top two one at a time, the first status arrives in time,
+    /// the second never does (its transfer is in flight when the GPU
+    /// exits).
     fn legal_trace() -> Vec<TraceEvent> {
         vec![
-            ev(
-                0,
-                TraceKind::Enqueued {
-                    total_wgs: 4,
-                    pipeline_depth: 1,
-                },
-            ),
-            ev(
-                5,
-                TraceKind::CpuSubkernelStart {
-                    from: 3,
-                    to: 4,
-                    version: 0,
-                },
-            ),
+            ev(0, enqueued(4)),
+            ev(5, start(0, 3, 4)),
             ev(10, TraceKind::GpuLaunch),
             ev(10, TraceKind::GpuWaveStart { from: 0, to: 2 }),
-            ev(20, TraceKind::CpuSubkernelDone { from: 3, to: 4 }),
-            ev(
-                25,
-                TraceKind::HdEnqueued {
-                    boundary: 3,
-                    bytes: 64,
-                    dirty_bytes: None,
-                },
-            ),
-            ev(
-                25,
-                TraceKind::CpuSubkernelStart {
-                    from: 2,
-                    to: 3,
-                    version: 0,
-                },
-            ),
+            ev(20, done(0, 3, 4)),
+            ev(25, send(0, 3)),
+            ev(25, start(0, 2, 3)),
             ev(
                 30,
                 TraceKind::GpuWaveDone {
@@ -1942,16 +1221,9 @@ mod tests {
                 },
             ),
             ev(30, TraceKind::GpuWaveStart { from: 2, to: 4 }),
-            ev(35, TraceKind::StatusArrived { boundary: 3 }),
-            ev(38, TraceKind::CpuSubkernelDone { from: 2, to: 3 }),
-            ev(
-                39,
-                TraceKind::HdEnqueued {
-                    boundary: 2,
-                    bytes: 64,
-                    dirty_bytes: None,
-                },
-            ),
+            ev(35, status(0, 3, 3)),
+            ev(38, done(0, 2, 3)),
+            ev(39, send(0, 2)),
             ev(
                 40,
                 TraceKind::GpuWaveDone {
@@ -1962,13 +1234,12 @@ mod tests {
             ),
             ev(40, TraceKind::GpuExit),
             ev(45, TraceKind::MergeDone),
-            ev(
-                45,
-                TraceKind::KernelComplete {
-                    finisher: Finisher::Gpu,
-                },
-            ),
+            ev(45, complete(Finisher::Gpu)),
         ]
+    }
+
+    fn rules(t: &[TraceEvent]) -> Vec<&'static str> {
+        lint_trace(t).iter().map(|d| d.rule).collect()
     }
 
     #[test]
@@ -1978,56 +1249,70 @@ mod tests {
 
     #[test]
     fn empty_trace_is_flagged() {
-        assert!(lint_trace(&[]).iter().any(|d| d.rule == "trace-shape"));
+        assert!(rules(&[]).contains(&"trace-shape"));
     }
 
     #[test]
     fn missing_enqueue_record_is_flagged() {
-        let t = &legal_trace()[1..];
-        assert!(lint_trace(t).iter().any(|d| d.rule == "trace-shape"));
+        assert!(rules(&legal_trace()[1..]).contains(&"trace-shape"));
+    }
+
+    #[test]
+    fn retired_events_are_flagged() {
+        let mut t = legal_trace();
+        t.insert(2, ev(5, TraceKind::HdEnqueued));
+        assert!(rules(&t).contains(&"trace-shape"), "{:?}", lint_trace(&t));
     }
 
     #[test]
     fn rising_watermark_is_flagged() {
         let mut t = legal_trace();
-        // The status claims a boundary above the current watermark (4).
+        // The status claims a watermark above the current one (4).
         for e in &mut t {
-            if let TraceKind::StatusArrived { boundary } = &mut e.kind {
-                *boundary = 5;
+            if let TraceKind::EpStatus { watermark, .. } = &mut e.kind {
+                *watermark = 5;
             }
         }
-        let diags = lint_trace(&t);
-        assert!(
-            diags.iter().any(|d| d.rule == "watermark-monotone"),
-            "{diags:?}"
-        );
+        assert!(rules(&t).contains(&"watermark-monotone"));
+    }
+
+    #[test]
+    fn watermark_disagreeing_with_delivered_ranges_is_flagged() {
+        let mut t = legal_trace();
+        for e in &mut t {
+            if let TraceKind::EpStatus { watermark, .. } = &mut e.kind {
+                *watermark = 2;
+            }
+        }
+        assert!(rules(&t).contains(&"watermark-monotone"));
     }
 
     #[test]
     fn status_without_transfer_is_flagged() {
         let mut t = legal_trace();
-        t.retain(|e| !matches!(e.kind, TraceKind::HdEnqueued { .. }));
-        let diags = lint_trace(&t);
-        assert!(
-            diags.iter().any(|d| d.rule == "data-before-status"),
-            "{diags:?}"
-        );
+        t.retain(|e| !matches!(e.kind, TraceKind::EpSend { .. }));
+        assert!(rules(&t).contains(&"data-before-status"));
     }
 
     #[test]
     fn status_faster_than_its_data_is_flagged() {
         let mut t = legal_trace();
         for e in &mut t {
-            if matches!(e.kind, TraceKind::StatusArrived { .. }) {
+            if matches!(e.kind, TraceKind::EpStatus { .. }) {
                 e.at = SimTime::from_nanos(24); // before the 25ns send
             }
         }
         t.sort_by_key(|e| e.at);
-        let diags = lint_trace(&t);
-        assert!(
-            diags.iter().any(|d| d.rule == "data-before-status"),
-            "{diags:?}"
-        );
+        assert!(rules(&t).contains(&"data-before-status"));
+    }
+
+    #[test]
+    fn batch_in_a_serial_trace_is_flagged() {
+        let mut t = legal_trace();
+        if let TraceKind::EpSend { subkernels, .. } = &mut t[11].kind {
+            *subkernels = 2;
+        }
+        assert!(rules(&t).contains(&"coalesced-send"));
     }
 
     #[test]
@@ -2036,13 +1321,25 @@ mod tests {
         // Deliver the status before the second wave starts: the 2..4 wave
         // then runs past the watermark 3 known at its start.
         for e in &mut t {
-            if matches!(e.kind, TraceKind::StatusArrived { .. }) {
+            if matches!(e.kind, TraceKind::EpStatus { .. }) {
                 e.at = SimTime::from_nanos(28);
             }
         }
         t.sort_by_key(|e| e.at);
-        let diags = lint_trace(&t);
-        assert!(diags.iter().any(|d| d.rule == "wave-bounds"), "{diags:?}");
+        assert!(rules(&t).contains(&"wave-bounds"));
+    }
+
+    #[test]
+    fn wave_after_abort_is_flagged() {
+        let mut t = legal_trace();
+        t[12] = ev(36, TraceKind::GpuWaveAborted { from: 2, to: 4 });
+        t.insert(13, ev(37, TraceKind::GpuWaveStart { from: 2, to: 3 }));
+        t.sort_by_key(|e| e.at);
+        assert!(
+            rules(&t).contains(&"wave-contiguity"),
+            "{:?}",
+            lint_trace(&t)
+        );
     }
 
     #[test]
@@ -2054,12 +1351,9 @@ mod tests {
                 TraceKind::GpuWaveStart { from: 0, .. } | TraceKind::GpuWaveDone { from: 0, .. }
             )
         });
-        let diags = lint_trace(&t);
-        assert!(diags.iter().any(|d| d.rule == "coverage"), "{diags:?}");
-        assert!(
-            diags.iter().any(|d| d.rule == "wave-contiguity"),
-            "{diags:?}"
-        );
+        let r = rules(&t);
+        assert!(r.contains(&"coverage"), "{r:?}");
+        assert!(r.contains(&"wave-contiguity"), "{r:?}");
     }
 
     #[test]
@@ -2071,75 +1365,91 @@ mod tests {
             }
         }
         t.sort_by_key(|e| e.at);
-        let diags = lint_trace(&t);
-        assert!(diags.iter().any(|d| d.rule == "merge"), "{diags:?}");
+        assert!(rules(&t).contains(&"merge"));
     }
 
     #[test]
     fn missing_merge_is_flagged() {
         let mut t = legal_trace();
         t.retain(|e| !matches!(e.kind, TraceKind::MergeDone));
-        let diags = lint_trace(&t);
-        assert!(diags.iter().any(|d| d.rule == "merge"), "{diags:?}");
+        assert!(rules(&t).contains(&"merge"));
     }
 
     #[test]
-    fn non_contiguous_subkernels_are_flagged() {
+    fn claim_off_the_frontier_top_is_flagged() {
         let mut t = legal_trace();
-        for e in &mut t {
-            if let TraceKind::CpuSubkernelStart { from, to, .. } = &mut e.kind {
-                if *to == 3 {
-                    // Second subkernel skips a work-group: 1..2 instead of 2..3.
-                    *from = 1;
-                    *to = 2;
-                }
-            }
-        }
-        let diags = lint_trace(&t);
-        assert!(
-            diags.iter().any(|d| d.rule == "cpu-contiguity"),
-            "{diags:?}"
-        );
+        // Second claim skips a work-group: 1..2 instead of 2..3.
+        t[6] = ev(25, start(0, 1, 2));
+        assert!(rules(&t).contains(&"claim-descent"));
+    }
+
+    #[test]
+    fn overlapping_live_claims_are_flagged() {
+        let mut t = legal_trace();
+        t.insert(7, ev(25, start(1, 2, 4)));
+        let r = rules(&t);
+        assert!(r.contains(&"claim-disjoint"), "{r:?}");
     }
 
     #[test]
     fn double_completion_is_flagged() {
         let mut t = legal_trace();
-        t.push(ev(
-            50,
-            TraceKind::KernelComplete {
-                finisher: Finisher::Gpu,
-            },
-        ));
-        let diags = lint_trace(&t);
-        assert!(diags.iter().any(|d| d.rule == "completion"), "{diags:?}");
+        t.push(ev(50, complete(Finisher::Gpu)));
+        assert!(rules(&t).contains(&"completion"));
     }
 
     #[test]
     fn unsorted_trace_is_flagged() {
         let mut t = legal_trace();
         t.swap(3, 12);
-        let diags = lint_trace(&t);
-        assert!(diags.iter().any(|d| d.rule == "chronology"), "{diags:?}");
+        assert!(rules(&t).contains(&"chronology"));
     }
 
     #[test]
-    fn cpu_finisher_requires_reaching_zero() {
+    fn cpu_finisher_requires_reaching_zero_before_the_merge() {
         let mut t = legal_trace();
         for e in &mut t {
             if let TraceKind::KernelComplete { finisher } = &mut e.kind {
                 *finisher = Finisher::Cpu;
             }
         }
-        let diags = lint_trace(&t);
-        assert!(diags.iter().any(|d| d.rule == "completion"), "{diags:?}");
+        assert!(rules(&t).contains(&"completion"));
+    }
+
+    /// A single endpoint that computed the whole NDRange before the merge:
+    /// its copy is authoritative and the kernel completes at that instant.
+    fn cpu_finished_trace(dev: u32) -> Vec<TraceEvent> {
+        vec![
+            ev(0, enqueued(2)),
+            ev(1, start(dev, 0, 2)),
+            ev(2, TraceKind::GpuLaunch),
+            ev(2, TraceKind::GpuWaveStart { from: 0, to: 2 }),
+            ev(5, done(dev, 0, 2)),
+            ev(5, complete(Finisher::Cpu)),
+            ev(
+                8,
+                TraceKind::GpuWaveDone {
+                    from: 0,
+                    to: 2,
+                    executed_to: 2,
+                },
+            ),
+            ev(8, TraceKind::GpuExit),
+            ev(8, TraceKind::MergeDone),
+        ]
+    }
+
+    #[test]
+    fn cpu_finisher_is_legal_only_for_a_sole_cpu_endpoint() {
+        assert_eq!(lint_trace(&cpu_finished_trace(0)), vec![]);
+        assert!(rules(&cpu_finished_trace(1)).contains(&"completion"));
     }
 
     #[test]
     fn consistent_dirty_byte_accounting_is_clean() {
         let mut t = legal_trace();
         for e in &mut t {
-            if let TraceKind::HdEnqueued {
+            if let TraceKind::EpSend {
                 bytes, dirty_bytes, ..
             } = &mut e.kind
             {
@@ -2154,7 +1464,7 @@ mod tests {
     fn over_shipped_transfer_is_flagged() {
         let mut t = legal_trace();
         for e in &mut t {
-            if let TraceKind::HdEnqueued {
+            if let TraceKind::EpSend {
                 bytes, dirty_bytes, ..
             } = &mut e.kind
             {
@@ -2163,174 +1473,79 @@ mod tests {
                 *bytes = 64 + STATUS_MSG_BYTES;
             }
         }
-        let diags = lint_trace(&t);
-        assert!(
-            diags.iter().any(|d| d.rule == "transfer-bytes"),
-            "{diags:?}"
-        );
+        assert!(rules(&t).contains(&"transfer-bytes"));
     }
 
-    /// A legal GPU-loss recovery over 4 work-groups: the first wave is
+    /// A legal owner-loss recovery over 4 work-groups: the first wave is
     /// killed (never completes), the CPU keeps descending to work-group 0
     /// and finishes the kernel alone — no exit, no merge.
-    fn gpu_loss_trace() -> Vec<TraceEvent> {
+    fn owner_loss_trace() -> Vec<TraceEvent> {
         vec![
-            ev(
-                0,
-                TraceKind::Enqueued {
-                    total_wgs: 4,
-                    pipeline_depth: 1,
-                },
-            ),
-            ev(
-                5,
-                TraceKind::CpuSubkernelStart {
-                    from: 3,
-                    to: 4,
-                    version: 0,
-                },
-            ),
+            ev(0, enqueued(4)),
+            ev(5, start(0, 3, 4)),
             ev(10, TraceKind::GpuLaunch),
             ev(10, TraceKind::GpuWaveStart { from: 0, to: 2 }),
-            ev(20, TraceKind::CpuSubkernelDone { from: 3, to: 4 }),
-            ev(
-                25,
-                TraceKind::HdEnqueued {
-                    boundary: 3,
-                    bytes: 64,
-                    dirty_bytes: None,
-                },
-            ),
-            ev(
-                25,
-                TraceKind::CpuSubkernelStart {
-                    from: 2,
-                    to: 3,
-                    version: 0,
-                },
-            ),
-            ev(35, TraceKind::StatusArrived { boundary: 3 }),
-            ev(38, TraceKind::CpuSubkernelDone { from: 2, to: 3 }),
-            ev(
-                39,
-                TraceKind::HdEnqueued {
-                    boundary: 2,
-                    bytes: 64,
-                    dirty_bytes: None,
-                },
-            ),
-            ev(
-                39,
-                TraceKind::CpuSubkernelStart {
-                    from: 1,
-                    to: 2,
-                    version: 0,
-                },
-            ),
-            ev(45, TraceKind::CpuSubkernelDone { from: 1, to: 2 }),
-            ev(
-                46,
-                TraceKind::CpuSubkernelStart {
-                    from: 0,
-                    to: 1,
-                    version: 0,
-                },
-            ),
-            ev(
-                50,
-                TraceKind::DeviceLost {
-                    device: DeviceKind::Gpu,
-                },
-            ),
-            ev(52, TraceKind::CpuSubkernelDone { from: 0, to: 1 }),
-            ev(
-                52,
-                TraceKind::KernelComplete {
-                    finisher: Finisher::Cpu,
-                },
-            ),
+            ev(20, done(0, 3, 4)),
+            ev(25, send(0, 3)),
+            ev(25, start(0, 2, 3)),
+            ev(35, status(0, 3, 3)),
+            ev(38, done(0, 2, 3)),
+            ev(39, send(0, 2)),
+            ev(39, start(0, 1, 2)),
+            ev(45, done(0, 1, 2)),
+            ev(46, start(0, 0, 1)),
+            ev(50, TraceKind::OwnerLost),
+            ev(52, done(0, 0, 1)),
+            ev(52, complete(Finisher::Cpu)),
         ]
     }
 
     #[test]
-    fn gpu_loss_recovery_trace_is_legal() {
-        assert_eq!(lint_trace(&gpu_loss_trace()), vec![]);
+    fn owner_loss_recovery_trace_is_legal() {
+        assert_eq!(lint_trace(&owner_loss_trace()), vec![]);
     }
 
     #[test]
-    fn gpu_finisher_after_gpu_loss_is_flagged() {
-        let mut t = gpu_loss_trace();
+    fn gpu_finisher_after_owner_loss_is_flagged() {
+        let mut t = owner_loss_trace();
         for e in &mut t {
             if let TraceKind::KernelComplete { finisher } = &mut e.kind {
                 *finisher = Finisher::Gpu;
             }
         }
-        let diags = lint_trace(&t);
-        assert!(diags.iter().any(|d| d.rule == "completion"), "{diags:?}");
+        assert!(rules(&t).contains(&"completion"));
     }
 
     #[test]
-    fn gpu_loss_with_incomplete_cpu_descent_is_flagged() {
-        let mut t = gpu_loss_trace();
+    fn owner_loss_with_incomplete_descent_is_flagged() {
+        let mut t = owner_loss_trace();
         // Drop the final 0..1 subkernel: nobody executed work-group 0.
         t.retain(|e| {
             !matches!(
                 e.kind,
-                TraceKind::CpuSubkernelStart { from: 0, .. }
-                    | TraceKind::CpuSubkernelDone { from: 0, .. }
+                TraceKind::EpSubkernelStart { from: 0, .. }
+                    | TraceKind::EpSubkernelDone { from: 0, .. }
             )
         });
-        let diags = lint_trace(&t);
-        assert!(diags.iter().any(|d| d.rule == "coverage"), "{diags:?}");
+        assert!(rules(&t).contains(&"coverage"));
     }
 
     #[test]
-    fn cpu_loss_open_subkernel_is_legal() {
+    fn lost_endpoint_may_leave_its_subkernel_open() {
         // The kernel completes normally on the GPU while the killed CPU
         // subkernel stays open; the loss is detected (and recorded) only
         // when the watchdog drains after completion.
         let mut t = legal_trace();
-        t.insert(
-            12,
-            ev(
-                39,
-                TraceKind::CpuSubkernelStart {
-                    from: 1,
-                    to: 2,
-                    version: 0,
-                },
-            ),
-        );
-        t.push(ev(
-            60,
-            TraceKind::DeviceLost {
-                device: DeviceKind::Cpu,
-            },
-        ));
-        t.sort_by_key(|e| e.at);
+        t.insert(12, ev(39, start(0, 1, 2)));
+        t.push(ev(60, TraceKind::NonOwnerLost { dev: 0 }));
         assert_eq!(lint_trace(&t), vec![]);
     }
 
     #[test]
     fn open_subkernel_without_recorded_loss_is_still_flagged() {
         let mut t = legal_trace();
-        t.insert(
-            12,
-            ev(
-                39,
-                TraceKind::CpuSubkernelStart {
-                    from: 1,
-                    to: 2,
-                    version: 0,
-                },
-            ),
-        );
-        t.sort_by_key(|e| e.at);
-        let diags = lint_trace(&t);
-        assert!(
-            diags.iter().any(|d| d.rule == "cpu-contiguity"),
-            "{diags:?}"
-        );
+        t.insert(12, ev(39, start(0, 1, 2)));
+        assert!(rules(&t).contains(&"ep-pairing"));
     }
 
     #[test]
@@ -2338,40 +1553,13 @@ mod tests {
         // The first transfer (boundary 3) fails transiently and is resent;
         // its status arrives late, interleaved with the boundary-2 send.
         let t = vec![
-            ev(
-                0,
-                TraceKind::Enqueued {
-                    total_wgs: 4,
-                    pipeline_depth: 1,
-                },
-            ),
-            ev(
-                5,
-                TraceKind::CpuSubkernelStart {
-                    from: 3,
-                    to: 4,
-                    version: 0,
-                },
-            ),
+            ev(0, enqueued(4)),
+            ev(5, start(0, 3, 4)),
             ev(10, TraceKind::GpuLaunch),
             ev(10, TraceKind::GpuWaveStart { from: 0, to: 2 }),
-            ev(20, TraceKind::CpuSubkernelDone { from: 3, to: 4 }),
-            ev(
-                25,
-                TraceKind::HdEnqueued {
-                    boundary: 3,
-                    bytes: 64,
-                    dirty_bytes: None,
-                },
-            ),
-            ev(
-                25,
-                TraceKind::CpuSubkernelStart {
-                    from: 2,
-                    to: 3,
-                    version: 0,
-                },
-            ),
+            ev(20, done(0, 3, 4)),
+            ev(25, send(0, 3)),
+            ev(25, start(0, 2, 3)),
             ev(
                 30,
                 TraceKind::GpuWaveDone {
@@ -2383,29 +1571,16 @@ mod tests {
             ev(30, TraceKind::GpuWaveStart { from: 2, to: 4 }),
             ev(
                 35,
-                TraceKind::TransferFault {
+                TraceKind::EpTransferFault {
+                    dev: 0,
                     boundary: 3,
                     attempt: 1,
                 },
             ),
-            ev(
-                36,
-                TraceKind::HdEnqueued {
-                    boundary: 3,
-                    bytes: 64,
-                    dirty_bytes: None,
-                },
-            ),
-            ev(38, TraceKind::CpuSubkernelDone { from: 2, to: 3 }),
-            ev(
-                39,
-                TraceKind::HdEnqueued {
-                    boundary: 2,
-                    bytes: 64,
-                    dirty_bytes: None,
-                },
-            ),
-            ev(39, TraceKind::StatusArrived { boundary: 3 }),
+            ev(36, send(0, 3)),
+            ev(38, done(0, 2, 3)),
+            ev(39, send(0, 2)),
+            ev(39, status(0, 3, 3)),
             ev(
                 40,
                 TraceKind::GpuWaveDone {
@@ -2416,12 +1591,7 @@ mod tests {
             ),
             ev(40, TraceKind::GpuExit),
             ev(45, TraceKind::MergeDone),
-            ev(
-                45,
-                TraceKind::KernelComplete {
-                    finisher: Finisher::Gpu,
-                },
-            ),
+            ev(45, complete(Finisher::Gpu)),
         ];
         assert_eq!(lint_trace(&t), vec![]);
     }
@@ -2433,103 +1603,82 @@ mod tests {
             10,
             ev(
                 36,
-                TraceKind::TransferFault {
+                TraceKind::EpTransferFault {
+                    dev: 0,
                     boundary: 1,
                     attempt: 1,
                 },
             ),
         );
         t.sort_by_key(|e| e.at);
-        let diags = lint_trace(&t);
-        assert!(diags.iter().any(|d| d.rule == "recovery"), "{diags:?}");
+        assert!(rules(&t).contains(&"recovery"));
+    }
+
+    fn solo_trace(span: TraceKind, finisher: Finisher) -> Vec<TraceEvent> {
+        vec![ev(0, enqueued(8)), ev(3, span), ev(90, complete(finisher))]
+    }
+
+    fn degraded(device: DeviceKind, to: u64) -> TraceKind {
+        TraceKind::DegradedRun {
+            device,
+            from: 0,
+            to,
+        }
+    }
+
+    fn graph_run(dev: u32, from: u64, to: u64) -> TraceKind {
+        TraceKind::GraphRun {
+            node: 1,
+            dev,
+            from,
+            to,
+        }
     }
 
     #[test]
-    fn degraded_trace_is_legal() {
-        let t = vec![
-            ev(
-                0,
-                TraceKind::Enqueued {
-                    total_wgs: 8,
-                    pipeline_depth: 1,
-                },
-            ),
-            ev(
-                3,
-                TraceKind::DegradedRun {
-                    device: DeviceKind::Cpu,
-                    from: 0,
-                    to: 8,
-                },
-            ),
-            ev(
-                90,
-                TraceKind::KernelComplete {
-                    finisher: Finisher::Cpu,
-                },
-            ),
-        ];
-        assert_eq!(lint_trace(&t), vec![]);
+    fn solo_traces_are_legal() {
+        let cpu = solo_trace(degraded(DeviceKind::Cpu, 8), Finisher::Cpu);
+        assert_eq!(lint_trace(&cpu), vec![]);
+        let peer = solo_trace(
+            TraceKind::EpDegradedRun {
+                dev: 1,
+                from: 0,
+                to: 8,
+            },
+            Finisher::Gpu,
+        );
+        assert_eq!(lint_trace(&peer), vec![]);
+        let node = solo_trace(graph_run(1, 0, 8), Finisher::Gpu);
+        assert_eq!(lint_trace(&node), vec![]);
     }
 
     #[test]
-    fn degraded_trace_with_coverage_gap_is_flagged() {
-        let t = vec![
-            ev(
-                0,
-                TraceKind::Enqueued {
-                    total_wgs: 8,
-                    pipeline_depth: 1,
-                },
-            ),
-            ev(
-                3,
-                TraceKind::DegradedRun {
-                    device: DeviceKind::Gpu,
-                    from: 0,
-                    to: 6,
-                },
-            ),
-            ev(
-                90,
-                TraceKind::KernelComplete {
-                    finisher: Finisher::Gpu,
-                },
-            ),
-        ];
-        let diags = lint_trace(&t);
-        assert!(diags.iter().any(|d| d.rule == "coverage"), "{diags:?}");
+    fn solo_trace_with_coverage_gap_is_flagged() {
+        let t = solo_trace(degraded(DeviceKind::Gpu, 6), Finisher::Gpu);
+        assert!(rules(&t).contains(&"coverage"));
+        let t = solo_trace(graph_run(1, 0, 6), Finisher::Gpu);
+        assert!(rules(&t).contains(&"coverage"));
     }
 
     #[test]
-    fn coexec_machinery_inside_degraded_trace_is_flagged() {
-        let t = vec![
-            ev(
-                0,
-                TraceKind::Enqueued {
-                    total_wgs: 8,
-                    pipeline_depth: 1,
-                },
-            ),
-            ev(2, TraceKind::GpuLaunch),
-            ev(
-                3,
-                TraceKind::DegradedRun {
-                    device: DeviceKind::Gpu,
-                    from: 0,
-                    to: 8,
-                },
-            ),
-            ev(
-                90,
-                TraceKind::KernelComplete {
-                    finisher: Finisher::Gpu,
-                },
-            ),
-        ];
+    fn coexec_machinery_inside_solo_trace_is_flagged() {
+        let mut t = solo_trace(degraded(DeviceKind::Gpu, 8), Finisher::Gpu);
+        t.insert(1, ev(2, TraceKind::GpuLaunch));
+        assert!(rules(&t).contains(&"solo-shape"));
+        let mut t = solo_trace(graph_run(1, 0, 8), Finisher::Gpu);
+        t.insert(1, ev(2, TraceKind::GpuLaunch));
+        assert!(rules(&t).contains(&"solo-shape"));
+    }
+
+    #[test]
+    fn solo_run_rejects_device_migration() {
+        let mut t = solo_trace(graph_run(1, 0, 4), Finisher::Gpu);
+        t.insert(2, ev(20, graph_run(2, 4, 8)));
         let diags = lint_trace(&t);
         assert!(
-            diags.iter().any(|d| d.rule == "degraded-shape"),
+            diags
+                .iter()
+                .any(|d| d.message.contains("more than one device")),
             "{diags:?}"
         );
     }
@@ -2541,94 +1690,5 @@ mod tests {
         let w = LintDiagnostic::warning("unused-input", "arg `x` never read");
         assert!(w.to_string().starts_with("[warning]"));
         assert!(LintSeverity::Warning < LintSeverity::Error);
-    }
-
-    fn graph_trace(total: u64) -> Vec<TraceEvent> {
-        vec![
-            ev(
-                0,
-                TraceKind::Enqueued {
-                    total_wgs: total,
-                    pipeline_depth: 1,
-                },
-            ),
-            ev(
-                10,
-                TraceKind::GraphRun {
-                    node: 1,
-                    dev: 1,
-                    from: 0,
-                    to: total,
-                },
-            ),
-            ev(
-                90,
-                TraceKind::KernelComplete {
-                    finisher: Finisher::Gpu,
-                },
-            ),
-        ]
-    }
-
-    #[test]
-    fn legal_graph_run_trace_is_clean() {
-        assert!(lint_trace(&graph_trace(8)).is_empty());
-    }
-
-    #[test]
-    fn graph_run_coverage_gap_is_flagged() {
-        let mut t = graph_trace(8);
-        t[1] = ev(
-            10,
-            TraceKind::GraphRun {
-                node: 1,
-                dev: 1,
-                from: 0,
-                to: 6,
-            },
-        );
-        let diags = lint_trace(&t);
-        assert!(diags.iter().any(|d| d.rule == "coverage"), "{diags:?}");
-    }
-
-    #[test]
-    fn graph_run_rejects_coexec_machinery() {
-        let mut t = graph_trace(8);
-        t.insert(1, ev(5, TraceKind::GpuLaunch));
-        let diags = lint_trace(&t);
-        assert!(diags.iter().any(|d| d.rule == "graph-shape"), "{diags:?}");
-    }
-
-    #[test]
-    fn graph_run_rejects_endpoint_migration() {
-        let mut t = graph_trace(8);
-        t[1] = ev(
-            10,
-            TraceKind::GraphRun {
-                node: 1,
-                dev: 1,
-                from: 0,
-                to: 4,
-            },
-        );
-        t.insert(
-            2,
-            ev(
-                20,
-                TraceKind::GraphRun {
-                    node: 1,
-                    dev: 2,
-                    from: 4,
-                    to: 8,
-                },
-            ),
-        );
-        let diags = lint_trace(&t);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.message.contains("more than one endpoint")),
-            "{diags:?}"
-        );
     }
 }

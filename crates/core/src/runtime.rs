@@ -291,25 +291,16 @@ impl Fluidicl {
         let total = launch.ndrange.num_groups();
         let items = launch.ndrange.items_per_group();
         let profile = &launch.kernel.default_version().profile;
-        let mut trace = vec![TraceEvent {
-            at: self.host_clock,
-            // A degraded run has no CPU/transfer overlap to speak of; its
-            // trace always reads as the serial protocol.
-            kind: TraceKind::Enqueued {
-                total_wgs: total,
-                pipeline_depth: 1,
-            },
-        }];
         let mut all_bufs: Vec<BufferId> = in_ids.to_vec();
         all_bufs.extend(out_ids.iter().copied());
-        let (start, duration, finisher) = match survivor {
+        let (start, duration) = match survivor {
             DeviceKind::Cpu => {
                 let start = self.buffers.cpu_ready_time(&all_bufs).max(self.host_clock);
                 let dur =
                     self.machine
                         .cpu
                         .subkernel_time(profile, items, total, self.config.wg_split);
-                (start, dur, Finisher::Cpu)
+                (start, dur)
             }
             DeviceKind::Gpu => {
                 let start = self
@@ -322,7 +313,7 @@ impl Fluidicl {
                     self.machine
                         .gpu
                         .range_time(profile, items, total, self.config.abort_mode);
-                (start, dur, Finisher::Gpu)
+                (start, dur)
             }
         };
         let mem = match survivor {
@@ -345,80 +336,13 @@ impl Fluidicl {
             return Err(e);
         }
         let complete_at = start + duration;
-        trace.push(TraceEvent {
-            at: start,
-            kind: TraceKind::DegradedRun {
-                device: survivor,
-                from: 0,
-                to: total,
-            },
-        });
-        trace.push(TraceEvent {
-            at: complete_at,
-            kind: TraceKind::KernelComplete { finisher },
-        });
-        let report = KernelReport {
-            kernel: kernel.to_string(),
-            kernel_id: kid,
-            enqueued_at: self.host_clock,
-            complete_at,
-            total_wgs: total,
-            gpu_executed_wgs: if survivor == DeviceKind::Gpu {
-                total
-            } else {
-                0
-            },
-            cpu_executed_wgs: if survivor == DeviceKind::Cpu {
-                total
-            } else {
-                0
-            },
-            cpu_merged_wgs: 0,
-            subkernels: 0,
-            subkernel_log: Vec::new(),
-            hd_bytes: 0,
-            dh_bytes: 0,
-            // A degraded run still reports the version online profiling
-            // settled on before the loss — selection is runtime state, not
-            // per-kernel state, so the report must not reset it to 0.
-            cpu_version_used: self.last_cpu_version,
-            peer_executed_wgs: Vec::new(),
-            finished_by: finisher,
-            duration: complete_at.saturating_since(self.host_clock),
-            trace,
-            launch_meta: Some(LaunchMeta {
-                ndrange: launch.ndrange,
-                scalars: launch.plan()?.scalars.clone(),
-                out_lens: out_ids
-                    .iter()
-                    .map(|id| self.buffers.state(*id).len)
-                    .collect(),
-            }),
+        let span = TraceKind::DegradedRun {
+            device: survivor,
+            from: 0,
+            to: total,
         };
-        if self.config.validate_protocol {
-            let diags = crate::lint::lint_report(&report);
-            if let Some(first) = diags
-                .iter()
-                .find(|d| d.severity == crate::lint::LintSeverity::Error)
-            {
-                return Err(ClError::ProtocolViolation {
-                    kernel: kernel.to_string(),
-                    detail: format!("{first} ({} finding(s) total)", diags.len()),
-                });
-            }
-        }
-        if let Some(hook) = &self.config.report_hook {
-            let diags = hook.run(&report);
-            if let Some(first) = diags
-                .iter()
-                .find(|d| d.severity == crate::lint::LintSeverity::Error)
-            {
-                return Err(ClError::ProtocolViolation {
-                    kernel: kernel.to_string(),
-                    detail: format!("{first} ({} finding(s) total)", diags.len()),
-                });
-            }
-        }
+        let times = (self.host_clock, start, complete_at);
+        let report = self.solo_report(kernel, kid, launch, out_ids, times, span)?;
         self.host_clock = complete_at;
         for id in out_ids {
             match survivor {
@@ -455,15 +379,7 @@ impl Fluidicl {
         let profile = &launch.kernel.default_version().profile;
         let mut all_bufs: Vec<BufferId> = in_ids.to_vec();
         all_bufs.extend(out_ids.iter().copied());
-        let mut broadcast_bytes = 0u64;
-        let mut seen: Vec<BufferId> = Vec::new();
-        for id in &all_bufs {
-            if seen.contains(id) {
-                continue;
-            }
-            seen.push(*id);
-            broadcast_bytes += self.buffers.state(*id).bytes();
-        }
+        let broadcast_bytes = self.broadcast_bytes(&all_bufs);
         let start = self
             .buffers
             .cpu_ready_time(&all_bufs)
@@ -485,47 +401,92 @@ impl Fluidicl {
             DeviceKind::Gpu,
         )?;
         let complete_at = start + duration;
-        let trace = vec![
-            TraceEvent {
-                at: self.host_clock,
-                kind: TraceKind::Enqueued {
-                    total_wgs: total,
-                    pipeline_depth: 1,
-                },
-            },
-            TraceEvent {
-                at: start,
-                kind: TraceKind::EpDegradedRun {
-                    dev: slot.dev,
-                    from: 0,
-                    to: total,
-                },
-            },
-            TraceEvent {
-                at: complete_at,
-                kind: TraceKind::KernelComplete {
-                    finisher: Finisher::Gpu,
-                },
-            },
-        ];
+        let span = TraceKind::EpDegradedRun {
+            dev: slot.dev,
+            from: 0,
+            to: total,
+        };
+        let times = (self.host_clock, start, complete_at);
+        let report = self.solo_report(kernel, kid, launch, out_ids, times, span)?;
+        self.host_clock = complete_at;
+        self.gpu_free = complete_at;
+        for id in out_ids {
+            self.buffers.record_cpu_arrival(*id, kid, complete_at);
+        }
+        self.reports.push(report);
+        Ok(())
+    }
+
+    /// Bytes of every distinct buffer in `bufs`: what a peer starting from
+    /// a clean slate receives before it can run the launch.
+    fn broadcast_bytes(&self, bufs: &[BufferId]) -> u64 {
+        let mut ids = bufs.to_vec();
+        ids.sort_unstable_by_key(|id| id.0);
+        ids.dedup();
+        ids.iter().map(|id| self.buffers.state(*id).bytes()).sum()
+    }
+
+    /// Builds the report of a kernel that one device ran alone over its
+    /// whole NDRange — a degraded run or a graph node placed on a peer —
+    /// from `(enqueued, start, complete)` times and the solo `span`, and
+    /// passes it through the report gates. Its trace is the enqueue
+    /// record, the span and the completion; a solo run has no overlap to
+    /// pipeline, so it always reads as the serial protocol.
+    fn solo_report(
+        &self,
+        kernel: &str,
+        kid: KernelId,
+        launch: &Launch,
+        out_ids: &[BufferId],
+        (enqueued_at, start, complete_at): (SimTime, SimTime, SimTime),
+        span: TraceKind,
+    ) -> ClResult<KernelReport> {
+        let total = launch.ndrange.num_groups();
+        let (gpu_executed_wgs, cpu_executed_wgs, peer_executed_wgs, finished_by) = match span {
+            TraceKind::DegradedRun {
+                device: DeviceKind::Cpu,
+                ..
+            } => (0, total, Vec::new(), Finisher::Cpu),
+            TraceKind::DegradedRun { .. } => (total, 0, Vec::new(), Finisher::Gpu),
+            _ => (0, 0, vec![total], Finisher::Gpu),
+        };
+        let event = |at, kind| TraceEvent { at, kind };
         let report = KernelReport {
             kernel: kernel.to_string(),
             kernel_id: kid,
-            enqueued_at: self.host_clock,
+            enqueued_at,
             complete_at,
             total_wgs: total,
-            gpu_executed_wgs: 0,
-            cpu_executed_wgs: 0,
+            gpu_executed_wgs,
+            cpu_executed_wgs,
             cpu_merged_wgs: 0,
             subkernels: 0,
             subkernel_log: Vec::new(),
             hd_bytes: 0,
             dh_bytes: 0,
+            // A solo run still reports the version online profiling
+            // settled on earlier — selection is runtime state, not
+            // per-kernel state, so the report must not reset it to 0.
             cpu_version_used: self.last_cpu_version,
-            peer_executed_wgs: vec![total],
-            finished_by: Finisher::Gpu,
-            duration: complete_at.saturating_since(self.host_clock),
-            trace,
+            peer_executed_wgs,
+            finished_by,
+            duration: complete_at.saturating_since(enqueued_at),
+            trace: vec![
+                event(
+                    enqueued_at,
+                    TraceKind::Enqueued {
+                        total_wgs: total,
+                        pipeline_depth: 1,
+                    },
+                ),
+                event(start, span),
+                event(
+                    complete_at,
+                    TraceKind::KernelComplete {
+                        finisher: finished_by,
+                    },
+                ),
+            ],
             launch_meta: Some(LaunchMeta {
                 ndrange: launch.ndrange,
                 scalars: launch.plan()?.scalars.clone(),
@@ -535,37 +496,8 @@ impl Fluidicl {
                     .collect(),
             }),
         };
-        if self.config.validate_protocol {
-            let diags = crate::lint::lint_report(&report);
-            if let Some(first) = diags
-                .iter()
-                .find(|d| d.severity == crate::lint::LintSeverity::Error)
-            {
-                return Err(ClError::ProtocolViolation {
-                    kernel: kernel.to_string(),
-                    detail: format!("{first} ({} finding(s) total)", diags.len()),
-                });
-            }
-        }
-        if let Some(hook) = &self.config.report_hook {
-            let diags = hook.run(&report);
-            if let Some(first) = diags
-                .iter()
-                .find(|d| d.severity == crate::lint::LintSeverity::Error)
-            {
-                return Err(ClError::ProtocolViolation {
-                    kernel: kernel.to_string(),
-                    detail: format!("{first} ({} finding(s) total)", diags.len()),
-                });
-            }
-        }
-        self.host_clock = complete_at;
-        self.gpu_free = complete_at;
-        for id in out_ids {
-            self.buffers.record_cpu_arrival(*id, kid, complete_at);
-        }
-        self.reports.push(report);
-        Ok(())
+        self.gate_report(kernel, &report)?;
+        Ok(report)
     }
 
     /// Runs the per-report protocol gates ([`FluidiclConfig::validate_protocol`]
@@ -807,8 +739,8 @@ impl Fluidicl {
             cpu_mem: &mut self.cpu_mem,
             gpu_mem: &mut self.gpu_mem,
             snapshots: &mut self.snapshots,
-            // Sibling graph nodes occupy the peers; this node runs the
-            // legacy two-device protocol.
+            // Sibling graph nodes occupy the peers; this node co-executes
+            // on the owner and the CPU alone.
             peers: Vec::new(),
             injector: None,
             dead_cpu: false,
@@ -879,15 +811,7 @@ impl Fluidicl {
         let profile = &launch.kernel.default_version().profile;
         let mut all_bufs: Vec<BufferId> = in_ids.clone();
         all_bufs.extend(out_ids.iter().copied());
-        let mut broadcast_bytes = 0u64;
-        let mut seen: Vec<BufferId> = Vec::new();
-        for id in &all_bufs {
-            if seen.contains(id) {
-                continue;
-            }
-            seen.push(*id);
-            broadcast_bytes += self.buffers.state(*id).bytes();
-        }
+        let broadcast_bytes = self.broadcast_bytes(&all_bufs);
         // The host copy is the broadcast source: wait for it and for the
         // graph dependences folded into `ready`.
         let start = self.buffers.cpu_ready_time(&all_bufs).max(ready)
@@ -913,58 +837,14 @@ impl Fluidicl {
             self.gpu_mem.write(*id, &data)?;
         }
         let complete_at = start + duration;
-        let trace = vec![
-            TraceEvent {
-                at: flush_at,
-                kind: TraceKind::Enqueued {
-                    total_wgs: total,
-                    pipeline_depth: 1,
-                },
-            },
-            TraceEvent {
-                at: start,
-                kind: TraceKind::GraphRun {
-                    node: node as u32,
-                    dev: slot.dev,
-                    from: 0,
-                    to: total,
-                },
-            },
-            TraceEvent {
-                at: complete_at,
-                kind: TraceKind::KernelComplete {
-                    finisher: Finisher::Gpu,
-                },
-            },
-        ];
-        let report = KernelReport {
-            kernel: p.kernel.clone(),
-            kernel_id: kid,
-            enqueued_at: flush_at,
-            complete_at,
-            total_wgs: total,
-            gpu_executed_wgs: 0,
-            cpu_executed_wgs: 0,
-            cpu_merged_wgs: 0,
-            subkernels: 0,
-            subkernel_log: Vec::new(),
-            hd_bytes: 0,
-            dh_bytes: 0,
-            cpu_version_used: self.last_cpu_version,
-            peer_executed_wgs: vec![total],
-            finished_by: Finisher::Gpu,
-            duration: complete_at.saturating_since(flush_at),
-            trace,
-            launch_meta: Some(LaunchMeta {
-                ndrange: launch.ndrange,
-                scalars: launch.plan()?.scalars.clone(),
-                out_lens: out_ids
-                    .iter()
-                    .map(|id| self.buffers.state(*id).len)
-                    .collect(),
-            }),
+        let span = TraceKind::GraphRun {
+            node: node as u32,
+            dev: slot.dev,
+            from: 0,
+            to: total,
         };
-        self.gate_report(&p.kernel, &report)?;
+        let times = (flush_at, start, complete_at);
+        let report = self.solo_report(&p.kernel, kid, &launch, &out_ids, times, span)?;
         for id in &out_ids {
             self.buffers.record_cpu_arrival(*id, kid, complete_at);
             let bytes = self.buffers.state(*id).bytes();
@@ -1232,31 +1112,9 @@ impl ClDriver for Fluidicl {
                 return Err(e);
             }
         };
-        if self.config.validate_protocol {
-            let diags = crate::lint::lint_report(&outcome.report);
-            if let Some(first) = diags
-                .iter()
-                .find(|d| d.severity == crate::lint::LintSeverity::Error)
-            {
-                self.release_scratch(&out_ids);
-                return Err(ClError::ProtocolViolation {
-                    kernel: kernel.to_string(),
-                    detail: format!("{first} ({} finding(s) total)", diags.len()),
-                });
-            }
-        }
-        if let Some(hook) = &self.config.report_hook {
-            let diags = hook.run(&outcome.report);
-            if let Some(first) = diags
-                .iter()
-                .find(|d| d.severity == crate::lint::LintSeverity::Error)
-            {
-                self.release_scratch(&out_ids);
-                return Err(ClError::ProtocolViolation {
-                    kernel: kernel.to_string(),
-                    detail: format!("{first} ({} finding(s) total)", diags.len()),
-                });
-            }
+        if let Err(e) = self.gate_report(kernel, &outcome.report) {
+            self.release_scratch(&out_ids);
+            return Err(e);
         }
         self.host_clock = outcome.complete_at;
         self.gpu_free = outcome.gpu_busy_until;

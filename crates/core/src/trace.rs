@@ -5,6 +5,12 @@
 //! with its virtual timestamp, and [`render_timeline`] prints the protocol
 //! as it played out, which is how most scheduling questions ("why did the
 //! GPU duplicate that range?") get answered.
+//!
+//! Every co-execution speaks one vocabulary: the owner GPU's wave walk
+//! (`Gpu*`, [`TraceKind::MergeDone`]) plus the shared-frontier endpoint
+//! events (`Ep*`), where endpoint 0 is the CPU and endpoints 1 and up are
+//! peer GPUs. The paper's two-device protocol is the case of a single
+//! endpoint, `ep0`.
 
 use std::fmt;
 
@@ -29,8 +35,8 @@ pub enum TraceKind {
         /// Total flattened work-groups of the launch.
         total_wgs: u64,
         /// Configured pipeline depth: the bound on completed-but-unshipped
-        /// CPU subkernels. Depth 1 is the serial protocol; the linter reads
-        /// this to decide which send-ordering rules apply.
+        /// subkernels per endpoint. Depth 1 is the serial protocol; the
+        /// linter reads this to decide which send-ordering rules apply.
         pipeline_depth: u32,
     },
     /// The GPU kernel was launched (after scratch setup).
@@ -43,7 +49,7 @@ pub enum TraceKind {
         to: u64,
     },
     /// A wave completed; work-groups `[from, executed_to)` produced results
-    /// (the rest had been covered by arrived CPU data mid-wave).
+    /// (the rest had been covered by non-owner data arriving mid-wave).
     GpuWaveDone {
         /// First flattened work-group of the wave.
         from: u64,
@@ -52,99 +58,27 @@ pub enum TraceKind {
         /// One past the last work-group that actually wrote results.
         executed_to: u64,
     },
-    /// A running wave aborted at an in-loop check: the CPU had already
-    /// covered everything from the wave's start (paper §6.4).
+    /// A running wave aborted at an in-loop check: the non-owners had
+    /// already covered everything from the wave's start (paper §6.4).
     GpuWaveAborted {
         /// First flattened work-group of the aborted wave.
         from: u64,
         /// One past the last work-group of the aborted wave.
         to: u64,
     },
-    /// The GPU kernel exited (reached the CPU watermark).
+    /// The GPU kernel exited (reached the watermark).
     GpuExit,
     /// The diff-merge kernel finished on the GPU (paper §4.3).
     MergeDone,
-    /// A CPU subkernel over `[from, to)` was launched with kernel version
-    /// `version`.
-    CpuSubkernelStart {
-        /// First flattened work-group of the subkernel.
-        from: u64,
-        /// One past the last work-group of the subkernel.
-        to: u64,
-        /// Kernel version index used (paper §6.6).
-        version: usize,
-    },
-    /// A CPU subkernel finished computing.
-    CpuSubkernelDone {
-        /// First flattened work-group of the subkernel.
-        from: u64,
-        /// One past the last work-group of the subkernel.
-        to: u64,
-    },
-    /// CPU results + status were enqueued on the hd queue (paper §5.4).
-    HdEnqueued {
-        /// Completion boundary the status message will carry.
-        boundary: u64,
-        /// Payload size in bytes.
-        bytes: u64,
-        /// Coalesced dirty payload in bytes when dirty-range transfers
-        /// are on (`bytes` must equal this plus [`STATUS_MSG_BYTES`]);
-        /// `None` under the whole-buffer protocol.
-        dirty_bytes: Option<u64>,
-    },
-    /// Results of several back-to-back completed subkernels were enqueued
-    /// as **one** data payload + **one** status message (pipeline depth
-    /// ≥ 2): their dirty ranges are unioned and the status carries the
-    /// minimum boundary of the batch.
-    CoalescedSend {
-        /// Completion boundary the single status message will carry — the
-        /// lowest `from` of the batched subkernels.
-        boundary: u64,
-        /// Combined payload size in bytes.
-        bytes: u64,
-        /// Unioned dirty payload in bytes when dirty-range transfers are
-        /// on (`bytes` must equal this plus [`STATUS_MSG_BYTES`]); `None`
-        /// under the whole-buffer protocol.
-        dirty_bytes: Option<u64>,
-        /// How many completed subkernels the batch carries (≥ 2).
-        subkernels: u32,
-    },
-    /// A status message reached the GPU: everything at or above `boundary`
-    /// is now CPU-complete *and* resident on the GPU (paper §4.2).
-    StatusArrived {
-        /// New completion watermark.
-        boundary: u64,
-    },
     /// The kernel completed from the host's perspective.
     KernelComplete {
         /// Which device established the final data.
         finisher: Finisher,
     },
-    /// A transfer attempt failed transiently (detected at its expected
-    /// completion instant) and will be retried after a backoff.
-    TransferFault {
-        /// Boundary the failed send carried.
-        boundary: u64,
-        /// 1-based attempt number that failed.
-        attempt: u32,
-    },
-    /// A delivered transfer failed its payload/status checksum and was
-    /// rejected; the sender resends.
-    TransferRejected {
-        /// Boundary the rejected send carried.
-        boundary: u64,
-    },
-    /// A transfer missed its watchdog deadline: the hd link is abandoned
-    /// and no further subkernels are shipped.
-    TransferTimeout {
-        /// Boundary the stalled send carried.
-        boundary: u64,
-    },
-    /// A device missed a watchdog deadline and was declared lost.
-    DeviceLost {
-        /// The device that died.
-        device: DeviceKind,
-    },
+    /// The acting owner GPU missed a wave watchdog deadline and was
+    /// declared lost: a surviving peer is promoted, or the non-owners
+    /// finish the range alone.
+    OwnerLost,
     /// The surviving device executed work-groups `[from, to)` alone
     /// (single-device degraded mode after a permanent loss).
     DegradedRun {
@@ -157,8 +91,7 @@ pub enum TraceKind {
     },
     /// A non-owner endpoint launched a subkernel over a range it claimed
     /// from the shared frontier. Endpoint 0 is the CPU; endpoints 1 and up
-    /// are peer GPUs. Only emitted on runs with more than one non-owner —
-    /// two-device runs keep the legacy `CpuSubkernelStart` vocabulary.
+    /// are peer GPUs.
     EpSubkernelStart {
         /// Endpoint index (0 = CPU, 1.. = peer GPUs).
         dev: u32,
@@ -179,7 +112,9 @@ pub enum TraceKind {
         to: u64,
     },
     /// A non-owner endpoint enqueued results + one status message on its
-    /// own upstream link (1 subkernel = the plain send, ≥ 2 = coalesced).
+    /// own upstream link (paper §5.4). One subkernel is the plain send;
+    /// several are a coalesced batch (pipeline depth ≥ 2), whose dirty
+    /// ranges are unioned into one payload.
     EpSend {
         /// Endpoint index.
         dev: u32,
@@ -197,7 +132,8 @@ pub enum TraceKind {
     },
     /// A non-owner endpoint's status message reached the owner: the send's
     /// ranges joined the coverage set, whose contiguous top suffix is the
-    /// owner's new watermark.
+    /// owner's new watermark (with one endpoint, the paper's §4.2
+    /// boundary watermark).
     EpStatus {
         /// Endpoint index the status came from.
         dev: u32,
@@ -270,10 +206,9 @@ pub enum TraceKind {
         to: u64,
     },
     /// A graph-scheduled node executed work-groups `[from, to)` alone on
-    /// one endpoint while sibling nodes of the same flushed DAG ran
-    /// elsewhere (`with_graph_scheduling`). Endpoint indices follow the
-    /// Ep* vocabulary: 1.. are peer GPUs. Nodes placed on the owner
-    /// co-execution lane keep the legacy two-device trace instead.
+    /// one peer endpoint while sibling nodes of the same flushed DAG ran
+    /// elsewhere (`with_graph_scheduling`). Nodes placed on the owner lane
+    /// record an ordinary co-execution trace instead.
     GraphRun {
         /// Node index within the flushed graph (enqueue order).
         node: u32,
@@ -284,6 +219,30 @@ pub enum TraceKind {
         /// One past the last work-group of the run.
         to: u64,
     },
+    // Retired two-device vocabulary. Co-execution records the CPU as
+    // endpoint 0 of the `Ep*` family, so none of these is ever emitted and
+    // the linter rejects them; they remain only so that code matching on
+    // them keeps compiling.
+    /// Retired: the CPU's subkernel start is [`TraceKind::EpSubkernelStart`]
+    /// with `dev` 0.
+    CpuSubkernelStart {
+        /// First flattened work-group of the subkernel.
+        from: u64,
+        /// One past the last work-group of the subkernel.
+        to: u64,
+    },
+    /// Retired: the CPU's subkernel completion is
+    /// [`TraceKind::EpSubkernelDone`] with `dev` 0.
+    CpuSubkernelDone {
+        /// First flattened work-group of the subkernel.
+        from: u64,
+        /// One past the last work-group of the subkernel.
+        to: u64,
+    },
+    /// Retired: every send, plain or coalesced, is [`TraceKind::EpSend`].
+    HdEnqueued,
+    /// Retired: every send, plain or coalesced, is [`TraceKind::EpSend`].
+    CoalescedSend,
 }
 
 impl fmt::Display for TraceKind {
@@ -292,18 +251,10 @@ impl fmt::Display for TraceKind {
             TraceKind::Enqueued {
                 total_wgs,
                 pipeline_depth,
-            } => {
-                // Depth 1 renders exactly the historical serial-protocol
-                // line so pre-pipeline traces stay byte-identical.
-                if *pipeline_depth <= 1 {
-                    write!(f, "[all] kernel enqueued ({total_wgs} work-groups)")
-                } else {
-                    write!(
-                        f,
-                        "[all] kernel enqueued ({total_wgs} work-groups, pipeline depth {pipeline_depth})"
-                    )
-                }
-            }
+            } => write!(
+                f,
+                "[all] kernel enqueued ({total_wgs} work-groups, pipeline depth {pipeline_depth})"
+            ),
             TraceKind::GpuLaunch => write!(f, "[gpu] kernel launched"),
             TraceKind::GpuWaveStart { from, to } => {
                 write!(f, "[gpu] wave {from}..{to} start")
@@ -318,79 +269,19 @@ impl fmt::Display for TraceKind {
                 } else {
                     write!(
                         f,
-                        "[gpu] wave {from}..{to} done (wrote {from}..{executed_to}, rest covered by cpu)"
+                        "[gpu] wave {from}..{to} done (wrote {from}..{executed_to}, rest covered by non-owners)"
                     )
                 }
             }
             TraceKind::GpuWaveAborted { from, to } => {
-                write!(f, "[gpu] wave {from}..{to} ABORTED (cpu covered it)")
+                write!(f, "[gpu] wave {from}..{to} ABORTED (non-owners covered it)")
             }
             TraceKind::GpuExit => write!(f, "[gpu] kernel exit"),
             TraceKind::MergeDone => write!(f, "[gpu] diff-merge done"),
-            TraceKind::CpuSubkernelStart { from, to, version } => {
-                write!(f, "[cpu] subkernel {from}..{to} start (version {version})")
-            }
-            TraceKind::CpuSubkernelDone { from, to } => {
-                write!(f, "[cpu] subkernel {from}..{to} done")
-            }
-            TraceKind::HdEnqueued {
-                boundary,
-                bytes,
-                dirty_bytes,
-            } => match dirty_bytes {
-                // No dirty accounting: render exactly the whole-buffer
-                // protocol line so gate-off traces stay byte-identical.
-                None => write!(
-                    f,
-                    "[hd ] data+status enqueued (boundary {boundary}, {bytes} B)"
-                ),
-                Some(d) => write!(
-                    f,
-                    "[hd ] data+status enqueued (boundary {boundary}, {bytes} B, dirty {d} B)"
-                ),
-            },
-            TraceKind::CoalescedSend {
-                boundary,
-                bytes,
-                dirty_bytes,
-                subkernels,
-            } => match dirty_bytes {
-                None => write!(
-                    f,
-                    "[hd ] coalesced data+status enqueued ({subkernels} subkernels, boundary {boundary}, {bytes} B)"
-                ),
-                Some(d) => write!(
-                    f,
-                    "[hd ] coalesced data+status enqueued ({subkernels} subkernels, boundary {boundary}, {bytes} B, dirty {d} B)"
-                ),
-            },
-            TraceKind::StatusArrived { boundary } => {
-                write!(f, "[hd ] status arrived: watermark -> {boundary}")
-            }
             TraceKind::KernelComplete { finisher } => {
                 write!(f, "[all] kernel complete (finished by {finisher:?})")
             }
-            TraceKind::TransferFault { boundary, attempt } => {
-                write!(
-                    f,
-                    "[flt] transfer for boundary {boundary} failed (attempt {attempt}), retrying"
-                )
-            }
-            TraceKind::TransferRejected { boundary } => {
-                write!(
-                    f,
-                    "[flt] transfer for boundary {boundary} failed checksum, resending"
-                )
-            }
-            TraceKind::TransferTimeout { boundary } => {
-                write!(
-                    f,
-                    "[flt] transfer for boundary {boundary} missed its deadline, link abandoned"
-                )
-            }
-            TraceKind::DeviceLost { device } => {
-                write!(f, "[flt] {} lost (watchdog deadline missed)", device.name())
-            }
+            TraceKind::OwnerLost => write!(f, "[flt] owner gpu lost (watchdog deadline missed)"),
             TraceKind::DegradedRun { device, from, to } => {
                 write!(f, "[deg] {} finishing {from}..{to} alone", device.name())
             }
@@ -414,16 +305,17 @@ impl fmt::Display for TraceKind {
                 bytes,
                 dirty_bytes,
                 subkernels,
-            } => match dirty_bytes {
-                None => write!(
-                    f,
-                    "[ep{dev}] data+status enqueued ({subkernels} subkernels, boundary {boundary}, {bytes} B)"
-                ),
-                Some(d) => write!(
-                    f,
-                    "[ep{dev}] data+status enqueued ({subkernels} subkernels, boundary {boundary}, {bytes} B, dirty {d} B)"
-                ),
-            },
+            } => {
+                write!(f, "[ep{dev}] data+status enqueued (")?;
+                if *subkernels != 1 {
+                    write!(f, "{subkernels} subkernels, ")?;
+                }
+                write!(f, "boundary {boundary}, {bytes} B")?;
+                if let Some(d) = dirty_bytes {
+                    write!(f, ", dirty {d} B")?;
+                }
+                write!(f, ")")
+            }
             TraceKind::EpStatus {
                 dev,
                 boundary,
@@ -479,6 +371,10 @@ impl fmt::Display for TraceKind {
             } => {
                 write!(f, "[gph] node {node} ran {from}..{to} on ep{dev}")
             }
+            TraceKind::CpuSubkernelStart { .. }
+            | TraceKind::CpuSubkernelDone { .. }
+            | TraceKind::HdEnqueued
+            | TraceKind::CoalescedSend => write!(f, "[old] retired event {self:?}"),
         }
     }
 }
@@ -523,9 +419,9 @@ pub fn render_timeline(kernel: &str, events: &[TraceEvent]) -> String {
 }
 
 /// Renders a compact per-lane utilization view of a kernel's trace: one
-/// lane per actor (GPU, CPU, hd channel), each event bucketed into a
-/// fixed-width strip. Coarser than [`render_timeline`] but shows overlap at
-/// a glance.
+/// lane for the owner GPU, one for the non-owner endpoints' compute and one
+/// for their upstream links, each event bucketed into a fixed-width strip.
+/// Coarser than [`render_timeline`] but shows overlap at a glance.
 ///
 /// # Examples
 ///
@@ -557,35 +453,27 @@ pub fn render_lanes(kernel: &str, events: &[TraceEvent], width: usize) -> String
     for e in events {
         let b = bucket(e.at);
         match &e.kind {
-            // The enqueue is a host-side bookkeeping event with no lane.
-            TraceKind::Enqueued { .. } => {}
+            // The enqueue is a host-side bookkeeping event with no lane, and
+            // retired events are never recorded.
+            TraceKind::Enqueued { .. }
+            | TraceKind::CpuSubkernelStart { .. }
+            | TraceKind::CpuSubkernelDone { .. }
+            | TraceKind::HdEnqueued
+            | TraceKind::CoalescedSend => {}
             TraceKind::GpuLaunch => gpu[b] = 'L',
             TraceKind::GpuWaveStart { .. } => gpu[b] = '[',
             TraceKind::GpuWaveDone { .. } => gpu[b] = ']',
             TraceKind::GpuWaveAborted { .. } => gpu[b] = 'x',
             TraceKind::GpuExit => gpu[b] = 'E',
             TraceKind::MergeDone => gpu[b] = 'M',
-            TraceKind::CpuSubkernelStart { .. } => cpu[b] = '[',
-            TraceKind::CpuSubkernelDone { .. } => cpu[b] = ']',
-            TraceKind::HdEnqueued { .. } => hd[b] = '>',
-            // A coalesced batch is still one send on the hd lane.
-            TraceKind::CoalescedSend { .. } => hd[b] = '>',
-            TraceKind::StatusArrived { .. } => hd[b] = '*',
             TraceKind::KernelComplete { .. } => gpu[b] = '!',
-            TraceKind::TransferFault { .. } => hd[b] = 'f',
-            TraceKind::TransferRejected { .. } => hd[b] = 'r',
-            TraceKind::TransferTimeout { .. } => hd[b] = 'T',
-            TraceKind::DeviceLost { device } => match device {
-                DeviceKind::Gpu => gpu[b] = 'X',
-                DeviceKind::Cpu => cpu[b] = 'X',
-            },
+            TraceKind::OwnerLost => gpu[b] = 'X',
             TraceKind::DegradedRun { device, .. } => match device {
                 DeviceKind::Gpu => gpu[b] = 'D',
                 DeviceKind::Cpu => cpu[b] = 'D',
             },
-            // N-device vocabulary: every non-owner endpoint computes on the
-            // cpu lane and ships on the hd lane. Legacy traces never carry
-            // these variants, so the two-device rendering is untouched.
+            // Every non-owner endpoint computes on the cpu lane and ships
+            // on the hd lane.
             TraceKind::EpSubkernelStart { .. } => cpu[b] = '[',
             TraceKind::EpSubkernelDone { .. } => cpu[b] = ']',
             TraceKind::EpSend { .. } => hd[b] = '>',
@@ -632,10 +520,6 @@ mod tests {
         let kinds = vec![
             TraceKind::Enqueued {
                 total_wgs: 120,
-                pipeline_depth: 1,
-            },
-            TraceKind::Enqueued {
-                total_wgs: 120,
                 pipeline_depth: 4,
             },
             TraceKind::GpuLaunch,
@@ -653,47 +537,10 @@ mod tests {
             TraceKind::GpuWaveAborted { from: 84, to: 120 },
             TraceKind::GpuExit,
             TraceKind::MergeDone,
-            TraceKind::CpuSubkernelStart {
-                from: 200,
-                to: 256,
-                version: 1,
-            },
-            TraceKind::CpuSubkernelDone { from: 200, to: 256 },
-            TraceKind::HdEnqueued {
-                boundary: 200,
-                bytes: 4096,
-                dirty_bytes: None,
-            },
-            TraceKind::HdEnqueued {
-                boundary: 200,
-                bytes: 4096 + STATUS_MSG_BYTES,
-                dirty_bytes: Some(4096),
-            },
-            TraceKind::CoalescedSend {
-                boundary: 150,
-                bytes: 8192,
-                dirty_bytes: None,
-                subkernels: 2,
-            },
-            TraceKind::CoalescedSend {
-                boundary: 150,
-                bytes: 8192 + STATUS_MSG_BYTES,
-                dirty_bytes: Some(8192),
-                subkernels: 3,
-            },
-            TraceKind::StatusArrived { boundary: 200 },
             TraceKind::KernelComplete {
                 finisher: Finisher::Gpu,
             },
-            TraceKind::TransferFault {
-                boundary: 200,
-                attempt: 1,
-            },
-            TraceKind::TransferRejected { boundary: 200 },
-            TraceKind::TransferTimeout { boundary: 200 },
-            TraceKind::DeviceLost {
-                device: DeviceKind::Gpu,
-            },
+            TraceKind::OwnerLost,
             TraceKind::DegradedRun {
                 device: DeviceKind::Cpu,
                 from: 0,
@@ -759,6 +606,10 @@ mod tests {
                 from: 0,
                 to: 120,
             },
+            TraceKind::CpuSubkernelStart { from: 0, to: 8 },
+            TraceKind::CpuSubkernelDone { from: 0, to: 8 },
+            TraceKind::HdEnqueued,
+            TraceKind::CoalescedSend,
         ];
         for k in kinds {
             assert!(!k.to_string().is_empty());
@@ -818,8 +669,8 @@ mod tests {
     }
 
     #[test]
-    fn ep_events_carry_their_device_index() {
-        let send = TraceKind::EpSend {
+    fn sends_render_batch_size_and_dirty_payload() {
+        let batch = TraceKind::EpSend {
             dev: 1,
             boundary: 8,
             bytes: 128 + STATUS_MSG_BYTES,
@@ -827,8 +678,19 @@ mod tests {
             subkernels: 2,
         };
         assert_eq!(
-            send.to_string(),
+            batch.to_string(),
             "[ep1] data+status enqueued (2 subkernels, boundary 8, 144 B, dirty 128 B)"
+        );
+        let plain = TraceKind::EpSend {
+            dev: 0,
+            boundary: 3,
+            bytes: 80,
+            dirty_bytes: None,
+            subkernels: 1,
+        };
+        assert_eq!(
+            plain.to_string(),
+            "[ep0] data+status enqueued (boundary 3, 80 B)"
         );
         let status = TraceKind::EpStatus {
             dev: 0,
@@ -839,91 +701,14 @@ mod tests {
             status.to_string(),
             "[ep0] status arrived (boundary 8): watermark -> 8"
         );
-        let events = vec![
-            ev(
-                0,
-                TraceKind::EpSubkernelStart {
-                    dev: 1,
-                    from: 8,
-                    to: 16,
-                    version: 0,
-                },
-            ),
-            ev(
-                50,
-                TraceKind::EpSubkernelDone {
-                    dev: 1,
-                    from: 8,
-                    to: 16,
-                },
-            ),
-            ev(100, send),
-            ev(200, status),
-            ev(300, TraceKind::NonOwnerLost { dev: 1 }),
-        ];
-        let text = render_lanes("k", &events, 40);
-        assert!(text.contains('>'), "ep send marks the hd lane: {text}");
-        assert!(text.contains('X'), "ep loss marks the cpu lane: {text}");
-    }
-
-    #[test]
-    fn hd_enqueued_renders_identically_without_dirty_accounting() {
-        // The gate-off line must stay byte-identical to the historical
-        // whole-buffer protocol rendering.
-        let off = TraceKind::HdEnqueued {
-            boundary: 3,
-            bytes: 80,
-            dirty_bytes: None,
-        };
         assert_eq!(
-            off.to_string(),
-            "[hd ] data+status enqueued (boundary 3, 80 B)"
+            TraceKind::Enqueued {
+                total_wgs: 16,
+                pipeline_depth: 1,
+            }
+            .to_string(),
+            "[all] kernel enqueued (16 work-groups, pipeline depth 1)"
         );
-        let on = TraceKind::HdEnqueued {
-            boundary: 3,
-            bytes: 48 + STATUS_MSG_BYTES,
-            dirty_bytes: Some(48),
-        };
-        assert_eq!(
-            on.to_string(),
-            "[hd ] data+status enqueued (boundary 3, 64 B, dirty 48 B)"
-        );
-    }
-
-    #[test]
-    fn serial_enqueue_renders_the_historical_line() {
-        // Depth 1 must stay byte-identical to the pre-pipeline rendering;
-        // deeper pipelines announce themselves.
-        let serial = TraceKind::Enqueued {
-            total_wgs: 16,
-            pipeline_depth: 1,
-        };
-        assert_eq!(serial.to_string(), "[all] kernel enqueued (16 work-groups)");
-        let deep = TraceKind::Enqueued {
-            total_wgs: 16,
-            pipeline_depth: 2,
-        };
-        assert_eq!(
-            deep.to_string(),
-            "[all] kernel enqueued (16 work-groups, pipeline depth 2)"
-        );
-    }
-
-    #[test]
-    fn coalesced_send_renders_batch_size_and_boundary() {
-        let k = TraceKind::CoalescedSend {
-            boundary: 8,
-            bytes: 128 + STATUS_MSG_BYTES,
-            dirty_bytes: Some(128),
-            subkernels: 2,
-        };
-        assert_eq!(
-            k.to_string(),
-            "[hd ] coalesced data+status enqueued (2 subkernels, boundary 8, 144 B, dirty 128 B)"
-        );
-        let events = vec![ev(0, TraceKind::GpuLaunch), ev(100, k)];
-        let text = render_lanes("k", &events, 40);
-        assert!(text.contains('>'), "batch send marks the hd lane: {text}");
     }
 
     #[test]
@@ -942,23 +727,40 @@ mod tests {
         let events = vec![
             ev(
                 0,
-                TraceKind::CpuSubkernelStart {
+                TraceKind::EpSubkernelStart {
+                    dev: 0,
                     from: 8,
                     to: 16,
                     version: 0,
                 },
             ),
-            ev(100, TraceKind::CpuSubkernelDone { from: 8, to: 16 }),
+            ev(
+                100,
+                TraceKind::EpSubkernelDone {
+                    dev: 0,
+                    from: 8,
+                    to: 16,
+                },
+            ),
             ev(
                 120,
-                TraceKind::HdEnqueued {
+                TraceKind::EpSend {
+                    dev: 0,
                     boundary: 8,
                     bytes: 64,
                     dirty_bytes: None,
+                    subkernels: 1,
                 },
             ),
             ev(200, TraceKind::GpuLaunch),
-            ev(300, TraceKind::StatusArrived { boundary: 8 }),
+            ev(
+                300,
+                TraceKind::EpStatus {
+                    dev: 0,
+                    boundary: 8,
+                    watermark: 8,
+                },
+            ),
             ev(400, TraceKind::GpuExit),
             ev(
                 500,
@@ -984,17 +786,13 @@ mod tests {
         let events = vec![
             ev(
                 0,
-                TraceKind::TransferFault {
+                TraceKind::EpTransferFault {
+                    dev: 0,
                     boundary: 8,
                     attempt: 1,
                 },
             ),
-            ev(
-                100,
-                TraceKind::DeviceLost {
-                    device: DeviceKind::Gpu,
-                },
-            ),
+            ev(100, TraceKind::OwnerLost),
             ev(
                 200,
                 TraceKind::DegradedRun {
@@ -1003,24 +801,24 @@ mod tests {
                     to: 16,
                 },
             ),
+            ev(300, TraceKind::NonOwnerLost { dev: 1 }),
         ];
         let text = render_lanes("k", &events, 40);
         assert!(text.contains('f'), "fault marker missing: {text}");
         assert!(text.contains('X'), "loss marker missing: {text}");
         assert!(text.contains('D'), "degraded marker missing: {text}");
-        // The legend line itself is unchanged from the fault-free renderer.
         assert!(text.starts_with(
-            "lanes of `k` over 0.2us ([ start, ] done, x abort, > send, * status, M merge, ! complete)\n"
+            "lanes of `k` over 0.3us ([ start, ] done, x abort, > send, * status, M merge, ! complete)\n"
         ));
     }
 
     #[test]
-    fn partial_wave_mentions_cpu_coverage() {
+    fn partial_wave_mentions_non_owner_coverage() {
         let k = TraceKind::GpuWaveDone {
             from: 0,
             to: 10,
             executed_to: 7,
         };
-        assert!(k.to_string().contains("covered by cpu"));
+        assert!(k.to_string().contains("covered by non-owners"));
     }
 }

@@ -7,9 +7,9 @@
 //!   transfer-bytes accounting rule) passes, and the modelled H2D traffic
 //!   never grows relative to whole-buffer shipping;
 //! * **off** (`with_whole_buffer_transfers`, the compat flag) the protocol
-//!   is byte-for-byte the historical whole-buffer one — traces carry no
-//!   dirty annotations, every transfer ships full output buffers, and
-//!   rendered timelines use the exact legacy line format.
+//!   is the historical whole-buffer one — traces carry no dirty
+//!   annotations, every transfer ships full output buffers, and rendered
+//!   timelines carry no dirty-byte figures.
 
 use fluidicl::{
     lint_report, render_timeline, Fluidicl, FluidiclConfig, TraceKind, STATUS_MSG_BYTES,
@@ -75,16 +75,12 @@ fn dirty_range_transfers_are_the_default() {
     let mut saw_transfer = false;
     for report in rt.reports() {
         for ev in &report.trace {
-            match &ev.kind {
-                TraceKind::HdEnqueued { dirty_bytes, .. }
-                | TraceKind::CoalescedSend { dirty_bytes, .. } => {
-                    saw_transfer = true;
-                    assert!(
-                        dirty_bytes.is_some(),
-                        "default-config transfers carry dirty accounting"
-                    );
-                }
-                _ => {}
+            if let TraceKind::EpSend { dirty_bytes, .. } = &ev.kind {
+                saw_transfer = true;
+                assert!(
+                    dirty_bytes.is_some(),
+                    "default-config transfers carry dirty accounting"
+                );
             }
         }
     }
@@ -97,23 +93,28 @@ fn whole_buffer_compat_traces_use_the_legacy_format() {
         let rt = run(b.name, false);
         for report in rt.reports() {
             for ev in &report.trace {
-                match &ev.kind {
-                    TraceKind::HdEnqueued { dirty_bytes, .. } => assert_eq!(
+                if let TraceKind::EpSend {
+                    dirty_bytes,
+                    subkernels,
+                    ..
+                } = &ev.kind
+                {
+                    assert_eq!(
                         *dirty_bytes, None,
                         "{}: compat transfers carry no dirty accounting",
                         b.name
-                    ),
-                    TraceKind::CoalescedSend { .. } => panic!(
+                    );
+                    assert_eq!(
+                        *subkernels, 1,
                         "{}: the serial compat protocol never coalesces sends",
                         b.name
-                    ),
-                    _ => {}
+                    );
                 }
             }
             let rendered = render_timeline(&report.kernel, &report.trace);
             assert!(
                 !rendered.contains("dirty"),
-                "{}: compat timeline must render the legacy lines",
+                "{}: compat timeline must render no dirty-byte figures",
                 b.name
             );
         }
@@ -144,7 +145,7 @@ fn default_matches_compat_bit_for_bit_and_lints_clean() {
                 b.name
             );
             for ev in &report.trace {
-                if let TraceKind::HdEnqueued {
+                if let TraceKind::EpSend {
                     bytes, dirty_bytes, ..
                 } = &ev.kind
                 {

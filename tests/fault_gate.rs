@@ -3,7 +3,7 @@
 //! * **off** (the default) the fault layer is inert — no watchdog events
 //!   are scheduled, traces carry none of the fault/recovery event kinds,
 //!   and the recovery policy is never consulted, so runs are byte-for-byte
-//!   the historical protocol;
+//!   the fault-free protocol;
 //! * **on**, recovery is exercised by `tests/fault_recovery.rs` and the
 //!   `fluidicl-check --faults` sweep.
 
@@ -42,10 +42,7 @@ fn run(name: &str, config: FluidiclConfig) -> Fluidicl {
 fn is_fault_event(kind: &TraceKind) -> bool {
     matches!(
         kind,
-        TraceKind::TransferFault { .. }
-            | TraceKind::TransferRejected { .. }
-            | TraceKind::TransferTimeout { .. }
-            | TraceKind::DeviceLost { .. }
+        TraceKind::OwnerLost
             | TraceKind::DegradedRun { .. }
             | TraceKind::EpTransferFault { .. }
             | TraceKind::EpTransferRejected { .. }

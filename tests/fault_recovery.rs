@@ -73,12 +73,7 @@ fn gpu_loss_recovers_bit_identically_on_the_cpu() {
     });
     assert!(res.unwrap(), "survivor output must match the reference");
     assert!(rt.fault_fired());
-    assert!(has_event(&rt, |k| matches!(
-        k,
-        TraceKind::DeviceLost {
-            device: DeviceKind::Gpu
-        }
-    )));
+    assert!(has_event(&rt, |k| matches!(k, TraceKind::OwnerLost)));
     assert_eq!(rt.reports()[0].finished_by, Finisher::Cpu);
 }
 
@@ -90,9 +85,7 @@ fn cpu_loss_recovers_bit_identically_on_the_gpu() {
     assert!(res.unwrap(), "survivor output must match the reference");
     assert!(has_event(&rt, |k| matches!(
         k,
-        TraceKind::DeviceLost {
-            device: DeviceKind::Cpu
-        }
+        TraceKind::NonOwnerLost { dev: 0 }
     )));
     assert_eq!(rt.reports()[0].finished_by, Finisher::Gpu);
 }
@@ -100,7 +93,7 @@ fn cpu_loss_recovers_bit_identically_on_the_gpu() {
 #[test]
 fn transient_transfer_faults_retry_and_recover() {
     let (rt, res) = scan("SYRK", FaultKind::TransferTransient, |rt, _| {
-        has_event(rt, |k| matches!(k, TraceKind::TransferFault { .. }))
+        has_event(rt, |k| matches!(k, TraceKind::EpTransferFault { .. }))
     });
     assert!(res.unwrap(), "retried run must match the reference");
     assert_eq!(rt.lost_device(), None, "a transient fault loses no device");
@@ -109,7 +102,7 @@ fn transient_transfer_faults_retry_and_recover() {
 #[test]
 fn corrupt_payloads_are_rejected_and_resent() {
     let (rt, res) = scan("SYRK", FaultKind::CorruptPayload, |rt, _| {
-        has_event(rt, |k| matches!(k, TraceKind::TransferRejected { .. }))
+        has_event(rt, |k| matches!(k, TraceKind::EpTransferRejected { .. }))
     });
     assert!(res.unwrap(), "resent run must match the reference");
     assert_eq!(rt.lost_device(), None);
@@ -118,7 +111,7 @@ fn corrupt_payloads_are_rejected_and_resent() {
 #[test]
 fn corrupt_statuses_are_rejected_and_resent() {
     let (rt, res) = scan("SYRK", FaultKind::CorruptStatus, |rt, _| {
-        has_event(rt, |k| matches!(k, TraceKind::TransferRejected { .. }))
+        has_event(rt, |k| matches!(k, TraceKind::EpTransferRejected { .. }))
     });
     assert!(res.unwrap(), "resent run must match the reference");
     assert_eq!(rt.lost_device(), None);
@@ -130,7 +123,7 @@ fn transfer_stalls_hit_the_watchdog_and_the_run_still_completes() {
     // transfer watchdog fires (on tiny kernels the GPU finishes first and
     // the wedged link is simply never needed again).
     let (rt, res) = scan("GESUMMV", FaultKind::TransferStall, |rt, _| {
-        has_event(rt, |k| matches!(k, TraceKind::TransferTimeout { .. }))
+        has_event(rt, |k| matches!(k, TraceKind::EpTransferTimeout { .. }))
     });
     assert!(res.unwrap(), "stalled-link run must match the reference");
     assert_eq!(rt.lost_device(), None, "a stalled link loses no device");
@@ -159,14 +152,9 @@ fn permanent_loss_degrades_follow_on_kernels() {
         .reports()
         .iter()
         .position(|r| {
-            r.trace.iter().any(|e| {
-                matches!(
-                    e.kind,
-                    TraceKind::DeviceLost {
-                        device: DeviceKind::Gpu
-                    }
-                )
-            })
+            r.trace
+                .iter()
+                .any(|e| matches!(e.kind, TraceKind::OwnerLost))
         })
         .expect("some report records the loss");
     for r in &rt.reports()[lost_at + 1..] {

@@ -89,12 +89,7 @@ fn owner_loss_promotes_a_surviving_peer_and_recovers_bit_identically() {
         k,
         TraceKind::OwnerPromoted { dev, epoch } if *dev > 0 && *epoch > 0
     )));
-    assert!(has_event(&rt, |k| matches!(
-        k,
-        TraceKind::DeviceLost {
-            device: DeviceKind::Gpu
-        }
-    )));
+    assert!(has_event(&rt, |k| matches!(k, TraceKind::OwnerLost)));
     // The roster charges the loss to the primary card only: the CPU and
     // the promoted peer stay healthy for follow-on kernels.
     assert!(!rt.roster().gpu_healthy());
@@ -154,7 +149,7 @@ fn follow_on_kernels_reform_on_cpu_and_peer_after_owner_loss() {
     // The kernel right after the loss re-forms with the peer as acting
     // owner and the CPU as its partner — two healthy survivors, so no
     // single-device degraded span, and both devices execute work-groups
-    // in the two-device vocabulary (owner waves + CPU subkernels). Later
+    // (owner waves + CPU subkernels on endpoint 0). Later
     // kernels may still degrade: the plan's sticky verdict keeps killing
     // GPU waves, so the acting peer can be the cascade's next victim.
     let r = &rt.reports()[lost_at + 1];
@@ -176,7 +171,7 @@ fn follow_on_kernels_reform_on_cpu_and_peer_after_owner_loss() {
     let cpu_ran = r
         .trace
         .iter()
-        .any(|e| matches!(e.kind, TraceKind::CpuSubkernelStart { .. }));
+        .any(|e| matches!(e.kind, TraceKind::EpSubkernelStart { dev: 0, .. }));
     assert!(
         owner_ran && cpu_ran,
         "{}: both survivors must execute work-groups",
