@@ -535,8 +535,9 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
     // `Option` slots so a voided (faulted) send can be removed after the
     // fact: a transfer that never delivered carries no edge.
     let mut events: Vec<Option<HbEvent>> = Vec::new();
-    // Completed-but-unshipped subkernels per endpoint, oldest first.
-    let mut completed: HashMap<u32, VecDeque<(u64, u64)>> = HashMap::new();
+    // Completed-but-unshipped subkernels per endpoint, oldest first: their
+    // first group and their footprints, computed once at completion.
+    let mut completed: HashMap<u32, VecDeque<(u64, Vec<DirtyRanges>)>> = HashMap::new();
     // In-flight sends of each endpoint's in-order upstream queue: (event
     // slot, boundary, message id, shipped footprints). The k-th status from
     // an endpoint acknowledges its k-th un-voided send.
@@ -584,12 +585,15 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                     let w = peer_written.entry(*dev).or_insert_with(none);
                     *w = union_fp(w.clone(), &ranges);
                 }
+                completed
+                    .entry(*dev)
+                    .or_default()
+                    .push_back((*from, ranges.clone()));
                 events.push(Some(HbEvent::new(
                     *dev as usize + 1,
                     format!("ep{dev} subkernel {from}..{to}"),
                     HbOp::Write { ranges },
                 )));
-                completed.entry(*dev).or_default().push_back((*from, *to));
             }
             TraceKind::EpSend {
                 dev,
@@ -606,8 +610,8 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                     && q.iter().take(*subkernels as usize).map(|(f, _)| *f).min() == Some(*boundary)
                 {
                     for _ in 0..*subkernels {
-                        let (f, t) = q.pop_front().expect("length checked");
-                        ranges = union_fp(ranges, &fp(f, t));
+                        let (_, written) = q.pop_front().expect("length checked");
+                        ranges = union_fp(ranges, &written);
                     }
                 } else if let Some(r) = sent_ranges.get(&(*dev, *boundary)) {
                     // Re-send of a faulted batch: same data, new attempt.

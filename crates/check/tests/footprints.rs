@@ -1,6 +1,6 @@
 //! Footprint validation sweep: every Polybench kernel's declared
-//! [`AccessPattern`](fluidicl_vcl::AccessPattern)s against the
-//! sanitizer's shadow write-maps.
+//! [`AccessPattern`]s against the sanitizer's shadow write-maps and
+//! against a per-work-item walk.
 //!
 //! For every launch of every benchmark (at the sweep sizes), the declared
 //! symbolic write footprint of each work-group range must **equal or
@@ -9,15 +9,121 @@
 //! the race detector under-approximate what a subkernel shipped — the
 //! one direction that is unsound — so it fails the test; slack (declared
 //! but unwritten elements) is sound and reported per kernel.
+//!
+//! Footprints are computed in closed form from work-group geometry; every
+//! read and write footprint must also equal, exactly, the union of the
+//! declared per-item ranges over every work-item of the slice.
 
 use fluidicl_check::{sweep_size, SWEEP_SEED};
 use fluidicl_des::SimDuration;
 use fluidicl_polybench::all_benchmarks;
 use fluidicl_vcl::exec::execute_all;
 use fluidicl_vcl::{
-    execute_groups_shadowed, BufferId, ClDriver, ClResult, DirtyRanges, KernelArg, Launch, Memory,
-    NdRange,
+    execute_groups_shadowed, AccessPattern, BufferId, ClDriver, ClResult, DirtyRanges, KernelArg,
+    Launch, Memory, NdRange, Scalars, WorkItem,
 };
+
+/// The per-item ranges `pattern` declares for `item`. CORR's `symmat` is
+/// the suite's only `Custom` declaration; its per-item rule is spelled
+/// out here: item j1 writes the tail of row j1 and the mirrored cells
+/// `symmat[j2][j1]` below the diagonal.
+fn item_ranges(
+    kernel: &str,
+    pattern: &AccessPattern,
+    item: &WorkItem,
+    s: &Scalars,
+    len: usize,
+) -> Vec<(usize, usize)> {
+    match pattern {
+        AccessPattern::Element => {
+            let i = item.global_linear();
+            vec![(i, i + 1)]
+        }
+        AccessPattern::Row { dim, width_scalar } => {
+            let (k, w) = (item.global[*dim], s.usize(*width_scalar));
+            vec![(k * w, (k + 1) * w)]
+        }
+        AccessPattern::Col { dim, width_scalar } => {
+            let (k, w) = (item.global[*dim], s.usize(*width_scalar));
+            let rows = if w == 0 { 0 } else { len.div_ceil(w) };
+            (0..rows).map(|r| (k + r * w, k + r * w + 1)).collect()
+        }
+        AccessPattern::WholeBuffer => vec![(0, len)],
+        AccessPattern::Custom(_) => {
+            assert_eq!(kernel, "corr_corr", "no per-item rule for `{kernel}`");
+            let (n, j1) = (s.usize(0), item.global[0]);
+            std::iter::once((j1 * n + j1, j1 * n + n))
+                .chain((j1 + 1..n).map(|j2| (j2 * n + j1, j2 * n + j1 + 1)))
+                .collect()
+        }
+    }
+}
+
+/// Reference footprint: walks every work-item of groups `[from, to)`.
+fn item_walk(
+    kernel: &str,
+    pattern: &AccessPattern,
+    nd: &NdRange,
+    s: &Scalars,
+    len: usize,
+    from: u64,
+    to: u64,
+) -> DirtyRanges {
+    let (local, global) = (nd.local(), nd.global());
+    let mut ranges = Vec::new();
+    for flat in from..to {
+        let group = nd.unflatten_group(flat);
+        for lz in 0..local[2] {
+            for ly in 0..local[1] {
+                for lx in 0..local[0] {
+                    let l = [lx, ly, lz];
+                    let item = WorkItem {
+                        global: [0, 1, 2].map(|d| group[d] * local[d] + l[d]),
+                        local: l,
+                        group,
+                        local_size: local,
+                        global_size: global,
+                    };
+                    ranges.extend(
+                        item_ranges(kernel, pattern, &item, s, len)
+                            .into_iter()
+                            .map(|(a, b)| (a, b.min(len))),
+                    );
+                }
+            }
+        }
+    }
+    DirtyRanges::from_ranges(ranges)
+}
+
+/// Compares the closed-form footprint of every declared buffer argument
+/// with the item walk over groups `[from, to)`; returns one message per
+/// mismatch.
+fn oracle_mismatches(
+    launch: &Launch,
+    mem: &Memory,
+    s: &Scalars,
+    from: u64,
+    to: u64,
+) -> ClResult<Vec<String>> {
+    let name = launch.kernel.name();
+    let mut out = Vec::new();
+    for (spec, arg) in launch.kernel.args().iter().zip(&launch.args) {
+        let (Some(p), KernelArg::Buffer(id)) = (&spec.access, arg) else {
+            continue;
+        };
+        let len = mem.get(*id)?.len();
+        let closed = p.footprint(&launch.ndrange, s, len, from, to);
+        if closed != item_walk(name, p, &launch.ndrange, s, len, from, to) {
+            out.push(format!(
+                "kernel `{name}` arg `{}` ({p:?}), groups {from}..{to}: closed-form \
+                 footprint differs from the per-item walk",
+                spec.name
+            ));
+        }
+    }
+    Ok(out)
+}
 
 /// A [`ClDriver`] that, on every enqueue, checks the kernel's declared
 /// write footprints against shadow-executed ground truth — whole-launch
@@ -67,6 +173,8 @@ impl FootprintDriver {
             lo = hi;
         }
         for (from, to) in ranges {
+            let mismatches = oracle_mismatches(launch, &self.mem, &scalars, from, to)?;
+            self.violations.extend(mismatches);
             let declared = launch
                 .kernel
                 .write_footprints(&launch.ndrange, &scalars, &out_lens, from, to)
@@ -147,7 +255,8 @@ fn declared_footprints_contain_shadow_write_maps() {
         assert!(ok, "{}: output mismatch", b.name);
         assert!(
             driver.violations.is_empty(),
-            "{}: declared footprints under-approximate real writes:\n{}",
+            "{}: declared footprints under-approximate real writes or differ from the \
+             per-item walk:\n{}",
             b.name,
             driver.violations.join("\n")
         );

@@ -3,8 +3,8 @@
 //! When graph scheduling is on, the runtime defers enqueued launches into a
 //! DAG instead of executing them immediately. This module derives the
 //! edges: for every pair of deferred launches that touch a common buffer,
-//! the per-arg [`AccessPattern`] declarations are walked symbolically over
-//! the *whole* NDRange and the element footprints intersected —
+//! the per-arg [`AccessPattern`] declarations are evaluated over the
+//! *whole* NDRange and the element footprints intersected —
 //!
 //! * **true** dependence: an earlier write overlaps a later read (the data
 //!   must flow);
@@ -112,7 +112,7 @@ pub fn node_access(
         let len = len_of(id);
         let fp = match &spec.access {
             // Custom closures are not evaluated here: the builder promises
-            // conservative edges, not exact ones (ISSUE 10).
+            // conservative edges, not exact ones.
             Some(AccessPattern::Custom(_)) | None => DirtyRanges::full(len),
             Some(p) => p.footprint(&launch.ndrange, &plan.scalars, len, 0, total),
         };
@@ -365,7 +365,9 @@ mod tests {
     fn custom_pattern_falls_back_to_whole_buffer() {
         let k = row_kernel(
             "inc",
-            Some(AccessPattern::custom(|_, _, _| vec![(0usize, 1usize)])),
+            Some(AccessPattern::custom(|_, _, _, _, _| {
+                vec![(0usize, 1usize)]
+            })),
         );
         let a = launch_of(k, 4, 0, 1);
         let access = node_access(&a, |_| 16).expect("access");

@@ -153,8 +153,8 @@ pub fn lint_trace(events: &[TraceEvent]) -> Vec<LintDiagnostic> {
             )),
             TraceKind::CpuSubkernelStart { .. }
             | TraceKind::CpuSubkernelDone { .. }
-            | TraceKind::HdEnqueued
-            | TraceKind::CoalescedSend => out.push(LintDiagnostic::error(
+            | TraceKind::HdEnqueued {}
+            | TraceKind::CoalescedSend {} => out.push(LintDiagnostic::error(
                 "trace-shape",
                 format!("retired two-device event `{}` in a trace", e.kind),
             )),
@@ -813,8 +813,8 @@ fn lint_coexec(events: &[TraceEvent], total: u64, depth: u32, out: &mut Vec<Lint
             | TraceKind::GraphRun { .. }
             | TraceKind::CpuSubkernelStart { .. }
             | TraceKind::CpuSubkernelDone { .. }
-            | TraceKind::HdEnqueued
-            | TraceKind::CoalescedSend => {}
+            | TraceKind::HdEnqueued {}
+            | TraceKind::CoalescedSend {} => {}
         }
     }
 
@@ -981,8 +981,8 @@ fn lint_solo(events: &[TraceEvent], total: u64, out: &mut Vec<LintDiagnostic>) {
             TraceKind::Enqueued { .. }
             | TraceKind::CpuSubkernelStart { .. }
             | TraceKind::CpuSubkernelDone { .. }
-            | TraceKind::HdEnqueued
-            | TraceKind::CoalescedSend => continue,
+            | TraceKind::HdEnqueued {}
+            | TraceKind::CoalescedSend {} => continue,
             ref other => {
                 out.push(LintDiagnostic::error(
                     "solo-shape",
@@ -1260,7 +1260,7 @@ mod tests {
     #[test]
     fn retired_events_are_flagged() {
         let mut t = legal_trace();
-        t.insert(2, ev(5, TraceKind::HdEnqueued));
+        t.insert(2, ev(5, TraceKind::HdEnqueued {}));
         assert!(rules(&t).contains(&"trace-shape"), "{:?}", lint_trace(&t));
     }
 

@@ -222,7 +222,9 @@ pub enum TraceKind {
     // Retired two-device vocabulary. Co-execution records the CPU as
     // endpoint 0 of the `Ep*` family, so none of these is ever emitted and
     // the linter rejects them; they remain only so that code matching on
-    // them keeps compiling.
+    // them keeps compiling. The fieldless ones keep a braced shape because
+    // that code matches them as `{ .. }`, which a unit variant would turn
+    // into a clippy error.
     /// Retired: the CPU's subkernel start is [`TraceKind::EpSubkernelStart`]
     /// with `dev` 0.
     CpuSubkernelStart {
@@ -240,9 +242,9 @@ pub enum TraceKind {
         to: u64,
     },
     /// Retired: every send, plain or coalesced, is [`TraceKind::EpSend`].
-    HdEnqueued,
+    HdEnqueued {},
     /// Retired: every send, plain or coalesced, is [`TraceKind::EpSend`].
-    CoalescedSend,
+    CoalescedSend {},
 }
 
 impl fmt::Display for TraceKind {
@@ -373,8 +375,8 @@ impl fmt::Display for TraceKind {
             }
             TraceKind::CpuSubkernelStart { .. }
             | TraceKind::CpuSubkernelDone { .. }
-            | TraceKind::HdEnqueued
-            | TraceKind::CoalescedSend => write!(f, "[old] retired event {self:?}"),
+            | TraceKind::HdEnqueued {}
+            | TraceKind::CoalescedSend {} => write!(f, "[old] retired event {self:?}"),
         }
     }
 }
@@ -458,8 +460,8 @@ pub fn render_lanes(kernel: &str, events: &[TraceEvent], width: usize) -> String
             TraceKind::Enqueued { .. }
             | TraceKind::CpuSubkernelStart { .. }
             | TraceKind::CpuSubkernelDone { .. }
-            | TraceKind::HdEnqueued
-            | TraceKind::CoalescedSend => {}
+            | TraceKind::HdEnqueued {}
+            | TraceKind::CoalescedSend {} => {}
             TraceKind::GpuLaunch => gpu[b] = 'L',
             TraceKind::GpuWaveStart { .. } => gpu[b] = '[',
             TraceKind::GpuWaveDone { .. } => gpu[b] = ']',
@@ -608,8 +610,8 @@ mod tests {
             },
             TraceKind::CpuSubkernelStart { from: 0, to: 8 },
             TraceKind::CpuSubkernelDone { from: 0, to: 8 },
-            TraceKind::HdEnqueued,
-            TraceKind::CoalescedSend,
+            TraceKind::HdEnqueued {},
+            TraceKind::CoalescedSend {},
         ];
         for k in kinds {
             assert!(!k.to_string().is_empty());

@@ -110,6 +110,28 @@ fn corr_body(
     }
 }
 
+/// Write footprint of `corr_corr` on `symmat` for work-groups
+/// `[from, to)`. Item j1 owns the tail of row j1 (the diagonal onward)
+/// plus the mirrored cells `symmat[j2][j1]` below it — exactly what
+/// `corr_body` writes. For the items `[a, b)` of a slice that is one row
+/// tail per item plus, in each row j2, the column segment
+/// `[a, min(b, j2))`: O(n) ranges, not one per mirrored cell.
+fn symmat_footprint(
+    nd: &NdRange,
+    scalars: &Scalars,
+    _len: usize,
+    from: u64,
+    to: u64,
+) -> Vec<(usize, usize)> {
+    debug_assert_eq!(nd.dims(), 1, "corr_corr is launched 1-D");
+    let n = scalars.usize(0);
+    let l = nd.local()[0];
+    let (a, b) = (from as usize * l, to as usize * l);
+    let tails = (a..b).map(|j1| (j1 * n + j1, j1 * n + n));
+    let mirrored = (a + 1..n).map(|j2| (j2 * n + a, j2 * n + b.min(j2)));
+    tails.chain(mirrored).collect()
+}
+
 /// Builds the CORR program for problem size `n`. The correlation kernel
 /// carries the loop-interchanged alternate version for online profiling.
 pub fn program(n: usize) -> Program {
@@ -195,20 +217,8 @@ pub fn program(n: usize) -> Program {
             "corr_corr",
             vec![
                 ArgSpec::new("data", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-                // Item j1 owns the tail of row j1 (the diagonal onward) plus
-                // the mirrored cells symmat[j2][j1] below it — exactly what
-                // `corr_body` writes.
-                ArgSpec::new("symmat", ArgRole::Out).with_access(AccessPattern::custom(
-                    |item, scalars, _len| {
-                        let n = scalars.usize(0);
-                        let j1 = item.global[0];
-                        let mut ranges = vec![(j1 * n + j1, j1 * n + n)];
-                        for j2 in (j1 + 1)..n {
-                            ranges.push((j2 * n + j1, j2 * n + j1 + 1));
-                        }
-                        ranges
-                    },
-                )),
+                ArgSpec::new("symmat", ArgRole::Out)
+                    .with_access(AccessPattern::custom(symmat_footprint)),
                 ArgSpec::new("n", ArgRole::Scalar),
             ],
             profile_corr_base(n),
@@ -331,8 +341,9 @@ pub fn workgroups(n: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fluidicl_des::SplitMix64;
     use fluidicl_hetsim::MachineConfig;
-    use fluidicl_vcl::{DeviceKind, SingleDeviceRuntime};
+    use fluidicl_vcl::{BufferId, DeviceKind, DirtyRanges, SingleDeviceRuntime};
 
     #[test]
     fn matches_reference_on_both_devices() {
@@ -363,5 +374,47 @@ mod tests {
     #[test]
     fn workgroup_shape() {
         assert_eq!(workgroups(256), vec![8, 8, 256, 128]);
+    }
+
+    /// The range-level `symmat` footprint equals the per-item rule it
+    /// replaced — item j1 writes `[j1*n + j1, j1*n + n)` and every
+    /// `j2*n + j1` with `j2 > j1` — over random sizes, work-group sizes,
+    /// slices and buffer lengths (short buffers clip).
+    #[test]
+    fn symmat_footprint_matches_the_per_item_rule() {
+        let mut rng = SplitMix64::new(0x0C0_4417);
+        for case in 0..1000 {
+            let l = rng.range_usize(1, 5);
+            let n = l * rng.range_usize(1, 12);
+            let nd = NdRange::d1(n, l).unwrap();
+            let total = nd.num_groups();
+            let from = rng.range_u64(0, total + 1);
+            let to = rng.range_u64(from, total + 1);
+            let len = rng.range_usize(0, 2 * n * n + 2);
+            let def = program(n).kernel("corr_corr").unwrap();
+            let (_, _, scalars) = def
+                .classify_args(&[
+                    KernelArg::Buffer(BufferId(0)),
+                    KernelArg::Buffer(BufferId(1)),
+                    KernelArg::Usize(n),
+                ])
+                .unwrap();
+            let declared = def
+                .write_footprints(&nd, &scalars, &[len], from, to)
+                .unwrap();
+            let mut per_item = Vec::new();
+            for j1 in from as usize * l..to as usize * l {
+                per_item.push((j1 * n + j1, j1 * n + n));
+                for j2 in (j1 + 1)..n {
+                    per_item.push((j2 * n + j1, j2 * n + j1 + 1));
+                }
+            }
+            let oracle =
+                DirtyRanges::from_ranges(per_item.into_iter().map(|(s, e)| (s, e.min(len))));
+            assert_eq!(
+                declared[0], oracle,
+                "case {case}: n={n}, l={l}, groups {from}..{to}, len={len}"
+            );
+        }
     }
 }

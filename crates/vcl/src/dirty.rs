@@ -254,29 +254,35 @@ impl DirtyRanges {
     /// Set difference `self \ other`: the elements of `self` not in
     /// `other` (the uncovered-remainder primitive the race detector's
     /// coverage rules are built on).
+    ///
+    /// One two-pointer walk over both sorted lists, like
+    /// [`DirtyRanges::intersect`]: `other`'s cursor only moves forward, so
+    /// the cost is O(|self| + |other|).
     pub fn subtract(&self, other: &Self) -> Self {
-        let mut out = Vec::new();
+        let mut ranges = Vec::new();
+        let mut j = 0usize;
         for &(mut s, e) in &self.ranges {
-            for &(bs, be) in &other.ranges {
-                if be <= s {
-                    continue;
-                }
-                if bs >= e {
-                    break;
-                }
+            // Skip subtrahends wholly below this range; they lie below
+            // every later range of `self` too.
+            while j < other.ranges.len() && other.ranges[j].1 <= s {
+                j += 1;
+            }
+            let mut k = j;
+            while s < e && k < other.ranges.len() && other.ranges[k].0 < e {
+                let (bs, be) = other.ranges[k];
                 if bs > s {
-                    out.push((s, bs));
+                    ranges.push((s, bs));
                 }
                 s = s.max(be);
-                if s >= e {
-                    break;
-                }
+                k += 1;
             }
             if s < e {
-                out.push((s, e));
+                ranges.push((s, e));
             }
         }
-        Self::from_ranges(out)
+        // The pieces of one input range are separated by removed parts,
+        // and input ranges are non-adjacent, so the result is normalised.
+        Self { ranges }
     }
 
     /// Total number of dirty elements.
@@ -839,6 +845,26 @@ mod tests {
         assert!(a.subtract(&a).is_empty());
         assert_eq!(a.subtract(&DirtyRanges::empty()), a);
         assert_eq!(DirtyRanges::empty().subtract(&a), DirtyRanges::empty());
+    }
+
+    #[test]
+    fn subtract_matches_element_set_difference() {
+        let mut rng = fluidicl_des::SplitMix64::new(0xD1FF);
+        let random_set = |rng: &mut fluidicl_des::SplitMix64| {
+            let n = rng.range_usize(0, 12);
+            DirtyRanges::from_ranges((0..n).map(|_| {
+                let s = rng.range_usize(0, 200);
+                (s, s + rng.range_usize(0, 30))
+            }))
+        };
+        for case in 0..2000 {
+            let a = random_set(&mut rng);
+            let b = random_set(&mut rng);
+            let diff = a.subtract(&b);
+            let expected =
+                DirtyRanges::from_indices((0..240).filter(|&i| a.contains(i) && !b.contains(i)));
+            assert_eq!(diff, expected, "case {case}: {a:?} \\ {b:?}");
+        }
     }
 
     #[test]

@@ -3,28 +3,32 @@
 //! FluidiCL's correctness tooling needs to know *which elements* a
 //! work-group range reads and writes without replaying the kernel body —
 //! the race detector in `fluidicl-check` consults footprints for every
-//! wave, subkernel and merge of a trace, and the kernel-graph scheduler
-//! on the roadmap will consume them as buffer read/write-set DAG edges.
-//! An [`AccessPattern`] declared on an [`ArgSpec`](crate::ArgSpec) maps a
-//! work-item's coordinates to the element ranges it touches; the
-//! footprint of a flattened work-group range is the union of its items'
-//! ranges, computed purely from the launch geometry (the kernel body
-//! never runs). The sanitizer's shadow write-maps
-//! ([`execute_groups_shadowed`](crate::execute_groups_shadowed)) are the
-//! ground truth these declarations are validated against: a declared
-//! footprint must equal — or conservatively contain — the observed one.
+//! wave, subkernel and merge of a trace, and the kernel-graph builder
+//! (`fluidicl::graph`) turns them into buffer read/write-set DAG edges.
+//! An [`AccessPattern`] declared on an [`ArgSpec`](crate::ArgSpec)
+//! describes the element ranges each work-item touches; the footprint of
+//! a flattened work-group range `[from, to)` is the union over its items.
+//! That union is computed in closed form from the work-group geometry:
+//! neither the kernel body nor a per-item walk runs, so a call costs
+//! O(group rows × local rows), not O(work-items). The sanitizer's shadow
+//! write-maps ([`execute_groups_shadowed`](crate::execute_groups_shadowed))
+//! are the ground truth these declarations are validated against: a
+//! declared footprint must equal — or conservatively contain — the
+//! observed one.
 
 use std::fmt;
 use std::sync::Arc;
 
 use crate::dirty::DirtyRanges;
 use crate::kernel::{ArgRole, KernelDef, Scalars};
-use crate::ndrange::{for_each_item_in_group, NdRange, WorkItem};
+use crate::ndrange::NdRange;
 
-/// Per-item range function of a [`AccessPattern::Custom`] declaration:
-/// given one work-item, the launch scalars and the buffer length, the
-/// half-open element ranges the item touches.
-pub type RangeFn = dyn Fn(&WorkItem, &Scalars, usize) -> Vec<(usize, usize)> + Send + Sync;
+/// Range function of a [`AccessPattern::Custom`] declaration: given the
+/// launch geometry, the launch scalars, the buffer length and a non-empty
+/// flattened work-group range `[from, to)`, the half-open element ranges
+/// the whole slice touches. Ranges may come in any order and overlap;
+/// the caller clips them to the buffer and normalises the set.
+pub type RangeFn = dyn Fn(&NdRange, &Scalars, usize, u64, u64) -> Vec<(usize, usize)> + Send + Sync;
 
 /// Declared element-access shape of one buffer argument, per work-item.
 ///
@@ -36,7 +40,7 @@ pub type RangeFn = dyn Fn(&WorkItem, &Scalars, usize) -> Vec<(usize, usize)> + S
 #[derive(Clone)]
 pub enum AccessPattern {
     /// One element at the work-item's flattened global id
-    /// ([`WorkItem::global_linear`]).
+    /// ([`WorkItem::global_linear`](crate::WorkItem::global_linear)).
     Element,
     /// Row `global[dim]` of a row-major matrix whose row width is scalar
     /// argument `width_scalar`: elements `[g*w, (g+1)*w)`.
@@ -58,15 +62,31 @@ pub enum AccessPattern {
     /// Every element of the buffer (the conservative catch-all for
     /// gather-style reads).
     WholeBuffer,
-    /// Arbitrary per-item ranges for shapes the fixed vocabulary cannot
-    /// express (e.g. CORR's triangular row+column write).
+    /// Arbitrary ranges for shapes the fixed vocabulary cannot express
+    /// (e.g. CORR's triangular row+column write), computed for a whole
+    /// work-group slice at once (see [`RangeFn`]).
     Custom(Arc<RangeFn>),
 }
 
+/// Calls `f(first, end_x)` once per maximal run of consecutive flattened
+/// work-groups in `[from, to)` that share one `(y, z)` group row: the run
+/// is groups `first[0]..end_x` of row `(first[1], first[2])`.
+fn for_each_group_run(nd: &NdRange, from: u64, to: u64, mut f: impl FnMut([usize; 3], usize)) {
+    let row_len = nd.groups()[0] as u64;
+    let mut flat = from;
+    while flat < to {
+        let first = nd.unflatten_group(flat);
+        let run = (row_len - first[0] as u64).min(to - flat);
+        f(first, first[0] + run as usize);
+        flat += run;
+    }
+}
+
 impl AccessPattern {
-    /// Builds a [`AccessPattern::Custom`] from a per-item range closure.
+    /// Builds a [`AccessPattern::Custom`] from a range-level closure (see
+    /// [`RangeFn`] for its arguments).
     pub fn custom(
-        f: impl Fn(&WorkItem, &Scalars, usize) -> Vec<(usize, usize)> + Send + Sync + 'static,
+        f: impl Fn(&NdRange, &Scalars, usize, u64, u64) -> Vec<(usize, usize)> + Send + Sync + 'static,
     ) -> Self {
         AccessPattern::Custom(Arc::new(f))
     }
@@ -86,8 +106,10 @@ impl AccessPattern {
     /// launch with geometry `nd` and scalar arguments `scalars`, for a
     /// buffer of `buf_len` elements. Ranges are clipped to the buffer.
     ///
-    /// The computation is symbolic in the sense that the kernel body is
-    /// never executed: only the launch geometry is walked.
+    /// The result is exactly the union of the pattern over every
+    /// work-item of the slice, but it is derived from group coordinates:
+    /// the slice splits into runs of groups sharing a `(y, z)` group row,
+    /// and each local item row of a run is one contiguous range.
     ///
     /// # Panics
     ///
@@ -108,69 +130,51 @@ impl AccessPattern {
         if let AccessPattern::WholeBuffer = self {
             return DirtyRanges::full(buf_len);
         }
-        // Row/Col footprints depend only on the *set* of distinct index
-        // values along their dimension, not on the per-item multiplicity:
-        // dedup the keys first, so a 2-D launch emits one range per
-        // distinct row/column instead of one per work item (a Col pattern
-        // otherwise pushes `buf_len / w` singletons for every item, which
-        // made whole-launch footprints quadratic in the matrix edge).
-        if let AccessPattern::Row { dim, width_scalar } | AccessPattern::Col { dim, width_scalar } =
-            self
-        {
-            let w = scalars.usize(*width_scalar);
-            let mut keys: Vec<usize> = Vec::new();
-            for flat in from..to {
-                let group = nd.unflatten_group(flat);
-                for_each_item_in_group(nd, group, |item| keys.push(item.global[*dim]));
-            }
-            keys.sort_unstable();
-            keys.dedup();
-            let mut ranges: Vec<(usize, usize)> = Vec::new();
-            let mut push = |s: usize, e: usize| {
-                let e = e.min(buf_len);
-                if s < e {
-                    ranges.push((s, e));
+        assert!(
+            to <= nd.num_groups(),
+            "work-group range {from}..{to} exceeds the launch's {} groups",
+            nd.num_groups()
+        );
+        let clip = |(s, e): (usize, usize)| (s, e.min(buf_len));
+        let (local, global) = (nd.local(), nd.global());
+        let mut ranges: Vec<(usize, usize)> = Vec::new();
+        match self {
+            AccessPattern::Element => for_each_group_run(nd, from, to, |first, end_x| {
+                let (x0, x1) = (first[0] * local[0], end_x * local[0]);
+                for z in first[2] * local[2]..(first[2] + 1) * local[2] {
+                    for y in first[1] * local[1]..(first[1] + 1) * local[1] {
+                        let row = (z * global[1] + y) * global[0];
+                        ranges.push(clip((row + x0, row + x1)));
+                    }
                 }
-            };
-            for key in keys {
-                match self {
-                    AccessPattern::Row { .. } => push(key * w, (key + 1) * w),
-                    AccessPattern::Col { .. } => {
-                        if w > 0 {
-                            for k in 0..buf_len.div_ceil(w) {
-                                push(key + k * w, key + k * w + 1);
-                            }
+            }),
+            // Row/Col footprints depend only on the *set* of index values
+            // along `dim`: group coordinate `c` contributes keys
+            // `c*l .. (c+1)*l`, so a run of groups is one key interval.
+            AccessPattern::Row { dim, width_scalar } | AccessPattern::Col { dim, width_scalar } => {
+                let w = scalars.usize(*width_scalar);
+                let l = local[*dim];
+                let mut coords: Vec<(usize, usize)> = Vec::new();
+                for_each_group_run(nd, from, to, |first, end_x| {
+                    let c = first[*dim];
+                    coords.push(if *dim == 0 { (c, end_x) } else { (c, c + 1) });
+                });
+                let keys =
+                    DirtyRanges::from_ranges(coords.into_iter().map(|(a, b)| (a * l, b * l)));
+                for (ka, kb) in keys.iter() {
+                    if let AccessPattern::Row { .. } = self {
+                        ranges.push(clip((ka * w, kb * w)));
+                    } else if w > 0 {
+                        for k in 0..buf_len.div_ceil(w) {
+                            ranges.push(clip((ka + k * w, kb + k * w)));
                         }
                     }
-                    _ => unreachable!("matched Row/Col above"),
                 }
             }
-            return DirtyRanges::from_ranges(ranges);
-        }
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
-        let mut push = |s: usize, e: usize| {
-            let e = e.min(buf_len);
-            if s < e {
-                ranges.push((s, e));
+            AccessPattern::Custom(f) => {
+                ranges.extend(f(nd, scalars, buf_len, from, to).into_iter().map(clip));
             }
-        };
-        for flat in from..to {
-            let group = nd.unflatten_group(flat);
-            for_each_item_in_group(nd, group, |item| match self {
-                AccessPattern::Element => {
-                    let i = item.global_linear();
-                    push(i, i + 1);
-                }
-                AccessPattern::Custom(f) => {
-                    for (s, e) in f(item, scalars, buf_len) {
-                        push(s, e);
-                    }
-                }
-                AccessPattern::Row { .. } | AccessPattern::Col { .. } => {
-                    unreachable!("handled above")
-                }
-                AccessPattern::WholeBuffer => unreachable!("handled above"),
-            });
+            AccessPattern::WholeBuffer => unreachable!("handled above"),
         }
         DirtyRanges::from_ranges(ranges)
     }
@@ -302,6 +306,8 @@ impl KernelDef {
 mod tests {
     use super::*;
     use crate::kernel::{ArgSpec, KernelArg, KernelDef};
+    use crate::ndrange::{for_each_item_in_group, WorkItem};
+    use fluidicl_des::SplitMix64;
     use fluidicl_hetsim::KernelProfile;
 
     fn scalars_n(n: usize) -> Scalars {
@@ -310,6 +316,113 @@ mod tests {
             &[KernelArg::Usize(n)],
             &[ArgSpec::new("n", ArgRole::Scalar)],
         )
+    }
+
+    /// The definition closed-form footprints must reproduce: walk every
+    /// work-item of `[from, to)`, collect the ranges `rule` gives each
+    /// one, clip them to the buffer and normalise.
+    fn walk_items(
+        nd: &NdRange,
+        buf_len: usize,
+        from: u64,
+        to: u64,
+        mut rule: impl FnMut(&WorkItem) -> Vec<(usize, usize)>,
+    ) -> DirtyRanges {
+        let mut ranges = Vec::new();
+        for flat in from..to {
+            for_each_item_in_group(nd, nd.unflatten_group(flat), |item| {
+                ranges.extend(rule(item).into_iter().map(|(s, e)| (s, e.min(buf_len))));
+            });
+        }
+        DirtyRanges::from_ranges(ranges)
+    }
+
+    /// Per-item oracle for the fixed vocabulary.
+    fn oracle(
+        p: &AccessPattern,
+        nd: &NdRange,
+        s: &Scalars,
+        len: usize,
+        from: u64,
+        to: u64,
+    ) -> DirtyRanges {
+        match p {
+            AccessPattern::Element => walk_items(nd, len, from, to, |it| {
+                let i = it.global_linear();
+                vec![(i, i + 1)]
+            }),
+            AccessPattern::Row { dim, width_scalar } => {
+                let w = s.usize(*width_scalar);
+                walk_items(nd, len, from, to, |it| {
+                    let g = it.global[*dim];
+                    vec![(g * w, (g + 1) * w)]
+                })
+            }
+            AccessPattern::Col { dim, width_scalar } => {
+                let w = s.usize(*width_scalar);
+                let rows = if w == 0 { 0 } else { len.div_ceil(w) };
+                walk_items(nd, len, from, to, |it| {
+                    let g = it.global[*dim];
+                    (0..rows).map(|k| (g + k * w, g + k * w + 1)).collect()
+                })
+            }
+            AccessPattern::WholeBuffer if from < to => DirtyRanges::full(len),
+            AccessPattern::WholeBuffer => DirtyRanges::empty(),
+            AccessPattern::Custom(_) => unreachable!("custom patterns carry their own rule"),
+        }
+    }
+
+    /// A random 1-D, 2-D or 3-D launch of at most 9 items per dimension.
+    fn random_geometry(rng: &mut SplitMix64) -> NdRange {
+        let mut dim = || {
+            let l = rng.range_usize(1, 4);
+            (l * rng.range_usize(1, 4), l)
+        };
+        let (gx, lx) = dim();
+        let (gy, ly) = dim();
+        let (gz, lz) = dim();
+        match rng.range_usize(1, 4) {
+            1 => NdRange::d1(gx, lx),
+            2 => NdRange::d2(gx, gy, lx, ly),
+            _ => NdRange::d3(gx, gy, gz, lx, ly, lz),
+        }
+        .unwrap()
+    }
+
+    #[test]
+    fn closed_form_matches_the_per_item_walk() {
+        let mut rng = SplitMix64::new(0x00F0_07F1);
+        for case in 0..3000 {
+            let nd = random_geometry(&mut rng);
+            let total = nd.num_groups();
+            let from = rng.range_u64(0, total + 1);
+            let to = rng.range_u64(from, total + 1);
+            let items = nd.num_items() as usize;
+            // Row widths and buffer lengths on both sides of the launch
+            // size, so clipping at the buffer end is exercised both ways.
+            let w = rng.range_usize(0, items + 3);
+            let len = rng.range_usize(0, 2 * items.max(w) + 4);
+            let s = scalars_n(w);
+            let dim = rng.range_usize(0, 3);
+            for p in [
+                AccessPattern::Element,
+                AccessPattern::Row {
+                    dim,
+                    width_scalar: 0,
+                },
+                AccessPattern::Col {
+                    dim,
+                    width_scalar: 0,
+                },
+                AccessPattern::WholeBuffer,
+            ] {
+                assert_eq!(
+                    p.footprint(&nd, &s, len, from, to),
+                    oracle(&p, &nd, &s, len, from, to),
+                    "case {case}: {p:?} over groups {from}..{to} of {nd:?}, w={w}, len={len}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -368,14 +481,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "exceeds the launch")]
+    fn slices_past_the_launch_panic() {
+        let nd = NdRange::d1(8, 2).unwrap();
+        AccessPattern::Element.footprint(&nd, &Scalars::default(), 8, 2, 5);
+    }
+
+    #[test]
     fn custom_footprint_runs_the_range_fn() {
         let nd = NdRange::d1(4, 2).unwrap();
-        let p = AccessPattern::custom(|item, _, len| {
-            let i = item.global[0];
-            vec![(i, i + 1), (len - 1 - i, len - i)]
+        let p = AccessPattern::custom(|nd, _, len, from, to| {
+            let l = nd.local()[0];
+            (from as usize * l..to as usize * l)
+                .flat_map(|i| [(i, i + 1), (len - 1 - i, len - i)])
+                .chain([(len - 1, len + 5)])
+                .collect()
         });
         let fp = p.footprint(&nd, &Scalars::default(), 10, 0, 1);
-        assert_eq!(fp.as_slice(), &[(0, 2), (8, 10)]);
+        assert_eq!(fp.as_slice(), &[(0, 2), (8, 10)], "clipped to the buffer");
+        assert!(p.footprint(&nd, &Scalars::default(), 10, 1, 1).is_empty());
     }
 
     #[test]
@@ -402,9 +526,9 @@ mod tests {
                 width_scalar: 1
             }
         );
-        let c = AccessPattern::custom(|_, _, _| vec![]);
+        let c = AccessPattern::custom(|_, _, _, _, _| vec![]);
         assert_eq!(c, c.clone(), "custom compares by pointer identity");
-        assert_ne!(c, AccessPattern::custom(|_, _, _| vec![]));
+        assert_ne!(c, AccessPattern::custom(|_, _, _, _, _| vec![]));
         assert_eq!(c.label(), "custom");
         assert_eq!(AccessPattern::WholeBuffer.label(), "whole-buffer");
     }
