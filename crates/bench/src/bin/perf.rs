@@ -6,9 +6,9 @@
 //!
 //! * the repro sweep (all experiments, or the `--quick` subset), fanned out
 //!   over the [`fluidicl_par`] pool exactly as `repro` runs it;
-//! * the micro-hotspots: sequential and parallel `execute_groups` on SYRK,
-//!   the `diff_merge` / `diff_merge_ranged` coherence primitives,
-//!   dirty-range coalescing, and buffer snapshotting.
+//! * the micro-hotspots: `execute_groups` on SYRK, the `diff_merge` /
+//!   `diff_merge_ranged` coherence primitives, dirty-range coalescing, and
+//!   buffer snapshotting.
 //!
 //! Results go to `BENCH_repro.json` at the repository root (one section per
 //! line: median/p10/p90 nanoseconds, worker-thread count, git revision,
@@ -40,8 +40,8 @@ use fluidicl_hetsim::MachineConfig;
 use fluidicl_polybench::data::gen_matrix;
 use fluidicl_polybench::syrk;
 use fluidicl_vcl::{
-    diff_merge, diff_merge_ranged, diff_merge_tracked, execute_groups_par, set_simd_enabled,
-    simd_active, BufferId, DirtyRanges, DirtyTracker, KernelArg, Launch, Memory, NdRange,
+    diff_merge, diff_merge_ranged, diff_merge_tracked, set_simd_enabled, simd_active, BufferId,
+    DirtyRanges, DirtyTracker, KernelArg, Launch, Memory, NdRange,
 };
 
 /// Experiment ids of the `--quick` sweep (mirrors `repro --quick`).
@@ -122,7 +122,7 @@ fn main() {
 
     let mut sections = Vec::new();
     sections.push(time_sweep(quick));
-    sections.extend(micro_hotspots(jobs));
+    sections.extend(micro_hotspots());
     let (paged_sections, simd) = paged_merge_sections(quick);
     sections.extend(paged_sections);
     let (gate_sections, gate_factor) = dirty_gate_sections();
@@ -340,7 +340,7 @@ fn time_sweep(quick: bool) -> Section {
 }
 
 /// Times the executor hot paths the coexec engine leans on.
-fn micro_hotspots(jobs: usize) -> Vec<Section> {
+fn micro_hotspots() -> Vec<Section> {
     let n = 256;
     let program = syrk::program(n);
     let kernel = program.kernel("syrk").expect("syrk kernel");
@@ -369,12 +369,6 @@ fn micro_hotspots(jobs: usize) -> Vec<Section> {
         mem.write(c_buf, &c0).expect("reset c");
         let started = Instant::now();
         fluidicl_vcl::exec::execute_groups(&launch, &mut mem, 0, groups).expect("execute");
-        started.elapsed().as_nanos()
-    });
-    let par = collect(iters, || {
-        mem.write(c_buf, &c0).expect("reset c");
-        let started = Instant::now();
-        execute_groups_par(&launch, &mut mem, 0, groups, jobs).expect("execute par");
         started.elapsed().as_nanos()
     });
 
@@ -440,7 +434,6 @@ fn micro_hotspots(jobs: usize) -> Vec<Section> {
 
     vec![
         stats("execute_groups_seq", iters, seq),
-        stats("execute_groups_par", iters, par),
         stats("diff_merge_1m", iters, merge),
         stats("diff_merge_ranged_1m", iters, merge_ranged),
         stats("dirty_coalesce", iters, coalesce),

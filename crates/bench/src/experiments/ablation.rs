@@ -37,7 +37,7 @@ pub(super) fn run(machine: &MachineConfig) -> ExperimentResult {
     // subkernels (see the module docs for why this table pins both).
     let paper = || {
         FluidiclConfig::default()
-            .with_whole_buffer_transfers()
+            .with_dirty_range_transfers(false)
             .with_pipeline_depth(1)
     };
     let variants: [(&str, FluidiclConfig); 4] = [
@@ -103,7 +103,7 @@ pub(super) fn run(machine: &MachineConfig) -> ExperimentResult {
         };
         let (full_t, full_reports) = run_fluidicl(
             machine,
-            &FluidiclConfig::default().with_whole_buffer_transfers(),
+            &FluidiclConfig::default().with_dirty_range_transfers(false),
             &b,
             n,
         );

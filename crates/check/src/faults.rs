@@ -20,7 +20,7 @@ use fluidicl_hetsim::MachineConfig;
 use fluidicl_polybench::{all_benchmarks, BenchmarkSpec};
 use fluidicl_vcl::{ClError, FaultKind, FaultPlan};
 
-use crate::{sweep_size, SWEEP_SEED};
+use crate::{json_escape, sweep_size, SWEEP_SEED};
 
 /// Outcome of one (benchmark × fault kind × seed) sweep cell.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -596,9 +596,15 @@ pub fn run_shrink_comparison(seeds: u64) -> Vec<ShrinkCell> {
     })
 }
 
-/// Minimal JSON string escaping for outcome details.
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// The `detail` field of a cell row: the error text of a typed or
+/// unexpected error, empty for every other outcome.
+fn detail_field(outcome: &CellOutcome) -> String {
+    match outcome {
+        CellOutcome::TypedError(d) | CellOutcome::UnexpectedError(d) => {
+            format!(", \"detail\": \"{}\"", json_escape(d))
+        }
+        _ => String::new(),
+    }
 }
 
 /// Renders an `Option<u64>` as a JSON number or `null`.
@@ -654,12 +660,7 @@ pub fn render_faults_json(
     s.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
         let comma = if i + 1 < cells.len() { "," } else { "" };
-        let detail = match &c.outcome {
-            CellOutcome::TypedError(d) | CellOutcome::UnexpectedError(d) => {
-                format!(", \"detail\": \"{}\"", esc(d))
-            }
-            _ => String::new(),
-        };
+        let detail = detail_field(&c.outcome);
         let latency = latency_fields(
             c.fault_at_ns,
             c.complete_ns,
@@ -682,12 +683,7 @@ pub fn render_faults_json(
     s.push_str("  \"ndev_loss\": [\n");
     for (i, c) in ndev.iter().enumerate() {
         let comma = if i + 1 < ndev.len() { "," } else { "" };
-        let detail = match &c.outcome {
-            CellOutcome::TypedError(d) | CellOutcome::UnexpectedError(d) => {
-                format!(", \"detail\": \"{}\"", esc(d))
-            }
-            _ => String::new(),
-        };
+        let detail = detail_field(&c.outcome);
         let latency = latency_fields(
             c.fault_at_ns,
             c.complete_ns,
@@ -710,12 +706,7 @@ pub fn render_faults_json(
     s.push_str("  \"owner_failover\": [\n");
     for (i, c) in failover.iter().enumerate() {
         let comma = if i + 1 < failover.len() { "," } else { "" };
-        let detail = match &c.outcome {
-            CellOutcome::TypedError(d) | CellOutcome::UnexpectedError(d) => {
-                format!(", \"detail\": \"{}\"", esc(d))
-            }
-            _ => String::new(),
-        };
+        let detail = detail_field(&c.outcome);
         let latency = latency_fields(
             c.fault_at_ns,
             c.complete_ns,
@@ -776,7 +767,28 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_quotes() {
-        assert_eq!(esc("a \"b\" \\c"), "a \\\"b\\\" \\\\c");
+    fn error_details_render_as_valid_json_strings() {
+        let cell = FaultCell {
+            bench: "GEMM",
+            kind: FaultKind::GpuLost,
+            seed: 0,
+            plan_seed: 1,
+            outcome: CellOutcome::TypedError("a \"b\" \\c\nline\u{1}end".to_string()),
+            fired: true,
+            deterministic: true,
+            fault_at_ns: None,
+            complete_ns: None,
+            fault_free_ns: 0,
+            recovery_latency_ns: None,
+        };
+        let json = render_faults_json(&[cell], &[], &[], &[], 1);
+        assert!(
+            json.contains(r#""detail": "a \"b\" \\c\nline\u0001end""#),
+            "{json}"
+        );
+        assert!(
+            !json.chars().any(|c| c.is_control() && c != '\n'),
+            "no raw control characters"
+        );
     }
 }

@@ -15,12 +15,7 @@
 //! * the **protocol-trace linter** (re-exported from [`fluidicl`]) replays a
 //!   co-executed kernel's event trace and checks the watermark, queue
 //!   ordering, wave/subkernel contiguity, coverage and transfer-byte
-//!   invariants;
-//! * the **disjoint-write prover** ([`disjoint`]) replays each launch one
-//!   work-group at a time and checks that `with_disjoint_writes`
-//!   declarations — which license lock-free parallel execution and
-//!   dirty-range accounting — hold on real data (`--emit-disjoint` in the
-//!   sweep binary).
+//!   invariants.
 //!
 //! [`AuditDriver`] packages the sanitizer as a drop-in
 //! [`ClDriver`](fluidicl_vcl::ClDriver), so any host program — every
@@ -32,14 +27,12 @@
 #![warn(missing_docs)]
 
 mod audit;
-pub mod disjoint;
 pub mod faults;
 pub mod graph;
 pub mod race;
 pub mod sanitize;
 
 pub use audit::{AuditDriver, KernelFinding};
-pub use disjoint::{prove_disjoint, DisjointDriver, DisjointFinding};
 pub use faults::{
     render_faults_json, run_failover_sweep, run_fault_cell, run_fault_sweep, run_ndev_loss_sweep,
     run_shrink_comparison, CellOutcome, FailoverCell, FaultCell, NdevLossCell, ShrinkCell,
@@ -68,25 +61,27 @@ pub fn sweep_size(name: &str) -> usize {
 /// Data seed shared by the sweep binary and the test suites.
 pub const SWEEP_SEED: u64 = 0xF1D1C1;
 
-/// Renders a disjoint-write proof manifest: the JSON the runtime consumes
-/// at startup via [`fluidicl::parse_disjoint_manifest`] and
-/// `Fluidicl::apply_disjoint_proofs` to promote `with_disjoint_writes` on
-/// kernels the prover verified on every launch of the sweep.
+/// Escapes `s` for use inside a JSON string literal: quotes, backslashes
+/// and every control character. Shared by the sweep's `--report-json`
+/// artifact and `FAULTS_summary.json`.
 ///
 /// # Examples
 ///
 /// ```
-/// let text = fluidicl_check::disjoint_manifest(&["syrk".into(), "gemm".into()]);
-/// assert_eq!(
-///     fluidicl::parse_disjoint_manifest(&text),
-///     vec!["syrk".to_string(), "gemm".to_string()]
-/// );
+/// assert_eq!(fluidicl_check::json_escape("a\"b\n"), "a\\\"b\\n");
 /// ```
-pub fn disjoint_manifest(proven: &[String]) -> String {
-    let list = proven
-        .iter()
-        .map(|k| format!("\"{k}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!("{{\n  \"proven\": [{list}]\n}}\n")
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }

@@ -11,23 +11,15 @@
 //! pool; per-unit output is buffered and printed in sweep order, so the
 //! report and the exit code are identical to a sequential (`--jobs 1`)
 //! run. `--quick` restricts stage 2 to the paper-testbed machine (CI's
-//! fast path); `--jobs N` caps the worker threads. `--emit-disjoint`
-//! inserts a disjoint-write audit ([`fluidicl_check::DisjointDriver`])
-//! between the stages: every launch's per-work-group write footprints are
-//! replayed, `with_disjoint_writes` declarations that the replay refutes
-//! are errors, and kernels proven disjoint on *every* launch are written
-//! to `ci/disjoint_proofs.json` — the manifest the runtime consumes via
-//! `Fluidicl::apply_disjoint_proofs`.
+//! fast path); `--jobs N` caps the worker threads.
 //!
 //! `--faults [--seeds N]` switches to the fault-injection sweep instead:
 //! every benchmark × fault kind × seed must recover bit-identically or
 //! fail with a typed error, twice over (determinism); the summary goes to
 //! `FAULTS_summary.json` and any contract violation fails the run.
 
-use std::collections::BTreeMap;
-
 use fluidicl::{lint_report, Fluidicl, FluidiclConfig, LintSeverity};
-use fluidicl_check::{race_check_report, AuditDriver, CellOutcome, DisjointDriver, SWEEP_SEED};
+use fluidicl_check::{json_escape, race_check_report, AuditDriver, CellOutcome, SWEEP_SEED};
 use fluidicl_hetsim::{AbortMode, MachineConfig};
 use fluidicl_polybench::all_benchmarks;
 
@@ -52,23 +44,6 @@ struct UnitReport {
     problems: usize,
     warnings: usize,
     findings: Vec<JsonFinding>,
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders the sweep's findings plus per-kernel access summaries as one
@@ -142,7 +117,6 @@ fn repo_path(rel: &str) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
-    let mut emit_disjoint = false;
     let mut faults = false;
     let mut seeds = 4u64;
     let mut faults_out = repo_path("FAULTS_summary.json");
@@ -151,7 +125,6 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--emit-disjoint" => emit_disjoint = true,
             "--faults" => faults = true,
             "--report-json" => {
                 report_json = Some(it.next().unwrap_or_else(|| {
@@ -181,8 +154,8 @@ fn main() {
             }
             other => {
                 eprintln!(
-                    "usage: fluidicl-check [--quick] [--emit-disjoint] [--jobs N] \
-                     [--report-json PATH] [--faults [--seeds N] [--faults-out PATH]]"
+                    "usage: fluidicl-check [--quick] [--jobs N] [--report-json PATH] \
+                     [--faults [--seeds N] [--faults-out PATH]]"
                 );
                 eprintln!("unknown argument `{other}`");
                 std::process::exit(2);
@@ -279,101 +252,6 @@ fn main() {
         findings.extend(r.findings);
     }
 
-    if emit_disjoint {
-        println!("== disjoint-write audit over the Polybench suite ==");
-        let audit = fluidicl_par::par_map(all_benchmarks(), |b| {
-            let mut r = UnitReport::default();
-            let n = fluidicl_check::sweep_size(b.name);
-            let mut driver = DisjointDriver::new((b.program)(n));
-            match b.run_and_validate_sized(&mut driver, n, SWEEP_SEED) {
-                Ok(true) => {}
-                Ok(false) => {
-                    r.lines.push(format!(
-                        "  {:8} n={n}: output mismatch vs reference",
-                        b.name
-                    ));
-                    r.problems += 1;
-                }
-                Err(e) => {
-                    r.lines
-                        .push(format!("  {:8} n={n}: driver error: {e}", b.name));
-                    r.problems += 1;
-                }
-            }
-            for f in driver.findings() {
-                let verdict = match (f.declared, f.proven) {
-                    (true, true) => "declared disjoint, proven".to_string(),
-                    (false, true) => "undeclared, proven disjoint".to_string(),
-                    (false, false) => format!(
-                        "overlapping writes ({})",
-                        f.detail.as_deref().unwrap_or("no detail")
-                    ),
-                    (true, false) => {
-                        r.problems += 1;
-                        r.findings.push(JsonFinding {
-                            stage: "disjoint",
-                            machine: String::new(),
-                            config: String::new(),
-                            bench: b.name.to_string(),
-                            kernel: f.kernel.clone(),
-                            rule: "disjoint-false-declaration".to_string(),
-                            severity: LintSeverity::Error,
-                            message: f
-                                .detail
-                                .clone()
-                                .unwrap_or_else(|| "overlap found".to_string()),
-                        });
-                        format!(
-                            "FALSE `with_disjoint_writes` declaration: {}",
-                            f.detail.as_deref().unwrap_or("overlap found")
-                        )
-                    }
-                };
-                r.lines.push(format!(
-                    "  {:8} kernel `{}` ({} group(s)): {verdict}",
-                    b.name, f.kernel, f.groups
-                ));
-            }
-            let proofs: Vec<(String, bool)> = driver
-                .findings()
-                .iter()
-                .map(|f| (f.kernel.clone(), f.proven))
-                .collect();
-            (r, driver.verified_declarations(), proofs)
-        });
-        let mut verified = 0usize;
-        // A kernel earns a manifest entry only if *every* launch of it,
-        // across the whole sweep, was proven disjoint.
-        let mut proven_by_kernel: BTreeMap<String, bool> = BTreeMap::new();
-        for (r, v, proofs) in audit {
-            for line in &r.lines {
-                println!("{line}");
-            }
-            problems += r.problems;
-            warnings += r.warnings;
-            findings.extend(r.findings);
-            verified += v;
-            for (kernel, proven) in proofs {
-                proven_by_kernel
-                    .entry(kernel)
-                    .and_modify(|p| *p &= proven)
-                    .or_insert(proven);
-            }
-        }
-        println!("  {verified} declared-disjoint launch(es) verified");
-        let proven: Vec<String> = proven_by_kernel
-            .into_iter()
-            .filter_map(|(k, p)| p.then_some(k))
-            .collect();
-        let manifest_path = repo_path("ci/disjoint_proofs.json");
-        std::fs::write(&manifest_path, fluidicl_check::disjoint_manifest(&proven))
-            .expect("write disjoint proof manifest");
-        println!(
-            "  {} kernel(s) proven disjoint on every launch -> {manifest_path}",
-            proven.len()
-        );
-    }
-
     println!("== stage 2: protocol linter across machines and configs ==");
     let mut machines = vec![("paper-testbed", MachineConfig::paper_testbed())];
     if !quick {
@@ -402,7 +280,7 @@ fn main() {
         ),
         (
             "whole-buffer",
-            FluidiclConfig::default().with_whole_buffer_transfers(),
+            FluidiclConfig::default().with_dirty_range_transfers(false),
         ),
         (
             "pipeline=1",

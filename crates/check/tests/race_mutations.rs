@@ -39,7 +39,7 @@ fn all_benchmarks_race_free_across_configs() {
         ),
         (
             "whole-buffer",
-            FluidiclConfig::default().with_whole_buffer_transfers(),
+            FluidiclConfig::default().with_dirty_range_transfers(false),
         ),
         (
             "pipeline=1",

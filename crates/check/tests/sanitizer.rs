@@ -91,7 +91,7 @@ fn out_accumulation_is_flagged() {
 fn conflicting_cross_group_writes_are_flagged() {
     // Every work-group writes its own id into element 0: the final value
     // depends on which device ran last.
-    let k = Arc::new(KernelDef::new(
+    let race = Arc::new(KernelDef::new(
         "race",
         vec![ArgSpec::new("dst", ArgRole::Out)],
         KernelProfile::new("race"),
@@ -99,11 +99,41 @@ fn conflicting_cross_group_writes_are_flagged() {
             outs.at(0)[0] = item.group[0] as f32;
         },
     ));
-    let mem = mem_with(16, &[(0, 0.0)]);
     let launch = Launch::new(
-        k,
+        race,
         NdRange::d1(16, 4).unwrap(),
         vec![KernelArg::Buffer(BufferId(0))],
+    );
+    let r = rules(&launch, &mem_with(16, &[(0, 0.0)]));
+    assert!(
+        r.contains(&("write-conflict".to_string(), LintSeverity::Error)),
+        "{r:?}"
+    );
+
+    // The same collision with an input-derived, per-item value: every item
+    // of every group stores `src[i] + i` into element 0 of `dst`.
+    let collider = Arc::new(KernelDef::new(
+        "collider",
+        vec![
+            ArgSpec::new("src", ArgRole::In),
+            ArgSpec::new("dst", ArgRole::Out),
+        ],
+        KernelProfile::new("collider"),
+        |item, _, ins, outs| {
+            let i = item.global_linear();
+            outs.at(0)[0] = ins.get(0)[i] + i as f32;
+        },
+    ));
+    let mut mem = Memory::new();
+    mem.install(BufferId(0), (0..16).map(|i| i as f32).collect());
+    mem.install(BufferId(1), vec![0.0; 16]);
+    let launch = Launch::new(
+        collider,
+        NdRange::d1(16, 4).unwrap(),
+        vec![
+            KernelArg::Buffer(BufferId(0)),
+            KernelArg::Buffer(BufferId(1)),
+        ],
     );
     let r = rules(&launch, &mem);
     assert!(

@@ -39,7 +39,7 @@
 
 use fluidicl_des::{ChannelBank, SimDuration, SimTime, Simulation};
 use fluidicl_hetsim::{GpuModel, LinkModel, MachineConfig, PeerGpu};
-use fluidicl_vcl::exec::{execute_groups_par, Launch};
+use fluidicl_vcl::exec::{execute_groups, Launch};
 use fluidicl_vcl::{
     diff_merge_tracked, payload_checksum, BufferId, ClError, ClResult, DeviceKind, DirtyTracker,
     FaultInjector, Memory, TransferFate,
@@ -52,6 +52,11 @@ use crate::endpoint::{CpuEndpoint, NonOwnerEndpoint, PeerGpuEndpoint};
 use crate::frontier::{Coverage, Frontier};
 use crate::stats::{Finisher, KernelReport, LaunchMeta};
 use crate::trace::{TraceEvent, TraceKind, STATUS_MSG_BYTES};
+
+/// Relative improvement in time-per-work-group an endpoint's chunk needs
+/// to keep growing (paper §5.1: "so long as the average time per
+/// work-group keeps decreasing").
+const CHUNK_GROWTH_TOLERANCE: f64 = 0.02;
 
 /// One active peer-GPU slot: the machine-config peer plus the stable
 /// endpoint index it traces under (indices survive earlier peers dying in
@@ -412,7 +417,7 @@ impl<'a> Coexec<'a> {
             input.config.initial_chunk_pct,
             input.config.step_pct,
             min_chunk,
-            input.config.chunk_growth_tolerance,
+            CHUNK_GROWTH_TOLERANCE,
         );
         let versions = input.launch.kernel.versions().len();
         let trial_versions = if input.config.online_profiling && versions > 1 {
@@ -472,7 +477,7 @@ impl<'a> Coexec<'a> {
                 input.config.initial_chunk_pct,
                 input.config.step_pct,
                 model.min_chunk(),
-                input.config.chunk_growth_tolerance,
+                CHUNK_GROWTH_TOLERANCE,
             );
             eps.push(EpState {
                 dev: slot.dev,
@@ -886,7 +891,6 @@ impl<'a> Coexec<'a> {
         };
         if exec_end > wave.start {
             let launch = self.input.launch;
-            let jobs = self.input.config.intra_launch_jobs;
             // Waves execute in the acting owner's address space: the
             // primary GPU's, or a promoted peer's own memory.
             let mem: &mut Memory = match self.owner_ep {
@@ -896,7 +900,7 @@ impl<'a> Coexec<'a> {
                     .expect("promoted owner is a peer with its own memory"),
                 None => self.input.gpu_mem,
             };
-            execute_groups_par(launch, mem, wave.start, exec_end, jobs)?;
+            execute_groups(launch, mem, wave.start, exec_end)?;
             self.gpu_wgs_executed += exec_end - wave.start;
         }
         self.record(
@@ -1226,7 +1230,6 @@ impl<'a> Coexec<'a> {
                 sk.trial,
             )
         };
-        let jobs = self.input.config.intra_launch_jobs;
         {
             let ep = &mut self.eps[d];
             ep.busy = false;
@@ -1235,7 +1238,7 @@ impl<'a> Coexec<'a> {
             // endpoint's copy, using the selected kernel version's body.
             ep.launch.version = version;
             let mem = ep.mem.as_mut().unwrap_or(self.input.cpu_mem);
-            execute_groups_par(&ep.launch, mem, from, to, jobs)?;
+            execute_groups(&ep.launch, mem, from, to)?;
         }
         // Dirty-range capture: diff the endpoint's copy against the
         // pristine original to learn exactly which elements this subkernel

@@ -1,60 +1,22 @@
 //! Runtime configuration: chunk-sizing parameters and optimization toggles.
 
-use std::fmt;
-use std::sync::Arc;
-
 use fluidicl_hetsim::AbortMode;
 use fluidicl_vcl::FaultPlan;
 
-use crate::lint::LintDiagnostic;
 use crate::recover::RecoveryPolicy;
-use crate::stats::KernelReport;
-
-/// A runtime debug hook invoked with every completed kernel report (after
-/// the built-in protocol lint when `validate_protocol` is on). Any
-/// error-severity finding the hook returns fails the enqueue with
-/// [`ClError::ProtocolViolation`](fluidicl_vcl::ClError::ProtocolViolation),
-/// exactly like a lint error. External checkers — e.g. the happens-before
-/// race detector in `fluidicl-check` — install themselves here to validate
-/// traces *inside* the runtime during debugging runs, without the core
-/// crate depending on them.
-#[derive(Clone)]
-pub struct ReportHook(Arc<ReportCheckFn>);
-
-/// Checker closure type wrapped by [`ReportHook`].
-type ReportCheckFn = dyn Fn(&KernelReport) -> Vec<LintDiagnostic> + Send + Sync;
-
-impl ReportHook {
-    /// Wraps a checker closure as a hook.
-    pub fn new(f: impl Fn(&KernelReport) -> Vec<LintDiagnostic> + Send + Sync + 'static) -> Self {
-        ReportHook(Arc::new(f))
-    }
-
-    /// Runs the hook on one report.
-    pub fn run(&self, report: &KernelReport) -> Vec<LintDiagnostic> {
-        (self.0)(report)
-    }
-}
-
-impl fmt::Debug for ReportHook {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ReportHook(..)")
-    }
-}
-
-impl PartialEq for ReportHook {
-    fn eq(&self, other: &Self) -> bool {
-        // Closures have no structural equality; two configs compare equal
-        // only when they share the same hook instance.
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
 
 /// Configuration of the FluidiCL runtime.
 ///
 /// Defaults follow the paper's experimental setup (§5.1, §9.5): an initial
 /// CPU chunk of 2% of the work-groups growing in 2% steps, all optimizations
 /// of §6 enabled except online profiling (which §9.1 runs separately).
+///
+/// Every field is either a knob the paper varies (chunk sizing, abort
+/// mode, the §6 optimizations), a protocol the experiments compare
+/// (dirty-range transfers, pipeline depth, graph scheduling), or a test
+/// and robustness gate (protocol validation, fault injection and its
+/// recovery tuning). The defaults need no tuning: the runtime co-executes
+/// on every device the machine declares.
 ///
 /// # Examples
 ///
@@ -86,10 +48,6 @@ pub struct FluidiclConfig {
     /// Track where the freshest copy of each buffer lives to skip redundant
     /// device-to-host transfers on reads (paper §6.2).
     pub location_tracking: bool,
-    /// Relative improvement in time-per-work-group required to keep growing
-    /// the chunk (paper §5.1 "so long as the average time per work-group
-    /// keeps decreasing").
-    pub chunk_growth_tolerance: f64,
     /// Run the protocol-trace linter after every co-executed kernel and fail
     /// the enqueue with `ClError::ProtocolViolation` if an invariant broke.
     /// On by default in debug/test builds, off in release builds.
@@ -98,8 +56,8 @@ pub struct FluidiclConfig {
     /// through the H2D queue instead of whole output buffers, charge the
     /// GPU merge for the shipped bytes only, and track per-buffer dirty
     /// ranges so snapshot refreshes and D2H read-backs copy only stale
-    /// data. On by default; [`FluidiclConfig::with_whole_buffer_transfers`]
-    /// restores the legacy whole-buffer protocol.
+    /// data. On by default; `with_dirty_range_transfers(false)` restores
+    /// the legacy whole-buffer protocol.
     pub dirty_range_transfers: bool,
     /// Bound on the CPU's compute/transfer overlap: how many completed
     /// subkernels may sit in the staging-copy/ship window before the
@@ -109,28 +67,12 @@ pub struct FluidiclConfig {
     /// subkernels waiting on a busy link are coalesced into one
     /// data+status batch. Default 2.
     pub pipeline_depth: u32,
-    /// Thread budget for executing one device's work-group range (an
-    /// implementation-level speedup of the *functional* executor, not part
-    /// of the paper's protocol — virtual timings are unaffected). Values
-    /// above 1 split a range across threads only for kernels that declare
-    /// disjoint per-group writes; results stay byte-identical. Default 1
-    /// (sequential).
-    pub intra_launch_jobs: usize,
     /// Seeded fault-injection plan. `None` (the default) means no faults
     /// *and* no recovery machinery on the event timeline — traces and
     /// timings stay byte-identical to a build without the fault subsystem.
     pub faults: Option<FaultPlan>,
     /// Watchdog/retry tuning used when `faults` is set.
     pub recovery: RecoveryPolicy,
-    /// Optional debug hook run on every completed kernel report; its
-    /// error-severity findings abort the enqueue like lint errors. `None`
-    /// (the default) costs nothing.
-    pub report_hook: Option<ReportHook>,
-    /// Cap on how many devices co-execute: CPU + owner GPU + peer GPUs.
-    /// `None` (the default) uses every peer the machine declares; `Some(2)`
-    /// forces the paper's two-device protocol even on a machine with
-    /// peers. Values beyond the machine's device count are clamped.
-    pub devices: Option<usize>,
     /// Defer enqueued kernels into a dependence DAG and dispatch
     /// independent nodes concurrently across devices (HEFT-style lookahead
     /// over footprint-derived edges). Off by default: single-kernel
@@ -138,6 +80,11 @@ pub struct FluidiclConfig {
     /// enqueue protocol. When on, launches accumulate until a buffer read
     /// (or an explicit [`Fluidicl::flush_graph`](crate::Fluidicl::flush_graph))
     /// forces the graph to execute.
+    ///
+    /// Ignored while `faults` is set: the watchdog and failover protocol is
+    /// defined over immediate execution order, so every launch then runs
+    /// eagerly, one report per launch in enqueue order, exactly as with
+    /// this flag off.
     pub graph_scheduling: bool,
 }
 
@@ -151,15 +98,11 @@ impl Default for FluidiclConfig {
             buffer_pool: true,
             online_profiling: false,
             location_tracking: true,
-            chunk_growth_tolerance: 0.02,
             validate_protocol: cfg!(debug_assertions),
             dirty_range_transfers: true,
             pipeline_depth: 2,
-            intra_launch_jobs: 1,
             faults: None,
             recovery: RecoveryPolicy::default(),
-            report_hook: None,
-            devices: None,
             graph_scheduling: false,
         }
     }
@@ -181,19 +124,6 @@ impl FluidiclConfig {
         assert!(step_pct >= 0.0, "step must be non-negative");
         self.initial_chunk_pct = initial_pct;
         self.step_pct = step_pct;
-        self
-    }
-
-    /// Returns a copy capped at `n` co-executing devices (CPU + owner GPU
-    /// + peers). `with_devices(2)` pins the paper's two-device protocol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2` — co-execution needs at least CPU + owner GPU.
-    #[must_use]
-    pub fn with_devices(mut self, n: usize) -> Self {
-        assert!(n >= 2, "co-execution needs at least CPU + owner GPU");
-        self.devices = Some(n);
         self
     }
 
@@ -248,30 +178,11 @@ impl FluidiclConfig {
         self
     }
 
-    /// Returns a copy using the legacy whole-buffer transfer protocol:
-    /// every CPU subkernel ships its full output buffers and the merge
-    /// walks them entirely. Compatibility alias for
-    /// `with_dirty_range_transfers(false)` — with pipeline depth 1 it
-    /// reproduces the historical serial timings exactly (pinned by
-    /// `tests/golden/`).
-    #[must_use]
-    pub fn with_whole_buffer_transfers(self) -> Self {
-        self.with_dirty_range_transfers(false)
-    }
-
     /// Returns a copy with a different pipeline depth (values below 1 are
     /// clamped to 1; depth 1 is the serial protocol).
     #[must_use]
     pub fn with_pipeline_depth(mut self, depth: u32) -> Self {
         self.pipeline_depth = depth.max(1);
-        self
-    }
-
-    /// Returns a copy with a different intra-launch thread budget (values
-    /// below 1 are clamped to 1).
-    #[must_use]
-    pub fn with_intra_launch_jobs(mut self, jobs: usize) -> Self {
-        self.intra_launch_jobs = jobs.max(1);
         self
     }
 
@@ -287,15 +198,6 @@ impl FluidiclConfig {
     #[must_use]
     pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = policy;
-        self
-    }
-
-    /// Returns a copy with a report debug hook installed (or removed with
-    /// `None`). The hook runs on every completed kernel report and its
-    /// error-severity findings fail the enqueue.
-    #[must_use]
-    pub fn with_report_hook(mut self, hook: Option<ReportHook>) -> Self {
-        self.report_hook = hook;
         self
     }
 
@@ -327,29 +229,9 @@ mod tests {
             "dirty-range transfers are the default; whole-buffer is the compat path"
         );
         assert_eq!(cfg.pipeline_depth, 2, "one subkernel overlaps its ship");
-        assert_eq!(cfg.intra_launch_jobs, 1, "parallel execution is opt-in");
         assert_eq!(cfg.faults, None, "fault injection is opt-in");
         assert_eq!(cfg.recovery, RecoveryPolicy::default());
-        assert!(cfg.report_hook.is_none(), "debug hook is opt-in");
-        assert_eq!(cfg.devices, None, "every declared peer co-executes");
         assert!(!cfg.graph_scheduling, "graph scheduling is opt-in");
-    }
-
-    #[test]
-    fn report_hook_compares_by_identity_and_runs() {
-        let hook = ReportHook::new(|r| {
-            vec![LintDiagnostic::warning(
-                "test-rule",
-                format!("kernel {}", r.kernel),
-            )]
-        });
-        let a = FluidiclConfig::default().with_report_hook(Some(hook.clone()));
-        let b = FluidiclConfig::default().with_report_hook(Some(hook.clone()));
-        assert_eq!(a, b, "same hook instance compares equal");
-        let c = FluidiclConfig::default().with_report_hook(Some(ReportHook::new(|_| Vec::new())));
-        assert_ne!(a, c, "distinct hook instances differ");
-        assert_eq!(a.with_report_hook(None), FluidiclConfig::default());
-        assert!(format!("{hook:?}").contains("ReportHook"));
     }
 
     #[test]
@@ -362,9 +244,8 @@ mod tests {
             .with_online_profiling(true)
             .with_location_tracking(false)
             .with_validate_protocol(true)
-            .with_whole_buffer_transfers()
-            .with_pipeline_depth(0)
-            .with_intra_launch_jobs(0);
+            .with_dirty_range_transfers(false)
+            .with_pipeline_depth(0);
         assert_eq!(cfg.initial_chunk_pct, 10.0);
         assert_eq!(cfg.step_pct, 0.0);
         assert_eq!(cfg.abort_mode, AbortMode::WorkGroupStart);
@@ -373,23 +254,14 @@ mod tests {
         assert!(cfg.online_profiling);
         assert!(!cfg.location_tracking);
         assert!(cfg.validate_protocol);
-        assert!(!cfg.dirty_range_transfers, "compat flag turns dirty off");
+        assert!(!cfg.dirty_range_transfers, "whole-buffer protocol selected");
         assert_eq!(cfg.pipeline_depth, 1, "zero is clamped to serial");
-        assert_eq!(cfg.intra_launch_jobs, 1, "zero is clamped to sequential");
         let cfg = cfg.with_dirty_range_transfers(true).with_pipeline_depth(4);
         assert!(cfg.dirty_range_transfers);
         assert_eq!(cfg.pipeline_depth, 4);
-        let cfg = cfg.with_devices(3);
-        assert_eq!(cfg.devices, Some(3));
         let cfg = cfg.with_graph_scheduling(true);
         assert!(cfg.graph_scheduling);
         assert!(!cfg.with_graph_scheduling(false).graph_scheduling);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least CPU + owner GPU")]
-    fn rejects_fewer_than_two_devices() {
-        let _ = FluidiclConfig::default().with_devices(1);
     }
 
     #[test]

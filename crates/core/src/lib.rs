@@ -48,7 +48,7 @@ mod trace;
 
 pub use buffers::{BufferState, BufferTable, KernelId, PoolStats, ScratchPool, SnapshotPool};
 pub use chunk::ChunkController;
-pub use config::{FluidiclConfig, ReportHook};
+pub use config::FluidiclConfig;
 pub use endpoint::{CpuEndpoint, NonOwnerEndpoint, PeerGpuEndpoint};
 pub use frontier::{Coverage, Frontier};
 pub use graph::{DepKind, GraphEdge, GraphNodeSummary, GraphSchedule, NodeAccess};
@@ -56,6 +56,6 @@ pub use heft::{HeftEdge, HeftPlan, WeightTable};
 pub use lint::{lint_report, lint_trace, LintDiagnostic, LintSeverity};
 pub use recover::RecoveryPolicy;
 pub use roster::DeviceRoster;
-pub use runtime::{parse_disjoint_manifest, Fluidicl};
+pub use runtime::Fluidicl;
 pub use stats::{Finisher, KernelReport, LaunchMeta, RuntimeSummary};
 pub use trace::{render_lanes, render_timeline, TraceEvent, TraceKind, STATUS_MSG_BYTES};

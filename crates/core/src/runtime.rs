@@ -201,23 +201,21 @@ impl Fluidicl {
         &self.roster
     }
 
-    /// Promotes every kernel named in `proven` to declared-disjoint writes
-    /// (see [`Program::promote_disjoint`]) and, if at least one promotion
-    /// applied, raises the intra-launch thread budget to `jobs`. Returns
-    /// the number of kernels promoted. This is how a disjoint-writes proof
-    /// manifest emitted by `fluidicl-check --emit-disjoint` turns into
-    /// enabled parallelism at run time.
-    pub fn apply_disjoint_proofs(&mut self, proven: &[String], jobs: usize) -> usize {
-        let mut promoted = 0;
-        for name in proven {
-            if self.program.promote_disjoint(name) {
-                promoted += 1;
-            }
-        }
-        if promoted > 0 {
-            self.config.intra_launch_jobs = jobs.max(1);
-        }
-        promoted
+    /// Peer GPUs that can join a launch: every peer the machine declares,
+    /// minus peers lost in earlier kernels. Dev indices are stable (peer
+    /// slot + 1), so traces and reports name the same card across kernels
+    /// even after losses.
+    fn healthy_peers(&self) -> Vec<PeerSlot> {
+        self.machine
+            .peers
+            .iter()
+            .enumerate()
+            .map(|(i, p)| PeerSlot {
+                dev: i as u32 + 1,
+                peer: p.clone(),
+            })
+            .filter(|s| !self.roster.peer_dead(s.dev))
+            .collect()
     }
 
     fn scratch_setup_cost(&mut self, out_ids: &[BufferId]) -> SimDuration {
@@ -320,15 +318,7 @@ impl Fluidicl {
             DeviceKind::Cpu => &mut self.cpu_mem,
             DeviceKind::Gpu => &mut self.gpu_mem,
         };
-        let exec = execute_groups_injected(
-            launch,
-            mem,
-            0,
-            total,
-            self.config.intra_launch_jobs,
-            self.injector.as_ref(),
-            survivor,
-        );
+        let exec = execute_groups_injected(launch, mem, 0, total, self.injector.as_ref(), survivor);
         if let Err(e) = exec {
             if matches!(e, ClError::DeviceLost { .. }) {
                 self.fatal = Some(e.clone());
@@ -391,15 +381,7 @@ impl Fluidicl {
             .peer
             .gpu
             .range_time(profile, items, total, self.config.abort_mode);
-        execute_groups_injected(
-            launch,
-            &mut self.cpu_mem,
-            0,
-            total,
-            self.config.intra_launch_jobs,
-            None,
-            DeviceKind::Gpu,
-        )?;
+        execute_groups_injected(launch, &mut self.cpu_mem, 0, total, None, DeviceKind::Gpu)?;
         let complete_at = start + duration;
         let span = TraceKind::EpDegradedRun {
             dev: slot.dev,
@@ -500,24 +482,12 @@ impl Fluidicl {
         Ok(report)
     }
 
-    /// Runs the per-report protocol gates ([`FluidiclConfig::validate_protocol`]
-    /// and the report hook) and converts the first error-severity finding
-    /// into a typed [`ClError::ProtocolViolation`].
+    /// Runs the per-report protocol gate ([`FluidiclConfig::validate_protocol`])
+    /// and converts the first error-severity finding into a typed
+    /// [`ClError::ProtocolViolation`].
     fn gate_report(&self, kernel: &str, report: &KernelReport) -> ClResult<()> {
         if self.config.validate_protocol {
             let diags = crate::lint::lint_report(report);
-            if let Some(first) = diags
-                .iter()
-                .find(|d| d.severity == crate::lint::LintSeverity::Error)
-            {
-                return Err(ClError::ProtocolViolation {
-                    kernel: kernel.to_string(),
-                    detail: format!("{first} ({} finding(s) total)", diags.len()),
-                });
-            }
-        }
-        if let Some(hook) = &self.config.report_hook {
-            let diags = hook.run(report);
             if let Some(first) = diags
                 .iter()
                 .find(|d| d.severity == crate::lint::LintSeverity::Error)
@@ -582,22 +552,7 @@ impl Fluidicl {
         let edges = graph::build_edges(&accesses);
         // Execution lanes: lane 0 is the owner co-execution path, lane
         // p >= 1 is a healthy peer GPU running nodes alone.
-        let peer_cap = self
-            .config
-            .devices
-            .map_or(self.machine.peers.len(), |n| n.saturating_sub(2));
-        let peers: Vec<PeerSlot> = self
-            .machine
-            .peers
-            .iter()
-            .take(peer_cap)
-            .enumerate()
-            .map(|(i, p)| PeerSlot {
-                dev: i as u32 + 1,
-                peer: p.clone(),
-            })
-            .filter(|s| !self.roster.peer_dead(s.dev))
-            .collect();
+        let peers = self.healthy_peers();
         let lanes = 1 + peers.len();
         // HEFT node weights: the profiled EWMA estimate when the (kernel,
         // lane) pair has run before, a device-model seed otherwise (the
@@ -821,15 +776,7 @@ impl Fluidicl {
             .peer
             .gpu
             .range_time(profile, items, total, self.config.abort_mode);
-        execute_groups_injected(
-            &launch,
-            &mut self.cpu_mem,
-            0,
-            total,
-            self.config.intra_launch_jobs,
-            None,
-            DeviceKind::Gpu,
-        )?;
+        execute_groups_injected(&launch, &mut self.cpu_mem, 0, total, None, DeviceKind::Gpu)?;
         // Mirror the results into the owner-GPU address space so later
         // owner-lane nodes read coherent data.
         for id in &out_ids {
@@ -857,43 +804,6 @@ impl Fluidicl {
         self.reports.push(report);
         Ok((start, complete_at))
     }
-}
-
-/// Parses a disjoint-writes proof manifest (the JSON emitted by
-/// `fluidicl-check --emit-disjoint`, of the form
-/// `{"proven": ["kernel_a", "kernel_b"]}`) and returns the proven kernel
-/// names. The parser is deliberately tolerant — whitespace, trailing
-/// commas and unknown sibling keys are all accepted; a missing or
-/// malformed `proven` array yields an empty list rather than an error, so
-/// a stale or hand-edited manifest can never break a run.
-///
-/// # Examples
-///
-/// ```
-/// use fluidicl::parse_disjoint_manifest;
-///
-/// let names = parse_disjoint_manifest(r#"{ "proven": ["atax_1", "gemm"] }"#);
-/// assert_eq!(names, vec!["atax_1".to_string(), "gemm".to_string()]);
-/// assert!(parse_disjoint_manifest("not json").is_empty());
-/// ```
-pub fn parse_disjoint_manifest(text: &str) -> Vec<String> {
-    let Some(key) = text.find("\"proven\"") else {
-        return Vec::new();
-    };
-    let after_key = &text[key + "\"proven\"".len()..];
-    let Some(open) = after_key.find('[') else {
-        return Vec::new();
-    };
-    let body = &after_key[open + 1..];
-    let Some(close) = body.find(']') else {
-        return Vec::new();
-    };
-    body[..close]
-        .split('"')
-        .skip(1)
-        .step_by(2)
-        .map(str::to_string)
-        .collect()
 }
 
 impl ClDriver for Fluidicl {
@@ -966,26 +876,7 @@ impl ClDriver for Fluidicl {
         for id in &out_ids {
             self.buffers.begin_kernel_write(*id, kid);
         }
-        // Peer GPUs joining this launch: every peer the machine declares,
-        // capped by `config.devices`, minus peers lost in earlier kernels.
-        // Dev indices are stable (peer slot + 1), so traces and reports
-        // name the same card across kernels even after losses.
-        let peer_cap = self
-            .config
-            .devices
-            .map_or(self.machine.peers.len(), |n| n.saturating_sub(2));
-        let peers: Vec<PeerSlot> = self
-            .machine
-            .peers
-            .iter()
-            .take(peer_cap)
-            .enumerate()
-            .map(|(i, p)| PeerSlot {
-                dev: i as u32 + 1,
-                peer: p.clone(),
-            })
-            .filter(|s| !self.roster.peer_dead(s.dev))
-            .collect();
+        let peers = self.healthy_peers();
         // Roster dispatch: after a loss, follow-on kernels re-form and
         // co-execute on every healthy survivor; a single survivor executes
         // the whole NDRange as a plain single-device launch; no survivor is
@@ -1355,7 +1246,7 @@ mod tests {
             let mut rt = Fluidicl::new(
                 MachineConfig::paper_testbed(),
                 FluidiclConfig::default()
-                    .with_whole_buffer_transfers()
+                    .with_dirty_range_transfers(false)
                     .with_location_tracking(tracking),
                 scale_program(),
             );
@@ -1438,63 +1329,6 @@ mod tests {
         let (hits, misses) = rt.snapshot_stats();
         assert_eq!(misses, 1, "only the first kernel allocates a snapshot");
         assert_eq!(hits, 2, "later kernels reuse the pooled allocation");
-    }
-
-    #[test]
-    fn intra_launch_parallelism_is_byte_identical() {
-        let run = |jobs: usize| {
-            let mut program = Program::new();
-            program.register(
-                KernelDef::new(
-                    "scale",
-                    vec![
-                        ArgSpec::new("src", ArgRole::In),
-                        ArgSpec::new("dst", ArgRole::Out),
-                        ArgSpec::new("f", ArgRole::Scalar),
-                    ],
-                    KernelProfile::new("scale")
-                        .flops_per_item(4.0)
-                        .bytes_read_per_item(4.0)
-                        .bytes_written_per_item(4.0),
-                    |item, scalars, ins, outs| {
-                        let i = item.global_linear();
-                        // sin/exp give bit patterns that would expose any
-                        // reordering or double-execution.
-                        outs.at(0)[i] = (scalars.f32(0) * ins.get(0)[i]).sin().exp();
-                    },
-                )
-                .with_disjoint_writes(),
-            );
-            let mut rt = Fluidicl::new(
-                MachineConfig::paper_testbed(),
-                FluidiclConfig::default().with_intra_launch_jobs(jobs),
-                program,
-            );
-            let n = 4096;
-            let src = rt.create_buffer(n);
-            let dst = rt.create_buffer(n);
-            let input: Vec<f32> = (0..n).map(|i| (i as f32).cos()).collect();
-            rt.write_buffer(src, &input).unwrap();
-            rt.enqueue_kernel(
-                "scale",
-                NdRange::d1(n, 64).unwrap(),
-                &[
-                    KernelArg::Buffer(src),
-                    KernelArg::Buffer(dst),
-                    KernelArg::F32(1.7),
-                ],
-            )
-            .unwrap();
-            (rt.read_buffer(dst).unwrap(), rt.elapsed())
-        };
-        let (seq, t_seq) = run(1);
-        let (par, t_par) = run(4);
-        assert_eq!(
-            seq.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            par.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "parallel execution must be byte-identical"
-        );
-        assert_eq!(t_seq, t_par, "virtual time must not see the thread count");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! # fluidicl-par — a minimal, deterministic fan-out pool
 //!
-//! The experiment sweep, the `fluidicl-check` sweep and the intra-launch
-//! executor all consist of *independent* units of work: each benchmark run
-//! owns its own `Memory` and runtime, so units can execute on any thread in
-//! any order as long as the *results* are assembled in input order. This
-//! crate provides exactly that and nothing more:
+//! The experiment sweep and the `fluidicl-check` sweep both consist of
+//! *independent* units of work: each benchmark run owns its own `Memory`
+//! and runtime, so units can execute on any thread in any order as long as
+//! the *results* are assembled in input order. This crate provides exactly
+//! that and nothing more:
 //!
 //! * [`par_map`] — map a function over a `Vec` on up to [`jobs`] scoped
 //!   `std::thread`s, returning results **in input order** (each worker
@@ -15,8 +15,8 @@
 //!   tooling), then the machine's available parallelism — overridable by
 //!   the binaries' `--jobs` flag via [`configure_jobs`];
 //! * a nesting guard: a `par_map` issued *from inside* a pool worker runs
-//!   sequentially, so two fan-out layers (experiments × benchmarks, or a
-//!   sweep × the intra-launch executor) never multiply thread counts.
+//!   sequentially, so two fan-out layers (experiments × benchmarks) never
+//!   multiply thread counts.
 //!
 //! The pool is intentionally built on `std::thread::scope` rather than an
 //! external dependency: the workspace is dependency-free and the work units
@@ -60,24 +60,6 @@ pub fn default_jobs() -> usize {
 /// Values below 1 are clamped to 1.
 pub fn configure_jobs(jobs: usize) {
     JOBS.store(jobs.max(1), Ordering::SeqCst);
-}
-
-/// The machine's hardware thread count
-/// ([`std::thread::available_parallelism`]), independent of the
-/// `FLUIDICL_JOBS`/`RAYON_NUM_THREADS` overrides honored by
-/// [`default_jobs`]. Falls back to 1 when the platform cannot report it.
-pub fn hardware_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Clamps a requested worker count by [`hardware_parallelism`]: threads
-/// beyond the core count only time-slice each other, so a fan-out sized
-/// past the hardware runs *slower* than sequential (observed on 1-cpu CI
-/// runners). Never returns 0.
-pub fn effective_jobs(requested: usize) -> usize {
-    requested.min(hardware_parallelism()).max(1)
 }
 
 /// Current global worker count, resolving [`default_jobs`] on first use.
@@ -217,15 +199,6 @@ mod tests {
     #[test]
     fn default_jobs_is_at_least_one() {
         assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    fn effective_jobs_clamps_to_hardware() {
-        let hw = hardware_parallelism();
-        assert!(hw >= 1);
-        assert_eq!(effective_jobs(0), 1, "never zero");
-        assert!(effective_jobs(usize::MAX) <= hw, "capped by the hardware");
-        assert_eq!(effective_jobs(1), 1);
     }
 
     #[test]

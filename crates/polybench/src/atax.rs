@@ -45,60 +45,54 @@ fn profile_k2(n: usize) -> KernelProfile {
 /// Builds the ATAX program for problem size `n`.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
-    p.register(
-        KernelDef::new(
-            "atax_k1",
-            vec![
-                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
-                    dim: 0,
-                    width_scalar: 0,
-                }),
-                ArgSpec::new("x", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-                ArgSpec::new("tmp", ArgRole::Out).with_access(AccessPattern::Element),
-                ArgSpec::new("n", ArgRole::Scalar),
-            ],
-            profile_k1(n),
-            |item, scalars, ins, outs| {
-                let n = scalars.usize(0);
-                let i = item.global[0];
-                let a = ins.get(0);
-                let x = ins.get(1);
-                let mut acc = 0.0f32;
-                for j in 0..n {
-                    acc += a[i * n + j] * x[j];
-                }
-                outs.at(0)[i] = acc;
-            },
-        )
-        .with_disjoint_writes(),
-    );
-    p.register(
-        KernelDef::new(
-            "atax_k2",
-            vec![
-                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
-                    dim: 0,
-                    width_scalar: 0,
-                }),
-                ArgSpec::new("tmp", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-                ArgSpec::new("y", ArgRole::Out).with_access(AccessPattern::Element),
-                ArgSpec::new("n", ArgRole::Scalar),
-            ],
-            profile_k2(n),
-            |item, scalars, ins, outs| {
-                let n = scalars.usize(0);
-                let j = item.global[0];
-                let a = ins.get(0);
-                let tmp = ins.get(1);
-                let mut acc = 0.0f32;
-                for i in 0..n {
-                    acc += a[i * n + j] * tmp[i];
-                }
-                outs.at(0)[j] = acc;
-            },
-        )
-        .with_disjoint_writes(),
-    );
+    p.register(KernelDef::new(
+        "atax_k1",
+        vec![
+            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
+                dim: 0,
+                width_scalar: 0,
+            }),
+            ArgSpec::new("x", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+            ArgSpec::new("tmp", ArgRole::Out).with_access(AccessPattern::Element),
+            ArgSpec::new("n", ArgRole::Scalar),
+        ],
+        profile_k1(n),
+        |item, scalars, ins, outs| {
+            let n = scalars.usize(0);
+            let i = item.global[0];
+            let a = ins.get(0);
+            let x = ins.get(1);
+            let mut acc = 0.0f32;
+            for j in 0..n {
+                acc += a[i * n + j] * x[j];
+            }
+            outs.at(0)[i] = acc;
+        },
+    ));
+    p.register(KernelDef::new(
+        "atax_k2",
+        vec![
+            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
+                dim: 0,
+                width_scalar: 0,
+            }),
+            ArgSpec::new("tmp", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+            ArgSpec::new("y", ArgRole::Out).with_access(AccessPattern::Element),
+            ArgSpec::new("n", ArgRole::Scalar),
+        ],
+        profile_k2(n),
+        |item, scalars, ins, outs| {
+            let n = scalars.usize(0);
+            let j = item.global[0];
+            let a = ins.get(0);
+            let tmp = ins.get(1);
+            let mut acc = 0.0f32;
+            for i in 0..n {
+                acc += a[i * n + j] * tmp[i];
+            }
+            outs.at(0)[j] = acc;
+        },
+    ));
     p
 }
 

@@ -51,55 +51,49 @@ fn sum_profile() -> KernelProfile {
 /// Builds the BATCHMM program for problem size `n`.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
-    p.register(
-        KernelDef::new(
-            "batchmm_mul",
-            vec![
-                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
-                    dim: 1,
-                    width_scalar: 0,
-                }),
-                ArgSpec::new("b", ArgRole::In).with_access(AccessPattern::Col {
-                    dim: 0,
-                    width_scalar: 0,
-                }),
-                ArgSpec::new("e", ArgRole::Out).with_access(AccessPattern::Element),
-                ArgSpec::new("n", ArgRole::Scalar),
-            ],
-            mul_profile(n),
-            |item, scalars, ins, outs| {
-                let n = scalars.usize(0);
-                let i = item.global[1];
-                let j = item.global[0];
-                let a = ins.get(0);
-                let b = ins.get(1);
-                let mut acc = 0.0f32;
-                for k in 0..n {
-                    acc += a[i * n + k] * b[k * n + j];
-                }
-                outs.at(0)[i * n + j] = acc;
-            },
-        )
-        .with_disjoint_writes(),
-    );
-    p.register(
-        KernelDef::new(
-            "batchmm_sum",
-            vec![
-                ArgSpec::new("e0", ArgRole::In).with_access(AccessPattern::Element),
-                ArgSpec::new("e1", ArgRole::In).with_access(AccessPattern::Element),
-                ArgSpec::new("e2", ArgRole::In).with_access(AccessPattern::Element),
-                ArgSpec::new("e3", ArgRole::In).with_access(AccessPattern::Element),
-                ArgSpec::new("g", ArgRole::Out).with_access(AccessPattern::Element),
-            ],
-            sum_profile(),
-            |item, _, ins, outs| {
-                let at = item.global_linear();
-                outs.at(0)[at] = ins.get(0)[at] + ins.get(1)[at] + ins.get(2)[at] + ins.get(3)[at];
-            },
-        )
-        .with_disjoint_writes(),
-    );
+    p.register(KernelDef::new(
+        "batchmm_mul",
+        vec![
+            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
+                dim: 1,
+                width_scalar: 0,
+            }),
+            ArgSpec::new("b", ArgRole::In).with_access(AccessPattern::Col {
+                dim: 0,
+                width_scalar: 0,
+            }),
+            ArgSpec::new("e", ArgRole::Out).with_access(AccessPattern::Element),
+            ArgSpec::new("n", ArgRole::Scalar),
+        ],
+        mul_profile(n),
+        |item, scalars, ins, outs| {
+            let n = scalars.usize(0);
+            let i = item.global[1];
+            let j = item.global[0];
+            let a = ins.get(0);
+            let b = ins.get(1);
+            let mut acc = 0.0f32;
+            for k in 0..n {
+                acc += a[i * n + k] * b[k * n + j];
+            }
+            outs.at(0)[i * n + j] = acc;
+        },
+    ));
+    p.register(KernelDef::new(
+        "batchmm_sum",
+        vec![
+            ArgSpec::new("e0", ArgRole::In).with_access(AccessPattern::Element),
+            ArgSpec::new("e1", ArgRole::In).with_access(AccessPattern::Element),
+            ArgSpec::new("e2", ArgRole::In).with_access(AccessPattern::Element),
+            ArgSpec::new("e3", ArgRole::In).with_access(AccessPattern::Element),
+            ArgSpec::new("g", ArgRole::Out).with_access(AccessPattern::Element),
+        ],
+        sum_profile(),
+        |item, _, ins, outs| {
+            let at = item.global_linear();
+            outs.at(0)[at] = ins.get(0)[at] + ins.get(1)[at] + ins.get(2)[at] + ins.get(3)[at];
+        },
+    ));
     p
 }
 

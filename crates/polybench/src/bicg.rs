@@ -46,60 +46,54 @@ fn profile_s(n: usize) -> KernelProfile {
 /// Builds the BICG program for problem size `n`.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
-    p.register(
-        KernelDef::new(
-            "bicg_q",
-            vec![
-                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
-                    dim: 0,
-                    width_scalar: 0,
-                }),
-                ArgSpec::new("p", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-                ArgSpec::new("q", ArgRole::Out).with_access(AccessPattern::Element),
-                ArgSpec::new("n", ArgRole::Scalar),
-            ],
-            profile_q(n),
-            |item, scalars, ins, outs| {
-                let n = scalars.usize(0);
-                let i = item.global[0];
-                let a = ins.get(0);
-                let p = ins.get(1);
-                let mut acc = 0.0f32;
-                for j in 0..n {
-                    acc += a[i * n + j] * p[j];
-                }
-                outs.at(0)[i] = acc;
-            },
-        )
-        .with_disjoint_writes(),
-    );
-    p.register(
-        KernelDef::new(
-            "bicg_s",
-            vec![
-                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
-                    dim: 0,
-                    width_scalar: 0,
-                }),
-                ArgSpec::new("r", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-                ArgSpec::new("s", ArgRole::Out).with_access(AccessPattern::Element),
-                ArgSpec::new("n", ArgRole::Scalar),
-            ],
-            profile_s(n),
-            |item, scalars, ins, outs| {
-                let n = scalars.usize(0);
-                let j = item.global[0];
-                let a = ins.get(0);
-                let r = ins.get(1);
-                let mut acc = 0.0f32;
-                for i in 0..n {
-                    acc += a[i * n + j] * r[i];
-                }
-                outs.at(0)[j] = acc;
-            },
-        )
-        .with_disjoint_writes(),
-    );
+    p.register(KernelDef::new(
+        "bicg_q",
+        vec![
+            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
+                dim: 0,
+                width_scalar: 0,
+            }),
+            ArgSpec::new("p", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+            ArgSpec::new("q", ArgRole::Out).with_access(AccessPattern::Element),
+            ArgSpec::new("n", ArgRole::Scalar),
+        ],
+        profile_q(n),
+        |item, scalars, ins, outs| {
+            let n = scalars.usize(0);
+            let i = item.global[0];
+            let a = ins.get(0);
+            let p = ins.get(1);
+            let mut acc = 0.0f32;
+            for j in 0..n {
+                acc += a[i * n + j] * p[j];
+            }
+            outs.at(0)[i] = acc;
+        },
+    ));
+    p.register(KernelDef::new(
+        "bicg_s",
+        vec![
+            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
+                dim: 0,
+                width_scalar: 0,
+            }),
+            ArgSpec::new("r", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+            ArgSpec::new("s", ArgRole::Out).with_access(AccessPattern::Element),
+            ArgSpec::new("n", ArgRole::Scalar),
+        ],
+        profile_s(n),
+        |item, scalars, ins, outs| {
+            let n = scalars.usize(0);
+            let j = item.global[0];
+            let a = ins.get(0);
+            let r = ins.get(1);
+            let mut acc = 0.0f32;
+            for i in 0..n {
+                acc += a[i * n + j] * r[i];
+            }
+            outs.at(0)[j] = acc;
+        },
+    ));
     p
 }
 

@@ -136,82 +136,73 @@ fn symmat_footprint(
 /// carries the loop-interchanged alternate version for online profiling.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
-    p.register(
-        KernelDef::new(
-            "corr_mean",
-            vec![
-                ArgSpec::new("data", ArgRole::In).with_access(AccessPattern::Col {
-                    dim: 0,
-                    width_scalar: 0,
-                }),
-                ArgSpec::new("mean", ArgRole::Out).with_access(AccessPattern::Element),
-                ArgSpec::new("n", ArgRole::Scalar),
-            ],
-            profile_mean(n),
-            |item, scalars, ins, outs| {
-                let n = scalars.usize(0);
-                let j = item.global[0];
-                let data = ins.get(0);
-                let mut acc = 0.0f32;
-                for i in 0..n {
-                    acc += data[i * n + j];
-                }
-                outs.at(0)[j] = acc / n as f32;
-            },
-        )
-        .with_disjoint_writes(),
-    );
-    p.register(
-        KernelDef::new(
-            "corr_std",
-            vec![
-                ArgSpec::new("data", ArgRole::In).with_access(AccessPattern::Col {
-                    dim: 0,
-                    width_scalar: 0,
-                }),
-                ArgSpec::new("mean", ArgRole::In).with_access(AccessPattern::Element),
-                ArgSpec::new("std", ArgRole::Out).with_access(AccessPattern::Element),
-                ArgSpec::new("n", ArgRole::Scalar),
-            ],
-            profile_std(n),
-            |item, scalars, ins, outs| {
-                let n = scalars.usize(0);
-                let j = item.global[0];
-                let data = ins.get(0);
-                let mean = ins.get(1);
-                let mut acc = 0.0f32;
-                for i in 0..n {
-                    let d = data[i * n + j] - mean[j];
-                    acc += d * d;
-                }
-                let sd = (acc / n as f32).sqrt();
-                outs.at(0)[j] = if sd <= EPS { 1.0 } else { sd };
-            },
-        )
-        .with_disjoint_writes(),
-    );
-    p.register(
-        KernelDef::new(
-            "corr_center",
-            vec![
-                ArgSpec::new("mean", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-                ArgSpec::new("std", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-                ArgSpec::new("data", ArgRole::InOut).with_access(AccessPattern::Element),
-                ArgSpec::new("n", ArgRole::Scalar),
-            ],
-            profile_center(n),
-            |item, scalars, ins, outs| {
-                let n = scalars.usize(0);
-                let j = item.global[0];
-                let i = item.global[1];
-                let mean = ins.get(0);
-                let std = ins.get(1);
-                let data = outs.at(0);
-                data[i * n + j] = (data[i * n + j] - mean[j]) / ((n as f32).sqrt() * std[j]);
-            },
-        )
-        .with_disjoint_writes(),
-    );
+    p.register(KernelDef::new(
+        "corr_mean",
+        vec![
+            ArgSpec::new("data", ArgRole::In).with_access(AccessPattern::Col {
+                dim: 0,
+                width_scalar: 0,
+            }),
+            ArgSpec::new("mean", ArgRole::Out).with_access(AccessPattern::Element),
+            ArgSpec::new("n", ArgRole::Scalar),
+        ],
+        profile_mean(n),
+        |item, scalars, ins, outs| {
+            let n = scalars.usize(0);
+            let j = item.global[0];
+            let data = ins.get(0);
+            let mut acc = 0.0f32;
+            for i in 0..n {
+                acc += data[i * n + j];
+            }
+            outs.at(0)[j] = acc / n as f32;
+        },
+    ));
+    p.register(KernelDef::new(
+        "corr_std",
+        vec![
+            ArgSpec::new("data", ArgRole::In).with_access(AccessPattern::Col {
+                dim: 0,
+                width_scalar: 0,
+            }),
+            ArgSpec::new("mean", ArgRole::In).with_access(AccessPattern::Element),
+            ArgSpec::new("std", ArgRole::Out).with_access(AccessPattern::Element),
+            ArgSpec::new("n", ArgRole::Scalar),
+        ],
+        profile_std(n),
+        |item, scalars, ins, outs| {
+            let n = scalars.usize(0);
+            let j = item.global[0];
+            let data = ins.get(0);
+            let mean = ins.get(1);
+            let mut acc = 0.0f32;
+            for i in 0..n {
+                let d = data[i * n + j] - mean[j];
+                acc += d * d;
+            }
+            let sd = (acc / n as f32).sqrt();
+            outs.at(0)[j] = if sd <= EPS { 1.0 } else { sd };
+        },
+    ));
+    p.register(KernelDef::new(
+        "corr_center",
+        vec![
+            ArgSpec::new("mean", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+            ArgSpec::new("std", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+            ArgSpec::new("data", ArgRole::InOut).with_access(AccessPattern::Element),
+            ArgSpec::new("n", ArgRole::Scalar),
+        ],
+        profile_center(n),
+        |item, scalars, ins, outs| {
+            let n = scalars.usize(0);
+            let j = item.global[0];
+            let i = item.global[1];
+            let mean = ins.get(0);
+            let std = ins.get(1);
+            let data = outs.at(0);
+            data[i * n + j] = (data[i * n + j] - mean[j]) / ((n as f32).sqrt() * std[j]);
+        },
+    ));
     p.register(
         KernelDef::new(
             "corr_corr",
@@ -224,10 +215,7 @@ pub fn program(n: usize) -> Program {
             profile_corr_base(n),
             corr_body,
         )
-        .with_version("loop-interchanged", profile_corr_interchanged(n), corr_body)
-        // Every symmat element has a unique writer (the work-item with the
-        // smaller of its two indices), so per-group writes are disjoint.
-        .with_disjoint_writes(),
+        .with_version("loop-interchanged", profile_corr_interchanged(n), corr_body),
     );
     p
 }

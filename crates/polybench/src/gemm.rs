@@ -38,42 +38,39 @@ fn profile(n: usize) -> KernelProfile {
 /// Builds the GEMM program for problem size `n`.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
-    p.register(
-        KernelDef::new(
-            "gemm",
-            vec![
-                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
-                    dim: 1,
-                    width_scalar: 2,
-                }),
-                ArgSpec::new("b", ArgRole::In).with_access(AccessPattern::Col {
-                    dim: 0,
-                    width_scalar: 2,
-                }),
-                ArgSpec::new("c", ArgRole::InOut).with_access(AccessPattern::Element),
-                ArgSpec::new("alpha", ArgRole::Scalar),
-                ArgSpec::new("beta", ArgRole::Scalar),
-                ArgSpec::new("n", ArgRole::Scalar),
-            ],
-            profile(n),
-            |item, scalars, ins, outs| {
-                let alpha = scalars.f32(0);
-                let beta = scalars.f32(1);
-                let n = scalars.usize(2);
-                let i = item.global[1];
-                let j = item.global[0];
-                let a = ins.get(0);
-                let b = ins.get(1);
-                let mut acc = 0.0f32;
-                for k in 0..n {
-                    acc += a[i * n + k] * b[k * n + j];
-                }
-                let c = outs.at(0);
-                c[i * n + j] = beta * c[i * n + j] + alpha * acc;
-            },
-        )
-        .with_disjoint_writes(),
-    );
+    p.register(KernelDef::new(
+        "gemm",
+        vec![
+            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
+                dim: 1,
+                width_scalar: 2,
+            }),
+            ArgSpec::new("b", ArgRole::In).with_access(AccessPattern::Col {
+                dim: 0,
+                width_scalar: 2,
+            }),
+            ArgSpec::new("c", ArgRole::InOut).with_access(AccessPattern::Element),
+            ArgSpec::new("alpha", ArgRole::Scalar),
+            ArgSpec::new("beta", ArgRole::Scalar),
+            ArgSpec::new("n", ArgRole::Scalar),
+        ],
+        profile(n),
+        |item, scalars, ins, outs| {
+            let alpha = scalars.f32(0);
+            let beta = scalars.f32(1);
+            let n = scalars.usize(2);
+            let i = item.global[1];
+            let j = item.global[0];
+            let a = ins.get(0);
+            let b = ins.get(1);
+            let mut acc = 0.0f32;
+            for k in 0..n {
+                acc += a[i * n + k] * b[k * n + j];
+            }
+            let c = outs.at(0);
+            c[i * n + j] = beta * c[i * n + j] + alpha * acc;
+        },
+    ));
     p
 }
 

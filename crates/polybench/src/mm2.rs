@@ -35,73 +35,67 @@ fn profile(name: &str, n: usize) -> KernelProfile {
 /// Builds the 2MM program for problem size `n`.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
-    p.register(
-        KernelDef::new(
-            "mm2_tmp",
-            vec![
-                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
-                    dim: 1,
-                    width_scalar: 1,
-                }),
-                ArgSpec::new("b", ArgRole::In).with_access(AccessPattern::Col {
-                    dim: 0,
-                    width_scalar: 1,
-                }),
-                ArgSpec::new("tmp", ArgRole::Out).with_access(AccessPattern::Element),
-                ArgSpec::new("alpha", ArgRole::Scalar),
-                ArgSpec::new("n", ArgRole::Scalar),
-            ],
-            profile("mm2_tmp", n),
-            |item, scalars, ins, outs| {
-                let alpha = scalars.f32(0);
-                let n = scalars.usize(1);
-                let i = item.global[1];
-                let j = item.global[0];
-                let a = ins.get(0);
-                let b = ins.get(1);
-                let mut acc = 0.0f32;
-                for k in 0..n {
-                    acc += a[i * n + k] * b[k * n + j];
-                }
-                outs.at(0)[i * n + j] = alpha * acc;
-            },
-        )
-        .with_disjoint_writes(),
-    );
-    p.register(
-        KernelDef::new(
-            "mm2_d",
-            vec![
-                ArgSpec::new("tmp", ArgRole::In).with_access(AccessPattern::Row {
-                    dim: 1,
-                    width_scalar: 1,
-                }),
-                ArgSpec::new("c", ArgRole::In).with_access(AccessPattern::Col {
-                    dim: 0,
-                    width_scalar: 1,
-                }),
-                ArgSpec::new("d", ArgRole::InOut).with_access(AccessPattern::Element),
-                ArgSpec::new("beta", ArgRole::Scalar),
-                ArgSpec::new("n", ArgRole::Scalar),
-            ],
-            profile("mm2_d", n),
-            |item, scalars, ins, outs| {
-                let beta = scalars.f32(0);
-                let n = scalars.usize(1);
-                let i = item.global[1];
-                let j = item.global[0];
-                let tmp = ins.get(0);
-                let c = ins.get(1);
-                let mut acc = 0.0f32;
-                for k in 0..n {
-                    acc += tmp[i * n + k] * c[k * n + j];
-                }
-                let d = outs.at(0);
-                d[i * n + j] = beta * d[i * n + j] + acc;
-            },
-        )
-        .with_disjoint_writes(),
-    );
+    p.register(KernelDef::new(
+        "mm2_tmp",
+        vec![
+            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
+                dim: 1,
+                width_scalar: 1,
+            }),
+            ArgSpec::new("b", ArgRole::In).with_access(AccessPattern::Col {
+                dim: 0,
+                width_scalar: 1,
+            }),
+            ArgSpec::new("tmp", ArgRole::Out).with_access(AccessPattern::Element),
+            ArgSpec::new("alpha", ArgRole::Scalar),
+            ArgSpec::new("n", ArgRole::Scalar),
+        ],
+        profile("mm2_tmp", n),
+        |item, scalars, ins, outs| {
+            let alpha = scalars.f32(0);
+            let n = scalars.usize(1);
+            let i = item.global[1];
+            let j = item.global[0];
+            let a = ins.get(0);
+            let b = ins.get(1);
+            let mut acc = 0.0f32;
+            for k in 0..n {
+                acc += a[i * n + k] * b[k * n + j];
+            }
+            outs.at(0)[i * n + j] = alpha * acc;
+        },
+    ));
+    p.register(KernelDef::new(
+        "mm2_d",
+        vec![
+            ArgSpec::new("tmp", ArgRole::In).with_access(AccessPattern::Row {
+                dim: 1,
+                width_scalar: 1,
+            }),
+            ArgSpec::new("c", ArgRole::In).with_access(AccessPattern::Col {
+                dim: 0,
+                width_scalar: 1,
+            }),
+            ArgSpec::new("d", ArgRole::InOut).with_access(AccessPattern::Element),
+            ArgSpec::new("beta", ArgRole::Scalar),
+            ArgSpec::new("n", ArgRole::Scalar),
+        ],
+        profile("mm2_d", n),
+        |item, scalars, ins, outs| {
+            let beta = scalars.f32(0);
+            let n = scalars.usize(1);
+            let i = item.global[1];
+            let j = item.global[0];
+            let tmp = ins.get(0);
+            let c = ins.get(1);
+            let mut acc = 0.0f32;
+            for k in 0..n {
+                acc += tmp[i * n + k] * c[k * n + j];
+            }
+            let d = outs.at(0);
+            d[i * n + j] = beta * d[i * n + j] + acc;
+        },
+    ));
     p
 }
 

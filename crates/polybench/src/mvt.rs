@@ -44,60 +44,54 @@ fn profile_x2(n: usize) -> KernelProfile {
 /// Builds the MVT program for problem size `n`.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
-    p.register(
-        KernelDef::new(
-            "mvt_x1",
-            vec![
-                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
-                    dim: 0,
-                    width_scalar: 0,
-                }),
-                ArgSpec::new("y1", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-                ArgSpec::new("x1", ArgRole::InOut).with_access(AccessPattern::Element),
-                ArgSpec::new("n", ArgRole::Scalar),
-            ],
-            profile_x1(n),
-            |item, scalars, ins, outs| {
-                let n = scalars.usize(0);
-                let i = item.global[0];
-                let a = ins.get(0);
-                let y1 = ins.get(1);
-                let mut acc = 0.0f32;
-                for j in 0..n {
-                    acc += a[i * n + j] * y1[j];
-                }
-                outs.at(0)[i] += acc;
-            },
-        )
-        .with_disjoint_writes(),
-    );
-    p.register(
-        KernelDef::new(
-            "mvt_x2",
-            vec![
-                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
-                    dim: 0,
-                    width_scalar: 0,
-                }),
-                ArgSpec::new("y2", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-                ArgSpec::new("x2", ArgRole::InOut).with_access(AccessPattern::Element),
-                ArgSpec::new("n", ArgRole::Scalar),
-            ],
-            profile_x2(n),
-            |item, scalars, ins, outs| {
-                let n = scalars.usize(0);
-                let i = item.global[0];
-                let a = ins.get(0);
-                let y2 = ins.get(1);
-                let mut acc = 0.0f32;
-                for j in 0..n {
-                    acc += a[j * n + i] * y2[j];
-                }
-                outs.at(0)[i] += acc;
-            },
-        )
-        .with_disjoint_writes(),
-    );
+    p.register(KernelDef::new(
+        "mvt_x1",
+        vec![
+            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
+                dim: 0,
+                width_scalar: 0,
+            }),
+            ArgSpec::new("y1", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+            ArgSpec::new("x1", ArgRole::InOut).with_access(AccessPattern::Element),
+            ArgSpec::new("n", ArgRole::Scalar),
+        ],
+        profile_x1(n),
+        |item, scalars, ins, outs| {
+            let n = scalars.usize(0);
+            let i = item.global[0];
+            let a = ins.get(0);
+            let y1 = ins.get(1);
+            let mut acc = 0.0f32;
+            for j in 0..n {
+                acc += a[i * n + j] * y1[j];
+            }
+            outs.at(0)[i] += acc;
+        },
+    ));
+    p.register(KernelDef::new(
+        "mvt_x2",
+        vec![
+            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
+                dim: 0,
+                width_scalar: 0,
+            }),
+            ArgSpec::new("y2", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+            ArgSpec::new("x2", ArgRole::InOut).with_access(AccessPattern::Element),
+            ArgSpec::new("n", ArgRole::Scalar),
+        ],
+        profile_x2(n),
+        |item, scalars, ins, outs| {
+            let n = scalars.usize(0);
+            let i = item.global[0];
+            let a = ins.get(0);
+            let y2 = ins.get(1);
+            let mut acc = 0.0f32;
+            for j in 0..n {
+                acc += a[j * n + i] * y2[j];
+            }
+            outs.at(0)[i] += acc;
+        },
+    ));
     p
 }
 

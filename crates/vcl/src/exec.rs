@@ -10,7 +10,6 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::kernel::{Inputs, KernelBody, KernelDef, Outputs, Scalars};
-use crate::memory::diff_merge;
 use crate::ndrange::for_each_item_in_group;
 use crate::{BufferId, ClError, ClResult, KernelArg, Memory, NdRange};
 
@@ -190,128 +189,7 @@ fn run_range(
     }
 }
 
-/// Executes flattened work-groups `[from, to)` of `launch` against `mem`,
-/// splitting the range across up to `jobs` threads when it is provably safe.
-///
-/// The parallel path is taken only when the kernel declares
-/// [`KernelDef::disjoint_writes`] — the contract (verified per benchmark by
-/// the `fluidicl-check` sanitizer's write-maps) that distinct work-groups
-/// never write the same output element and never read another group's output
-/// writes. Under that contract each thread runs its contiguous chunk of
-/// groups against a private copy of the output buffers, and the chunks are
-/// [`diff_merge`]d back **in chunk order**, which is byte-identical to the
-/// sequential execution. Without the declaration — or when `jobs <= 1`, the
-/// range holds fewer than two groups, or the caller is already a pool worker
-/// — this falls back to [`execute_groups`].
-///
-/// # Errors
-///
-/// Same as [`execute_groups`].
-pub fn execute_groups_par(
-    launch: &Launch,
-    mem: &mut Memory,
-    from: u64,
-    to: u64,
-    jobs: usize,
-) -> ClResult<()> {
-    execute_groups_par_capped(
-        launch,
-        mem,
-        from,
-        to,
-        jobs,
-        fluidicl_par::hardware_parallelism(),
-    )
-}
-
-/// [`execute_groups_par`] with an explicit hardware-thread cap.
-///
-/// `jobs` is clamped to `hw` before the dispatch decision: with one
-/// effective job (a 1-cpu runner, however large the requested fan-out) the
-/// parallel machinery — private output copies, chunk merges, pool threads
-/// time-slicing a single core — costs strictly more than the sequential
-/// path it would emulate, so the call degrades to [`execute_groups`].
-/// `execute_groups_par` passes [`fluidicl_par::hardware_parallelism`];
-/// tests pin the degradation by passing `hw` directly.
-///
-/// # Errors
-///
-/// Same as [`execute_groups`].
-pub fn execute_groups_par_capped(
-    launch: &Launch,
-    mem: &mut Memory,
-    from: u64,
-    to: u64,
-    jobs: usize,
-    hw: usize,
-) -> ClResult<()> {
-    let jobs = jobs.min(hw.max(1));
-    let span = to.saturating_sub(from);
-    if jobs <= 1 || span < 2 || !launch.kernel.disjoint_writes() || fluidicl_par::in_pool() {
-        return execute_groups(launch, mem, from, to);
-    }
-    let total = launch.ndrange.num_groups();
-    if from > to || to > total {
-        return Err(ClError::InvalidNdRange(format!(
-            "group range {from}..{to} exceeds {total} groups"
-        )));
-    }
-    let plan = launch.plan()?;
-    let version = launch.resolved_version();
-
-    let mut taken = take_outputs(mem, &plan.outs)?;
-    let result = (|| -> ClResult<()> {
-        let mut in_slices: Vec<&[f32]> = Vec::with_capacity(plan.ins.len());
-        for id in &plan.ins {
-            in_slices.push(mem.get(*id)?);
-        }
-        // Pristine originals: the diff-merge baseline for every chunk.
-        let orig: Vec<Vec<f32>> = taken.iter().map(|(_, v)| v.clone()).collect();
-
-        // Contiguous chunks in range order.
-        let workers = (jobs as u64).min(span);
-        let chunk = span.div_ceil(workers);
-        let ranges: Vec<(u64, u64)> = (0..workers)
-            .map(|w| {
-                let a = from + w * chunk;
-                (a, (a + chunk).min(to))
-            })
-            .filter(|(a, b)| a < b)
-            .collect();
-
-        let body = &version.body;
-        let ndrange = &launch.ndrange;
-        let scalars = &plan.scalars;
-        let locals: Vec<Vec<Vec<f32>>> =
-            fluidicl_par::par_map_jobs(ranges.clone(), jobs, |(a, b)| {
-                let mut bufs: Vec<Vec<f32>> = orig.clone();
-                // `Inputs` carries interior mutability (read-tracking flags), so
-                // each worker builds its own view over the shared slices.
-                let ins = Inputs::new(in_slices.clone());
-                let mut out_slices: Vec<&mut [f32]> =
-                    bufs.iter_mut().map(Vec::as_mut_slice).collect();
-                let mut outs = Outputs::new(std::mem::take(&mut out_slices));
-                run_range(body, ndrange, scalars, &ins, &mut outs, a, b);
-                bufs
-            });
-
-        // Merge chunk results back in range order: with disjoint writes each
-        // element is changed by at most one chunk, so order is irrelevant to
-        // the value — but merging in order keeps the procedure deterministic.
-        for local in &locals {
-            for ((dst, l), o) in taken.iter_mut().zip(local).zip(&orig) {
-                diff_merge(&mut dst.1, l, o);
-            }
-        }
-        Ok(())
-    })();
-    for (id, v) in taken {
-        mem.install(id, v);
-    }
-    result
-}
-
-/// Fault-aware variant of [`execute_groups_par`]: consults `injector` (when
+/// Fault-aware variant of [`execute_groups`]: consults `injector` (when
 /// present) before touching `mem`, so an execution attributed to a lost
 /// `device` fails with [`ClError::DeviceLost`] instead of computing results
 /// a dead device could never have produced. Used by the degraded
@@ -326,7 +204,6 @@ pub fn execute_groups_injected(
     mem: &mut Memory,
     from: u64,
     to: u64,
-    jobs: usize,
     injector: Option<&crate::fault::FaultInjector>,
     device: crate::DeviceKind,
 ) -> ClResult<()> {
@@ -338,7 +215,7 @@ pub fn execute_groups_injected(
             });
         }
     }
-    execute_groups_par(launch, mem, from, to, jobs)
+    execute_groups(launch, mem, from, to)
 }
 
 /// Executes the entire NDRange of `launch` against `mem`.
@@ -524,191 +401,6 @@ mod tests {
         assert!(launch.plan().is_err(), "error repeats, no stale cache");
     }
 
-    fn scale_kernel_disjoint() -> Arc<KernelDef> {
-        Arc::new(
-            KernelDef::new(
-                "scale",
-                vec![
-                    ArgSpec::new("src", ArgRole::In),
-                    ArgSpec::new("dst", ArgRole::Out),
-                    ArgSpec::new("factor", ArgRole::Scalar),
-                ],
-                KernelProfile::new("scale"),
-                |item, scalars, ins, outs| {
-                    let i = item.global_linear();
-                    outs.at(0)[i] = ins.get(0)[i] * scalars.f32(0);
-                },
-            )
-            .with_disjoint_writes(),
-        )
-    }
-
-    #[test]
-    fn one_hardware_thread_degrades_to_sequential() {
-        // The kernel body records whether it ran on a pool worker: with the
-        // hardware cap at 1 the parallel entry point must not spawn at all,
-        // however large the requested fan-out.
-        let probe_kernel = || {
-            Arc::new(
-                KernelDef::new(
-                    "probe",
-                    vec![ArgSpec::new("dst", ArgRole::Out)],
-                    KernelProfile::new("probe"),
-                    |item, _, _, outs| {
-                        let i = item.global_linear();
-                        outs.at(0)[i] = fluidicl_par::in_pool() as i32 as f32;
-                    },
-                )
-                .with_disjoint_writes(),
-            )
-        };
-        let n = 64;
-        let nd = NdRange::d1(n, 4).unwrap();
-        let args = vec![KernelArg::Buffer(BufferId(0))];
-
-        let mut mem = Memory::new();
-        mem.alloc(BufferId(0), n);
-        let launch = Launch::new(probe_kernel(), nd, args.clone());
-        execute_groups_par_capped(&launch, &mut mem, 0, 16, 8, 1).unwrap();
-        assert_eq!(
-            mem.get(BufferId(0)).unwrap(),
-            &vec![0.0; n][..],
-            "hw=1 runs every group on the calling thread"
-        );
-
-        let mut mem = Memory::new();
-        mem.alloc(BufferId(0), n);
-        let launch = Launch::new(probe_kernel(), nd, args);
-        execute_groups_par_capped(&launch, &mut mem, 0, 16, 8, 64).unwrap();
-        assert!(
-            mem.get(BufferId(0)).unwrap().contains(&1.0),
-            "an uncapped fan-out reaches the pool"
-        );
-    }
-
-    #[test]
-    fn parallel_execution_matches_sequential() {
-        let n = 64;
-        let args = vec![
-            KernelArg::Buffer(BufferId(0)),
-            KernelArg::Buffer(BufferId(1)),
-            KernelArg::F32(2.5),
-        ];
-        let mut seq_mem = Memory::new();
-        seq_mem.install(BufferId(0), (0..n).map(|i| i as f32).collect());
-        seq_mem.alloc(BufferId(1), n);
-        let mut par_mem = seq_mem.clone();
-
-        let k = scale_kernel_disjoint();
-        let nd = NdRange::d1(n, 4).unwrap();
-        let seq_launch = Launch::new(Arc::clone(&k), nd, args.clone());
-        let par_launch = Launch::new(k, nd, args);
-
-        execute_groups(&seq_launch, &mut seq_mem, 0, 16).unwrap();
-        execute_groups_par(&par_launch, &mut par_mem, 0, 16, 4).unwrap();
-        assert_eq!(
-            seq_mem.get(BufferId(1)).unwrap(),
-            par_mem.get(BufferId(1)).unwrap()
-        );
-    }
-
-    #[test]
-    fn parallel_execution_respects_partial_ranges() {
-        let n = 64;
-        let mut mem = Memory::new();
-        mem.install(BufferId(0), (0..n).map(|i| i as f32).collect());
-        mem.alloc(BufferId(1), n);
-        let launch = Launch::new(
-            scale_kernel_disjoint(),
-            NdRange::d1(n, 4).unwrap(),
-            vec![
-                KernelArg::Buffer(BufferId(0)),
-                KernelArg::Buffer(BufferId(1)),
-                KernelArg::F32(3.0),
-            ],
-        );
-        // Groups 4..12 → items 16..48; 3 jobs over 8 groups exercises the
-        // uneven chunk split.
-        execute_groups_par(&launch, &mut mem, 4, 12, 3).unwrap();
-        let out = mem.get(BufferId(1)).unwrap();
-        for (i, &v) in out.iter().enumerate() {
-            if (16..48).contains(&i) {
-                assert_eq!(v, 3.0 * i as f32);
-            } else {
-                assert_eq!(v, 0.0, "groups outside the range must stay zero");
-            }
-        }
-    }
-
-    #[test]
-    fn undeclared_kernels_fall_back_to_sequential() {
-        // The plain scale kernel never declares disjoint writes, so the
-        // parallel entry point must still produce the sequential result.
-        let (mut mem, k) = setup(16);
-        let launch = Launch::new(
-            k,
-            NdRange::d1(16, 4).unwrap(),
-            vec![
-                KernelArg::Buffer(BufferId(0)),
-                KernelArg::Buffer(BufferId(1)),
-                KernelArg::F32(2.0),
-            ],
-        );
-        execute_groups_par(&launch, &mut mem, 0, 4, 8).unwrap();
-        let out = mem.get(BufferId(1)).unwrap();
-        for (i, &v) in out.iter().enumerate() {
-            assert_eq!(v, 2.0 * i as f32);
-        }
-    }
-
-    #[test]
-    fn parallel_inout_kernel_matches_sequential() {
-        let body = |item: &crate::WorkItem, _: &Scalars, _: &Inputs<'_>, outs: &mut Outputs<'_>| {
-            let i = item.global_linear();
-            outs.at(0)[i] += (i as f32) + 1.0;
-        };
-        let mk = || {
-            Arc::new(
-                KernelDef::new(
-                    "incr",
-                    vec![ArgSpec::new("data", ArgRole::InOut)],
-                    KernelProfile::new("incr"),
-                    body,
-                )
-                .with_disjoint_writes(),
-            )
-        };
-        let mut seq_mem = Memory::new();
-        seq_mem.install(BufferId(3), vec![10.0; 32]);
-        let mut par_mem = seq_mem.clone();
-        let nd = NdRange::d1(32, 4).unwrap();
-        let args = vec![KernelArg::Buffer(BufferId(3))];
-        execute_groups(&Launch::new(mk(), nd, args.clone()), &mut seq_mem, 0, 8).unwrap();
-        execute_groups_par(&Launch::new(mk(), nd, args), &mut par_mem, 0, 8, 4).unwrap();
-        assert_eq!(
-            seq_mem.get(BufferId(3)).unwrap(),
-            par_mem.get(BufferId(3)).unwrap()
-        );
-    }
-
-    #[test]
-    fn parallel_out_of_range_is_rejected() {
-        let (mut mem, _) = setup(16);
-        let launch = Launch::new(
-            scale_kernel_disjoint(),
-            NdRange::d1(16, 4).unwrap(),
-            vec![
-                KernelArg::Buffer(BufferId(0)),
-                KernelArg::Buffer(BufferId(1)),
-                KernelArg::F32(1.0),
-            ],
-        );
-        assert!(matches!(
-            execute_groups_par(&launch, &mut mem, 0, 5, 4),
-            Err(ClError::InvalidNdRange(_))
-        ));
-    }
-
     #[test]
     fn injected_execution_refuses_a_lost_device() {
         use crate::fault::{FaultInjector, FaultKind, FaultPlan};
@@ -725,28 +417,12 @@ mod tests {
         let mut inj = FaultInjector::new(FaultPlan::new(FaultKind::GpuLost, 1));
         while !inj.kill_gpu_wave() {}
         assert!(matches!(
-            execute_groups_injected(
-                &launch,
-                &mut mem,
-                0,
-                4,
-                1,
-                Some(&inj),
-                crate::DeviceKind::Gpu
-            ),
+            execute_groups_injected(&launch, &mut mem, 0, 4, Some(&inj), crate::DeviceKind::Gpu),
             Err(ClError::DeviceLost { .. })
         ));
         // The surviving device still executes.
-        execute_groups_injected(
-            &launch,
-            &mut mem,
-            0,
-            4,
-            1,
-            Some(&inj),
-            crate::DeviceKind::Cpu,
-        )
-        .unwrap();
+        execute_groups_injected(&launch, &mut mem, 0, 4, Some(&inj), crate::DeviceKind::Cpu)
+            .unwrap();
         assert_eq!(mem.get(BufferId(1)).unwrap()[8], 16.0);
     }
 

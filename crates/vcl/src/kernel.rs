@@ -319,7 +319,6 @@ pub struct KernelDef {
     name: String,
     args: Vec<ArgSpec>,
     versions: Vec<KernelVersion>,
-    disjoint_writes: bool,
 }
 
 impl KernelDef {
@@ -338,34 +337,7 @@ impl KernelDef {
                 body: Arc::new(body),
                 profile,
             }],
-            disjoint_writes: false,
         }
-    }
-
-    /// Declares that distinct work-groups of this kernel write disjoint
-    /// output elements and never read output elements written by another
-    /// work-group (each group reads only launch inputs plus its own
-    /// `InOut` cells).
-    ///
-    /// This is the evidence the intra-launch parallel executor
-    /// ([`execute_groups_par`](crate::exec::execute_groups_par)) requires
-    /// to split one group range across host threads: with disjoint writes,
-    /// merging per-thread results in any order is byte-identical to
-    /// sequential execution. The access sanitizer's shadow-memory write
-    /// maps verify the claim — a kernel with a write conflict or an
-    /// out-read-before-write is flagged by `fluidicl-check`, and such a
-    /// kernel must not carry this marker.
-    #[must_use]
-    pub fn with_disjoint_writes(mut self) -> Self {
-        self.disjoint_writes = true;
-        self
-    }
-
-    /// Whether [`with_disjoint_writes`](Self::with_disjoint_writes) was
-    /// declared. Without it, the executor always runs group ranges
-    /// sequentially.
-    pub fn disjoint_writes(&self) -> bool {
-        self.disjoint_writes
     }
 
     /// Adds an alternate implementation (same signature and semantics) for
@@ -493,23 +465,6 @@ impl Program {
         self.kernels.keys().map(String::as_str)
     }
 
-    /// Marks kernel `name` as having disjoint per-group writes, as
-    /// [`KernelDef::with_disjoint_writes`] would at registration. Returns
-    /// whether anything changed (`false` if the kernel is unknown or was
-    /// already declared disjoint). This is the consumption side of a
-    /// machine-checked disjointness proof: an external prover that verified
-    /// every launch can promote the kernel without touching its source
-    /// registration.
-    pub fn promote_disjoint(&mut self, name: &str) -> bool {
-        match self.kernels.get_mut(name) {
-            Some(def) if !def.disjoint_writes() => {
-                Arc::make_mut(def).disjoint_writes = true;
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Number of registered kernels.
     pub fn len(&self) -> usize {
         self.kernels.len()
@@ -560,21 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn promote_disjoint_flips_the_flag_once() {
-        let mut p = Program::new();
-        p.register(copy_kernel());
-        // A lookup taken before the promotion keeps the old declaration
-        // (promotion copy-on-writes the shared definition).
-        let before = p.kernel("copy").unwrap();
-        assert!(!before.disjoint_writes());
-        assert!(p.promote_disjoint("copy"), "first promotion applies");
-        assert!(!p.promote_disjoint("copy"), "second is a no-op");
-        assert!(!p.promote_disjoint("missing"), "unknown kernels are no-ops");
-        assert!(p.kernel("copy").unwrap().disjoint_writes());
-        assert!(!before.disjoint_writes(), "old handles are unaffected");
-    }
-
-    #[test]
     fn classify_rejects_wrong_arity() {
         let k = copy_kernel();
         let err = k.classify_args(&[KernelArg::Usize(8)]).unwrap_err();
@@ -618,14 +558,6 @@ mod tests {
             ])
             .unwrap_err();
         assert_eq!(err, ClError::AliasedBuffer(1));
-    }
-
-    #[test]
-    fn disjoint_writes_defaults_off_and_is_declarable() {
-        let k = copy_kernel();
-        assert!(!k.disjoint_writes());
-        let k = k.with_disjoint_writes();
-        assert!(k.disjoint_writes());
     }
 
     #[test]

@@ -49,9 +49,7 @@ pub use access::{execute_groups_shadowed, AccessRecord, WriteMap};
 pub use dirty::{DirtyRanges, DirtyTracker, PageMap, PAGED_MIN_LEN, PAGE_ELEMS};
 pub use driver::{ClDriver, DeviceKind};
 pub use error::{ClError, ClResult};
-pub use exec::{
-    execute_groups_injected, execute_groups_par, execute_groups_par_capped, Launch, LaunchPlan,
-};
+pub use exec::{execute_groups_injected, Launch, LaunchPlan};
 pub use fault::{payload_checksum, FaultInjector, FaultKind, FaultPlan, TransferFate};
 pub use footprint::{AccessPattern, RangeFn};
 pub use kernel::{

@@ -6,7 +6,7 @@
 //!   bit-identical to the reference, every protocol lint (including the
 //!   transfer-bytes accounting rule) passes, and the modelled H2D traffic
 //!   never grows relative to whole-buffer shipping;
-//! * **off** (`with_whole_buffer_transfers`, the compat flag) the protocol
+//! * **off** (`with_dirty_range_transfers(false)`) the protocol
 //!   is the historical whole-buffer one — traces carry no dirty
 //!   annotations, every transfer ships full output buffers, and rendered
 //!   timelines carry no dirty-byte figures.
@@ -53,7 +53,7 @@ fn run(name: &str, dirty: bool) -> Fluidicl {
     } else {
         // The full legacy protocol: whole buffers, serial subkernels.
         FluidiclConfig::default()
-            .with_whole_buffer_transfers()
+            .with_dirty_range_transfers(false)
             .with_pipeline_depth(1)
     };
     run_with(name, config)
@@ -67,8 +67,10 @@ fn dirty_range_transfers_are_the_default() {
         "dirty-range transfers must be on by default"
     );
     assert!(
-        !config.with_whole_buffer_transfers().dirty_range_transfers,
-        "with_whole_buffer_transfers must restore the legacy protocol"
+        !config
+            .with_dirty_range_transfers(false)
+            .dirty_range_transfers,
+        "turning the gate off must restore the legacy protocol"
     );
     // The default protocol annotates every H2D data transfer.
     let rt = run_with("ATAX", FluidiclConfig::default());

@@ -8,7 +8,10 @@
 //! `fluidicl-check --faults`; these tests pin one hand-picked scenario per
 //! fault kind plus the pool-accounting and determinism guarantees.
 
-use fluidicl::{render_timeline, Finisher, Fluidicl, FluidiclConfig, RecoveryPolicy, TraceKind};
+use fluidicl::{
+    lint_report, render_timeline, Finisher, Fluidicl, FluidiclConfig, RecoveryPolicy, TraceKind,
+};
+use fluidicl_check::race_check_report;
 use fluidicl_hetsim::MachineConfig;
 use fluidicl_polybench::{all_benchmarks, syrk};
 use fluidicl_vcl::{ClError, ClResult, DeviceKind, FaultKind, FaultPlan};
@@ -287,4 +290,56 @@ fn chunk_shrink_on_retry_keeps_more_cpu_work_mergeable() {
         cells.iter().any(|c| c.improved()),
         "shrink-on-retry never reduced the post-fault at-risk window"
     );
+}
+
+/// Graph scheduling does not compose with fault plans yet: `enqueue` keeps
+/// the eager path whenever a plan is set (documented on
+/// `FluidiclConfig::graph_scheduling`). Pinned on the multi-kernel 2MM on
+/// the three-device machine: one report per launch in enqueue order, no
+/// graph node, the same schedule as the graph-off run, output bit-exact
+/// with the reference, and every report lint- and race-clean.
+#[test]
+fn fault_plans_keep_graph_scheduling_on_the_eager_path() {
+    let b = all_benchmarks()
+        .into_iter()
+        .find(|b| b.name == "2MM")
+        .expect("benchmark");
+    let n = test_size(b.name);
+    let run = |graph: bool, ps: u64| {
+        let config = faulty(FaultKind::TransferTransient, ps).with_graph_scheduling(graph);
+        let mut rt = Fluidicl::new(MachineConfig::paper_testbed_3dev(), config, (b.program)(n));
+        let res = b.run_and_validate_sized(&mut rt, n, SEED);
+        (rt, res)
+    };
+    let ps = (0..SCAN)
+        .find(|ps| run(true, *ps).0.fault_fired())
+        .unwrap_or_else(|| panic!("no transient fault fired on 2MM in 0..{SCAN}"));
+    let (graph, res) = run(true, ps);
+    assert!(res.unwrap(), "2MM must recover bit-exactly");
+    let kernels: Vec<&str> = graph.reports().iter().map(|r| r.kernel.as_str()).collect();
+    assert_eq!(kernels, ["mm2_tmp", "mm2_d"], "one report per launch");
+    assert!(graph.reports()[0].kernel_id < graph.reports()[1].kernel_id);
+    assert!(!has_event(&graph, |k| matches!(
+        k,
+        TraceKind::GraphRun { .. }
+    )));
+
+    let (eager, res) = run(false, ps);
+    assert!(res.unwrap());
+    assert_eq!(graph.reports().len(), eager.reports().len());
+    for (g, e) in graph.reports().iter().zip(eager.reports()) {
+        assert_eq!(
+            render_timeline(&g.kernel, &g.trace),
+            render_timeline(&e.kernel, &e.trace),
+            "graph scheduling must be inert under a fault plan"
+        );
+    }
+
+    let defs = (b.program)(n);
+    for report in graph.reports() {
+        assert!(lint_report(report).is_empty(), "{}", report.kernel);
+        let kdef = defs.kernel(&report.kernel).unwrap();
+        let findings = race_check_report(&kdef, report);
+        assert!(findings.is_empty(), "{}: {findings:?}", report.kernel);
+    }
 }

@@ -29,7 +29,7 @@ const SEED: u64 = 0xF1D1C1;
 fn serial_config() -> FluidiclConfig {
     FluidiclConfig::default()
         .with_validate_protocol(true)
-        .with_whole_buffer_transfers()
+        .with_dirty_range_transfers(false)
         .with_pipeline_depth(1)
 }
 

@@ -67,7 +67,7 @@ fn render_serial_run(name: &str) -> String {
     let rt = run(
         name,
         FluidiclConfig::default()
-            .with_whole_buffer_transfers()
+            .with_dirty_range_transfers(false)
             .with_pipeline_depth(1),
     );
     let mut out = String::new();

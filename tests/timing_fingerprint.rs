@@ -85,12 +85,14 @@ fn fingerprint() -> String {
                 .with_buffer_pool(false)
                 .with_location_tracking(false),
         ),
-        ("whole-buffer", base().with_whole_buffer_transfers()),
+        ("whole-buffer", base().with_dirty_range_transfers(false)),
         ("pipeline=1", base().with_pipeline_depth(1)),
         ("pipeline=4", base().with_pipeline_depth(4)),
         (
             "serial-whole-buffer",
-            base().with_whole_buffer_transfers().with_pipeline_depth(1),
+            base()
+                .with_dirty_range_transfers(false)
+                .with_pipeline_depth(1),
         ),
         ("graph-sched", base().with_graph_scheduling(true)),
     ];
