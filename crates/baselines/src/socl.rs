@@ -161,13 +161,11 @@ impl SoclRuntime {
             let idx = id.0 as usize;
             match device {
                 DeviceKind::Cpu if !self.valid_cpu[idx] => {
-                    let data = self.gpu_mem.get(*id)?.to_vec();
-                    self.cpu_mem.write(*id, &data)?;
+                    self.cpu_mem.share_from(&self.gpu_mem, *id)?;
                     self.valid_cpu[idx] = true;
                 }
                 DeviceKind::Gpu if !self.valid_gpu[idx] => {
-                    let data = self.cpu_mem.get(*id)?.to_vec();
-                    self.gpu_mem.write(*id, &data)?;
+                    self.gpu_mem.share_from(&self.cpu_mem, *id)?;
                     self.valid_gpu[idx] = true;
                 }
                 _ => {}
@@ -184,14 +182,16 @@ impl ClDriver for SoclRuntime {
         self.valid_cpu.push(true);
         self.valid_gpu.push(true);
         self.cpu_mem.alloc(id, len);
-        self.gpu_mem.alloc(id, len);
+        self.gpu_mem
+            .share_from(&self.cpu_mem, id)
+            .expect("allocated just above");
         self.host_clock += self.machine.gpu.buffer_create_time(len as u64 * 4);
         id
     }
 
     fn write_buffer(&mut self, id: BufferId, data: &[f32]) -> ClResult<()> {
         self.cpu_mem.write(id, data)?;
-        self.gpu_mem.write(id, data)?;
+        self.gpu_mem.share_from(&self.cpu_mem, id)?;
         let idx = id.0 as usize;
         self.valid_cpu[idx] = true;
         self.valid_gpu[idx] = true;
@@ -301,10 +301,9 @@ impl ClDriver for SoclRuntime {
     fn read_buffer(&mut self, id: BufferId) -> ClResult<Vec<f32>> {
         let idx = id.0 as usize;
         if !self.valid_cpu[idx] {
-            let data = self.gpu_mem.get(id)?.to_vec();
-            self.cpu_mem.write(id, &data)?;
+            self.cpu_mem.share_from(&self.gpu_mem, id)?;
             self.valid_cpu[idx] = true;
-            self.host_clock += self.machine.d2h.transfer_time(data.len() as u64 * 4);
+            self.host_clock += self.machine.d2h.transfer_time(self.cpu_mem.bytes_of(id)?);
         }
         let data = self.cpu_mem.get(id)?.to_vec();
         self.host_clock += self.machine.host.copy_time(data.len() as u64 * 4);

@@ -91,7 +91,9 @@ impl ClDriver for StaticPartitionRuntime {
         let id = BufferId(self.buffer_lens.len() as u64);
         self.buffer_lens.push(len);
         self.cpu_mem.alloc(id, len);
-        self.gpu_mem.alloc(id, len);
+        self.gpu_mem
+            .share_from(&self.cpu_mem, id)
+            .expect("allocated just above");
         if self.uses_gpu() {
             self.host_clock += self.machine.gpu.buffer_create_time(len as u64 * 4);
         }
@@ -100,7 +102,7 @@ impl ClDriver for StaticPartitionRuntime {
 
     fn write_buffer(&mut self, id: BufferId, data: &[f32]) -> ClResult<()> {
         self.cpu_mem.write(id, data)?;
-        self.gpu_mem.write(id, data)?;
+        self.gpu_mem.share_from(&self.cpu_mem, id)?;
         let bytes = data.len() as u64 * 4;
         // Pure-GPU and pure-CPU configurations pay exactly their vendor
         // runtime's transfer; an interior split writes to both devices.
@@ -149,11 +151,12 @@ impl ClDriver for StaticPartitionRuntime {
             self.scratch_created = true;
         }
 
-        // Snapshot originals for the merge before either side writes.
-        let mut origs = Vec::new();
+        // Snapshot originals for the merge before either side writes (a
+        // share: the GPU's first write copies its buffer).
+        let mut origs = Memory::new();
         if self.splits_work() {
             for id in &out_ids {
-                origs.push((*id, self.gpu_mem.get(*id)?.to_vec()));
+                origs.share_from(&self.gpu_mem, *id)?;
             }
         }
 
@@ -193,30 +196,29 @@ impl ClDriver for StaticPartitionRuntime {
             // Merge on the GPU once both contributions are present, then
             // return the merged result to the host.
             let merge_done = gpu_done.max(cpu_arrival) + self.machine.gpu.merge_time(out_bytes);
-            for (id, orig) in &origs {
-                let cpu = self.cpu_mem.get(*id)?.to_vec();
-                diff_merge(self.gpu_mem.get_mut(*id)?, &cpu, orig);
-            }
-            let back = merge_done + self.machine.d2h.transfer_time(out_bytes);
             for id in &out_ids {
-                let data = self.gpu_mem.get(*id)?.to_vec();
-                self.cpu_mem.write(*id, &data)?;
+                diff_merge(
+                    self.gpu_mem.get_mut(*id)?,
+                    self.cpu_mem.get(*id)?,
+                    origs.get(*id)?,
+                );
             }
-            back
+            for id in &out_ids {
+                self.cpu_mem.share_from(&self.gpu_mem, *id)?;
+            }
+            merge_done + self.machine.d2h.transfer_time(out_bytes)
         } else if split > 0 {
             // Pure GPU: results stay on the device until read, but keep the
             // CPU copy coherent for subsequent kernels that may read it.
             for id in &out_ids {
-                let data = self.gpu_mem.get(*id)?.to_vec();
-                self.cpu_mem.write(*id, &data)?;
+                self.cpu_mem.share_from(&self.gpu_mem, *id)?;
             }
             gpu_done + self.machine.d2h.transfer_time(out_bytes)
         } else {
             // Pure CPU: results live in host memory already, but the GPU
             // copy must be refreshed for any later mixed work.
             for id in &out_ids {
-                let data = self.cpu_mem.get(*id)?.to_vec();
-                self.gpu_mem.write(*id, &data)?;
+                self.gpu_mem.share_from(&self.cpu_mem, *id)?;
             }
             cpu_arrival
         };

@@ -8,7 +8,7 @@
 //!   over the [`fluidicl_par`] pool exactly as `repro` runs it;
 //! * the micro-hotspots: `execute_groups` on SYRK, the `diff_merge` /
 //!   `diff_merge_ranged` coherence primitives, dirty-range coalescing, and
-//!   buffer snapshotting.
+//!   a host buffer write.
 //!
 //! Results go to `BENCH_repro.json` at the repository root (one section per
 //! line: median/p10/p90 nanoseconds, worker-thread count, git revision,
@@ -33,7 +33,7 @@
 
 use std::time::Instant;
 
-use fluidicl::{Fluidicl, FluidiclConfig, SnapshotPool};
+use fluidicl::{Fluidicl, FluidiclConfig};
 use fluidicl_bench::experiments::{experiments, find, Experiment};
 use fluidicl_des::SplitMix64;
 use fluidicl_hetsim::MachineConfig;
@@ -41,7 +41,7 @@ use fluidicl_polybench::data::gen_matrix;
 use fluidicl_polybench::syrk;
 use fluidicl_vcl::{
     diff_merge, diff_merge_ranged, diff_merge_tracked, set_simd_enabled, simd_active, BufferId,
-    DirtyRanges, DirtyTracker, KernelArg, Launch, Memory, NdRange,
+    ClDriver, DirtyRanges, DirtyTracker, KernelArg, Launch, Memory, NdRange, Program,
 };
 
 /// Experiment ids of the `--quick` sweep (mirrors `repro --quick`).
@@ -421,14 +421,19 @@ fn micro_hotspots() -> Vec<Section> {
         ns
     });
 
-    // Snapshotting: acquire a pooled vec, copy a buffer into it, release —
-    // what coexec does for every output buffer of every kernel.
-    let mut pool = SnapshotPool::new();
-    let snap = collect(iters * 10, || {
+    // Host write: `write_buffer` of a 16M-element buffer on a fresh
+    // runtime — what every application input pays once. The CPU and GPU
+    // address spaces share the one host copy it makes.
+    let big = vec![1.5f32; 1 << 24];
+    let host_write = collect(iters, || {
+        let mut rt = Fluidicl::new(
+            MachineConfig::paper_testbed(),
+            FluidiclConfig::default(),
+            Program::new(),
+        );
+        let id = rt.create_buffer(big.len());
         let started = Instant::now();
-        let mut v = pool.acquire();
-        mem.copy_into(c_buf, &mut v).expect("copy_into");
-        pool.release(v);
+        rt.write_buffer(id, &big).expect("write_buffer");
         started.elapsed().as_nanos()
     });
 
@@ -437,7 +442,7 @@ fn micro_hotspots() -> Vec<Section> {
         stats("diff_merge_1m", iters, merge),
         stats("diff_merge_ranged_1m", iters, merge_ranged),
         stats("dirty_coalesce", iters, coalesce),
-        stats("snapshot_roundtrip", iters * 10, snap),
+        stats("write_buffer_16m", iters, host_write),
     ]
 }
 

@@ -125,7 +125,7 @@ fn conflicting_cross_group_writes_are_flagged() {
         },
     ));
     let mut mem = Memory::new();
-    mem.install(BufferId(0), (0..16).map(|i| i as f32).collect());
+    mem.install(BufferId(0), (0..16).map(|i| i as f32).collect::<Vec<f32>>());
     mem.install(BufferId(1), vec![0.0; 16]);
     let launch = Launch::new(
         collider,

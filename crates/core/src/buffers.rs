@@ -306,62 +306,6 @@ impl ScratchPool {
     }
 }
 
-/// Pool of host-side `Vec<f32>` allocations reused for the per-kernel
-/// "pristine original" snapshots of the diff-merge (paper §4.3).
-///
-/// Unlike [`ScratchPool`], which only *costs* allocations on the virtual
-/// GPU timeline, this pool recycles the real heap allocations the
-/// functional engine needs: every co-executed kernel snapshots each output
-/// buffer once, and without pooling that is one `Vec` allocation per output
-/// buffer per launch for the lifetime of a benchmark.
-#[derive(Clone, Debug, Default)]
-pub struct SnapshotPool {
-    free: Vec<Vec<f32>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl SnapshotPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Hands out an empty vector, reusing the largest pooled allocation.
-    pub fn acquire(&mut self) -> Vec<f32> {
-        match self.free.pop() {
-            Some(v) => {
-                self.hits += 1;
-                v
-            }
-            None => {
-                self.misses += 1;
-                Vec::new()
-            }
-        }
-    }
-
-    /// Returns a vector to the pool (cleared, capacity kept).
-    pub fn release(&mut self, mut v: Vec<f32>) {
-        v.clear();
-        // Keep larger allocations near the top so acquire() prefers them.
-        self.free.push(v);
-        self.free.sort_by_key(Vec::capacity);
-    }
-
-    /// `(hits, misses)` of [`SnapshotPool::acquire`] so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of free (returned) allocations currently pooled. Balanced
-    /// accounting means `free_count() == acquires - outstanding`, including
-    /// across launches that failed mid-flight.
-    pub fn free_count(&self) -> usize {
-        self.free.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,30 +313,6 @@ mod tests {
 
     fn exact(len: usize, ranges: impl IntoIterator<Item = (usize, usize)>) -> DirtyTracker {
         DirtyTracker::exact(len, DirtyRanges::from_ranges(ranges))
-    }
-
-    #[test]
-    fn snapshot_pool_recycles_allocations() {
-        let mut p = SnapshotPool::new();
-        let mut a = p.acquire();
-        a.extend_from_slice(&[1.0; 64]);
-        let cap = a.capacity();
-        let ptr = a.as_ptr();
-        p.release(a);
-        let b = p.acquire();
-        assert!(b.is_empty(), "pooled vectors come back cleared");
-        assert_eq!(b.capacity(), cap);
-        assert_eq!(b.as_ptr(), ptr, "the same allocation is reused");
-        assert_eq!(p.stats(), (1, 1));
-    }
-
-    #[test]
-    fn snapshot_pool_prefers_the_largest_free_vec() {
-        let mut p = SnapshotPool::new();
-        p.release(Vec::with_capacity(8));
-        p.release(Vec::with_capacity(128));
-        p.release(Vec::with_capacity(32));
-        assert!(p.acquire().capacity() >= 128);
     }
 
     #[test]

@@ -41,11 +41,10 @@ use fluidicl_des::{ChannelBank, SimDuration, SimTime, Simulation};
 use fluidicl_hetsim::{GpuModel, LinkModel, MachineConfig, PeerGpu};
 use fluidicl_vcl::exec::{execute_groups, Launch};
 use fluidicl_vcl::{
-    diff_merge_tracked, payload_checksum, BufferId, ClError, ClResult, DeviceKind, DirtyTracker,
-    FaultInjector, Memory, TransferFate,
+    diff_merge_tracked, payload_checksum, payload_checksum_with, BufferId, ClError, ClResult,
+    DeviceKind, DirtyTracker, FaultInjector, Memory, TransferFate,
 };
 
-use crate::buffers::SnapshotPool;
 use crate::chunk::ChunkController;
 use crate::config::FluidiclConfig;
 use crate::endpoint::{CpuEndpoint, NonOwnerEndpoint, PeerGpuEndpoint};
@@ -89,8 +88,6 @@ pub(crate) struct CoexecInput<'a> {
     pub dh_free: SimTime,
     pub cpu_mem: &'a mut Memory,
     pub gpu_mem: &'a mut Memory,
-    /// Reusable allocations for the per-kernel original snapshots.
-    pub snapshots: &'a mut SnapshotPool,
     /// Peer GPUs participating as additional non-owner endpoints. Empty on
     /// the paper's two-device protocol.
     pub peers: Vec<PeerSlot>,
@@ -272,11 +269,12 @@ struct EpState {
     launch: Launch,
     /// The endpoint's address space. `None` for the CPU endpoint, which
     /// computes directly in the runtime's CPU memory; peers get a fresh
-    /// memory seeded from the (coherent) CPU copy at kernel start.
+    /// memory sharing the (coherent) CPU copy at kernel start, so a peer
+    /// copies only the output buffers it writes.
     mem: Option<Memory>,
     /// Cumulative dirty tracker of this endpoint's copy vs the original
-    /// snapshot, one entry per `orig_snapshots` slot; what the merge tree
-    /// walks for this endpoint.
+    /// snapshot, one entry per `out_ids` slot; what the merge tree walks
+    /// for this endpoint.
     cum_dirty: Vec<DirtyTracker>,
     /// A subkernel is currently computing on this endpoint.
     busy: bool,
@@ -335,7 +333,11 @@ pub(crate) struct Coexec<'a> {
     /// Total bytes of every launch buffer — what a peer's begin broadcast
     /// ships.
     launch_bytes: u64,
-    orig_snapshots: Vec<(BufferId, Vec<f32>)>,
+    /// The pristine originals of the output buffers (paper §4.3): an
+    /// address space sharing the owner's copies at kernel start. The
+    /// owner's first write to a buffer copies it, leaving the original
+    /// here; a buffer the owner never writes is never copied.
+    orig: Memory,
     // Dirty-range transfer modelling (config.dirty_range_transfers).
     /// Whether subkernels ship only their dirty ranges (paper §4.2's data
     /// message shrunk to what was actually written).
@@ -402,15 +404,13 @@ impl<'a> Coexec<'a> {
         let total = input.launch.ndrange.num_groups();
         let items = input.launch.ndrange.items_per_group();
         let out_ids = input.launch.output_buffers()?;
-        let mut out_bytes = 0u64;
-        let mut orig_snapshots = Vec::with_capacity(out_ids.len());
+        let mut orig = Memory::new();
+        let mut out_lens = Vec::with_capacity(out_ids.len());
         for id in &out_ids {
-            let mut data = input.snapshots.acquire();
-            input.gpu_mem.copy_into(*id, &mut data)?;
-            out_bytes += data.len() as u64 * 4;
-            orig_snapshots.push((*id, data));
+            orig.share_from(input.gpu_mem, *id)?;
+            out_lens.push(orig.len_of(*id)?);
         }
-        let out_lens: Vec<usize> = orig_snapshots.iter().map(|(_, d)| d.len()).collect();
+        let out_bytes = out_lens.iter().map(|len| *len as u64 * 4).sum();
         let min_chunk = u64::from(input.machine.cpu.threads());
         let chunk = ChunkController::new(
             total,
@@ -426,12 +426,6 @@ impl<'a> Coexec<'a> {
             0
         };
         let dirty_enabled = input.config.dirty_range_transfers;
-        let fresh_trackers = |snaps: &[(BufferId, Vec<f32>)]| -> Vec<DirtyTracker> {
-            snaps
-                .iter()
-                .map(|(_, orig)| DirtyTracker::new(orig.len()))
-                .collect()
-        };
         // Every buffer the launch touches, deduplicated: what a peer needs
         // resident before its first claim, and what its begin broadcast is
         // charged for.
@@ -450,7 +444,7 @@ impl<'a> Coexec<'a> {
             chunk,
             launch: input.launch.clone(),
             mem: None,
-            cum_dirty: fresh_trackers(&orig_snapshots),
+            cum_dirty: fresh_trackers(&out_lens),
             busy: false,
             unshipped: 0,
             free_at: None,
@@ -466,10 +460,11 @@ impl<'a> Coexec<'a> {
         });
         for slot in &input.peers {
             // The peer's address space, seeded from the coherent CPU copy:
-            // only what this launch touches is broadcast and resident.
+            // only what this launch touches is broadcast and resident. The
+            // seed is a share; the peer's first write to a buffer copies it.
             let mut mem = Memory::new();
             for id in &all_ids {
-                mem.install(*id, input.cpu_mem.get(*id)?.to_vec());
+                mem.share_from(input.cpu_mem, *id)?;
             }
             let model = PeerGpuEndpoint::new(&slot.peer);
             let peer_chunk = ChunkController::new(
@@ -485,7 +480,7 @@ impl<'a> Coexec<'a> {
                 chunk: peer_chunk,
                 launch: input.launch.clone(),
                 mem: Some(mem),
-                cum_dirty: fresh_trackers(&orig_snapshots),
+                cum_dirty: fresh_trackers(&out_lens),
                 busy: false,
                 unshipped: 0,
                 free_at: None,
@@ -514,7 +509,7 @@ impl<'a> Coexec<'a> {
             out_ids,
             out_lens,
             launch_bytes,
-            orig_snapshots,
+            orig,
             dirty_enabled,
             shipped_dirty_bytes: 0,
             gpu_next: 0,
@@ -625,19 +620,9 @@ impl<'a> Coexec<'a> {
             }
         }
         if let Some(e) = exec_err {
-            // The kernel is being abandoned mid-flight: the snapshot
-            // allocations must still return to their pool (their content is
-            // garbage now, but the accounting stays balanced).
-            self.release_snapshots();
             return Err(e);
         }
         self.finish()
-    }
-
-    fn release_snapshots(&mut self) {
-        for (_, v) in self.orig_snapshots.drain(..) {
-            self.input.snapshots.release(v);
-        }
     }
 
     fn dispatch(&mut self, sim: &mut Simulation<Ev>, t: SimTime, ev: Ev) -> ClResult<()> {
@@ -838,14 +823,10 @@ impl<'a> Coexec<'a> {
             .mem
             .as_mut()
             .expect("a promoted peer has its own address space");
-        for (id, orig) in &self.orig_snapshots {
-            mem.get_mut(*id)?.copy_from_slice(orig);
+        for id in &self.out_ids {
+            mem.share_from(&self.orig, *id)?;
         }
-        self.eps[p].cum_dirty = self
-            .orig_snapshots
-            .iter()
-            .map(|(_, orig)| DirtyTracker::new(orig.len()))
-            .collect();
+        self.eps[p].cum_dirty = fresh_trackers(&self.out_lens);
         // Fresh in-order view per epoch: open holes and buffered statuses
         // described the dead owner's receive queue. Stale deliveries are
         // rejected by the epoch fence instead, and retries re-enqueue
@@ -988,7 +969,7 @@ impl<'a> Coexec<'a> {
         for (e, ep) in self.eps.iter().enumerate() {
             if owner != Some(e) {
                 let src = ep.mem.as_ref().unwrap_or(self.input.cpu_mem);
-                fold_endpoint(dst, src, ep, &self.orig_snapshots, self.dirty_enabled)?;
+                fold_endpoint(dst, src, ep, &self.out_ids, &self.orig, self.dirty_enabled)?;
             }
         }
         if let Some(p) = owner {
@@ -1248,11 +1229,10 @@ impl<'a> Coexec<'a> {
         // dirtied delta.
         let mut dirty_delta = 0u64;
         if self.dirty_enabled {
-            let snaps = &self.orig_snapshots;
             let ep = &mut self.eps[d];
             let mem = ep.mem.as_ref().unwrap_or(self.input.cpu_mem);
-            for (j, (id, orig)) in snaps.iter().enumerate() {
-                let cur = DirtyTracker::from_diff(mem.get(*id)?, orig);
+            for (j, id) in self.out_ids.iter().enumerate() {
+                let cur = DirtyTracker::from_diff(mem.get(*id)?, self.orig.get(*id)?);
                 let prev = ep.cum_dirty[j].element_count();
                 dirty_delta += 4 * cur.element_count().saturating_sub(prev) as u64;
                 ep.cum_dirty[j] = cur;
@@ -1715,9 +1695,9 @@ impl<'a> Coexec<'a> {
     }
 
     /// Verifies the per-transfer checksum the way the receiving device
-    /// would: computes the checksum of the staged payload, applies the
-    /// injector's single-word corruption to a copy, and compares. Returns
-    /// whether the delivery must be rejected.
+    /// would: computes the checksum of the staged payload and of the
+    /// payload with the injector's single-word corruption substituted, and
+    /// compares. Returns whether the delivery must be rejected.
     fn checksum_rejects(&self, d: usize) -> ClResult<bool> {
         let Some(inj) = self.input.injector.as_deref() else {
             return Ok(false);
@@ -1730,11 +1710,9 @@ impl<'a> Coexec<'a> {
         if data.is_empty() {
             return Ok(false);
         }
-        let clean = payload_checksum(data);
-        let mut wire = data.to_vec();
-        let i = inj.corrupt_index(wire.len());
-        wire[i] = f32::from_bits(wire[i].to_bits() ^ inj.flip_mask());
-        Ok(payload_checksum(&wire) != clean)
+        let i = inj.corrupt_index(data.len());
+        let flipped = f32::from_bits(data[i].to_bits() ^ inj.flip_mask());
+        Ok(payload_checksum_with(data, i, flipped) != payload_checksum(data))
     }
 
     // ---- Completion -----------------------------------------------------
@@ -1747,7 +1725,6 @@ impl<'a> Coexec<'a> {
             // With a healthy GPU the wave loop always reaches the exit and
             // the merge; an empty event queue without one is an engine
             // defect — surfaced as a typed error, never a panic.
-            self.release_snapshots();
             return Err(ClError::ProtocolViolation {
                 kernel: self.input.launch.kernel.name().to_string(),
                 detail: "co-execution drained its event queue without reaching merge completion"
@@ -1758,6 +1735,14 @@ impl<'a> Coexec<'a> {
         // no-arrivals path already merged inside `gpu_exit`).
         if self.watermark < self.total {
             self.merge_results()?;
+        }
+        // Every peer copy is folded into the owner now: release the
+        // non-owner peers' shares, so the epilogue below writes a CPU
+        // buffer in place even when the CPU never wrote it this kernel.
+        for (e, ep) in self.eps.iter_mut().enumerate().skip(1) {
+            if self.owner_ep != Some(e) {
+                ep.mem = Some(Memory::new());
+            }
         }
         // With a single endpoint the paper's shortcut applies: a CPU that
         // computed the whole NDRange holds the authoritative data and the
@@ -1807,26 +1792,29 @@ impl<'a> Coexec<'a> {
         // still-valid snapshot) are refreshed.
         let orig_copy_bytes = if self.dirty_enabled {
             let mut bytes = 0u64;
-            for (id, orig) in &self.orig_snapshots {
-                bytes += DirtyTracker::try_from_diff(owner.get(*id)?, orig)?.byte_count();
+            for id in &self.out_ids {
+                bytes +=
+                    DirtyTracker::try_from_diff(owner.get(*id)?, self.orig.get(*id)?)?.byte_count();
             }
             bytes
         } else {
             self.out_bytes
         };
+        // The originals are done with: release their shares too.
+        self.orig = Memory::new();
         let orig_copy = SimDuration::from_nanos(
             (2.0 * orig_copy_bytes as f64 / self.owner_gpu.peak_mem_bytes_per_ns()) as u64,
         );
         // Functional epilogue: the merged GPU content is the authoritative
         // final value (identical to each endpoint's copy wherever both
         // computed); mirror it into the CPU address space as the DH thread
-        // does — ranged when the stale set is known, whole-buffer
+        // does — ranged when the stale set is known, a whole-buffer share
         // otherwise.
         for (i, id) in self.out_ids.iter().enumerate() {
-            if self.dirty_enabled {
+            if !self.dirty_enabled {
+                self.input.cpu_mem.share_from(owner, *id)?;
+            } else if !stales[i].is_empty() {
                 stales[i].copy_ranges(owner.get(*id)?, self.input.cpu_mem.get_mut(*id)?)?;
-            } else {
-                self.input.cpu_mem.write(*id, owner.get(*id)?)?;
             }
         }
         self.outcome(
@@ -1839,8 +1827,8 @@ impl<'a> Coexec<'a> {
         )
     }
 
-    /// Records the completion, releases the snapshots, and assembles the
-    /// kernel report and timeline outcome.
+    /// Records the completion and assembles the kernel report and timeline
+    /// outcome.
     fn outcome(
         mut self,
         complete_at: SimTime,
@@ -1850,9 +1838,6 @@ impl<'a> Coexec<'a> {
         cpu_results_at: SimTime,
         gpu_results_at: SimTime,
     ) -> ClResult<CoexecOutcome> {
-        // The snapshots served their purpose; recycle their allocations for
-        // the next kernel of this runtime.
-        self.release_snapshots();
         self.record(
             complete_at,
             TraceKind::KernelComplete {
@@ -1922,7 +1907,7 @@ impl<'a> Coexec<'a> {
     /// (§4.2) — no owner merge, no D2H transfer. With peers, their results
     /// fold into the CPU copy first (the host is the assembly point when
     /// the owner is gone).
-    fn finish_after_gpu_loss(mut self) -> ClResult<CoexecOutcome> {
+    fn finish_after_gpu_loss(self) -> ClResult<CoexecOutcome> {
         let finished = self.cpu_finished_at;
         if finished.is_some() {
             // Merge tree rooted at the host: each peer's results fold into
@@ -1936,7 +1921,8 @@ impl<'a> Coexec<'a> {
                         self.input.cpu_mem,
                         src,
                         ep,
-                        &self.orig_snapshots,
+                        &self.out_ids,
+                        &self.orig,
                         self.dirty_enabled,
                     )?;
                 }
@@ -1945,7 +1931,6 @@ impl<'a> Coexec<'a> {
         let Some(complete_at) = finished else {
             // Neither the owner nor the non-owners produced the full
             // range; nothing can finish this kernel.
-            self.release_snapshots();
             return Err(ClError::DeviceLost {
                 device: DeviceKind::Gpu,
                 detail: "GPU lost and the CPU did not complete the NDRange".into(),
@@ -1963,6 +1948,11 @@ impl<'a> Coexec<'a> {
     }
 }
 
+/// Empty dirty trackers, one per output buffer of length `out_lens[j]`.
+fn fresh_trackers(out_lens: &[usize]) -> Vec<DirtyTracker> {
+    out_lens.iter().map(|len| DirtyTracker::new(*len)).collect()
+}
+
 /// The acting owner's address space: a promoted peer's own memory after
 /// failover, the primary GPU's otherwise.
 fn owner_mem<'m>(eps: &'m [EpState], owner_ep: Option<usize>, gpu_mem: &'m Memory) -> &'m Memory {
@@ -1975,8 +1965,9 @@ fn owner_mem<'m>(eps: &'m [EpState], owner_ep: Option<usize>, gpu_mem: &'m Memor
     }
 }
 
-/// Folds endpoint `ep`'s copy `src` into `dst` wherever it differs from the
-/// pristine `snaps` — the merge kernel of paper Figure 9, element-wise.
+/// Folds endpoint `ep`'s copy `src` of the `out_ids` buffers into `dst`
+/// wherever it differs from the pristine `orig` — the merge kernel of paper
+/// Figure 9, element-wise.
 /// With dirty tracking the fold walks only what the endpoint changed:
 /// `cum_dirty` covers every element where its copy differs from the
 /// snapshot (exactly, or rounded to pages on huge buffers — the extra
@@ -1985,10 +1976,12 @@ fn fold_endpoint(
     dst: &mut Memory,
     src: &Memory,
     ep: &EpState,
-    snaps: &[(BufferId, Vec<f32>)],
+    out_ids: &[BufferId],
+    orig: &Memory,
     dirty_enabled: bool,
 ) -> ClResult<()> {
-    for (j, (id, orig)) in snaps.iter().enumerate() {
+    for (j, id) in out_ids.iter().enumerate() {
+        let orig = orig.get(*id)?;
         let from = src.get(*id)?;
         let into = dst.get_mut(*id)?;
         if into.len() != from.len() || from.len() != orig.len() {
@@ -2014,4 +2007,96 @@ fn fold_endpoint(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fluidicl_hetsim::KernelProfile;
+    use fluidicl_vcl::{ArgRole, ArgSpec, KernelArg, KernelDef, NdRange};
+    use std::sync::Arc;
+
+    #[test]
+    fn peers_are_seeded_by_sharing_and_release_their_shares() {
+        let n = 1 << 14;
+        let def = Arc::new(KernelDef::new(
+            "scale",
+            vec![
+                ArgSpec::new("src", ArgRole::In),
+                ArgSpec::new("dst", ArgRole::Out),
+            ],
+            KernelProfile::new("scale")
+                .flops_per_item(65536.0)
+                .bytes_read_per_item(4.0)
+                .bytes_written_per_item(4.0),
+            |item, _, ins, outs| {
+                let i = item.global_linear();
+                outs.at(0)[i] = 2.0 * ins.get(0)[i];
+            },
+        ));
+        let (src, dst) = (BufferId(0), BufferId(1));
+        let launch = Launch::new(
+            def,
+            NdRange::d1(n, 64).unwrap(),
+            vec![KernelArg::Buffer(src), KernelArg::Buffer(dst)],
+        );
+        let mut cpu_mem = Memory::new();
+        cpu_mem.install(src, (0..n).map(|i| i as f32).collect::<Vec<f32>>());
+        cpu_mem.alloc(dst, n);
+        let mut gpu_mem = Memory::new();
+        for id in [src, dst] {
+            gpu_mem.share_from(&cpu_mem, id).unwrap();
+        }
+        let machine = MachineConfig::paper_testbed_3dev();
+        let config = FluidiclConfig::default();
+        let input = CoexecInput {
+            machine: &machine,
+            config: &config,
+            launch: &launch,
+            kernel_id: 1,
+            enqueue_at: SimTime::ZERO,
+            gpu_start: SimTime::ZERO,
+            cpu_start: SimTime::ZERO,
+            scratch_setup: SimDuration::ZERO,
+            hd_free: SimTime::ZERO,
+            dh_free: SimTime::ZERO,
+            cpu_mem: &mut cpu_mem,
+            gpu_mem: &mut gpu_mem,
+            peers: machine
+                .peers
+                .iter()
+                .enumerate()
+                .map(|(i, p)| PeerSlot {
+                    dev: i as u32 + 1,
+                    peer: p.clone(),
+                })
+                .collect(),
+            injector: None,
+            dead_cpu: false,
+        };
+        let coexec = Coexec::new(input).unwrap();
+        assert_eq!(coexec.eps.len(), 2, "one peer endpoint");
+        let peer = coexec.eps[1].mem.as_ref().unwrap();
+        for id in [src, dst] {
+            assert!(
+                peer.shares_with(coexec.input.cpu_mem, id),
+                "peer seed of {id:?} is a share, not a copy"
+            );
+        }
+        // CPU, GPU, originals and the peer hold one allocation of `dst`.
+        assert_eq!(coexec.input.cpu_mem.holders(dst), 4);
+        let outcome = coexec.run().unwrap();
+        assert!(
+            outcome.report.peer_executed_wgs[0] > 0,
+            "the peer took work"
+        );
+        let want: Vec<f32> = (0..n).map(|i| 2.0 * i as f32).collect();
+        assert_eq!(cpu_mem.get(dst).unwrap(), want.as_slice());
+        assert_eq!(gpu_mem.get(dst).unwrap(), want.as_slice());
+        // The read-only input was never copied, and no endpoint or
+        // snapshot of the finished kernel still holds any buffer.
+        assert!(cpu_mem.shares_with(&gpu_mem, src));
+        assert_eq!(cpu_mem.holders(src), 2);
+        assert_eq!((cpu_mem.holders(dst), gpu_mem.holders(dst)), (1, 1));
+    }
 }

@@ -46,7 +46,7 @@ mod runtime;
 mod stats;
 mod trace;
 
-pub use buffers::{BufferState, BufferTable, KernelId, PoolStats, ScratchPool, SnapshotPool};
+pub use buffers::{BufferState, BufferTable, KernelId, PoolStats, ScratchPool};
 pub use chunk::ChunkController;
 pub use config::FluidiclConfig;
 pub use endpoint::{CpuEndpoint, NonOwnerEndpoint, PeerGpuEndpoint};

@@ -15,7 +15,7 @@ use fluidicl_vcl::{
     FaultInjector, KernelArg, Memory, NdRange, Program,
 };
 
-use crate::buffers::{BufferTable, KernelId, PoolStats, ScratchPool, SnapshotPool};
+use crate::buffers::{BufferTable, KernelId, PoolStats, ScratchPool};
 use crate::coexec::{Coexec, CoexecInput, PeerSlot};
 use crate::config::FluidiclConfig;
 use crate::graph::{self, GraphNodeSummary, GraphSchedule};
@@ -71,7 +71,6 @@ pub struct Fluidicl {
     gpu_mem: Memory,
     buffers: BufferTable,
     pool: ScratchPool,
-    snapshots: SnapshotPool,
     host_clock: SimTime,
     gpu_free: SimTime,
     hd_free: SimTime,
@@ -123,7 +122,6 @@ impl Fluidicl {
             gpu_mem: Memory::new(),
             buffers: BufferTable::new(),
             pool,
-            snapshots: SnapshotPool::new(),
             host_clock: SimTime::ZERO,
             gpu_free: SimTime::ZERO,
             hd_free: SimTime::ZERO,
@@ -166,16 +164,11 @@ impl Fluidicl {
         self.pool.stats()
     }
 
-    /// Snapshot-allocation pool statistics `(hits, misses)`: how often the
-    /// per-kernel original snapshots reused a pooled allocation.
-    pub fn snapshot_stats(&self) -> (u64, u64) {
-        self.snapshots.stats()
-    }
-
-    /// Number of snapshot allocations currently sitting free in the pool —
-    /// balanced accounting even across launches that returned `Err`.
-    pub fn snapshot_free_count(&self) -> usize {
-        self.snapshots.free_count()
+    /// The CPU and GPU address spaces, read-only: how buffer storage is
+    /// shared between them can be inspected with [`Memory::shares_with`]
+    /// and [`Memory::holders`].
+    pub fn address_spaces(&self) -> (&Memory, &Memory) {
+        (&self.cpu_mem, &self.gpu_mem)
     }
 
     /// Number of scratch buffers currently sitting free in the pool.
@@ -261,16 +254,13 @@ impl Fluidicl {
     /// kernel that failed mid-flight: the two copies have diverged (partial
     /// CPU subkernels vs partial GPU waves, no merge), which would poison
     /// the *next* kernel's diff-merge. The GPU copy is taken as the
-    /// authority — exactly what its "original" scratch snapshot would hold.
+    /// authority — exactly what its "original" scratch snapshot would hold
+    /// — and the CPU address space shares it.
     fn restore_coherence(&mut self, out_ids: &[BufferId]) {
         for id in out_ids {
             // Both memories allocated this id at create_buffer; a missing
             // entry here means the failure happened before any divergence.
-            let Ok(gpu) = self.gpu_mem.get(*id) else {
-                continue;
-            };
-            let gpu = gpu.to_vec();
-            let _ = self.cpu_mem.write(*id, &gpu);
+            let _ = self.cpu_mem.share_from(&self.gpu_mem, *id);
         }
     }
 
@@ -693,7 +683,6 @@ impl Fluidicl {
             dh_free: self.dh_free,
             cpu_mem: &mut self.cpu_mem,
             gpu_mem: &mut self.gpu_mem,
-            snapshots: &mut self.snapshots,
             // Sibling graph nodes occupy the peers; this node co-executes
             // on the owner and the CPU alone.
             peers: Vec::new(),
@@ -780,8 +769,7 @@ impl Fluidicl {
         // Mirror the results into the owner-GPU address space so later
         // owner-lane nodes read coherent data.
         for id in &out_ids {
-            let data = self.cpu_mem.get(*id)?.to_vec();
-            self.gpu_mem.write(*id, &data)?;
+            self.gpu_mem.share_from(&self.cpu_mem, *id)?;
         }
         let complete_at = start + duration;
         let span = TraceKind::GraphRun {
@@ -814,7 +802,9 @@ impl ClDriver for Fluidicl {
         self.host_clock += t;
         let id = self.buffers.register(len, self.host_clock);
         self.cpu_mem.alloc(id, len);
-        self.gpu_mem.alloc(id, len);
+        self.gpu_mem
+            .share_from(&self.cpu_mem, id)
+            .expect("allocated just above");
         id
     }
 
@@ -822,8 +812,10 @@ impl ClDriver for Fluidicl {
         // A host write is a synchronization point for the kernel graph:
         // deferred launches that touch this buffer must run first.
         self.flush_graph()?;
+        // Functionally one host copy serves both address spaces: the GPU
+        // memory shares the CPU's until either side writes the buffer.
         self.cpu_mem.write(id, data)?;
-        self.gpu_mem.write(id, data)?;
+        self.gpu_mem.share_from(&self.cpu_mem, id)?;
         let bytes = data.len() as u64 * 4;
         // One clEnqueueWriteBuffer becomes two: a host-side copy for the CPU
         // device and an h2d transfer for the GPU (paper §4.1). The h2d is
@@ -954,9 +946,8 @@ impl ClDriver for Fluidicl {
                     continue;
                 }
                 seen.push(*id);
-                let data = self.cpu_mem.get(*id)?.to_vec();
-                broadcast_bytes += data.len() as u64 * 4;
-                self.gpu_mem.write(*id, &data)?;
+                broadcast_bytes += self.cpu_mem.bytes_of(*id)?;
+                self.gpu_mem.share_from(&self.cpu_mem, *id)?;
             }
             gpu_start = gpu_start.max(cpu_ready).max(self.host_clock)
                 + acting.peer.h2d.transfer_time(broadcast_bytes);
@@ -983,7 +974,6 @@ impl ClDriver for Fluidicl {
             dh_free: self.dh_free,
             cpu_mem: &mut self.cpu_mem,
             gpu_mem: &mut self.gpu_mem,
-            snapshots: &mut self.snapshots,
             peers: coexec_peers,
             injector: self.injector.as_mut(),
             dead_cpu,
@@ -992,8 +982,7 @@ impl ClDriver for Fluidicl {
             Ok(outcome) => outcome,
             Err(e) => {
                 // The launch is abandoned: return the scratch buffers the
-                // setup acquired (snapshot allocations were drained inside
-                // the engine) and re-align the two address spaces so a
+                // setup acquired and re-align the two address spaces so a
                 // later kernel's diff-merge cannot fold stale divergence.
                 self.release_scratch(&out_ids);
                 self.restore_coherence(&out_ids);
@@ -1060,7 +1049,8 @@ impl ClDriver for Fluidicl {
     fn read_buffer(&mut self, id: BufferId) -> ClResult<Vec<f32>> {
         // Reading a buffer forces any deferred kernel graph to execute.
         self.flush_graph()?;
-        let state = self.buffers.try_state(id)?.clone();
+        // Borrows only the buffer table, so the clocks below stay writable.
+        let state = self.buffers.try_state(id)?;
         // After a device loss the surviving copy is the only valid one,
         // regardless of what location tracking would prefer. With the
         // primary GPU dead the host copy is authoritative even if the CPU
@@ -1305,30 +1295,6 @@ mod tests {
         // read pays a (ranged) transfer.
         assert!(!run(true), "tracked read must not touch the dh link");
         assert!(run(false), "untracked read pays a dh transfer");
-    }
-
-    #[test]
-    fn snapshot_allocations_are_recycled_across_kernels() {
-        let mut rt = runtime();
-        let n = 2048;
-        let a = rt.create_buffer(n);
-        let b = rt.create_buffer(n);
-        rt.write_buffer(a, &vec![1.0; n]).unwrap();
-        for _ in 0..3 {
-            rt.enqueue_kernel(
-                "scale",
-                NdRange::d1(n, 64).unwrap(),
-                &[
-                    KernelArg::Buffer(a),
-                    KernelArg::Buffer(b),
-                    KernelArg::F32(2.0),
-                ],
-            )
-            .unwrap();
-        }
-        let (hits, misses) = rt.snapshot_stats();
-        assert_eq!(misses, 1, "only the first kernel allocates a snapshot");
-        assert_eq!(hits, 2, "later kernels reuse the pooled allocation");
     }
 
     #[test]

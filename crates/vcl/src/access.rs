@@ -15,10 +15,10 @@
 
 use std::collections::BTreeMap;
 
-use crate::exec::Launch;
+use crate::exec::{out_slices, restore_outputs, take_outputs, Launch};
 use crate::kernel::{Inputs, Outputs};
 use crate::ndrange::for_each_item_in_group;
-use crate::{BufferId, ClError, ClResult, Memory};
+use crate::{ClError, ClResult, Memory};
 
 /// Elements one work-group wrote to one output buffer: index → stored bit
 /// pattern (`f32::to_bits`, so `NaN`s and signed zeros compare exactly).
@@ -76,27 +76,14 @@ pub fn execute_groups_shadowed(
         .get(launch.version)
         .unwrap_or_else(|| launch.kernel.default_version());
 
-    let mut taken: Vec<(BufferId, Vec<f32>)> = Vec::with_capacity(out_ids.len());
-    for id in &out_ids {
-        match mem.take(*id) {
-            Ok(v) => taken.push((*id, v)),
-            Err(e) => {
-                for (id, v) in taken {
-                    mem.install(id, v);
-                }
-                return Err(e);
-            }
-        }
-    }
+    let mut taken = take_outputs(mem, &out_ids)?;
     let result = (|| -> ClResult<AccessRecord> {
         let mut in_slices = Vec::with_capacity(in_ids.len());
         for id in &in_ids {
             in_slices.push(mem.get(*id)?);
         }
         let ins = Inputs::with_read_tracking(in_slices);
-        let mut out_slices: Vec<&mut [f32]> =
-            taken.iter_mut().map(|(_, v)| v.as_mut_slice()).collect();
-        let mut outs = Outputs::new(std::mem::take(&mut out_slices));
+        let mut outs = Outputs::new(out_slices(&mut taken));
         let body = &version.body;
         let mut shadow = ShadowMemory::capture(&outs);
         let mut groups = Vec::with_capacity((to - from) as usize);
@@ -112,9 +99,7 @@ pub fn execute_groups_shadowed(
             inputs_read: ins.reads().expect("tracking inputs carry flags"),
         })
     })();
-    for (id, v) in taken {
-        mem.install(id, v);
-    }
+    restore_outputs(mem, taken);
     result
 }
 
@@ -160,7 +145,7 @@ mod tests {
     use super::*;
     use crate::exec::execute_groups;
     use crate::kernel::{ArgRole, ArgSpec, KernelDef};
-    use crate::{KernelArg, NdRange};
+    use crate::{BufferId, KernelArg, NdRange};
     use fluidicl_hetsim::KernelProfile;
 
     fn scale_kernel() -> Arc<KernelDef> {
@@ -181,7 +166,7 @@ mod tests {
 
     fn setup(n: usize) -> (Memory, Launch) {
         let mut mem = Memory::new();
-        mem.install(BufferId(0), (1..=n).map(|i| i as f32).collect());
+        mem.install(BufferId(0), (1..=n).map(|i| i as f32).collect::<Vec<f32>>());
         mem.install(BufferId(1), vec![0.5; n]);
         mem.alloc(BufferId(2), n);
         let launch = Launch::new(

@@ -125,7 +125,8 @@ pub fn execute_groups(launch: &Launch, mem: &mut Memory, from: u64, to: u64) -> 
     let version = launch.resolved_version();
 
     // Split borrows: move output buffers out of the memory map, then borrow
-    // inputs immutably from what remains.
+    // inputs immutably from what remains. Each output is made private to
+    // this address space on the way (copied only if it is still shared).
     let mut taken = take_outputs(mem, &plan.outs)?;
     let result = (|| -> ClResult<()> {
         let mut in_slices = Vec::with_capacity(plan.ins.len());
@@ -133,9 +134,7 @@ pub fn execute_groups(launch: &Launch, mem: &mut Memory, from: u64, to: u64) -> 
             in_slices.push(mem.get(*id)?);
         }
         let ins = Inputs::new(in_slices);
-        let mut out_slices: Vec<&mut [f32]> =
-            taken.iter_mut().map(|(_, v)| v.as_mut_slice()).collect();
-        let mut outs = Outputs::new(std::mem::take(&mut out_slices));
+        let mut outs = Outputs::new(out_slices(&mut taken));
         run_range(
             &version.body,
             &launch.ndrange,
@@ -147,28 +146,46 @@ pub fn execute_groups(launch: &Launch, mem: &mut Memory, from: u64, to: u64) -> 
         );
         Ok(())
     })();
-    for (id, v) in taken {
-        mem.install(id, v);
-    }
+    restore_outputs(mem, taken);
     result
 }
 
+/// Output buffers moved out of a [`Memory`] for the duration of a launch.
+pub(crate) type Taken = Vec<(BufferId, Arc<Vec<f32>>)>;
+
 /// Removes the output buffers from `mem` in signature order, restoring any
-/// already-taken buffers if one is missing.
-fn take_outputs(mem: &mut Memory, out_ids: &[BufferId]) -> ClResult<Vec<(BufferId, Vec<f32>)>> {
-    let mut taken: Vec<(BufferId, Vec<f32>)> = Vec::with_capacity(out_ids.len());
+/// already-taken buffers if one is missing. The allocations move out with
+/// their sharing intact; [`out_slices`] makes them writable.
+pub(crate) fn take_outputs(mem: &mut Memory, out_ids: &[BufferId]) -> ClResult<Taken> {
+    let mut taken: Taken = Vec::with_capacity(out_ids.len());
     for id in out_ids {
         match mem.take(*id) {
             Ok(v) => taken.push((*id, v)),
             Err(e) => {
-                for (id, v) in taken {
-                    mem.install(id, v);
-                }
+                restore_outputs(mem, taken);
                 return Err(e);
             }
         }
     }
     Ok(taken)
+}
+
+/// Writable views of taken outputs, in signature order. A buffer this
+/// address space owns alone is borrowed in place (no allocation); one still
+/// shared with another address space is copied first.
+pub(crate) fn out_slices(taken: &mut Taken) -> Vec<&mut [f32]> {
+    taken
+        .iter_mut()
+        .map(|(_, v)| Arc::make_mut(v).as_mut_slice())
+        .collect()
+}
+
+/// Puts taken outputs back into `mem` — the same allocations, so a launch
+/// on private buffers neither allocates nor copies.
+pub(crate) fn restore_outputs(mem: &mut Memory, taken: Taken) {
+    for (id, v) in taken {
+        mem.install(id, v);
+    }
 }
 
 /// Runs work-groups `[from, to)` of `ndrange` through `body`.
@@ -252,7 +269,7 @@ mod tests {
 
     fn setup(n: usize) -> (Memory, Arc<KernelDef>) {
         let mut mem = Memory::new();
-        mem.install(BufferId(0), (0..n).map(|i| i as f32).collect());
+        mem.install(BufferId(0), (0..n).map(|i| i as f32).collect::<Vec<f32>>());
         mem.alloc(BufferId(1), n);
         (mem, scale_kernel())
     }

@@ -265,9 +265,29 @@ impl FaultInjector {
 /// FNV-1a 64 checksum over the bit patterns of a payload — the per-transfer
 /// integrity check that detects corrupted messages.
 pub fn payload_checksum(data: &[f32]) -> u64 {
+    fnv1a(data.iter().map(|v| v.to_bits()))
+}
+
+/// [`payload_checksum`] of `data` with element `index` replaced by `value`:
+/// what a receiver computes over a payload corrupted in one word, without
+/// copying the payload to corrupt it.
+///
+/// # Panics
+///
+/// Panics if `index` is out of bounds.
+pub fn payload_checksum_with(data: &[f32], index: usize, value: f32) -> u64 {
+    assert!(index < data.len(), "substituted index out of bounds");
+    fnv1a(
+        data.iter()
+            .enumerate()
+            .map(|(i, v)| if i == index { value } else { *v }.to_bits()),
+    )
+}
+
+fn fnv1a(words: impl Iterator<Item = u32>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in data {
-        for b in v.to_bits().to_le_bytes() {
+    for w in words {
+        for b in w.to_le_bytes() {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -367,6 +387,12 @@ mod tests {
         corrupted[i] = f32::from_bits(corrupted[i].to_bits() ^ inj.flip_mask());
         assert_ne!(clean, payload_checksum(&corrupted));
         assert_eq!(clean, payload_checksum(&payload), "checksum is pure");
+        // The copy-free form agrees with checksumming the corrupted copy.
+        assert_eq!(
+            payload_checksum_with(&payload, i, corrupted[i]),
+            payload_checksum(&corrupted)
+        );
+        assert_eq!(payload_checksum_with(&payload, i, payload[i]), clean);
     }
 
     #[test]

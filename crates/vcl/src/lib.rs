@@ -50,7 +50,9 @@ pub use dirty::{DirtyRanges, DirtyTracker, PageMap, PAGED_MIN_LEN, PAGE_ELEMS};
 pub use driver::{ClDriver, DeviceKind};
 pub use error::{ClError, ClResult};
 pub use exec::{execute_groups_injected, Launch, LaunchPlan};
-pub use fault::{payload_checksum, FaultInjector, FaultKind, FaultPlan, TransferFate};
+pub use fault::{
+    payload_checksum, payload_checksum_with, FaultInjector, FaultKind, FaultPlan, TransferFate,
+};
 pub use footprint::{AccessPattern, RangeFn};
 pub use kernel::{
     ArgRole, ArgSpec, Inputs, KernelArg, KernelBody, KernelDef, KernelVersion, Outputs, Program,

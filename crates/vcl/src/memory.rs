@@ -6,8 +6,16 @@
 //! a map from [`BufferId`] to an `f32` array (every Polybench buffer is an
 //! `f32` array; the paper's byte-granularity merge is modelled at element
 //! granularity, which it reduces to for 4-byte base types — paper §4.3).
+//!
+//! Address spaces are *copy-on-write*: [`Memory::share_from`] makes a
+//! second address space hold the same host allocation as the first, and the
+//! allocation is copied only when one of them first writes it. The cost of
+//! every copy and transfer is charged by the timing model, not measured, so
+//! sharing changes no virtual time — only how often the host copies bytes
+//! that no device has changed.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::dirty::{DirtyRanges, DirtyTracker, PageMap, PAGE_ELEMS};
 use crate::simd;
@@ -21,9 +29,15 @@ use crate::{ClError, ClResult};
 pub struct BufferId(pub u64);
 
 /// One address space: buffer storage for a single device (or the host).
+///
+/// Each buffer is an `Arc<Vec<f32>>` that several address spaces may share.
+/// Reads borrow it; every mutation goes through [`Arc::make_mut`] (or
+/// replaces a shared allocation wholesale), so a write in one address
+/// space never shows in another. Cloning a `Memory` is therefore cheap and
+/// the clone is independent of its source.
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
-    buffers: HashMap<BufferId, Vec<f32>>,
+    buffers: HashMap<BufferId, Arc<Vec<f32>>>,
 }
 
 impl Memory {
@@ -34,21 +48,53 @@ impl Memory {
 
     /// Allocates (or reallocates) `id` with `len` zeroed elements.
     ///
-    /// Re-allocating an existing buffer reuses its heap allocation: the
-    /// content is zero-filled in place and the vector only grows when
-    /// `len` exceeds the existing capacity.
+    /// Re-allocating a buffer this address space owns alone reuses its heap
+    /// allocation: the content is zero-filled in place and the vector only
+    /// grows when `len` exceeds the existing capacity. A shared buffer is
+    /// replaced by a fresh allocation, leaving the other holders intact.
     pub fn alloc(&mut self, id: BufferId, len: usize) {
-        if let Some(buf) = self.buffers.get_mut(&id) {
+        if let Some(buf) = self.buffers.get_mut(&id).and_then(Arc::get_mut) {
             buf.clear();
             buf.resize(len, 0.0);
         } else {
-            self.buffers.insert(id, vec![0.0; len]);
+            self.buffers.insert(id, Arc::new(vec![0.0; len]));
         }
     }
 
-    /// Installs `data` as the content of `id`, allocating if needed.
-    pub fn install(&mut self, id: BufferId, data: Vec<f32>) {
-        self.buffers.insert(id, data);
+    /// Installs `data` as the content of `id`, allocating if needed. Takes
+    /// either a fresh `Vec` or an allocation moved out by [`take`](Self::take).
+    pub fn install(&mut self, id: BufferId, data: impl Into<Arc<Vec<f32>>>) {
+        self.buffers.insert(id, data.into());
+    }
+
+    /// Makes `id` in this address space share `src`'s allocation of it,
+    /// replacing whatever this address space held. No element is copied;
+    /// the first later write on either side makes that side's own copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ClError::InvalidBuffer`] if `id` was never allocated in
+    /// `src`.
+    pub fn share_from(&mut self, src: &Memory, id: BufferId) -> ClResult<()> {
+        let buf = src.buffers.get(&id).ok_or(ClError::InvalidBuffer(id.0))?;
+        self.buffers.insert(id, Arc::clone(buf));
+        Ok(())
+    }
+
+    /// Whether this address space and `other` hold one and the same
+    /// allocation of `id` (false if either lacks it).
+    pub fn shares_with(&self, other: &Memory, id: BufferId) -> bool {
+        match (self.buffers.get(&id), other.buffers.get(&id)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    /// How many holders — address spaces, snapshots, or buffers moved out
+    /// by [`take`](Self::take) — share this address space's allocation of
+    /// `id`; 0 if `id` is absent. 1 means the allocation is private here.
+    pub fn holders(&self, id: BufferId) -> usize {
+        self.buffers.get(&id).map_or(0, Arc::strong_count)
     }
 
     /// Immutable view of a buffer.
@@ -59,11 +105,12 @@ impl Memory {
     pub fn get(&self, id: BufferId) -> ClResult<&[f32]> {
         self.buffers
             .get(&id)
-            .map(Vec::as_slice)
+            .map(|b| b.as_slice())
             .ok_or(ClError::InvalidBuffer(id.0))
     }
 
-    /// Mutable view of a buffer.
+    /// Mutable view of a buffer. A buffer shared with another address
+    /// space is copied first, so the write stays private to this one.
     ///
     /// # Errors
     ///
@@ -71,21 +118,24 @@ impl Memory {
     pub fn get_mut(&mut self, id: BufferId) -> ClResult<&mut [f32]> {
         self.buffers
             .get_mut(&id)
-            .map(Vec::as_mut_slice)
+            .map(|b| Arc::make_mut(b).as_mut_slice())
             .ok_or(ClError::InvalidBuffer(id.0))
     }
 
     /// Removes and returns a buffer (used by the executor to split borrows
-    /// between input and output buffers of one launch).
+    /// between input and output buffers of one launch). The allocation
+    /// keeps its sharing: [`install`](Self::install) it back unchanged and
+    /// nothing is copied or reallocated.
     ///
     /// # Errors
     ///
     /// Returns [`ClError::InvalidBuffer`] if `id` was never allocated here.
-    pub fn take(&mut self, id: BufferId) -> ClResult<Vec<f32>> {
+    pub fn take(&mut self, id: BufferId) -> ClResult<Arc<Vec<f32>>> {
         self.buffers.remove(&id).ok_or(ClError::InvalidBuffer(id.0))
     }
 
-    /// Overwrites a buffer with `data`.
+    /// Overwrites a buffer with `data`: in place when this address space
+    /// owns the allocation alone, as a fresh allocation when it is shared.
     ///
     /// # Errors
     ///
@@ -102,57 +152,9 @@ impl Memory {
                 got: data.len(),
             });
         }
-        buf.copy_from_slice(data);
-        Ok(())
-    }
-
-    /// Copies the content of `id` into `dst`, reusing `dst`'s allocation.
-    ///
-    /// This is the allocation-free snapshot primitive: callers keep a pool
-    /// of `Vec<f32>`s and refresh them per kernel instead of cloning the
-    /// buffer (`get(id)?.to_vec()`) on every launch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClError::InvalidBuffer`] if `id` was never allocated here.
-    pub fn copy_into(&self, id: BufferId, dst: &mut Vec<f32>) -> ClResult<()> {
-        let src = self.get(id)?;
-        dst.clear();
-        dst.extend_from_slice(src);
-        Ok(())
-    }
-
-    /// Ranged variant of [`copy_into`](Self::copy_into): refreshes only
-    /// the given dirty ranges when `dst` already mirrors the buffer (same
-    /// length), and falls back to a full copy otherwise — e.g. when `dst`
-    /// is a freshly acquired (empty) pool vector.
-    ///
-    /// This is the partial `orig_snapshot` refresh primitive: a snapshot
-    /// that is stale only in known ranges is brought current without
-    /// re-copying the clean elements.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClError::InvalidBuffer`] if `id` was never allocated
-    /// here, or [`ClError::SizeMismatch`] if a range exceeds the buffer.
-    pub fn copy_into_ranged(
-        &self,
-        id: BufferId,
-        dst: &mut Vec<f32>,
-        ranges: &DirtyRanges,
-    ) -> ClResult<()> {
-        let src = self.get(id)?;
-        if ranges.bound() > src.len() {
-            return Err(ClError::SizeMismatch {
-                expected: src.len(),
-                got: ranges.bound(),
-            });
-        }
-        if dst.len() != src.len() {
-            dst.clear();
-            dst.extend_from_slice(src);
-        } else {
-            ranges.copy_ranges(src, dst);
+        match Arc::get_mut(buf) {
+            Some(own) => own.copy_from_slice(data),
+            None => *buf = Arc::new(data.to_vec()),
         }
         Ok(())
     }
@@ -173,6 +175,11 @@ impl Memory {
     /// Returns [`ClError::InvalidBuffer`] if `id` was never allocated here.
     pub fn bytes_of(&self, id: BufferId) -> ClResult<u64> {
         Ok(self.len_of(id)? as u64 * 4)
+    }
+
+    /// Ids of every resident buffer, in no particular order.
+    pub fn ids(&self) -> impl Iterator<Item = BufferId> + '_ {
+        self.buffers.keys().copied()
     }
 
     /// Whether `id` exists in this address space.
@@ -359,22 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_into_refreshes_and_reuses_dst() {
-        let mut m = Memory::new();
-        let id = BufferId(1);
-        m.install(id, vec![1.0, 2.0, 3.0]);
-        let mut dst = Vec::with_capacity(8);
-        let ptr_before = dst.as_ptr();
-        m.copy_into(id, &mut dst).unwrap();
-        assert_eq!(dst, vec![1.0, 2.0, 3.0]);
-        assert_eq!(dst.as_ptr(), ptr_before, "capacity is reused");
-        assert_eq!(
-            m.copy_into(BufferId(9), &mut dst),
-            Err(ClError::InvalidBuffer(9))
-        );
-    }
-
-    #[test]
     fn missing_buffer_is_an_error() {
         let m = Memory::new();
         assert_eq!(m.get(BufferId(9)), Err(ClError::InvalidBuffer(9)));
@@ -554,28 +545,172 @@ mod tests {
         );
     }
 
+    /// Two address spaces sharing buffer 1 (`[1, 2, 3, 4]`).
+    fn shared_pair() -> (Memory, Memory) {
+        let mut a = Memory::new();
+        a.install(BufferId(1), vec![1.0, 2.0, 3.0, 4.0]);
+        let mut b = Memory::new();
+        b.share_from(&a, BufferId(1)).unwrap();
+        assert!(a.shares_with(&b, BufferId(1)));
+        assert_eq!(a.holders(BufferId(1)), 2);
+        (a, b)
+    }
+
+    fn bits(m: &Memory, id: BufferId) -> Vec<u32> {
+        m.get(id).unwrap().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn copy_into_ranged_refreshes_stale_spans() {
-        let mut m = Memory::new();
-        let id = BufferId(1);
-        m.install(id, vec![1.0, 2.0, 3.0, 4.0]);
-        // Same length: only the dirty span is refreshed.
-        let mut snap = vec![9.0; 4];
-        m.copy_into_ranged(id, &mut snap, &DirtyRanges::from_ranges([(1, 3)]))
-            .unwrap();
-        assert_eq!(snap, vec![9.0, 2.0, 3.0, 9.0]);
-        // Length mismatch (fresh pool vec): falls back to a full copy.
-        let mut fresh = Vec::new();
-        m.copy_into_ranged(id, &mut fresh, &DirtyRanges::empty())
-            .unwrap();
-        assert_eq!(fresh, vec![1.0, 2.0, 3.0, 4.0]);
-        // Out-of-bounds range is an error.
+    fn share_from_copies_nothing_and_rejects_missing_buffers() {
+        let (a, b) = shared_pair();
         assert_eq!(
-            m.copy_into_ranged(id, &mut snap, &DirtyRanges::full(9)),
-            Err(ClError::SizeMismatch {
-                expected: 4,
-                got: 9
-            })
+            a.get(BufferId(1)).unwrap().as_ptr(),
+            b.get(BufferId(1)).unwrap().as_ptr()
         );
+        let mut c = Memory::new();
+        assert_eq!(
+            c.share_from(&a, BufferId(9)),
+            Err(ClError::InvalidBuffer(9))
+        );
+        assert!(!c.shares_with(&a, BufferId(1)));
+        assert_eq!(c.holders(BufferId(1)), 0);
+    }
+
+    #[test]
+    fn write_to_a_shared_buffer_leaves_the_other_side_intact() {
+        let (mut a, b) = shared_pair();
+        let before = bits(&b, BufferId(1));
+        a.write(BufferId(1), &[9.0; 4]).unwrap();
+        assert_eq!(bits(&b, BufferId(1)), before);
+        assert_eq!(a.get(BufferId(1)).unwrap(), &[9.0; 4]);
+        assert!(!a.shares_with(&b, BufferId(1)));
+        assert_eq!((a.holders(BufferId(1)), b.holders(BufferId(1))), (1, 1));
+    }
+
+    #[test]
+    fn get_mut_on_a_shared_buffer_copies_first() {
+        let (a, mut b) = shared_pair();
+        let before = bits(&a, BufferId(1));
+        b.get_mut(BufferId(1)).unwrap()[2] = -1.0;
+        assert_eq!(bits(&a, BufferId(1)), before);
+        assert_eq!(b.get(BufferId(1)).unwrap(), &[1.0, 2.0, -1.0, 4.0]);
+        // Now private: a second write stays in the same allocation.
+        let ptr = b.get(BufferId(1)).unwrap().as_ptr();
+        b.get_mut(BufferId(1)).unwrap()[0] = -2.0;
+        assert_eq!(b.get(BufferId(1)).unwrap().as_ptr(), ptr);
+    }
+
+    #[test]
+    fn alloc_over_a_shared_buffer_leaves_the_other_side_intact() {
+        let (mut a, b) = shared_pair();
+        let before = bits(&b, BufferId(1));
+        a.alloc(BufferId(1), 4);
+        assert_eq!(a.get(BufferId(1)).unwrap(), &[0.0; 4]);
+        assert_eq!(bits(&b, BufferId(1)), before);
+        assert!(!a.shares_with(&b, BufferId(1)));
+    }
+
+    #[test]
+    fn take_and_install_keep_the_share_and_never_leak_writes() {
+        let (mut a, b) = shared_pair();
+        let before = bits(&b, BufferId(1));
+        let mut v = a.take(BufferId(1)).unwrap();
+        assert!(!a.contains(BufferId(1)));
+        assert_eq!(b.holders(BufferId(1)), 2, "the moved-out copy still shares");
+        Arc::make_mut(&mut v)[3] = 7.0;
+        a.install(BufferId(1), v);
+        assert_eq!(bits(&b, BufferId(1)), before);
+        assert_eq!(a.get(BufferId(1)).unwrap(), &[1.0, 2.0, 3.0, 7.0]);
+        // Unwritten, a take/install round trip keeps the share.
+        let (mut c, d) = shared_pair();
+        let v = c.take(BufferId(1)).unwrap();
+        c.install(BufferId(1), v);
+        assert!(c.shares_with(&d, BufferId(1)));
+    }
+
+    #[test]
+    fn a_poisoned_clone_leaves_its_source_intact() {
+        let mut src = Memory::new();
+        src.install(BufferId(1), vec![1.0, 2.0]);
+        src.install(BufferId(2), vec![3.0]);
+        let before = (bits(&src, BufferId(1)), bits(&src, BufferId(2)));
+        let mut poisoned = src.clone();
+        poisoned.get_mut(BufferId(1)).unwrap().fill(f32::NAN);
+        poisoned.write(BufferId(2), &[f32::INFINITY]).unwrap();
+        assert_eq!((bits(&src, BufferId(1)), bits(&src, BufferId(2))), before);
+        assert_eq!((src.holders(BufferId(1)), src.holders(BufferId(2))), (1, 1));
+    }
+
+    /// Model-based check: random share/write/get_mut/alloc/take/install
+    /// sequences over three address spaces always read back exactly what
+    /// independent deep-copied vectors would hold.
+    #[test]
+    fn copy_on_write_matches_deep_copies() {
+        use fluidicl_des::SplitMix64;
+        const SPACES: usize = 3;
+        const IDS: u64 = 3;
+        for seed in 0..64 {
+            let mut rng = SplitMix64::new(seed);
+            let mut mems: Vec<Memory> = (0..SPACES).map(|_| Memory::new()).collect();
+            let mut model: Vec<HashMap<BufferId, Vec<f32>>> = vec![HashMap::new(); SPACES];
+            for step in 0..200 {
+                let s = rng.range_usize(0, SPACES);
+                let id = BufferId(rng.range_u64(0, IDS));
+                let len = rng.range_usize(1, 6);
+                let fill = step as f32 + 0.5;
+                match rng.range_u64(0, 6) {
+                    0 => {
+                        let src = rng.range_usize(0, SPACES);
+                        if src != s && model[src].contains_key(&id) {
+                            let from = mems[src].clone();
+                            mems[s].share_from(&from, id).unwrap();
+                            let data = model[src][&id].clone();
+                            model[s].insert(id, data);
+                        }
+                    }
+                    1 => {
+                        if let Some(m) = model[s].get_mut(&id) {
+                            let data = vec![fill; m.len()];
+                            mems[s].write(id, &data).unwrap();
+                            *m = data;
+                        }
+                    }
+                    2 => {
+                        if let Some(m) = model[s].get_mut(&id) {
+                            let i = rng.range_usize(0, m.len());
+                            mems[s].get_mut(id).unwrap()[i] = fill;
+                            m[i] = fill;
+                        }
+                    }
+                    3 => {
+                        mems[s].alloc(id, len);
+                        model[s].insert(id, vec![0.0; len]);
+                    }
+                    4 => {
+                        if let Some(m) = model[s].get_mut(&id) {
+                            let mut v = mems[s].take(id).unwrap();
+                            let i = rng.range_usize(0, m.len());
+                            Arc::make_mut(&mut v)[i] = -fill;
+                            m[i] = -fill;
+                            mems[s].install(id, v);
+                        }
+                    }
+                    _ => {
+                        mems[s].install(id, vec![fill; len]);
+                        model[s].insert(id, vec![fill; len]);
+                    }
+                }
+                for (mem, want) in mems.iter().zip(&model) {
+                    assert_eq!(mem.buffer_count(), want.len(), "seed {seed} step {step}");
+                    for (id, v) in want {
+                        assert_eq!(
+                            mem.get(*id).unwrap(),
+                            v.as_slice(),
+                            "seed {seed} step {step}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

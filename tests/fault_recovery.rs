@@ -16,6 +16,9 @@ use fluidicl_hetsim::MachineConfig;
 use fluidicl_polybench::{all_benchmarks, syrk};
 use fluidicl_vcl::{ClError, ClResult, DeviceKind, FaultKind, FaultPlan};
 
+mod common;
+use common::assert_no_stray_holders;
+
 fn test_size(name: &str) -> usize {
     match name {
         "ATAX" | "BICG" | "MVT" => 256,
@@ -213,9 +216,10 @@ fn same_plan_seed_reproduces_the_same_schedule() {
 #[test]
 fn exhausted_retries_surface_a_typed_timeout_and_pools_stay_balanced() {
     // Satellite: a launch that errors mid-flight must hand back every
-    // pooled snapshot and scratch buffer it acquired — the free counts
-    // after the error must equal those after a clean run — and the runtime
-    // must stay usable for follow-on launches.
+    // scratch buffer it acquired — the free count after the error must
+    // equal that after a clean run — must leave no output buffer shared
+    // with the abandoned launch's snapshots, and the runtime must stay
+    // usable for follow-on launches.
     let n = 64;
     let machine = MachineConfig::paper_testbed();
     let mut clean = Fluidicl::new(
@@ -227,9 +231,8 @@ fn exhausted_retries_surface_a_typed_timeout_and_pools_stay_balanced() {
         syrk::run(&mut clean, n, SEED).unwrap(),
         syrk::reference(n, SEED)
     );
-    let sf_ok = clean.snapshot_free_count();
     let scf_ok = clean.scratch_free_count();
-    assert!(sf_ok > 0, "a clean launch cycles at least one snapshot");
+    assert_no_stray_holders(&clean);
 
     for ps in 0..SCAN {
         let config = FluidiclConfig::default()
@@ -239,11 +242,7 @@ fn exhausted_retries_surface_a_typed_timeout_and_pools_stay_balanced() {
         let mut rt = Fluidicl::new(machine.clone(), config, syrk::program(n));
         match syrk::run(&mut rt, n, SEED) {
             Err(ClError::Timeout { .. }) => {
-                assert_eq!(
-                    rt.snapshot_free_count(),
-                    sf_ok,
-                    "snapshot pool leaked across a mid-flight error"
-                );
+                assert_no_stray_holders(&rt);
                 assert_eq!(
                     rt.scratch_free_count(),
                     scf_ok,
