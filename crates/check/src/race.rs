@@ -36,8 +36,8 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use fluidicl::{Finisher, KernelReport, LaunchMeta, LintDiagnostic, TraceKind};
-use fluidicl_vcl::{DeviceKind, DirtyRanges, KernelDef};
+use fluidicl::{Finisher, KernelReport, Lane, LaunchMeta, LintDiagnostic, TraceKind};
+use fluidicl_vcl::{DirtyRanges, KernelDef};
 
 /// Engine endpoint index of the merge owner (the GPU lane of a FluidiCL
 /// trace): it receives contributions and runs the diff-merge.
@@ -479,16 +479,19 @@ fn ep_dev(kind: &TraceKind) -> Option<u32> {
         | TraceKind::NonOwnerLost { dev }
         | TraceKind::OwnerPromoted { dev, .. }
         | TraceKind::EpochRejected { dev, .. }
-        | TraceKind::EpDegradedRun { dev, .. }
-        | TraceKind::GraphRun { dev, .. } => Some(dev),
+        | TraceKind::SoloRun {
+            lane: Lane::Peer(dev),
+            ..
+        } => Some(dev),
         _ => None,
     }
 }
 
-fn endpoint_of_device(d: DeviceKind) -> usize {
-    match d {
-        DeviceKind::Gpu => OWNER,
-        DeviceKind::Cpu => CONTRIB,
+fn endpoint_of_lane(lane: Lane) -> usize {
+    match lane {
+        Lane::Gpu => OWNER,
+        Lane::Cpu => CONTRIB,
+        Lane::Peer(dev) => dev as usize + 1,
     }
 }
 
@@ -561,9 +564,9 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
     // (BTreeMap so the synthesized fold messages are deterministic).
     let mut peer_written: BTreeMap<u32, Vec<DirtyRanges>> = BTreeMap::new();
     let mut lost_devs: Vec<u32> = Vec::new();
-    // A peer-degraded run reads its result at the surviving peer's
-    // endpoint, not at the (dead) owner.
-    let mut degraded_peer: Option<u32> = None;
+    // A solo run reads its result where it ran — for a peer lane that is
+    // the peer's endpoint, not the (possibly dead) owner.
+    let mut solo_ep: Option<usize> = None;
     let mut next_msg = 0u64;
 
     for ev in &report.trace {
@@ -719,29 +722,14 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                 )));
                 next_msg += 1;
             }
-            TraceKind::EpDegradedRun { dev, from, to } => {
-                degraded_peer = Some(*dev);
+            TraceKind::SoloRun { lane, from, to, .. } => {
+                // One endpoint runs the whole launch: its writes happen
+                // there and the final read joins on the same endpoint.
+                let ep = endpoint_of_lane(*lane);
+                solo_ep = Some(ep);
                 events.push(Some(HbEvent::new(
-                    *dev as usize + 1,
-                    format!("ep{dev} degraded run {from}..{to}"),
-                    HbOp::Write {
-                        ranges: fp(*from, *to),
-                    },
-                )));
-            }
-            TraceKind::GraphRun {
-                node,
-                dev,
-                from,
-                to,
-            } => {
-                // A graph node runs whole on one endpoint, like a
-                // peer-degraded span: its writes happen there and the final
-                // read joins on the same endpoint.
-                degraded_peer = Some(*dev);
-                events.push(Some(HbEvent::new(
-                    *dev as usize + 1,
-                    format!("ep{dev} graph node {node} {from}..{to}"),
+                    ep,
+                    format!("{lane} solo run {from}..{to}"),
                     HbOp::Write {
                         ranges: fp(*from, *to),
                     },
@@ -756,15 +744,6 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                     OWNER,
                     format!("diff-merge of arrivals (watermark {final_wm})"),
                     HbOp::Merge { ranges },
-                )));
-            }
-            TraceKind::DegradedRun { device, from, to } => {
-                events.push(Some(HbEvent::new(
-                    endpoint_of_device(*device),
-                    format!("degraded run {from}..{to}"),
-                    HbOp::Write {
-                        ranges: fp(*from, *to),
-                    },
                 )));
             }
             TraceKind::KernelComplete { finisher } => {
@@ -803,12 +782,7 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                         )));
                     }
                 }
-                let read_ep = match degraded_peer {
-                    // Peer-degraded run: the data only exists on the
-                    // surviving peer; the final read happens there.
-                    Some(dev) => dev as usize + 1,
-                    None => endpoint_of_finisher(*finisher),
-                };
+                let read_ep = solo_ep.unwrap_or_else(|| endpoint_of_finisher(*finisher));
                 events.push(Some(HbEvent::new(
                     read_ep,
                     format!("final read 0..{total}"),

@@ -182,7 +182,7 @@ fn degraded_runs_report_the_selected_version() {
         let Some(first_degraded) = reports.iter().position(|r| {
             r.trace
                 .iter()
-                .any(|e| matches!(e.kind, TraceKind::DegradedRun { .. }))
+                .any(|e| matches!(e.kind, TraceKind::SoloRun { .. }))
         }) else {
             continue 'seeds;
         };

@@ -58,4 +58,4 @@ pub use recover::RecoveryPolicy;
 pub use roster::DeviceRoster;
 pub use runtime::Fluidicl;
 pub use stats::{Finisher, KernelReport, LaunchMeta, RuntimeSummary};
-pub use trace::{render_lanes, render_timeline, TraceEvent, TraceKind, STATUS_MSG_BYTES};
+pub use trace::{render_lanes, render_timeline, Lane, TraceEvent, TraceKind, STATUS_MSG_BYTES};

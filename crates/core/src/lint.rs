@@ -55,11 +55,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use fluidicl_des::SimTime;
-use fluidicl_vcl::DeviceKind;
 
 use crate::frontier::Coverage;
 use crate::stats::{Finisher, KernelReport};
-use crate::trace::{TraceEvent, TraceKind, STATUS_MSG_BYTES};
+use crate::trace::{Lane, TraceEvent, TraceKind, STATUS_MSG_BYTES};
 
 /// How bad a lint finding is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -161,14 +160,10 @@ pub fn lint_trace(events: &[TraceEvent]) -> Vec<LintDiagnostic> {
             _ => {}
         }
     }
-    if events.iter().any(|e| {
-        matches!(
-            e.kind,
-            TraceKind::DegradedRun { .. }
-                | TraceKind::EpDegradedRun { .. }
-                | TraceKind::GraphRun { .. }
-        )
-    }) {
+    if events
+        .iter()
+        .any(|e| matches!(e.kind, TraceKind::SoloRun { .. }))
+    {
         lint_solo(events, total, &mut out);
     } else {
         lint_coexec(events, total, depth, &mut out);
@@ -808,9 +803,7 @@ fn lint_coexec(events: &[TraceEvent], total: u64, depth: u32, out: &mut Vec<Lint
             }
             // Reported by `lint_trace`; solo spans never reach this replay.
             TraceKind::Enqueued { .. }
-            | TraceKind::DegradedRun { .. }
-            | TraceKind::EpDegradedRun { .. }
-            | TraceKind::GraphRun { .. }
+            | TraceKind::SoloRun { .. }
             | TraceKind::CpuSubkernelStart { .. }
             | TraceKind::CpuSubkernelDone { .. }
             | TraceKind::HdEnqueued {}
@@ -966,13 +959,11 @@ fn completion_count_error(n: usize) -> LintDiagnostic {
 /// subkernels, transfers) may appear.
 fn lint_solo(events: &[TraceEvent], total: u64, out: &mut Vec<LintDiagnostic>) {
     let mut spans: Vec<(u64, u64)> = Vec::new();
-    let mut devices: Vec<String> = Vec::new();
+    let mut devices: Vec<Lane> = Vec::new();
     let mut completes = 0usize;
     for e in &events[1..] {
         let (device, from, to) = match e.kind {
-            TraceKind::DegradedRun { device, from, to } => (device.name().to_string(), from, to),
-            TraceKind::EpDegradedRun { dev, from, to }
-            | TraceKind::GraphRun { dev, from, to, .. } => (format!("ep{dev}"), from, to),
+            TraceKind::SoloRun { lane, from, to, .. } => (lane, from, to),
             TraceKind::KernelComplete { .. } => {
                 completes += 1;
                 continue;
@@ -1013,7 +1004,11 @@ fn lint_solo(events: &[TraceEvent], total: u64, out: &mut Vec<LintDiagnostic>) {
             "solo-shape",
             format!(
                 "one single-device run spans more than one device ({})",
-                devices.join(", ")
+                devices
+                    .iter()
+                    .map(Lane::to_string)
+                    .collect::<Vec<_>>()
+                    .join(", ")
             ),
         ));
     }
@@ -1064,13 +1059,11 @@ pub fn lint_report(report: &KernelReport) -> Vec<LintDiagnostic> {
                 final_watermark = final_watermark.min(*watermark);
             }
             TraceKind::KernelComplete { finisher } => complete = Some((e.at, *finisher)),
-            TraceKind::DegradedRun { device, from, to } => match device {
-                DeviceKind::Cpu => cpu_executed += to - from,
-                DeviceKind::Gpu => gpu_executed += to - from,
+            TraceKind::SoloRun { lane, from, to, .. } => match lane {
+                Lane::Cpu => cpu_executed += to - from,
+                Lane::Gpu => gpu_executed += to - from,
+                Lane::Peer(_) => peer_executed += to - from,
             },
-            TraceKind::EpDegradedRun { from, to, .. } | TraceKind::GraphRun { from, to, .. } => {
-                peer_executed += to - from;
-            }
             TraceKind::OwnerLost | TraceKind::NonOwnerLost { .. } => device_lost = true,
             _ => {}
         }
@@ -1618,18 +1611,19 @@ mod tests {
         vec![ev(0, enqueued(8)), ev(3, span), ev(90, complete(finisher))]
     }
 
-    fn degraded(device: DeviceKind, to: u64) -> TraceKind {
-        TraceKind::DegradedRun {
-            device,
+    fn degraded(lane: Lane, to: u64) -> TraceKind {
+        TraceKind::SoloRun {
+            lane,
+            node: None,
             from: 0,
             to,
         }
     }
 
     fn graph_run(dev: u32, from: u64, to: u64) -> TraceKind {
-        TraceKind::GraphRun {
-            node: 1,
-            dev,
+        TraceKind::SoloRun {
+            lane: Lane::Peer(dev),
+            node: Some(1),
             from,
             to,
         }
@@ -1637,16 +1631,9 @@ mod tests {
 
     #[test]
     fn solo_traces_are_legal() {
-        let cpu = solo_trace(degraded(DeviceKind::Cpu, 8), Finisher::Cpu);
+        let cpu = solo_trace(degraded(Lane::Cpu, 8), Finisher::Cpu);
         assert_eq!(lint_trace(&cpu), vec![]);
-        let peer = solo_trace(
-            TraceKind::EpDegradedRun {
-                dev: 1,
-                from: 0,
-                to: 8,
-            },
-            Finisher::Gpu,
-        );
+        let peer = solo_trace(degraded(Lane::Peer(1), 8), Finisher::Gpu);
         assert_eq!(lint_trace(&peer), vec![]);
         let node = solo_trace(graph_run(1, 0, 8), Finisher::Gpu);
         assert_eq!(lint_trace(&node), vec![]);
@@ -1654,7 +1641,7 @@ mod tests {
 
     #[test]
     fn solo_trace_with_coverage_gap_is_flagged() {
-        let t = solo_trace(degraded(DeviceKind::Gpu, 6), Finisher::Gpu);
+        let t = solo_trace(degraded(Lane::Gpu, 6), Finisher::Gpu);
         assert!(rules(&t).contains(&"coverage"));
         let t = solo_trace(graph_run(1, 0, 6), Finisher::Gpu);
         assert!(rules(&t).contains(&"coverage"));
@@ -1662,7 +1649,7 @@ mod tests {
 
     #[test]
     fn coexec_machinery_inside_solo_trace_is_flagged() {
-        let mut t = solo_trace(degraded(DeviceKind::Gpu, 8), Finisher::Gpu);
+        let mut t = solo_trace(degraded(Lane::Gpu, 8), Finisher::Gpu);
         t.insert(1, ev(2, TraceKind::GpuLaunch));
         assert!(rules(&t).contains(&"solo-shape"));
         let mut t = solo_trace(graph_run(1, 0, 8), Finisher::Gpu);

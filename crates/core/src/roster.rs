@@ -9,8 +9,6 @@
 //! loss and only fall back to a single-device degraded run when exactly
 //! one device remains.
 
-use fluidicl_vcl::DeviceKind;
-
 /// Health state of every device in the machine, tracked across kernels.
 ///
 /// A fresh roster reports everything healthy. Losses are sticky: a device
@@ -86,20 +84,6 @@ impl DeviceRoster {
     pub fn any_lost(&self) -> bool {
         self.cpu_lost || self.gpu_lost || !self.dead_peers.is_empty()
     }
-
-    /// The legacy binary view of loss, kept for the paper's two-device
-    /// vocabulary: the GPU outranks the CPU (losing both reports the GPU),
-    /// and peer losses alone report nothing — the two-device protocol has
-    /// no peers.
-    pub fn lost_device(&self) -> Option<DeviceKind> {
-        if self.gpu_lost {
-            Some(DeviceKind::Gpu)
-        } else if self.cpu_lost {
-            Some(DeviceKind::Cpu)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +97,6 @@ mod tests {
         assert!(r.gpu_healthy());
         assert!(r.dead_peers().is_empty());
         assert!(!r.any_lost());
-        assert_eq!(r.lost_device(), None);
     }
 
     #[test]
@@ -131,18 +114,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_view_ranks_gpu_over_cpu() {
+    fn each_loss_marks_only_its_device() {
         let mut r = DeviceRoster::new();
         r.lose_cpu();
-        assert_eq!(r.lost_device(), Some(DeviceKind::Cpu));
+        assert!(!r.cpu_healthy() && r.gpu_healthy());
         r.lose_gpu();
-        assert_eq!(r.lost_device(), Some(DeviceKind::Gpu));
+        assert!(!r.cpu_healthy() && !r.gpu_healthy());
+        assert!(r.dead_peers().is_empty());
         let mut peers_only = DeviceRoster::new();
         peers_only.lose_peer(1);
-        assert_eq!(
-            peers_only.lost_device(),
-            None,
-            "peer loss is not binary loss"
+        assert!(
+            peers_only.cpu_healthy() && peers_only.gpu_healthy(),
+            "a peer loss leaves the primary pair healthy"
         );
+        assert!(peers_only.any_lost() && peers_only.peer_dead(1));
     }
 }

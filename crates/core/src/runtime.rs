@@ -6,6 +6,10 @@
 //! (§4.1), co-executing every kernel (§4.2), merging results (§4.3),
 //! returning data to the host in a background thread (§4.4, §5.6), and
 //! tracking buffer versions and locations across kernels (§5.3, §6.2).
+//!
+//! Every kernel executes through one placement routine, `place`: a prepared
+//! launch on a set of healthy lanes. Two or more lanes co-execute; one lane
+//! runs the whole NDRange alone (a degraded run, or a graph node on a peer).
 
 use fluidicl_des::{SimDuration, SimTime};
 use fluidicl_hetsim::MachineConfig;
@@ -22,7 +26,7 @@ use crate::graph::{self, GraphNodeSummary, GraphSchedule};
 use crate::heft::{self, HeftEdge, WeightTable};
 use crate::roster::DeviceRoster;
 use crate::stats::{Finisher, KernelReport, LaunchMeta, RuntimeSummary};
-use crate::trace::{TraceEvent, TraceKind};
+use crate::trace::{Lane, TraceEvent, TraceKind};
 
 /// The FluidiCL runtime over a simulated CPU+GPU machine.
 ///
@@ -87,11 +91,11 @@ pub struct Fluidicl {
     /// Kernel version online profiling last settled on; degraded runs keep
     /// reporting it (selection survives a device loss).
     last_cpu_version: usize,
-    /// Unrecoverable error (both devices gone): every later enqueue returns
-    /// a clone of it instead of touching dead hardware.
+    /// Unrecoverable device loss: every later enqueue returns a clone of it
+    /// instead of touching dead hardware.
     fatal: Option<ClError>,
     /// Launches deferred by kernel-graph scheduling, awaiting a flush.
-    pending: Vec<PendingLaunch>,
+    pending: Vec<PreparedLaunch>,
     /// Online-profiled per-(kernel, lane) node weights for HEFT lookahead,
     /// carried across flushes.
     weights: WeightTable,
@@ -100,12 +104,25 @@ pub struct Fluidicl {
     graph_schedules: Vec<GraphSchedule>,
 }
 
-/// One enqueue captured while kernel-graph scheduling defers execution.
+/// A launch validated at enqueue time: signature, scalars and buffer
+/// handles are checked once, eager or deferred, and the launch keeps its
+/// cached argument classification until it runs.
 #[derive(Debug)]
-struct PendingLaunch {
+struct PreparedLaunch {
     kernel: String,
-    ndrange: NdRange,
-    args: Vec<KernelArg>,
+    launch: Launch,
+    /// Every buffer the launch touches: its inputs, then its outputs.
+    buffers: Vec<BufferId>,
+    /// Buffers the launch writes (`Out` and `InOut`).
+    out_ids: Vec<BufferId>,
+}
+
+/// The healthy devices one placement may use.
+#[derive(Debug)]
+struct Lanes {
+    cpu: bool,
+    gpu: bool,
+    peers: Vec<PeerSlot>,
 }
 
 impl Fluidicl {
@@ -181,15 +198,9 @@ impl Fluidicl {
         self.injector.as_ref().is_some_and(FaultInjector::fired)
     }
 
-    /// Device declared permanently lost during an earlier kernel, if any —
-    /// the legacy binary view ([`DeviceRoster::lost_device`]). Subsequent
-    /// kernels co-execute on the healthy survivors when at least two
-    /// remain, and run degraded only on the last one.
-    pub fn lost_device(&self) -> Option<DeviceKind> {
-        self.roster.lost_device()
-    }
-
     /// Health of every device in the machine, tracked across kernels.
+    /// Later kernels co-execute on the healthy survivors when at least two
+    /// remain, and run alone on the last one.
     pub fn roster(&self) -> &DeviceRoster {
         &self.roster
     }
@@ -264,131 +275,6 @@ impl Fluidicl {
         }
     }
 
-    /// Executes a kernel on the single surviving device after a permanent
-    /// device loss: no co-execution, no subkernels, no transfers — the
-    /// paper's protocol degrades to plain single-device OpenCL.
-    fn enqueue_degraded(
-        &mut self,
-        kernel: &str,
-        launch: &Launch,
-        in_ids: &[BufferId],
-        out_ids: &[BufferId],
-        kid: KernelId,
-        survivor: DeviceKind,
-    ) -> ClResult<()> {
-        let total = launch.ndrange.num_groups();
-        let items = launch.ndrange.items_per_group();
-        let profile = &launch.kernel.default_version().profile;
-        let mut all_bufs: Vec<BufferId> = in_ids.to_vec();
-        all_bufs.extend(out_ids.iter().copied());
-        let (start, duration) = match survivor {
-            DeviceKind::Cpu => {
-                let start = self.buffers.cpu_ready_time(&all_bufs).max(self.host_clock);
-                let dur =
-                    self.machine
-                        .cpu
-                        .subkernel_time(profile, items, total, self.config.wg_split);
-                (start, dur)
-            }
-            DeviceKind::Gpu => {
-                let start = self
-                    .buffers
-                    .gpu_ready_time(&all_bufs)
-                    .max(self.gpu_free)
-                    .max(self.host_clock)
-                    + self.machine.gpu.launch_overhead();
-                let dur =
-                    self.machine
-                        .gpu
-                        .range_time(profile, items, total, self.config.abort_mode);
-                (start, dur)
-            }
-        };
-        let mem = match survivor {
-            DeviceKind::Cpu => &mut self.cpu_mem,
-            DeviceKind::Gpu => &mut self.gpu_mem,
-        };
-        let exec = execute_groups_injected(launch, mem, 0, total, self.injector.as_ref(), survivor);
-        if let Err(e) = exec {
-            if matches!(e, ClError::DeviceLost { .. }) {
-                self.fatal = Some(e.clone());
-            }
-            return Err(e);
-        }
-        let complete_at = start + duration;
-        let span = TraceKind::DegradedRun {
-            device: survivor,
-            from: 0,
-            to: total,
-        };
-        let times = (self.host_clock, start, complete_at);
-        let report = self.solo_report(kernel, kid, launch, out_ids, times, span)?;
-        self.host_clock = complete_at;
-        for id in out_ids {
-            match survivor {
-                DeviceKind::Cpu => self.buffers.record_cpu_arrival(*id, kid, complete_at),
-                DeviceKind::Gpu => {
-                    self.gpu_free = complete_at;
-                    self.buffers.record_gpu_arrival(*id, kid, complete_at);
-                }
-            }
-        }
-        self.reports.push(report);
-        Ok(())
-    }
-
-    /// Executes a kernel alone on a surviving peer GPU after both the CPU
-    /// and the primary GPU are gone. The peer starts from a clean slate, so
-    /// it pays a host-to-device broadcast of the launch buffers before the
-    /// range; functionally the results land in the authoritative host copy
-    /// (host memory outlives its compute device), which is what
-    /// `read_buffer` serves once the primary GPU is dead. The fault plan's
-    /// device kills target the primary CPU/GPU pair and both have already
-    /// fired, so the run itself is not subject to further injection.
-    fn enqueue_peer_degraded(
-        &mut self,
-        kernel: &str,
-        launch: &Launch,
-        in_ids: &[BufferId],
-        out_ids: &[BufferId],
-        kid: KernelId,
-        slot: &PeerSlot,
-    ) -> ClResult<()> {
-        let total = launch.ndrange.num_groups();
-        let items = launch.ndrange.items_per_group();
-        let profile = &launch.kernel.default_version().profile;
-        let mut all_bufs: Vec<BufferId> = in_ids.to_vec();
-        all_bufs.extend(out_ids.iter().copied());
-        let broadcast_bytes = self.broadcast_bytes(&all_bufs);
-        let start = self
-            .buffers
-            .cpu_ready_time(&all_bufs)
-            .max(self.gpu_free)
-            .max(self.host_clock)
-            + slot.peer.h2d.transfer_time(broadcast_bytes)
-            + slot.peer.gpu.launch_overhead();
-        let duration = slot
-            .peer
-            .gpu
-            .range_time(profile, items, total, self.config.abort_mode);
-        execute_groups_injected(launch, &mut self.cpu_mem, 0, total, None, DeviceKind::Gpu)?;
-        let complete_at = start + duration;
-        let span = TraceKind::EpDegradedRun {
-            dev: slot.dev,
-            from: 0,
-            to: total,
-        };
-        let times = (self.host_clock, start, complete_at);
-        let report = self.solo_report(kernel, kid, launch, out_ids, times, span)?;
-        self.host_clock = complete_at;
-        self.gpu_free = complete_at;
-        for id in out_ids {
-            self.buffers.record_cpu_arrival(*id, kid, complete_at);
-        }
-        self.reports.push(report);
-        Ok(())
-    }
-
     /// Bytes of every distinct buffer in `bufs`: what a peer starting from
     /// a clean slate receives before it can run the launch.
     fn broadcast_bytes(&self, bufs: &[BufferId]) -> u64 {
@@ -396,80 +282,6 @@ impl Fluidicl {
         ids.sort_unstable_by_key(|id| id.0);
         ids.dedup();
         ids.iter().map(|id| self.buffers.state(*id).bytes()).sum()
-    }
-
-    /// Builds the report of a kernel that one device ran alone over its
-    /// whole NDRange — a degraded run or a graph node placed on a peer —
-    /// from `(enqueued, start, complete)` times and the solo `span`, and
-    /// passes it through the report gates. Its trace is the enqueue
-    /// record, the span and the completion; a solo run has no overlap to
-    /// pipeline, so it always reads as the serial protocol.
-    fn solo_report(
-        &self,
-        kernel: &str,
-        kid: KernelId,
-        launch: &Launch,
-        out_ids: &[BufferId],
-        (enqueued_at, start, complete_at): (SimTime, SimTime, SimTime),
-        span: TraceKind,
-    ) -> ClResult<KernelReport> {
-        let total = launch.ndrange.num_groups();
-        let (gpu_executed_wgs, cpu_executed_wgs, peer_executed_wgs, finished_by) = match span {
-            TraceKind::DegradedRun {
-                device: DeviceKind::Cpu,
-                ..
-            } => (0, total, Vec::new(), Finisher::Cpu),
-            TraceKind::DegradedRun { .. } => (total, 0, Vec::new(), Finisher::Gpu),
-            _ => (0, 0, vec![total], Finisher::Gpu),
-        };
-        let event = |at, kind| TraceEvent { at, kind };
-        let report = KernelReport {
-            kernel: kernel.to_string(),
-            kernel_id: kid,
-            enqueued_at,
-            complete_at,
-            total_wgs: total,
-            gpu_executed_wgs,
-            cpu_executed_wgs,
-            cpu_merged_wgs: 0,
-            subkernels: 0,
-            subkernel_log: Vec::new(),
-            hd_bytes: 0,
-            dh_bytes: 0,
-            // A solo run still reports the version online profiling
-            // settled on earlier — selection is runtime state, not
-            // per-kernel state, so the report must not reset it to 0.
-            cpu_version_used: self.last_cpu_version,
-            peer_executed_wgs,
-            finished_by,
-            duration: complete_at.saturating_since(enqueued_at),
-            trace: vec![
-                event(
-                    enqueued_at,
-                    TraceKind::Enqueued {
-                        total_wgs: total,
-                        pipeline_depth: 1,
-                    },
-                ),
-                event(start, span),
-                event(
-                    complete_at,
-                    TraceKind::KernelComplete {
-                        finisher: finished_by,
-                    },
-                ),
-            ],
-            launch_meta: Some(LaunchMeta {
-                ndrange: launch.ndrange,
-                scalars: launch.plan()?.scalars.clone(),
-                out_lens: out_ids
-                    .iter()
-                    .map(|id| self.buffers.state(*id).len)
-                    .collect(),
-            }),
-        };
-        self.gate_report(kernel, &report)?;
-        Ok(report)
     }
 
     /// Runs the per-report protocol gate ([`FluidiclConfig::validate_protocol`])
@@ -491,24 +303,343 @@ impl Fluidicl {
         Ok(())
     }
 
-    /// Validates a launch and parks it in the pending kernel graph instead
-    /// of executing it (graph scheduling, ISSUE 10). Signature, scalar and
-    /// buffer-handle errors still surface at enqueue time, exactly like the
-    /// eager path; only execution is deferred.
-    fn graph_defer(&mut self, kernel: &str, ndrange: NdRange, args: &[KernelArg]) -> ClResult<()> {
-        let def = self.program.kernel(kernel)?;
-        let launch = Launch::new(def, ndrange, args.to_vec());
-        let in_ids = launch.input_buffers()?;
+    /// Validates a launch against the program and the buffer table. Eager
+    /// and deferred enqueues both come through here, so a malformed launch
+    /// fails with the same typed error at enqueue time either way, and
+    /// every later table access may index infallibly.
+    fn prepare(
+        &self,
+        kernel: &str,
+        ndrange: NdRange,
+        args: &[KernelArg],
+    ) -> ClResult<PreparedLaunch> {
+        let launch = Launch::new(self.program.kernel(kernel)?, ndrange, args.to_vec());
+        let mut buffers = launch.input_buffers()?;
         let out_ids = launch.output_buffers()?;
-        for id in in_ids.iter().chain(out_ids.iter()) {
+        buffers.extend(out_ids.iter().copied());
+        for id in &buffers {
             self.buffers.try_state(*id)?;
         }
-        self.pending.push(PendingLaunch {
+        Ok(PreparedLaunch {
             kernel: kernel.to_string(),
-            ndrange,
-            args: args.to_vec(),
-        });
-        Ok(())
+            launch,
+            buffers,
+            out_ids,
+        })
+    }
+
+    /// What running `p` alone on `lane` costs, as `(lead_in, run)`: the
+    /// lead-in precedes the solo span (a GPU's launch overhead; a peer
+    /// first receives a host-to-device broadcast of every launch buffer,
+    /// since it starts from a clean slate), and the run is the span itself.
+    fn solo_cost(&self, p: &PreparedLaunch, lane: Lane) -> (SimDuration, SimDuration) {
+        let total = p.launch.ndrange.num_groups();
+        let items = p.launch.ndrange.items_per_group();
+        let profile = &p.launch.kernel.default_version().profile;
+        let abort = self.config.abort_mode;
+        match lane {
+            Lane::Cpu => (
+                SimDuration::ZERO,
+                self.machine
+                    .cpu
+                    .subkernel_time(profile, items, total, self.config.wg_split),
+            ),
+            Lane::Gpu => (
+                self.machine.gpu.launch_overhead(),
+                self.machine.gpu.range_time(profile, items, total, abort),
+            ),
+            Lane::Peer(dev) => {
+                let peer = &self.machine.peers[dev as usize - 1];
+                let broadcast = peer.h2d.transfer_time(self.broadcast_bytes(&p.buffers));
+                (
+                    broadcast + peer.gpu.launch_overhead(),
+                    peer.gpu.range_time(profile, items, total, abort),
+                )
+            }
+        }
+    }
+
+    /// Runs one prepared launch on `lanes`, no earlier than `ready`, and
+    /// reports it as enqueued at `enqueued_at` — the one routine every
+    /// kernel executes through. No lane is a stable typed error, one lane
+    /// runs the whole NDRange alone, and two or more co-execute under the
+    /// fluidic protocol. `node` names the graph node a flush is placing.
+    /// The launch takes the next kernel id. Returns when the placement
+    /// started and when the kernel completed.
+    fn place(
+        &mut self,
+        p: &PreparedLaunch,
+        node: Option<usize>,
+        lanes: Lanes,
+        ready: SimTime,
+        enqueued_at: SimTime,
+    ) -> ClResult<(SimTime, SimTime)> {
+        let kid = self.next_kernel_id;
+        self.next_kernel_id += 1;
+        for id in &p.out_ids {
+            self.buffers.begin_kernel_write(*id, kid);
+        }
+        let times = (ready, enqueued_at);
+        let placed = match (lanes.cpu, lanes.gpu, lanes.peers.as_slice()) {
+            (false, false, []) => Err(ClError::DeviceLost {
+                device: DeviceKind::Gpu,
+                detail: "no healthy device remains to execute the kernel".into(),
+            }),
+            (true, false, []) => self.place_solo(p, kid, node, Lane::Cpu, times),
+            (false, true, []) => self.place_solo(p, kid, node, Lane::Gpu, times),
+            (false, false, [slot]) => self.place_solo(p, kid, node, Lane::Peer(slot.dev), times),
+            _ => self.place_coexec(p, kid, lanes, times),
+        };
+        if let Err(e @ ClError::DeviceLost { .. }) = &placed {
+            // Unrecoverable: every later enqueue replays the loss instead
+            // of touching dead hardware.
+            self.fatal = Some(e.clone());
+        }
+        placed
+    }
+
+    /// Runs a launch alone on `lane` over its whole NDRange: no subkernels,
+    /// no transfers — the protocol reduces to plain single-device OpenCL.
+    /// A peer computes into the authoritative host copy (host memory
+    /// outlives its compute device), which the primary GPU's address space
+    /// mirrors while that card is healthy; its arrival there is charged one
+    /// primary-link transfer that rides the link without occupying it, like
+    /// host writes' DMA. The fault plan's device kills target the primary
+    /// CPU/GPU pair, so a peer's run is not subject to injection.
+    fn place_solo(
+        &mut self,
+        p: &PreparedLaunch,
+        kid: KernelId,
+        node: Option<usize>,
+        lane: Lane,
+        (ready, enqueued_at): (SimTime, SimTime),
+    ) -> ClResult<(SimTime, SimTime)> {
+        let total = p.launch.ndrange.num_groups();
+        let mirror = matches!(lane, Lane::Peer(_)) && self.roster.gpu_healthy();
+        // The GPU reads its own copy, everyone else the host copy. `gpu_free`
+        // is the timeline of the primary GPU, or of the peer standing in for
+        // it once it is lost.
+        let on_gpu_timeline = lane != Lane::Cpu && !mirror;
+        let data_ready = match lane {
+            Lane::Gpu => self.buffers.gpu_ready_time(&p.buffers).max(self.gpu_free),
+            _ if on_gpu_timeline => self.buffers.cpu_ready_time(&p.buffers).max(self.gpu_free),
+            Lane::Cpu | Lane::Peer(_) => self.buffers.cpu_ready_time(&p.buffers),
+        };
+        let (lead_in, run) = self.solo_cost(p, lane);
+        let start = data_ready.max(ready) + lead_in;
+        let complete_at = start + run;
+        let (mem, injector, device) = match lane {
+            Lane::Cpu => (&mut self.cpu_mem, self.injector.as_ref(), DeviceKind::Cpu),
+            Lane::Gpu => (&mut self.gpu_mem, self.injector.as_ref(), DeviceKind::Gpu),
+            Lane::Peer(_) => (&mut self.cpu_mem, None, DeviceKind::Gpu),
+        };
+        execute_groups_injected(&p.launch, mem, 0, total, injector, device)?;
+        if mirror {
+            for id in &p.out_ids {
+                self.gpu_mem.share_from(&self.cpu_mem, *id)?;
+            }
+        }
+        let (gpu_executed_wgs, cpu_executed_wgs, peer_executed_wgs, finished_by) = match lane {
+            Lane::Cpu => (0, total, Vec::new(), Finisher::Cpu),
+            Lane::Gpu => (total, 0, Vec::new(), Finisher::Gpu),
+            Lane::Peer(_) => (0, 0, vec![total], Finisher::Gpu),
+        };
+        let span = TraceKind::SoloRun {
+            lane,
+            node: node.map(|n| n as u32),
+            from: 0,
+            to: total,
+        };
+        let event = |at, kind| TraceEvent { at, kind };
+        // A solo run has no overlap to pipeline, so its trace always reads
+        // as the serial protocol.
+        let enqueued = TraceKind::Enqueued {
+            total_wgs: total,
+            pipeline_depth: 1,
+        };
+        let report = KernelReport {
+            kernel: p.kernel.clone(),
+            kernel_id: kid,
+            enqueued_at,
+            complete_at,
+            total_wgs: total,
+            gpu_executed_wgs,
+            cpu_executed_wgs,
+            cpu_merged_wgs: 0,
+            subkernels: 0,
+            subkernel_log: Vec::new(),
+            hd_bytes: 0,
+            dh_bytes: 0,
+            // A solo run still reports the version online profiling
+            // settled on earlier — selection is runtime state, not
+            // per-kernel state, so the report must not reset it to 0.
+            cpu_version_used: self.last_cpu_version,
+            peer_executed_wgs,
+            finished_by,
+            duration: complete_at.saturating_since(enqueued_at),
+            trace: vec![
+                event(enqueued_at, enqueued),
+                event(start, span),
+                event(
+                    complete_at,
+                    TraceKind::KernelComplete {
+                        finisher: finished_by,
+                    },
+                ),
+            ],
+            launch_meta: Some(LaunchMeta {
+                ndrange: p.launch.ndrange,
+                scalars: p.launch.plan()?.scalars.clone(),
+                out_lens: p
+                    .out_ids
+                    .iter()
+                    .map(|id| self.buffers.state(*id).len)
+                    .collect(),
+            }),
+        };
+        self.gate_report(&p.kernel, &report)?;
+        for id in &p.out_ids {
+            if lane == Lane::Gpu {
+                self.buffers.record_gpu_arrival(*id, kid, complete_at);
+            } else {
+                self.buffers.record_cpu_arrival(*id, kid, complete_at);
+            }
+            if mirror {
+                let bytes = self.buffers.state(*id).bytes();
+                let at = complete_at + self.machine.h2d.transfer_time(bytes);
+                self.buffers.record_gpu_arrival(*id, kid, at);
+            }
+        }
+        if on_gpu_timeline {
+            self.gpu_free = complete_at;
+        }
+        self.reports.push(report);
+        Ok((start, complete_at))
+    }
+
+    /// Co-executes a launch on two or more lanes under the fluidic
+    /// protocol. The primary GPU owns the launch while it is healthy;
+    /// otherwise the first peer takes the owner slot of a synthetic
+    /// machine (owner re-formation) and the remaining peers keep their
+    /// endpoint indices. Without the CPU its endpoint starts dead.
+    fn place_coexec(
+        &mut self,
+        p: &PreparedLaunch,
+        kid: KernelId,
+        lanes: Lanes,
+        (ready, enqueued_at): (SimTime, SimTime),
+    ) -> ClResult<(SimTime, SimTime)> {
+        // Each side waits for its copy of the launch buffers to be current
+        // (paper §5.3); `begin_kernel_write` leaves the ready times alone.
+        let cpu_start = self.buffers.cpu_ready_time(&p.buffers).max(ready);
+        let mut gpu_start = self
+            .buffers
+            .gpu_ready_time(&p.buffers)
+            .max(ready)
+            .max(self.gpu_free);
+        let scratch_setup = self.scratch_setup_cost(&p.out_ids);
+        let mut peers = lanes.peers;
+        let acting = (!lanes.gpu).then(|| peers.remove(0));
+        let mut reformed_machine: Option<MachineConfig> = None;
+        if let Some(acting) = &acting {
+            // The acting owner starts each kernel from a clean slate, so its
+            // launch buffers are re-broadcast from the host copy —
+            // functionally, the device copy is refreshed *before* the
+            // engine snapshots originals from it.
+            for id in &p.buffers {
+                self.gpu_mem.share_from(&self.cpu_mem, *id)?;
+            }
+            let bytes = self.broadcast_bytes(&p.buffers);
+            gpu_start = gpu_start.max(cpu_start) + acting.peer.h2d.transfer_time(bytes);
+            reformed_machine = Some(MachineConfig {
+                cpu: self.machine.cpu.clone(),
+                gpu: acting.peer.gpu.clone(),
+                h2d: acting.peer.h2d.clone(),
+                d2h: acting.peer.d2h.clone(),
+                host: self.machine.host.clone(),
+                peers: Vec::new(),
+            });
+        }
+        let input = CoexecInput {
+            machine: reformed_machine.as_ref().unwrap_or(&self.machine),
+            config: &self.config,
+            launch: &p.launch,
+            kernel_id: kid,
+            enqueue_at: enqueued_at,
+            gpu_start,
+            cpu_start,
+            scratch_setup,
+            hd_free: self.hd_free,
+            dh_free: self.dh_free,
+            cpu_mem: &mut self.cpu_mem,
+            gpu_mem: &mut self.gpu_mem,
+            peers,
+            injector: self.injector.as_mut(),
+            dead_cpu: !lanes.cpu,
+        };
+        let outcome = match Coexec::new(input).and_then(Coexec::run) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                // The launch is abandoned: return the scratch buffers the
+                // setup acquired and re-align the two address spaces so a
+                // later kernel's diff-merge cannot fold stale divergence.
+                self.release_scratch(&p.out_ids);
+                self.restore_coherence(&p.out_ids);
+                return Err(e);
+            }
+        };
+        if let Err(e) = self.gate_report(&p.kernel, &outcome.report) {
+            self.release_scratch(&p.out_ids);
+            return Err(e);
+        }
+        self.gpu_free = outcome.gpu_busy_until;
+        self.hd_free = outcome.hd_free;
+        self.dh_free = outcome.dh_free;
+        // On a re-formed run the primary card stays dead and its buffer
+        // tracking stays frozen — the next launch re-broadcasts anyway.
+        let record_gpu = acting.is_none() && !outcome.lost_gpu;
+        for id in &p.out_ids {
+            self.buffers
+                .record_cpu_arrival(*id, kid, outcome.cpu_results_at);
+            if record_gpu {
+                self.buffers
+                    .record_gpu_arrival(*id, kid, outcome.gpu_results_at);
+                // The end-of-kernel copy refreshed the original snapshot
+                // (paper §5.5).
+                self.buffers.state_mut(*id).orig_snapshot_current = true;
+                if self.config.dirty_range_transfers {
+                    // The epilogue just refreshed the snapshot and the
+                    // return path (D2H thread or CPU finish, §4.4) brought
+                    // the host copy current, so both dirty sets collapse to
+                    // empty (tracker representation chosen by buffer size).
+                    let len = self.buffers.state(*id).len;
+                    self.buffers.record_kernel_dirty(
+                        *id,
+                        DirtyTracker::new(len),
+                        DirtyTracker::new(len),
+                    );
+                }
+            }
+        }
+        self.release_scratch(&p.out_ids);
+        if outcome.lost_cpu {
+            self.roster.lose_cpu();
+        }
+        if outcome.lost_gpu {
+            // In a re-formed run the engine's "gpu" is the acting peer: its
+            // loss costs that peer, not the (already dead) primary card.
+            match &acting {
+                Some(a) => self.roster.lose_peer(a.dev),
+                None => self.roster.lose_gpu(),
+            }
+        }
+        for dev in outcome.lost_peers {
+            self.roster.lose_peer(dev);
+        }
+        self.last_cpu_version = outcome.report.cpu_version_used;
+        let complete = outcome.complete_at;
+        self.reports.push(outcome.report);
+        Ok((ready, complete))
     }
 
     /// Executes every deferred launch according to a HEFT placement over
@@ -532,56 +663,34 @@ impl Fluidicl {
         let pending = std::mem::take(&mut self.pending);
         let n = pending.len();
         // Footprints and dependence edges over the deferred launches.
-        let mut accesses = Vec::with_capacity(n);
-        for p in &pending {
-            let def = self.program.kernel(&p.kernel)?;
-            let launch = Launch::new(def, p.ndrange, p.args.clone());
-            let buffers = &self.buffers;
-            accesses.push(graph::node_access(&launch, |id| buffers.state(id).len)?);
-        }
+        let buffers = &self.buffers;
+        let accesses = pending
+            .iter()
+            .map(|p| graph::node_access(&p.launch, |id| buffers.state(id).len))
+            .collect::<ClResult<Vec<_>>>()?;
         let edges = graph::build_edges(&accesses);
         // Execution lanes: lane 0 is the owner co-execution path, lane
         // p >= 1 is a healthy peer GPU running nodes alone.
         let peers = self.healthy_peers();
-        let lanes = 1 + peers.len();
         // HEFT node weights: the profiled EWMA estimate when the (kernel,
         // lane) pair has run before, a device-model seed otherwise (the
-        // paper's offline profiling trials, §6.6).
-        let mut weights = Vec::with_capacity(n);
-        for (i, p) in pending.iter().enumerate() {
-            let def = self.program.kernel(&p.kernel)?;
-            let profile = def.default_version().profile.clone();
-            let total = p.ndrange.num_groups();
-            let items = p.ndrange.items_per_group();
-            let mut bytes = 0u64;
-            let mut seen: Vec<BufferId> = Vec::new();
-            for (id, _) in accesses[i].reads.iter().chain(accesses[i].writes.iter()) {
-                if !seen.contains(id) {
-                    seen.push(*id);
-                    bytes += self.buffers.state(*id).bytes();
+        // paper's offline profiling trials, §6.6). A peer's seed is what
+        // placing the node there alone costs.
+        let weights: Vec<Vec<u64>> = pending
+            .iter()
+            .map(|p| {
+                // The owner lane is seeded with the primary GPU's range alone.
+                let (_, owner_run) = self.solo_cost(p, Lane::Gpu);
+                let owner_seed = owner_run.as_nanos();
+                let mut row = vec![self.weights.estimate_ns(&p.kernel, 0, owner_seed)];
+                for (l, slot) in peers.iter().enumerate() {
+                    let (lead_in, run) = self.solo_cost(p, Lane::Peer(slot.dev));
+                    let seed = (lead_in + run).as_nanos();
+                    row.push(self.weights.estimate_ns(&p.kernel, l + 1, seed));
                 }
-            }
-            let mut row = Vec::with_capacity(lanes);
-            let owner_seed = self
-                .machine
-                .gpu
-                .range_time(&profile, items, total, self.config.abort_mode)
-                .as_nanos();
-            row.push(self.weights.estimate_ns(&p.kernel, 0, owner_seed));
-            for (l, slot) in peers.iter().enumerate() {
-                // A peer starts from a clean slate: broadcast + launch +
-                // range (mirrors the peer-degraded cost model).
-                let seed = slot.peer.h2d.transfer_time(bytes).as_nanos()
-                    + slot.peer.gpu.launch_overhead().as_nanos()
-                    + slot
-                        .peer
-                        .gpu
-                        .range_time(&profile, items, total, self.config.abort_mode)
-                        .as_nanos();
-                row.push(self.weights.estimate_ns(&p.kernel, l + 1, seed));
-            }
-            weights.push(row);
-        }
+                row
+            })
+            .collect();
         // Edge weights: only a true dependence moves data across lanes;
         // anti/output edges order execution but transfer nothing.
         let heft_edges: Vec<HeftEdge> = edges
@@ -604,7 +713,7 @@ impl Fluidicl {
         let mut node_start = vec![SimTime::ZERO; n];
         let mut node_complete = vec![SimTime::ZERO; n];
         let mut node_kid = vec![0u64; n];
-        let mut lane_free = vec![flush_at; lanes];
+        let mut lane_free = vec![flush_at; 1 + peers.len()];
         for &node in &plan.order {
             let p = &pending[node];
             let dep_ready = edges
@@ -613,19 +722,23 @@ impl Fluidicl {
                 .map(|e| node_complete[e.from])
                 .fold(flush_at, SimTime::max);
             let lane = plan.lane[node];
-            let kid = self.next_kernel_id;
-            self.next_kernel_id += 1;
             let ready = dep_ready.max(lane_free[lane]);
-            let (start, complete) = if lane == 0 {
-                self.graph_run_owner(p, kid, ready, flush_at)?
-            } else {
-                let slot = peers[lane - 1].clone();
-                self.graph_run_peer(node, p, kid, &slot, ready, flush_at)?
+            // Sibling nodes occupy the peers, so the owner lane
+            // co-executes on the CPU and the primary GPU alone.
+            let lanes = Lanes {
+                cpu: lane == 0,
+                gpu: lane == 0,
+                peers: if lane == 0 {
+                    Vec::new()
+                } else {
+                    vec![peers[lane - 1].clone()]
+                },
             };
+            node_kid[node] = self.next_kernel_id;
+            let (start, complete) = self.place(p, Some(node), lanes, ready, flush_at)?;
             lane_free[lane] = complete;
             node_start[node] = start;
             node_complete[node] = complete;
-            node_kid[node] = kid;
             self.weights
                 .observe_ns(&p.kernel, lane, complete.saturating_since(start).as_nanos());
         }
@@ -644,153 +757,6 @@ impl Fluidicl {
             .collect();
         self.graph_schedules.push(GraphSchedule { nodes, edges });
         Ok(())
-    }
-
-    /// Executes one graph node on lane 0: the full owner co-execution path
-    /// (CPU subkernels + owner GPU under the fluidic protocol), floored at
-    /// `ready` so dependence edges and lane occupancy are respected.
-    fn graph_run_owner(
-        &mut self,
-        p: &PendingLaunch,
-        kid: KernelId,
-        ready: SimTime,
-        flush_at: SimTime,
-    ) -> ClResult<(SimTime, SimTime)> {
-        let def = self.program.kernel(&p.kernel)?;
-        let launch = Launch::new(def, p.ndrange, p.args.to_vec());
-        let in_ids = launch.input_buffers()?;
-        let out_ids = launch.output_buffers()?;
-        for id in &out_ids {
-            self.buffers.begin_kernel_write(*id, kid);
-        }
-        let mut cpu_inputs = in_ids.clone();
-        cpu_inputs.extend(out_ids.iter().copied());
-        let cpu_ready = self.buffers.cpu_ready_time(&cpu_inputs).max(ready);
-        let mut all_bufs = in_ids;
-        all_bufs.extend(out_ids.iter().copied());
-        let gpu_ready = self.buffers.gpu_ready_time(&all_bufs).max(ready);
-        let scratch_setup = self.scratch_setup_cost(&out_ids);
-        let input = CoexecInput {
-            machine: &self.machine,
-            config: &self.config,
-            launch: &launch,
-            kernel_id: kid,
-            enqueue_at: flush_at,
-            gpu_start: gpu_ready.max(self.gpu_free),
-            cpu_start: cpu_ready,
-            scratch_setup,
-            hd_free: self.hd_free,
-            dh_free: self.dh_free,
-            cpu_mem: &mut self.cpu_mem,
-            gpu_mem: &mut self.gpu_mem,
-            // Sibling graph nodes occupy the peers; this node co-executes
-            // on the owner and the CPU alone.
-            peers: Vec::new(),
-            injector: None,
-            dead_cpu: false,
-        };
-        let outcome = match Coexec::new(input).and_then(Coexec::run) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                self.release_scratch(&out_ids);
-                self.restore_coherence(&out_ids);
-                return Err(e);
-            }
-        };
-        if let Err(e) = self.gate_report(&p.kernel, &outcome.report) {
-            self.release_scratch(&out_ids);
-            return Err(e);
-        }
-        self.gpu_free = outcome.gpu_busy_until;
-        self.hd_free = outcome.hd_free;
-        self.dh_free = outcome.dh_free;
-        for id in &out_ids {
-            self.buffers
-                .record_cpu_arrival(*id, kid, outcome.cpu_results_at);
-            self.buffers
-                .record_gpu_arrival(*id, kid, outcome.gpu_results_at);
-            self.buffers.state_mut(*id).orig_snapshot_current = true;
-            if self.config.dirty_range_transfers {
-                let len = self.buffers.state(*id).len;
-                self.buffers.record_kernel_dirty(
-                    *id,
-                    DirtyTracker::new(len),
-                    DirtyTracker::new(len),
-                );
-            }
-        }
-        self.release_scratch(&out_ids);
-        self.last_cpu_version = outcome.report.cpu_version_used;
-        let complete = outcome.complete_at;
-        self.reports.push(outcome.report);
-        Ok((ready, complete))
-    }
-
-    /// Executes one graph node alone on peer GPU `slot` (lane `>= 1`).
-    /// Mirrors the peer-degraded cost model: the peer starts from a clean
-    /// slate, so it pays a host-to-device broadcast of the launch buffers
-    /// over its own link before the range. Results land in the
-    /// authoritative host copy and are mirrored into the owner-GPU address
-    /// space, whose arrival is charged one primary-link transfer (the
-    /// refresh rides the link without occupying it — a deliberate
-    /// simplification, like host writes' DMA).
-    fn graph_run_peer(
-        &mut self,
-        node: usize,
-        p: &PendingLaunch,
-        kid: KernelId,
-        slot: &PeerSlot,
-        ready: SimTime,
-        flush_at: SimTime,
-    ) -> ClResult<(SimTime, SimTime)> {
-        let def = self.program.kernel(&p.kernel)?;
-        let launch = Launch::new(def, p.ndrange, p.args.to_vec());
-        let in_ids = launch.input_buffers()?;
-        let out_ids = launch.output_buffers()?;
-        for id in &out_ids {
-            self.buffers.begin_kernel_write(*id, kid);
-        }
-        let total = launch.ndrange.num_groups();
-        let items = launch.ndrange.items_per_group();
-        let profile = &launch.kernel.default_version().profile;
-        let mut all_bufs: Vec<BufferId> = in_ids.clone();
-        all_bufs.extend(out_ids.iter().copied());
-        let broadcast_bytes = self.broadcast_bytes(&all_bufs);
-        // The host copy is the broadcast source: wait for it and for the
-        // graph dependences folded into `ready`.
-        let start = self.buffers.cpu_ready_time(&all_bufs).max(ready)
-            + slot.peer.h2d.transfer_time(broadcast_bytes)
-            + slot.peer.gpu.launch_overhead();
-        let duration = slot
-            .peer
-            .gpu
-            .range_time(profile, items, total, self.config.abort_mode);
-        execute_groups_injected(&launch, &mut self.cpu_mem, 0, total, None, DeviceKind::Gpu)?;
-        // Mirror the results into the owner-GPU address space so later
-        // owner-lane nodes read coherent data.
-        for id in &out_ids {
-            self.gpu_mem.share_from(&self.cpu_mem, *id)?;
-        }
-        let complete_at = start + duration;
-        let span = TraceKind::GraphRun {
-            node: node as u32,
-            dev: slot.dev,
-            from: 0,
-            to: total,
-        };
-        let times = (flush_at, start, complete_at);
-        let report = self.solo_report(&p.kernel, kid, &launch, &out_ids, times, span)?;
-        for id in &out_ids {
-            self.buffers.record_cpu_arrival(*id, kid, complete_at);
-            let bytes = self.buffers.state(*id).bytes();
-            self.buffers.record_gpu_arrival(
-                *id,
-                kid,
-                complete_at + self.machine.h2d.transfer_time(bytes),
-            );
-        }
-        self.reports.push(report);
-        Ok((start, complete_at))
     }
 }
 
@@ -844,205 +810,33 @@ impl ClDriver for Fluidicl {
         args: &[KernelArg],
     ) -> ClResult<()> {
         if let Some(fatal) = &self.fatal {
-            // Both devices are gone; nothing can execute. The original
-            // failure is replayed so the application sees a stable error.
+            // The runtime lost a device it could not recover from. The
+            // original failure is replayed so the application sees a stable
+            // error.
             return Err(fatal.clone());
         }
+        let prepared = self.prepare(kernel, ndrange, args)?;
         // Kernel-graph scheduling: defer into the DAG instead of executing
         // now. Fault plans keep the eager path — the watchdog/failover
         // protocol is defined over immediate execution order.
         if self.config.graph_scheduling && self.injector.is_none() {
-            return self.graph_defer(kernel, ndrange, args);
+            self.pending.push(prepared);
+            return Ok(());
         }
-        let def = self.program.kernel(kernel)?;
-        let launch = Launch::new(def, ndrange, args.to_vec());
-        let in_ids = launch.input_buffers()?;
-        let out_ids = launch.output_buffers()?;
-        // Reject forged buffer handles up front with a typed error; every
-        // later table access on this path may then index infallibly.
-        for id in in_ids.iter().chain(out_ids.iter()) {
-            self.buffers.try_state(*id)?;
-        }
-        let kid = self.next_kernel_id;
-        self.next_kernel_id += 1;
-        for id in &out_ids {
-            self.buffers.begin_kernel_write(*id, kid);
-        }
-        let peers = self.healthy_peers();
-        // Roster dispatch: after a loss, follow-on kernels re-form and
-        // co-execute on every healthy survivor; a single survivor executes
-        // the whole NDRange as a plain single-device launch; no survivor is
-        // a stable typed error.
-        let cpu_ok = self.roster.cpu_healthy();
-        let gpu_ok = self.roster.gpu_healthy();
-        match (cpu_ok, gpu_ok, peers.is_empty()) {
-            (false, false, true) => {
-                let e = ClError::DeviceLost {
-                    device: DeviceKind::Gpu,
-                    detail: "no healthy device remains to execute the kernel".into(),
-                };
-                self.fatal = Some(e.clone());
-                return Err(e);
-            }
-            (false, false, false) => {
-                let slot = peers[0].clone();
-                return self.enqueue_peer_degraded(kernel, &launch, &in_ids, &out_ids, kid, &slot);
-            }
-            (true, false, true) => {
-                return self.enqueue_degraded(
-                    kernel,
-                    &launch,
-                    &in_ids,
-                    &out_ids,
-                    kid,
-                    DeviceKind::Cpu,
-                );
-            }
-            (false, true, true) => {
-                return self.enqueue_degraded(
-                    kernel,
-                    &launch,
-                    &in_ids,
-                    &out_ids,
-                    kid,
-                    DeviceKind::Gpu,
-                );
-            }
-            // At least two healthy devices remain: co-execute below, with a
-            // dead CPU endpoint and/or a re-formed acting owner as needed.
-            _ => {}
-        }
-        let reformed = !gpu_ok;
-        let dead_cpu = !cpu_ok;
-        // The CPU scheduler waits for its inputs (In + InOut) to be current
-        // (paper §5.3); `begin_kernel_write` just reset InOut readiness, so
-        // compute from the pre-kernel ready times via in_ids plus the InOut
-        // subset captured before the reset — InOut buffers appear in
-        // out_ids, whose cpu_ready_at we read below *before* any update.
-        let mut cpu_inputs = in_ids.clone();
-        cpu_inputs.extend(out_ids.iter().copied());
-        let cpu_ready = self.buffers.cpu_ready_time(&cpu_inputs);
-        let mut all_bufs = in_ids;
-        all_bufs.extend(out_ids.iter().copied());
-        let gpu_ready = self.buffers.gpu_ready_time(&all_bufs);
-        let scratch_setup = self.scratch_setup_cost(&out_ids);
-        // Owner re-formation: with the primary GPU gone but peers alive,
-        // the first healthy peer takes the owner slot of a synthetic
-        // machine and the remaining peers keep their endpoint indices. The
-        // acting owner starts each kernel from a clean slate, so its launch
-        // buffers are re-broadcast host-to-device — functionally, the
-        // device copy is refreshed from the authoritative host copy
-        // *before* the engine snapshots originals from it.
-        let mut coexec_peers = peers;
-        let mut reformed_machine: Option<MachineConfig> = None;
-        let mut acting_dev: Option<u32> = None;
-        let mut gpu_start = gpu_ready.max(self.gpu_free);
-        if reformed {
-            let acting = coexec_peers.remove(0);
-            let mut broadcast_bytes = 0u64;
-            let mut seen: Vec<BufferId> = Vec::new();
-            for id in &all_bufs {
-                if seen.contains(id) {
-                    continue;
-                }
-                seen.push(*id);
-                broadcast_bytes += self.cpu_mem.bytes_of(*id)?;
-                self.gpu_mem.share_from(&self.cpu_mem, *id)?;
-            }
-            gpu_start = gpu_start.max(cpu_ready).max(self.host_clock)
-                + acting.peer.h2d.transfer_time(broadcast_bytes);
-            reformed_machine = Some(MachineConfig {
-                cpu: self.machine.cpu.clone(),
-                gpu: acting.peer.gpu.clone(),
-                h2d: acting.peer.h2d.clone(),
-                d2h: acting.peer.d2h.clone(),
-                host: self.machine.host.clone(),
-                peers: Vec::new(),
-            });
-            acting_dev = Some(acting.dev);
-        }
-        let input = CoexecInput {
-            machine: reformed_machine.as_ref().unwrap_or(&self.machine),
-            config: &self.config,
-            launch: &launch,
-            kernel_id: kid,
-            enqueue_at: self.host_clock,
-            gpu_start,
-            cpu_start: cpu_ready,
-            scratch_setup,
-            hd_free: self.hd_free,
-            dh_free: self.dh_free,
-            cpu_mem: &mut self.cpu_mem,
-            gpu_mem: &mut self.gpu_mem,
-            peers: coexec_peers,
-            injector: self.injector.as_mut(),
-            dead_cpu,
+        // An eager launch is the next node of a chain: ready when the host
+        // issues it, placed on every healthy lane. With both the CPU and the
+        // primary GPU lost no owner pair remains: the first peer runs alone.
+        let mut lanes = Lanes {
+            cpu: self.roster.cpu_healthy(),
+            gpu: self.roster.gpu_healthy(),
+            peers: self.healthy_peers(),
         };
-        let outcome = match Coexec::new(input).and_then(Coexec::run) {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                // The launch is abandoned: return the scratch buffers the
-                // setup acquired and re-align the two address spaces so a
-                // later kernel's diff-merge cannot fold stale divergence.
-                self.release_scratch(&out_ids);
-                self.restore_coherence(&out_ids);
-                if matches!(e, ClError::DeviceLost { .. }) {
-                    self.fatal = Some(e.clone());
-                }
-                return Err(e);
-            }
-        };
-        if let Err(e) = self.gate_report(kernel, &outcome.report) {
-            self.release_scratch(&out_ids);
-            return Err(e);
+        if !lanes.cpu && !lanes.gpu {
+            lanes.peers.truncate(1);
         }
-        self.host_clock = outcome.complete_at;
-        self.gpu_free = outcome.gpu_busy_until;
-        self.hd_free = outcome.hd_free;
-        self.dh_free = outcome.dh_free;
-        // On a re-formed run the primary card stays dead and its buffer
-        // tracking stays frozen — the next launch re-broadcasts anyway.
-        let record_gpu = !reformed && !outcome.lost_gpu;
-        for id in &out_ids {
-            self.buffers
-                .record_cpu_arrival(*id, kid, outcome.cpu_results_at);
-            if record_gpu {
-                self.buffers
-                    .record_gpu_arrival(*id, kid, outcome.gpu_results_at);
-                // The end-of-kernel copy refreshed the original snapshot
-                // (paper §5.5).
-                self.buffers.state_mut(*id).orig_snapshot_current = true;
-                if self.config.dirty_range_transfers {
-                    // The epilogue just refreshed the snapshot and the
-                    // return path (D2H thread or CPU finish, §4.4) brought
-                    // the host copy current, so both dirty sets collapse to
-                    // empty (tracker representation chosen by buffer size).
-                    let len = self.buffers.state(*id).len;
-                    self.buffers.record_kernel_dirty(
-                        *id,
-                        DirtyTracker::new(len),
-                        DirtyTracker::new(len),
-                    );
-                }
-            }
-        }
-        self.release_scratch(&out_ids);
-        if outcome.lost_cpu {
-            self.roster.lose_cpu();
-        }
-        if outcome.lost_gpu {
-            // In a re-formed run the engine's "gpu" is the acting peer: its
-            // loss costs that peer, not the (already dead) primary card.
-            match acting_dev {
-                Some(dev) => self.roster.lose_peer(dev),
-                None => self.roster.lose_gpu(),
-            }
-        }
-        for dev in outcome.lost_peers {
-            self.roster.lose_peer(dev);
-        }
-        self.last_cpu_version = outcome.report.cpu_version_used;
-        self.reports.push(outcome.report);
+        let now = self.host_clock;
+        let (_, complete) = self.place(&prepared, None, lanes, now, now)?;
+        self.host_clock = complete;
         Ok(())
     }
 
@@ -1055,7 +849,7 @@ impl ClDriver for Fluidicl {
         // regardless of what location tracking would prefer. With the
         // primary GPU dead the host copy is authoritative even if the CPU
         // device also died — host memory outlives its compute device, and
-        // re-formed/peer-degraded runs mirror results into it.
+        // re-formed runs and solo peer runs leave their results in it.
         let use_cpu_copy = if !self.roster.gpu_healthy() {
             true
         } else if !self.roster.cpu_healthy() {
@@ -1475,6 +1269,56 @@ mod tests {
         assert!(
             graphed < serial,
             "independent kernels must overlap across devices ({graphed:?} vs {serial:?})"
+        );
+    }
+
+    #[test]
+    fn eager_and_deferred_enqueues_reject_malformed_launches_alike() {
+        let run = |graph: bool| {
+            let mut rt = Fluidicl::new(
+                MachineConfig::paper_testbed_3dev(),
+                FluidiclConfig::default().with_graph_scheduling(graph),
+                scale_program(),
+            );
+            let n = 1024;
+            let (a, b) = (rt.create_buffer(n), rt.create_buffer(n));
+            rt.write_buffer(a, &vec![1.0; n]).unwrap();
+            let nd = NdRange::d1(n, 64).unwrap();
+            let forged = BufferId(a.0 + b.0 + 100);
+            let launches = [
+                ("nope", vec![KernelArg::Buffer(a), KernelArg::Buffer(b)]),
+                ("scale", vec![KernelArg::Buffer(a), KernelArg::Buffer(b)]),
+                (
+                    "scale",
+                    vec![
+                        KernelArg::Buffer(forged),
+                        KernelArg::Buffer(b),
+                        KernelArg::F32(2.0),
+                    ],
+                ),
+            ];
+            let errors: Vec<ClError> = launches
+                .iter()
+                .map(|(kernel, args)| rt.enqueue_kernel(kernel, nd, args).unwrap_err())
+                .collect();
+            // Rejected at enqueue time: nothing was deferred or executed.
+            assert!(rt.pending.is_empty() && rt.reports().is_empty());
+            rt.flush_graph().unwrap();
+            assert!(rt.reports().is_empty() && rt.graph_schedules().is_empty());
+            errors
+        };
+        let eager = run(false);
+        assert_eq!(eager, run(true), "deferral must not change the error");
+        assert_eq!(eager[0], ClError::UnknownKernel("nope".into()));
+        assert!(
+            matches!(&eager[1], ClError::ArgMismatch { kernel, .. } if kernel == "scale"),
+            "{:?}",
+            eager[1]
+        );
+        assert!(
+            matches!(eager[2], ClError::InvalidBuffer(_)),
+            "{:?}",
+            eager[2]
         );
     }
 

@@ -25,6 +25,27 @@ use crate::stats::Finisher;
 /// transferred bytes against dirty payload + status).
 pub const STATUS_MSG_BYTES: u64 = 16;
 
+/// A device one launch can be placed on alone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Lane {
+    /// The CPU (endpoint 0).
+    Cpu,
+    /// The primary GPU, the machine's configured owner card.
+    Gpu,
+    /// Peer GPU endpoint `dev` (1 and up).
+    Peer(u32),
+}
+
+impl fmt::Display for Lane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Lane::Cpu => f.write_str(DeviceKind::Cpu.name()),
+            Lane::Gpu => f.write_str(DeviceKind::Gpu.name()),
+            Lane::Peer(dev) => write!(f, "ep{dev}"),
+        }
+    }
+}
+
 /// One protocol event of a co-executed kernel.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceKind {
@@ -79,14 +100,18 @@ pub enum TraceKind {
     /// declared lost: a surviving peer is promoted, or the non-owners
     /// finish the range alone.
     OwnerLost,
-    /// The surviving device executed work-groups `[from, to)` alone
-    /// (single-device degraded mode after a permanent loss).
-    DegradedRun {
-        /// The surviving device.
-        device: DeviceKind,
-        /// First flattened work-group of the degraded run.
+    /// One device executed work-groups `[from, to)` alone: a launch placed
+    /// on a single healthy lane — a degraded run after permanent losses,
+    /// or a graph node placed on a peer lane.
+    SoloRun {
+        /// The device that ran the span.
+        lane: Lane,
+        /// Node index within the flushed kernel graph (enqueue order) when
+        /// a graph flush placed the run; `None` for an eager launch.
+        node: Option<u32>,
+        /// First flattened work-group of the run.
         from: u64,
-        /// One past the last work-group of the degraded run.
+        /// One past the last work-group of the run.
         to: u64,
     },
     /// A non-owner endpoint launched a subkernel over a range it claimed
@@ -195,30 +220,6 @@ pub enum TraceKind {
         /// Boundary the stale send carried.
         boundary: u64,
     },
-    /// A surviving peer GPU executed work-groups `[from, to)` alone
-    /// (degraded mode when both the CPU and every acting owner are gone).
-    EpDegradedRun {
-        /// Endpoint index of the surviving peer.
-        dev: u32,
-        /// First flattened work-group of the degraded run.
-        from: u64,
-        /// One past the last work-group of the degraded run.
-        to: u64,
-    },
-    /// A graph-scheduled node executed work-groups `[from, to)` alone on
-    /// one peer endpoint while sibling nodes of the same flushed DAG ran
-    /// elsewhere (`with_graph_scheduling`). Nodes placed on the owner lane
-    /// record an ordinary co-execution trace instead.
-    GraphRun {
-        /// Node index within the flushed graph (enqueue order).
-        node: u32,
-        /// Endpoint index the node ran on.
-        dev: u32,
-        /// First flattened work-group of the run.
-        from: u64,
-        /// One past the last work-group of the run.
-        to: u64,
-    },
     // Retired two-device vocabulary. Co-execution records the CPU as
     // endpoint 0 of the `Ep*` family, so none of these is ever emitted and
     // the linter rejects them; they remain only so that code matching on
@@ -284,9 +285,15 @@ impl fmt::Display for TraceKind {
                 write!(f, "[all] kernel complete (finished by {finisher:?})")
             }
             TraceKind::OwnerLost => write!(f, "[flt] owner gpu lost (watchdog deadline missed)"),
-            TraceKind::DegradedRun { device, from, to } => {
-                write!(f, "[deg] {} finishing {from}..{to} alone", device.name())
-            }
+            TraceKind::SoloRun {
+                lane,
+                node,
+                from,
+                to,
+            } => match node {
+                None => write!(f, "[deg] {lane} finishing {from}..{to} alone"),
+                Some(node) => write!(f, "[gph] node {node} ran {from}..{to} on {lane}"),
+            },
             TraceKind::EpSubkernelStart {
                 dev,
                 from,
@@ -361,17 +368,6 @@ impl fmt::Display for TraceKind {
                     f,
                     "[flt] ep{dev} status for boundary {boundary} rejected (stale epoch)"
                 )
-            }
-            TraceKind::EpDegradedRun { dev, from, to } => {
-                write!(f, "[deg] ep{dev} finishing {from}..{to} alone")
-            }
-            TraceKind::GraphRun {
-                node,
-                dev,
-                from,
-                to,
-            } => {
-                write!(f, "[gph] node {node} ran {from}..{to} on ep{dev}")
             }
             TraceKind::CpuSubkernelStart { .. }
             | TraceKind::CpuSubkernelDone { .. }
@@ -470,10 +466,15 @@ pub fn render_lanes(kernel: &str, events: &[TraceEvent], width: usize) -> String
             TraceKind::MergeDone => gpu[b] = 'M',
             TraceKind::KernelComplete { .. } => gpu[b] = '!',
             TraceKind::OwnerLost => gpu[b] = 'X',
-            TraceKind::DegradedRun { device, .. } => match device {
-                DeviceKind::Gpu => gpu[b] = 'D',
-                DeviceKind::Cpu => cpu[b] = 'D',
-            },
+            // A solo run occupies its device's lane: `D` for a degraded
+            // run, `G` for a graph node; peer GPUs draw on the gpu lane.
+            TraceKind::SoloRun { lane, node, .. } => {
+                let mark = if node.is_some() { 'G' } else { 'D' };
+                match lane {
+                    Lane::Cpu => cpu[b] = mark,
+                    Lane::Gpu | Lane::Peer(_) => gpu[b] = mark,
+                }
+            }
             // Every non-owner endpoint computes on the cpu lane and ships
             // on the hd lane.
             TraceKind::EpSubkernelStart { .. } => cpu[b] = '[',
@@ -488,10 +489,6 @@ pub fn render_lanes(kernel: &str, events: &[TraceEvent], width: usize) -> String
             // (owner) lane; a stale-epoch rejection is link traffic.
             TraceKind::OwnerPromoted { .. } => gpu[b] = 'P',
             TraceKind::EpochRejected { .. } => hd[b] = 'e',
-            TraceKind::EpDegradedRun { .. } => gpu[b] = 'D',
-            // A graph node on a peer endpoint occupies that device's
-            // compute; the gpu lane shows the sole-device run.
-            TraceKind::GraphRun { .. } => gpu[b] = 'G',
         }
     }
     let lane =
@@ -543,8 +540,9 @@ mod tests {
                 finisher: Finisher::Gpu,
             },
             TraceKind::OwnerLost,
-            TraceKind::DegradedRun {
-                device: DeviceKind::Cpu,
+            TraceKind::SoloRun {
+                lane: Lane::Cpu,
+                node: None,
                 from: 0,
                 to: 120,
             },
@@ -597,14 +595,9 @@ mod tests {
                 dev: 0,
                 boundary: 100,
             },
-            TraceKind::EpDegradedRun {
-                dev: 1,
-                from: 0,
-                to: 120,
-            },
-            TraceKind::GraphRun {
-                node: 1,
-                dev: 2,
+            TraceKind::SoloRun {
+                lane: Lane::Peer(2),
+                node: Some(1),
                 from: 0,
                 to: 120,
             },
@@ -620,9 +613,9 @@ mod tests {
 
     #[test]
     fn graph_run_renders_node_and_endpoint() {
-        let k = TraceKind::GraphRun {
-            node: 3,
-            dev: 1,
+        let k = TraceKind::SoloRun {
+            lane: Lane::Peer(1),
+            node: Some(3),
             from: 0,
             to: 64,
         };
@@ -647,13 +640,24 @@ mod tests {
             "[flt] ep0 status for boundary 48 rejected (stale epoch)"
         );
         assert_eq!(
-            TraceKind::EpDegradedRun {
-                dev: 1,
+            TraceKind::SoloRun {
+                lane: Lane::Peer(1),
+                node: None,
                 from: 0,
                 to: 64
             }
             .to_string(),
             "[deg] ep1 finishing 0..64 alone"
+        );
+        assert_eq!(
+            TraceKind::SoloRun {
+                lane: Lane::Cpu,
+                node: None,
+                from: 0,
+                to: 64
+            }
+            .to_string(),
+            "[deg] CPU finishing 0..64 alone"
         );
         let events = vec![
             ev(0, TraceKind::OwnerPromoted { dev: 1, epoch: 1 }),
@@ -797,8 +801,9 @@ mod tests {
             ev(100, TraceKind::OwnerLost),
             ev(
                 200,
-                TraceKind::DegradedRun {
-                    device: DeviceKind::Cpu,
+                TraceKind::SoloRun {
+                    lane: Lane::Cpu,
+                    node: None,
                     from: 0,
                     to: 16,
                 },

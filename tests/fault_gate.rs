@@ -43,14 +43,13 @@ fn is_fault_event(kind: &TraceKind) -> bool {
     matches!(
         kind,
         TraceKind::OwnerLost
-            | TraceKind::DegradedRun { .. }
+            | TraceKind::SoloRun { node: None, .. }
             | TraceKind::EpTransferFault { .. }
             | TraceKind::EpTransferRejected { .. }
             | TraceKind::EpTransferTimeout { .. }
             | TraceKind::NonOwnerLost { .. }
             | TraceKind::OwnerPromoted { .. }
             | TraceKind::EpochRejected { .. }
-            | TraceKind::EpDegradedRun { .. }
     )
 }
 
@@ -62,7 +61,7 @@ fn gate_off_traces_carry_no_fault_machinery() {
             FluidiclConfig::default().with_validate_protocol(true),
         );
         assert!(!rt.fault_fired(), "{}: no injector exists gate-off", b.name);
-        assert_eq!(rt.lost_device(), None, "{}: no device can be lost", b.name);
+        assert!(!rt.roster().any_lost(), "{}: no device can be lost", b.name);
         for report in rt.reports() {
             assert!(
                 !report.trace.iter().any(|e| is_fault_event(&e.kind)),

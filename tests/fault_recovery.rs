@@ -9,12 +9,13 @@
 //! fault kind plus the pool-accounting and determinism guarantees.
 
 use fluidicl::{
-    lint_report, render_timeline, Finisher, Fluidicl, FluidiclConfig, RecoveryPolicy, TraceKind,
+    lint_report, render_timeline, Finisher, Fluidicl, FluidiclConfig, Lane, RecoveryPolicy,
+    TraceKind,
 };
 use fluidicl_check::race_check_report;
 use fluidicl_hetsim::MachineConfig;
 use fluidicl_polybench::{all_benchmarks, syrk};
-use fluidicl_vcl::{ClError, ClResult, DeviceKind, FaultKind, FaultPlan};
+use fluidicl_vcl::{ClError, ClResult, FaultKind, FaultPlan};
 
 mod common;
 use common::assert_no_stray_holders;
@@ -75,7 +76,7 @@ fn scan(
 #[test]
 fn gpu_loss_recovers_bit_identically_on_the_cpu() {
     let (rt, res) = scan("SYRK", FaultKind::GpuLost, |rt, _| {
-        rt.lost_device() == Some(DeviceKind::Gpu)
+        !rt.roster().gpu_healthy()
     });
     assert!(res.unwrap(), "survivor output must match the reference");
     assert!(rt.fault_fired());
@@ -86,7 +87,7 @@ fn gpu_loss_recovers_bit_identically_on_the_cpu() {
 #[test]
 fn cpu_loss_recovers_bit_identically_on_the_gpu() {
     let (rt, res) = scan("SYRK", FaultKind::CpuLost, |rt, _| {
-        rt.lost_device() == Some(DeviceKind::Cpu)
+        !rt.roster().cpu_healthy() && rt.roster().gpu_healthy()
     });
     assert!(res.unwrap(), "survivor output must match the reference");
     assert!(has_event(&rt, |k| matches!(
@@ -102,7 +103,7 @@ fn transient_transfer_faults_retry_and_recover() {
         has_event(rt, |k| matches!(k, TraceKind::EpTransferFault { .. }))
     });
     assert!(res.unwrap(), "retried run must match the reference");
-    assert_eq!(rt.lost_device(), None, "a transient fault loses no device");
+    assert!(!rt.roster().any_lost(), "a transient fault loses no device");
 }
 
 #[test]
@@ -111,7 +112,7 @@ fn corrupt_payloads_are_rejected_and_resent() {
         has_event(rt, |k| matches!(k, TraceKind::EpTransferRejected { .. }))
     });
     assert!(res.unwrap(), "resent run must match the reference");
-    assert_eq!(rt.lost_device(), None);
+    assert!(!rt.roster().any_lost());
 }
 
 #[test]
@@ -120,7 +121,7 @@ fn corrupt_statuses_are_rejected_and_resent() {
         has_event(rt, |k| matches!(k, TraceKind::EpTransferRejected { .. }))
     });
     assert!(res.unwrap(), "resent run must match the reference");
-    assert_eq!(rt.lost_device(), None);
+    assert!(!rt.roster().any_lost());
 }
 
 #[test]
@@ -132,7 +133,7 @@ fn transfer_stalls_hit_the_watchdog_and_the_run_still_completes() {
         has_event(rt, |k| matches!(k, TraceKind::EpTransferTimeout { .. }))
     });
     assert!(res.unwrap(), "stalled-link run must match the reference");
-    assert_eq!(rt.lost_device(), None, "a stalled link loses no device");
+    assert!(!rt.roster().any_lost(), "a stalled link loses no device");
 }
 
 #[test]
@@ -147,13 +148,13 @@ fn double_loss_surfaces_a_typed_device_lost_error() {
 #[test]
 fn permanent_loss_degrades_follow_on_kernels() {
     // CORR enqueues four kernels; once the GPU dies in an early one, every
-    // later kernel must run single-device on the CPU (a DegradedRun span)
+    // later kernel must run single-device on the CPU (a solo span)
     // and the whole benchmark must still match the reference.
     let (rt, res) = scan("CORR", FaultKind::GpuLost, |rt, res| {
-        matches!(res, Ok(true)) && has_event(rt, |k| matches!(k, TraceKind::DegradedRun { .. }))
+        matches!(res, Ok(true)) && has_event(rt, |k| matches!(k, TraceKind::SoloRun { .. }))
     });
     assert!(res.unwrap());
-    assert_eq!(rt.lost_device(), Some(DeviceKind::Gpu));
+    assert!(!rt.roster().gpu_healthy() && rt.roster().cpu_healthy());
     let lost_at = rt
         .reports()
         .iter()
@@ -168,7 +169,7 @@ fn permanent_loss_degrades_follow_on_kernels() {
             .trace
             .iter()
             .filter_map(|e| match e.kind {
-                TraceKind::DegradedRun { device, from, to } => Some((device, from, to)),
+                TraceKind::SoloRun { lane, from, to, .. } => Some((lane, from, to)),
                 _ => None,
             })
             .collect();
@@ -178,7 +179,7 @@ fn permanent_loss_degrades_follow_on_kernels() {
             r.kernel
         );
         assert!(
-            degraded.iter().all(|(d, _, _)| *d == DeviceKind::Cpu),
+            degraded.iter().all(|(d, _, _)| *d == Lane::Cpu),
             "{}: the survivor is the CPU",
             r.kernel
         );
@@ -320,7 +321,7 @@ fn fault_plans_keep_graph_scheduling_on_the_eager_path() {
     assert!(graph.reports()[0].kernel_id < graph.reports()[1].kernel_id);
     assert!(!has_event(&graph, |k| matches!(
         k,
-        TraceKind::GraphRun { .. }
+        TraceKind::SoloRun { node: Some(_), .. }
     )));
 
     let (eager, res) = run(false, ps);

@@ -153,12 +153,10 @@ fn follow_on_kernels_reform_on_cpu_and_peer_after_owner_loss() {
     // kernels may still degrade: the plan's sticky verdict keeps killing
     // GPU waves, so the acting peer can be the cascade's next victim.
     let r = &rt.reports()[lost_at + 1];
-    let degraded = r.trace.iter().any(|e| {
-        matches!(
-            e.kind,
-            TraceKind::DegradedRun { .. } | TraceKind::EpDegradedRun { .. }
-        )
-    });
+    let degraded = r
+        .trace
+        .iter()
+        .any(|e| matches!(e.kind, TraceKind::SoloRun { .. }));
     assert!(
         !degraded,
         "{}: the kernel after owner loss must co-execute on the survivors",
@@ -213,12 +211,10 @@ fn follow_on_kernels_reform_on_owner_and_peer_after_cpu_loss() {
         })
         .unwrap();
     for r in &rt.reports()[lost_at + 1..] {
-        let degraded = r.trace.iter().any(|e| {
-            matches!(
-                e.kind,
-                TraceKind::DegradedRun { .. } | TraceKind::EpDegradedRun { .. }
-            )
-        });
+        let degraded = r
+            .trace
+            .iter()
+            .any(|e| matches!(e.kind, TraceKind::SoloRun { .. }));
         assert!(
             !degraded,
             "{}: kernels after CPU loss must co-execute on the GPUs",
