@@ -340,6 +340,8 @@ fn time_sweep(quick: bool) -> Section {
 }
 
 /// Times the executor hot paths the coexec engine leans on.
+/// `execute_groups_seq` is SYRK at n = 256, so it times SYRK's group body
+/// (one call per work-group), not the per-item body.
 fn micro_hotspots() -> Vec<Section> {
     let n = 256;
     let program = syrk::program(n);

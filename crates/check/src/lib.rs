@@ -54,6 +54,7 @@ pub fn sweep_size(name: &str) -> usize {
         "CORR" => 64,
         "GESUMMV" => 512,
         "SYRK" | "SYR2K" | "GEMM" | "2MM" => 64,
+        "BATCHMM" => 32,
         other => panic!("unknown benchmark {other}"),
     }
 }

@@ -25,6 +25,12 @@
 //! * **`unused-input`** — an `In` buffer no work-item ever read.
 //! * **`output-never-written`** — a writable buffer the kernel never
 //!   touched.
+//! * **`group-body-divergence`** — a kernel version's group body stores
+//!   different bits, or writes different elements, than its per-item body
+//!   in some work-group, or reads a different set of inputs. Both bodies
+//!   run shadowed under both sentinels. Every version with a group body is
+//!   checked, not only the launched one, because online profiling (paper
+//!   §6.6) may run any of them.
 //! * **`signature`** — the argument list does not match the declared
 //!   signature at all (scalar passed for a buffer, aliasing, wrong arity).
 //!
@@ -33,7 +39,8 @@
 
 use fluidicl::LintDiagnostic;
 use fluidicl_vcl::{
-    execute_groups_shadowed, AccessRecord, ArgRole, ArgSpec, ClResult, Launch, Memory,
+    execute_groups_shadowed, execute_groups_shadowed_per_item, AccessRecord, ArgRole, ArgSpec,
+    ClResult, Launch, Memory,
 };
 
 /// First sentinel for `Out`-buffer poisoning. Finite (not `NaN`, whose
@@ -65,7 +72,11 @@ pub fn sanitize_launch(launch: &Launch, mem: &Memory) -> Vec<LintDiagnostic> {
     let in_specs: Vec<&ArgSpec> = specs.iter().filter(|s| s.role == ArgRole::In).collect();
     let total = launch.ndrange.num_groups();
 
-    let run = |poison: f32, perturb: Option<usize>| -> ClResult<AccessRecord> {
+    let run_body = |launch: &Launch,
+                    poison: f32,
+                    perturb: Option<usize>,
+                    per_item: bool|
+     -> ClResult<AccessRecord> {
         let mut m = mem.clone();
         for (k, id) in out_ids.iter().enumerate() {
             if out_specs[k].role == ArgRole::Out {
@@ -77,8 +88,13 @@ pub fn sanitize_launch(launch: &Launch, mem: &Memory) -> Vec<LintDiagnostic> {
                 *v = *v * 1.5 + 0.25;
             }
         }
-        execute_groups_shadowed(launch, &mut m, 0, total)
+        if per_item {
+            execute_groups_shadowed_per_item(launch, &mut m, 0, total)
+        } else {
+            execute_groups_shadowed(launch, &mut m, 0, total)
+        }
     };
+    let run = |poison: f32, perturb: Option<usize>| run_body(launch, poison, perturb, false);
 
     let (rec_a, rec_b) = match (run(SENTINEL_A, None), run(SENTINEL_B, None)) {
         (Ok(a), Ok(b)) => (a, b),
@@ -175,6 +191,39 @@ pub fn sanitize_launch(launch: &Launch, mem: &Memory) -> Vec<LintDiagnostic> {
         }
     }
 
+    // group-body-divergence: each group body against its per-item oracle,
+    // under both sentinels.
+    for (v, version) in launch.kernel.versions().iter().enumerate() {
+        if version.group_body.is_none() {
+            continue;
+        }
+        let mut alt = launch.clone();
+        alt.version = v;
+        for poison in [SENTINEL_A, SENTINEL_B] {
+            let divergence = match (
+                run_body(&alt, poison, None, false),
+                run_body(&alt, poison, None, true),
+            ) {
+                (Ok(group), Ok(item)) => divergence(&group, &item, &out_specs, &in_specs),
+                (Err(e), _) | (_, Err(e)) => {
+                    out.push(LintDiagnostic::error("execution", e.to_string()));
+                    break;
+                }
+            };
+            if let Some(detail) = divergence {
+                out.push(LintDiagnostic::error(
+                    "group-body-divergence",
+                    format!(
+                        "version `{}`: {detail}; the group body must store exactly what \
+                         the per-item body stores",
+                        version.label
+                    ),
+                ));
+                break;
+            }
+        }
+    }
+
     // unused-input: In buffers no work-item read in either run.
     for (k, spec) in in_specs.iter().enumerate() {
         if !rec_a.inputs_read[k] && !rec_b.inputs_read[k] {
@@ -185,4 +234,51 @@ pub fn sanitize_launch(launch: &Launch, mem: &Memory) -> Vec<LintDiagnostic> {
         }
     }
     out
+}
+
+/// The first difference between a group-body record and its per-item
+/// oracle: a work-group whose write map differs on some output, or an
+/// input one body read and the other did not.
+fn divergence(
+    group: &AccessRecord,
+    item: &AccessRecord,
+    out_specs: &[&ArgSpec],
+    in_specs: &[&ArgSpec],
+) -> Option<String> {
+    for ((g, by_group), (_, by_item)) in group.groups.iter().zip(&item.groups) {
+        for (k, spec) in out_specs.iter().enumerate() {
+            let (a, b) = (&by_group[k], &by_item[k]);
+            if a == b {
+                continue;
+            }
+            let first = a
+                .keys()
+                .chain(b.keys())
+                .copied()
+                .filter(|i| a.get(i) != b.get(i))
+                .min()
+                .expect("the maps differ");
+            let at = |m: &fluidicl_vcl::WriteMap| {
+                m.get(&first).map_or("nothing".to_string(), |bits| {
+                    format!("{:?}", f32::from_bits(*bits))
+                })
+            };
+            return Some(format!(
+                "in work-group {g}, element {first} of `{}` gets {} from the group body \
+                 and {} from the per-item body",
+                spec.name,
+                at(a),
+                at(b)
+            ));
+        }
+    }
+    for (k, spec) in in_specs.iter().enumerate() {
+        if group.inputs_read[k] != item.inputs_read[k] {
+            return Some(format!(
+                "`In` arg `{}` is read by only one of the two bodies",
+                spec.name
+            ));
+        }
+    }
+    None
 }

@@ -1,0 +1,151 @@
+//! Seeded property test: every group body against its per-item body on
+//! random problem sizes, local sizes and work-group slices.
+//!
+//! Each case starts from one memory — random inputs and `InOut` buffers,
+//! sentinel-poisoned `Out` buffers — runs group slice `[a, b)` once through
+//! each body, and compares every buffer bit for bit. Comparing whole
+//! buffers, not only the slice's elements, makes a write outside the
+//! slice show as well as a wrong or missing one.
+
+use fluidicl_check::SENTINEL_A;
+use fluidicl_des::SplitMix64;
+use fluidicl_polybench::{all_benchmarks, pipeline_benchmark};
+use fluidicl_vcl::exec::execute_groups;
+use fluidicl_vcl::{
+    execute_groups_per_item, ArgRole, BufferId, KernelArg, KernelDef, Launch, Memory, NdRange,
+    Program,
+};
+
+/// Launch dimensions of each kernel that has a group body.
+fn dims(kernel: &str) -> usize {
+    match kernel {
+        "atax_k2" | "bicg_s" | "mvt_x2" | "corr_corr" => 1,
+        "gemm" | "mm2_tmp" | "mm2_d" | "batchmm_mul" | "syrk" | "syr2k" => 2,
+        other => panic!("add the launch dimensions of `{other}` here"),
+    }
+}
+
+/// Every benchmark's program builder, BATCHMM's included.
+fn programs() -> Vec<fn(usize) -> Program> {
+    let mut all: Vec<fn(usize) -> Program> = all_benchmarks().iter().map(|b| b.program).collect();
+    all.push(pipeline_benchmark().program);
+    all
+}
+
+/// A launch of version `version` of `kernel` on `nd` with size scalar `n`,
+/// over fresh memory: every buffer holds `n²` elements, `Out` buffers
+/// carry the sentinel, everything else is random.
+fn setup(
+    kernel: std::sync::Arc<KernelDef>,
+    version: usize,
+    nd: NdRange,
+    n: usize,
+    rng: &mut SplitMix64,
+) -> (Launch, Memory) {
+    let mut mem = Memory::new();
+    let mut args = Vec::new();
+    for (id, spec) in kernel.args().iter().enumerate() {
+        args.push(match (spec.role, spec.name.as_str()) {
+            (ArgRole::Scalar, "n") => KernelArg::Usize(n),
+            (ArgRole::Scalar, _) => KernelArg::F32(rng.range_f32(0.5, 2.5)),
+            (role, _) => {
+                let data: Vec<f32> = if role == ArgRole::Out {
+                    vec![SENTINEL_A; n * n]
+                } else {
+                    (0..n * n).map(|_| rng.range_f32(-1.0, 1.0)).collect()
+                };
+                mem.install(BufferId(id as u64), data);
+                KernelArg::Buffer(BufferId(id as u64))
+            }
+        });
+    }
+    let mut launch = Launch::new(kernel, nd, args);
+    launch.version = version;
+    (launch, mem)
+}
+
+/// Runs groups `[a, b)` through both bodies and requires bit-identical
+/// memories.
+fn assert_bodies_agree(launch: &Launch, mem: &Memory, a: u64, b: u64, case: &str) {
+    let mut by_group = mem.clone();
+    let mut by_item = mem.clone();
+    execute_groups(launch, &mut by_group, a, b).unwrap();
+    execute_groups_per_item(launch, &mut by_item, a, b).unwrap();
+    for id in by_item.ids() {
+        let bits =
+            |m: &Memory| -> Vec<u32> { m.get(id).unwrap().iter().map(|v| v.to_bits()).collect() };
+        assert!(
+            bits(&by_group) == bits(&by_item),
+            "{case}: buffer {id:?} differs between the group and per-item bodies"
+        );
+    }
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+#[test]
+fn group_bodies_match_their_per_item_bodies_on_random_slices() {
+    let mut rng = SplitMix64::new(0x06B0_D1E5);
+    let mut covered = 0;
+    for program in programs() {
+        let listing = program(8);
+        for name in listing.kernel_names() {
+            let def = listing.kernel(name).unwrap();
+            for (version, v) in def.versions().iter().enumerate() {
+                if v.group_body.is_none() {
+                    continue;
+                }
+                covered += 1;
+                for case in 0..40 {
+                    let (nd, n) = if dims(name) == 1 {
+                        let l = rng.range_usize(1, 21);
+                        let n = l * rng.range_usize(1, 5);
+                        (NdRange::d1(n, l).unwrap(), n)
+                    } else {
+                        let (lx, ly) = (rng.range_usize(1, 11), rng.range_usize(1, 11));
+                        let base = lx / gcd(lx, ly) * ly;
+                        let n = base * rng.range_usize(1, 48 / base + 2);
+                        (NdRange::d2(n, n, lx, ly).unwrap(), n)
+                    };
+                    let kernel = program(n).kernel(name).unwrap();
+                    let (launch, mem) = setup(kernel, version, nd, n, &mut rng);
+                    let total = nd.num_groups();
+                    let a = rng.range_u64(0, total);
+                    let b = rng.range_u64(a + 1, total + 1);
+                    let label = format!(
+                        "{name} v{version} case {case}: n={n}, local={:?}, groups {a}..{b}",
+                        nd.local()
+                    );
+                    assert_bodies_agree(&launch, &mem, a, b, &label);
+                }
+            }
+        }
+    }
+    assert_eq!(covered, 11, "every group body is exercised");
+}
+
+/// CORR sizes where the last `j2` block of an item is shorter than the
+/// eight accumulators (`n - j2 < 8`), including sizes below one block.
+#[test]
+fn corr_group_body_handles_short_j2_tails() {
+    let mut rng = SplitMix64::new(0xC022_7A11);
+    let program = fluidicl_polybench::corr::program;
+    for (n, l) in [(1, 1), (5, 1), (7, 7), (9, 3), (13, 13), (17, 1), (23, 23)] {
+        for version in 0..2 {
+            let nd = NdRange::d1(n, l).unwrap();
+            let kernel = program(n).kernel("corr_corr").unwrap();
+            let (launch, mem) = setup(kernel, version, nd, n, &mut rng);
+            let total = nd.num_groups();
+            for (a, b) in [(0, total), (total - 1, total), (0, 1)] {
+                let label = format!("corr_corr v{version}: n={n}, l={l}, groups {a}..{b}");
+                assert_bodies_agree(&launch, &mem, a, b, &label);
+            }
+        }
+    }
+}

@@ -1,12 +1,16 @@
 //! The access sanitizer against deliberately lying kernels — every
-//! `ArgRole` misdeclaration class must be flagged, and honest kernels must
+//! `ArgRole` misdeclaration class must be flagged, every group body that
+//! departs from its per-item body must be flagged, and honest kernels must
 //! pass with zero diagnostics.
 
 use std::sync::Arc;
 
 use fluidicl_check::{sanitize_launch, LintSeverity};
 use fluidicl_hetsim::KernelProfile;
-use fluidicl_vcl::{ArgRole, ArgSpec, BufferId, KernelArg, KernelDef, Launch, Memory, NdRange};
+use fluidicl_vcl::{
+    ArgRole, ArgSpec, BufferId, Inputs, KernelArg, KernelDef, Launch, Memory, NdRange, Outputs,
+    Scalars,
+};
 
 fn mem_with(n: usize, bufs: &[(u64, f32)]) -> Memory {
     let mut mem = Memory::new();
@@ -312,4 +316,143 @@ fn sanitizer_leaves_caller_memory_untouched() {
     let _ = sanitize_launch(&launch, &mem);
     assert_eq!(mem.get(BufferId(0)).unwrap(), &[5.0; 8]);
     assert_eq!(mem.get(BufferId(1)).unwrap(), &[9.0; 8], "dst not poisoned");
+}
+
+/// Column sums over a 12×12 matrix, one work-item per column, in groups of
+/// six: the per-item body sums `a[i*n + j]` over `i` in order. `group`
+/// is the group body under test.
+fn column_sum_launch(
+    group: impl Fn(&NdRange, [usize; 3], &Scalars, &Inputs<'_>, &mut Outputs<'_>)
+        + Send
+        + Sync
+        + 'static,
+) -> (Launch, Memory) {
+    const N: usize = 12;
+    let k = KernelDef::new(
+        "colsum",
+        vec![
+            ArgSpec::new("a", ArgRole::In),
+            ArgSpec::new("sums", ArgRole::Out),
+            ArgSpec::new("n", ArgRole::Scalar),
+        ],
+        KernelProfile::new("colsum"),
+        |item, scalars, ins, outs| {
+            let n = scalars.usize(0);
+            let j = item.global[0];
+            let a = ins.get(0);
+            let mut acc = 0.0f32;
+            for i in 0..n {
+                acc += a[i * n + j];
+            }
+            outs.at(0)[j] = acc;
+        },
+    )
+    .with_group_body(group);
+    let mut mem = Memory::new();
+    // Terms of mixed sign and magnitude, so a different summation order
+    // rounds differently.
+    let a: Vec<f32> = (0..N * N)
+        .map(|i| (1.0 + i as f32).recip() * if i % 3 == 0 { -1e4 } else { 1.0 })
+        .collect();
+    mem.install(BufferId(0), a);
+    mem.alloc(BufferId(1), N);
+    let launch = Launch::new(
+        Arc::new(k),
+        NdRange::d1(N, 6).unwrap(),
+        vec![
+            KernelArg::Buffer(BufferId(0)),
+            KernelArg::Buffer(BufferId(1)),
+            KernelArg::Usize(N),
+        ],
+    );
+    (launch, mem)
+}
+
+/// Column sums of `cols` in blocks of `w` accumulators, `i` outer — the
+/// shape of a real group body. `keep_tail = false` drops the last, short
+/// block; `rev` sums the rows backwards.
+fn blocked_column_sums(
+    a: &[f32],
+    n: usize,
+    cols: std::ops::Range<usize>,
+    w: usize,
+    keep_tail: bool,
+    rev: bool,
+    out: &mut [f32],
+) {
+    for c in cols.clone().step_by(w) {
+        let end = (c + w).min(cols.end);
+        if end - c < w && !keep_tail {
+            continue;
+        }
+        let mut acc = [0.0f32; 8];
+        let rows: Vec<usize> = if rev {
+            (0..n).rev().collect()
+        } else {
+            (0..n).collect()
+        };
+        for i in rows {
+            for (s, &x) in acc.iter_mut().zip(&a[i * n + c..i * n + end]) {
+                *s += x;
+            }
+        }
+        out[c..end].copy_from_slice(&acc[..end - c]);
+    }
+}
+
+#[test]
+fn honest_group_body_is_clean() {
+    let (launch, mem) = column_sum_launch(|nd, group, scalars, ins, outs| {
+        let n = scalars.usize(0);
+        let cols = nd.group_items(group, 0);
+        blocked_column_sums(ins.get(0), n, cols, 4, true, false, outs.at(0));
+    });
+    assert_eq!(rules(&launch, &mem), vec![]);
+}
+
+#[test]
+fn group_body_summing_in_reverse_is_flagged() {
+    let (launch, mem) = column_sum_launch(|nd, group, scalars, ins, outs| {
+        let n = scalars.usize(0);
+        let cols = nd.group_items(group, 0);
+        blocked_column_sums(ins.get(0), n, cols, 4, true, true, outs.at(0));
+    });
+    let r = rules(&launch, &mem);
+    assert!(
+        r.contains(&("group-body-divergence".to_string(), LintSeverity::Error)),
+        "{r:?}"
+    );
+}
+
+#[test]
+fn group_body_writing_into_the_next_group_is_flagged() {
+    let (launch, mem) = column_sum_launch(|nd, group, scalars, ins, outs| {
+        let n = scalars.usize(0);
+        let cols = nd.group_items(group, 0);
+        let next = cols.end;
+        blocked_column_sums(ins.get(0), n, cols, 4, true, false, outs.at(0));
+        if let Some(v) = outs.at(0).get_mut(next) {
+            *v = 0.5;
+        }
+    });
+    let r = rules(&launch, &mem);
+    assert!(
+        r.contains(&("group-body-divergence".to_string(), LintSeverity::Error)),
+        "{r:?}"
+    );
+}
+
+#[test]
+fn group_body_dropping_its_tail_block_is_flagged() {
+    // Six items per group in blocks of four: the two-item tail is lost.
+    let (launch, mem) = column_sum_launch(|nd, group, scalars, ins, outs| {
+        let n = scalars.usize(0);
+        let cols = nd.group_items(group, 0);
+        blocked_column_sums(ins.get(0), n, cols, 4, false, false, outs.at(0));
+    });
+    let r = rules(&launch, &mem);
+    assert!(
+        r.contains(&("group-body-divergence".to_string(), LintSeverity::Error)),
+        "{r:?}"
+    );
 }

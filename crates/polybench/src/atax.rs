@@ -10,6 +10,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::{gen_matrix, gen_vector};
+use crate::group::column_dots;
 
 /// Default (scaled) problem size: the paper uses 8672²; we scale down so
 /// functional execution stays fast while the cost models keep the paper's
@@ -69,30 +70,39 @@ pub fn program(n: usize) -> Program {
             outs.at(0)[i] = acc;
         },
     ));
-    p.register(KernelDef::new(
-        "atax_k2",
-        vec![
-            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
-                dim: 0,
-                width_scalar: 0,
-            }),
-            ArgSpec::new("tmp", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-            ArgSpec::new("y", ArgRole::Out).with_access(AccessPattern::Element),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile_k2(n),
-        |item, scalars, ins, outs| {
-            let n = scalars.usize(0);
-            let j = item.global[0];
-            let a = ins.get(0);
-            let tmp = ins.get(1);
-            let mut acc = 0.0f32;
-            for i in 0..n {
-                acc += a[i * n + j] * tmp[i];
-            }
-            outs.at(0)[j] = acc;
-        },
-    ));
+    p.register(
+        KernelDef::new(
+            "atax_k2",
+            vec![
+                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
+                    dim: 0,
+                    width_scalar: 0,
+                }),
+                ArgSpec::new("tmp", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+                ArgSpec::new("y", ArgRole::Out).with_access(AccessPattern::Element),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile_k2(n),
+            |item, scalars, ins, outs| {
+                let n = scalars.usize(0);
+                let j = item.global[0];
+                let a = ins.get(0);
+                let tmp = ins.get(1);
+                let mut acc = 0.0f32;
+                for i in 0..n {
+                    acc += a[i * n + j] * tmp[i];
+                }
+                outs.at(0)[j] = acc;
+            },
+        )
+        .with_group_body(|nd, group, scalars, ins, outs| {
+            let y = outs.at(0);
+            let cols = nd.group_items(group, 0);
+            column_dots::<WG>(ins.get(0), ins.get(1), scalars.usize(0), cols, |j, acc| {
+                y[j] = acc;
+            });
+        }),
+    );
     p
 }
 
@@ -147,13 +157,12 @@ pub fn reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
         }
         tmp[i] = acc;
     }
+    // Row-major walk: every y[j] still adds its terms in `i` order.
     let mut y = vec![0.0f32; n];
-    for (j, yj) in y.iter_mut().enumerate() {
-        let mut acc = 0.0f32;
-        for i in 0..n {
-            acc += a[i * n + j] * tmp[i];
+    for (i, &t) in tmp.iter().enumerate() {
+        for (yj, &aij) in y.iter_mut().zip(&a[i * n..i * n + n]) {
+            *yj += aij * t;
         }
-        *yj = acc;
     }
     vec![y]
 }

@@ -19,6 +19,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::gen_matrix;
+use crate::group::matmul;
 use crate::spec::BenchmarkSpec;
 
 /// Default (scaled) problem size (matrix edge).
@@ -51,34 +52,44 @@ fn sum_profile() -> KernelProfile {
 /// Builds the BATCHMM program for problem size `n`.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
-    p.register(KernelDef::new(
-        "batchmm_mul",
-        vec![
-            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
-                dim: 1,
-                width_scalar: 0,
-            }),
-            ArgSpec::new("b", ArgRole::In).with_access(AccessPattern::Col {
-                dim: 0,
-                width_scalar: 0,
-            }),
-            ArgSpec::new("e", ArgRole::Out).with_access(AccessPattern::Element),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        mul_profile(n),
-        |item, scalars, ins, outs| {
+    p.register(
+        KernelDef::new(
+            "batchmm_mul",
+            vec![
+                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
+                    dim: 1,
+                    width_scalar: 0,
+                }),
+                ArgSpec::new("b", ArgRole::In).with_access(AccessPattern::Col {
+                    dim: 0,
+                    width_scalar: 0,
+                }),
+                ArgSpec::new("e", ArgRole::Out).with_access(AccessPattern::Element),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            mul_profile(n),
+            |item, scalars, ins, outs| {
+                let n = scalars.usize(0);
+                let i = item.global[1];
+                let j = item.global[0];
+                let a = ins.get(0);
+                let b = ins.get(1);
+                let mut acc = 0.0f32;
+                for k in 0..n {
+                    acc += a[i * n + k] * b[k * n + j];
+                }
+                outs.at(0)[i * n + j] = acc;
+            },
+        )
+        .with_group_body(|nd, group, scalars, ins, outs| {
             let n = scalars.usize(0);
-            let i = item.global[1];
-            let j = item.global[0];
-            let a = ins.get(0);
-            let b = ins.get(1);
-            let mut acc = 0.0f32;
-            for k in 0..n {
-                acc += a[i * n + k] * b[k * n + j];
-            }
-            outs.at(0)[i * n + j] = acc;
-        },
-    ));
+            let e = outs.at(0);
+            let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
+            matmul::<WG>(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
+                e[i * n + j] = acc;
+            });
+        }),
+    );
     p.register(KernelDef::new(
         "batchmm_sum",
         vec![
@@ -153,15 +164,7 @@ pub fn reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
     for c in 0..CHAINS as u64 {
         let a = gen_matrix(n, n, seed.wrapping_add(2 * c));
         let b = gen_matrix(n, n, seed.wrapping_add(2 * c + 1));
-        for i in 0..n {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for k in 0..n {
-                    acc += a[i * n + k] * b[k * n + j];
-                }
-                g[i * n + j] += acc;
-            }
-        }
+        matmul::<WG>(&a, &b, n, 0..n, 0..n, |i, j, acc| g[i * n + j] += acc);
     }
     vec![g]
 }

@@ -12,6 +12,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::{gen_matrix, gen_vector};
+use crate::group::column_dots;
 
 /// Default (scaled) problem size (paper: 4576²).
 pub const DEFAULT_N: usize = 4096;
@@ -70,30 +71,39 @@ pub fn program(n: usize) -> Program {
             outs.at(0)[i] = acc;
         },
     ));
-    p.register(KernelDef::new(
-        "bicg_s",
-        vec![
-            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
-                dim: 0,
-                width_scalar: 0,
-            }),
-            ArgSpec::new("r", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-            ArgSpec::new("s", ArgRole::Out).with_access(AccessPattern::Element),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile_s(n),
-        |item, scalars, ins, outs| {
-            let n = scalars.usize(0);
-            let j = item.global[0];
-            let a = ins.get(0);
-            let r = ins.get(1);
-            let mut acc = 0.0f32;
-            for i in 0..n {
-                acc += a[i * n + j] * r[i];
-            }
-            outs.at(0)[j] = acc;
-        },
-    ));
+    p.register(
+        KernelDef::new(
+            "bicg_s",
+            vec![
+                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
+                    dim: 0,
+                    width_scalar: 0,
+                }),
+                ArgSpec::new("r", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+                ArgSpec::new("s", ArgRole::Out).with_access(AccessPattern::Element),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile_s(n),
+            |item, scalars, ins, outs| {
+                let n = scalars.usize(0);
+                let j = item.global[0];
+                let a = ins.get(0);
+                let r = ins.get(1);
+                let mut acc = 0.0f32;
+                for i in 0..n {
+                    acc += a[i * n + j] * r[i];
+                }
+                outs.at(0)[j] = acc;
+            },
+        )
+        .with_group_body(|nd, group, scalars, ins, outs| {
+            let s = outs.at(0);
+            let cols = nd.group_items(group, 0);
+            column_dots::<WG>(ins.get(0), ins.get(1), scalars.usize(0), cols, |j, acc| {
+                s[j] = acc;
+            });
+        }),
+    );
     p
 }
 
@@ -143,13 +153,12 @@ pub fn reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
     let a = gen_matrix(n, n, seed);
     let p = gen_vector(n, seed.wrapping_add(1));
     let r = gen_vector(n, seed.wrapping_add(2));
+    // Row-major walk: every s[j] still adds its terms in `i` order.
     let mut s = vec![0.0f32; n];
-    for (j, sj) in s.iter_mut().enumerate() {
-        let mut acc = 0.0f32;
-        for i in 0..n {
-            acc += a[i * n + j] * r[i];
+    for (i, &ri) in r.iter().enumerate() {
+        for (sj, &aij) in s.iter_mut().zip(&a[i * n..i * n + n]) {
+            *sj += aij * ri;
         }
-        *sj = acc;
     }
     let mut q = vec![0.0f32; n];
     for (i, qi) in q.iter_mut().enumerate() {

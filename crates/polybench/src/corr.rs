@@ -14,6 +14,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::gen_positive;
+use crate::group::{accumulate, blocks};
 
 /// Default (scaled) problem size (paper: 2048²).
 pub const DEFAULT_N: usize = 576;
@@ -107,6 +108,41 @@ fn corr_body(
         }
         symmat[j1 * n + j2] = acc;
         symmat[j2 * n + j1] = acc;
+    }
+}
+
+/// Accumulators per `j2` block of the group body.
+const CORR_BLOCK: usize = 8;
+
+/// Group body of both `corr_corr` versions: per item `j1`, blocks of
+/// [`CORR_BLOCK`] `j2` sums with `k` outer, so each step reads a row
+/// segment of `data` instead of two column elements. Each pair still sums
+/// over `k` in order, so the stored bits match `corr_body`.
+fn corr_group(
+    nd: &NdRange,
+    group: [usize; 3],
+    scalars: &Scalars,
+    ins: &fluidicl_vcl::Inputs<'_>,
+    outs: &mut fluidicl_vcl::Outputs<'_>,
+) {
+    let n = scalars.usize(0);
+    let data = ins.get(0);
+    let symmat = outs.at(0);
+    for j1 in nd.group_items(group, 0) {
+        symmat[j1 * n + j1] = 1.0;
+        for blk in blocks::<CORR_BLOCK>(j1 + 1..n) {
+            let mut acc = [0.0f32; CORR_BLOCK];
+            for k in 0..n {
+                let x = data[k * n + j1];
+                accumulate(&mut acc, &data[k * n + blk.start..k * n + blk.end], |y| {
+                    x * y
+                });
+            }
+            for (j2, &s) in blk.zip(acc.iter()) {
+                symmat[j1 * n + j2] = s;
+                symmat[j2 * n + j1] = s;
+            }
+        }
     }
 }
 
@@ -215,7 +251,9 @@ pub fn program(n: usize) -> Program {
             profile_corr_base(n),
             corr_body,
         )
-        .with_version("loop-interchanged", profile_corr_interchanged(n), corr_body),
+        .with_group_body(corr_group)
+        .with_version("loop-interchanged", profile_corr_interchanged(n), corr_body)
+        .with_group_body(corr_group),
     );
     p
 }
@@ -278,22 +316,26 @@ pub fn run(driver: &mut dyn ClDriver, n: usize, seed: u64) -> ClResult<Vec<Vec<f
 pub fn reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut data = gen_positive(n * n, seed);
     let nf = n as f32;
+    // Row-major walks throughout: every column sum still adds its terms in
+    // row order, as the kernels do.
     let mut mean = vec![0.0f32; n];
-    for (j, m) in mean.iter_mut().enumerate() {
-        let mut acc = 0.0f32;
-        for i in 0..n {
-            acc += data[i * n + j];
+    for row in data.chunks_exact(n) {
+        for (m, &x) in mean.iter_mut().zip(row) {
+            *m += x;
         }
-        *m = acc / nf;
+    }
+    for m in &mut mean {
+        *m /= nf;
     }
     let mut std = vec![0.0f32; n];
-    for (j, s) in std.iter_mut().enumerate() {
-        let mut acc = 0.0f32;
-        for i in 0..n {
-            let d = data[i * n + j] - mean[j];
-            acc += d * d;
+    for row in data.chunks_exact(n) {
+        for ((s, &x), &m) in std.iter_mut().zip(row).zip(&mean) {
+            let d = x - m;
+            *s += d * d;
         }
-        let sd = (acc / nf).sqrt();
+    }
+    for s in &mut std {
+        let sd = (*s / nf).sqrt();
         *s = if sd <= EPS { 1.0 } else { sd };
     }
     for i in 0..n {
@@ -302,15 +344,20 @@ pub fn reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
         }
     }
     let mut symmat = vec![0.0f32; n * n];
+    let mut sums = vec![0.0f32; n];
     for j1 in 0..n {
         symmat[j1 * n + j1] = 1.0;
-        for j2 in (j1 + 1)..n {
-            let mut acc = 0.0f32;
-            for k in 0..n {
-                acc += data[k * n + j1] * data[k * n + j2];
+        let sums = &mut sums[j1 + 1..];
+        sums.fill(0.0);
+        for row in data.chunks_exact(n) {
+            let x = row[j1];
+            for (s, &y) in sums.iter_mut().zip(&row[j1 + 1..]) {
+                *s += x * y;
             }
-            symmat[j1 * n + j2] = acc;
-            symmat[j2 * n + j1] = acc;
+        }
+        for (j2, &s) in (j1 + 1..n).zip(sums.iter()) {
+            symmat[j1 * n + j2] = s;
+            symmat[j2 * n + j1] = s;
         }
     }
     vec![symmat]

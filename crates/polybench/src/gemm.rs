@@ -11,6 +11,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::gen_matrix;
+use crate::group::matmul;
 
 /// Default (scaled) problem size.
 pub const DEFAULT_N: usize = 320;
@@ -38,39 +39,51 @@ fn profile(n: usize) -> KernelProfile {
 /// Builds the GEMM program for problem size `n`.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
-    p.register(KernelDef::new(
-        "gemm",
-        vec![
-            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
-                dim: 1,
-                width_scalar: 2,
-            }),
-            ArgSpec::new("b", ArgRole::In).with_access(AccessPattern::Col {
-                dim: 0,
-                width_scalar: 2,
-            }),
-            ArgSpec::new("c", ArgRole::InOut).with_access(AccessPattern::Element),
-            ArgSpec::new("alpha", ArgRole::Scalar),
-            ArgSpec::new("beta", ArgRole::Scalar),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile(n),
-        |item, scalars, ins, outs| {
+    p.register(
+        KernelDef::new(
+            "gemm",
+            vec![
+                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
+                    dim: 1,
+                    width_scalar: 2,
+                }),
+                ArgSpec::new("b", ArgRole::In).with_access(AccessPattern::Col {
+                    dim: 0,
+                    width_scalar: 2,
+                }),
+                ArgSpec::new("c", ArgRole::InOut).with_access(AccessPattern::Element),
+                ArgSpec::new("alpha", ArgRole::Scalar),
+                ArgSpec::new("beta", ArgRole::Scalar),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile(n),
+            |item, scalars, ins, outs| {
+                let alpha = scalars.f32(0);
+                let beta = scalars.f32(1);
+                let n = scalars.usize(2);
+                let i = item.global[1];
+                let j = item.global[0];
+                let a = ins.get(0);
+                let b = ins.get(1);
+                let mut acc = 0.0f32;
+                for k in 0..n {
+                    acc += a[i * n + k] * b[k * n + j];
+                }
+                let c = outs.at(0);
+                c[i * n + j] = beta * c[i * n + j] + alpha * acc;
+            },
+        )
+        .with_group_body(|nd, group, scalars, ins, outs| {
             let alpha = scalars.f32(0);
             let beta = scalars.f32(1);
             let n = scalars.usize(2);
-            let i = item.global[1];
-            let j = item.global[0];
-            let a = ins.get(0);
-            let b = ins.get(1);
-            let mut acc = 0.0f32;
-            for k in 0..n {
-                acc += a[i * n + k] * b[k * n + j];
-            }
             let c = outs.at(0);
-            c[i * n + j] = beta * c[i * n + j] + alpha * acc;
-        },
-    ));
+            let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
+            matmul::<WG>(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
+                c[i * n + j] = beta * c[i * n + j] + alpha * acc;
+            });
+        }),
+    );
     p
 }
 
@@ -109,15 +122,9 @@ pub fn reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
     let a = gen_matrix(n, n, seed);
     let b = gen_matrix(n, n, seed.wrapping_add(1));
     let mut c = gen_matrix(n, n, seed.wrapping_add(2));
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for k in 0..n {
-                acc += a[i * n + k] * b[k * n + j];
-            }
-            c[i * n + j] = BETA * c[i * n + j] + ALPHA * acc;
-        }
-    }
+    matmul::<WG>(&a, &b, n, 0..n, 0..n, |i, j, acc| {
+        c[i * n + j] = BETA * c[i * n + j] + ALPHA * acc;
+    });
     vec![c]
 }
 

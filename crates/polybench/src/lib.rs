@@ -23,6 +23,7 @@ pub mod corr;
 pub mod data;
 pub mod gemm;
 pub mod gesummv;
+mod group;
 pub mod mm2;
 pub mod mvt;
 pub mod spec;

@@ -12,6 +12,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::gen_matrix;
+use crate::group::matmul;
 
 /// Default (scaled) problem size.
 pub const DEFAULT_N: usize = 256;
@@ -35,67 +36,89 @@ fn profile(name: &str, n: usize) -> KernelProfile {
 /// Builds the 2MM program for problem size `n`.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
-    p.register(KernelDef::new(
-        "mm2_tmp",
-        vec![
-            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
-                dim: 1,
-                width_scalar: 1,
-            }),
-            ArgSpec::new("b", ArgRole::In).with_access(AccessPattern::Col {
-                dim: 0,
-                width_scalar: 1,
-            }),
-            ArgSpec::new("tmp", ArgRole::Out).with_access(AccessPattern::Element),
-            ArgSpec::new("alpha", ArgRole::Scalar),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile("mm2_tmp", n),
-        |item, scalars, ins, outs| {
+    p.register(
+        KernelDef::new(
+            "mm2_tmp",
+            vec![
+                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
+                    dim: 1,
+                    width_scalar: 1,
+                }),
+                ArgSpec::new("b", ArgRole::In).with_access(AccessPattern::Col {
+                    dim: 0,
+                    width_scalar: 1,
+                }),
+                ArgSpec::new("tmp", ArgRole::Out).with_access(AccessPattern::Element),
+                ArgSpec::new("alpha", ArgRole::Scalar),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile("mm2_tmp", n),
+            |item, scalars, ins, outs| {
+                let alpha = scalars.f32(0);
+                let n = scalars.usize(1);
+                let i = item.global[1];
+                let j = item.global[0];
+                let a = ins.get(0);
+                let b = ins.get(1);
+                let mut acc = 0.0f32;
+                for k in 0..n {
+                    acc += a[i * n + k] * b[k * n + j];
+                }
+                outs.at(0)[i * n + j] = alpha * acc;
+            },
+        )
+        .with_group_body(|nd, group, scalars, ins, outs| {
             let alpha = scalars.f32(0);
             let n = scalars.usize(1);
-            let i = item.global[1];
-            let j = item.global[0];
-            let a = ins.get(0);
-            let b = ins.get(1);
-            let mut acc = 0.0f32;
-            for k in 0..n {
-                acc += a[i * n + k] * b[k * n + j];
-            }
-            outs.at(0)[i * n + j] = alpha * acc;
-        },
-    ));
-    p.register(KernelDef::new(
-        "mm2_d",
-        vec![
-            ArgSpec::new("tmp", ArgRole::In).with_access(AccessPattern::Row {
-                dim: 1,
-                width_scalar: 1,
-            }),
-            ArgSpec::new("c", ArgRole::In).with_access(AccessPattern::Col {
-                dim: 0,
-                width_scalar: 1,
-            }),
-            ArgSpec::new("d", ArgRole::InOut).with_access(AccessPattern::Element),
-            ArgSpec::new("beta", ArgRole::Scalar),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile("mm2_d", n),
-        |item, scalars, ins, outs| {
+            let tmp = outs.at(0);
+            let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
+            matmul::<WG>(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
+                tmp[i * n + j] = alpha * acc;
+            });
+        }),
+    );
+    p.register(
+        KernelDef::new(
+            "mm2_d",
+            vec![
+                ArgSpec::new("tmp", ArgRole::In).with_access(AccessPattern::Row {
+                    dim: 1,
+                    width_scalar: 1,
+                }),
+                ArgSpec::new("c", ArgRole::In).with_access(AccessPattern::Col {
+                    dim: 0,
+                    width_scalar: 1,
+                }),
+                ArgSpec::new("d", ArgRole::InOut).with_access(AccessPattern::Element),
+                ArgSpec::new("beta", ArgRole::Scalar),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile("mm2_d", n),
+            |item, scalars, ins, outs| {
+                let beta = scalars.f32(0);
+                let n = scalars.usize(1);
+                let i = item.global[1];
+                let j = item.global[0];
+                let tmp = ins.get(0);
+                let c = ins.get(1);
+                let mut acc = 0.0f32;
+                for k in 0..n {
+                    acc += tmp[i * n + k] * c[k * n + j];
+                }
+                let d = outs.at(0);
+                d[i * n + j] = beta * d[i * n + j] + acc;
+            },
+        )
+        .with_group_body(|nd, group, scalars, ins, outs| {
             let beta = scalars.f32(0);
             let n = scalars.usize(1);
-            let i = item.global[1];
-            let j = item.global[0];
-            let tmp = ins.get(0);
-            let c = ins.get(1);
-            let mut acc = 0.0f32;
-            for k in 0..n {
-                acc += tmp[i * n + k] * c[k * n + j];
-            }
             let d = outs.at(0);
-            d[i * n + j] = beta * d[i * n + j] + acc;
-        },
-    ));
+            let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
+            matmul::<WG>(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
+                d[i * n + j] = beta * d[i * n + j] + acc;
+            });
+        }),
+    );
     p
 }
 
@@ -151,24 +174,12 @@ pub fn reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
     let c = gen_matrix(n, n, seed.wrapping_add(2));
     let mut d = gen_matrix(n, n, seed.wrapping_add(3));
     let mut tmp = vec![0.0f32; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for k in 0..n {
-                acc += a[i * n + k] * b[k * n + j];
-            }
-            tmp[i * n + j] = ALPHA * acc;
-        }
-    }
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for k in 0..n {
-                acc += tmp[i * n + k] * c[k * n + j];
-            }
-            d[i * n + j] = BETA * d[i * n + j] + acc;
-        }
-    }
+    matmul::<WG>(&a, &b, n, 0..n, 0..n, |i, j, acc| {
+        tmp[i * n + j] = ALPHA * acc
+    });
+    matmul::<WG>(&tmp, &c, n, 0..n, 0..n, |i, j, acc| {
+        d[i * n + j] = BETA * d[i * n + j] + acc;
+    });
     vec![d]
 }
 

@@ -12,6 +12,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::{gen_matrix, gen_vector};
+use crate::group::column_dots;
 
 /// Default (scaled) problem size.
 pub const DEFAULT_N: usize = 4096;
@@ -68,30 +69,39 @@ pub fn program(n: usize) -> Program {
             outs.at(0)[i] += acc;
         },
     ));
-    p.register(KernelDef::new(
-        "mvt_x2",
-        vec![
-            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
-                dim: 0,
-                width_scalar: 0,
-            }),
-            ArgSpec::new("y2", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-            ArgSpec::new("x2", ArgRole::InOut).with_access(AccessPattern::Element),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile_x2(n),
-        |item, scalars, ins, outs| {
-            let n = scalars.usize(0);
-            let i = item.global[0];
-            let a = ins.get(0);
-            let y2 = ins.get(1);
-            let mut acc = 0.0f32;
-            for j in 0..n {
-                acc += a[j * n + i] * y2[j];
-            }
-            outs.at(0)[i] += acc;
-        },
-    ));
+    p.register(
+        KernelDef::new(
+            "mvt_x2",
+            vec![
+                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Col {
+                    dim: 0,
+                    width_scalar: 0,
+                }),
+                ArgSpec::new("y2", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+                ArgSpec::new("x2", ArgRole::InOut).with_access(AccessPattern::Element),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile_x2(n),
+            |item, scalars, ins, outs| {
+                let n = scalars.usize(0);
+                let i = item.global[0];
+                let a = ins.get(0);
+                let y2 = ins.get(1);
+                let mut acc = 0.0f32;
+                for j in 0..n {
+                    acc += a[j * n + i] * y2[j];
+                }
+                outs.at(0)[i] += acc;
+            },
+        )
+        .with_group_body(|nd, group, scalars, ins, outs| {
+            let x2 = outs.at(0);
+            let cols = nd.group_items(group, 0);
+            column_dots::<WG>(ins.get(0), ins.get(1), scalars.usize(0), cols, |i, acc| {
+                x2[i] += acc;
+            });
+        }),
+    );
     p
 }
 
@@ -157,12 +167,15 @@ pub fn reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
         }
         *v += acc;
     }
-    for (i, v) in x2.iter_mut().enumerate() {
-        let mut acc = 0.0f32;
-        for j in 0..n {
-            acc += a[j * n + i] * y2[j];
+    // Row-major walk: every sum still adds its terms in `j` order.
+    let mut acc = vec![0.0f32; n];
+    for (j, &y) in y2.iter().enumerate() {
+        for (s, &aji) in acc.iter_mut().zip(&a[j * n..j * n + n]) {
+            *s += aji * y;
         }
-        *v += acc;
+    }
+    for (v, s) in x2.iter_mut().zip(acc) {
+        *v += s;
     }
     vec![x1, x2]
 }

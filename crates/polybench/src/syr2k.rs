@@ -11,6 +11,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::gen_matrix;
+use crate::group::row_pair_sums;
 
 /// Default (scaled) problem size.
 pub const DEFAULT_N: usize = 384;
@@ -40,33 +41,50 @@ fn profile(n: usize) -> KernelProfile {
 /// Builds the SYR2K program for problem size `n`.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
-    p.register(KernelDef::new(
-        "syr2k",
-        vec![
-            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-            ArgSpec::new("b", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-            ArgSpec::new("c", ArgRole::InOut).with_access(AccessPattern::Element),
-            ArgSpec::new("alpha", ArgRole::Scalar),
-            ArgSpec::new("beta", ArgRole::Scalar),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile(n),
-        |item, scalars, ins, outs| {
+    p.register(
+        KernelDef::new(
+            "syr2k",
+            vec![
+                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+                ArgSpec::new("b", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+                ArgSpec::new("c", ArgRole::InOut).with_access(AccessPattern::Element),
+                ArgSpec::new("alpha", ArgRole::Scalar),
+                ArgSpec::new("beta", ArgRole::Scalar),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile(n),
+            |item, scalars, ins, outs| {
+                let alpha = scalars.f32(0);
+                let beta = scalars.f32(1);
+                let n = scalars.usize(2);
+                let i = item.global[1];
+                let j = item.global[0];
+                let a = ins.get(0);
+                let b = ins.get(1);
+                let mut acc = 0.0f32;
+                for k in 0..n {
+                    acc += a[i * n + k] * b[j * n + k] + b[i * n + k] * a[j * n + k];
+                }
+                let c = outs.at(0);
+                c[i * n + j] = beta * c[i * n + j] + alpha * acc;
+            },
+        )
+        .with_group_body(|nd, group, scalars, ins, outs| {
             let alpha = scalars.f32(0);
             let beta = scalars.f32(1);
             let n = scalars.usize(2);
-            let i = item.global[1];
-            let j = item.global[0];
-            let a = ins.get(0);
-            let b = ins.get(1);
-            let mut acc = 0.0f32;
-            for k in 0..n {
-                acc += a[i * n + k] * b[j * n + k] + b[i * n + k] * a[j * n + k];
-            }
             let c = outs.at(0);
-            c[i * n + j] = beta * c[i * n + j] + alpha * acc;
-        },
-    ));
+            let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
+            row_pair_sums::<2, WG>(
+                [ins.get(0), ins.get(1)],
+                n,
+                rows,
+                cols,
+                |[aik, bik], [ajk, bjk]| aik * bjk + bik * ajk,
+                |i, j, acc| c[i * n + j] = beta * c[i * n + j] + alpha * acc,
+            );
+        }),
+    );
     p
 }
 

@@ -15,10 +15,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::exec::{out_slices, restore_outputs, take_outputs, Launch};
+use crate::exec::{check_range, out_slices, restore_outputs, take_outputs, Body, Launch};
 use crate::kernel::{Inputs, Outputs};
-use crate::ndrange::for_each_item_in_group;
-use crate::{ClError, ClResult, Memory};
+use crate::{ClResult, Memory};
 
 /// Elements one work-group wrote to one output buffer: index → stored bit
 /// pattern (`f32::to_bits`, so `NaN`s and signed zeros compare exactly).
@@ -50,7 +49,8 @@ impl AccessRecord {
 /// recording per-group write sets and input-read flags.
 ///
 /// Semantically identical to `execute_groups` (the same values end up in
-/// `mem`), just slower: every group pays a snapshot + diff over the output
+/// `mem`, computed by the same body: the group body when the version has
+/// one), just slower: every group pays a snapshot + diff over the output
 /// buffers, so this is a debugging/verification tool, not an execution path.
 ///
 /// # Errors
@@ -63,35 +63,47 @@ pub fn execute_groups_shadowed(
     from: u64,
     to: u64,
 ) -> ClResult<AccessRecord> {
-    let total = launch.ndrange.num_groups();
-    if from > to || to > total {
-        return Err(ClError::InvalidNdRange(format!(
-            "group range {from}..{to} exceeds {total} groups"
-        )));
-    }
-    let (in_ids, out_ids, scalars) = launch.kernel.classify_args(&launch.args)?;
-    let version = launch
-        .kernel
-        .versions()
-        .get(launch.version)
-        .unwrap_or_else(|| launch.kernel.default_version());
+    shadowed(launch, mem, from, to, false)
+}
 
-    let mut taken = take_outputs(mem, &out_ids)?;
+/// [`execute_groups_shadowed`] through the per-item body even when the
+/// version has a group body — the oracle record a group body must match.
+///
+/// # Errors
+///
+/// Same as [`execute_groups_shadowed`].
+pub fn execute_groups_shadowed_per_item(
+    launch: &Launch,
+    mem: &mut Memory,
+    from: u64,
+    to: u64,
+) -> ClResult<AccessRecord> {
+    shadowed(launch, mem, from, to, true)
+}
+
+fn shadowed(
+    launch: &Launch,
+    mem: &mut Memory,
+    from: u64,
+    to: u64,
+    per_item: bool,
+) -> ClResult<AccessRecord> {
+    check_range(launch, from, to)?;
+    let plan = launch.plan()?;
+    let body = Body::of(launch.resolved_version(), per_item);
+
+    let mut taken = take_outputs(mem, &plan.outs)?;
     let result = (|| -> ClResult<AccessRecord> {
-        let mut in_slices = Vec::with_capacity(in_ids.len());
-        for id in &in_ids {
+        let mut in_slices = Vec::with_capacity(plan.ins.len());
+        for id in &plan.ins {
             in_slices.push(mem.get(*id)?);
         }
         let ins = Inputs::with_read_tracking(in_slices);
         let mut outs = Outputs::new(out_slices(&mut taken));
-        let body = &version.body;
         let mut shadow = ShadowMemory::capture(&outs);
         let mut groups = Vec::with_capacity((to - from) as usize);
         for flat in from..to {
-            let group = launch.ndrange.unflatten_group(flat);
-            for_each_item_in_group(&launch.ndrange, group, |item| {
-                body(item, &scalars, &ins, &mut outs);
-            });
+            body.run(&launch.ndrange, flat, &plan.scalars, &ins, &mut outs);
             groups.push((flat, shadow.diff_and_advance(&outs)));
         }
         Ok(AccessRecord {
@@ -145,6 +157,7 @@ mod tests {
     use super::*;
     use crate::exec::execute_groups;
     use crate::kernel::{ArgRole, ArgSpec, KernelDef};
+    use crate::ClError;
     use crate::{BufferId, KernelArg, NdRange};
     use fluidicl_hetsim::KernelProfile;
 

@@ -9,7 +9,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::kernel::{Inputs, KernelBody, KernelDef, Outputs, Scalars};
+use crate::kernel::{GroupBody, Inputs, KernelBody, KernelDef, KernelVersion, Outputs, Scalars};
 use crate::ndrange::for_each_item_in_group;
 use crate::{BufferId, ClError, ClResult, KernelArg, Memory, NdRange};
 
@@ -82,7 +82,7 @@ impl Launch {
 
     /// The kernel version this launch resolves to (falling back to the
     /// default implementation for an out-of-range index).
-    pub fn resolved_version(&self) -> &crate::kernel::KernelVersion {
+    pub fn resolved_version(&self) -> &KernelVersion {
         self.kernel
             .versions()
             .get(self.version)
@@ -110,19 +110,36 @@ impl Launch {
 
 /// Executes flattened work-groups `[from, to)` of `launch` against `mem`.
 ///
+/// Each group runs through the version's group body when it has one, and
+/// through the per-item body otherwise; both store the same bits.
+///
 /// # Errors
 ///
 /// Returns an error if the arguments do not match the kernel signature, a
 /// buffer is missing from `mem`, or the range is out of bounds.
 pub fn execute_groups(launch: &Launch, mem: &mut Memory, from: u64, to: u64) -> ClResult<()> {
-    let total = launch.ndrange.num_groups();
-    if from > to || to > total {
-        return Err(ClError::InvalidNdRange(format!(
-            "group range {from}..{to} exceeds {total} groups"
-        )));
-    }
+    execute(launch, mem, from, to, false)
+}
+
+/// [`execute_groups`] through the per-item body even when the version has
+/// a group body: the oracle a group body is compared against.
+///
+/// # Errors
+///
+/// Same as [`execute_groups`].
+pub fn execute_groups_per_item(
+    launch: &Launch,
+    mem: &mut Memory,
+    from: u64,
+    to: u64,
+) -> ClResult<()> {
+    execute(launch, mem, from, to, true)
+}
+
+fn execute(launch: &Launch, mem: &mut Memory, from: u64, to: u64, per_item: bool) -> ClResult<()> {
+    check_range(launch, from, to)?;
     let plan = launch.plan()?;
-    let version = launch.resolved_version();
+    let body = Body::of(launch.resolved_version(), per_item);
 
     // Split borrows: move output buffers out of the memory map, then borrow
     // inputs immutably from what remains. Each output is made private to
@@ -135,19 +152,61 @@ pub fn execute_groups(launch: &Launch, mem: &mut Memory, from: u64, to: u64) -> 
         }
         let ins = Inputs::new(in_slices);
         let mut outs = Outputs::new(out_slices(&mut taken));
-        run_range(
-            &version.body,
-            &launch.ndrange,
-            &plan.scalars,
-            &ins,
-            &mut outs,
-            from,
-            to,
-        );
+        for flat in from..to {
+            body.run(&launch.ndrange, flat, &plan.scalars, &ins, &mut outs);
+        }
         Ok(())
     })();
     restore_outputs(mem, taken);
     result
+}
+
+/// Rejects a group range that is reversed or runs past the launch.
+pub(crate) fn check_range(launch: &Launch, from: u64, to: u64) -> ClResult<()> {
+    let total = launch.ndrange.num_groups();
+    if from > to || to > total {
+        return Err(ClError::InvalidNdRange(format!(
+            "group range {from}..{to} exceeds {total} groups"
+        )));
+    }
+    Ok(())
+}
+
+/// The function that computes one work-group of a launch.
+#[derive(Clone, Copy)]
+pub(crate) enum Body<'a> {
+    /// The version's group body, called once per group.
+    Group(&'a GroupBody),
+    /// The per-item body, called once per work-item of the group.
+    Item(&'a KernelBody),
+}
+
+impl<'a> Body<'a> {
+    /// The group body of `version` unless `per_item` or it has none.
+    pub(crate) fn of(version: &'a KernelVersion, per_item: bool) -> Self {
+        match &version.group_body {
+            Some(g) if !per_item => Body::Group(g.as_ref()),
+            _ => Body::Item(version.body.as_ref()),
+        }
+    }
+
+    /// Computes flattened work-group `flat` of `nd`.
+    pub(crate) fn run(
+        self,
+        nd: &NdRange,
+        flat: u64,
+        scalars: &Scalars,
+        ins: &Inputs<'_>,
+        outs: &mut Outputs<'_>,
+    ) {
+        let group = nd.unflatten_group(flat);
+        match self {
+            Body::Group(body) => body(nd, group, scalars, ins, outs),
+            Body::Item(body) => for_each_item_in_group(nd, group, |item| {
+                body(item, scalars, ins, outs);
+            }),
+        }
+    }
 }
 
 /// Output buffers moved out of a [`Memory`] for the duration of a launch.
@@ -185,24 +244,6 @@ pub(crate) fn out_slices(taken: &mut Taken) -> Vec<&mut [f32]> {
 pub(crate) fn restore_outputs(mem: &mut Memory, taken: Taken) {
     for (id, v) in taken {
         mem.install(id, v);
-    }
-}
-
-/// Runs work-groups `[from, to)` of `ndrange` through `body`.
-fn run_range(
-    body: &Arc<KernelBody>,
-    ndrange: &NdRange,
-    scalars: &Scalars,
-    ins: &Inputs<'_>,
-    outs: &mut Outputs<'_>,
-    from: u64,
-    to: u64,
-) {
-    for flat in from..to {
-        let group = ndrange.unflatten_group(flat);
-        for_each_item_in_group(ndrange, group, |item| {
-            body(item, scalars, ins, outs);
-        });
     }
 }
 
@@ -391,6 +432,43 @@ mod tests {
         );
         execute_all(&launch, &mut mem).unwrap();
         assert_eq!(mem.get(BufferId(5)).unwrap(), &[11.0, 21.0]);
+    }
+
+    #[test]
+    fn group_body_runs_once_per_group_and_per_item_is_the_oracle() {
+        // The group body stores the group id + 100 so the two paths are
+        // told apart; a real group body must match the per-item body.
+        let k = Arc::new(
+            KernelDef::new(
+                "ids",
+                vec![ArgSpec::new("dst", ArgRole::Out)],
+                KernelProfile::new("ids"),
+                |item, _, _, outs| outs.at(0)[item.global_linear()] = item.group[0] as f32,
+            )
+            .with_group_body(|nd, group, _, _, outs| {
+                let l = nd.local()[0];
+                for v in &mut outs.at(0)[group[0] * l..(group[0] + 1) * l] {
+                    *v = group[0] as f32 + 100.0;
+                }
+            }),
+        );
+        let launch = Launch::new(
+            k,
+            NdRange::d1(8, 4).unwrap(),
+            vec![KernelArg::Buffer(BufferId(0))],
+        );
+        let mut mem = Memory::new();
+        mem.alloc(BufferId(0), 8);
+        execute_groups(&launch, &mut mem, 1, 2).unwrap();
+        execute_groups_per_item(&launch, &mut mem, 0, 1).unwrap();
+        assert_eq!(
+            mem.get(BufferId(0)).unwrap(),
+            &[0.0, 0.0, 0.0, 0.0, 101.0, 101.0, 101.0, 101.0]
+        );
+        assert!(matches!(
+            execute_groups_per_item(&launch, &mut mem, 0, 3),
+            Err(ClError::InvalidNdRange(_))
+        ));
     }
 
     #[test]

@@ -1,8 +1,13 @@
 //! Kernel definitions, arguments and programs.
 //!
-//! A kernel in this runtime is a Rust closure executed once per work-item,
-//! plus a [`KernelProfile`] describing its cost and an argument signature
-//! separating input buffers, output buffers and scalars. The signature is
+//! A kernel in this runtime is a per-work-item Rust closure (the OpenCL
+//! kernel function), optionally paired with a *group body* that computes a
+//! whole work-group at once, plus a [`KernelProfile`] describing its cost
+//! and an argument signature separating input buffers, output buffers and
+//! scalars. The per-item body defines the kernel's semantics; a group body
+//! is a host-side speed-up that must store bit-identical values to exactly
+//! the same elements (the sanitizer's `group-body-divergence` rule checks
+//! this), so the executor may run either. The signature is
 //! what FluidiCL's "simple compiler analysis at the whole variable level"
 //! (paper §4.1) provides in the original system: it tells the runtime which
 //! buffers a kernel modifies (`out`/`inout`) and therefore which buffers
@@ -15,7 +20,7 @@ use std::sync::Arc;
 use fluidicl_hetsim::KernelProfile;
 
 use crate::footprint::AccessPattern;
-use crate::{BufferId, ClError, ClResult, WorkItem};
+use crate::{BufferId, ClError, ClResult, NdRange, WorkItem};
 
 /// Role of one kernel argument.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -289,6 +294,16 @@ impl<'a> Outputs<'a> {
 /// Per-work-item kernel function.
 pub type KernelBody = dyn Fn(&WorkItem, &Scalars, &Inputs<'_>, &mut Outputs<'_>) + Send + Sync;
 
+/// Whole-work-group kernel function: computes every work-item of the
+/// group at the given group coordinates.
+///
+/// It must write exactly the elements the per-item body writes for that
+/// group, with bit-identical values, for any local size — typically by
+/// reordering loops so that each output element still sums its terms in
+/// the per-item order.
+pub type GroupBody =
+    dyn Fn(&NdRange, [usize; 3], &Scalars, &Inputs<'_>, &mut Outputs<'_>) + Send + Sync;
+
 /// One implementation of a kernel: a body plus its cost profile.
 ///
 /// FluidiCL's online profiling (paper §6.6) selects among several versions
@@ -298,8 +313,12 @@ pub type KernelBody = dyn Fn(&WorkItem, &Scalars, &Inputs<'_>, &mut Outputs<'_>)
 pub struct KernelVersion {
     /// Human-readable label ("baseline", "loop-interchanged", ...).
     pub label: String,
-    /// Per-work-item function.
+    /// Per-work-item function: the kernel's semantics and the oracle for
+    /// `group_body`.
     pub body: Arc<KernelBody>,
+    /// Optional whole-work-group function the executor runs instead of
+    /// looping `body` over the group's items.
+    pub group_body: Option<Arc<GroupBody>>,
     /// Cost profile of this implementation.
     pub profile: KernelProfile,
 }
@@ -309,6 +328,7 @@ impl fmt::Debug for KernelVersion {
         f.debug_struct("KernelVersion")
             .field("label", &self.label)
             .field("profile", &self.profile)
+            .field("group_body", &self.group_body.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -335,6 +355,7 @@ impl KernelDef {
             versions: vec![KernelVersion {
                 label: "baseline".to_string(),
                 body: Arc::new(body),
+                group_body: None,
                 profile,
             }],
         }
@@ -352,8 +373,26 @@ impl KernelDef {
         self.versions.push(KernelVersion {
             label: label.into(),
             body: Arc::new(body),
+            group_body: None,
             profile,
         });
+        self
+    }
+
+    /// Attaches a [`GroupBody`] to the most recently added version. The
+    /// executor then runs it once per work-group instead of the per-item
+    /// body, which stays the semantic definition (and the sanitizer's
+    /// oracle).
+    #[must_use]
+    pub fn with_group_body(
+        mut self,
+        body: impl Fn(&NdRange, [usize; 3], &Scalars, &Inputs<'_>, &mut Outputs<'_>)
+            + Send
+            + Sync
+            + 'static,
+    ) -> Self {
+        let version = self.versions.last_mut().expect("a kernel has a version");
+        version.group_body = Some(Arc::new(body));
         self
     }
 
@@ -570,6 +609,15 @@ mod tests {
         assert_eq!(k.versions().len(), 2);
         assert_eq!(k.default_version().label, "baseline");
         assert_eq!(k.versions()[1].label, "alt");
+    }
+
+    #[test]
+    fn group_body_attaches_to_the_latest_version() {
+        let k = copy_kernel()
+            .with_version("alt", KernelProfile::new("copy-alt"), |_, _, _, _| {})
+            .with_group_body(|_, _, _, _, _| {});
+        assert!(k.versions()[0].group_body.is_none());
+        assert!(k.versions()[1].group_body.is_some());
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! * [`Memory`] / [`BufferId`] — discrete per-device address spaces and the
 //!   [`diff_merge`] coherence primitive of paper §4.3;
 //! * [`KernelDef`] / [`Program`] — kernels as per-work-item Rust closures
+//!   (optionally paired with a bit-identical per-work-group [`GroupBody`])
 //!   with declared `in`/`out`/`inout` signatures, cost profiles, and
 //!   alternate versions for online profiling (paper §6.6);
 //! * [`exec`] — the functional executor that really computes kernel results
@@ -45,18 +46,20 @@ mod queue;
 pub mod simd;
 mod single;
 
-pub use access::{execute_groups_shadowed, AccessRecord, WriteMap};
+pub use access::{
+    execute_groups_shadowed, execute_groups_shadowed_per_item, AccessRecord, WriteMap,
+};
 pub use dirty::{DirtyRanges, DirtyTracker, PageMap, PAGED_MIN_LEN, PAGE_ELEMS};
 pub use driver::{ClDriver, DeviceKind};
 pub use error::{ClError, ClResult};
-pub use exec::{execute_groups_injected, Launch, LaunchPlan};
+pub use exec::{execute_groups_injected, execute_groups_per_item, Launch, LaunchPlan};
 pub use fault::{
     payload_checksum, payload_checksum_with, FaultInjector, FaultKind, FaultPlan, TransferFate,
 };
 pub use footprint::{AccessPattern, RangeFn};
 pub use kernel::{
-    ArgRole, ArgSpec, Inputs, KernelArg, KernelBody, KernelDef, KernelVersion, Outputs, Program,
-    Scalars,
+    ArgRole, ArgSpec, GroupBody, Inputs, KernelArg, KernelBody, KernelDef, KernelVersion, Outputs,
+    Program, Scalars,
 };
 pub use memory::{
     diff_merge, diff_merge_paged, diff_merge_ranged, diff_merge_tracked, BufferId, Memory,
