@@ -19,7 +19,9 @@
 //! factor, because unknown machines differ from the one that recorded it)
 //! plus optional per-runner blocks keyed by `<os>-<cpus>cpu` — a runner
 //! block carries its own, tighter factor and wins over the fallback when
-//! its key matches the current machine.
+//! its key matches the current machine. A run in the other mode than the
+//! baseline's `"quick"` flag is refused, and a section the selected block
+//! lists but the run did not produce fails the check.
 //!
 //! ```text
 //! perf                    # full sweep + micro-hotspots
@@ -35,13 +37,12 @@ use std::time::Instant;
 
 use fluidicl::{Fluidicl, FluidiclConfig};
 use fluidicl_bench::experiments::{experiments, find, Experiment};
-use fluidicl_des::SplitMix64;
 use fluidicl_hetsim::MachineConfig;
 use fluidicl_polybench::data::gen_matrix;
 use fluidicl_polybench::syrk;
 use fluidicl_vcl::{
-    diff_merge, diff_merge_ranged, diff_merge_tracked, set_simd_enabled, simd_active, BufferId,
-    ClDriver, DirtyRanges, DirtyTracker, KernelArg, Launch, Memory, NdRange, Program,
+    diff_merge, diff_merge_ranged, BufferId, ClDriver, DirtyRanges, KernelArg, Launch, Memory,
+    NdRange, Program,
 };
 
 /// Experiment ids of the `--quick` sweep (mirrors `repro --quick`).
@@ -123,15 +124,13 @@ fn main() {
     let mut sections = Vec::new();
     sections.push(time_sweep(quick));
     sections.extend(micro_hotspots());
-    let (paged_sections, simd) = paged_merge_sections(quick);
-    sections.extend(paged_sections);
     let (gate_sections, gate_factor) = dirty_gate_sections();
     sections.extend(gate_sections);
     sections.extend(pipeline_sections());
     sections.extend(ndev_sections());
     sections.extend(graph_sched_sections());
 
-    let json = render_json(&sections, quick, jobs, &simd);
+    let json = render_json(&sections, quick, jobs);
     std::fs::write(&out, &json).expect("write BENCH_repro.json");
     eprintln!("wrote {out}");
     for s in &sections {
@@ -146,28 +145,13 @@ fn main() {
     eprintln!(
         "  dirty-range gate overhead: {gate_factor:.2}x ungated (bound {DIRTY_GATE_FACTOR}x)"
     );
-    if simd.compiled && simd.active {
-        eprintln!(
-            "  simd: compiled={} active={} speedup {:.2}x over portable (10M page-path merge)",
-            simd.compiled,
-            simd.active,
-            simd.speedup()
-        );
-    } else {
-        // Both timed lanes ran the portable merge: the ratio is noise, not
-        // a speedup — don't print one.
-        eprintln!(
-            "  simd: compiled={} active={} (speedup n/a: both lanes portable)",
-            simd.compiled, simd.active
-        );
-    }
     if gate_factor > DIRTY_GATE_FACTOR {
         eprintln!(
             "perf: dirty-range gated co-execution exceeds {DIRTY_GATE_FACTOR}x the ungated path"
         );
         std::process::exit(1);
     }
-    if check && !check_against_baseline(&sections, &baseline) {
+    if check && !check_against_baseline(&sections, quick, &baseline) {
         std::process::exit(1);
     }
 }
@@ -448,125 +432,6 @@ fn micro_hotspots() -> Vec<Section> {
     ]
 }
 
-/// SIMD-on vs SIMD-off medians of the 10M page-path merge, measured in
-/// one process via the runtime toggle. Without the `simd` feature both
-/// runs take the portable path and the speedup reports 1.00x.
-struct SimdStats {
-    compiled: bool,
-    active: bool,
-    on_median_ns: u128,
-    off_median_ns: u128,
-}
-
-impl SimdStats {
-    fn speedup(&self) -> f64 {
-        self.off_median_ns as f64 / self.on_median_ns.max(1) as f64
-    }
-}
-
-/// A pristine buffer and a copy with scattered single-element writes at
-/// ~1/16 density — the huge-buffer regime the paged tracker exists for:
-/// writes land everywhere, so exact range capture fragments into millions
-/// of unit ranges while the page map stays O(pages).
-fn scatter_case(len: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
-    let mut rng = SplitMix64::new(seed);
-    let original: Vec<f32> = (0..len).map(|i| (i % 1024) as f32).collect();
-    let mut cpu = original.clone();
-    for _ in 0..len / 16 {
-        let at = rng.range_usize(0, len);
-        cpu[at] += 1.5;
-    }
-    (original, cpu)
-}
-
-/// Times the paged dirty pipeline on huge buffers: page-map capture plus
-/// tracked merge at 10M (quick and full) and 100M elements (full only,
-/// against the pre-PR exact-range pipeline on the same data), and the
-/// O(1) page-marking path under 1M scattered marks.
-fn paged_merge_sections(quick: bool) -> (Vec<Section>, SimdStats) {
-    let iters = 10;
-    // 10M elements: capture + merge through the paged path; also the
-    // SIMD-on/SIMD-off comparison workload.
-    let (orig10, cpu10) = scatter_case(10_000_000, 0xF1D1_0001);
-    let mut dst = orig10.clone();
-    let run10 = |dst: &mut Vec<f32>| {
-        dst.copy_from_slice(&orig10);
-        let started = Instant::now();
-        let t = DirtyTracker::from_diff(&cpu10, &orig10);
-        diff_merge_tracked(dst, &cpu10, &orig10, &t).expect("tracked merge");
-        let ns = started.elapsed().as_nanos();
-        assert!(t.is_paged() && !t.is_empty());
-        ns
-    };
-    set_simd_enabled(true);
-    let on = collect(iters, || run10(&mut dst));
-    set_simd_enabled(false);
-    let off = collect(iters, || run10(&mut dst));
-    set_simd_enabled(true);
-    let merge10 = stats("diff_merge_10m", iters, on.clone());
-    let simd = SimdStats {
-        compiled: cfg!(feature = "simd"),
-        active: simd_active(),
-        on_median_ns: stats("simd_on", iters, on).median_ns,
-        off_median_ns: stats("simd_off", iters, off).median_ns,
-    };
-    drop(dst);
-    drop(cpu10);
-    drop(orig10);
-
-    // 1M scattered marks into a 100M-element paged tracker: the O(1)
-    // capture-side cost the page map buys (compare `dirty_coalesce`,
-    // which builds exact ranges from 65536 indices).
-    let mut rng = SplitMix64::new(0xF1D1_0002);
-    const MARK_LEN: usize = 100_000_000;
-    let marks: Vec<usize> = (0..1_000_000)
-        .map(|_| rng.range_usize(0, MARK_LEN))
-        .collect();
-    let mark = collect(iters, || {
-        let started = Instant::now();
-        let mut t = DirtyTracker::new(MARK_LEN);
-        for &i in &marks {
-            t.mark_range(i, i + 1);
-        }
-        let ns = started.elapsed().as_nanos();
-        assert!(t.is_paged() && !t.is_empty());
-        ns
-    });
-    let mut sections = vec![merge10, stats("page_mark_scatter", iters, mark)];
-
-    // 100M elements, full mode only: the paged pipeline vs the pre-PR
-    // exact-range pipeline (DirtyRanges::from_diff + diff_merge_ranged)
-    // on identical data — the EXPERIMENTS.md page-path/range-path table.
-    if !quick {
-        let len = 100_000_000;
-        let (orig, cpu) = scatter_case(len, 0xF1D1_0003);
-        let mut dst = orig.clone();
-        let paged_iters = 5;
-        let paged = collect(paged_iters, || {
-            dst.copy_from_slice(&orig);
-            let started = Instant::now();
-            let t = DirtyTracker::from_diff(&cpu, &orig);
-            diff_merge_tracked(&mut dst, &cpu, &orig, &t).expect("tracked merge");
-            let ns = started.elapsed().as_nanos();
-            assert!(t.is_paged());
-            ns
-        });
-        sections.push(stats("diff_merge_100m_scattered", paged_iters, paged));
-        let range_iters = 3;
-        let ranged = collect(range_iters, || {
-            dst.copy_from_slice(&orig);
-            let started = Instant::now();
-            let r = DirtyRanges::from_diff(&cpu, &orig);
-            diff_merge_ranged(&mut dst, &cpu, &orig, &r).expect("ranged merge");
-            let ns = started.elapsed().as_nanos();
-            assert!(!r.is_empty());
-            ns
-        });
-        sections.push(stats("diff_merge_100m_rangepath", range_iters, ranged));
-    }
-    (sections, simd)
-}
-
 fn collect(iters: usize, mut f: impl FnMut() -> u128) -> Vec<u128> {
     let mut samples = Vec::with_capacity(iters);
     for _ in 0..iters {
@@ -600,31 +465,13 @@ fn git_rev() -> String {
 
 /// Hand-written JSON: one section object per line, so the file diffs
 /// cleanly and the `--check` parser can stay a line scanner.
-fn render_json(sections: &[Section], quick: bool, jobs: usize, simd: &SimdStats) -> String {
+fn render_json(sections: &[Section], quick: bool, jobs: usize) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str(&format!("  \"git_rev\": \"{}\",\n", git_rev()));
     s.push_str(&format!("  \"jobs\": {jobs},\n"));
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str(&format!("  \"runner\": \"{}\",\n", runner_key()));
-    s.push_str(&format!("  \"simd_compiled\": {},\n", simd.compiled));
-    s.push_str(&format!("  \"simd_active\": {},\n", simd.active));
-    s.push_str(&format!(
-        "  \"simd_on_median_ns\": {},\n",
-        simd.on_median_ns
-    ));
-    s.push_str(&format!(
-        "  \"simd_off_median_ns\": {},\n",
-        simd.off_median_ns
-    ));
-    // A speedup ratio is only meaningful when the on-lane actually ran
-    // vectorized code; otherwise both lanes timed the portable merge and
-    // the ratio is runner noise (a 1-cpu CI box once published 0.958).
-    if simd.compiled && simd.active {
-        s.push_str(&format!("  \"simd_speedup\": {:.3},\n", simd.speedup()));
-    } else {
-        s.push_str("  \"simd_speedup\": null,\n");
-    }
     s.push_str("  \"sections\": [\n");
     for (i, sec) in sections.iter().enumerate() {
         let comma = if i + 1 < sections.len() { "," } else { "" };
@@ -666,17 +513,29 @@ struct BaselineBlock {
     sections: Vec<(String, u128)>,
 }
 
+/// A parsed baseline file: the sweep mode it was recorded in (its
+/// top-level `"quick"` flag, if present) and its blocks.
+struct Baseline {
+    quick: Option<bool>,
+    blocks: Vec<BaselineBlock>,
+}
+
 /// Parses a baseline file in the line-per-section format: `"name"` lines
 /// before any `"runner"` line form the fallback block (compared at
 /// [`REGRESSION_FACTOR`]); each `"runner"` line opens a per-runner block
 /// whose `"factor"` (same line) governs its sections.
-fn parse_baseline(text: &str) -> Vec<BaselineBlock> {
+fn parse_baseline(text: &str) -> Baseline {
+    let mut quick = None;
     let mut blocks = vec![BaselineBlock {
         runner: None,
         factor: REGRESSION_FACTOR,
         sections: Vec::new(),
     }];
     for line in text.lines() {
+        if let Some(rest) = line.trim().strip_prefix("\"quick\": ") {
+            quick = Some(rest.starts_with("true"));
+            continue;
+        }
         if let Some(runner) = json_str(line, "runner") {
             let factor = json_num(line, "factor")
                 .and_then(|v| v.parse::<f64>().ok())
@@ -699,21 +558,56 @@ fn parse_baseline(text: &str) -> Vec<BaselineBlock> {
                 .push((name, v));
         }
     }
-    blocks
+    Baseline { quick, blocks }
 }
 
 /// Compares section medians against the committed baseline; returns false
-/// (CI failure) on a regression beyond the selected block's factor.
-fn check_against_baseline(sections: &[Section], path: &str) -> bool {
+/// (CI failure) when the comparison fails (see [`compare_to_baseline`]).
+fn check_against_baseline(sections: &[Section], quick: bool, path: &str) -> bool {
     let Ok(text) = std::fs::read_to_string(path) else {
         eprintln!("perf --check: no baseline at {path}; skipping comparison");
         return true;
     };
-    let blocks = parse_baseline(&text);
-    let key = runner_key();
+    match compare_to_baseline(sections, quick, &text, &runner_key()) {
+        Ok(()) => true,
+        Err(e) => {
+            eprintln!("perf --check: {e}");
+            false
+        }
+    }
+}
+
+/// Compares a run's sections with the baseline block for runner `key`.
+///
+/// # Errors
+///
+/// Fails when the run's mode (`quick`) differs from the baseline's, when
+/// the selected block lists a section the run did not produce (a stale
+/// entry would otherwise never be compared), or on a median regression
+/// beyond the block's factor.
+fn compare_to_baseline(
+    sections: &[Section],
+    quick: bool,
+    text: &str,
+    key: &str,
+) -> Result<(), String> {
+    let baseline = parse_baseline(text);
+    if baseline.quick != Some(quick) {
+        let mode = |q: Option<bool>| match q {
+            Some(true) => "quick",
+            Some(false) => "full",
+            None => "unrecorded",
+        };
+        return Err(format!(
+            "{} run against a baseline recorded in {} mode",
+            mode(Some(quick)),
+            mode(baseline.quick)
+        ));
+    }
+    let blocks = &baseline.blocks;
     let block = blocks
         .iter()
-        .find(|b| b.runner.as_deref() == Some(key.as_str()))
+        .find(|b| b.runner.as_deref() == Some(key))
         .or_else(|| blocks.iter().find(|b| !b.sections.is_empty()))
         .expect("fallback block always present");
     match &block.runner {
@@ -725,6 +619,18 @@ fn check_against_baseline(sections: &[Section], path: &str) -> bool {
             "perf --check: no baseline for runner `{key}`; using fallback (factor {})",
             block.factor
         ),
+    }
+    let stale: Vec<&str> = block
+        .sections
+        .iter()
+        .map(|(n, _)| n.as_str())
+        .filter(|n| sections.iter().all(|s| s.name != *n))
+        .collect();
+    if !stale.is_empty() {
+        return Err(format!(
+            "baseline lists sections this run did not produce: {}",
+            stale.join(", ")
+        ));
     }
     let mut ok = true;
     for s in sections {
@@ -741,11 +647,79 @@ fn check_against_baseline(sections: &[Section], path: &str) -> bool {
         };
         eprintln!("  {:24} {factor:>6.2}x baseline  {verdict}", s.name);
     }
-    if !ok {
-        eprintln!(
-            "perf --check: median regression beyond {}x baseline",
+    if ok {
+        Ok(())
+    } else {
+        Err(format!(
+            "median regression beyond {}x baseline",
             block.factor
+        ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn section(name: &'static str, median_ns: u128) -> Section {
+        Section {
+            name,
+            iters: 1,
+            median_ns,
+            p10_ns: median_ns,
+            p90_ns: median_ns,
+        }
+    }
+
+    const BASELINE: &str = r#"{
+  "quick": true,
+  "sections": [
+    {"name": "sweep_quick", "iters": 3, "median_ns": 1000},
+    {"name": "diff_merge_1m", "iters": 10, "median_ns": 100}
+  ],
+  "runners": [
+    {"runner": "linux-1cpu", "factor": 2.5, "sections": [
+      {"name": "sweep_quick", "median_ns": 1000},
+      {"name": "diff_merge_1m", "median_ns": 100},
+      {"name": "diff_merge_10m", "median_ns": 900}
+    ]}
+  ]
+}
+"#;
+
+    #[test]
+    fn matching_baseline_passes() {
+        let run = [section("sweep_quick", 1500), section("diff_merge_1m", 90)];
+        assert_eq!(
+            compare_to_baseline(&run, true, BASELINE, "linux-2cpu"),
+            Ok(())
         );
     }
-    ok
+
+    #[test]
+    fn stale_entry_fails_and_is_named() {
+        // The `linux-1cpu` block lists a section the run never produces.
+        let run = [section("sweep_quick", 1000), section("diff_merge_1m", 100)];
+        let err = compare_to_baseline(&run, true, BASELINE, "linux-1cpu").unwrap_err();
+        assert!(err.contains("diff_merge_10m"), "{err}");
+    }
+
+    #[test]
+    fn mode_mismatch_is_refused() {
+        let run = [section("sweep_full", 1000), section("diff_merge_1m", 100)];
+        let err = compare_to_baseline(&run, false, BASELINE, "linux-2cpu").unwrap_err();
+        assert!(
+            err.contains("full run") && err.contains("quick mode"),
+            "{err}"
+        );
+        let unrecorded = BASELINE.replace("  \"quick\": true,\n", "");
+        assert!(compare_to_baseline(&run, true, &unrecorded, "linux-2cpu").is_err());
+    }
+
+    #[test]
+    fn regression_beyond_the_factor_fails() {
+        let run = [section("sweep_quick", 4000), section("diff_merge_1m", 100)];
+        let err = compare_to_baseline(&run, true, BASELINE, "linux-2cpu").unwrap_err();
+        assert!(err.contains("regression"), "{err}");
+    }
 }

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use fluidicl_des::SimTime;
-use fluidicl_vcl::{BufferId, ClError, ClResult, DirtyTracker};
+use fluidicl_vcl::{BufferId, ClError, ClResult, DirtyRanges};
 
 /// Monotonic kernel identifier assigned per launch (paper §5.3 uses these as
 /// buffer version numbers).
@@ -39,16 +39,15 @@ pub struct BufferState {
     /// (made at the end of the previous kernel, paper §5.5).
     pub orig_snapshot_current: bool,
     /// Elements of the GPU copy modified since the `orig_snapshot` was
-    /// last refreshed: a stale snapshot needs only these re-copied. The
-    /// tracker auto-selects exact ranges or a page map by buffer size.
+    /// last refreshed: a stale snapshot needs only these re-copied.
     /// `None` means unknown (the whole buffer must be treated as dirty);
     /// only maintained under dirty-range transfers.
-    pub gpu_dirty: Option<DirtyTracker>,
+    pub gpu_dirty: Option<DirtyRanges>,
     /// Elements where the host/CPU copy is stale relative to the
     /// authoritative device copy — what a D2H read-back must ship. `None`
     /// means unknown (whole buffer); only maintained under dirty-range
     /// transfers.
-    pub host_dirty: Option<DirtyTracker>,
+    pub host_dirty: Option<DirtyRanges>,
 }
 
 impl BufferState {
@@ -165,7 +164,7 @@ impl BufferTable {
         // The host replaced the content: the snapshot's delta vs the new
         // content is unknown, while host and device copies now agree.
         s.gpu_dirty = None;
-        s.host_dirty = Some(DirtyTracker::new(s.len));
+        s.host_dirty = Some(DirtyRanges::empty());
     }
 
     /// Marks the start of kernel `kid` writing `id`: the expected version
@@ -187,8 +186,8 @@ impl BufferTable {
     pub fn record_kernel_dirty(
         &mut self,
         id: BufferId,
-        gpu_dirty: DirtyTracker,
-        host_dirty: DirtyTracker,
+        gpu_dirty: DirtyRanges,
+        host_dirty: DirtyRanges,
     ) {
         let s = self.state_mut(id);
         s.gpu_dirty = Some(gpu_dirty);
@@ -309,11 +308,6 @@ impl ScratchPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fluidicl_vcl::DirtyRanges;
-
-    fn exact(len: usize, ranges: impl IntoIterator<Item = (usize, usize)>) -> DirtyTracker {
-        DirtyTracker::exact(len, DirtyRanges::from_ranges(ranges))
-    }
 
     #[test]
     fn register_assigns_fresh_ids() {
@@ -413,8 +407,8 @@ mod tests {
         let a = t.register(256, SimTime::ZERO);
         t.record_kernel_dirty(
             a,
-            exact(256, [(0, 64), (128, 160)]),
-            exact(256, [(200, 220)]),
+            DirtyRanges::from_ranges([(0, 64), (128, 160)]),
+            DirtyRanges::from_ranges([(200, 220)]),
         );
         // 96 elements GPU-dirty, 20 elements host-stale (×4 bytes each).
         assert_eq!(t.state(a).snapshot_refresh_bytes(), 384);
@@ -423,7 +417,7 @@ mod tests {
         // device copies agree.
         t.record_host_write(a, SimTime::from_nanos(10), SimTime::from_nanos(40));
         assert_eq!(t.state(a).gpu_dirty, None);
-        assert_eq!(t.state(a).host_dirty, Some(DirtyTracker::new(256)));
+        assert_eq!(t.state(a).host_dirty, Some(DirtyRanges::empty()));
         assert_eq!(t.state(a).snapshot_refresh_bytes(), 1024);
         assert_eq!(t.state(a).read_back_bytes(), 0);
     }
@@ -432,7 +426,7 @@ mod tests {
     fn kernel_write_makes_host_staleness_unknown() {
         let mut t = BufferTable::new();
         let a = t.register(64, SimTime::ZERO);
-        t.record_kernel_dirty(a, DirtyTracker::new(64), DirtyTracker::new(64));
+        t.record_kernel_dirty(a, DirtyRanges::empty(), DirtyRanges::empty());
         assert_eq!(t.state(a).snapshot_refresh_bytes(), 0);
         t.begin_kernel_write(a, 1);
         assert_eq!(t.state(a).host_dirty, None, "in-flight writes are unknown");
@@ -445,25 +439,13 @@ mod tests {
     fn dirty_byte_counts_clamp_to_the_buffer_size() {
         let mut t = BufferTable::new();
         let a = t.register(8, SimTime::ZERO);
-        t.record_kernel_dirty(a, exact(8, [(0, 1000)]), exact(8, [(0, 1000)]));
+        t.record_kernel_dirty(
+            a,
+            DirtyRanges::from_ranges([(0, 1000)]),
+            DirtyRanges::from_ranges([(0, 1000)]),
+        );
         assert_eq!(t.state(a).snapshot_refresh_bytes(), 32);
         assert_eq!(t.state(a).read_back_bytes(), 32);
-    }
-
-    #[test]
-    fn paged_trackers_account_page_granular_bytes() {
-        use fluidicl_vcl::{PAGED_MIN_LEN, PAGE_ELEMS};
-        let mut t = BufferTable::new();
-        let a = t.register(PAGED_MIN_LEN, SimTime::ZERO);
-        let mut gpu = DirtyTracker::new(PAGED_MIN_LEN);
-        let mut host = DirtyTracker::new(PAGED_MIN_LEN);
-        assert!(gpu.is_paged(), "huge buffers auto-select the page map");
-        gpu.mark_range(10, 11); // one element ⇒ one page
-        host.mark_range(0, 2 * PAGE_ELEMS);
-        t.record_kernel_dirty(a, gpu, host);
-        // Page-granular counts are a superset of the exact write set.
-        assert_eq!(t.state(a).snapshot_refresh_bytes(), PAGE_ELEMS as u64 * 4);
-        assert_eq!(t.state(a).read_back_bytes(), 2 * PAGE_ELEMS as u64 * 4);
     }
 
     #[test]

@@ -41,8 +41,8 @@ use fluidicl_des::{ChannelBank, SimDuration, SimTime, Simulation};
 use fluidicl_hetsim::{GpuModel, LinkModel, MachineConfig, PeerGpu};
 use fluidicl_vcl::exec::{execute_groups, Launch};
 use fluidicl_vcl::{
-    diff_merge_tracked, payload_checksum, payload_checksum_with, BufferId, ClError, ClResult,
-    DeviceKind, DirtyTracker, FaultInjector, Memory, TransferFate,
+    diff_merge_ranged, payload_checksum, payload_checksum_with, BufferId, ClError, ClResult,
+    DeviceKind, DirtyRanges, FaultInjector, Memory, TransferFate,
 };
 
 use crate::chunk::ChunkController;
@@ -272,10 +272,10 @@ struct EpState {
     /// memory sharing the (coherent) CPU copy at kernel start, so a peer
     /// copies only the output buffers it writes.
     mem: Option<Memory>,
-    /// Cumulative dirty tracker of this endpoint's copy vs the original
+    /// Cumulative dirty ranges of this endpoint's copy vs the original
     /// snapshot, one entry per `out_ids` slot; what the merge tree walks
     /// for this endpoint.
-    cum_dirty: Vec<DirtyTracker>,
+    cum_dirty: Vec<DirtyRanges>,
     /// A subkernel is currently computing on this endpoint.
     busy: bool,
     /// Completed subkernels whose staging copy has not finished yet.
@@ -444,7 +444,7 @@ impl<'a> Coexec<'a> {
             chunk,
             launch: input.launch.clone(),
             mem: None,
-            cum_dirty: fresh_trackers(&out_lens),
+            cum_dirty: vec![DirtyRanges::empty(); out_lens.len()],
             busy: false,
             unshipped: 0,
             free_at: None,
@@ -480,7 +480,7 @@ impl<'a> Coexec<'a> {
                 chunk: peer_chunk,
                 launch: input.launch.clone(),
                 mem: Some(mem),
-                cum_dirty: fresh_trackers(&out_lens),
+                cum_dirty: vec![DirtyRanges::empty(); out_lens.len()],
                 busy: false,
                 unshipped: 0,
                 free_at: None,
@@ -826,7 +826,7 @@ impl<'a> Coexec<'a> {
         for id in &self.out_ids {
             mem.share_from(&self.orig, *id)?;
         }
-        self.eps[p].cum_dirty = fresh_trackers(&self.out_lens);
+        self.eps[p].cum_dirty = vec![DirtyRanges::empty(); self.out_lens.len()];
         // Fresh in-order view per epoch: open holes and buffered statuses
         // described the dead owner's receive queue. Stale deliveries are
         // rejected by the epoch fence instead, and retries re-enqueue
@@ -1232,7 +1232,7 @@ impl<'a> Coexec<'a> {
             let ep = &mut self.eps[d];
             let mem = ep.mem.as_ref().unwrap_or(self.input.cpu_mem);
             for (j, id) in self.out_ids.iter().enumerate() {
-                let cur = DirtyTracker::from_diff(mem.get(*id)?, self.orig.get(*id)?);
+                let cur = DirtyRanges::from_diff(mem.get(*id)?, self.orig.get(*id)?);
                 let prev = ep.cum_dirty[j].element_count();
                 dirty_delta += 4 * cur.element_count().saturating_sub(prev) as u64;
                 ep.cum_dirty[j] = cur;
@@ -1758,12 +1758,10 @@ impl<'a> Coexec<'a> {
         // D2H return and the functional mirror only need these ranges.
         // Empty when the CPU finished the whole range.
         let owner = owner_mem(&self.eps, self.owner_ep, self.input.gpu_mem);
-        let stales: Vec<DirtyTracker> = if self.dirty_enabled {
+        let stales: Vec<DirtyRanges> = if self.dirty_enabled {
             self.out_ids
                 .iter()
-                .map(|id| {
-                    DirtyTracker::try_from_diff(owner.get(*id)?, self.input.cpu_mem.get(*id)?)
-                })
+                .map(|id| DirtyRanges::try_from_diff(owner.get(*id)?, self.input.cpu_mem.get(*id)?))
                 .collect::<ClResult<_>>()?
         } else {
             Vec::new()
@@ -1794,7 +1792,7 @@ impl<'a> Coexec<'a> {
             let mut bytes = 0u64;
             for id in &self.out_ids {
                 bytes +=
-                    DirtyTracker::try_from_diff(owner.get(*id)?, self.orig.get(*id)?)?.byte_count();
+                    DirtyRanges::try_from_diff(owner.get(*id)?, self.orig.get(*id)?)?.byte_count();
             }
             bytes
         } else {
@@ -1814,7 +1812,7 @@ impl<'a> Coexec<'a> {
             if !self.dirty_enabled {
                 self.input.cpu_mem.share_from(owner, *id)?;
             } else if !stales[i].is_empty() {
-                stales[i].copy_ranges(owner.get(*id)?, self.input.cpu_mem.get_mut(*id)?)?;
+                stales[i].try_copy_ranges(owner.get(*id)?, self.input.cpu_mem.get_mut(*id)?)?;
             }
         }
         self.outcome(
@@ -1948,11 +1946,6 @@ impl<'a> Coexec<'a> {
     }
 }
 
-/// Empty dirty trackers, one per output buffer of length `out_lens[j]`.
-fn fresh_trackers(out_lens: &[usize]) -> Vec<DirtyTracker> {
-    out_lens.iter().map(|len| DirtyTracker::new(*len)).collect()
-}
-
 /// The acting owner's address space: a promoted peer's own memory after
 /// failover, the primary GPU's otherwise.
 fn owner_mem<'m>(eps: &'m [EpState], owner_ep: Option<usize>, gpu_mem: &'m Memory) -> &'m Memory {
@@ -1970,8 +1963,7 @@ fn owner_mem<'m>(eps: &'m [EpState], owner_ep: Option<usize>, gpu_mem: &'m Memor
 /// Figure 9, element-wise.
 /// With dirty tracking the fold walks only what the endpoint changed:
 /// `cum_dirty` covers every element where its copy differs from the
-/// snapshot (exactly, or rounded to pages on huge buffers — the extra
-/// elements are bitwise clean), so it is functionally the full fold.
+/// snapshot, so it is functionally the full fold.
 fn fold_endpoint(
     dst: &mut Memory,
     src: &Memory,
@@ -2001,7 +1993,7 @@ fn fold_endpoint(
             });
         }
         if dirty_enabled {
-            diff_merge_tracked(into, from, orig, &ep.cum_dirty[j])?;
+            diff_merge_ranged(into, from, orig, &ep.cum_dirty[j])?;
         } else {
             fluidicl_vcl::diff_merge(into, from, orig);
         }

@@ -15,7 +15,7 @@ use fluidicl_des::{SimDuration, SimTime};
 use fluidicl_hetsim::MachineConfig;
 use fluidicl_vcl::exec::Launch;
 use fluidicl_vcl::{
-    execute_groups_injected, BufferId, ClDriver, ClError, ClResult, DeviceKind, DirtyTracker,
+    execute_groups_injected, BufferId, ClDriver, ClError, ClResult, DeviceKind, DirtyRanges,
     FaultInjector, KernelArg, Memory, NdRange, Program,
 };
 
@@ -611,12 +611,11 @@ impl Fluidicl {
                     // The epilogue just refreshed the snapshot and the
                     // return path (D2H thread or CPU finish, §4.4) brought
                     // the host copy current, so both dirty sets collapse to
-                    // empty (tracker representation chosen by buffer size).
-                    let len = self.buffers.state(*id).len;
+                    // empty.
                     self.buffers.record_kernel_dirty(
                         *id,
-                        DirtyTracker::new(len),
-                        DirtyTracker::new(len),
+                        DirtyRanges::empty(),
+                        DirtyRanges::empty(),
                     );
                 }
             }

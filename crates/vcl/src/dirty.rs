@@ -2,45 +2,18 @@
 //!
 //! FluidiCL only needs to ship the elements a CPU subkernel actually
 //! wrote (paper §4.2): everything else is bit-identical to the pristine
-//! original on both devices. Two representations track "which elements
-//! changed":
+//! original on both devices. [`DirtyRanges`] tracks "which elements
+//! changed" exactly: a sorted, coalesced set of half-open element ranges,
+//! cheap to union/intersect and to turn into a byte count for transfer
+//! costing. Capture ([`DirtyRanges::from_diff`]) and the ranged merge
+//! ([`diff_merge_ranged`]) walk the same eight-lane bit blocks, so byte
+//! counts are exact and a merge over the captured ranges equals the full
+//! merge bit for bit.
 //!
-//! * [`DirtyRanges`] — the exact currency: a sorted, coalesced set of
-//!   half-open element ranges, cheap to union/intersect and to turn into
-//!   a byte count for transfer costing. Exact byte counts, but insert
-//!   and capture costs grow with the number of distinct ranges.
-//! * [`PageMap`] — softmmu-style page-granular tracking for huge
-//!   buffers: one bit per [`PAGE_ELEMS`]-element page in a fixed-size
-//!   bitmap, O(1) to mark, with coalesced [`DirtyRanges`] synthesized
-//!   lazily only when a transfer or lint needs them. Byte counts are a
-//!   page-granular over-approximation (never an undercount of the real
-//!   write set).
-//!
-//! [`DirtyTracker`] unifies both behind one interface and auto-selects
-//! the representation by buffer size (and, for incrementally marked
-//! trackers, by write density): small regular kernels keep today's exact
-//! ranges and byte counts bit-for-bit, while scattered writes over
-//! 10M–100M-element buffers mark dirt in O(1) instead of degrading to
-//! quadratic range maintenance.
+//! [`diff_merge_ranged`]: crate::memory::diff_merge_ranged
 
 use crate::access::WriteMap;
-use crate::simd;
 use crate::{ClError, ClResult};
-
-/// Elements per dirty-tracking page (16 KiB of `f32`s) — the granularity
-/// of [`PageMap`] and the span the per-page diff-merge walks at a time.
-pub const PAGE_ELEMS: usize = 4096;
-
-/// Buffer length (elements) at which [`DirtyTracker`] auto-selects the
-/// paged representation: 4M elements (16 MiB). Every Polybench workload
-/// in the repo sits far below this, so all existing traces and byte
-/// counts keep the exact representation bit-for-bit.
-pub const PAGED_MIN_LEN: usize = 1 << 22;
-
-/// Exact range count past which an incrementally marked [`DirtyTracker`]
-/// on a paged-eligible buffer promotes itself to a [`PageMap`] — the
-/// write-density half of representation auto-selection.
-const MAX_EXACT_RANGES: usize = 4096;
 
 /// A sorted, coalesced set of half-open `[start, end)` element ranges.
 ///
@@ -399,399 +372,6 @@ impl DirtyRanges {
     }
 }
 
-/// Softmmu-style page-granular dirty bitmap: one bit per
-/// [`PAGE_ELEMS`]-element page of a fixed-length buffer.
-///
-/// Marking is O(1) per page regardless of how scattered the writes are;
-/// coalesced [`DirtyRanges`] are synthesized lazily via
-/// [`PageMap::synthesize`] only when a transfer or lint needs them. A
-/// page map never *misses* a write it was told about — synthesized
-/// ranges are a superset of the exact write set, rounded out to page
-/// boundaries (and clipped to the buffer length).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PageMap {
-    /// Buffer length in elements.
-    len: usize,
-    /// Fixed-size bitmap: bit `p` of word `p / 64` is page `p`.
-    words: Vec<u64>,
-}
-
-impl PageMap {
-    /// A clean map for a `len`-element buffer.
-    pub fn new(len: usize) -> Self {
-        let pages = len.div_ceil(PAGE_ELEMS);
-        Self {
-            len,
-            words: vec![0; pages.div_ceil(64)],
-        }
-    }
-
-    /// Builds a map with every page containing an element of `ranges`
-    /// marked — the exact→paged promotion conversion.
-    pub fn from_ranges(len: usize, ranges: &DirtyRanges) -> Self {
-        let mut pm = Self::new(len);
-        for (s, e) in ranges.iter() {
-            pm.mark_range(s, e);
-        }
-        pm
-    }
-
-    /// Marks every page overlapping a bitwise difference between `a` and
-    /// `b`. The scan runs page-at-a-time through the blockwise (SIMD
-    /// when available) compare and stops at the first differing block of
-    /// each page, so heavily written pages cost a few cache lines, not a
-    /// full page scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn from_diff(a: &[f32], b: &[f32]) -> Self {
-        assert_eq!(a.len(), b.len(), "from_diff requires equally sized buffers");
-        let mut pm = Self::new(a.len());
-        let mut s = 0usize;
-        while s < a.len() {
-            let e = (s + PAGE_ELEMS).min(a.len());
-            if simd::span_differs(&a[s..e], &b[s..e]) {
-                pm.mark(s);
-            }
-            s = e;
-        }
-        pm
-    }
-
-    /// Buffer length in elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no page is dirty.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Number of pages the buffer spans.
-    pub fn page_count(&self) -> usize {
-        self.len.div_ceil(PAGE_ELEMS)
-    }
-
-    /// Number of dirty pages.
-    pub fn dirty_page_count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether page `p` is dirty (false for pages past the buffer).
-    pub fn page_is_dirty(&self, p: usize) -> bool {
-        self.words
-            .get(p / 64)
-            .is_some_and(|w| w & (1u64 << (p % 64)) != 0)
-    }
-
-    /// Marks the page containing element `idx` dirty — O(1). Indices past
-    /// the buffer are ignored.
-    pub fn mark(&mut self, idx: usize) {
-        if idx < self.len {
-            let p = idx / PAGE_ELEMS;
-            self.words[p / 64] |= 1u64 << (p % 64);
-        }
-    }
-
-    /// Marks every page overlapping `[start, end)` dirty, word-filling
-    /// interior runs. Clipped to the buffer; a no-op when empty.
-    pub fn mark_range(&mut self, start: usize, end: usize) {
-        let end = end.min(self.len);
-        if start >= end {
-            return;
-        }
-        let p0 = start / PAGE_ELEMS;
-        let p1 = (end - 1) / PAGE_ELEMS;
-        let (w0, b0) = (p0 / 64, (p0 % 64) as u32);
-        let (w1, b1) = (p1 / 64, (p1 % 64) as u32);
-        if w0 == w1 {
-            self.words[w0] |= (!0u64 << b0) & (!0u64 >> (63 - b1));
-        } else {
-            self.words[w0] |= !0u64 << b0;
-            for w in &mut self.words[w0 + 1..w1] {
-                *w = !0;
-            }
-            self.words[w1] |= !0u64 >> (63 - b1);
-        }
-    }
-
-    /// Bitwise union with another map of the same buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the maps track different buffer lengths.
-    pub fn union_with(&mut self, other: &Self) {
-        assert_eq!(self.len, other.len, "union over differently sized maps");
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
-    /// Iterates maximal runs of dirty pages as half-open element spans,
-    /// clipped to the buffer length.
-    pub fn dirty_spans(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let pages = self.page_count();
-        let mut p = 0usize;
-        std::iter::from_fn(move || {
-            while p < pages && !self.page_is_dirty(p) {
-                p += 1;
-            }
-            if p >= pages {
-                return None;
-            }
-            let start = p;
-            while p < pages && self.page_is_dirty(p) {
-                p += 1;
-            }
-            Some((start * PAGE_ELEMS, (p * PAGE_ELEMS).min(self.len)))
-        })
-    }
-
-    /// Synthesizes the coalesced page-granular [`DirtyRanges`] — the lazy
-    /// conversion a transfer or lint calls when it needs real ranges.
-    /// Runs of adjacent dirty pages become one range; runs are separated
-    /// by at least one clean page, so the result satisfies the
-    /// [`DirtyRanges`] invariants by construction.
-    pub fn synthesize(&self) -> DirtyRanges {
-        DirtyRanges {
-            ranges: self.dirty_spans().collect(),
-        }
-    }
-
-    /// Whether every element of `ranges` lies in a dirty page — the
-    /// "synthesized ⊇ exact" coverage check.
-    pub fn covers(&self, ranges: &DirtyRanges) -> bool {
-        ranges.iter().all(|(s, e)| {
-            e <= self.len && (s / PAGE_ELEMS..=(e - 1) / PAGE_ELEMS).all(|p| self.page_is_dirty(p))
-        })
-    }
-
-    /// Dirty elements at page granularity: full pages, with a dirty final
-    /// partial page counted only up to the buffer length.
-    pub fn element_count(&self) -> usize {
-        let mut n = self.dirty_page_count() * PAGE_ELEMS;
-        let pages = self.page_count();
-        if pages > 0 && self.page_is_dirty(pages - 1) {
-            n -= pages * PAGE_ELEMS - self.len;
-        }
-        n
-    }
-
-    /// Dirty bytes at page granularity (`f32` elements, 4 bytes each).
-    pub fn byte_count(&self) -> u64 {
-        self.element_count() as u64 * 4
-    }
-}
-
-/// Unified dirty tracker: exact ranges for small buffers, a page-granular
-/// bitmap for huge ones, auto-selected so existing workloads keep exact
-/// byte counts while 10M+-element buffers with scattered writes mark
-/// dirt in O(1).
-///
-/// Selection happens on two axes:
-///
-/// * **size** — [`DirtyTracker::new`] and [`DirtyTracker::from_diff`]
-///   pick the paged representation when the buffer has at least
-///   [`PAGED_MIN_LEN`] elements;
-/// * **write density** — an exact tracker on a paged-eligible buffer
-///   promotes itself to a [`PageMap`] once incremental marking fragments
-///   it past `MAX_EXACT_RANGES` coalesced ranges.
-///
-/// Equality is representation-sensitive (an exact and a paged tracker
-/// never compare equal), which is what the byte-identical gates want:
-/// a representation switch is a real behavioural change.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DirtyTracker {
-    len: usize,
-    repr: Repr,
-}
-
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Repr {
-    Exact(DirtyRanges),
-    Paged(PageMap),
-}
-
-impl DirtyTracker {
-    /// A clean tracker for a `len`-element buffer, representation chosen
-    /// by size.
-    pub fn new(len: usize) -> Self {
-        let repr = if len >= PAGED_MIN_LEN {
-            Repr::Paged(PageMap::new(len))
-        } else {
-            Repr::Exact(DirtyRanges::empty())
-        };
-        Self { len, repr }
-    }
-
-    /// An exact tracker seeded with `ranges`, regardless of buffer size
-    /// (it may still promote itself under later incremental marking).
-    pub fn exact(len: usize, ranges: DirtyRanges) -> Self {
-        Self {
-            len,
-            repr: Repr::Exact(ranges),
-        }
-    }
-
-    /// Captures the bitwise difference of two equally sized buffers:
-    /// exact ranges below [`PAGED_MIN_LEN`], a page map at or above it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths. See
-    /// [`DirtyTracker::try_from_diff`] for the fallible twin.
-    pub fn from_diff(a: &[f32], b: &[f32]) -> Self {
-        assert_eq!(a.len(), b.len(), "from_diff requires equally sized buffers");
-        let len = a.len();
-        let repr = if len >= PAGED_MIN_LEN {
-            Repr::Paged(PageMap::from_diff(a, b))
-        } else {
-            Repr::Exact(DirtyRanges::from_diff(a, b))
-        };
-        Self { len, repr }
-    }
-
-    /// Fallible twin of [`DirtyTracker::from_diff`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClError::ProtocolViolation`] if the slices differ in
-    /// length.
-    pub fn try_from_diff(a: &[f32], b: &[f32]) -> ClResult<Self> {
-        if a.len() != b.len() {
-            return Err(ClError::ProtocolViolation {
-                kernel: "from_diff".to_string(),
-                detail: format!(
-                    "diff over unequal buffers: {} vs {} elements",
-                    a.len(),
-                    b.len()
-                ),
-            });
-        }
-        Ok(Self::from_diff(a, b))
-    }
-
-    /// Buffer length in elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether nothing is dirty.
-    pub fn is_empty(&self) -> bool {
-        match &self.repr {
-            Repr::Exact(r) => r.is_empty(),
-            Repr::Paged(pm) => pm.is_empty(),
-        }
-    }
-
-    /// Whether the tracker currently uses the paged representation.
-    pub fn is_paged(&self) -> bool {
-        matches!(self.repr, Repr::Paged(_))
-    }
-
-    /// The exact ranges, when the tracker holds them.
-    pub fn as_exact(&self) -> Option<&DirtyRanges> {
-        match &self.repr {
-            Repr::Exact(r) => Some(r),
-            Repr::Paged(_) => None,
-        }
-    }
-
-    /// The page map, when the tracker holds one.
-    pub fn as_paged(&self) -> Option<&PageMap> {
-        match &self.repr {
-            Repr::Exact(_) => None,
-            Repr::Paged(pm) => Some(pm),
-        }
-    }
-
-    /// Marks `[start, end)` dirty (clipped to the buffer). O(1) on the
-    /// paged representation; on the exact one, a range-list splice plus
-    /// the density check that promotes a fragmented tracker on a
-    /// paged-eligible buffer to a page map.
-    pub fn mark_range(&mut self, start: usize, end: usize) {
-        let end = end.min(self.len);
-        match &mut self.repr {
-            Repr::Exact(r) => {
-                r.insert(start, end);
-                if self.len >= PAGED_MIN_LEN && r.range_count() > MAX_EXACT_RANGES {
-                    self.repr = Repr::Paged(PageMap::from_ranges(self.len, r));
-                }
-            }
-            Repr::Paged(pm) => pm.mark_range(start, end),
-        }
-    }
-
-    /// Synthesizes coalesced [`DirtyRanges`]: the exact set as-is, or the
-    /// page map's lazy page-granular ranges. On every workload that stays
-    /// exact this equals today's ranges bit-for-bit.
-    pub fn synthesize(&self) -> DirtyRanges {
-        match &self.repr {
-            Repr::Exact(r) => r.clone(),
-            Repr::Paged(pm) => pm.synthesize(),
-        }
-    }
-
-    /// Dirty elements: exact, or the page-granular over-approximation.
-    pub fn element_count(&self) -> usize {
-        match &self.repr {
-            Repr::Exact(r) => r.element_count(),
-            Repr::Paged(pm) => pm.element_count(),
-        }
-    }
-
-    /// Dirty bytes (`f32` elements, 4 bytes each).
-    pub fn byte_count(&self) -> u64 {
-        match &self.repr {
-            Repr::Exact(r) => r.byte_count(),
-            Repr::Paged(pm) => pm.byte_count(),
-        }
-    }
-
-    /// Copies the dirty spans of `src` into `dst`: exact ranges, or whole
-    /// dirty pages (a superset — the extra elements are bitwise identical
-    /// whenever the tracker was captured from these buffers' diff).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClError::ProtocolViolation`] if the buffers differ in
-    /// length or disagree with the tracked length.
-    pub fn copy_ranges(&self, src: &[f32], dst: &mut [f32]) -> ClResult<()> {
-        if src.len() != self.len {
-            return Err(ClError::ProtocolViolation {
-                kernel: "copy_ranges".to_string(),
-                detail: format!(
-                    "tracker for {} elements applied to a {}-element buffer",
-                    self.len,
-                    src.len()
-                ),
-            });
-        }
-        match &self.repr {
-            Repr::Exact(r) => r.try_copy_ranges(src, dst),
-            Repr::Paged(pm) => {
-                if src.len() != dst.len() || src.len() != pm.len() {
-                    return Err(ClError::ProtocolViolation {
-                        kernel: "copy_ranges".to_string(),
-                        detail: format!(
-                            "paged copy over mismatched buffers: {} vs {} elements (tracking {})",
-                            src.len(),
-                            dst.len(),
-                            pm.len()
-                        ),
-                    });
-                }
-                for (s, e) in pm.dirty_spans() {
-                    dst[s..e].copy_from_slice(&src[s..e]);
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -964,165 +544,5 @@ mod tests {
         let mut dst = [0.0; 5];
         DirtyRanges::from_ranges([(1, 3), (4, 5)]).copy_ranges(&src, &mut dst);
         assert_eq!(dst, [0.0, 2.0, 3.0, 0.0, 5.0]);
-    }
-
-    #[test]
-    fn page_map_marks_and_synthesizes() {
-        let len = 3 * PAGE_ELEMS + 100; // 4 pages, the last partial
-        let mut pm = PageMap::new(len);
-        assert_eq!(pm.page_count(), 4);
-        assert!(pm.is_empty());
-        assert!(pm.synthesize().is_empty());
-        pm.mark(0);
-        pm.mark(PAGE_ELEMS); // page 1: adjacent to page 0, one run
-        pm.mark(3 * PAGE_ELEMS + 50); // partial last page
-        assert_eq!(pm.dirty_page_count(), 3);
-        assert!(pm.page_is_dirty(1));
-        assert!(!pm.page_is_dirty(2));
-        assert_eq!(
-            pm.synthesize().as_slice(),
-            &[(0, 2 * PAGE_ELEMS), (3 * PAGE_ELEMS, len)]
-        );
-        assert_eq!(pm.element_count(), 2 * PAGE_ELEMS + 100);
-        // Out-of-buffer marks are ignored.
-        pm.mark(len + 5);
-        assert_eq!(pm.dirty_page_count(), 3);
-    }
-
-    #[test]
-    fn page_map_mark_range_word_fills() {
-        // A range spanning >64 pages exercises the interior word fill.
-        let pages = 200;
-        let len = pages * PAGE_ELEMS;
-        let mut pm = PageMap::new(len);
-        pm.mark_range(3 * PAGE_ELEMS + 1, 190 * PAGE_ELEMS + 1);
-        assert_eq!(pm.dirty_page_count(), 188); // pages 3..=190
-        assert!(pm.page_is_dirty(3));
-        assert!(pm.page_is_dirty(190));
-        assert!(!pm.page_is_dirty(2));
-        assert!(!pm.page_is_dirty(191));
-        assert_eq!(
-            pm.synthesize().as_slice(),
-            &[(3 * PAGE_ELEMS, 191 * PAGE_ELEMS)]
-        );
-        // Clipped and empty ranges.
-        let mut pm2 = PageMap::new(PAGE_ELEMS);
-        pm2.mark_range(5, 5);
-        assert!(pm2.is_empty());
-        pm2.mark_range(0, usize::MAX);
-        assert_eq!(pm2.dirty_page_count(), 1);
-    }
-
-    #[test]
-    fn page_map_from_diff_and_covers() {
-        let len = 2 * PAGE_ELEMS + 7;
-        let a: Vec<f32> = vec![1.0; len];
-        let mut b = a.clone();
-        b[PAGE_ELEMS + 3] = 2.0; // page 1
-        b[len - 1] = 3.0; // partial page 2
-        let pm = PageMap::from_diff(&a, &b);
-        let exact = DirtyRanges::from_diff(&a, &b);
-        assert!(!pm.page_is_dirty(0));
-        assert!(pm.page_is_dirty(1));
-        assert!(pm.page_is_dirty(2));
-        assert!(pm.covers(&exact), "page map covers every exact write");
-        assert!(
-            !pm.covers(&DirtyRanges::from_ranges([(0, 1)])),
-            "clean pages are not covered"
-        );
-        assert!(
-            !pm.covers(&DirtyRanges::from_ranges([(len, len + 4)])),
-            "ranges past the buffer are never covered"
-        );
-        assert!(PageMap::from_diff(&a, &a).is_empty());
-    }
-
-    #[test]
-    fn page_map_union_accumulates() {
-        let len = 4 * PAGE_ELEMS;
-        let mut a = PageMap::new(len);
-        a.mark(0);
-        let mut b = PageMap::new(len);
-        b.mark(2 * PAGE_ELEMS);
-        a.union_with(&b);
-        assert_eq!(a.dirty_page_count(), 2);
-        assert!(a.page_is_dirty(0) && a.page_is_dirty(2));
-    }
-
-    #[test]
-    fn tracker_selects_representation_by_size() {
-        assert!(!DirtyTracker::new(1024).is_paged());
-        assert!(DirtyTracker::new(PAGED_MIN_LEN).is_paged());
-        let small: Vec<f32> = vec![0.0; 64];
-        let mut small2 = small.clone();
-        small2[5] = 1.0;
-        let t = DirtyTracker::from_diff(&small, &small2);
-        assert!(!t.is_paged());
-        assert_eq!(t.synthesize().as_slice(), &[(5, 6)]);
-        assert_eq!(t.element_count(), 1);
-        assert_eq!(t.byte_count(), 4);
-        assert_eq!(t.len(), 64);
-    }
-
-    #[test]
-    fn tracker_promotes_on_write_density() {
-        // A paged-eligible buffer marked scattered: the exact repr
-        // fragments past MAX_EXACT_RANGES and flips to the page map.
-        let mut t = DirtyTracker::exact(PAGED_MIN_LEN, DirtyRanges::empty());
-        assert!(!t.is_paged());
-        for i in 0..(MAX_EXACT_RANGES + 2) {
-            t.mark_range(i * 3, i * 3 + 1); // non-adjacent single elements
-        }
-        assert!(t.is_paged(), "density promotion kicked in");
-        // Every marked element is still covered after promotion.
-        let exact =
-            DirtyRanges::from_ranges((0..(MAX_EXACT_RANGES + 2)).map(|i| (i * 3, i * 3 + 1)));
-        assert!(t.as_paged().unwrap().covers(&exact));
-        // Small buffers never promote, however fragmented.
-        let mut small = DirtyTracker::new(100_000);
-        for i in 0..(MAX_EXACT_RANGES + 2) {
-            small.mark_range(i * 2, i * 2 + 1);
-        }
-        assert!(!small.is_paged());
-    }
-
-    #[test]
-    fn tracker_copy_ranges_exact_and_paged() {
-        // Exact: surgical copy.
-        let t = DirtyTracker::exact(5, DirtyRanges::from_ranges([(1, 3)]));
-        let src = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let mut dst = [0.0f32; 5];
-        t.copy_ranges(&src, &mut dst).unwrap();
-        assert_eq!(dst, [0.0, 2.0, 3.0, 0.0, 0.0]);
-        // Paged: whole dirty pages come across.
-        let len = 2 * PAGE_ELEMS;
-        let mut big_src = vec![0.0f32; len];
-        big_src[PAGE_ELEMS + 9] = 9.0;
-        // len sits below PAGED_MIN_LEN, so build the paged variant by hand.
-        let mut pm = PageMap::new(len);
-        pm.mark(PAGE_ELEMS + 9);
-        let tp = DirtyTracker {
-            len,
-            repr: Repr::Paged(pm),
-        };
-        let mut big_dst = vec![1.0f32; len];
-        tp.copy_ranges(&big_src, &mut big_dst).unwrap();
-        assert_eq!(big_dst[PAGE_ELEMS + 9], 9.0);
-        assert_eq!(big_dst[0], 1.0, "clean page untouched");
-        assert_eq!(big_dst[PAGE_ELEMS], 0.0, "dirty page fully mirrored");
-        // Mismatched lengths surface as typed errors on both reprs.
-        assert!(tp.copy_ranges(&big_src, &mut dst[..]).is_err());
-        assert!(t.copy_ranges(&src[..3], &mut dst[..3]).is_err());
-    }
-
-    #[test]
-    fn tracker_try_from_diff_reports_mismatch() {
-        assert!(matches!(
-            DirtyTracker::try_from_diff(&[0.0; 2], &[0.0; 3]),
-            Err(ClError::ProtocolViolation { .. })
-        ));
-        assert!(DirtyTracker::try_from_diff(&[0.0; 2], &[0.0; 2])
-            .unwrap()
-            .is_empty());
     }
 }

@@ -25,11 +25,7 @@
 //! * [`SingleDeviceRuntime`] — the vendor-runtime stand-in used for the
 //!   paper's CPU-only and GPU-only baselines.
 
-// Unsafe is forbidden everywhere except the one AVX2 intrinsics module
-// the `simd` feature compiles in (crate::simd::avx2, which carries its
-// own targeted `allow`); `deny` keeps any other unsafe a hard error.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod access;
@@ -43,13 +39,12 @@ mod kernel;
 mod memory;
 mod ndrange;
 mod queue;
-pub mod simd;
 mod single;
 
 pub use access::{
     execute_groups_shadowed, execute_groups_shadowed_per_item, AccessRecord, WriteMap,
 };
-pub use dirty::{DirtyRanges, DirtyTracker, PageMap, PAGED_MIN_LEN, PAGE_ELEMS};
+pub use dirty::DirtyRanges;
 pub use driver::{ClDriver, DeviceKind};
 pub use error::{ClError, ClResult};
 pub use exec::{execute_groups_injected, execute_groups_per_item, Launch, LaunchPlan};
@@ -61,10 +56,7 @@ pub use kernel::{
     ArgRole, ArgSpec, GroupBody, Inputs, KernelArg, KernelBody, KernelDef, KernelVersion, Outputs,
     Program, Scalars,
 };
-pub use memory::{
-    diff_merge, diff_merge_paged, diff_merge_ranged, diff_merge_tracked, BufferId, Memory,
-};
+pub use memory::{diff_merge, diff_merge_ranged, BufferId, Memory};
 pub use ndrange::{NdRange, WorkItem};
 pub use queue::{CommandQueue, Event, Platform};
-pub use simd::{set_simd_enabled, simd_active};
 pub use single::SingleDeviceRuntime;

@@ -17,8 +17,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::dirty::{DirtyRanges, DirtyTracker, PageMap, PAGE_ELEMS};
-use crate::simd;
+use crate::dirty::DirtyRanges;
 use crate::{ClError, ClResult};
 
 /// Handle identifying a logical buffer across address spaces.
@@ -199,13 +198,9 @@ impl Memory {
 ///
 /// Comparison is on bit patterns so `NaN`s and signed zeros behave like the
 /// byte comparison the paper performs. This is the `ranges == full` special
-/// case of [`diff_merge_ranged`], sharing its blockwise compare.
-///
-/// The walk is page-at-a-time ([`PAGE_ELEMS`] elements): each page is
-/// screened with an early-exit blockwise compare (SIMD when the `simd`
-/// feature is active and the CPU supports AVX2) and only pages that
-/// actually differ enter the merge kernel, so huge mostly-clean buffers
-/// cost one streaming compare pass and no stores.
+/// case of [`diff_merge_ranged`] and the oracle it is tested against: one
+/// blockwise pass over the whole buffer that stores nothing in clean
+/// blocks.
 ///
 /// # Panics
 ///
@@ -215,14 +210,7 @@ pub fn diff_merge(dst_gpu: &mut [f32], cpu: &[f32], original: &[f32]) {
         dst_gpu.len() == cpu.len() && cpu.len() == original.len(),
         "diff_merge requires equally sized buffers"
     );
-    let mut s = 0usize;
-    while s < cpu.len() {
-        let e = (s + PAGE_ELEMS).min(cpu.len());
-        if simd::span_differs(&cpu[s..e], &original[s..e]) {
-            simd::merge_span(&mut dst_gpu[s..e], &cpu[s..e], &original[s..e]);
-        }
-        s = e;
-    }
+    merge_span(dst_gpu, cpu, original);
 }
 
 /// Ranged diff-merge: like [`diff_merge`] but walks only the given dirty
@@ -258,82 +246,40 @@ pub fn diff_merge_ranged(
         });
     }
     for (s, e) in ranges.iter() {
-        simd::merge_span(&mut dst_gpu[s..e], &cpu[s..e], &original[s..e]);
+        merge_span(&mut dst_gpu[s..e], &cpu[s..e], &original[s..e]);
     }
     Ok(())
 }
 
-/// Page-map diff-merge: merges exactly the pages a [`PageMap`] marked
-/// dirty, skipping clean pages without reading them at all. This is the
-/// transfer-side consumer of paged dirty capture: the map already knows
-/// which pages can differ, so the merge touches nothing else.
-///
-/// Elements of a dirty page the CPU did not write are bitwise equal to
-/// the original and the merge leaves them alone — page granularity never
-/// changes the merged result, only how much is scanned.
-///
-/// # Errors
-///
-/// Returns [`ClError::SizeMismatch`] if the three slices differ in length
-/// or the map tracks a different buffer length.
-pub fn diff_merge_paged(
-    dst_gpu: &mut [f32],
-    cpu: &[f32],
-    original: &[f32],
-    pages: &PageMap,
-) -> ClResult<()> {
-    if dst_gpu.len() != cpu.len() || cpu.len() != original.len() {
-        let got = if cpu.len() != dst_gpu.len() {
-            cpu.len()
-        } else {
-            original.len()
-        };
-        return Err(ClError::SizeMismatch {
-            expected: dst_gpu.len(),
-            got,
-        });
+/// Blockwise merge over one span: `dst[i] = cpu[i]` wherever `cpu[i]`
+/// differs bitwise from `original[i]`. Eight `f32`s at a time as `u32` bit
+/// blocks (XOR, then OR-reduced), storing only inside blocks that actually
+/// differ, with a scalar tail. Callers guarantee equal lengths.
+fn merge_span(dst: &mut [f32], cpu: &[f32], original: &[f32]) {
+    debug_assert!(dst.len() == cpu.len() && cpu.len() == original.len());
+    let (d, d_tail) = dst.as_chunks_mut::<8>();
+    let (c, c_tail) = cpu.as_chunks::<8>();
+    let (o, o_tail) = original.as_chunks::<8>();
+    for ((db, cb), ob) in d.iter_mut().zip(c).zip(o) {
+        let diff: [u32; 8] = std::array::from_fn(|k| cb[k].to_bits() ^ ob[k].to_bits());
+        if diff.iter().fold(0, |acc, x| acc | x) != 0 {
+            for ((dv, cv), x) in db.iter_mut().zip(cb).zip(diff) {
+                if x != 0 {
+                    *dv = *cv;
+                }
+            }
+        }
     }
-    if pages.len() != dst_gpu.len() {
-        return Err(ClError::SizeMismatch {
-            expected: dst_gpu.len(),
-            got: pages.len(),
-        });
-    }
-    for (s, e) in pages.dirty_spans() {
-        simd::merge_span(&mut dst_gpu[s..e], &cpu[s..e], &original[s..e]);
-    }
-    Ok(())
-}
-
-/// Tracker-dispatched diff-merge: exact trackers take the
-/// [`diff_merge_ranged`] path, paged trackers take [`diff_merge_paged`].
-/// Both produce bit-identical results to the full [`diff_merge`] whenever
-/// the tracker covers every written element (which captures via
-/// [`DirtyTracker::from_diff`] guarantee).
-///
-/// # Errors
-///
-/// Returns [`ClError::SizeMismatch`] as the underlying path does.
-pub fn diff_merge_tracked(
-    dst_gpu: &mut [f32],
-    cpu: &[f32],
-    original: &[f32],
-    tracker: &DirtyTracker,
-) -> ClResult<()> {
-    if let Some(pm) = tracker.as_paged() {
-        diff_merge_paged(dst_gpu, cpu, original, pm)
-    } else {
-        let ranges = tracker
-            .as_exact()
-            .expect("tracker is either exact or paged");
-        diff_merge_ranged(dst_gpu, cpu, original, ranges)
+    for ((dv, cv), ov) in d_tail.iter_mut().zip(c_tail).zip(o_tail) {
+        if cv.to_bits() != ov.to_bits() {
+            *dv = *cv;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dirty::PAGED_MIN_LEN;
 
     #[test]
     fn alloc_and_rw_roundtrip() {
@@ -475,73 +421,6 @@ mod tests {
                 expected: 2,
                 got: 4
             })
-        );
-    }
-
-    #[test]
-    fn diff_merge_paged_merges_dirty_pages_only() {
-        let len = 2 * PAGE_ELEMS + 11;
-        let original = vec![0.0f32; len];
-        let mut cpu = original.clone();
-        cpu[3] = 1.0; // page 0 — but we won't mark it
-        cpu[PAGE_ELEMS + 5] = 2.0; // page 1
-        cpu[len - 1] = 3.0; // partial page 2
-        let mut pm = PageMap::new(len);
-        pm.mark(PAGE_ELEMS + 5);
-        pm.mark(len - 1);
-        let mut gpu = original.clone();
-        diff_merge_paged(&mut gpu, &cpu, &original, &pm).unwrap();
-        assert_eq!(gpu[3], 0.0, "unmarked page is skipped entirely");
-        assert_eq!(gpu[PAGE_ELEMS + 5], 2.0);
-        assert_eq!(gpu[len - 1], 3.0);
-        // Size and tracked-length mismatches are typed errors.
-        assert!(diff_merge_paged(&mut gpu, &cpu[..1], &original, &pm).is_err());
-        let wrong = PageMap::new(len + 1);
-        assert_eq!(
-            diff_merge_paged(&mut gpu, &cpu, &original, &wrong),
-            Err(ClError::SizeMismatch {
-                expected: len,
-                got: len + 1
-            })
-        );
-    }
-
-    #[test]
-    fn diff_merge_tracked_matches_full_merge_on_both_reprs() {
-        let len = 3 * PAGE_ELEMS + 7;
-        let original: Vec<f32> = (0..len).map(|i| (i as f32).sin()).collect();
-        let mut cpu = original.clone();
-        for i in (0..len).step_by(97) {
-            cpu[i] = f32::from_bits(cpu[i].to_bits() ^ 0x8000_0001);
-        }
-        let mut expect = original.clone();
-        diff_merge(&mut expect, &cpu, &original);
-        // Exact tracker (len < PAGED_MIN_LEN ⇒ from_diff stays exact).
-        let t = DirtyTracker::from_diff(&cpu, &original);
-        assert!(!t.is_paged());
-        let mut got = original.clone();
-        diff_merge_tracked(&mut got, &cpu, &original, &t).unwrap();
-        assert_eq!(
-            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            expect.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        // Paged tracker over the same writes (marked page-granular, a
-        // superset of the exact set — the merge result is identical).
-        let mut tp = DirtyTracker::new(PAGED_MIN_LEN);
-        assert!(tp.is_paged());
-        let mut big_cpu = vec![1.0f32; PAGED_MIN_LEN];
-        let big_orig = vec![1.0f32; PAGED_MIN_LEN];
-        big_cpu[123] = 7.0;
-        big_cpu[PAGED_MIN_LEN - 1] = f32::NAN;
-        tp.mark_range(123, 124);
-        tp.mark_range(PAGED_MIN_LEN - 1, PAGED_MIN_LEN);
-        let mut big_expect = big_orig.clone();
-        diff_merge(&mut big_expect, &big_cpu, &big_orig);
-        let mut big_got = big_orig.clone();
-        diff_merge_tracked(&mut big_got, &big_cpu, &big_orig, &tp).unwrap();
-        assert_eq!(
-            big_got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            big_expect.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
     }
 

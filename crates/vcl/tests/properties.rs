@@ -1,10 +1,12 @@
 //! Randomized property tests of the virtual OpenCL substrate: geometry
-//! round-trips, covering slices, diff-merge algebra, and the partitioning
-//! property the whole FluidiCL design rests on — executing disjoint
-//! work-group ranges composes to the full-kernel result. Cases come from
-//! the in-tree deterministic generator so failures replay bit-for-bit.
+//! round-trips, covering slices, diff-merge and dirty-range algebra, and
+//! the partitioning property the whole FluidiCL design rests on —
+//! executing disjoint work-group ranges composes to the full-kernel
+//! result. Cases come from the in-tree deterministic generator so failures
+//! replay bit-for-bit.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use fluidicl_des::SplitMix64;
 use fluidicl_hetsim::KernelProfile;
@@ -237,30 +239,75 @@ fn diff_merge_identity_and_idempotence() {
     }
 }
 
+/// Arbitrary `f32` bit patterns: NaNs with random payloads, infinities,
+/// denormals and signed zeros all occur.
+fn arb_bits(rng: &mut SplitMix64) -> f32 {
+    f32::from_bits((rng.next_u64() >> 32) as u32)
+}
+
+/// A merge case `(orig, cpu, gpu0)` of small buffers of ordinary values,
+/// each element rewritten by the CPU with probability 1/2.
+fn ordinary_merge_case(rng: &mut SplitMix64) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let len = rng.range_usize(1, 300);
+    let orig: Vec<f32> = (0..len).map(|_| rng.range_f32(-50.0, 50.0)).collect();
+    let cpu: Vec<f32> = orig
+        .iter()
+        .map(|v| if rng.next_bool() { v * 1.5 + 0.25 } else { *v })
+        .collect();
+    let gpu0: Vec<f32> = orig.iter().map(|v| v - 2.0).collect();
+    (orig, cpu, gpu0)
+}
+
+/// A merge case `(orig, cpu, gpu0)` of arbitrary bit patterns spanning
+/// several 4096-element blocks, usually with a ragged tail, where the CPU
+/// rewrites scattered single elements and short runs.
+fn arb_bits_merge_case(rng: &mut SplitMix64) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let len = rng.range_usize(1, 4 * 4096 + 37);
+    let orig: Vec<f32> = (0..len).map(|_| arb_bits(rng)).collect();
+    let mut cpu = orig.clone();
+    for _ in 0..rng.range_usize(0, 65) {
+        let at = rng.range_usize(0, len);
+        let run = rng.range_usize(1, 9).min(len - at);
+        for v in &mut cpu[at..at + run] {
+            *v = arb_bits(rng);
+        }
+    }
+    let gpu0: Vec<f32> = (0..len).map(|_| arb_bits(rng)).collect();
+    (orig, cpu, gpu0)
+}
+
 /// Ranged merge over any superset of the true dirty set equals the full
-/// merge bit-for-bit — the equivalence the dirty-range protocol rests on.
+/// merge bit-for-bit — the equivalence the dirty-range protocol rests on —
+/// and the captured dirty set is exactly the elements whose bits differ.
+/// Odd cases draw arbitrary bit patterns (NaN payloads, signed zeros,
+/// denormals) over buffers longer than the ordinary cases.
 #[test]
 fn ranged_merge_over_covering_ranges_equals_full_merge() {
     use fluidicl_vcl::{diff_merge_ranged, DirtyRanges};
     let mut rng = SplitMix64::new(0x7C57);
-    for _ in 0..CASES {
-        let len = rng.range_usize(1, 300);
-        let orig: Vec<f32> = (0..len).map(|_| rng.range_f32(-50.0, 50.0)).collect();
-        let cpu: Vec<f32> = orig
-            .iter()
-            .map(|v| if rng.next_bool() { v * 1.5 + 0.25 } else { *v })
-            .collect();
-        let gpu0: Vec<f32> = orig.iter().map(|v| v - 2.0).collect();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    for case in 0..2 * CASES {
+        let (orig, cpu, gpu0) = if case % 2 == 0 {
+            ordinary_merge_case(&mut rng)
+        } else {
+            arb_bits_merge_case(&mut rng)
+        };
+        let len = orig.len();
 
         let mut full = gpu0.clone();
         diff_merge(&mut full, &cpu, &orig);
-        let want: Vec<u32> = full.iter().map(|v| v.to_bits()).collect();
+        let want = bits(&full);
 
-        // The exact dirty set suffices...
+        // The capture is exact: no clean element, no missed write...
         let exact = DirtyRanges::from_diff(&cpu, &orig);
+        let differing =
+            DirtyRanges::from_indices((0..len).filter(|&i| cpu[i].to_bits() != orig[i].to_bits()));
+        assert_eq!(exact, differing, "case {case}: capture is not exact");
+
+        // ...the exact dirty set suffices...
         let mut ranged = gpu0.clone();
         diff_merge_ranged(&mut ranged, &cpu, &orig, &exact).expect("exact");
-        assert_eq!(ranged.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
+        assert_eq!(bits(&ranged), want, "case {case}: exact ranges diverged");
 
         // ...and so does any superset (extra clean ranges merge nothing).
         let extra = DirtyRanges::from_ranges((0..rng.range_usize(1, 5)).filter_map(|_| {
@@ -271,7 +318,7 @@ fn ranged_merge_over_covering_ranges_equals_full_merge() {
         let superset = exact.union(&extra);
         let mut ranged = gpu0.clone();
         diff_merge_ranged(&mut ranged, &cpu, &orig, &superset).expect("superset");
-        assert_eq!(ranged.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), want);
+        assert_eq!(bits(&ranged), want, "case {case}: superset diverged");
     }
 }
 
@@ -305,6 +352,57 @@ fn dirty_range_coalescing_is_canonical() {
         assert_eq!(
             forward.element_count(),
             v.iter().map(|(s, e)| e - s).sum::<usize>()
+        );
+    }
+}
+
+/// Bulk construction from 1M scattered indices stays linearithmic: the
+/// sort-then-coalesce path finishes in interactive time where repeated
+/// range-list splicing would degrade quadratically (minutes). The bound
+/// is deliberately generous — it pins the complexity class, not the
+/// constant factor.
+#[test]
+fn from_indices_handles_1m_scattered_indices() {
+    use fluidicl_vcl::DirtyRanges;
+    let mut rng = SplitMix64::new(0xD1E7_0004);
+    const N: usize = 1_000_000;
+    const SPACE: usize = 16 * 1024 * 1024;
+    let indices: Vec<usize> = (0..N).map(|_| rng.range_usize(0, SPACE)).collect();
+    let start = Instant::now();
+    let ranges = DirtyRanges::from_indices(indices.iter().copied());
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed.as_secs_f64() < 5.0,
+        "1M scattered indices took {elapsed:?}; the bulk path must be sort-then-coalesce"
+    );
+    // Cross-check against an independent dedup count.
+    let mut sorted = indices;
+    sorted.sort_unstable();
+    sorted.dedup();
+    assert_eq!(ranges.element_count(), sorted.len());
+    assert!(ranges.contains(sorted[0]));
+    assert!(ranges.contains(*sorted.last().unwrap()));
+}
+
+/// The splice-based `insert` agrees with bulk construction under random
+/// interleavings of overlapping, adjacent and disjoint ranges.
+#[test]
+fn insert_agrees_with_bulk_construction() {
+    use fluidicl_vcl::DirtyRanges;
+    let mut rng = SplitMix64::new(0xD1E7_0005);
+    for case in 0..CASES {
+        let mut incremental = DirtyRanges::empty();
+        let mut all: Vec<(usize, usize)> = Vec::new();
+        for _ in 0..rng.range_usize(0, 60) {
+            let s = rng.range_usize(0, 10_000);
+            let e = s + rng.range_usize(1, 300);
+            incremental.insert(s, e);
+            all.push((s, e));
+        }
+        assert_eq!(
+            incremental,
+            DirtyRanges::from_ranges(all.iter().copied()),
+            "case {case}"
         );
     }
 }
