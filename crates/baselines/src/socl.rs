@@ -190,12 +190,16 @@ impl ClDriver for SoclRuntime {
     }
 
     fn write_buffer(&mut self, id: BufferId, data: &[f32]) -> ClResult<()> {
-        self.cpu_mem.write(id, data)?;
+        self.write_buffer_owned(id, data.to_vec())
+    }
+
+    fn write_buffer_owned(&mut self, id: BufferId, data: Vec<f32>) -> ClResult<()> {
+        let bytes = data.len() as u64 * 4;
+        self.cpu_mem.replace(id, data)?;
         self.gpu_mem.share_from(&self.cpu_mem, id)?;
         let idx = id.0 as usize;
         self.valid_cpu[idx] = true;
         self.valid_gpu[idx] = true;
-        let bytes = data.len() as u64 * 4;
         self.host_clock += self
             .machine
             .host

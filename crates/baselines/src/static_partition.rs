@@ -101,9 +101,13 @@ impl ClDriver for StaticPartitionRuntime {
     }
 
     fn write_buffer(&mut self, id: BufferId, data: &[f32]) -> ClResult<()> {
-        self.cpu_mem.write(id, data)?;
-        self.gpu_mem.share_from(&self.cpu_mem, id)?;
+        self.write_buffer_owned(id, data.to_vec())
+    }
+
+    fn write_buffer_owned(&mut self, id: BufferId, data: Vec<f32>) -> ClResult<()> {
         let bytes = data.len() as u64 * 4;
+        self.cpu_mem.replace(id, data)?;
+        self.gpu_mem.share_from(&self.cpu_mem, id)?;
         // Pure-GPU and pure-CPU configurations pay exactly their vendor
         // runtime's transfer; an interior split writes to both devices.
         let t = if !self.uses_gpu() {

@@ -408,8 +408,10 @@ fn micro_hotspots() -> Vec<Section> {
     });
 
     // Host write: `write_buffer` of a 16M-element buffer on a fresh
-    // runtime — what every application input pays once. The CPU and GPU
-    // address spaces share the one host copy it makes.
+    // runtime. The CPU and GPU address spaces share the one host copy it
+    // makes. Applications hand their inputs over with `write_buffer_owned`
+    // and pay no copy at all; this section stays on the copying slice path
+    // because its gate in `ci/bench_baseline.json` was measured on it.
     let big = vec![1.5f32; 1 << 24];
     let host_write = collect(iters, || {
         let mut rt = Fluidicl::new(

@@ -84,7 +84,11 @@ impl ClDriver for AuditDriver {
     }
 
     fn write_buffer(&mut self, id: BufferId, data: &[f32]) -> ClResult<()> {
-        self.mem.write(id, data)
+        self.write_buffer_owned(id, data.to_vec())
+    }
+
+    fn write_buffer_owned(&mut self, id: BufferId, data: Vec<f32>) -> ClResult<()> {
+        self.mem.replace(id, data)
     }
 
     fn enqueue_kernel(

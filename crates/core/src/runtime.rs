@@ -57,7 +57,7 @@ use crate::trace::{Lane, TraceEvent, TraceKind};
 /// );
 /// let src = rt.create_buffer(1024);
 /// let dst = rt.create_buffer(1024);
-/// rt.write_buffer(src, &vec![1.0; 1024])?;
+/// rt.write_buffer_owned(src, vec![1.0; 1024])?;
 /// rt.enqueue_kernel(
 ///     "scale",
 ///     NdRange::d1(1024, 64)?,
@@ -774,14 +774,19 @@ impl ClDriver for Fluidicl {
     }
 
     fn write_buffer(&mut self, id: BufferId, data: &[f32]) -> ClResult<()> {
+        self.write_buffer_owned(id, data.to_vec())
+    }
+
+    fn write_buffer_owned(&mut self, id: BufferId, data: Vec<f32>) -> ClResult<()> {
         // A host write is a synchronization point for the kernel graph:
         // deferred launches that touch this buffer must run first.
         self.flush_graph()?;
-        // Functionally one host copy serves both address spaces: the GPU
-        // memory shares the CPU's until either side writes the buffer.
-        self.cpu_mem.write(id, data)?;
-        self.gpu_mem.share_from(&self.cpu_mem, id)?;
+        // Functionally the application's allocation becomes the one host
+        // copy serving both address spaces: the CPU memory takes it and the
+        // GPU memory shares it until either side writes the buffer.
         let bytes = data.len() as u64 * 4;
+        self.cpu_mem.replace(id, data)?;
+        self.gpu_mem.share_from(&self.cpu_mem, id)?;
         // One clEnqueueWriteBuffer becomes two: a host-side copy for the CPU
         // device and an h2d transfer for the GPU (paper §4.1). The h2d is
         // DMA on the in-order hd queue; the host only performs the copy,

@@ -118,8 +118,8 @@ pub fn run(driver: &mut dyn ClDriver, n: usize, seed: u64) -> ClResult<Vec<Vec<f
     let x_buf = driver.create_buffer(n);
     let tmp_buf = driver.create_buffer(n);
     let y_buf = driver.create_buffer(n);
-    driver.write_buffer(a_buf, &a)?;
-    driver.write_buffer(x_buf, &x)?;
+    driver.write_buffer_owned(a_buf, a)?;
+    driver.write_buffer_owned(x_buf, x)?;
     let nd = NdRange::d1(n, WG)?;
     driver.enqueue_kernel(
         "atax_k1",

@@ -115,46 +115,41 @@ pub fn program(n: usize) -> Program {
 /// Propagates driver errors.
 pub fn run(driver: &mut dyn ClDriver, n: usize, seed: u64) -> ClResult<Vec<Vec<f32>>> {
     let nd = NdRange::d2(n, n, WG, WG)?;
-    let mut e_bufs = Vec::with_capacity(CHAINS);
-    let mut writes = Vec::with_capacity(CHAINS);
+    // Per chain: the `a`, `b` and `e` buffers, and the two inputs, which
+    // are handed to the driver in chain order once every buffer exists.
+    let mut chains = Vec::with_capacity(CHAINS);
+    let mut inputs = Vec::with_capacity(2 * CHAINS);
     for c in 0..CHAINS as u64 {
         let a = gen_matrix(n, n, seed.wrapping_add(2 * c));
         let b = gen_matrix(n, n, seed.wrapping_add(2 * c + 1));
         let a_buf = driver.create_buffer(n * n);
         let b_buf = driver.create_buffer(n * n);
         let e_buf = driver.create_buffer(n * n);
-        writes.push((a_buf, a, b_buf, b));
-        e_bufs.push(e_buf);
+        inputs.extend([(a_buf, a), (b_buf, b)]);
+        chains.push([a_buf, b_buf, e_buf]);
     }
     let g_buf = driver.create_buffer(n * n);
-    for (a_buf, a, b_buf, b) in &writes {
-        driver.write_buffer(*a_buf, a)?;
-        driver.write_buffer(*b_buf, b)?;
+    for (buf, data) in inputs {
+        driver.write_buffer_owned(buf, data)?;
     }
-    for (c, e_buf) in e_bufs.iter().enumerate() {
-        let (a_buf, _, b_buf, _) = &writes[c];
+    for &[a_buf, b_buf, e_buf] in &chains {
         driver.enqueue_kernel(
             "batchmm_mul",
             nd,
             &[
-                KernelArg::Buffer(*a_buf),
-                KernelArg::Buffer(*b_buf),
-                KernelArg::Buffer(*e_buf),
+                KernelArg::Buffer(a_buf),
+                KernelArg::Buffer(b_buf),
+                KernelArg::Buffer(e_buf),
                 KernelArg::Usize(n),
             ],
         )?;
     }
-    driver.enqueue_kernel(
-        "batchmm_sum",
-        nd,
-        &[
-            KernelArg::Buffer(e_bufs[0]),
-            KernelArg::Buffer(e_bufs[1]),
-            KernelArg::Buffer(e_bufs[2]),
-            KernelArg::Buffer(e_bufs[3]),
-            KernelArg::Buffer(g_buf),
-        ],
-    )?;
+    let sum_args: Vec<KernelArg> = chains
+        .iter()
+        .map(|&[_, _, e_buf]| KernelArg::Buffer(e_buf))
+        .chain([KernelArg::Buffer(g_buf)])
+        .collect();
+    driver.enqueue_kernel("batchmm_sum", nd, &sum_args)?;
     Ok(vec![driver.read_buffer(g_buf)?])
 }
 

@@ -121,9 +121,9 @@ pub fn run(driver: &mut dyn ClDriver, n: usize, seed: u64) -> ClResult<Vec<Vec<f
     let r_buf = driver.create_buffer(n);
     let q_buf = driver.create_buffer(n);
     let s_buf = driver.create_buffer(n);
-    driver.write_buffer(a_buf, &a)?;
-    driver.write_buffer(p_buf, &p)?;
-    driver.write_buffer(r_buf, &r)?;
+    driver.write_buffer_owned(a_buf, a)?;
+    driver.write_buffer_owned(p_buf, p)?;
+    driver.write_buffer_owned(r_buf, r)?;
     let nd = NdRange::d1(n, WG)?;
     driver.enqueue_kernel(
         "bicg_s",

@@ -269,7 +269,7 @@ pub fn run(driver: &mut dyn ClDriver, n: usize, seed: u64) -> ClResult<Vec<Vec<f
     let mean_buf = driver.create_buffer(n);
     let std_buf = driver.create_buffer(n);
     let symmat_buf = driver.create_buffer(n * n);
-    driver.write_buffer(data_buf, &data)?;
+    driver.write_buffer_owned(data_buf, data)?;
     let nd1 = NdRange::d1(n, WG_1D)?;
     driver.enqueue_kernel(
         "corr_mean",

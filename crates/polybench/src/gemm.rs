@@ -99,9 +99,9 @@ pub fn run(driver: &mut dyn ClDriver, n: usize, seed: u64) -> ClResult<Vec<Vec<f
     let a_buf = driver.create_buffer(n * n);
     let b_buf = driver.create_buffer(n * n);
     let c_buf = driver.create_buffer(n * n);
-    driver.write_buffer(a_buf, &a)?;
-    driver.write_buffer(b_buf, &b)?;
-    driver.write_buffer(c_buf, &c0)?;
+    driver.write_buffer_owned(a_buf, a)?;
+    driver.write_buffer_owned(b_buf, b)?;
+    driver.write_buffer_owned(c_buf, c0)?;
     driver.enqueue_kernel(
         "gemm",
         NdRange::d2(n, n, WG, WG)?,

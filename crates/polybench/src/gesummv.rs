@@ -86,9 +86,9 @@ pub fn run(driver: &mut dyn ClDriver, n: usize, seed: u64) -> ClResult<Vec<Vec<f
     let b_buf = driver.create_buffer(n * n);
     let x_buf = driver.create_buffer(n);
     let y_buf = driver.create_buffer(n);
-    driver.write_buffer(a_buf, &a)?;
-    driver.write_buffer(b_buf, &b)?;
-    driver.write_buffer(x_buf, &x)?;
+    driver.write_buffer_owned(a_buf, a)?;
+    driver.write_buffer_owned(b_buf, b)?;
+    driver.write_buffer_owned(x_buf, x)?;
     driver.enqueue_kernel(
         "gesummv",
         NdRange::d1(n, WG)?,

@@ -137,10 +137,10 @@ pub fn run(driver: &mut dyn ClDriver, n: usize, seed: u64) -> ClResult<Vec<Vec<f
     let c_buf = driver.create_buffer(n * n);
     let d_buf = driver.create_buffer(n * n);
     let tmp_buf = driver.create_buffer(n * n);
-    driver.write_buffer(a_buf, &a)?;
-    driver.write_buffer(b_buf, &b)?;
-    driver.write_buffer(c_buf, &c)?;
-    driver.write_buffer(d_buf, &d0)?;
+    driver.write_buffer_owned(a_buf, a)?;
+    driver.write_buffer_owned(b_buf, b)?;
+    driver.write_buffer_owned(c_buf, c)?;
+    driver.write_buffer_owned(d_buf, d0)?;
     let nd = NdRange::d2(n, n, WG, WG)?;
     driver.enqueue_kernel(
         "mm2_tmp",

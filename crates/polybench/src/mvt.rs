@@ -121,11 +121,11 @@ pub fn run(driver: &mut dyn ClDriver, n: usize, seed: u64) -> ClResult<Vec<Vec<f
     let x2_buf = driver.create_buffer(n);
     let y1_buf = driver.create_buffer(n);
     let y2_buf = driver.create_buffer(n);
-    driver.write_buffer(a_buf, &a)?;
-    driver.write_buffer(x1_buf, &x1)?;
-    driver.write_buffer(x2_buf, &x2)?;
-    driver.write_buffer(y1_buf, &y1)?;
-    driver.write_buffer(y2_buf, &y2)?;
+    driver.write_buffer_owned(a_buf, a)?;
+    driver.write_buffer_owned(x1_buf, x1)?;
+    driver.write_buffer_owned(x2_buf, x2)?;
+    driver.write_buffer_owned(y1_buf, y1)?;
+    driver.write_buffer_owned(y2_buf, y2)?;
     let nd = NdRange::d1(n, WG)?;
     driver.enqueue_kernel(
         "mvt_x1",

@@ -106,8 +106,8 @@ pub fn run(driver: &mut dyn ClDriver, n: usize, seed: u64) -> ClResult<Vec<Vec<f
     let c0 = gen_matrix(n, n, seed.wrapping_add(1));
     let a_buf = driver.create_buffer(n * n);
     let c_buf = driver.create_buffer(n * n);
-    driver.write_buffer(a_buf, &a)?;
-    driver.write_buffer(c_buf, &c0)?;
+    driver.write_buffer_owned(a_buf, a)?;
+    driver.write_buffer_owned(c_buf, c0)?;
     driver.enqueue_kernel(
         "syrk",
         NdRange::d2(n, n, WG, WG)?,

@@ -59,6 +59,28 @@ pub trait ClDriver {
     /// Fails if the handle is unknown or the length differs.
     fn write_buffer(&mut self, id: BufferId, data: &[f32]) -> ClResult<()>;
 
+    /// Writes host data the caller no longer needs, handing the allocation
+    /// itself to the runtime.
+    ///
+    /// Use it for inputs that are dead after the write (generated
+    /// matrices, staging vectors); use [`write_buffer`](Self::write_buffer)
+    /// when the host keeps reading its copy. A runtime that overrides it
+    /// installs `data` as its host copy instead of copying it, so host
+    /// memory holds the input once. The virtual cost is identical to the
+    /// slice form: the same host copy and transfers are charged, and the
+    /// clocks, outputs and reports do not depend on which form is used.
+    ///
+    /// The default forwards to [`write_buffer`](Self::write_buffer), so a
+    /// wrapper that does not override it stays correct and simply copies.
+    ///
+    /// # Errors
+    ///
+    /// Fails exactly as [`write_buffer`](Self::write_buffer) does, and then
+    /// drops `data`.
+    fn write_buffer_owned(&mut self, id: BufferId, data: Vec<f32>) -> ClResult<()> {
+        self.write_buffer(id, &data)
+    }
+
     /// Launches a kernel over `ndrange` with `args`.
     ///
     /// # Errors

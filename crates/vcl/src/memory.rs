@@ -141,21 +141,44 @@ impl Memory {
     /// Returns [`ClError::InvalidBuffer`] if absent or
     /// [`ClError::SizeMismatch`] if lengths differ.
     pub fn write(&mut self, id: BufferId, data: &[f32]) -> ClResult<()> {
-        let buf = self
-            .buffers
-            .get_mut(&id)
-            .ok_or(ClError::InvalidBuffer(id.0))?;
-        if buf.len() != data.len() {
-            return Err(ClError::SizeMismatch {
-                expected: buf.len(),
-                got: data.len(),
-            });
-        }
+        let buf = self.slot_of_len(id, data.len())?;
         match Arc::get_mut(buf) {
             Some(own) => own.copy_from_slice(data),
             None => *buf = Arc::new(data.to_vec()),
         }
         Ok(())
+    }
+
+    /// Overwrites a buffer by taking `data`'s allocation as its content:
+    /// nothing is copied, and whatever this address space held before is
+    /// released (other holders of a shared allocation keep theirs).
+    ///
+    /// # Errors
+    ///
+    /// The same as [`write`](Self::write): [`ClError::InvalidBuffer`] if
+    /// absent or [`ClError::SizeMismatch`] if lengths differ. On error the
+    /// buffer is left as it was and `data` is dropped.
+    pub fn replace(&mut self, id: BufferId, data: Vec<f32>) -> ClResult<()> {
+        let buf = self.slot_of_len(id, data.len())?;
+        *buf = Arc::new(data);
+        Ok(())
+    }
+
+    /// The storage slot of `id`, checked to hold `len` elements: the
+    /// validation [`write`](Self::write) and [`replace`](Self::replace)
+    /// share.
+    fn slot_of_len(&mut self, id: BufferId, len: usize) -> ClResult<&mut Arc<Vec<f32>>> {
+        let buf = self
+            .buffers
+            .get_mut(&id)
+            .ok_or(ClError::InvalidBuffer(id.0))?;
+        if buf.len() != len {
+            return Err(ClError::SizeMismatch {
+                expected: buf.len(),
+                got: len,
+            });
+        }
+        Ok(buf)
     }
 
     /// Length in elements of a buffer.
@@ -505,6 +528,26 @@ mod tests {
         let v = c.take(BufferId(1)).unwrap();
         c.install(BufferId(1), v);
         assert!(c.shares_with(&d, BufferId(1)));
+    }
+
+    #[test]
+    fn replace_takes_the_callers_allocation_and_checks_like_write() {
+        let (mut a, b) = shared_pair();
+        let before = bits(&b, BufferId(1));
+        let data = vec![9.0; 4];
+        let ptr = data.as_ptr();
+        a.replace(BufferId(1), data).unwrap();
+        assert_eq!(a.get(BufferId(1)).unwrap().as_ptr(), ptr, "nothing copied");
+        assert_eq!(bits(&b, BufferId(1)), before);
+        assert_eq!((a.holders(BufferId(1)), b.holders(BufferId(1))), (1, 1));
+        for (id, data) in [(BufferId(9), vec![0.0; 4]), (BufferId(1), vec![0.0; 3])] {
+            assert_eq!(
+                a.replace(id, data.clone()),
+                a.write(id, &data),
+                "same error as the slice path"
+            );
+        }
+        assert_eq!(a.get(BufferId(1)).unwrap(), &[9.0; 4]);
     }
 
     #[test]

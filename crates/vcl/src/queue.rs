@@ -222,9 +222,21 @@ impl CommandQueue {
     ///
     /// Fails if the buffer is unknown or the size differs.
     pub fn enqueue_write(&mut self, id: BufferId, data: &[f32]) -> ClResult<Event> {
+        self.enqueue_write_owned(id, data.to_vec())
+    }
+
+    /// Enqueues a host→device write of data the caller hands over: the
+    /// queue's address space takes `data`'s allocation instead of copying
+    /// it. The modelled cost is exactly [`enqueue_write`](Self::enqueue_write)'s.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the buffer is unknown or the size differs.
+    pub fn enqueue_write_owned(&mut self, id: BufferId, data: Vec<f32>) -> ClResult<Event> {
         self.check_transfer("enqueue_write")?;
-        self.memory.write(id, data)?;
-        let d = self.transfer_in_time(data.len() as u64 * 4);
+        let bytes = data.len() as u64 * 4;
+        self.memory.replace(id, data)?;
+        let d = self.transfer_in_time(bytes);
         Ok(self.push(d))
     }
 

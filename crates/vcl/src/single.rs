@@ -98,7 +98,11 @@ impl ClDriver for SingleDeviceRuntime {
     }
 
     fn write_buffer(&mut self, id: BufferId, data: &[f32]) -> ClResult<()> {
-        self.queue.enqueue_write(id, data)?;
+        self.write_buffer_owned(id, data.to_vec())
+    }
+
+    fn write_buffer_owned(&mut self, id: BufferId, data: Vec<f32>) -> ClResult<()> {
+        self.queue.enqueue_write_owned(id, data)?;
         Ok(())
     }
 

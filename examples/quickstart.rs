@@ -52,8 +52,8 @@ fn host_program(driver: &mut dyn ClDriver, n: usize) -> ClResult<Vec<f32>> {
     let y0 = vec![1.0f32; n];
     let x_buf = driver.create_buffer(n);
     let y_buf = driver.create_buffer(n);
-    driver.write_buffer(x_buf, &x)?;
-    driver.write_buffer(y_buf, &y0)?;
+    driver.write_buffer_owned(x_buf, x)?;
+    driver.write_buffer_owned(y_buf, y0)?;
     driver.enqueue_kernel(
         "saxpy",
         NdRange::d1(n, 64)?,

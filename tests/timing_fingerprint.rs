@@ -12,10 +12,13 @@
 //! Regenerate with `cargo test --test timing_fingerprint -- --ignored` only
 //! for an intentional timing change, and explain every changed cell.
 
-use fluidicl::{Finisher, Fluidicl, FluidiclConfig};
+use fluidicl::{Fluidicl, FluidiclConfig};
 use fluidicl_check::{sweep_size, SWEEP_SEED};
 use fluidicl_hetsim::{AbortMode, MachineConfig};
 use fluidicl_polybench::all_benchmarks;
+
+mod common;
+use common::report_timings;
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -31,35 +34,6 @@ fn fnv(values: &[u64]) -> u64 {
         }
     }
     h
-}
-
-/// The timing values of every kernel a run reported, in report order.
-fn timings(rt: &Fluidicl) -> Vec<u64> {
-    let mut v = Vec::new();
-    for r in rt.reports() {
-        v.extend([
-            r.enqueued_at.as_nanos(),
-            r.complete_at.as_nanos(),
-            r.total_wgs,
-            r.gpu_executed_wgs,
-            r.cpu_executed_wgs,
-            r.cpu_merged_wgs,
-            r.subkernels,
-            r.hd_bytes,
-            r.dh_bytes,
-            r.cpu_version_used as u64,
-            u64::from(r.finished_by == Finisher::Cpu),
-        ]);
-        v.extend(r.peer_executed_wgs.iter().copied());
-        v.extend(
-            r.subkernel_log
-                .iter()
-                .flat_map(|(wgs, d)| [*wgs, d.as_nanos()]),
-        );
-        v.push(r.trace.len() as u64);
-        v.extend(r.trace.iter().map(|e| e.at.as_nanos()));
-    }
-    v
 }
 
 /// One `cell elapsed_ns hash` line per machine × config × benchmark.
@@ -111,7 +85,7 @@ fn fingerprint() -> String {
                     "{mname}/{cname}/{} {} {:016x}\n",
                     b.name,
                     fluidicl_vcl::ClDriver::elapsed(&rt).as_nanos(),
-                    fnv(&timings(&rt))
+                    fnv(&report_timings(&rt))
                 ));
             }
         }
