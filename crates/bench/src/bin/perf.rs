@@ -37,6 +37,7 @@ use std::time::Instant;
 
 use fluidicl::{Fluidicl, FluidiclConfig};
 use fluidicl_bench::experiments::{experiments, find, Experiment};
+use fluidicl_check::json_escape;
 use fluidicl_hetsim::MachineConfig;
 use fluidicl_polybench::data::gen_matrix;
 use fluidicl_polybench::syrk;
@@ -325,7 +326,8 @@ fn time_sweep(quick: bool) -> Section {
 
 /// Times the executor hot paths the coexec engine leans on.
 /// `execute_groups_seq` is SYRK at n = 256, so it times SYRK's group body
-/// (one call per work-group), not the per-item body.
+/// (one call over the whole launch's work-group range), not the per-item
+/// body.
 fn micro_hotspots() -> Vec<Section> {
     let n = 256;
     let program = syrk::program(n);
@@ -466,20 +468,31 @@ fn git_rev() -> String {
 }
 
 /// Hand-written JSON: one section object per line, so the file diffs
-/// cleanly and the `--check` parser can stay a line scanner.
+/// cleanly and the `--check` parser can stay a line scanner. Every string
+/// value goes through the shared escaper.
 fn render_json(sections: &[Section], quick: bool, jobs: usize) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str(&format!("  \"git_rev\": \"{}\",\n", git_rev()));
+    s.push_str(&format!(
+        "  \"git_rev\": \"{}\",\n",
+        json_escape(&git_rev())
+    ));
     s.push_str(&format!("  \"jobs\": {jobs},\n"));
     s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!("  \"runner\": \"{}\",\n", runner_key()));
+    s.push_str(&format!(
+        "  \"runner\": \"{}\",\n",
+        json_escape(&runner_key())
+    ));
     s.push_str("  \"sections\": [\n");
     for (i, sec) in sections.iter().enumerate() {
         let comma = if i + 1 < sections.len() { "," } else { "" };
         s.push_str(&format!(
             "    {{\"name\": \"{}\", \"iters\": {}, \"median_ns\": {}, \"p10_ns\": {}, \"p90_ns\": {}}}{comma}\n",
-            sec.name, sec.iters, sec.median_ns, sec.p10_ns, sec.p90_ns
+            json_escape(sec.name),
+            sec.iters,
+            sec.median_ns,
+            sec.p10_ns,
+            sec.p90_ns
         ));
     }
     s.push_str("  ]\n}\n");
@@ -716,6 +729,18 @@ mod tests {
         );
         let unrecorded = BASELINE.replace("  \"quick\": true,\n", "");
         assert!(compare_to_baseline(&run, true, &unrecorded, "linux-2cpu").is_err());
+    }
+
+    #[test]
+    fn rendered_strings_are_escaped() {
+        let json = render_json(&[section("odd\"name\\", 5)], true, 1);
+        assert!(
+            json.contains(r#"{"name": "odd\"name\\", "iters": 1"#),
+            "{json}"
+        );
+        let plain = render_json(&[section("diff_merge_1m", 5)], true, 1);
+        let line = plain.lines().find(|l| l.contains("median_ns")).unwrap();
+        assert_eq!(json_str(line, "name").as_deref(), Some("diff_merge_1m"));
     }
 
     #[test]

@@ -28,9 +28,13 @@
 //! * **`group-body-divergence`** — a kernel version's group body stores
 //!   different bits, or writes different elements, than its per-item body
 //!   in some work-group, or reads a different set of inputs. Both bodies
-//!   run shadowed under both sentinels. Every version with a group body is
-//!   checked, not only the launched one, because online profiling (paper
-//!   §6.6) may run any of them.
+//!   run shadowed, one group at a time, under both sentinels. The group
+//!   body then also runs over the whole launch in one call, and in two
+//!   calls split at an uneven group, and every output bit is compared with
+//!   the per-item run: a range body can be right on every single group and
+//!   still wrong across group boundaries. Every version with a group body
+//!   is checked, not only the launched one, because online profiling
+//!   (paper §6.6) may run any of them.
 //! * **`signature`** — the argument list does not match the declared
 //!   signature at all (scalar passed for a buffer, aliasing, wrong arity).
 //!
@@ -38,9 +42,10 @@
 //! [`Memory`]; the observable state is untouched.
 
 use fluidicl::LintDiagnostic;
+use fluidicl_vcl::exec::execute_groups;
 use fluidicl_vcl::{
     execute_groups_shadowed, execute_groups_shadowed_per_item, AccessRecord, ArgRole, ArgSpec,
-    ClResult, Launch, Memory,
+    BufferId, ClResult, Launch, Memory,
 };
 
 /// First sentinel for `Out`-buffer poisoning. Finite (not `NaN`, whose
@@ -72,11 +77,9 @@ pub fn sanitize_launch(launch: &Launch, mem: &Memory) -> Vec<LintDiagnostic> {
     let in_specs: Vec<&ArgSpec> = specs.iter().filter(|s| s.role == ArgRole::In).collect();
     let total = launch.ndrange.num_groups();
 
-    let run_body = |launch: &Launch,
-                    poison: f32,
-                    perturb: Option<usize>,
-                    per_item: bool|
-     -> ClResult<AccessRecord> {
+    // A clone of `mem` with every `Out` buffer poisoned and, optionally,
+    // one output buffer perturbed.
+    let prepared = |poison: f32, perturb: Option<usize>| -> ClResult<Memory> {
         let mut m = mem.clone();
         for (k, id) in out_ids.iter().enumerate() {
             if out_specs[k].role == ArgRole::Out {
@@ -88,13 +91,24 @@ pub fn sanitize_launch(launch: &Launch, mem: &Memory) -> Vec<LintDiagnostic> {
                 *v = *v * 1.5 + 0.25;
             }
         }
-        if per_item {
+        Ok(m)
+    };
+    let run_body = |launch: &Launch,
+                    poison: f32,
+                    perturb: Option<usize>,
+                    per_item: bool|
+     -> ClResult<(AccessRecord, Memory)> {
+        let mut m = prepared(poison, perturb)?;
+        let rec = if per_item {
             execute_groups_shadowed_per_item(launch, &mut m, 0, total)
         } else {
             execute_groups_shadowed(launch, &mut m, 0, total)
-        }
+        }?;
+        Ok((rec, m))
     };
-    let run = |poison: f32, perturb: Option<usize>| run_body(launch, poison, perturb, false);
+    let run = |poison: f32, perturb: Option<usize>| {
+        run_body(launch, poison, perturb, false).map(|(rec, _)| rec)
+    };
 
     let (rec_a, rec_b) = match (run(SENTINEL_A, None), run(SENTINEL_B, None)) {
         (Ok(a), Ok(b)) => (a, b),
@@ -192,7 +206,14 @@ pub fn sanitize_launch(launch: &Launch, mem: &Memory) -> Vec<LintDiagnostic> {
     }
 
     // group-body-divergence: each group body against its per-item oracle,
-    // under both sentinels.
+    // under both sentinels — group by group, then over the whole launch in
+    // one call and, with two or more groups, in two calls split at an odd
+    // group (so neither part is a power-of-two number of groups).
+    let split = (total / 3) | 1;
+    let mut range_runs = vec![vec![0, total]];
+    if split < total {
+        range_runs.push(vec![0, split, total]);
+    }
     for (v, version) in launch.kernel.versions().iter().enumerate() {
         if version.group_body.is_none() {
             continue;
@@ -200,12 +221,28 @@ pub fn sanitize_launch(launch: &Launch, mem: &Memory) -> Vec<LintDiagnostic> {
         let mut alt = launch.clone();
         alt.version = v;
         for poison in [SENTINEL_A, SENTINEL_B] {
-            let divergence = match (
-                run_body(&alt, poison, None, false),
-                run_body(&alt, poison, None, true),
-            ) {
-                (Ok(group), Ok(item)) => divergence(&group, &item, &out_specs, &in_specs),
-                (Err(e), _) | (_, Err(e)) => {
+            let divergence = (|| -> ClResult<Option<String>> {
+                let (by_group, _) = run_body(&alt, poison, None, false)?;
+                let (by_item, oracle) = run_body(&alt, poison, None, true)?;
+                if let Some(d) = divergence(&by_group, &by_item, &out_specs, &in_specs) {
+                    return Ok(Some(d));
+                }
+                for parts in &range_runs {
+                    let mut m = prepared(poison, None)?;
+                    for w in parts.windows(2) {
+                        execute_groups(&alt, &mut m, w[0], w[1])?;
+                    }
+                    if let Some(d) = range_divergence(&m, &oracle, &out_ids, &out_specs)? {
+                        return Ok(Some(format!(
+                            "run over work-groups {parts:?} with one call per part, {d}"
+                        )));
+                    }
+                }
+                Ok(None)
+            })();
+            let divergence = match divergence {
+                Ok(d) => d,
+                Err(e) => {
                     out.push(LintDiagnostic::error("execution", e.to_string()));
                     break;
                 }
@@ -281,4 +318,29 @@ fn divergence(
         }
     }
     None
+}
+
+/// The first output element a range run of the group body stored
+/// differently from the per-item run `oracle`.
+///
+/// # Errors
+///
+/// A missing output buffer.
+fn range_divergence(
+    got: &Memory,
+    oracle: &Memory,
+    out_ids: &[BufferId],
+    out_specs: &[&ArgSpec],
+) -> ClResult<Option<String>> {
+    for (id, spec) in out_ids.iter().zip(out_specs) {
+        let (a, b) = (got.get(*id)?, oracle.get(*id)?);
+        if let Some(i) = (0..a.len()).find(|&i| a[i].to_bits() != b[i].to_bits()) {
+            return Ok(Some(format!(
+                "element {i} of `{}` gets {:?} from the group body and {:?} from the \
+                 per-item body",
+                spec.name, a[i], b[i]
+            )));
+        }
+    }
+    Ok(None)
 }

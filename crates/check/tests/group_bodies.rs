@@ -1,11 +1,11 @@
 //! Seeded property test: every group body against its per-item body on
-//! random problem sizes, local sizes and work-group slices.
+//! random problem sizes, local sizes and work-group ranges.
 //!
 //! Each case starts from one memory — random inputs and `InOut` buffers,
-//! sentinel-poisoned `Out` buffers — runs group slice `[a, b)` once through
-//! each body, and compares every buffer bit for bit. Comparing whole
-//! buffers, not only the slice's elements, makes a write outside the
-//! slice show as well as a wrong or missing one.
+//! sentinel-poisoned `Out` buffers — runs group range `[a, b)` once through
+//! each body (the group body in one call), and compares every buffer bit
+//! for bit. Comparing whole buffers, not only the range's elements, makes
+//! a write outside the range show as well as a wrong or missing one.
 
 use fluidicl_check::SENTINEL_A;
 use fluidicl_des::SplitMix64;
@@ -19,7 +19,8 @@ use fluidicl_vcl::{
 /// Launch dimensions of each kernel that has a group body.
 fn dims(kernel: &str) -> usize {
     match kernel {
-        "atax_k2" | "bicg_s" | "mvt_x2" | "corr_corr" => 1,
+        "atax_k1" | "atax_k2" | "bicg_q" | "bicg_s" | "mvt_x1" | "mvt_x2" | "gesummv"
+        | "corr_corr" => 1,
         "gemm" | "mm2_tmp" | "mm2_d" | "batchmm_mul" | "syrk" | "syr2k" => 2,
         other => panic!("add the launch dimensions of `{other}` here"),
     }
@@ -104,7 +105,14 @@ fn group_bodies_match_their_per_item_bodies_on_random_slices() {
                 covered += 1;
                 for case in 0..40 {
                     let (nd, n) = if dims(name) == 1 {
-                        let l = rng.range_usize(1, 21);
+                        // Every other case has an odd local size, so some
+                        // ranges cover a row count that is not a multiple
+                        // of the interleaved rows of a row walk.
+                        let l = if case % 2 == 0 {
+                            2 * rng.range_usize(0, 10) + 1
+                        } else {
+                            rng.range_usize(1, 21)
+                        };
                         let n = l * rng.range_usize(1, 5);
                         (NdRange::d1(n, l).unwrap(), n)
                     } else {
@@ -127,7 +135,7 @@ fn group_bodies_match_their_per_item_bodies_on_random_slices() {
             }
         }
     }
-    assert_eq!(covered, 11, "every group body is exercised");
+    assert_eq!(covered, 15, "every group body is exercised");
 }
 
 /// CORR sizes where the last `j2` block of an item is shorter than the
@@ -148,4 +156,35 @@ fn corr_group_body_handles_short_j2_tails() {
             }
         }
     }
+}
+
+/// The matrix–vector bodies on ranges wider than one block of column
+/// accumulators (1024 columns), with odd and even local sizes, so block
+/// boundaries, tail blocks and row-walk tails all run.
+#[test]
+fn matrix_vector_bodies_handle_wide_ranges() {
+    let mut rng = SplitMix64::new(0x3A7E_B10C);
+    let kernels = [
+        "atax_k1", "atax_k2", "bicg_q", "bicg_s", "mvt_x1", "mvt_x2", "gesummv",
+    ];
+    let mut covered = 0;
+    for program in programs() {
+        for name in kernels {
+            let n = 1160;
+            let Ok(kernel) = program(n).kernel(name) else {
+                continue;
+            };
+            covered += 1;
+            for l in [8, 5] {
+                let nd = NdRange::d1(n, l).unwrap();
+                let (launch, mem) = setup(kernel.clone(), 0, nd, n, &mut rng);
+                let total = nd.num_groups();
+                for (a, b) in [(0, total), (1, total - 1), (total / 3, total)] {
+                    let label = format!("{name}: n={n}, l={l}, groups {a}..{b}");
+                    assert_bodies_agree(&launch, &mem, a, b, &label);
+                }
+            }
+        }
+    }
+    assert_eq!(covered, kernels.len());
 }

@@ -53,7 +53,7 @@ fn every_polybench_kernel_sanitizes_clean() {
 /// The group bodies the audit above covers: a kernel added with one is
 /// counted here, so dropping one (or its coverage) shows.
 #[test]
-fn the_suite_has_eleven_group_bodies() {
+fn the_suite_has_fifteen_group_bodies() {
     let mut with_group_body = Vec::new();
     for b in suite() {
         let program = (b.program)(sweep_size(b.name));
@@ -70,14 +70,18 @@ fn the_suite_has_eleven_group_bodies() {
     assert_eq!(
         with_group_body,
         [
+            "atax_k1/baseline",
             "atax_k2/baseline",
             "batchmm_mul/baseline",
+            "bicg_q/baseline",
             "bicg_s/baseline",
             "corr_corr/baseline",
             "corr_corr/loop-interchanged",
             "gemm/baseline",
+            "gesummv/baseline",
             "mm2_d/baseline",
             "mm2_tmp/baseline",
+            "mvt_x1/baseline",
             "mvt_x2/baseline",
             "syr2k/baseline",
             "syrk/baseline",

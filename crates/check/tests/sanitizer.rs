@@ -3,13 +3,14 @@
 //! departs from its per-item body must be flagged, and honest kernels must
 //! pass with zero diagnostics.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use fluidicl_check::{sanitize_launch, LintSeverity};
+use fluidicl_check::{sanitize_launch, LintSeverity, SENTINEL_A};
 use fluidicl_hetsim::KernelProfile;
 use fluidicl_vcl::{
-    ArgRole, ArgSpec, BufferId, Inputs, KernelArg, KernelDef, Launch, Memory, NdRange, Outputs,
-    Scalars,
+    execute_groups_shadowed, execute_groups_shadowed_per_item, ArgRole, ArgSpec, BufferId, Inputs,
+    KernelArg, KernelDef, Launch, Memory, NdRange, Outputs, Scalars,
 };
 
 fn mem_with(n: usize, bufs: &[(u64, f32)]) -> Memory {
@@ -319,10 +320,11 @@ fn sanitizer_leaves_caller_memory_untouched() {
 }
 
 /// Column sums over a 12×12 matrix, one work-item per column, in groups of
-/// six: the per-item body sums `a[i*n + j]` over `i` in order. `group`
+/// `local`: the per-item body sums `a[i*n + j]` over `i` in order. `group`
 /// is the group body under test.
 fn column_sum_launch(
-    group: impl Fn(&NdRange, [usize; 3], &Scalars, &Inputs<'_>, &mut Outputs<'_>)
+    local: usize,
+    group: impl Fn(&NdRange, Range<u64>, &Scalars, &Inputs<'_>, &mut Outputs<'_>)
         + Send
         + Sync
         + 'static,
@@ -358,7 +360,7 @@ fn column_sum_launch(
     mem.alloc(BufferId(1), N);
     let launch = Launch::new(
         Arc::new(k),
-        NdRange::d1(N, 6).unwrap(),
+        NdRange::d1(N, local).unwrap(),
         vec![
             KernelArg::Buffer(BufferId(0)),
             KernelArg::Buffer(BufferId(1)),
@@ -374,7 +376,7 @@ fn column_sum_launch(
 fn blocked_column_sums(
     a: &[f32],
     n: usize,
-    cols: std::ops::Range<usize>,
+    cols: Range<usize>,
     w: usize,
     keep_tail: bool,
     rev: bool,
@@ -402,19 +404,22 @@ fn blocked_column_sums(
 
 #[test]
 fn honest_group_body_is_clean() {
-    let (launch, mem) = column_sum_launch(|nd, group, scalars, ins, outs| {
-        let n = scalars.usize(0);
-        let cols = nd.group_items(group, 0);
-        blocked_column_sums(ins.get(0), n, cols, 4, true, false, outs.at(0));
-    });
-    assert_eq!(rules(&launch, &mem), vec![]);
+    // Two groups of six, and six groups of two (split unevenly at 3).
+    for local in [6, 2] {
+        let (launch, mem) = column_sum_launch(local, |nd, groups, scalars, ins, outs| {
+            let n = scalars.usize(0);
+            let cols = nd.range_items(groups);
+            blocked_column_sums(ins.get(0), n, cols, 4, true, false, outs.at(0));
+        });
+        assert_eq!(rules(&launch, &mem), vec![], "local size {local}");
+    }
 }
 
 #[test]
 fn group_body_summing_in_reverse_is_flagged() {
-    let (launch, mem) = column_sum_launch(|nd, group, scalars, ins, outs| {
+    let (launch, mem) = column_sum_launch(6, |nd, groups, scalars, ins, outs| {
         let n = scalars.usize(0);
-        let cols = nd.group_items(group, 0);
+        let cols = nd.range_items(groups);
         blocked_column_sums(ins.get(0), n, cols, 4, true, true, outs.at(0));
     });
     let r = rules(&launch, &mem);
@@ -426,9 +431,9 @@ fn group_body_summing_in_reverse_is_flagged() {
 
 #[test]
 fn group_body_writing_into_the_next_group_is_flagged() {
-    let (launch, mem) = column_sum_launch(|nd, group, scalars, ins, outs| {
+    let (launch, mem) = column_sum_launch(6, |nd, groups, scalars, ins, outs| {
         let n = scalars.usize(0);
-        let cols = nd.group_items(group, 0);
+        let cols = nd.range_items(groups);
         let next = cols.end;
         blocked_column_sums(ins.get(0), n, cols, 4, true, false, outs.at(0));
         if let Some(v) = outs.at(0).get_mut(next) {
@@ -445,9 +450,9 @@ fn group_body_writing_into_the_next_group_is_flagged() {
 #[test]
 fn group_body_dropping_its_tail_block_is_flagged() {
     // Six items per group in blocks of four: the two-item tail is lost.
-    let (launch, mem) = column_sum_launch(|nd, group, scalars, ins, outs| {
+    let (launch, mem) = column_sum_launch(6, |nd, groups, scalars, ins, outs| {
         let n = scalars.usize(0);
-        let cols = nd.group_items(group, 0);
+        let cols = nd.range_items(groups);
         blocked_column_sums(ins.get(0), n, cols, 4, false, false, outs.at(0));
     });
     let r = rules(&launch, &mem);
@@ -455,4 +460,81 @@ fn group_body_dropping_its_tail_block_is_flagged() {
         r.contains(&("group-body-divergence".to_string(), LintSeverity::Error)),
         "{r:?}"
     );
+}
+
+/// The group body under `launch` records the same per-group writes as the
+/// per-item body when run one group at a time, from poisoned outputs.
+fn per_group_records_agree(launch: &Launch, mem: &Memory) -> bool {
+    let total = launch.ndrange.num_groups();
+    let run = |per_item: bool| {
+        let mut m = mem.clone();
+        m.get_mut(BufferId(1)).unwrap().fill(SENTINEL_A);
+        let rec = if per_item {
+            execute_groups_shadowed_per_item(launch, &mut m, 0, total)
+        } else {
+            execute_groups_shadowed(launch, &mut m, 0, total)
+        };
+        rec.unwrap().groups
+    };
+    run(false) == run(true)
+}
+
+/// Diagnostics of `rule`, by message.
+fn messages(launch: &Launch, mem: &Memory, rule: &str) -> Vec<String> {
+    sanitize_launch(launch, mem)
+        .into_iter()
+        .filter(|d| d.rule == rule)
+        .map(|d| d.message)
+        .collect()
+}
+
+#[test]
+fn range_body_computing_only_its_first_group_is_flagged() {
+    // Exact on every single-group range, so the per-group shadow check
+    // passes; the run over the whole launch leaves group 1 unwritten.
+    let (launch, mem) = column_sum_launch(6, |nd, groups, scalars, ins, outs| {
+        let n = scalars.usize(0);
+        let first = groups.start..(groups.start + 1).min(groups.end);
+        blocked_column_sums(
+            ins.get(0),
+            n,
+            nd.range_items(first),
+            4,
+            true,
+            false,
+            outs.at(0),
+        );
+    });
+    assert!(per_group_records_agree(&launch, &mem));
+    let found = messages(&launch, &mem, "group-body-divergence");
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].contains("work-groups [0, 2]"), "{found:?}");
+}
+
+#[test]
+fn range_body_assuming_it_starts_at_group_zero_is_flagged() {
+    // Right on single groups and on ranges that start at group 0: only the
+    // second part of the uneven split (groups 3..6) computes the wrong
+    // columns.
+    let (launch, mem) = column_sum_launch(2, |nd, groups, scalars, ins, outs| {
+        let n = scalars.usize(0);
+        let groups = if groups.end - groups.start > 1 {
+            0..groups.end - groups.start
+        } else {
+            groups
+        };
+        blocked_column_sums(
+            ins.get(0),
+            n,
+            nd.range_items(groups),
+            4,
+            true,
+            false,
+            outs.at(0),
+        );
+    });
+    assert!(per_group_records_agree(&launch, &mem));
+    let found = messages(&launch, &mem, "group-body-divergence");
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].contains("work-groups [0, 3, 6]"), "{found:?}");
 }

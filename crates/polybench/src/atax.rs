@@ -10,7 +10,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::{gen_matrix, gen_vector};
-use crate::group::column_dots;
+use crate::group::{column_dots, row_dots};
 
 /// Default (scaled) problem size: the paper uses 8672²; we scale down so
 /// functional execution stays fast while the cost models keep the paper's
@@ -46,30 +46,45 @@ fn profile_k2(n: usize) -> KernelProfile {
 /// Builds the ATAX program for problem size `n`.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
-    p.register(KernelDef::new(
-        "atax_k1",
-        vec![
-            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
-                dim: 0,
-                width_scalar: 0,
-            }),
-            ArgSpec::new("x", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-            ArgSpec::new("tmp", ArgRole::Out).with_access(AccessPattern::Element),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile_k1(n),
-        |item, scalars, ins, outs| {
-            let n = scalars.usize(0);
-            let i = item.global[0];
-            let a = ins.get(0);
-            let x = ins.get(1);
-            let mut acc = 0.0f32;
-            for j in 0..n {
-                acc += a[i * n + j] * x[j];
-            }
-            outs.at(0)[i] = acc;
-        },
-    ));
+    p.register(
+        KernelDef::new(
+            "atax_k1",
+            vec![
+                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
+                    dim: 0,
+                    width_scalar: 0,
+                }),
+                ArgSpec::new("x", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+                ArgSpec::new("tmp", ArgRole::Out).with_access(AccessPattern::Element),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile_k1(n),
+            |item, scalars, ins, outs| {
+                let n = scalars.usize(0);
+                let i = item.global[0];
+                let a = ins.get(0);
+                let x = ins.get(1);
+                let mut acc = 0.0f32;
+                for j in 0..n {
+                    acc += a[i * n + j] * x[j];
+                }
+                outs.at(0)[i] = acc;
+            },
+        )
+        .with_group_body(|nd, groups, scalars, ins, outs| {
+            let tmp = outs.at(0);
+            let rows = nd.range_items(groups);
+            row_dots::<1, 8>(
+                [ins.get(0)],
+                ins.get(1),
+                scalars.usize(0),
+                rows,
+                |i, [acc]| {
+                    tmp[i] = acc;
+                },
+            );
+        }),
+    );
     p.register(
         KernelDef::new(
             "atax_k2",
@@ -95,10 +110,10 @@ pub fn program(n: usize) -> Program {
                 outs.at(0)[j] = acc;
             },
         )
-        .with_group_body(|nd, group, scalars, ins, outs| {
+        .with_group_body(|nd, groups, scalars, ins, outs| {
             let y = outs.at(0);
-            let cols = nd.group_items(group, 0);
-            column_dots::<WG>(ins.get(0), ins.get(1), scalars.usize(0), cols, |j, acc| {
+            let cols = nd.range_items(groups);
+            column_dots(ins.get(0), ins.get(1), scalars.usize(0), cols, |j, acc| {
                 y[j] = acc;
             });
         }),

@@ -81,13 +81,15 @@ pub fn program(n: usize) -> Program {
                 outs.at(0)[i * n + j] = acc;
             },
         )
-        .with_group_body(|nd, group, scalars, ins, outs| {
+        .with_group_body(|nd, groups, scalars, ins, outs| {
             let n = scalars.usize(0);
             let e = outs.at(0);
-            let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
-            matmul::<WG>(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
-                e[i * n + j] = acc;
-            });
+            for group in nd.groups_in(groups) {
+                let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
+                matmul::<WG>(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
+                    e[i * n + j] = acc;
+                });
+            }
         }),
     );
     p.register(KernelDef::new(

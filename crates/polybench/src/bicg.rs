@@ -12,7 +12,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::{gen_matrix, gen_vector};
-use crate::group::column_dots;
+use crate::group::{column_dots, row_dots};
 
 /// Default (scaled) problem size (paper: 4576²).
 pub const DEFAULT_N: usize = 4096;
@@ -47,30 +47,45 @@ fn profile_s(n: usize) -> KernelProfile {
 /// Builds the BICG program for problem size `n`.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
-    p.register(KernelDef::new(
-        "bicg_q",
-        vec![
-            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
-                dim: 0,
-                width_scalar: 0,
-            }),
-            ArgSpec::new("p", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-            ArgSpec::new("q", ArgRole::Out).with_access(AccessPattern::Element),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile_q(n),
-        |item, scalars, ins, outs| {
-            let n = scalars.usize(0);
-            let i = item.global[0];
-            let a = ins.get(0);
-            let p = ins.get(1);
-            let mut acc = 0.0f32;
-            for j in 0..n {
-                acc += a[i * n + j] * p[j];
-            }
-            outs.at(0)[i] = acc;
-        },
-    ));
+    p.register(
+        KernelDef::new(
+            "bicg_q",
+            vec![
+                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
+                    dim: 0,
+                    width_scalar: 0,
+                }),
+                ArgSpec::new("p", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+                ArgSpec::new("q", ArgRole::Out).with_access(AccessPattern::Element),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile_q(n),
+            |item, scalars, ins, outs| {
+                let n = scalars.usize(0);
+                let i = item.global[0];
+                let a = ins.get(0);
+                let p = ins.get(1);
+                let mut acc = 0.0f32;
+                for j in 0..n {
+                    acc += a[i * n + j] * p[j];
+                }
+                outs.at(0)[i] = acc;
+            },
+        )
+        .with_group_body(|nd, groups, scalars, ins, outs| {
+            let q = outs.at(0);
+            let rows = nd.range_items(groups);
+            row_dots::<1, 8>(
+                [ins.get(0)],
+                ins.get(1),
+                scalars.usize(0),
+                rows,
+                |i, [acc]| {
+                    q[i] = acc;
+                },
+            );
+        }),
+    );
     p.register(
         KernelDef::new(
             "bicg_s",
@@ -96,10 +111,10 @@ pub fn program(n: usize) -> Program {
                 outs.at(0)[j] = acc;
             },
         )
-        .with_group_body(|nd, group, scalars, ins, outs| {
+        .with_group_body(|nd, groups, scalars, ins, outs| {
             let s = outs.at(0);
-            let cols = nd.group_items(group, 0);
-            column_dots::<WG>(ins.get(0), ins.get(1), scalars.usize(0), cols, |j, acc| {
+            let cols = nd.range_items(groups);
+            column_dots(ins.get(0), ins.get(1), scalars.usize(0), cols, |j, acc| {
                 s[j] = acc;
             });
         }),

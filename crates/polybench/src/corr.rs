@@ -7,6 +7,8 @@
 //! loop-interchanged alternative makes the CPU competitive, and FluidiCL's
 //! online profiling (§6.6) finds it without user intervention.
 
+use std::ops::Range;
+
 use fluidicl_hetsim::KernelProfile;
 use fluidicl_vcl::{
     AccessPattern, ArgRole, ArgSpec, ClDriver, ClResult, KernelArg, KernelDef, NdRange, Program,
@@ -114,13 +116,13 @@ fn corr_body(
 /// Accumulators per `j2` block of the group body.
 const CORR_BLOCK: usize = 8;
 
-/// Group body of both `corr_corr` versions: per item `j1`, blocks of
-/// [`CORR_BLOCK`] `j2` sums with `k` outer, so each step reads a row
-/// segment of `data` instead of two column elements. Each pair still sums
+/// Group body of both `corr_corr` versions: per item `j1` of the range,
+/// blocks of [`CORR_BLOCK`] `j2` sums with `k` outer, so each step reads a
+/// row segment of `data` instead of two column elements. Each pair still sums
 /// over `k` in order, so the stored bits match `corr_body`.
 fn corr_group(
     nd: &NdRange,
-    group: [usize; 3],
+    groups: Range<u64>,
     scalars: &Scalars,
     ins: &fluidicl_vcl::Inputs<'_>,
     outs: &mut fluidicl_vcl::Outputs<'_>,
@@ -128,7 +130,7 @@ fn corr_group(
     let n = scalars.usize(0);
     let data = ins.get(0);
     let symmat = outs.at(0);
-    for j1 in nd.group_items(group, 0) {
+    for j1 in nd.range_items(groups) {
         symmat[j1 * n + j1] = 1.0;
         for blk in blocks::<CORR_BLOCK>(j1 + 1..n) {
             let mut acc = [0.0f32; CORR_BLOCK];

@@ -11,6 +11,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::{gen_matrix, gen_vector};
+use crate::group::row_dots;
 
 /// Default (scaled) problem size (paper: 4096 rows).
 pub const DEFAULT_N: usize = 2048;
@@ -35,41 +36,59 @@ fn profile(n: usize) -> KernelProfile {
 /// Builds the GESUMMV program for problem size `n`.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
-    p.register(KernelDef::new(
-        "gesummv",
-        vec![
-            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
-                dim: 0,
-                width_scalar: 2,
-            }),
-            ArgSpec::new("b", ArgRole::In).with_access(AccessPattern::Row {
-                dim: 0,
-                width_scalar: 2,
-            }),
-            ArgSpec::new("x", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-            ArgSpec::new("y", ArgRole::Out).with_access(AccessPattern::Element),
-            ArgSpec::new("alpha", ArgRole::Scalar),
-            ArgSpec::new("beta", ArgRole::Scalar),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile(n),
-        |item, scalars, ins, outs| {
+    p.register(
+        KernelDef::new(
+            "gesummv",
+            vec![
+                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
+                    dim: 0,
+                    width_scalar: 2,
+                }),
+                ArgSpec::new("b", ArgRole::In).with_access(AccessPattern::Row {
+                    dim: 0,
+                    width_scalar: 2,
+                }),
+                ArgSpec::new("x", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+                ArgSpec::new("y", ArgRole::Out).with_access(AccessPattern::Element),
+                ArgSpec::new("alpha", ArgRole::Scalar),
+                ArgSpec::new("beta", ArgRole::Scalar),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile(n),
+            |item, scalars, ins, outs| {
+                let alpha = scalars.f32(0);
+                let beta = scalars.f32(1);
+                let n = scalars.usize(2);
+                let i = item.global[0];
+                let a = ins.get(0);
+                let b = ins.get(1);
+                let x = ins.get(2);
+                let mut acc_a = 0.0f32;
+                let mut acc_b = 0.0f32;
+                for j in 0..n {
+                    acc_a += a[i * n + j] * x[j];
+                    acc_b += b[i * n + j] * x[j];
+                }
+                outs.at(0)[i] = alpha * acc_a + beta * acc_b;
+            },
+        )
+        .with_group_body(|nd, groups, scalars, ins, outs| {
             let alpha = scalars.f32(0);
             let beta = scalars.f32(1);
-            let n = scalars.usize(2);
-            let i = item.global[0];
-            let a = ins.get(0);
-            let b = ins.get(1);
-            let x = ins.get(2);
-            let mut acc_a = 0.0f32;
-            let mut acc_b = 0.0f32;
-            for j in 0..n {
-                acc_a += a[i * n + j] * x[j];
-                acc_b += b[i * n + j] * x[j];
-            }
-            outs.at(0)[i] = alpha * acc_a + beta * acc_b;
-        },
-    ));
+            let y = outs.at(0);
+            let rows = nd.range_items(groups);
+            let mats = [ins.get(0), ins.get(1)];
+            row_dots::<2, 4>(
+                mats,
+                ins.get(2),
+                scalars.usize(2),
+                rows,
+                |i, [acc_a, acc_b]| {
+                    y[i] = alpha * acc_a + beta * acc_b;
+                },
+            );
+        }),
+    );
     p
 }
 

@@ -1,15 +1,18 @@
-//! Shared loops of the group bodies: whole-work-group versions of the
-//! kernels whose per-item bodies stride through a matrix.
+//! Shared loops of the group bodies: work-group range versions of the
+//! kernels whose per-item bodies stride through a matrix or run one long
+//! dependent sum.
 //!
 //! A per-item body computes one output element with one running sum. When
 //! that sum walks down a matrix column (`a[i*n + j]` over `i`), every load
 //! is a cache miss at benchmark sizes. A group body keeps one accumulator
-//! per output element of the group, on the stack in blocks of at most `W`
-//! columns (full blocks plus one tail, for any local size; callers pass
-//! their kernel's work-group width), and moves the reduction index to the
-//! outer loop, so the inner loop reads a contiguous row segment. Every
-//! element still adds its terms in the per-item order with the same
-//! operands, so the stored bits are identical.
+//! per output element of its range, on the stack in blocks of at most `W`
+//! columns (full blocks plus one tail, for any local size), and moves the
+//! reduction index to the outer loop, so the inner loop reads a contiguous
+//! row segment. When the sum walks along a row instead, it already streams,
+//! but each add waits on the one before; a group body then interleaves
+//! several rows so their sums overlap. Either way every element still adds
+//! its terms in the per-item order with the same operands, so the stored
+//! bits are identical.
 
 use std::ops::Range;
 
@@ -42,22 +45,80 @@ pub(crate) fn accumulate<const W: usize>(
     }
 }
 
+/// Accumulators per block of [`column_dots`] (4 KB on the stack): each
+/// step then streams a page-long segment of a matrix row, which the
+/// hardware prefetcher follows; narrower blocks measured slower.
+const COL_BLOCK: usize = 1024;
+
 /// For every column `j` in `cols`, `Σ_{i<n} a[i*n + j] * v[i]` summed in
-/// `i` order, handed to `emit(j, sum)`.
-pub(crate) fn column_dots<const W: usize>(
+/// `i` order, handed to `emit(j, sum)`. Four rows go through each block in
+/// one pass, so every accumulator is loaded and stored once per four terms
+/// (added in the same order).
+pub(crate) fn column_dots(
     a: &[f32],
     v: &[f32],
     n: usize,
     cols: Range<usize>,
     mut emit: impl FnMut(usize, f32),
 ) {
-    for blk in blocks::<W>(cols) {
-        let mut acc = [0.0f32; W];
-        for (i, &vi) in v[..n].iter().enumerate() {
-            accumulate(&mut acc, &a[i * n + blk.start..i * n + blk.end], |x| x * vi);
+    let quads = v[..n].chunks_exact(4);
+    let rest = quads.remainder();
+    for blk in blocks::<COL_BLOCK>(cols) {
+        let mut acc = [0.0f32; COL_BLOCK];
+        let acc = &mut acc[..blk.len()];
+        let seg = |i: usize| &a[i * n + blk.start..i * n + blk.end];
+        for (i, vq) in (0..).step_by(4).zip(quads.clone()) {
+            let (v0, v1, v2, v3) = (vq[0], vq[1], vq[2], vq[3]);
+            let rows = acc
+                .iter_mut()
+                .zip(seg(i))
+                .zip(seg(i + 1))
+                .zip(seg(i + 2))
+                .zip(seg(i + 3));
+            for ((((s, &x0), &x1), &x2), &x3) in rows {
+                *s = *s + x0 * v0 + x1 * v1 + x2 * v2 + x3 * v3;
+            }
+        }
+        for (i, &vi) in (n - rest.len()..).zip(rest) {
+            for (s, &x) in acc.iter_mut().zip(seg(i)) {
+                *s += x * vi;
+            }
         }
         for (j, &s) in blk.zip(acc.iter()) {
             emit(j, s);
+        }
+    }
+}
+
+/// For every row `i` in `rows`, the `M` dot products
+/// `Σ_{k<n} m[i*n + k] * x[k]` of the matrices `m` in `mats`, each summed
+/// in `k` order, handed to `emit(i, sums)`. `R` rows go together, so
+/// their `R·M` sums are independent add chains that overlap in the FPU
+/// where one per-item sum waits on each add; lanes past a tail block's end
+/// recompute its last row and are dropped.
+pub(crate) fn row_dots<const M: usize, const R: usize>(
+    mats: [&[f32]; M],
+    x: &[f32],
+    n: usize,
+    rows: Range<usize>,
+    mut emit: impl FnMut(usize, [f32; M]),
+) {
+    let x = &x[..n];
+    for blk in blocks::<R>(rows) {
+        let row: [[&[f32]; M]; R] = std::array::from_fn(|t| {
+            let r = (blk.start + t).min(blk.end - 1);
+            mats.map(|m| &m[r * n..][..n])
+        });
+        let mut acc = [[0.0f32; M]; R];
+        for (k, &xk) in x.iter().enumerate() {
+            for (s, row) in acc.iter_mut().zip(&row) {
+                for (s, m) in s.iter_mut().zip(row) {
+                    *s += m[k] * xk;
+                }
+            }
+        }
+        for (i, &s) in blk.zip(acc.iter()) {
+            emit(i, s);
         }
     }
 }

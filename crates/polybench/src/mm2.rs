@@ -67,14 +67,16 @@ pub fn program(n: usize) -> Program {
                 outs.at(0)[i * n + j] = alpha * acc;
             },
         )
-        .with_group_body(|nd, group, scalars, ins, outs| {
+        .with_group_body(|nd, groups, scalars, ins, outs| {
             let alpha = scalars.f32(0);
             let n = scalars.usize(1);
             let tmp = outs.at(0);
-            let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
-            matmul::<WG>(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
-                tmp[i * n + j] = alpha * acc;
-            });
+            for group in nd.groups_in(groups) {
+                let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
+                matmul::<WG>(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
+                    tmp[i * n + j] = alpha * acc;
+                });
+            }
         }),
     );
     p.register(
@@ -109,14 +111,16 @@ pub fn program(n: usize) -> Program {
                 d[i * n + j] = beta * d[i * n + j] + acc;
             },
         )
-        .with_group_body(|nd, group, scalars, ins, outs| {
+        .with_group_body(|nd, groups, scalars, ins, outs| {
             let beta = scalars.f32(0);
             let n = scalars.usize(1);
             let d = outs.at(0);
-            let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
-            matmul::<WG>(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
-                d[i * n + j] = beta * d[i * n + j] + acc;
-            });
+            for group in nd.groups_in(groups) {
+                let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
+                matmul::<WG>(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
+                    d[i * n + j] = beta * d[i * n + j] + acc;
+                });
+            }
         }),
     );
     p

@@ -12,7 +12,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::{gen_matrix, gen_vector};
-use crate::group::column_dots;
+use crate::group::{column_dots, row_dots};
 
 /// Default (scaled) problem size.
 pub const DEFAULT_N: usize = 4096;
@@ -45,30 +45,45 @@ fn profile_x2(n: usize) -> KernelProfile {
 /// Builds the MVT program for problem size `n`.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
-    p.register(KernelDef::new(
-        "mvt_x1",
-        vec![
-            ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
-                dim: 0,
-                width_scalar: 0,
-            }),
-            ArgSpec::new("y1", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-            ArgSpec::new("x1", ArgRole::InOut).with_access(AccessPattern::Element),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile_x1(n),
-        |item, scalars, ins, outs| {
-            let n = scalars.usize(0);
-            let i = item.global[0];
-            let a = ins.get(0);
-            let y1 = ins.get(1);
-            let mut acc = 0.0f32;
-            for j in 0..n {
-                acc += a[i * n + j] * y1[j];
-            }
-            outs.at(0)[i] += acc;
-        },
-    ));
+    p.register(
+        KernelDef::new(
+            "mvt_x1",
+            vec![
+                ArgSpec::new("a", ArgRole::In).with_access(AccessPattern::Row {
+                    dim: 0,
+                    width_scalar: 0,
+                }),
+                ArgSpec::new("y1", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+                ArgSpec::new("x1", ArgRole::InOut).with_access(AccessPattern::Element),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile_x1(n),
+            |item, scalars, ins, outs| {
+                let n = scalars.usize(0);
+                let i = item.global[0];
+                let a = ins.get(0);
+                let y1 = ins.get(1);
+                let mut acc = 0.0f32;
+                for j in 0..n {
+                    acc += a[i * n + j] * y1[j];
+                }
+                outs.at(0)[i] += acc;
+            },
+        )
+        .with_group_body(|nd, groups, scalars, ins, outs| {
+            let x1 = outs.at(0);
+            let rows = nd.range_items(groups);
+            row_dots::<1, 8>(
+                [ins.get(0)],
+                ins.get(1),
+                scalars.usize(0),
+                rows,
+                |i, [acc]| {
+                    x1[i] += acc;
+                },
+            );
+        }),
+    );
     p.register(
         KernelDef::new(
             "mvt_x2",
@@ -94,10 +109,10 @@ pub fn program(n: usize) -> Program {
                 outs.at(0)[i] += acc;
             },
         )
-        .with_group_body(|nd, group, scalars, ins, outs| {
+        .with_group_body(|nd, groups, scalars, ins, outs| {
             let x2 = outs.at(0);
-            let cols = nd.group_items(group, 0);
-            column_dots::<WG>(ins.get(0), ins.get(1), scalars.usize(0), cols, |i, acc| {
+            let cols = nd.range_items(groups);
+            column_dots(ins.get(0), ins.get(1), scalars.usize(0), cols, |i, acc| {
                 x2[i] += acc;
             });
         }),

@@ -69,20 +69,22 @@ pub fn program(n: usize) -> Program {
                 c[i * n + j] = beta * c[i * n + j] + alpha * acc;
             },
         )
-        .with_group_body(|nd, group, scalars, ins, outs| {
+        .with_group_body(|nd, groups, scalars, ins, outs| {
             let alpha = scalars.f32(0);
             let beta = scalars.f32(1);
             let n = scalars.usize(2);
             let c = outs.at(0);
-            let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
-            row_pair_sums::<2, WG>(
-                [ins.get(0), ins.get(1)],
-                n,
-                rows,
-                cols,
-                |[aik, bik], [ajk, bjk]| aik * bjk + bik * ajk,
-                |i, j, acc| c[i * n + j] = beta * c[i * n + j] + alpha * acc,
-            );
+            for group in nd.groups_in(groups) {
+                let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
+                row_pair_sums::<2, WG>(
+                    [ins.get(0), ins.get(1)],
+                    n,
+                    rows,
+                    cols,
+                    |[aik, bik], [ajk, bjk]| aik * bjk + bik * ajk,
+                    |i, j, acc| c[i * n + j] = beta * c[i * n + j] + alpha * acc,
+                );
+            }
         }),
     );
     p

@@ -2,8 +2,9 @@
 //!
 //! [`execute_groups_shadowed`] runs a launch exactly like
 //! [`execute_groups`](crate::exec::execute_groups) but one work-group at a
-//! time, diffing every output buffer against a pre-group snapshot. The result
-//! is, per work-group, the exact set of elements it wrote (index → bit
+//! time (a group body sees single-group ranges `[g, g + 1)`), diffing
+//! every output buffer against a pre-group snapshot. The result is, per
+//! work-group, the exact set of elements it wrote (index → bit
 //! pattern) plus, per `In` argument, whether the kernel body ever read it.
 //! `fluidicl-check` compares these records across sentinel-poisoned runs to
 //! detect `ArgRole` misdeclarations and cross-work-group write conflicts.
@@ -103,7 +104,13 @@ fn shadowed(
         let mut shadow = ShadowMemory::capture(&outs);
         let mut groups = Vec::with_capacity((to - from) as usize);
         for flat in from..to {
-            body.run(&launch.ndrange, flat, &plan.scalars, &ins, &mut outs);
+            body.run(
+                &launch.ndrange,
+                flat..flat + 1,
+                &plan.scalars,
+                &ins,
+                &mut outs,
+            );
             groups.push((flat, shadow.diff_and_advance(&outs)));
         }
         Ok(AccessRecord {

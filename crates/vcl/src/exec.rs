@@ -7,6 +7,7 @@
 //! benchmark validation against sequential references — the timing models
 //! only decide *when* things happen, never *what* is computed.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use crate::kernel::{GroupBody, Inputs, KernelBody, KernelDef, KernelVersion, Outputs, Scalars};
@@ -110,8 +111,9 @@ impl Launch {
 
 /// Executes flattened work-groups `[from, to)` of `launch` against `mem`.
 ///
-/// Each group runs through the version's group body when it has one, and
-/// through the per-item body otherwise; both store the same bits.
+/// The version's group body, when it has one, runs once over the whole
+/// range; otherwise the per-item body runs once per work-item. Both store
+/// the same bits.
 ///
 /// # Errors
 ///
@@ -152,9 +154,7 @@ fn execute(launch: &Launch, mem: &mut Memory, from: u64, to: u64, per_item: bool
         }
         let ins = Inputs::new(in_slices);
         let mut outs = Outputs::new(out_slices(&mut taken));
-        for flat in from..to {
-            body.run(&launch.ndrange, flat, &plan.scalars, &ins, &mut outs);
-        }
+        body.run(&launch.ndrange, from..to, &plan.scalars, &ins, &mut outs);
         Ok(())
     })();
     restore_outputs(mem, taken);
@@ -172,12 +172,12 @@ pub(crate) fn check_range(launch: &Launch, from: u64, to: u64) -> ClResult<()> {
     Ok(())
 }
 
-/// The function that computes one work-group of a launch.
+/// The function that computes a range of work-groups of a launch.
 #[derive(Clone, Copy)]
 pub(crate) enum Body<'a> {
-    /// The version's group body, called once per group.
+    /// The version's group body, called once per range.
     Group(&'a GroupBody),
-    /// The per-item body, called once per work-item of the group.
+    /// The per-item body, called once per work-item of the range.
     Item(&'a KernelBody),
 }
 
@@ -190,21 +190,22 @@ impl<'a> Body<'a> {
         }
     }
 
-    /// Computes flattened work-group `flat` of `nd`.
+    /// Computes flattened work-groups `groups` of `nd`.
     pub(crate) fn run(
         self,
         nd: &NdRange,
-        flat: u64,
+        groups: Range<u64>,
         scalars: &Scalars,
         ins: &Inputs<'_>,
         outs: &mut Outputs<'_>,
     ) {
-        let group = nd.unflatten_group(flat);
         match self {
-            Body::Group(body) => body(nd, group, scalars, ins, outs),
-            Body::Item(body) => for_each_item_in_group(nd, group, |item| {
-                body(item, scalars, ins, outs);
-            }),
+            Body::Group(body) => body(nd, groups, scalars, ins, outs),
+            Body::Item(body) => {
+                for group in nd.groups_in(groups) {
+                    for_each_item_in_group(nd, group, |item| body(item, scalars, ins, outs));
+                }
+            }
         }
     }
 }
@@ -435,9 +436,13 @@ mod tests {
     }
 
     #[test]
-    fn group_body_runs_once_per_group_and_per_item_is_the_oracle() {
-        // The group body stores the group id + 100 so the two paths are
-        // told apart; a real group body must match the per-item body.
+    fn range_body_runs_once_per_call_over_exactly_its_range() {
+        use std::sync::Mutex;
+        // The group body logs its ranges and stores the group id + 100, so
+        // the two paths are told apart; a real group body must match the
+        // per-item body.
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&calls);
         let k = Arc::new(
             KernelDef::new(
                 "ids",
@@ -445,28 +450,51 @@ mod tests {
                 KernelProfile::new("ids"),
                 |item, _, _, outs| outs.at(0)[item.global_linear()] = item.group[0] as f32,
             )
-            .with_group_body(|nd, group, _, _, outs| {
-                let l = nd.local()[0];
-                for v in &mut outs.at(0)[group[0] * l..(group[0] + 1) * l] {
-                    *v = group[0] as f32 + 100.0;
+            .with_group_body(move |nd, groups, _, _, outs| {
+                log.lock()
+                    .expect("no panic while logging")
+                    .push(groups.clone());
+                for g in groups.clone() {
+                    for v in &mut outs.at(0)[nd.range_items(g..g + 1)] {
+                        *v = g as f32 + 100.0;
+                    }
                 }
             }),
         );
         let launch = Launch::new(
             k,
-            NdRange::d1(8, 4).unwrap(),
+            NdRange::d1(16, 2).unwrap(),
             vec![KernelArg::Buffer(BufferId(0))],
         );
         let mut mem = Memory::new();
-        mem.alloc(BufferId(0), 8);
-        execute_groups(&launch, &mut mem, 1, 2).unwrap();
-        execute_groups_per_item(&launch, &mut mem, 0, 1).unwrap();
+        mem.alloc(BufferId(0), 16);
+        execute_groups(&launch, &mut mem, 1, 4).unwrap();
+        execute_groups(&launch, &mut mem, 4, 7).unwrap();
+        assert_eq!(*calls.lock().unwrap(), vec![1..4, 4..7]);
+
+        // The shadowed run hands the body one group at a time and records
+        // one entry per group.
+        calls.lock().unwrap().clear();
+        let rec = crate::access::execute_groups_shadowed(&launch, &mut mem, 2, 5).unwrap();
+        assert_eq!(*calls.lock().unwrap(), vec![2..3, 3..4, 4..5]);
         assert_eq!(
-            mem.get(BufferId(0)).unwrap(),
-            &[0.0, 0.0, 0.0, 0.0, 101.0, 101.0, 101.0, 101.0]
+            rec.groups.iter().map(|(g, _)| *g).collect::<Vec<_>>(),
+            vec![2, 3, 4]
         );
+
+        // The per-item path never calls the group body.
+        calls.lock().unwrap().clear();
+        execute_groups_per_item(&launch, &mut mem, 0, 1).unwrap();
+        assert!(calls.lock().unwrap().is_empty());
+        let out = mem.get(BufferId(0)).unwrap();
+        assert_eq!(out[..2], [0.0, 0.0]);
+        assert_eq!(
+            out[2..14],
+            [101., 101., 102., 102., 103., 103., 104., 104., 105., 105., 106., 106.]
+        );
+        assert_eq!(out[14..], [0.0, 0.0]);
         assert!(matches!(
-            execute_groups_per_item(&launch, &mut mem, 0, 3),
+            execute_groups_per_item(&launch, &mut mem, 0, 9),
             Err(ClError::InvalidNdRange(_))
         ));
     }

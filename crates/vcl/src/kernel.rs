@@ -2,19 +2,21 @@
 //!
 //! A kernel in this runtime is a per-work-item Rust closure (the OpenCL
 //! kernel function), optionally paired with a *group body* that computes a
-//! whole work-group at once, plus a [`KernelProfile`] describing its cost
-//! and an argument signature separating input buffers, output buffers and
-//! scalars. The per-item body defines the kernel's semantics; a group body
-//! is a host-side speed-up that must store bit-identical values to exactly
-//! the same elements (the sanitizer's `group-body-divergence` rule checks
-//! this), so the executor may run either. The signature is
-//! what FluidiCL's "simple compiler analysis at the whole variable level"
-//! (paper §4.1) provides in the original system: it tells the runtime which
-//! buffers a kernel modifies (`out`/`inout`) and therefore which buffers
-//! need extra copies, merging and device-to-host transfers.
+//! whole range of work-groups at once, plus a [`KernelProfile`] describing
+//! its cost and an argument signature separating input buffers, output
+//! buffers and scalars. The per-item body defines the kernel's semantics;
+//! a group body is a host-side speed-up that must store bit-identical
+//! values to exactly the same elements (the sanitizer's
+//! `group-body-divergence` rule checks this), so the executor may run
+//! either. The signature is what FluidiCL's "simple compiler analysis at
+//! the whole variable level" (paper §4.1) provides in the original system:
+//! it tells the runtime which buffers a kernel modifies (`out`/`inout`)
+//! and therefore which buffers need extra copies, merging and
+//! device-to-host transfers.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use fluidicl_hetsim::KernelProfile;
@@ -294,15 +296,16 @@ impl<'a> Outputs<'a> {
 /// Per-work-item kernel function.
 pub type KernelBody = dyn Fn(&WorkItem, &Scalars, &Inputs<'_>, &mut Outputs<'_>) + Send + Sync;
 
-/// Whole-work-group kernel function: computes every work-item of the
-/// group at the given group coordinates.
+/// Work-group range kernel function: computes every work-item of the
+/// flattened work-groups `groups` (a contiguous, possibly empty, sub-range
+/// of the launch — one wave or subkernel).
 ///
-/// It must write exactly the elements the per-item body writes for that
-/// group, with bit-identical values, for any local size — typically by
-/// reordering loops so that each output element still sums its terms in
-/// the per-item order.
+/// It must write exactly the elements the per-item body writes for those
+/// groups, with bit-identical values, for any local size and any range —
+/// typically by reordering loops so that each output element still sums
+/// its terms in the per-item order.
 pub type GroupBody =
-    dyn Fn(&NdRange, [usize; 3], &Scalars, &Inputs<'_>, &mut Outputs<'_>) + Send + Sync;
+    dyn Fn(&NdRange, Range<u64>, &Scalars, &Inputs<'_>, &mut Outputs<'_>) + Send + Sync;
 
 /// One implementation of a kernel: a body plus its cost profile.
 ///
@@ -316,8 +319,8 @@ pub struct KernelVersion {
     /// Per-work-item function: the kernel's semantics and the oracle for
     /// `group_body`.
     pub body: Arc<KernelBody>,
-    /// Optional whole-work-group function the executor runs instead of
-    /// looping `body` over the group's items.
+    /// Optional work-group range function the executor runs instead of
+    /// looping `body` over the range's items.
     pub group_body: Option<Arc<GroupBody>>,
     /// Cost profile of this implementation.
     pub profile: KernelProfile,
@@ -380,13 +383,13 @@ impl KernelDef {
     }
 
     /// Attaches a [`GroupBody`] to the most recently added version. The
-    /// executor then runs it once per work-group instead of the per-item
-    /// body, which stays the semantic definition (and the sanitizer's
-    /// oracle).
+    /// executor then runs it once per executed work-group range instead of
+    /// the per-item body, which stays the semantic definition (and the
+    /// sanitizer's oracle).
     #[must_use]
     pub fn with_group_body(
         mut self,
-        body: impl Fn(&NdRange, [usize; 3], &Scalars, &Inputs<'_>, &mut Outputs<'_>)
+        body: impl Fn(&NdRange, Range<u64>, &Scalars, &Inputs<'_>, &mut Outputs<'_>)
             + Send
             + Sync
             + 'static,

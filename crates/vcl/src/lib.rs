@@ -9,7 +9,7 @@
 //! * [`Memory`] / [`BufferId`] — discrete per-device address spaces and the
 //!   [`diff_merge`] coherence primitive of paper §4.3;
 //! * [`KernelDef`] / [`Program`] — kernels as per-work-item Rust closures
-//!   (optionally paired with a bit-identical per-work-group [`GroupBody`])
+//!   (optionally paired with a bit-identical work-group range [`GroupBody`])
 //!   with declared `in`/`out`/`inout` signatures, cost profiles, and
 //!   alternate versions for online profiling (paper §6.6);
 //! * [`exec`] — the functional executor that really computes kernel results

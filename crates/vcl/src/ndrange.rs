@@ -129,6 +129,29 @@ impl NdRange {
         group[dim] * l..(group[dim] + 1) * l
     }
 
+    /// Global indices of the work-items in the flattened work-groups
+    /// `groups` of a 1-D range — the loop bounds of a 1-D group body.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is not 1-D.
+    pub fn range_items(&self, groups: Range<u64>) -> Range<usize> {
+        assert_eq!(self.dims, 1, "range_items needs a 1-D NDRange");
+        let l = self.local[0];
+        groups.start as usize * l..groups.end as usize * l
+    }
+
+    /// Coordinates of the flattened work-groups `groups`, in flattened
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// The iterator panics on a flattened id out of range.
+    pub fn groups_in(&self, groups: Range<u64>) -> impl Iterator<Item = [usize; 3]> {
+        let nd = *self;
+        groups.map(move |flat| nd.unflatten_group(flat))
+    }
+
     /// Flattens work-group coordinates to a 1-D ID (dimension 0 fastest;
     /// paper Figure 5).
     ///
@@ -353,6 +376,20 @@ mod tests {
         assert_eq!(nd.group_items(group, 0), 6..9);
         assert_eq!(nd.group_items(group, 1), 4..8);
         assert_eq!(nd.group_items(group, 2), 0..1);
+    }
+
+    #[test]
+    fn range_helpers_cover_the_groups_of_a_range() {
+        let nd = NdRange::d1(40, 5).unwrap();
+        assert_eq!(nd.range_items(3..6), 15..30);
+        assert_eq!(nd.range_items(2..2), 10..10);
+        let nd = NdRange::d2(12, 8, 3, 4).unwrap(); // 4 x 2 groups
+        let coords: Vec<_> = nd.groups_in(3..6).collect();
+        assert_eq!(coords, vec![[3, 0, 0], [0, 1, 0], [1, 1, 0]]);
+        assert!(coords
+            .iter()
+            .zip(3..)
+            .all(|(&c, flat)| nd.flatten_group(c) == flat));
     }
 
     #[test]
