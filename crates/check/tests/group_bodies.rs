@@ -21,7 +21,7 @@ fn dims(kernel: &str) -> usize {
     match kernel {
         "atax_k1" | "atax_k2" | "bicg_q" | "bicg_s" | "mvt_x1" | "mvt_x2" | "gesummv"
         | "corr_corr" => 1,
-        "gemm" | "mm2_tmp" | "mm2_d" | "batchmm_mul" | "syrk" | "syr2k" => 2,
+        "gemm" | "mm2_tmp" | "mm2_d" | "batchmm_mul" | "syrk" | "syr2k" | "corr_center" => 2,
         other => panic!("add the launch dimensions of `{other}` here"),
     }
 }
@@ -135,7 +135,7 @@ fn group_bodies_match_their_per_item_bodies_on_random_slices() {
             }
         }
     }
-    assert_eq!(covered, 15, "every group body is exercised");
+    assert_eq!(covered, 16, "every group body is exercised");
 }
 
 /// CORR sizes where the last `j2` block of an item is shorter than the
@@ -187,4 +187,76 @@ fn matrix_vector_bodies_handle_wide_ranges() {
         }
     }
     assert_eq!(covered, kernels.len());
+}
+
+/// The 2-D range bodies on sizes that are not multiples of their tiles:
+/// local sizes whose rows are not a multiple of the 4- or 2-row `i` tile
+/// or whose columns are not a multiple of an 8-wide pack, n ≥ 120 so a
+/// span holds several packs, and ranges that start and end mid group-row.
+#[test]
+fn two_d_bodies_handle_partial_tiles_and_rows() {
+    let mut rng = SplitMix64::new(0x7113_5EA5);
+    let kernels = [
+        "syrk",
+        "syr2k",
+        "gemm",
+        "mm2_tmp",
+        "mm2_d",
+        "batchmm_mul",
+        "corr_center",
+    ];
+    let mut covered = 0;
+    for program in programs() {
+        for name in kernels {
+            if program(8).kernel(name).is_err() {
+                continue;
+            }
+            covered += 1;
+            for (n, lx, ly) in [(120, 3, 5), (126, 7, 6), (128, 8, 8)] {
+                let nd = NdRange::d2(n, n, lx, ly).unwrap();
+                let kernel = program(n).kernel(name).unwrap();
+                let (launch, mem) = setup(kernel, 0, nd, n, &mut rng);
+                let (width, total) = (nd.groups()[0] as u64, nd.num_groups());
+                for (a, b) in [
+                    (0, total),
+                    (width / 2, total - width / 2 - 1),
+                    (width + 1, 3 * width - 2),
+                    (2 * width + 3, 2 * width + 5),
+                ] {
+                    let label = format!("{name}: n={n}, local=[{lx}, {ly}], groups {a}..{b}");
+                    assert_bodies_agree(&launch, &mem, a, b, &label);
+                }
+            }
+        }
+    }
+    assert_eq!(covered, kernels.len());
+}
+
+/// CORR ranges whose items do not fill the 4-item `j1` tiles: prime sizes
+/// with odd local sizes, and ranges whose tiles straddle their ends.
+#[test]
+fn corr_group_body_handles_partial_j1_tiles() {
+    let mut rng = SplitMix64::new(0xC022_711E);
+    let program = fluidicl_polybench::corr::program;
+    for n in [37, 101] {
+        for l in [1, n] {
+            for version in 0..2 {
+                let nd = NdRange::d1(n, l).unwrap();
+                let kernel = program(n).kernel("corr_corr").unwrap();
+                let (launch, mem) = setup(kernel, version, nd, n, &mut rng);
+                let total = nd.num_groups();
+                let ranges = [
+                    (0, total),
+                    (1, total),
+                    (3, 10),
+                    (5, 6),
+                    (total.saturating_sub(6), total - 1),
+                ];
+                for (a, b) in ranges.into_iter().filter(|&(a, b)| a < b && b <= total) {
+                    let label = format!("corr_corr v{version}: n={n}, l={l}, groups {a}..{b}");
+                    assert_bodies_agree(&launch, &mem, a, b, &label);
+                }
+            }
+        }
+    }
 }

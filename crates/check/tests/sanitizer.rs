@@ -538,3 +538,210 @@ fn range_body_assuming_it_starts_at_group_zero_is_flagged() {
     assert_eq!(found.len(), 1, "{found:?}");
     assert!(found[0].contains("work-groups [0, 3, 6]"), "{found:?}");
 }
+
+/// Row-pair dot products over a 12×12 matrix, one work-item per `(i, j)`
+/// in groups of `local`: the per-item body sums `a[i*n + k] * a[j*n + k]`
+/// over `k` in order, like SYRK. `group` is the group body under test.
+fn pair_dot_launch(
+    local: [usize; 2],
+    group: impl Fn(&NdRange, Range<u64>, &Scalars, &Inputs<'_>, &mut Outputs<'_>)
+        + Send
+        + Sync
+        + 'static,
+) -> (Launch, Memory) {
+    const N: usize = 12;
+    let k = KernelDef::new(
+        "pairdot",
+        vec![
+            ArgSpec::new("a", ArgRole::In),
+            ArgSpec::new("c", ArgRole::Out),
+            ArgSpec::new("n", ArgRole::Scalar),
+        ],
+        KernelProfile::new("pairdot"),
+        |item, scalars, ins, outs| {
+            let n = scalars.usize(0);
+            let (i, j) = (item.global[1], item.global[0]);
+            let a = ins.get(0);
+            let mut acc = 0.0f32;
+            for k in 0..n {
+                acc += a[i * n + k] * a[j * n + k];
+            }
+            outs.at(0)[i * n + j] = acc;
+        },
+    )
+    .with_group_body(group);
+    let mut mem = Memory::new();
+    let a: Vec<f32> = (0..N * N).map(|i| (1.0 + i as f32).recip()).collect();
+    mem.install(BufferId(0), a);
+    mem.alloc(BufferId(1), N * N);
+    let launch = Launch::new(
+        Arc::new(k),
+        NdRange::d2(N, N, local[0], local[1]).unwrap(),
+        vec![
+            KernelArg::Buffer(BufferId(0)),
+            KernelArg::Buffer(BufferId(1)),
+            KernelArg::Usize(N),
+        ],
+    );
+    (launch, mem)
+}
+
+/// Pair dots over the row spans of `groups` in tiles of four `i` rows —
+/// the shape of the SYRK tile. `keep_tail = false` skips each span's last,
+/// short row tile.
+fn tiled_pair_dots(
+    nd: &NdRange,
+    groups: Range<u64>,
+    a: &[f32],
+    n: usize,
+    keep_tail: bool,
+    out: &mut [f32],
+) {
+    for (rows, cols) in nd.row_spans(groups) {
+        for i0 in rows.clone().step_by(4) {
+            let tile = i0..(i0 + 4).min(rows.end);
+            if tile.len() < 4 && !keep_tail {
+                continue;
+            }
+            for i in tile {
+                for j in cols.clone() {
+                    let mut acc = 0.0f32;
+                    for k in 0..n {
+                        acc += a[i * n + k] * a[j * n + k];
+                    }
+                    out[i * n + j] = acc;
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn honest_row_tile_body_is_clean() {
+    for local in [[3, 6], [4, 4], [2, 3]] {
+        let (launch, mem) = pair_dot_launch(local, |nd, groups, scalars, ins, outs| {
+            tiled_pair_dots(nd, groups, ins.get(0), scalars.usize(0), true, outs.at(0));
+        });
+        assert_eq!(rules(&launch, &mem), vec![], "local size {local:?}");
+    }
+}
+
+#[test]
+fn row_tile_body_skipping_its_partial_last_tile_is_flagged() {
+    // Six rows per group row in tiles of four: rows 4 and 5 are lost.
+    let (launch, mem) = pair_dot_launch([3, 6], |nd, groups, scalars, ins, outs| {
+        tiled_pair_dots(nd, groups, ins.get(0), scalars.usize(0), false, outs.at(0));
+    });
+    let r = rules(&launch, &mem);
+    assert!(
+        r.contains(&("group-body-divergence".to_string(), LintSeverity::Error)),
+        "{r:?}"
+    );
+}
+
+/// A triangular correlation over a 12×12 matrix, one work-item per `j1`
+/// in groups of three: the per-item body stores 1 on the diagonal and
+/// `Σ_k d[k*n + j1] * d[k*n + j2]` at `(j1, j2)` and `(j2, j1)` for every
+/// `j2 > j1`, like CORR. `group` is the group body under test.
+fn triangle_launch(
+    group: impl Fn(&NdRange, Range<u64>, &Scalars, &Inputs<'_>, &mut Outputs<'_>)
+        + Send
+        + Sync
+        + 'static,
+) -> (Launch, Memory) {
+    const N: usize = 12;
+    let k = KernelDef::new(
+        "triangle",
+        vec![
+            ArgSpec::new("d", ArgRole::In),
+            ArgSpec::new("sym", ArgRole::Out),
+            ArgSpec::new("n", ArgRole::Scalar),
+        ],
+        KernelProfile::new("triangle"),
+        |item, scalars, ins, outs| {
+            let n = scalars.usize(0);
+            let j1 = item.global[0];
+            let d = ins.get(0);
+            let sym = outs.at(0);
+            sym[j1 * n + j1] = 1.0;
+            for j2 in j1 + 1..n {
+                let mut acc = 0.0f32;
+                for k in 0..n {
+                    acc += d[k * n + j1] * d[k * n + j2];
+                }
+                sym[j1 * n + j2] = acc;
+                sym[j2 * n + j1] = acc;
+            }
+        },
+    )
+    .with_group_body(group);
+    let mut mem = Memory::new();
+    let d: Vec<f32> = (0..N * N)
+        .map(|i| (1.0 + i as f32).recip() * if i % 3 == 0 { -1.0 } else { 1.0 })
+        .collect();
+    mem.install(BufferId(0), d);
+    mem.alloc(BufferId(1), N * N);
+    let launch = Launch::new(
+        Arc::new(k),
+        NdRange::d1(N, 3).unwrap(),
+        vec![
+            KernelArg::Buffer(BufferId(0)),
+            KernelArg::Buffer(BufferId(1)),
+            KernelArg::Usize(N),
+        ],
+    );
+    (launch, mem)
+}
+
+/// The triangle in tiles of four `j1` — the shape of the CORR tile: every
+/// lane of a tile sums the `j2` from the tile's first `j1 + 1`.
+/// `store_lower = true` also stores the lanes with `j2 ≤ j1`.
+fn tiled_triangle(
+    nd: &NdRange,
+    groups: Range<u64>,
+    d: &[f32],
+    n: usize,
+    store_lower: bool,
+    sym: &mut [f32],
+) {
+    let items = nd.range_items(groups);
+    for t0 in items.clone().step_by(4) {
+        let tile = t0..(t0 + 4).min(items.end);
+        for j1 in tile.clone() {
+            sym[j1 * n + j1] = 1.0;
+        }
+        for j1 in tile {
+            for j2 in t0 + 1..n {
+                if j2 <= j1 && !store_lower {
+                    continue;
+                }
+                let mut acc = 0.0f32;
+                for k in 0..n {
+                    acc += d[k * n + j1] * d[k * n + j2];
+                }
+                sym[j1 * n + j2] = acc;
+                sym[j2 * n + j1] = acc;
+            }
+        }
+    }
+}
+
+#[test]
+fn honest_triangle_tile_body_is_clean() {
+    let (launch, mem) = triangle_launch(|nd, groups, scalars, ins, outs| {
+        tiled_triangle(nd, groups, ins.get(0), scalars.usize(0), false, outs.at(0));
+    });
+    assert_eq!(rules(&launch, &mem), vec![]);
+}
+
+#[test]
+fn triangle_tile_body_storing_its_lower_lanes_is_flagged() {
+    let (launch, mem) = triangle_launch(|nd, groups, scalars, ins, outs| {
+        tiled_triangle(nd, groups, ins.get(0), scalars.usize(0), true, outs.at(0));
+    });
+    let r = rules(&launch, &mem);
+    assert!(
+        r.contains(&("group-body-divergence".to_string(), LintSeverity::Error)),
+        "{r:?}"
+    );
+}

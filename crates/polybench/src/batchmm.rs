@@ -84,9 +84,8 @@ pub fn program(n: usize) -> Program {
         .with_group_body(|nd, groups, scalars, ins, outs| {
             let n = scalars.usize(0);
             let e = outs.at(0);
-            for group in nd.groups_in(groups) {
-                let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
-                matmul::<WG>(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
+            for (rows, cols) in nd.row_spans(groups) {
+                matmul(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
                     e[i * n + j] = acc;
                 });
             }
@@ -161,7 +160,7 @@ pub fn reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
     for c in 0..CHAINS as u64 {
         let a = gen_matrix(n, n, seed.wrapping_add(2 * c));
         let b = gen_matrix(n, n, seed.wrapping_add(2 * c + 1));
-        matmul::<WG>(&a, &b, n, 0..n, 0..n, |i, j, acc| g[i * n + j] += acc);
+        matmul(&a, &b, n, 0..n, 0..n, |i, j, acc| g[i * n + j] += acc);
     }
     vec![g]
 }

@@ -113,13 +113,19 @@ fn corr_body(
     }
 }
 
-/// Accumulators per `j2` block of the group body.
-const CORR_BLOCK: usize = 8;
+/// `j1` items per tile of the group body.
+const CORR_ROWS: usize = 4;
+/// `j2` accumulators per item of a tile.
+const CORR_BLOCK: usize = 16;
 
-/// Group body of both `corr_corr` versions: per item `j1` of the range,
-/// blocks of [`CORR_BLOCK`] `j2` sums with `k` outer, so each step reads a
-/// row segment of `data` instead of two column elements. Each pair still sums
-/// over `k` in order, so the stored bits match `corr_body`.
+/// Group body of both `corr_corr` versions: the range's items in tiles of
+/// [`CORR_ROWS`] `j1`, each tile sweeping blocks of [`CORR_BLOCK`] `j2`
+/// with `k` outer, so each step reads one row segment of `data` for four
+/// items instead of two column elements per pair. The blocks start at the
+/// tile's first `j1 + 1`; the pairs with `j2 ≤ j1` that the later items
+/// compute there are dropped, never stored, and lanes past a short tile's
+/// end repeat its last item. Each pair still sums over `k` in order, so
+/// the stored bits match `corr_body`.
 fn corr_group(
     nd: &NdRange,
     groups: Range<u64>,
@@ -130,19 +136,25 @@ fn corr_group(
     let n = scalars.usize(0);
     let data = ins.get(0);
     let symmat = outs.at(0);
-    for j1 in nd.range_items(groups) {
-        symmat[j1 * n + j1] = 1.0;
-        for blk in blocks::<CORR_BLOCK>(j1 + 1..n) {
-            let mut acc = [0.0f32; CORR_BLOCK];
-            for k in 0..n {
-                let x = data[k * n + j1];
-                accumulate(&mut acc, &data[k * n + blk.start..k * n + blk.end], |y| {
-                    x * y
-                });
+    for tile in blocks::<CORR_ROWS>(nd.range_items(groups)) {
+        let j1s: [usize; CORR_ROWS] = std::array::from_fn(|r| (tile.start + r).min(tile.end - 1));
+        for j1 in tile.clone() {
+            symmat[j1 * n + j1] = 1.0;
+        }
+        for blk in blocks::<CORR_BLOCK>(tile.start + 1..n) {
+            let mut acc = [[0.0f32; CORR_BLOCK]; CORR_ROWS];
+            for row in data[..n * n].chunks_exact(n) {
+                let seg = &row[blk.clone()];
+                for (acc, &j1) in acc.iter_mut().zip(&j1s) {
+                    let x = row[j1];
+                    accumulate(acc, seg, |y| x * y);
+                }
             }
-            for (j2, &s) in blk.zip(acc.iter()) {
-                symmat[j1 * n + j2] = s;
-                symmat[j2 * n + j1] = s;
+            for (j1, acc) in tile.clone().zip(&acc) {
+                for (j2, &s) in blk.clone().zip(acc).filter(|&(j2, _)| j2 > j1) {
+                    symmat[j1 * n + j2] = s;
+                    symmat[j2 * n + j1] = s;
+                }
             }
         }
     }
@@ -222,25 +234,41 @@ pub fn program(n: usize) -> Program {
             outs.at(0)[j] = if sd <= EPS { 1.0 } else { sd };
         },
     ));
-    p.register(KernelDef::new(
-        "corr_center",
-        vec![
-            ArgSpec::new("mean", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-            ArgSpec::new("std", ArgRole::In).with_access(AccessPattern::WholeBuffer),
-            ArgSpec::new("data", ArgRole::InOut).with_access(AccessPattern::Element),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile_center(n),
-        |item, scalars, ins, outs| {
+    p.register(
+        KernelDef::new(
+            "corr_center",
+            vec![
+                ArgSpec::new("mean", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+                ArgSpec::new("std", ArgRole::In).with_access(AccessPattern::WholeBuffer),
+                ArgSpec::new("data", ArgRole::InOut).with_access(AccessPattern::Element),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile_center(n),
+            |item, scalars, ins, outs| {
+                let n = scalars.usize(0);
+                let j = item.global[0];
+                let i = item.global[1];
+                let mean = ins.get(0);
+                let std = ins.get(1);
+                let data = outs.at(0);
+                data[i * n + j] = (data[i * n + j] - mean[j]) / ((n as f32).sqrt() * std[j]);
+            },
+        )
+        .with_group_body(|nd, groups, scalars, ins, outs| {
             let n = scalars.usize(0);
-            let j = item.global[0];
-            let i = item.global[1];
-            let mean = ins.get(0);
-            let std = ins.get(1);
+            let (mean, std) = (ins.get(0), ins.get(1));
             let data = outs.at(0);
-            data[i * n + j] = (data[i * n + j] - mean[j]) / ((n as f32).sqrt() * std[j]);
-        },
-    ));
+            for (rows, cols) in nd.row_spans(groups) {
+                let (mean, std) = (&mean[cols.clone()], &std[cols.clone()]);
+                for i in rows {
+                    let row = &mut data[i * n + cols.start..i * n + cols.end];
+                    for ((x, &m), &s) in row.iter_mut().zip(mean).zip(std) {
+                        *x = (*x - m) / ((n as f32).sqrt() * s);
+                    }
+                }
+            }
+        }),
+    );
     p.register(
         KernelDef::new(
             "corr_corr",

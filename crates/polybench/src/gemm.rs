@@ -78,9 +78,8 @@ pub fn program(n: usize) -> Program {
             let beta = scalars.f32(1);
             let n = scalars.usize(2);
             let c = outs.at(0);
-            for group in nd.groups_in(groups) {
-                let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
-                matmul::<WG>(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
+            for (rows, cols) in nd.row_spans(groups) {
+                matmul(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
                     c[i * n + j] = beta * c[i * n + j] + alpha * acc;
                 });
             }
@@ -124,7 +123,7 @@ pub fn reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
     let a = gen_matrix(n, n, seed);
     let b = gen_matrix(n, n, seed.wrapping_add(1));
     let mut c = gen_matrix(n, n, seed.wrapping_add(2));
-    matmul::<WG>(&a, &b, n, 0..n, 0..n, |i, j, acc| {
+    matmul(&a, &b, n, 0..n, 0..n, |i, j, acc| {
         c[i * n + j] = BETA * c[i * n + j] + ALPHA * acc;
     });
     vec![c]

@@ -10,9 +10,12 @@
 //! reduction index to the outer loop, so the inner loop reads a contiguous
 //! row segment. When the sum walks along a row instead, it already streams,
 //! but each add waits on the one before; a group body then interleaves
-//! several rows so their sums overlap. Either way every element still adds
+//! several rows so their sums overlap. When every element pairs two matrix
+//! rows (SYRK, SYR2K), a group body packs a block of `j` rows once and
+//! sweeps a few `i` rows over the pack. Either way every element still adds
 //! its terms in the per-item order with the same operands, so the stored
-//! bits are identical.
+//! bits are identical. The 2-D bodies take their loop bounds from
+//! `NdRange::row_spans`, one span per group row of their range.
 
 use std::ops::Range;
 
@@ -123,10 +126,15 @@ pub(crate) fn row_dots<const M: usize, const R: usize>(
     }
 }
 
+/// Accumulators per block of [`matmul`]: a row span of a range body is
+/// many groups wide, and 32-wide blocks measured about twice as fast as
+/// 8-wide ones (one group's columns) on `gemm` at n = 320.
+const MATMUL_BLOCK: usize = 32;
+
 /// For every row `i` in `rows` and column `j` in `cols`,
 /// `Σ_{k<n} a[i*n + k] * b[k*n + j]` summed in `k` order, handed to
 /// `emit(i, j, sum)`.
-pub(crate) fn matmul<const W: usize>(
+pub(crate) fn matmul(
     a: &[f32],
     b: &[f32],
     n: usize,
@@ -135,8 +143,8 @@ pub(crate) fn matmul<const W: usize>(
     mut emit: impl FnMut(usize, usize, f32),
 ) {
     for i in rows {
-        for blk in blocks::<W>(cols.clone()) {
-            let mut acc = [0.0f32; W];
+        for blk in blocks::<MATMUL_BLOCK>(cols.clone()) {
+            let mut acc = [0.0f32; MATMUL_BLOCK];
             for (k, &aik) in a[i * n..i * n + n].iter().enumerate() {
                 accumulate(&mut acc, &b[k * n + blk.start..k * n + blk.end], |x| {
                     aik * x
@@ -149,36 +157,57 @@ pub(crate) fn matmul<const W: usize>(
     }
 }
 
-/// For every row `i` in `rows` and column `j` in `cols`,
-/// `Σ_{k<n} term(x_i[k], x_j[k])` summed in `k` order, handed to
-/// `emit(i, j, sum)`, where `x_r[k]` holds element `r*n + k` of each of
-/// the `M` matrices in `mats`. The `W` sums of a block are independent
-/// chains, so they overlap in the FPU where one per-item sum waits on each
-/// add; lanes past a tail block's end recompute its last column and are
-/// dropped.
-pub(crate) fn row_pair_sums<const M: usize, const W: usize>(
+/// Lanes of a [`pair_tiles`] pack: the `j` columns of one block.
+const LANES: usize = 8;
+
+/// For every span `(rows, cols)` of `spans` and every `i` in `rows`, `j`
+/// in `cols`: `Σ_{k<n} term(x_i[k], x_j[k])` summed in `k` order, handed
+/// to `emit(i, j, sum)`, where `x_r[k]` holds element `r*n + k` of each of
+/// the `M` matrices in `mats`.
+///
+/// Each block of [`LANES`] columns packs the block's `j` rows of every
+/// matrix as `[k][m][lane]` (at most `n·M·8` floats, one allocation per
+/// call), so the `j` operands of one `k` are adjacent. `R` rows of `i` then
+/// sweep the pack together: the `R·8` sums are independent add chains and
+/// the 8 lanes of each vectorize. Lanes past a tail block's end repeat its
+/// last column, and rows past a span's end repeat its last row; their sums
+/// are dropped.
+pub(crate) fn pair_tiles<const M: usize, const R: usize>(
     mats: [&[f32]; M],
     n: usize,
-    rows: Range<usize>,
-    cols: Range<usize>,
+    spans: impl Iterator<Item = (Range<usize>, Range<usize>)>,
     term: impl Fn([f32; M], [f32; M]) -> f32,
     mut emit: impl FnMut(usize, usize, f32),
 ) {
     let row = |r: usize| -> [&[f32]; M] { mats.map(|m| &m[r * n..r * n + n]) };
-    for i in rows {
-        let xi = row(i);
-        for blk in blocks::<W>(cols.clone()) {
-            let xj: [[&[f32]; M]; W] =
-                std::array::from_fn(|t| row((blk.start + t).min(blk.end - 1)));
-            let mut acc = [0.0f32; W];
-            for k in 0..n {
-                let vi = xi.map(|r| r[k]);
-                for (s, xj) in acc.iter_mut().zip(&xj) {
-                    *s += term(vi, xj.map(|r| r[k]));
+    let mut pack = vec![[[0.0f32; LANES]; M]; n];
+    for (rows, cols) in spans {
+        for blk in blocks::<LANES>(cols) {
+            for t in 0..LANES {
+                let xj = row((blk.start + t).min(blk.end - 1));
+                for (m, xj) in xj.iter().enumerate() {
+                    for (p, &x) in pack.iter_mut().zip(*xj) {
+                        p[m][t] = x;
+                    }
                 }
             }
-            for (j, &s) in blk.zip(acc.iter()) {
-                emit(i, j, s);
+            for tile in blocks::<R>(rows.clone()) {
+                let xi: [[&[f32]; M]; R] =
+                    std::array::from_fn(|r| row((tile.start + r).min(tile.end - 1)));
+                let mut acc = [[0.0f32; LANES]; R];
+                for (k, p) in pack.iter().enumerate() {
+                    for (acc, xi) in acc.iter_mut().zip(&xi) {
+                        let vi = xi.map(|x| x[k]);
+                        for (t, s) in acc.iter_mut().enumerate() {
+                            *s += term(vi, p.map(|lane| lane[t]));
+                        }
+                    }
+                }
+                for (i, acc) in tile.zip(&acc) {
+                    for (j, &s) in blk.clone().zip(acc) {
+                        emit(i, j, s);
+                    }
+                }
             }
         }
     }

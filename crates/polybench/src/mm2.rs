@@ -71,9 +71,8 @@ pub fn program(n: usize) -> Program {
             let alpha = scalars.f32(0);
             let n = scalars.usize(1);
             let tmp = outs.at(0);
-            for group in nd.groups_in(groups) {
-                let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
-                matmul::<WG>(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
+            for (rows, cols) in nd.row_spans(groups) {
+                matmul(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
                     tmp[i * n + j] = alpha * acc;
                 });
             }
@@ -115,9 +114,8 @@ pub fn program(n: usize) -> Program {
             let beta = scalars.f32(0);
             let n = scalars.usize(1);
             let d = outs.at(0);
-            for group in nd.groups_in(groups) {
-                let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
-                matmul::<WG>(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
+            for (rows, cols) in nd.row_spans(groups) {
+                matmul(ins.get(0), ins.get(1), n, rows, cols, |i, j, acc| {
                     d[i * n + j] = beta * d[i * n + j] + acc;
                 });
             }
@@ -178,10 +176,10 @@ pub fn reference(n: usize, seed: u64) -> Vec<Vec<f32>> {
     let c = gen_matrix(n, n, seed.wrapping_add(2));
     let mut d = gen_matrix(n, n, seed.wrapping_add(3));
     let mut tmp = vec![0.0f32; n * n];
-    matmul::<WG>(&a, &b, n, 0..n, 0..n, |i, j, acc| {
+    matmul(&a, &b, n, 0..n, 0..n, |i, j, acc| {
         tmp[i * n + j] = ALPHA * acc
     });
-    matmul::<WG>(&tmp, &c, n, 0..n, 0..n, |i, j, acc| {
+    matmul(&tmp, &c, n, 0..n, 0..n, |i, j, acc| {
         d[i * n + j] = BETA * d[i * n + j] + acc;
     });
     vec![d]

@@ -11,7 +11,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::gen_matrix;
-use crate::group::row_pair_sums;
+use crate::group::pair_tiles;
 
 /// Default (scaled) problem size.
 pub const DEFAULT_N: usize = 384;
@@ -74,17 +74,13 @@ pub fn program(n: usize) -> Program {
             let beta = scalars.f32(1);
             let n = scalars.usize(2);
             let c = outs.at(0);
-            for group in nd.groups_in(groups) {
-                let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
-                row_pair_sums::<2, WG>(
-                    [ins.get(0), ins.get(1)],
-                    n,
-                    rows,
-                    cols,
-                    |[aik, bik], [ajk, bjk]| aik * bjk + bik * ajk,
-                    |i, j, acc| c[i * n + j] = beta * c[i * n + j] + alpha * acc,
-                );
-            }
+            pair_tiles::<2, 2>(
+                [ins.get(0), ins.get(1)],
+                n,
+                nd.row_spans(groups),
+                |[aik, bik], [ajk, bjk]| aik * bjk + bik * ajk,
+                |i, j, acc| c[i * n + j] = beta * c[i * n + j] + alpha * acc,
+            );
         }),
     );
     p

@@ -14,7 +14,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::gen_matrix;
-use crate::group::row_pair_sums;
+use crate::group::pair_tiles;
 
 /// Default (scaled) problem size.
 pub const DEFAULT_N: usize = 384;
@@ -82,17 +82,13 @@ pub fn program(n: usize) -> Program {
             let beta = scalars.f32(1);
             let n = scalars.usize(2);
             let c = outs.at(0);
-            for group in nd.groups_in(groups) {
-                let (rows, cols) = (nd.group_items(group, 1), nd.group_items(group, 0));
-                row_pair_sums::<1, WG>(
-                    [ins.get(0)],
-                    n,
-                    rows,
-                    cols,
-                    |[aik], [ajk]| aik * ajk,
-                    |i, j, acc| c[i * n + j] = beta * c[i * n + j] + alpha * acc,
-                );
-            }
+            pair_tiles::<1, 4>(
+                [ins.get(0)],
+                n,
+                nd.row_spans(groups),
+                |[aik], [ajk]| aik * ajk,
+                |i, j, acc| c[i * n + j] = beta * c[i * n + j] + alpha * acc,
+            );
         }),
     );
     p

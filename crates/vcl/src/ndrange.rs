@@ -141,6 +141,39 @@ impl NdRange {
         groups.start as usize * l..groups.end as usize * l
     }
 
+    /// The flattened work-groups `groups` of a 2-D range as one
+    /// `(rows, cols)` span of global indices per group row they touch, in
+    /// flattened order — the loop bounds of a 2-D group body. Every row but
+    /// the first and last spans the full width; those two may be partial.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is not 2-D or `groups` ends past the last group.
+    pub fn row_spans(
+        &self,
+        groups: Range<u64>,
+    ) -> impl Iterator<Item = (Range<usize>, Range<usize>)> {
+        assert_eq!(self.dims, 2, "row_spans needs a 2-D NDRange");
+        assert!(
+            groups.end <= self.num_groups(),
+            "group range {groups:?} out of range"
+        );
+        let width = self.groups()[0] as u64;
+        let [lx, ly, _] = self.local;
+        let group_rows = if groups.is_empty() {
+            0..0
+        } else {
+            groups.start / width..(groups.end - 1) / width + 1
+        };
+        group_rows.map(move |gy| {
+            let row0 = gy * width;
+            let g0 = groups.start.max(row0) - row0;
+            let g1 = groups.end.min(row0 + width) - row0;
+            let gy = gy as usize;
+            (gy * ly..(gy + 1) * ly, g0 as usize * lx..g1 as usize * lx)
+        })
+    }
+
     /// Coordinates of the flattened work-groups `groups`, in flattened
     /// order.
     ///
@@ -390,6 +423,82 @@ mod tests {
             .iter()
             .zip(3..)
             .all(|(&c, flat)| nd.flatten_group(c) == flat));
+    }
+
+    /// The items of every span, in span order.
+    fn span_items(nd: &NdRange, groups: Range<u64>) -> Vec<[usize; 2]> {
+        let mut items = Vec::new();
+        for (rows, cols) in nd.row_spans(groups) {
+            for y in rows {
+                items.extend(cols.clone().map(|x| [x, y]));
+            }
+        }
+        items
+    }
+
+    /// The items of the groups `groups`, one group at a time.
+    fn group_items_of(nd: &NdRange, groups: Range<u64>) -> Vec<[usize; 2]> {
+        let mut items = Vec::new();
+        for g in nd.groups_in(groups) {
+            for_each_item_in_group(nd, g, |it| items.push([it.global[0], it.global[1]]));
+        }
+        items
+    }
+
+    #[test]
+    fn row_spans_of_an_empty_range_and_of_one_group() {
+        let nd = NdRange::d2(12, 8, 3, 4).unwrap(); // 4 x 2 groups
+        assert_eq!(nd.row_spans(0..0).count(), 0);
+        assert_eq!(nd.row_spans(5..5).count(), 0);
+        assert_eq!(nd.row_spans(8..8).count(), 0);
+        let spans: Vec<_> = nd.row_spans(5..6).collect();
+        assert_eq!(spans, vec![(4..8, 3..6)]);
+    }
+
+    #[test]
+    fn row_spans_have_partial_first_and_last_rows() {
+        let nd = NdRange::d2(15, 20, 3, 5).unwrap(); // 5 x 4 groups
+        let spans: Vec<_> = nd.row_spans(3..17).collect();
+        assert_eq!(
+            spans,
+            vec![
+                (0..5, 9..15),
+                (5..10, 0..15),
+                (10..15, 0..15),
+                (15..20, 0..6)
+            ]
+        );
+        // Start and end inside one group row.
+        let spans: Vec<_> = nd.row_spans(6..9).collect();
+        assert_eq!(spans, vec![(5..10, 3..12)]);
+    }
+
+    #[test]
+    fn row_spans_of_the_full_grid_are_whole_rows() {
+        let nd = NdRange::d2(14, 12, 7, 6).unwrap(); // 2 x 2 groups
+        let spans: Vec<_> = nd.row_spans(0..nd.num_groups()).collect();
+        assert_eq!(spans, vec![(0..6, 0..14), (6..12, 0..14)]);
+    }
+
+    #[test]
+    fn row_spans_cover_exactly_the_items_of_their_groups() {
+        let nd = NdRange::d2(15, 20, 3, 5).unwrap();
+        let total = nd.num_groups();
+        for from in 0..=total {
+            for to in from..=total {
+                let mut spans = span_items(&nd, from..to);
+                let mut groups = group_items_of(&nd, from..to);
+                spans.sort_unstable();
+                groups.sort_unstable();
+                assert_eq!(spans, groups, "groups {from}..{to}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row_spans needs a 2-D NDRange")]
+    fn row_spans_reject_a_1d_range() {
+        let _ = NdRange::d1(8, 2).unwrap().row_spans(0..1);
     }
 
     #[test]
