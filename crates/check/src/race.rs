@@ -21,9 +21,10 @@
 //!   subkernels become writes (their element footprints computed
 //!   symbolically from the kernel's
 //!   [`AccessPattern`](fluidicl_vcl::AccessPattern) declarations via
-//!   [`KernelDef::write_footprints`] — no replay), sends and status
+//!   [`KernelDef::write_footprints`] — no re-execution), sends and status
 //!   arrivals become the message edges of each endpoint's in-order
-//!   upstream queue, fault events void exactly the transfer they damaged,
+//!   upstream queue, paired by the same [`Replay`] fold the protocol
+//!   linter checks, fault events void exactly the transfer they damaged,
 //!   and the diff-merge and the finisher's final read become
 //!   [`HbOp::Merge`] / [`HbOp::Read`] checks. The paper's two-device
 //!   protocol is the single-endpoint case: the CPU is endpoint 0.
@@ -34,8 +35,9 @@
 //! writes are the base the merge overlays, and only contributions shipped
 //! by *other* endpoints must be disjoint and ordered.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
+use fluidicl::replay::{Replay, SendState};
 use fluidicl::{Finisher, KernelReport, Lane, LaunchMeta, LintDiagnostic, TraceKind};
 use fluidicl_vcl::{DirtyRanges, KernelDef};
 
@@ -457,53 +459,13 @@ pub fn race_check_report(kernel: &KernelDef, report: &KernelReport) -> Vec<LintD
     let events = lower_trace(kernel, meta, report);
     // The owner is engine endpoint 0 and trace endpoint `dev` lowers to
     // engine endpoint `dev + 1`, so ep0 — the CPU — is CONTRIB.
-    let endpoints = 2 + report
-        .trace
-        .iter()
-        .filter_map(|e| ep_dev(&e.kind))
-        .max()
-        .map_or(0, |d| d as usize);
+    let endpoints = events.iter().map(|e| e.endpoint + 1).fold(2, usize::max);
     check_hb(endpoints, meta.out_lens.len(), &events)
 }
 
-/// The endpoint index a trace event names, if any.
-fn ep_dev(kind: &TraceKind) -> Option<u32> {
-    match *kind {
-        TraceKind::EpSubkernelStart { dev, .. }
-        | TraceKind::EpSubkernelDone { dev, .. }
-        | TraceKind::EpSend { dev, .. }
-        | TraceKind::EpStatus { dev, .. }
-        | TraceKind::EpTransferFault { dev, .. }
-        | TraceKind::EpTransferRejected { dev, .. }
-        | TraceKind::EpTransferTimeout { dev, .. }
-        | TraceKind::NonOwnerLost { dev }
-        | TraceKind::OwnerPromoted { dev, .. }
-        | TraceKind::EpochRejected { dev, .. }
-        | TraceKind::SoloRun {
-            lane: Lane::Peer(dev),
-            ..
-        } => Some(dev),
-        _ => None,
-    }
-}
-
-fn endpoint_of_lane(lane: Lane) -> usize {
-    match lane {
-        Lane::Gpu => OWNER,
-        Lane::Cpu => CONTRIB,
-        Lane::Peer(dev) => dev as usize + 1,
-    }
-}
-
-fn endpoint_of_finisher(f: Finisher) -> usize {
-    match f {
-        Finisher::Gpu => OWNER,
-        Finisher::Cpu => CONTRIB,
-    }
-}
-
-/// Maps a protocol trace onto [`HbEvent`]s (see the module docs for the
-/// event → edge table, mirrored in DESIGN.md §12).
+/// Maps a protocol trace onto [`HbEvent`]s, one [`Replay`] step at a time
+/// (see the module docs for the step → edge table, mirrored in DESIGN.md
+/// §12).
 fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> Vec<HbEvent> {
     let total = meta.ndrange.num_groups();
     let buffers = meta.out_lens.len();
@@ -516,61 +478,28 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
     let union_fp = |a: Vec<DirtyRanges>, b: &[DirtyRanges]| -> Vec<DirtyRanges> {
         a.iter().zip(b).map(|(x, y)| x.union(y)).collect()
     };
-    // The owner's walk stops at the final watermark — the lowest one
-    // reported since the last ownership change — so the merge must
-    // establish the covered suffix above it (paper §4.3) besides every
-    // delivered island. A legal trace delivered that suffix; a forged
-    // watermark surfaces as a stale or premature merge.
-    let epoch_start = report
-        .trace
-        .iter()
-        .rposition(|e| matches!(e.kind, TraceKind::OwnerPromoted { .. }))
-        .map_or(0, |i| i + 1);
-    let final_wm = report.trace[epoch_start..]
-        .iter()
-        .filter_map(|e| match e.kind {
-            TraceKind::EpStatus { watermark, .. } => Some(watermark),
-            _ => None,
-        })
-        .min()
-        .unwrap_or(total);
-
-    // `Option` slots so a voided (faulted) send can be removed after the
-    // fact: a transfer that never delivered carries no edge.
-    let mut events: Vec<Option<HbEvent>> = Vec::new();
-    // Completed-but-unshipped subkernels per endpoint, oldest first: their
-    // first group and their footprints, computed once at completion.
-    let mut completed: HashMap<u32, VecDeque<(u64, Vec<DirtyRanges>)>> = HashMap::new();
-    // In-flight sends of each endpoint's in-order upstream queue: (event
-    // slot, boundary, message id, shipped footprints). The k-th status from
-    // an endpoint acknowledges its k-th un-voided send.
-    #[allow(clippy::type_complexity)]
-    let mut fifo: HashMap<u32, VecDeque<(usize, u64, u64, Vec<DirtyRanges>)>> = HashMap::new();
-    // Shipped footprints by (endpoint, boundary), so a faulted transfer's
-    // re-send (same batch, new attempt) reuses the recorded ranges.
-    let mut sent_ranges: HashMap<(u32, u64), Vec<DirtyRanges>> = HashMap::new();
-    // Union of footprints whose status arrived at the owner — what the
-    // merge folds in (claim islands below the watermark merge too).
-    let mut delivered = none();
-    // Accepted sends per endpoint: (send event slot, shipped footprints).
-    // Owner failover rolls the promoted endpoint's prior contributions
-    // back (its ranges return to the frontier and a survivor re-ships
-    // them), so its accepted sends are voided at promotion and
-    // `delivered` is rebuilt from the survivors' alone.
-    #[allow(clippy::type_complexity)]
-    let mut accepted: BTreeMap<u32, Vec<(usize, Vec<DirtyRanges>)>> = BTreeMap::new();
-    // Cumulative writes per peer-GPU endpoint plus the set of lost
-    // endpoints, for the host-side memory fold after an owner-GPU loss
-    // (BTreeMap so the synthesized fold messages are deterministic).
-    let mut peer_written: BTreeMap<u32, Vec<DirtyRanges>> = BTreeMap::new();
-    let mut lost_devs: Vec<u32> = Vec::new();
+    let mut replay = Replay::new(total);
+    // `Option` slots: once the whole trace is folded, a voided send's slot
+    // is emptied and each merge's slot filled in.
+    let mut events: Vec<Option<HbEvent>> = Vec::with_capacity(report.trace.len());
+    // Event slots of each endpoint's subkernel writes, indexed like the
+    // replay's completion list: footprints are computed once, at
+    // completion, and read back from there.
+    let mut done_slots: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+    // Event slot of each replay send. A send's message id is its replay
+    // index; synthesized messages count on from the trace length, past
+    // every send.
+    let mut sent: Vec<usize> = Vec::new();
+    let mut next_msg = report.trace.len() as u64;
+    // Each merge's event slot, filled in once the final watermark is known.
+    let mut merges: Vec<usize> = Vec::new();
     // A solo run reads its result where it ran — for a peer lane that is
     // the peer's endpoint, not the (possibly dead) owner.
     let mut solo_ep: Option<usize> = None;
-    let mut next_msg = 0u64;
 
     for ev in &report.trace {
-        match &ev.kind {
+        let step = replay.step(ev);
+        match ev.kind {
             TraceKind::GpuWaveDone {
                 from, executed_to, ..
             } if executed_to > from => {
@@ -578,129 +507,55 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                     OWNER,
                     format!("wave {from}..{executed_to}"),
                     HbOp::Write {
-                        ranges: fp(*from, *executed_to),
+                        ranges: fp(from, executed_to),
                     },
                 )));
             }
             TraceKind::EpSubkernelDone { dev, from, to } => {
-                let ranges = fp(*from, *to);
-                if *dev > 0 {
-                    let w = peer_written.entry(*dev).or_insert_with(none);
-                    *w = union_fp(w.clone(), &ranges);
-                }
-                completed
-                    .entry(*dev)
-                    .or_default()
-                    .push_back((*from, ranges.clone()));
+                done_slots.entry(dev).or_default().push(events.len());
                 events.push(Some(HbEvent::new(
-                    *dev as usize + 1,
+                    dev as usize + 1,
                     format!("ep{dev} subkernel {from}..{to}"),
-                    HbOp::Write { ranges },
-                )));
-            }
-            TraceKind::EpSend {
-                dev,
-                boundary,
-                subkernels,
-                ..
-            } => {
-                // Plain and coalesced sends share a shape: the batch is the
-                // endpoint's oldest `subkernels` completed ranges, whose
-                // minimum `from` must be the boundary.
-                let q = completed.entry(*dev).or_default();
-                let mut ranges = none();
-                if q.len() >= *subkernels as usize
-                    && q.iter().take(*subkernels as usize).map(|(f, _)| *f).min() == Some(*boundary)
-                {
-                    for _ in 0..*subkernels {
-                        let (_, written) = q.pop_front().expect("length checked");
-                        ranges = union_fp(ranges, &written);
-                    }
-                } else if let Some(r) = sent_ranges.get(&(*dev, *boundary)) {
-                    // Re-send of a faulted batch: same data, new attempt.
-                    // Anything else is a malformed trace (the linter flags
-                    // the shape) and ships nothing, so coverage checks
-                    // surface the damage.
-                    ranges = r.clone();
-                }
-                sent_ranges.insert((*dev, *boundary), ranges.clone());
-                let slot = events.len();
-                events.push(Some(HbEvent::new(
-                    *dev as usize + 1,
-                    format!("ep{dev} send boundary {boundary}"),
-                    HbOp::Send {
-                        msg: next_msg,
-                        ranges: ranges.clone(),
+                    HbOp::Write {
+                        ranges: fp(from, to),
                     },
                 )));
-                fifo.entry(*dev)
-                    .or_default()
-                    .push_back((slot, *boundary, next_msg, ranges));
-                next_msg += 1;
             }
-            TraceKind::EpTransferFault { dev, boundary, .. }
-            | TraceKind::EpTransferRejected { dev, boundary }
-            | TraceKind::EpTransferTimeout { dev, boundary }
-            | TraceKind::EpochRejected { dev, boundary } => {
-                // A damaged transfer never delivered: void its send on
-                // exactly the endpoint it damaged, so it carries no edge
-                // (and no longer occupies the ack queue). A stale-epoch
-                // rejection is the same edge-wise — the send delivered but
-                // was never applied. Faults excuse exactly their own
-                // damage — nothing else.
-                let q = fifo.entry(*dev).or_default();
-                if let Some(pos) = q.iter().position(|(_, b, _, _)| b == boundary) {
-                    let (slot, ..) = q.remove(pos).expect("position exists");
-                    events[slot] = None;
-                }
+            TraceKind::EpSend { dev, boundary, .. } => {
+                // A fresh batch or a re-send carries the union of its
+                // completions; an unpaired send (the linter flags it) ships
+                // nothing, so coverage checks surface the damage.
+                let subs = replay.sends.last().map_or(0..0, |s| s.subs.clone());
+                let ranges = done_slots.get(&dev).map_or_else(none, |slots| {
+                    slots[subs]
+                        .iter()
+                        .fold(none(), |a, &w| union_fp(a, carried(&events[w])))
+                });
+                let msg = sent.len() as u64;
+                sent.push(events.len());
+                events.push(Some(HbEvent::new(
+                    dev as usize + 1,
+                    format!("ep{dev} send boundary {boundary}"),
+                    HbOp::Send { msg, ranges },
+                )));
             }
             TraceKind::EpStatus { dev, .. } => {
-                // In-order queue: the status acknowledges the endpoint's
-                // oldest un-acked send, whatever boundary it claims.
-                let (msg, ranges) = match fifo.entry(*dev).or_default().pop_front() {
-                    Some((slot, _, m, r)) => {
-                        accepted.entry(*dev).or_default().push((slot, r.clone()));
-                        (m, r)
-                    }
-                    None => {
-                        let m = next_msg;
+                // With no live send carrying the boundary, this receives
+                // a message never sent.
+                let msg = step.send.map_or_else(
+                    || {
                         next_msg += 1;
-                        (m, none())
-                    }
-                };
-                delivered = union_fp(delivered, &ranges);
+                        next_msg - 1
+                    },
+                    |s| s as u64,
+                );
                 events.push(Some(HbEvent::new(
                     OWNER,
                     format!("ep{dev} status ack"),
                     HbOp::Recv { msg },
                 )));
             }
-            TraceKind::NonOwnerLost { dev } => lost_devs.push(*dev),
             TraceKind::OwnerPromoted { dev, .. } => {
-                // The engine rolls the promoted endpoint back to a pristine
-                // owner: its delivered ranges leave coverage (returned to
-                // the frontier for the survivors) and its output buffers
-                // are restored to the original snapshot. Mirror that here:
-                // its accepted sends stop contributing data (the edges
-                // survive for ordering, but ship nothing), the merge region
-                // is rebuilt from the survivors' deliveries, and its
-                // cumulative writes are erased before any host-side fold.
-                for (slot, _) in accepted.remove(dev).unwrap_or_default() {
-                    if let Some(HbEvent {
-                        op: HbOp::Send { ranges, .. },
-                        ..
-                    }) = events[slot].as_mut()
-                    {
-                        *ranges = none();
-                    }
-                }
-                delivered = none();
-                for entries in accepted.values() {
-                    for (_, r) in entries {
-                        delivered = union_fp(delivered, r);
-                    }
-                }
-                peer_written.remove(dev);
                 // Promotion is a synchronous handoff: the new owner's prior
                 // program order (its subkernels, its sends) happens-before
                 // everything the owner role does from here on. An
@@ -708,7 +563,7 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                 // shipping any data — the re-formed wave walk re-executes
                 // everything below the watermark instead.
                 events.push(Some(HbEvent::new(
-                    *dev as usize + 1,
+                    dev as usize + 1,
                     format!("ep{dev} promotion handoff"),
                     HbOp::Send {
                         msg: next_msg,
@@ -725,41 +580,43 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
             TraceKind::SoloRun { lane, from, to, .. } => {
                 // One endpoint runs the whole launch: its writes happen
                 // there and the final read joins on the same endpoint.
-                let ep = endpoint_of_lane(*lane);
+                let ep = match lane {
+                    Lane::Gpu => OWNER,
+                    Lane::Cpu => CONTRIB,
+                    Lane::Peer(dev) => dev as usize + 1,
+                };
                 solo_ep = Some(ep);
                 events.push(Some(HbEvent::new(
                     ep,
                     format!("{lane} solo run {from}..{to}"),
                     HbOp::Write {
-                        ranges: fp(*from, *to),
+                        ranges: fp(from, to),
                     },
                 )));
             }
             TraceKind::MergeDone => {
-                let mut ranges = delivered.clone();
-                if final_wm < total {
-                    ranges = union_fp(ranges, &fp(final_wm, total));
-                }
-                events.push(Some(HbEvent::new(
-                    OWNER,
-                    format!("diff-merge of arrivals (watermark {final_wm})"),
-                    HbOp::Merge { ranges },
-                )));
+                merges.push(events.len());
+                events.push(None);
             }
             TraceKind::KernelComplete { finisher } => {
-                if *finisher == Finisher::Cpu {
+                if finisher == Finisher::Cpu {
                     // Owner-GPU loss: the host folds each surviving peer's
                     // memory into its own copy before the final read. Model
                     // the fold as one join message per peer carrying its
                     // cumulative writes, merged at the host endpoint. With
-                    // the CPU as the sole endpoint there is nothing to fold.
+                    // the CPU as the sole endpoint there is nothing to fold;
+                    // a promoted peer's writes were rolled back.
                     let mut folded = none();
-                    for (dev, ranges) in &peer_written {
-                        if lost_devs.contains(dev) {
+                    for (&dev, slots) in done_slots.range(1..) {
+                        let ep = &replay.eps[&dev];
+                        if ep.lost || ep.promoted {
                             continue;
                         }
+                        let ranges = slots
+                            .iter()
+                            .fold(none(), |a, &w| union_fp(a, carried(&events[w])));
                         events.push(Some(HbEvent::new(
-                            *dev as usize + 1,
+                            dev as usize + 1,
                             format!("ep{dev} memory fold"),
                             HbOp::Send {
                                 msg: next_msg,
@@ -771,7 +628,7 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                             format!("ep{dev} fold join"),
                             HbOp::Recv { msg: next_msg },
                         )));
-                        folded = union_fp(folded, ranges);
+                        folded = union_fp(folded, &ranges);
                         next_msg += 1;
                     }
                     if folded.iter().any(|r| !r.is_empty()) {
@@ -782,7 +639,10 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                         )));
                     }
                 }
-                let read_ep = solo_ep.unwrap_or_else(|| endpoint_of_finisher(*finisher));
+                let read_ep = solo_ep.unwrap_or(match finisher {
+                    Finisher::Gpu => OWNER,
+                    Finisher::Cpu => CONTRIB,
+                });
                 events.push(Some(HbEvent::new(
                     read_ep,
                     format!("final read 0..{total}"),
@@ -794,7 +654,62 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
             _ => {}
         }
     }
+    // A send's final state decides its edge. A voided transfer never
+    // delivered (or was never applied): no edge — faults excuse exactly
+    // their own damage. A send un-credited at a promotion keeps its edge
+    // for ordering but ships nothing: the engine rolled the promoted
+    // endpoint back to a pristine owner. The merge folds in every credited
+    // send (claim islands below the watermark merge too) and, since the
+    // owner's walk stops at the final watermark — the lowest one reported
+    // since the last ownership change — the covered suffix above it
+    // (paper §4.3). A legal trace delivered that suffix; a forged
+    // watermark, or a status that arrives only after the merge, surfaces
+    // as a stale or premature merge.
+    let mut ranges = none();
+    for (rec, &slot) in replay.sends.iter().zip(&sent) {
+        match rec.state {
+            SendState::Acked if !merges.is_empty() => {
+                ranges = union_fp(ranges, carried(&events[slot]));
+            }
+            SendState::Voided => events[slot] = None,
+            SendState::Uncredited => {
+                if let Some(HbEvent {
+                    op: HbOp::Send { ranges, .. },
+                    ..
+                }) = events[slot].as_mut()
+                {
+                    *ranges = none();
+                }
+            }
+            _ => {}
+        }
+    }
+    let wm = replay.watermark;
+    if !merges.is_empty() && wm < total {
+        ranges = union_fp(ranges, &fp(wm, total));
+    }
+    for slot in merges {
+        events[slot] = Some(HbEvent::new(
+            OWNER,
+            format!("diff-merge of arrivals (watermark {wm})"),
+            HbOp::Merge {
+                ranges: ranges.clone(),
+            },
+        ));
+    }
     events.into_iter().flatten().collect()
+}
+
+/// The element ranges the `Write` or `Send` event in `slot` carries. Only
+/// writes and sends never voided are looked up.
+fn carried(slot: &Option<HbEvent>) -> &[DirtyRanges] {
+    match slot {
+        Some(HbEvent {
+            op: HbOp::Write { ranges } | HbOp::Send { ranges, .. },
+            ..
+        }) => ranges,
+        _ => unreachable!("slot holds a write or a live send"),
+    }
 }
 
 #[cfg(test)]

@@ -7,6 +7,8 @@ use fluidicl_check::{lint_report, lint_trace, sweep_size, LintSeverity, SWEEP_SE
 use fluidicl_hetsim::MachineConfig;
 use fluidicl_polybench::all_benchmarks;
 
+mod common;
+
 /// Runs a few benchmarks under FluidiCL and returns every kernel report.
 /// The weak-GPU laptop makes the CPU competitive, so SYRK there yields
 /// traces with several waves *and* several arrived statuses.
@@ -285,4 +287,22 @@ fn runtime_rejects_protocol_violations_when_enabled() {
     for r in rt.reports() {
         assert!(lint_report(r).is_empty());
     }
+}
+
+#[test]
+fn mutation_status_of_a_deleted_resend() {
+    // A transient fault voids a transfer; deleting its re-send leaves a
+    // status acknowledging data that never reached the owner.
+    let (_, report, resend) = common::resend_behind_a_live_send();
+    assert!(
+        errors(&report.trace).is_empty(),
+        "unmutated fault trace lints clean"
+    );
+    let mut t = report.trace;
+    t.remove(resend);
+    let rules = errors(&t);
+    assert!(
+        rules.contains(&"data-before-status".to_string()),
+        "{rules:?}"
+    );
 }

@@ -16,6 +16,8 @@ use fluidicl_hetsim::{AbortMode, MachineConfig};
 use fluidicl_polybench::all_benchmarks;
 use fluidicl_vcl::KernelDef;
 
+mod common;
+
 /// Every benchmark × every runtime config must produce race-free traces:
 /// the detector's false-positive contract over the real protocol.
 #[test]
@@ -323,5 +325,23 @@ fn mutation_forged_watermark_on_a_peer_trace_is_flagged() {
     assert!(
         flagged.contains(&"race-stale-read"),
         "expected race-stale-read, got {flagged:?}"
+    );
+}
+
+/// Mutation 6 — a status outliving its transfer on a fault trace: a
+/// transient fault voids a transfer and its re-send is deleted, so the
+/// re-send's status acknowledges a transfer that never delivered. Another
+/// send of the endpoint is in flight at that moment; the status must not
+/// pair with it: `race-recv-without-send`.
+#[test]
+fn mutation_status_of_a_deleted_resend_is_flagged() {
+    let (kdef, base, resend) = common::resend_behind_a_live_send();
+    assert!(rules(&kdef, &base).is_empty(), "base report must be clean");
+    let mut report = base;
+    report.trace.remove(resend);
+    let flagged = rules(&kdef, &report);
+    assert!(
+        flagged.contains(&"race-recv-without-send"),
+        "expected race-recv-without-send, got {flagged:?}"
     );
 }

@@ -41,6 +41,7 @@ pub mod graph;
 pub mod heft;
 mod lint;
 mod recover;
+pub mod replay;
 mod roster;
 mod runtime;
 mod stats;

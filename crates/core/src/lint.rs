@@ -6,20 +6,27 @@
 //! trace is a complete replayable record of one kernel's execution. Every
 //! co-execution uses one vocabulary — the owner's wave walk plus the
 //! shared-frontier endpoint events, with the paper's CPU as endpoint 0 —
-//! so one replay checks them all; the paper's two-device protocol is the
-//! case of a single endpoint. The replay verifies:
+//! and one fold, [`Replay`], decides what each event means; the rules
+//! below check its steps. The paper's two-device protocol is the case of
+//! a single endpoint. The linter verifies:
 //!
 //! * non-owner **claims descend the frontier**: until recovery returns a
 //!   range, every claim ends at the top of the unclaimed region (§4.2,
 //!   Fig. 7); claims of live endpoints never overlap, and each endpoint
 //!   runs one subkernel at a time;
-//! * **data precedes status** on each endpoint's in-order queue: the k-th
-//!   status corresponds to the k-th send, which carries exactly the next
-//!   completed-but-unshipped subkernels and names the lowest of their
-//!   starts as its boundary (§4.2, §5.4); a batch of several subkernels
-//!   may not appear in a serial (depth-1) trace;
+//! * **data precedes status** on each endpoint's in-order queue (§4.2,
+//!   §5.4), by one ship/void/ack rule on fault-free and fault traces
+//!   alike. A send ships a *fresh batch* — the endpoint's oldest
+//!   completed-but-unshipped subkernels, named by the lowest of their
+//!   starts as boundary — or *re-sends* the batch of a transfer a fault,
+//!   rejection, timeout or stale epoch voided; a fault must void a live
+//!   send; a status acks the live send carrying its boundary, and may
+//!   overtake an older live send only while a voided send of that
+//!   endpoint awaits its re-ack. A batch of several subkernels may not
+//!   appear in a serial (depth-1) trace;
 //! * the **watermark only decreases** and every status reports exactly the
-//!   covered suffix of the ranges delivered so far (§4.2);
+//!   covered suffix of the ranges acked so far — a promotion un-credits
+//!   the promoted endpoint's acks and rebuilds it (§4.2);
 //! * GPU **waves stay below the watermark** known when they start, ascend
 //!   contiguously from 0, never run past the kernel exit, and an aborted
 //!   wave is followed by the exit (§4.2, §6.4, Fig. 6);
@@ -27,18 +34,14 @@
 //!   `[0, total)` — no work-group is lost (§4.3);
 //! * exactly one **exit → merge → complete** sequence, in order; a CPU
 //!   finisher completes strictly before the merge, and only when the CPU
-//!   is the sole endpoint (§4.2–4.4);
+//!   is the sole endpoint (§4.2–4.4); a lost owner's kernel is finished
+//!   by the survivors without exit or merge;
 //! * under dirty-range transfers, every send ships exactly its **coalesced
 //!   dirty payload plus the status message**.
 //!
-//! When the trace contains fault or recovery events (transfer faults,
-//! rejections and timeouts, endpoint or owner losses, promotions, stale
-//! epochs) the replay switches to a *recovery-aware* mode: resent
-//! transfers may repeat boundaries, statuses may apply out of send order
-//! behind a redelivery, returned ranges may be claimed again, and a lost
-//! owner's kernel is finished by the survivors without exit or merge.
-//! Everything that is *not* explained by a recorded recovery event is
-//! still an error — faults excuse exactly the damage they cause.
+//! Faults excuse exactly the damage they cause: a fault event names the
+//! transfer it voided, a loss or promotion returns ranges that may be
+//! claimed again, and nothing else is forgiven.
 //!
 //! Single-device runs — degraded runs after a permanent loss and graph
 //! nodes placed on a peer — record one solo span instead and are checked
@@ -51,12 +54,11 @@
 //! (the default in debug and test builds) and fails the enqueue with
 //! [`ClError::ProtocolViolation`](fluidicl_vcl::ClError) on any error.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use fluidicl_des::SimTime;
 
-use crate::frontier::Coverage;
+use crate::replay::{Replay, Step};
 use crate::stats::{Finisher, KernelReport};
 use crate::trace::{Lane, TraceEvent, TraceKind, STATUS_MSG_BYTES};
 
@@ -117,58 +119,7 @@ impl fmt::Display for LintDiagnostic {
 /// The trace must be chronologically sorted with ties in processing order —
 /// exactly what the engine stores in [`KernelReport::trace`].
 pub fn lint_trace(events: &[TraceEvent]) -> Vec<LintDiagnostic> {
-    let mut out = Vec::new();
-    let Some(first) = events.first() else {
-        out.push(LintDiagnostic::error("trace-shape", "trace is empty"));
-        return out;
-    };
-    let TraceKind::Enqueued {
-        total_wgs: total,
-        pipeline_depth: depth,
-    } = first.kind
-    else {
-        out.push(LintDiagnostic::error(
-            "trace-shape",
-            format!(
-                "first event is `{}`, expected the enqueue record",
-                first.kind
-            ),
-        ));
-        return out;
-    };
-    let mut prev_at = first.at;
-    for e in &events[1..] {
-        if e.at < prev_at {
-            out.push(LintDiagnostic::error(
-                "chronology",
-                format!("event `{}` is timestamped before its predecessor", e.kind),
-            ));
-        }
-        prev_at = e.at;
-        match &e.kind {
-            TraceKind::Enqueued { .. } => out.push(LintDiagnostic::error(
-                "trace-shape",
-                "duplicate enqueue record",
-            )),
-            TraceKind::CpuSubkernelStart { .. }
-            | TraceKind::CpuSubkernelDone { .. }
-            | TraceKind::HdEnqueued {}
-            | TraceKind::CoalescedSend {} => out.push(LintDiagnostic::error(
-                "trace-shape",
-                format!("retired two-device event `{}` in a trace", e.kind),
-            )),
-            _ => {}
-        }
-    }
-    if events
-        .iter()
-        .any(|e| matches!(e.kind, TraceKind::SoloRun { .. }))
-    {
-        lint_solo(events, total, &mut out);
-    } else {
-        lint_coexec(events, total, depth, &mut out);
-    }
-    out
+    lint(events).0
 }
 
 /// Reports every gap in `[0, total)` that `spans` leave uncovered.
@@ -192,638 +143,469 @@ fn check_cover(out: &mut Vec<LintDiagnostic>, mut spans: Vec<(u64, u64)>, total:
     }
 }
 
-/// One enqueued send in the replay: `(at, boundary, consumed ranges)`.
-type EpSendRec = (SimTime, u64, Vec<(u64, u64)>);
-
-/// Per-endpoint replay state.
+/// What the linter tracks beyond the [`Replay`]: the owner's wave walk and
+/// endgame, or a single-device run's spans.
 #[derive(Default)]
-struct EpReplay {
-    open_sub: Option<(u64, u64)>,
-    /// Completed subkernels `(at, from, to)` in completion order.
-    done: Vec<(SimTime, u64, u64)>,
-    /// How many completed subkernels earlier sends already carried.
-    shipped: usize,
-    /// Every send in enqueue order.
-    sends: Vec<EpSendRec>,
-    statuses: usize,
-    lost: bool,
+struct Owner {
+    launches: usize,
+    losses: usize,
+    next_wave: u64,
+    wave: Option<(u64, u64)>,
+    aborted: bool,
+    /// Ranges the owner waves (or the solo spans) executed.
+    executed: Vec<(u64, u64)>,
+    solo_lanes: Vec<Lane>,
+    exit_at: Option<SimTime>,
+    merge_at: Option<SimTime>,
 }
 
-/// Replays a co-execution trace: the owner's wave walk, per endpoint the
-/// subkernel pairing and the send/status queue, and globally the frontier
-/// descent, claim disjointness and the coverage watermark.
-fn lint_coexec(events: &[TraceEvent], total: u64, depth: u32, out: &mut Vec<LintDiagnostic>) {
-    // Fault and recovery events switch the replay into recovery-aware
-    // mode (see the module docs).
-    let relaxed = events.iter().any(|e| {
-        matches!(
-            e.kind,
-            TraceKind::EpTransferFault { .. }
-                | TraceKind::EpTransferRejected { .. }
-                | TraceKind::EpTransferTimeout { .. }
-                | TraceKind::NonOwnerLost { .. }
-                | TraceKind::OwnerLost
-                | TraceKind::OwnerPromoted { .. }
-                | TraceKind::EpochRejected { .. }
-        )
-    });
-    let mut eps: BTreeMap<u32, EpReplay> = BTreeMap::new();
-    // All claimed ranges with their claimant, for frontier disjointness.
-    let mut claims: Vec<(u64, u64, u32)> = Vec::new();
-    // Top of the frontier's untouched region. Every claim takes the top of
-    // it until a loss or a promotion returns ranges to the frontier.
-    let mut frontier_top = total;
-    let mut frontier_exact = true;
-    let mut lost_devs: Vec<u32> = Vec::new();
-    // Owner-failover replay: every promotion hands the owner role to a
-    // surviving peer, bumps the epoch, and restarts the wave walk from 0.
-    let mut promotions = 0usize;
-    let mut owner_losses = 0usize;
-    let mut promoted_devs: Vec<u32> = Vec::new();
-    // Watermark replay: EpStatus events carry the engine's value; the
-    // linter recomputes it from delivered ranges and cross-checks.
-    let mut watermark = total;
-    let mut coverage = Coverage::new(total);
-    // Delivered-and-credited ranges per endpoint. Owner failover
-    // un-credits the promoted endpoint's deliveries, so the post-promotion
-    // watermark is the covered suffix of the *other* endpoints' ranges —
-    // this map is what lets the replay rebuild it exactly.
-    let mut applied_by_dev: BTreeMap<u32, Vec<(u64, u64)>> = BTreeMap::new();
-    // Owner wave replay.
-    let mut expected_next = 0u64;
-    let mut open_wave: Option<(u64, u64)> = None;
-    let mut wave_aborted = false;
-    let mut launches = 0usize;
-    let mut exec_ranges: Vec<(u64, u64)> = Vec::new();
-    let mut exit_at: Option<SimTime> = None;
-    let mut merge_at: Option<SimTime> = None;
-    let mut completes: Vec<(SimTime, Finisher)> = Vec::new();
-
+/// Lints `events` in one pass of the [`Replay`] fold. Returns the findings
+/// and, for a trace with an enqueue record, the fold's final state.
+fn lint(events: &[TraceEvent]) -> (Vec<LintDiagnostic>, Option<Replay>) {
+    let mut out = Vec::new();
+    let Some(first) = events.first() else {
+        out.push(LintDiagnostic::error("trace-shape", "trace is empty"));
+        return (out, None);
+    };
+    let TraceKind::Enqueued {
+        total_wgs: total,
+        pipeline_depth: depth,
+    } = first.kind
+    else {
+        out.push(LintDiagnostic::error(
+            "trace-shape",
+            format!(
+                "first event is `{}`, expected the enqueue record",
+                first.kind
+            ),
+        ));
+        return (out, None);
+    };
+    // Degraded runs and graph nodes placed on a peer record solo spans
+    // instead of co-execution, and are checked for exactly that shape.
+    let solo = events
+        .iter()
+        .any(|e| matches!(e.kind, TraceKind::SoloRun { .. }));
+    let mut replay = Replay::new(total);
+    let mut owner = Owner::default();
+    let mut prev_at = first.at;
     for e in &events[1..] {
-        let exited = exit_at.is_some();
+        if e.at < prev_at {
+            out.push(LintDiagnostic::error(
+                "chronology",
+                format!("event `{}` is timestamped before its predecessor", e.kind),
+            ));
+        }
+        prev_at = e.at;
+        let step = replay.step(e);
         match &e.kind {
-            TraceKind::GpuLaunch => {
-                launches += 1;
-                // Each promotion legally relaunches the owner walk once.
-                if launches > promotions + 1 {
-                    out.push(LintDiagnostic::error("trace-shape", "gpu launched twice"));
-                }
-                if exited {
-                    out.push(LintDiagnostic::error(
-                        "gpu-exit",
-                        "gpu launch recorded after the gpu exit",
-                    ));
-                }
-            }
-            TraceKind::GpuWaveStart { from, to } => {
-                if exited {
-                    out.push(LintDiagnostic::error(
-                        "gpu-exit",
-                        format!("wave {from}..{to} started after the gpu exit"),
-                    ));
-                }
-                if wave_aborted {
-                    out.push(LintDiagnostic::error(
-                        "wave-contiguity",
-                        format!("wave {from}..{to} started after an abort; the gpu must exit next"),
-                    ));
-                }
-                if open_wave.is_some() {
-                    out.push(LintDiagnostic::error(
-                        "wave-contiguity",
-                        format!("wave {from}..{to} started while another wave is running"),
-                    ));
-                }
-                if *from != expected_next {
-                    out.push(LintDiagnostic::error(
-                        "wave-contiguity",
-                        format!("wave starts at {from}, expected {expected_next}"),
-                    ));
-                }
-                if from >= to {
-                    out.push(LintDiagnostic::error(
-                        "wave-bounds",
-                        format!("wave {from}..{to} is empty or reversed"),
-                    ));
-                }
-                let limit = watermark.min(total);
-                if *to > limit {
-                    out.push(LintDiagnostic::error(
-                        "wave-bounds",
-                        format!(
-                            "wave {from}..{to} runs past the watermark {limit} known at its start"
-                        ),
-                    ));
-                }
-                open_wave = Some((*from, *to));
-            }
-            TraceKind::GpuWaveDone {
-                from,
-                to,
-                executed_to,
-            } => match open_wave.take() {
-                Some((wf, wt)) if wf == *from && wt == *to => {
-                    if executed_to < from || executed_to > to {
-                        out.push(LintDiagnostic::error(
-                            "wave-bounds",
-                            format!("wave {from}..{to} reports executing up to {executed_to}"),
-                        ));
-                    }
-                    if *executed_to > *from {
-                        exec_ranges.push((*from, *executed_to));
-                    }
-                    expected_next = *to;
-                }
-                other => {
-                    out.push(LintDiagnostic::error(
-                        "wave-contiguity",
-                        format!("wave {from}..{to} finished but {other:?} was running"),
-                    ));
-                }
-            },
-            TraceKind::GpuWaveAborted { from, to } => match open_wave.take() {
-                Some((wf, wt)) if wf == *from && wt == *to => {
-                    wave_aborted = true;
-                    if watermark > *from {
-                        out.push(LintDiagnostic::error(
-                            "wave-bounds",
-                            format!(
-                                "wave {from}..{to} aborted although the watermark {watermark} \
-                                 had not covered it"
-                            ),
-                        ));
-                    }
-                }
-                other => {
-                    out.push(LintDiagnostic::error(
-                        "wave-contiguity",
-                        format!("wave {from}..{to} aborted but {other:?} was running"),
-                    ));
-                }
-            },
-            TraceKind::GpuExit => {
-                if exited {
-                    out.push(LintDiagnostic::error("gpu-exit", "gpu exited twice"));
-                } else {
-                    if let Some((wf, wt)) = open_wave {
-                        out.push(LintDiagnostic::error(
-                            "gpu-exit",
-                            format!("gpu exited while wave {wf}..{wt} is still running"),
-                        ));
-                    }
-                    let limit = watermark.min(total);
-                    if expected_next < limit {
-                        out.push(LintDiagnostic::error(
-                            "gpu-exit",
-                            format!(
-                                "gpu exited at work-group {expected_next}, below the \
-                                 watermark {limit}"
-                            ),
-                        ));
-                    }
-                    exit_at = Some(e.at);
-                }
-            }
-            TraceKind::MergeDone => {
-                if merge_at.is_some() {
-                    out.push(LintDiagnostic::error("merge", "diff-merge completed twice"));
-                } else {
-                    if exit_at.is_none() {
-                        out.push(LintDiagnostic::error(
-                            "merge",
-                            "diff-merge completed before the gpu exited",
-                        ));
-                    }
-                    merge_at = Some(e.at);
-                }
-            }
-            TraceKind::EpSubkernelStart { dev, from, to, .. } => {
-                if exited {
-                    out.push(LintDiagnostic::error(
-                        "ep-pairing",
-                        format!("ep{dev} subkernel {from}..{to} started after the gpu exit"),
-                    ));
-                }
-                if from >= to || *to > total {
-                    out.push(LintDiagnostic::error(
-                        "ep-pairing",
-                        format!("ep{dev} subkernel {from}..{to} is empty, reversed or oversized"),
-                    ));
-                }
-                let ep = eps.entry(*dev).or_default();
-                if ep.open_sub.is_some() {
-                    out.push(LintDiagnostic::error(
-                        "ep-pairing",
-                        format!(
-                            "ep{dev} subkernel {from}..{to} started while another is running \
-                             on the same endpoint"
-                        ),
-                    ));
-                }
-                ep.open_sub = Some((*from, *to));
-                if promoted_devs.contains(dev) {
-                    out.push(LintDiagnostic::error(
-                        "recovery",
-                        format!(
-                            "ep{dev} subkernel {from}..{to} started after its promotion to owner"
-                        ),
-                    ));
-                }
-                if frontier_exact && *to != frontier_top {
-                    out.push(LintDiagnostic::error(
-                        "claim-descent",
-                        format!(
-                            "ep{dev} claim {from}..{to} breaks the descent; expected it to end \
-                             at the frontier top {frontier_top}"
-                        ),
-                    ));
-                }
-                frontier_top = frontier_top.min(*from);
-                // Frontier disjointness: a claim may only overlap a range a
-                // *lost* or *promoted* endpoint claimed — the frontier
-                // returned it (promotion re-enqueues un-acked claims).
-                for (cf, ct, cdev) in &claims {
-                    if from < ct
-                        && cf < to
-                        && !lost_devs.contains(cdev)
-                        && !promoted_devs.contains(cdev)
-                    {
-                        out.push(LintDiagnostic::error(
-                            "claim-disjoint",
-                            format!(
-                                "ep{dev} claim {from}..{to} overlaps ep{cdev} claim {cf}..{ct} \
-                                 although ep{cdev} was never lost"
-                            ),
-                        ));
-                    }
-                }
-                claims.push((*from, *to, *dev));
-            }
-            TraceKind::EpSubkernelDone { dev, from, to } => {
-                let ep = eps.entry(*dev).or_default();
-                match ep.open_sub.take() {
-                    Some((sf, st)) if sf == *from && st == *to => {
-                        ep.done.push((e.at, *from, *to));
-                    }
-                    other => {
-                        out.push(LintDiagnostic::error(
-                            "ep-pairing",
-                            format!(
-                                "ep{dev} subkernel {from}..{to} finished but {other:?} was \
-                                 running on that endpoint"
-                            ),
-                        ));
-                    }
-                }
-            }
-            TraceKind::EpSend {
-                dev,
-                boundary,
-                bytes,
-                dirty_bytes,
-                subkernels,
-            } => {
-                if exited {
-                    out.push(LintDiagnostic::error(
-                        "data-before-status",
-                        format!(
-                            "ep{dev} transfer (boundary {boundary}) enqueued after the gpu exit"
-                        ),
-                    ));
-                }
-                if promoted_devs.contains(dev) {
-                    out.push(LintDiagnostic::error(
-                        "recovery",
-                        format!(
-                            "ep{dev} transfer (boundary {boundary}) enqueued after its \
-                             promotion to owner"
-                        ),
-                    ));
-                }
-                if *subkernels == 0 {
-                    out.push(LintDiagnostic::error(
-                        "data-before-status",
-                        format!("ep{dev} transfer (boundary {boundary}) carries no subkernels"),
-                    ));
-                }
-                if *subkernels > 1 && depth <= 1 {
-                    out.push(LintDiagnostic::error(
-                        "coalesced-send",
-                        format!(
-                            "ep{dev} batch of {subkernels} subkernels in a serial trace \
-                             (pipeline depth {depth})"
-                        ),
-                    ));
-                }
-                if let Some(d) = dirty_bytes {
-                    if *bytes != d + STATUS_MSG_BYTES {
-                        out.push(LintDiagnostic::error(
-                            "transfer-bytes",
-                            format!(
-                                "ep{dev} transfer (boundary {boundary}) ships {bytes} B but its \
-                                 dirty payload is {d} B + {STATUS_MSG_BYTES} B status"
-                            ),
-                        ));
-                    }
-                }
-                let ep = eps.entry(*dev).or_default();
-                let batch = *subkernels as usize;
-                if relaxed {
-                    // Resends repeat already-shipped ranges; the surviving
-                    // invariant is that the boundary names one of this
-                    // endpoint's completed subkernels.
-                    if !ep.done.iter().any(|(_, f, _)| f == boundary) {
-                        out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "ep{dev} transfer carries boundary {boundary} but no completed \
-                                 subkernel of that endpoint starts there"
-                            ),
-                        ));
-                    }
-                    // Reconstruct the batch for the credit ledger: a send
-                    // (and any resend of it) carries a consecutive
-                    // completion-order window of this endpoint's done
-                    // subkernels whose lowest start is the boundary.
-                    let consumed: Vec<(u64, u64)> = if batch == 0 || batch > ep.done.len() {
-                        Vec::new()
-                    } else {
-                        (0..=ep.done.len() - batch)
-                            .map(|i| &ep.done[i..i + batch])
-                            .find(|w| {
-                                w.iter().all(|(at, _, _)| *at <= e.at)
-                                    && w.iter().map(|(_, f, _)| *f).min() == Some(*boundary)
-                            })
-                            .map(|w| w.iter().map(|(_, f, t)| (*f, *t)).collect())
-                            .unwrap_or_default()
-                    };
-                    ep.sends.push((e.at, *boundary, consumed));
-                } else {
-                    // Fault-free shipping consumes this endpoint's completed
-                    // subkernels strictly in completion order; the boundary
-                    // is the lowest start in the batch.
-                    let end = ep.shipped + batch;
-                    if end > ep.done.len() {
-                        out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "ep{dev} batch of {batch} (boundary {boundary}) outruns the \
-                                 {} completed subkernels of that endpoint",
-                                ep.done.len()
-                            ),
-                        ));
-                        ep.sends.push((e.at, *boundary, Vec::new()));
-                    } else {
-                        let consumed: Vec<(u64, u64)> = ep.done[ep.shipped..end]
-                            .iter()
-                            .map(|(_, f, t)| (*f, *t))
-                            .collect();
-                        let lowest = consumed.iter().map(|(f, _)| *f).min().unwrap_or(total);
-                        if lowest != *boundary {
-                            out.push(LintDiagnostic::error(
-                                "data-before-status",
-                                format!(
-                                    "ep{dev} batch of {batch} carries boundary {boundary} but \
-                                     its lowest subkernel starts at {lowest}"
-                                ),
-                            ));
-                        }
-                        ep.sends.push((e.at, *boundary, consumed));
-                        ep.shipped = end;
-                    }
-                }
-            }
-            TraceKind::EpStatus {
-                dev,
-                boundary,
-                watermark: wm,
-            } => {
-                if exited {
-                    out.push(LintDiagnostic::error(
-                        "gpu-exit",
-                        format!("ep{dev} status (boundary {boundary}) arrived after the gpu exit"),
-                    ));
-                }
-                if *wm > watermark {
-                    out.push(LintDiagnostic::error(
-                        "watermark-monotone",
-                        format!("watermark rose from {watermark} to {wm}"),
-                    ));
-                }
-                let ep = eps.entry(*dev).or_default();
-                if relaxed {
-                    match ep
-                        .sends
-                        .iter()
-                        .find(|(sent_at, b, _)| b == boundary && *sent_at <= e.at)
-                    {
-                        None => out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "ep{dev} status (boundary {boundary}) arrived without a prior \
-                                 transfer carrying it"
-                            ),
-                        )),
-                        Some((_, _, ranges)) => {
-                            // A retry re-ships the same subkernels, so any
-                            // send matching the boundary carries the same
-                            // ranges — good enough for the credit ledger.
-                            let credited = applied_by_dev.entry(*dev).or_default();
-                            for &(f, t) in ranges {
-                                if f < t && t <= total {
-                                    credited.push((f, t));
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    match ep.sends.get(ep.statuses) {
-                        None => out.push(LintDiagnostic::error(
-                            "data-before-status",
-                            format!(
-                                "ep{dev} status (boundary {boundary}) arrived without a \
-                                 matching enqueued transfer"
-                            ),
-                        )),
-                        Some((sent_at, sent_boundary, ranges)) => {
-                            if sent_boundary != boundary {
-                                out.push(LintDiagnostic::error(
-                                    "data-before-status",
-                                    format!(
-                                        "ep{dev} status boundary {boundary} does not match its \
-                                         in-order queue (transfer {} carried {sent_boundary})",
-                                        ep.statuses
-                                    ),
-                                ));
-                            }
-                            if e.at < *sent_at {
-                                out.push(LintDiagnostic::error(
-                                    "data-before-status",
-                                    format!(
-                                        "ep{dev} status (boundary {boundary}) arrived before \
-                                         it was sent"
-                                    ),
-                                ));
-                            }
-                            let credited = applied_by_dev.entry(*dev).or_default();
-                            for (f, t) in ranges {
-                                // Out-of-bounds ranges were already reported
-                                // at their claim; never feed them to the
-                                // coverage set (its bounds are asserted).
-                                if f < t && *t <= total {
-                                    coverage.add(*f, *t);
-                                    credited.push((*f, *t));
-                                }
-                            }
-                            let suffix = coverage.suffix_start();
-                            if *wm != suffix {
-                                out.push(LintDiagnostic::error(
-                                    "watermark-monotone",
-                                    format!(
-                                        "ep{dev} status reports watermark {wm} but the \
-                                         delivered ranges put the covered suffix at {suffix}"
-                                    ),
-                                ));
-                            }
-                        }
-                    }
-                }
-                ep.statuses += 1;
-                watermark = watermark.min(*wm);
-            }
-            TraceKind::EpTransferFault { dev, boundary, .. }
-            | TraceKind::EpTransferRejected { dev, boundary }
-            | TraceKind::EpTransferTimeout { dev, boundary } => {
-                let ep = eps.entry(*dev).or_default();
-                if !ep.sends.iter().any(|(_, b, _)| b == boundary) {
-                    out.push(LintDiagnostic::error(
-                        "recovery",
-                        format!(
-                            "ep{dev} transfer fault reported for boundary {boundary} but no \
-                             enqueued transfer of that endpoint carried it"
-                        ),
-                    ));
-                }
-            }
-            TraceKind::NonOwnerLost { dev } => {
-                let ep = eps.entry(*dev).or_default();
-                if ep.lost {
-                    out.push(LintDiagnostic::error(
-                        "recovery",
-                        format!("ep{dev} was declared lost twice"),
-                    ));
-                }
-                ep.lost = true;
-                lost_devs.push(*dev);
-                // The lost endpoint's unshipped claims return to the
-                // frontier.
-                frontier_exact = false;
-            }
-            TraceKind::OwnerLost => {
-                // A second owner loss is legal only when a promotion
-                // installed a new owner in between (cascading failover).
-                if owner_losses > promotions {
-                    out.push(LintDiagnostic::error(
-                        "recovery",
-                        "the owner gpu was declared lost twice",
-                    ));
-                }
-                owner_losses += 1;
-                // The acting owner died mid-walk: its running wave is
-                // abandoned, never completed.
-                open_wave = None;
-            }
-            TraceKind::OwnerPromoted { dev, epoch } => {
-                if promotions >= owner_losses {
-                    out.push(LintDiagnostic::error(
-                        "recovery",
-                        format!("ep{dev} promoted although the acting owner was not lost"),
-                    ));
-                }
-                if *epoch as usize != promotions + 1 {
-                    out.push(LintDiagnostic::error(
-                        "recovery",
-                        format!(
-                            "ep{dev} promoted to epoch {epoch}, expected epoch {} (epochs are \
-                             strictly sequential)",
-                            promotions + 1
-                        ),
-                    ));
-                }
-                if lost_devs.contains(dev) || promoted_devs.contains(dev) {
-                    out.push(LintDiagnostic::error(
-                        "recovery",
-                        format!("ep{dev} promoted although it is lost or already the owner"),
-                    ));
-                }
-                promotions += 1;
-                promoted_devs.push(*dev);
-                frontier_exact = false;
-                // The new owner resumes the wave walk from work-group 0.
-                expected_next = 0;
-                wave_aborted = false;
-                // Promotion un-credits the promoted endpoint's delivered
-                // ranges (they leave coverage and return to the frontier
-                // for the survivors), so the engine's watermark may legally
-                // rise here: rebuild it as the covered suffix of the other
-                // endpoints' still-credited deliveries.
-                applied_by_dev.remove(dev);
-                let mut rebuilt = Coverage::new(total);
-                for ranges in applied_by_dev.values() {
-                    for &(f, t) in ranges {
-                        rebuilt.add(f, t);
-                    }
-                }
-                watermark = rebuilt.suffix_start();
-                coverage = rebuilt;
-            }
-            TraceKind::EpochRejected { dev, boundary } => {
-                if promotions == 0 {
-                    out.push(LintDiagnostic::error(
-                        "recovery",
-                        format!(
-                            "ep{dev} status (boundary {boundary}) rejected as stale although \
-                             no promotion occurred"
-                        ),
-                    ));
-                }
-                let ep = eps.entry(*dev).or_default();
-                if !ep.sends.iter().any(|(_, b, _)| b == boundary) {
-                    out.push(LintDiagnostic::error(
-                        "recovery",
-                        format!(
-                            "ep{dev} stale-epoch rejection for boundary {boundary} but no \
-                             enqueued transfer of that endpoint carried it"
-                        ),
-                    ));
-                }
-            }
-            TraceKind::KernelComplete { finisher } => {
-                completes.push((e.at, *finisher));
-            }
-            // Reported by `lint_trace`; solo spans never reach this replay.
-            TraceKind::Enqueued { .. }
-            | TraceKind::SoloRun { .. }
-            | TraceKind::CpuSubkernelStart { .. }
+            TraceKind::Enqueued { .. } => out.push(LintDiagnostic::error(
+                "trace-shape",
+                "duplicate enqueue record",
+            )),
+            TraceKind::CpuSubkernelStart { .. }
             | TraceKind::CpuSubkernelDone { .. }
             | TraceKind::HdEnqueued {}
-            | TraceKind::CoalescedSend {} => {}
+            | TraceKind::CoalescedSend {} => out.push(LintDiagnostic::error(
+                "trace-shape",
+                format!("retired two-device event `{}` in a trace", e.kind),
+            )),
+            _ if solo => lint_solo_event(e, &mut owner, &mut out),
+            _ => lint_event(e, step, &replay, &mut owner, depth, &mut out),
         }
     }
+    if solo {
+        finish_solo(&replay, owner, &mut out);
+    } else {
+        finish_coexec(&replay, owner, &mut out);
+    }
+    (out, Some(replay))
+}
 
-    if launches == 0 && total > 0 {
+/// Checks one co-execution event against the protocol: the owner's wave
+/// walk — waves ascend contiguously from 0 below the known watermark, then
+/// exactly one exit and one merge — owner loss and promotion, and on the
+/// endpoints subkernel pairing, the frontier descent and claim
+/// disjointness, each in-order queue's ship/void/ack pairing and the
+/// coverage watermark.
+fn lint_event(
+    e: &TraceEvent,
+    step: Step,
+    r: &Replay,
+    owner: &mut Owner,
+    depth: u32,
+    out: &mut Vec<LintDiagnostic>,
+) {
+    let exited = owner.exit_at.is_some();
+    let mut err =
+        |rule: &'static str, message: String| out.push(LintDiagnostic::error(rule, message));
+    match e.kind {
+        TraceKind::GpuLaunch => {
+            owner.launches += 1;
+            // Each promotion legally relaunches the owner walk once.
+            if owner.launches > r.epoch as usize + 1 {
+                err("trace-shape", "gpu launched twice".into());
+            }
+            if exited {
+                err("gpu-exit", "gpu launch recorded after the gpu exit".into());
+            }
+        }
+        TraceKind::GpuWaveStart { from, to } => {
+            if exited {
+                err(
+                    "gpu-exit",
+                    format!("wave {from}..{to} started after the gpu exit"),
+                );
+            }
+            if owner.aborted {
+                err(
+                    "wave-contiguity",
+                    format!("wave {from}..{to} started after an abort; the gpu must exit next"),
+                );
+            }
+            if owner.wave.is_some() {
+                err(
+                    "wave-contiguity",
+                    format!("wave {from}..{to} started while another wave is running"),
+                );
+            }
+            if from != owner.next_wave {
+                err(
+                    "wave-contiguity",
+                    format!("wave starts at {from}, expected {}", owner.next_wave),
+                );
+            }
+            if from >= to {
+                err(
+                    "wave-bounds",
+                    format!("wave {from}..{to} is empty or reversed"),
+                );
+            }
+            if to > r.watermark {
+                err(
+                    "wave-bounds",
+                    format!(
+                        "wave {from}..{to} runs past the watermark {} known at its start",
+                        r.watermark
+                    ),
+                );
+            }
+            owner.wave = Some((from, to));
+        }
+        TraceKind::GpuWaveDone {
+            from,
+            to,
+            executed_to,
+        } => match owner.wave.take() {
+            Some(w) if w == (from, to) => {
+                if executed_to < from || executed_to > to {
+                    err(
+                        "wave-bounds",
+                        format!("wave {from}..{to} reports executing up to {executed_to}"),
+                    );
+                }
+                if executed_to > from {
+                    owner.executed.push((from, executed_to));
+                }
+                owner.next_wave = to;
+            }
+            other => err(
+                "wave-contiguity",
+                format!("wave {from}..{to} finished but {other:?} was running"),
+            ),
+        },
+        TraceKind::GpuWaveAborted { from, to } => match owner.wave.take() {
+            Some(w) if w == (from, to) => {
+                owner.aborted = true;
+                if r.watermark > from {
+                    err(
+                        "wave-bounds",
+                        format!(
+                            "wave {from}..{to} aborted although the watermark {} had not \
+                             covered it",
+                            r.watermark
+                        ),
+                    );
+                }
+            }
+            other => err(
+                "wave-contiguity",
+                format!("wave {from}..{to} aborted but {other:?} was running"),
+            ),
+        },
+        TraceKind::GpuExit => {
+            if exited {
+                err("gpu-exit", "gpu exited twice".into());
+                return;
+            }
+            if let Some((wf, wt)) = owner.wave {
+                err(
+                    "gpu-exit",
+                    format!("gpu exited while wave {wf}..{wt} is still running"),
+                );
+            }
+            if owner.next_wave < r.watermark {
+                err(
+                    "gpu-exit",
+                    format!(
+                        "gpu exited at work-group {}, below the watermark {}",
+                        owner.next_wave, r.watermark
+                    ),
+                );
+            }
+            owner.exit_at = Some(e.at);
+        }
+        TraceKind::MergeDone => {
+            if owner.merge_at.is_some() {
+                err("merge", "diff-merge completed twice".into());
+                return;
+            }
+            if !exited {
+                err("merge", "diff-merge completed before the gpu exited".into());
+            }
+            owner.merge_at = Some(e.at);
+        }
+        TraceKind::OwnerLost => {
+            // A second owner loss is legal only when a promotion installed
+            // a new owner in between (cascading failover).
+            if owner.losses > r.epoch as usize {
+                err("recovery", "the owner gpu was declared lost twice".into());
+            }
+            owner.losses += 1;
+            // The acting owner died mid-walk: its running wave is
+            // abandoned, never completed.
+            owner.wave = None;
+        }
+        TraceKind::OwnerPromoted { dev, epoch } => {
+            if r.epoch as usize > owner.losses {
+                err(
+                    "recovery",
+                    format!("ep{dev} promoted although the acting owner was not lost"),
+                );
+            }
+            if epoch != r.epoch {
+                err(
+                    "recovery",
+                    format!(
+                        "ep{dev} promoted to epoch {epoch}, expected epoch {} (epochs are \
+                         strictly sequential)",
+                        r.epoch
+                    ),
+                );
+            }
+            if step.again {
+                err(
+                    "recovery",
+                    format!("ep{dev} promoted although it is lost or already the owner"),
+                );
+            }
+            // The new owner resumes the wave walk from work-group 0.
+            owner.next_wave = 0;
+            owner.aborted = false;
+        }
+        TraceKind::EpSubkernelStart { dev, from, to, .. } => {
+            if exited {
+                err(
+                    "ep-pairing",
+                    format!("ep{dev} subkernel {from}..{to} started after the gpu exit"),
+                );
+            }
+            if from >= to || to > r.total {
+                err(
+                    "ep-pairing",
+                    format!("ep{dev} subkernel {from}..{to} is empty, reversed or oversized"),
+                );
+            }
+            if step.running.is_some() {
+                err(
+                    "ep-pairing",
+                    format!(
+                        "ep{dev} subkernel {from}..{to} started while another is running on \
+                         the same endpoint"
+                    ),
+                );
+            }
+            if r.eps[&dev].promoted {
+                err(
+                    "recovery",
+                    format!("ep{dev} subkernel {from}..{to} started after its promotion to owner"),
+                );
+            }
+            if let Some(top) = step.top.filter(|&top| top != to) {
+                err(
+                    "claim-descent",
+                    format!(
+                        "ep{dev} claim {from}..{to} breaks the descent; expected it to end at \
+                         the frontier top {top}"
+                    ),
+                );
+            }
+            // A claim may only overlap a range the frontier returned: one
+            // a lost or promoted endpoint claimed.
+            let (_, earlier) = r.claims.split_last().expect("the claim was just recorded");
+            for (cf, ct, cdev) in earlier {
+                if from < *ct && *cf < to {
+                    err(
+                        "claim-disjoint",
+                        format!(
+                            "ep{dev} claim {from}..{to} overlaps ep{cdev} claim {cf}..{ct} \
+                             although ep{cdev} was never lost"
+                        ),
+                    );
+                }
+            }
+        }
+        TraceKind::EpSubkernelDone { dev, from, to } if step.running != Some((from, to)) => err(
+            "ep-pairing",
+            format!(
+                "ep{dev} subkernel {from}..{to} finished but {:?} was running on that endpoint",
+                step.running
+            ),
+        ),
+        TraceKind::EpSend {
+            dev,
+            boundary,
+            bytes,
+            dirty_bytes,
+            subkernels,
+        } => {
+            if exited {
+                err(
+                    "data-before-status",
+                    format!("ep{dev} transfer (boundary {boundary}) enqueued after the gpu exit"),
+                );
+            }
+            if r.eps[&dev].promoted {
+                err(
+                    "recovery",
+                    format!(
+                        "ep{dev} transfer (boundary {boundary}) enqueued after its promotion \
+                         to owner"
+                    ),
+                );
+            }
+            if step.unpaired {
+                err(
+                    "data-before-status",
+                    format!(
+                        "ep{dev} transfer of {subkernels} subkernels (boundary {boundary}) is \
+                         neither its next completed batch nor a re-send of a voided transfer"
+                    ),
+                );
+            }
+            if subkernels > 1 && depth <= 1 {
+                err(
+                    "coalesced-send",
+                    format!(
+                        "ep{dev} batch of {subkernels} subkernels in a serial trace (pipeline \
+                         depth {depth})"
+                    ),
+                );
+            }
+            if let Some(d) = dirty_bytes.filter(|d| bytes != d + STATUS_MSG_BYTES) {
+                err(
+                    "transfer-bytes",
+                    format!(
+                        "ep{dev} transfer (boundary {boundary}) ships {bytes} B but its dirty \
+                         payload is {d} B + {STATUS_MSG_BYTES} B status"
+                    ),
+                );
+            }
+        }
+        TraceKind::EpStatus {
+            dev,
+            boundary,
+            watermark,
+        } => {
+            if exited {
+                err(
+                    "gpu-exit",
+                    format!("ep{dev} status (boundary {boundary}) arrived after the gpu exit"),
+                );
+            }
+            // The fold keeps the lowest reported value, so a rise leaves
+            // the status above it.
+            if watermark > r.watermark {
+                err(
+                    "watermark-monotone",
+                    format!("watermark rose from {} to {watermark}", r.watermark),
+                );
+            }
+            if step.send.is_none() {
+                err(
+                    "data-before-status",
+                    format!(
+                        "ep{dev} status (boundary {boundary}) arrived without a live transfer \
+                         carrying it"
+                    ),
+                );
+                return;
+            }
+            if step.unpaired {
+                err(
+                    "data-before-status",
+                    format!(
+                        "ep{dev} status (boundary {boundary}) overtook an older transfer on its \
+                         in-order queue with no re-send pending"
+                    ),
+                );
+            }
+            let suffix = r.coverage.suffix_start();
+            if watermark != suffix {
+                err(
+                    "watermark-monotone",
+                    format!(
+                        "ep{dev} status reports watermark {watermark} but the delivered ranges \
+                         put the covered suffix at {suffix}"
+                    ),
+                );
+            }
+        }
+        TraceKind::EpTransferFault { dev, boundary, .. }
+        | TraceKind::EpTransferRejected { dev, boundary }
+        | TraceKind::EpTransferTimeout { dev, boundary }
+        | TraceKind::EpochRejected { dev, boundary } => {
+            if matches!(e.kind, TraceKind::EpochRejected { .. }) && r.epoch == 0 {
+                err(
+                    "recovery",
+                    format!(
+                        "ep{dev} status (boundary {boundary}) rejected as stale although no \
+                         promotion occurred"
+                    ),
+                );
+            }
+            if step.send.is_none() {
+                err(
+                    "recovery",
+                    format!("`{}` names no live transfer of ep{dev}", e.kind),
+                );
+            }
+        }
+        TraceKind::NonOwnerLost { dev } if step.again => {
+            err("recovery", format!("ep{dev} was declared lost twice"));
+        }
+        _ => {}
+    }
+}
+
+/// The end of a co-execution trace: every subkernel completed, exactly one
+/// exit → merge → complete sequence (or the lost-owner endgame), and full
+/// coverage.
+fn finish_coexec(r: &Replay, mut owner: Owner, out: &mut Vec<LintDiagnostic>) {
+    let total = r.total;
+    if owner.launches == 0 && total > 0 {
         out.push(LintDiagnostic::error(
             "trace-shape",
             "gpu was never launched",
         ));
     }
-    for (dev, ep) in &eps {
-        if let Some((sf, st)) = ep.open_sub {
+    for (dev, ep) in &r.eps {
+        if let Some((sf, st)) = ep.running {
             // A lost endpoint legally leaves exactly its killed subkernel
             // open, and so does a promoted one (its in-flight subkernel is
             // abandoned when it takes the owner role); any other dangling
             // subkernel is an engine defect.
-            if !ep.lost && !promoted_devs.contains(dev) {
+            if !ep.lost && !ep.promoted {
                 out.push(LintDiagnostic::error(
                     "ep-pairing",
                     format!("ep{dev} subkernel {sf}..{st} never completed"),
@@ -831,60 +613,57 @@ fn lint_coexec(events: &[TraceEvent], total: u64, depth: u32, out: &mut Vec<Lint
             }
         }
     }
-    let all_done: Vec<(SimTime, u64, u64)> = eps
-        .values()
-        .flat_map(|ep| ep.done.iter().copied())
-        .collect();
+    let all_done: Vec<_> = r.eps.values().flat_map(|ep| &ep.done).collect();
     // The lost-owner endgame applies only when the *final* acting owner is
     // dead — a promotion that installed a healthy new owner means the
     // kernel still exits, merges and completes through the owner role.
-    if owner_losses > promotions {
+    if owner.losses > r.epoch as usize {
         // A lost owner never exits and never merges; the non-owners finish
         // the whole NDRange among themselves and the host assembles.
-        if exit_at.is_some() {
+        if owner.exit_at.is_some() {
             out.push(LintDiagnostic::error(
                 "recovery",
                 "gpu exited although it was declared lost",
             ));
         }
-        if merge_at.is_some() {
+        if owner.merge_at.is_some() {
             out.push(LintDiagnostic::error(
                 "recovery",
                 "diff-merge completed although the gpu was lost",
             ));
         }
-        match completes.as_slice() {
-            [(at, Finisher::Cpu)] => {
-                if !all_done.iter().any(|(t, _, _)| t == at) {
+        match (r.completions, r.complete) {
+            (1, Some((at, Finisher::Cpu))) => {
+                if !all_done.iter().any(|&&(t, _, _)| t == at) {
                     out.push(LintDiagnostic::error(
                         "completion",
                         "cpu finisher without any subkernel completing at that time",
                     ));
                 }
             }
-            [(_, Finisher::Gpu)] => out.push(LintDiagnostic::error(
+            (1, Some((_, Finisher::Gpu))) => out.push(LintDiagnostic::error(
                 "completion",
                 "a kernel whose gpu was lost cannot be finished by the gpu",
             )),
-            other => out.push(completion_count_error(other.len())),
+            (n, _) => out.push(completion_count_error(n)),
         }
-        let done_spans = all_done.iter().map(|(_, f, t)| (*f, *t)).collect();
+        let done_spans = all_done.iter().map(|&&(_, f, t)| (f, t)).collect();
         check_cover(out, done_spans, total, "any survivor");
         return;
     }
-    if let Some((wf, wt)) = open_wave {
-        if exit_at.is_none() {
+    if let Some((wf, wt)) = owner.wave {
+        if owner.exit_at.is_none() {
             out.push(LintDiagnostic::error(
                 "gpu-exit",
                 format!("wave {wf}..{wt} never completed and the gpu never exited"),
             ));
         }
     }
-    let Some(exit) = exit_at else {
+    let Some(exit) = owner.exit_at else {
         out.push(LintDiagnostic::error("gpu-exit", "gpu never exited"));
         return;
     };
-    let Some(merge) = merge_at else {
+    let Some(merge) = owner.merge_at else {
         out.push(LintDiagnostic::error("merge", "diff-merge never completed"));
         return;
     };
@@ -894,9 +673,9 @@ fn lint_coexec(events: &[TraceEvent], total: u64, depth: u32, out: &mut Vec<Lint
             "diff-merge completed before the gpu exit",
         ));
     }
-    match completes.as_slice() {
-        [(at, Finisher::Gpu)] => {
-            if *at != merge {
+    match (r.completions, r.complete) {
+        (1, Some((at, Finisher::Gpu))) => {
+            if at != merge {
                 out.push(LintDiagnostic::error(
                     "completion",
                     "gpu-finished kernel must complete exactly at merge time",
@@ -906,22 +685,23 @@ fn lint_coexec(events: &[TraceEvent], total: u64, depth: u32, out: &mut Vec<Lint
         // The CPU's copy is authoritative only when it was the sole
         // endpoint (paper §4.2); with peers the final data only ever exists
         // assembled on the owner.
-        [(at, Finisher::Cpu)] => {
-            if eps.keys().any(|&dev| dev > 0) {
+        (1, Some((at, Finisher::Cpu))) => {
+            if r.eps.keys().any(|&dev| dev > 0) {
                 out.push(LintDiagnostic::error(
                     "completion",
                     "a kernel with peer endpoints and a healthy owner must be finished by the gpu",
                 ));
             }
-            if *at >= merge {
+            if at >= merge {
                 out.push(LintDiagnostic::error(
                     "completion",
                     "cpu-finished kernel must complete strictly before the merge",
                 ));
             }
-            if !eps
+            if !r
+                .eps
                 .get(&0)
-                .is_some_and(|ep| ep.done.iter().any(|(t, f, _)| *f == 0 && t == at))
+                .is_some_and(|ep| ep.done.iter().any(|&(t, f, _)| f == 0 && t == at))
             {
                 out.push(LintDiagnostic::error(
                     "completion",
@@ -929,16 +709,16 @@ fn lint_coexec(events: &[TraceEvent], total: u64, depth: u32, out: &mut Vec<Lint
                 ));
             }
         }
-        other => out.push(completion_count_error(other.len())),
+        (n, _) => out.push(completion_count_error(n)),
     }
     // Coverage: the owner's executed ranges plus the delivered suffix
     // [watermark, total) must cover every work-group (delivered islands
     // below the watermark are re-executed by the owner — duplicated, never
     // lost).
-    if watermark < total {
-        exec_ranges.push((watermark, total));
+    if r.watermark < total {
+        owner.executed.push((r.watermark, total));
     }
-    check_cover(out, exec_ranges, total, "any device");
+    check_cover(out, owner.executed, total, "any device");
 }
 
 /// The finding for a kernel that completed `n != 1` times.
@@ -957,54 +737,46 @@ fn completion_count_error(n: usize) -> LintDiagnostic {
 /// record `[Enqueued, solo span(s), KernelComplete]`: one device executes
 /// the whole NDRange alone, so no co-execution machinery (waves,
 /// subkernels, transfers) may appear.
-fn lint_solo(events: &[TraceEvent], total: u64, out: &mut Vec<LintDiagnostic>) {
-    let mut spans: Vec<(u64, u64)> = Vec::new();
-    let mut devices: Vec<Lane> = Vec::new();
-    let mut completes = 0usize;
-    for e in &events[1..] {
-        let (device, from, to) = match e.kind {
-            TraceKind::SoloRun { lane, from, to, .. } => (lane, from, to),
-            TraceKind::KernelComplete { .. } => {
-                completes += 1;
-                continue;
-            }
-            // Reported by `lint_trace`.
-            TraceKind::Enqueued { .. }
-            | TraceKind::CpuSubkernelStart { .. }
-            | TraceKind::CpuSubkernelDone { .. }
-            | TraceKind::HdEnqueued {}
-            | TraceKind::CoalescedSend {} => continue,
-            ref other => {
+fn lint_solo_event(e: &TraceEvent, owner: &mut Owner, out: &mut Vec<LintDiagnostic>) {
+    match e.kind {
+        TraceKind::SoloRun { lane, from, to, .. } => {
+            if from >= to {
                 out.push(LintDiagnostic::error(
                     "solo-shape",
-                    format!("event `{other}` has no place in a single-device trace"),
+                    format!("single-device span {from}..{to} is empty or reversed"),
                 ));
-                continue;
             }
-        };
-        if from >= to {
-            out.push(LintDiagnostic::error(
-                "solo-shape",
-                format!("single-device span {from}..{to} is empty or reversed"),
-            ));
+            owner.executed.push((from, to));
+            if !owner.solo_lanes.contains(&lane) {
+                owner.solo_lanes.push(lane);
+            }
         }
-        spans.push((from, to));
-        if !devices.contains(&device) {
-            devices.push(device);
-        }
+        // Judged at the end.
+        TraceKind::KernelComplete { .. } => {}
+        _ => out.push(LintDiagnostic::error(
+            "solo-shape",
+            format!("event `{}` has no place in a single-device trace", e.kind),
+        )),
     }
-    if completes != 1 {
+}
+
+fn finish_solo(r: &Replay, owner: Owner, out: &mut Vec<LintDiagnostic>) {
+    if r.completions != 1 {
         out.push(LintDiagnostic::error(
             "completion",
-            format!("single-device run completed {completes} times, expected exactly once"),
+            format!(
+                "single-device run completed {} times, expected exactly once",
+                r.completions
+            ),
         ));
     }
-    if devices.len() > 1 {
+    if owner.solo_lanes.len() > 1 {
         out.push(LintDiagnostic::error(
             "solo-shape",
             format!(
                 "one single-device run spans more than one device ({})",
-                devices
+                owner
+                    .solo_lanes
                     .iter()
                     .map(Lane::to_string)
                     .collect::<Vec<_>>()
@@ -1012,62 +784,23 @@ fn lint_solo(events: &[TraceEvent], total: u64, out: &mut Vec<LintDiagnostic>) {
             ),
         ));
     }
-    check_cover(out, spans, total, "the sole device");
+    check_cover(out, owner.executed, r.total, "the sole device");
 }
 
 /// Lints a kernel report: runs [`lint_trace`] on its trace and cross-checks
-/// the report counters against what the trace records.
+/// the report counters against the totals of the same replay.
 pub fn lint_report(report: &KernelReport) -> Vec<LintDiagnostic> {
-    let mut out = lint_trace(&report.trace);
-    let mut gpu_executed = 0u64;
-    let mut cpu_executed = 0u64;
-    let mut peer_executed = 0u64;
-    let mut subkernel_starts = 0u64;
-    let mut trace_hd_bytes = 0u64;
-    let mut final_watermark = report.total_wgs;
-    let mut complete: Option<(SimTime, Finisher)> = None;
-    let mut trace_total: Option<u64> = None;
-    let mut device_lost = false;
-    let mut peers = false;
-    for e in &report.trace {
-        match &e.kind {
-            TraceKind::Enqueued { total_wgs, .. } => {
-                trace_total.get_or_insert(*total_wgs);
-                if e.at != report.enqueued_at {
-                    out.push(LintDiagnostic::error(
-                        "report-consistency",
-                        "trace enqueue time differs from the report",
-                    ));
-                }
-            }
-            TraceKind::GpuWaveDone {
-                from, executed_to, ..
-            } => gpu_executed += executed_to.saturating_sub(*from),
-            TraceKind::EpSubkernelStart { dev, .. } => {
-                peers |= *dev > 0;
-                subkernel_starts += 1;
-            }
-            TraceKind::EpSubkernelDone { dev, from, to } => {
-                if *dev == 0 {
-                    cpu_executed += to - from;
-                } else {
-                    peer_executed += to - from;
-                }
-            }
-            TraceKind::EpSend { bytes, .. } => trace_hd_bytes += bytes,
-            TraceKind::EpStatus { watermark, .. } => {
-                final_watermark = final_watermark.min(*watermark);
-            }
-            TraceKind::KernelComplete { finisher } => complete = Some((e.at, *finisher)),
-            TraceKind::SoloRun { lane, from, to, .. } => match lane {
-                Lane::Cpu => cpu_executed += to - from,
-                Lane::Gpu => gpu_executed += to - from,
-                Lane::Peer(_) => peer_executed += to - from,
-            },
-            TraceKind::OwnerLost | TraceKind::NonOwnerLost { .. } => device_lost = true,
-            _ => {}
-        }
+    let (mut out, replay) = lint(&report.trace);
+    let Some(r) = replay else {
+        return out;
+    };
+    if report.trace[0].at != report.enqueued_at {
+        out.push(LintDiagnostic::error(
+            "report-consistency",
+            "trace enqueue time differs from the report",
+        ));
     }
+    let t = &r.totals;
     let mut mismatch = |what: &str, trace_v: u64, report_v: u64| {
         if trace_v != report_v {
             out.push(LintDiagnostic::error(
@@ -1076,37 +809,33 @@ pub fn lint_report(report: &KernelReport) -> Vec<LintDiagnostic> {
             ));
         }
     };
-    mismatch(
-        "total work-groups",
-        trace_total.unwrap_or(report.total_wgs),
-        report.total_wgs,
-    );
+    mismatch("total work-groups", r.total, report.total_wgs);
     mismatch(
         "gpu-executed work-groups",
-        gpu_executed,
+        t.gpu_wgs,
         report.gpu_executed_wgs,
     );
     mismatch(
         "cpu-executed work-groups",
-        cpu_executed,
+        t.cpu_wgs,
         report.cpu_executed_wgs,
     );
     mismatch(
         "peer-executed work-groups",
-        peer_executed,
+        t.peer_wgs,
         report.peer_executed_wgs.iter().sum(),
     );
-    mismatch("subkernels", subkernel_starts, report.subkernels);
-    mismatch("hd bytes", trace_hd_bytes, report.hd_bytes);
+    mismatch("subkernels", t.subkernels, report.subkernels);
+    mismatch("hd bytes", t.hd_bytes, report.hd_bytes);
     // After a device loss the merged region is decoupled from the
     // watermark (a lost owner merges nothing at all). Otherwise the CPU
     // alone delivers a contiguous suffix, so the merged count is exactly
     // the suffix; with peers, delivered islands below the final watermark
     // merge too, so the suffix bounds the count from below and the
     // endpoints' executed total bounds it from above.
-    if !device_lost {
-        let suffix = report.total_wgs - final_watermark;
-        if !peers {
+    if !t.device_lost {
+        let suffix = report.total_wgs.saturating_sub(r.watermark);
+        if !r.eps.keys().any(|&dev| dev > 0) {
             mismatch("cpu-merged work-groups", suffix, report.cpu_merged_wgs);
         } else if report.cpu_merged_wgs < suffix {
             out.push(LintDiagnostic::error(
@@ -1116,18 +845,18 @@ pub fn lint_report(report: &KernelReport) -> Vec<LintDiagnostic> {
                     report.cpu_merged_wgs
                 ),
             ));
-        } else if report.cpu_merged_wgs > cpu_executed + peer_executed {
+        } else if report.cpu_merged_wgs > t.cpu_wgs + t.peer_wgs {
             out.push(LintDiagnostic::error(
                 "report-consistency",
                 format!(
                     "report merges {} work-groups but the endpoints only executed {}",
                     report.cpu_merged_wgs,
-                    cpu_executed + peer_executed
+                    t.cpu_wgs + t.peer_wgs
                 ),
             ));
         }
     }
-    if let Some((at, finisher)) = complete {
+    if let Some((at, finisher)) = r.complete {
         if at != report.complete_at || finisher != report.finished_by {
             out.push(LintDiagnostic::error(
                 "report-consistency",
@@ -1541,11 +1270,10 @@ mod tests {
         assert!(rules(&t).contains(&"ep-pairing"));
     }
 
-    #[test]
-    fn transient_retry_resend_is_legal() {
-        // The first transfer (boundary 3) fails transiently and is resent;
-        // its status arrives late, interleaved with the boundary-2 send.
-        let t = vec![
+    /// The first transfer (boundary 3) fails transiently and is resent;
+    /// its status arrives late, interleaved with the boundary-2 send.
+    fn transient_retry_trace() -> Vec<TraceEvent> {
+        vec![
             ev(0, enqueued(4)),
             ev(5, start(0, 3, 4)),
             ev(10, TraceKind::GpuLaunch),
@@ -1585,8 +1313,25 @@ mod tests {
             ev(40, TraceKind::GpuExit),
             ev(45, TraceKind::MergeDone),
             ev(45, complete(Finisher::Gpu)),
-        ];
-        assert_eq!(lint_trace(&t), vec![]);
+        ]
+    }
+
+    #[test]
+    fn transient_retry_resend_is_legal() {
+        assert_eq!(lint_trace(&transient_retry_trace()), vec![]);
+    }
+
+    #[test]
+    fn watermark_disagreeing_with_a_resent_delivery_is_flagged() {
+        // Fault traces get the same covered-suffix check: the re-sent
+        // boundary-3 delivery puts the watermark at 3, not 2.
+        let mut t = transient_retry_trace();
+        for e in &mut t {
+            if let TraceKind::EpStatus { watermark, .. } = &mut e.kind {
+                *watermark = 2;
+            }
+        }
+        assert!(rules(&t).contains(&"watermark-monotone"));
     }
 
     #[test]
