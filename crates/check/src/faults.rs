@@ -12,8 +12,8 @@
 //! schedule, same result.
 //!
 //! The sweep binary runs this via `fluidicl-check --faults [--seeds N]`
-//! and writes a `FAULTS_summary.json` artifact in the same hand-written
-//! line-per-record JSON style as `BENCH_repro.json`.
+//! and writes a `FAULTS_summary.json` artifact in hand-written JSON, one
+//! record per line.
 
 use fluidicl::{Fluidicl, FluidiclConfig, KernelReport, RecoveryPolicy, TraceKind};
 use fluidicl_hetsim::MachineConfig;
@@ -629,9 +629,8 @@ fn latency_fields(
     )
 }
 
-/// Renders the sweep as hand-written JSON, one cell per line (the same
-/// diff-friendly style as `BENCH_repro.json`): the CI artifact uploaded
-/// next to the perf numbers.
+/// Renders the sweep as hand-written JSON, one cell per line so the file
+/// diffs line by line: the CI artifact `FAULTS_summary.json`.
 pub fn render_faults_json(
     cells: &[FaultCell],
     ndev: &[NdevLossCell],

@@ -42,7 +42,7 @@ use fluidicl_hetsim::{GpuModel, LinkModel, MachineConfig, PeerGpu};
 use fluidicl_vcl::exec::{execute_groups, Launch};
 use fluidicl_vcl::{
     diff_merge_ranged, payload_checksum, payload_checksum_with, BufferId, ClError, ClResult,
-    DeviceKind, DirtyRanges, FaultInjector, Memory, TransferFate,
+    DeviceKind, DirtyRanges, FaultInjector, Memory, TransferFate, WorkCounters,
 };
 
 use crate::chunk::ChunkController;
@@ -99,6 +99,11 @@ pub(crate) struct CoexecInput<'a> {
     /// kernel): it is constructed lost and never scheduled, so the kernel
     /// co-executes on the owner plus the surviving peers alone.
     pub dead_cpu: bool,
+    /// The runtime's host-work counters: this kernel adds its simulated
+    /// events, merges and mirror copies, and the work done in the peers'
+    /// transient address spaces (work in `cpu_mem` and `gpu_mem` is
+    /// counted there).
+    pub work: &'a mut WorkCounters,
 }
 
 /// Timeline outcome of one co-executed kernel.
@@ -619,10 +624,22 @@ impl<'a> Coexec<'a> {
                 break;
             }
         }
+        self.input.work.des_events += sim.delivered();
+        self.collect_peer_work();
         if let Some(e) = exec_err {
             return Err(e);
         }
         self.finish()
+    }
+
+    /// Moves the work done in the peers' address spaces into the runtime's
+    /// counters, before those address spaces are released.
+    fn collect_peer_work(&mut self) {
+        for ep in &mut self.eps {
+            if let Some(mem) = ep.mem.as_mut() {
+                *self.input.work += mem.take_work();
+            }
+        }
     }
 
     fn dispatch(&mut self, sim: &mut Simulation<Ev>, t: SimTime, ev: Ev) -> ClResult<()> {
@@ -969,7 +986,8 @@ impl<'a> Coexec<'a> {
         for (e, ep) in self.eps.iter().enumerate() {
             if owner != Some(e) {
                 let src = ep.mem.as_ref().unwrap_or(self.input.cpu_mem);
-                fold_endpoint(dst, src, ep, &self.out_ids, &self.orig, self.dirty_enabled)?;
+                self.input.work.merged_bytes +=
+                    fold_endpoint(dst, src, ep, &self.out_ids, &self.orig, self.dirty_enabled)?;
             }
         }
         if let Some(p) = owner {
@@ -1736,6 +1754,7 @@ impl<'a> Coexec<'a> {
         if self.watermark < self.total {
             self.merge_results()?;
         }
+        self.collect_peer_work();
         // Every peer copy is folded into the owner now: release the
         // non-owner peers' shares, so the epilogue below writes a CPU
         // buffer in place even when the CPU never wrote it this kernel.
@@ -1812,7 +1831,8 @@ impl<'a> Coexec<'a> {
             if !self.dirty_enabled {
                 self.input.cpu_mem.share_from(owner, *id)?;
             } else if !stales[i].is_empty() {
-                stales[i].try_copy_ranges(owner.get(*id)?, self.input.cpu_mem.get_mut(*id)?)?;
+                self.input.work.copied_bytes +=
+                    stales[i].try_copy_ranges(owner.get(*id)?, self.input.cpu_mem.get_mut(*id)?)?;
             }
         }
         self.outcome(
@@ -1915,7 +1935,7 @@ impl<'a> Coexec<'a> {
             // where completed subkernels really wrote.
             for ep in &self.eps[1..] {
                 if let Some(src) = ep.mem.as_ref() {
-                    fold_endpoint(
+                    self.input.work.merged_bytes += fold_endpoint(
                         self.input.cpu_mem,
                         src,
                         ep,
@@ -1963,7 +1983,7 @@ fn owner_mem<'m>(eps: &'m [EpState], owner_ep: Option<usize>, gpu_mem: &'m Memor
 /// Figure 9, element-wise.
 /// With dirty tracking the fold walks only what the endpoint changed:
 /// `cum_dirty` covers every element where its copy differs from the
-/// snapshot, so it is functionally the full fold.
+/// snapshot, so it is functionally the full fold. Returns the bytes walked.
 fn fold_endpoint(
     dst: &mut Memory,
     src: &Memory,
@@ -1971,7 +1991,8 @@ fn fold_endpoint(
     out_ids: &[BufferId],
     orig: &Memory,
     dirty_enabled: bool,
-) -> ClResult<()> {
+) -> ClResult<u64> {
+    let mut walked = 0;
     for (j, id) in out_ids.iter().enumerate() {
         let orig = orig.get(*id)?;
         let from = src.get(*id)?;
@@ -1992,13 +2013,13 @@ fn fold_endpoint(
                 ),
             });
         }
-        if dirty_enabled {
-            diff_merge_ranged(into, from, orig, &ep.cum_dirty[j])?;
+        walked += if dirty_enabled {
+            diff_merge_ranged(into, from, orig, &ep.cum_dirty[j])?
         } else {
-            fluidicl_vcl::diff_merge(into, from, orig);
-        }
+            fluidicl_vcl::diff_merge(into, from, orig)
+        };
     }
-    Ok(())
+    Ok(walked)
 }
 
 #[cfg(test)]
@@ -2041,6 +2062,7 @@ mod tests {
         }
         let machine = MachineConfig::paper_testbed_3dev();
         let config = FluidiclConfig::default();
+        let mut work = WorkCounters::default();
         let input = CoexecInput {
             machine: &machine,
             config: &config,
@@ -2065,6 +2087,7 @@ mod tests {
                 .collect(),
             injector: None,
             dead_cpu: false,
+            work: &mut work,
         };
         let coexec = Coexec::new(input).unwrap();
         assert_eq!(coexec.eps.len(), 2, "one peer endpoint");
@@ -2090,5 +2113,14 @@ mod tests {
         assert!(cpu_mem.shares_with(&gpu_mem, src));
         assert_eq!(cpu_mem.holders(src), 2);
         assert_eq!((cpu_mem.holders(dst), gpu_mem.holders(dst)), (1, 1));
+        // Every work-group the report credits ran exactly once, in one of
+        // the three address spaces; the peer's work reached the counters
+        // before its address space was released.
+        let r = &outcome.report;
+        let credited = r.gpu_executed_wgs + r.cpu_executed_wgs + r.peer_executed_wgs[0];
+        let total = work + cpu_mem.work() + gpu_mem.work();
+        assert_eq!(total.groups_executed, credited);
+        assert_eq!(work.groups_executed, r.peer_executed_wgs[0]);
+        assert!(work.des_events > 0 && work.merged_bytes > 0);
     }
 }

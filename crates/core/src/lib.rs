@@ -51,6 +51,7 @@ pub use buffers::{BufferState, BufferTable, KernelId, PoolStats, ScratchPool};
 pub use chunk::ChunkController;
 pub use config::FluidiclConfig;
 pub use endpoint::{CpuEndpoint, NonOwnerEndpoint, PeerGpuEndpoint};
+pub use fluidicl_vcl::WorkCounters;
 pub use frontier::{Coverage, Frontier};
 pub use graph::{DepKind, GraphEdge, GraphNodeSummary, GraphSchedule, NodeAccess};
 pub use heft::{HeftEdge, HeftPlan, WeightTable};

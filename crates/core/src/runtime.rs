@@ -16,7 +16,7 @@ use fluidicl_hetsim::MachineConfig;
 use fluidicl_vcl::exec::Launch;
 use fluidicl_vcl::{
     execute_groups_injected, BufferId, ClDriver, ClError, ClResult, DeviceKind, DirtyRanges,
-    FaultInjector, KernelArg, Memory, NdRange, Program,
+    FaultInjector, KernelArg, Memory, NdRange, Program, WorkCounters,
 };
 
 use crate::buffers::{BufferTable, KernelId, PoolStats, ScratchPool};
@@ -102,6 +102,10 @@ pub struct Fluidicl {
     /// One record per flushed kernel graph, for inspection and the check
     /// tooling.
     graph_schedules: Vec<GraphSchedule>,
+    /// Host work done outside the CPU and GPU address spaces (which count
+    /// their own): merges, host copies, simulated events, and the work of
+    /// the peers' transient address spaces.
+    work: WorkCounters,
 }
 
 /// A launch validated at enqueue time: signature, scalars and buffer
@@ -152,6 +156,7 @@ impl Fluidicl {
             pending: Vec::new(),
             weights: WeightTable::new(),
             graph_schedules: Vec::new(),
+            work: WorkCounters::default(),
         }
     }
 
@@ -174,6 +179,14 @@ impl Fluidicl {
     /// unless [`FluidiclConfig::with_graph_scheduling`] is on).
     pub fn graph_schedules(&self) -> &[GraphSchedule] {
         &self.graph_schedules
+    }
+
+    /// The host work this runtime has done so far, in exact counts: work
+    /// groups executed and body calls on every device, bytes diff-merged and
+    /// copied, and events delivered by every co-execution's simulation.
+    /// Deterministic, so equal on every machine and build profile.
+    pub fn work_counters(&self) -> WorkCounters {
+        self.work + self.cpu_mem.work() + self.gpu_mem.work()
     }
 
     /// Scratch-buffer pool statistics (paper §6.1).
@@ -576,6 +589,7 @@ impl Fluidicl {
             peers,
             injector: self.injector.as_mut(),
             dead_cpu: !lanes.cpu,
+            work: &mut self.work,
         };
         let outcome = match Coexec::new(input).and_then(Coexec::run) {
             Ok(outcome) => outcome,
@@ -774,6 +788,7 @@ impl ClDriver for Fluidicl {
     }
 
     fn write_buffer(&mut self, id: BufferId, data: &[f32]) -> ClResult<()> {
+        self.work.copied_bytes += data.len() as u64 * 4;
         self.write_buffer_owned(id, data.to_vec())
     }
 
@@ -867,11 +882,13 @@ impl ClDriver for Fluidicl {
             // wait for it and hand it out without touching the link.
             let data = self.cpu_mem.get(id)?.to_vec();
             let bytes = data.len() as u64 * 4;
+            self.work.copied_bytes += bytes;
             self.host_clock =
                 self.host_clock.max(state.cpu_ready_at) + self.machine.host.copy_time(bytes);
             Ok(data)
         } else {
             let data = self.gpu_mem.get(id)?.to_vec();
+            self.work.copied_bytes += data.len() as u64 * 4;
             // Under dirty-range transfers only the ranges where the host
             // copy is stale cross the link; the rest is already resident.
             let bytes = if self.config.dirty_range_transfers {

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 
 use crate::exec::{check_range, out_slices, restore_outputs, take_outputs, Body, Launch};
 use crate::kernel::{Inputs, Outputs};
-use crate::{ClResult, Memory};
+use crate::{ClResult, Memory, WorkCounters};
 
 /// Elements one work-group wrote to one output buffer: index → stored bit
 /// pattern (`f32::to_bits`, so `NaN`s and signed zeros compare exactly).
@@ -93,6 +93,10 @@ fn shadowed(
     let plan = launch.plan()?;
     let body = Body::of(launch.resolved_version(), per_item);
 
+    let mut work = WorkCounters {
+        groups_executed: to - from,
+        ..WorkCounters::default()
+    };
     let mut taken = take_outputs(mem, &plan.outs)?;
     let result = (|| -> ClResult<AccessRecord> {
         let mut in_slices = Vec::with_capacity(plan.ins.len());
@@ -100,11 +104,11 @@ fn shadowed(
             in_slices.push(mem.get(*id)?);
         }
         let ins = Inputs::with_read_tracking(in_slices);
-        let mut outs = Outputs::new(out_slices(&mut taken));
+        let mut outs = Outputs::new(out_slices(&mut taken, &mut work));
         let mut shadow = ShadowMemory::capture(&outs);
         let mut groups = Vec::with_capacity((to - from) as usize);
         for flat in from..to {
-            body.run(
+            work.body_calls += body.run(
                 &launch.ndrange,
                 flat..flat + 1,
                 &plan.scalars,
@@ -119,6 +123,9 @@ fn shadowed(
         })
     })();
     restore_outputs(mem, taken);
+    if result.is_ok() {
+        mem.work += work;
+    }
     result
 }
 

@@ -338,13 +338,13 @@ impl DirtyRanges {
     /// recorded ranges look like — surface as
     /// [`ClError::ProtocolViolation`] instead of a panic. The error's
     /// `kernel` field carries the primitive name, since the violation
-    /// happens outside any kernel context.
+    /// happens outside any kernel context. Returns the bytes copied.
     ///
     /// # Errors
     ///
     /// Returns [`ClError::ProtocolViolation`] if `dst` and `src` differ
     /// in length or a range exceeds the buffers.
-    pub fn try_copy_ranges(&self, src: &[f32], dst: &mut [f32]) -> ClResult<()> {
+    pub fn try_copy_ranges(&self, src: &[f32], dst: &mut [f32]) -> ClResult<u64> {
         if src.len() != dst.len() {
             return Err(ClError::ProtocolViolation {
                 kernel: "copy_ranges".to_string(),
@@ -368,7 +368,7 @@ impl DirtyRanges {
         for &(s, e) in &self.ranges {
             dst[s..e].copy_from_slice(&src[s..e]);
         }
-        Ok(())
+        Ok(self.byte_count())
     }
 }
 

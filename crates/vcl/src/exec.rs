@@ -11,8 +11,9 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use crate::kernel::{GroupBody, Inputs, KernelBody, KernelDef, KernelVersion, Outputs, Scalars};
+use crate::memory::make_private;
 use crate::ndrange::for_each_item_in_group;
-use crate::{BufferId, ClError, ClResult, KernelArg, Memory, NdRange};
+use crate::{BufferId, ClError, ClResult, KernelArg, Memory, NdRange, WorkCounters};
 
 /// The launch-wide execution plan: the argument classification that every
 /// wave and subkernel of one launch shares.
@@ -113,7 +114,8 @@ impl Launch {
 ///
 /// The version's group body, when it has one, runs once over the whole
 /// range; otherwise the per-item body runs once per work-item. Both store
-/// the same bits.
+/// the same bits. The groups, body calls and any copy that makes an output
+/// private are counted in `mem`'s [`Memory::work`].
 ///
 /// # Errors
 ///
@@ -146,6 +148,10 @@ fn execute(launch: &Launch, mem: &mut Memory, from: u64, to: u64, per_item: bool
     // Split borrows: move output buffers out of the memory map, then borrow
     // inputs immutably from what remains. Each output is made private to
     // this address space on the way (copied only if it is still shared).
+    let mut work = WorkCounters {
+        groups_executed: to - from,
+        ..WorkCounters::default()
+    };
     let mut taken = take_outputs(mem, &plan.outs)?;
     let result = (|| -> ClResult<()> {
         let mut in_slices = Vec::with_capacity(plan.ins.len());
@@ -153,11 +159,14 @@ fn execute(launch: &Launch, mem: &mut Memory, from: u64, to: u64, per_item: bool
             in_slices.push(mem.get(*id)?);
         }
         let ins = Inputs::new(in_slices);
-        let mut outs = Outputs::new(out_slices(&mut taken));
-        body.run(&launch.ndrange, from..to, &plan.scalars, &ins, &mut outs);
+        let mut outs = Outputs::new(out_slices(&mut taken, &mut work));
+        work.body_calls = body.run(&launch.ndrange, from..to, &plan.scalars, &ins, &mut outs);
         Ok(())
     })();
     restore_outputs(mem, taken);
+    if result.is_ok() {
+        mem.work += work;
+    }
     result
 }
 
@@ -190,7 +199,8 @@ impl<'a> Body<'a> {
         }
     }
 
-    /// Computes flattened work-groups `groups` of `nd`.
+    /// Computes flattened work-groups `groups` of `nd` and returns how many
+    /// times it called the body.
     pub(crate) fn run(
         self,
         nd: &NdRange,
@@ -198,13 +208,21 @@ impl<'a> Body<'a> {
         scalars: &Scalars,
         ins: &Inputs<'_>,
         outs: &mut Outputs<'_>,
-    ) {
+    ) -> u64 {
         match self {
-            Body::Group(body) => body(nd, groups, scalars, ins, outs),
+            Body::Group(body) => {
+                body(nd, groups, scalars, ins, outs);
+                1
+            }
             Body::Item(body) => {
+                let mut calls = 0;
                 for group in nd.groups_in(groups) {
-                    for_each_item_in_group(nd, group, |item| body(item, scalars, ins, outs));
+                    for_each_item_in_group(nd, group, |item| {
+                        body(item, scalars, ins, outs);
+                        calls += 1;
+                    });
                 }
+                calls
             }
         }
     }
@@ -232,11 +250,12 @@ pub(crate) fn take_outputs(mem: &mut Memory, out_ids: &[BufferId]) -> ClResult<T
 
 /// Writable views of taken outputs, in signature order. A buffer this
 /// address space owns alone is borrowed in place (no allocation); one still
-/// shared with another address space is copied first.
-pub(crate) fn out_slices(taken: &mut Taken) -> Vec<&mut [f32]> {
+/// shared with another address space is copied first, and counted in
+/// `work`.
+pub(crate) fn out_slices<'t>(taken: &'t mut Taken, work: &mut WorkCounters) -> Vec<&'t mut [f32]> {
     taken
         .iter_mut()
-        .map(|(_, v)| Arc::make_mut(v).as_mut_slice())
+        .map(|(_, v)| make_private(v, work))
         .collect()
 }
 

@@ -7,7 +7,8 @@
 //! * [`NdRange`] — 1–3-D index spaces with work-group flattening (paper
 //!   Figure 5) and the covering-slice offset computation of paper §5.2;
 //! * [`Memory`] / [`BufferId`] — discrete per-device address spaces and the
-//!   [`diff_merge`] coherence primitive of paper §4.3;
+//!   [`diff_merge`] coherence primitive of paper §4.3, with the
+//!   [`WorkCounters`] of the host work done in each;
 //! * [`KernelDef`] / [`Program`] — kernels as per-work-item Rust closures
 //!   (optionally paired with a bit-identical work-group range [`GroupBody`])
 //!   with declared `in`/`out`/`inout` signatures, cost profiles, and
@@ -40,6 +41,7 @@ mod memory;
 mod ndrange;
 mod queue;
 mod single;
+mod work;
 
 pub use access::{
     execute_groups_shadowed, execute_groups_shadowed_per_item, AccessRecord, WriteMap,
@@ -60,3 +62,4 @@ pub use memory::{diff_merge, diff_merge_ranged, BufferId, Memory};
 pub use ndrange::{NdRange, WorkItem};
 pub use queue::{CommandQueue, Event, Platform};
 pub use single::SingleDeviceRuntime;
+pub use work::WorkCounters;

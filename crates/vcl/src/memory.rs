@@ -12,13 +12,14 @@
 //! allocation is copied only when one of them first writes it. The cost of
 //! every copy and transfer is charged by the timing model, not measured, so
 //! sharing changes no virtual time — only how often the host copies bytes
-//! that no device has changed.
+//! that no device has changed. Each address space counts the host work done
+//! in it ([`Memory::work`]), so that difference is measured exactly.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::dirty::DirtyRanges;
-use crate::{ClError, ClResult};
+use crate::{ClError, ClResult, WorkCounters};
 
 /// Handle identifying a logical buffer across address spaces.
 ///
@@ -33,10 +34,14 @@ pub struct BufferId(pub u64);
 /// Reads borrow it; every mutation goes through [`Arc::make_mut`] (or
 /// replaces a shared allocation wholesale), so a write in one address
 /// space never shows in another. Cloning a `Memory` is therefore cheap and
-/// the clone is independent of its source.
+/// the clone is independent of its source (it starts from a copy of the
+/// source's work counters).
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
     buffers: HashMap<BufferId, Arc<Vec<f32>>>,
+    /// Host work done in this address space: executions into it and the
+    /// copies that made its buffers private or overwrote them.
+    pub(crate) work: WorkCounters,
 }
 
 impl Memory {
@@ -115,10 +120,23 @@ impl Memory {
     ///
     /// Returns [`ClError::InvalidBuffer`] if `id` was never allocated here.
     pub fn get_mut(&mut self, id: BufferId) -> ClResult<&mut [f32]> {
-        self.buffers
+        let buf = self
+            .buffers
             .get_mut(&id)
-            .map(|b| Arc::make_mut(b).as_mut_slice())
-            .ok_or(ClError::InvalidBuffer(id.0))
+            .ok_or(ClError::InvalidBuffer(id.0))?;
+        Ok(make_private(buf, &mut self.work))
+    }
+
+    /// Host work done in this address space so far.
+    pub fn work(&self) -> WorkCounters {
+        self.work
+    }
+
+    /// Returns the work done in this address space and resets its counters:
+    /// how a runtime collects the work of an address space it is about to
+    /// drop.
+    pub fn take_work(&mut self) -> WorkCounters {
+        std::mem::take(&mut self.work)
     }
 
     /// Removes and returns a buffer (used by the executor to split borrows
@@ -146,6 +164,7 @@ impl Memory {
             Some(own) => own.copy_from_slice(data),
             None => *buf = Arc::new(data.to_vec()),
         }
+        self.work.copied_bytes += data.len() as u64 * 4;
         Ok(())
     }
 
@@ -215,6 +234,18 @@ impl Memory {
     }
 }
 
+/// Writable view of one buffer allocation, copying it first when another
+/// holder shares it; the copy is counted in `work`.
+pub(crate) fn make_private<'b>(
+    buf: &'b mut Arc<Vec<f32>>,
+    work: &mut WorkCounters,
+) -> &'b mut [f32] {
+    if Arc::get_mut(buf).is_none() {
+        work.copied_bytes += buf.len() as u64 * 4;
+    }
+    Arc::make_mut(buf).as_mut_slice()
+}
+
 /// Element-wise diff-merge, the device-side coherence step of paper §4.3:
 /// wherever the CPU-computed copy differs from the pristine original, the
 /// CPU value overwrites the destination (the GPU buffer).
@@ -223,22 +254,24 @@ impl Memory {
 /// byte comparison the paper performs. This is the `ranges == full` special
 /// case of [`diff_merge_ranged`] and the oracle it is tested against: one
 /// blockwise pass over the whole buffer that stores nothing in clean
-/// blocks.
+/// blocks. Returns the bytes walked: the whole buffer.
 ///
 /// # Panics
 ///
 /// Panics if the three slices have different lengths.
-pub fn diff_merge(dst_gpu: &mut [f32], cpu: &[f32], original: &[f32]) {
+pub fn diff_merge(dst_gpu: &mut [f32], cpu: &[f32], original: &[f32]) -> u64 {
     assert!(
         dst_gpu.len() == cpu.len() && cpu.len() == original.len(),
         "diff_merge requires equally sized buffers"
     );
     merge_span(dst_gpu, cpu, original);
+    dst_gpu.len() as u64 * 4
 }
 
 /// Ranged diff-merge: like [`diff_merge`] but walks only the given dirty
 /// ranges, skipping elements known to be clean entirely. With
-/// `ranges == DirtyRanges::full(len)` it is exactly the full merge.
+/// `ranges == DirtyRanges::full(len)` it is exactly the full merge. Returns
+/// the bytes walked: those of the ranges.
 ///
 /// # Errors
 ///
@@ -250,7 +283,7 @@ pub fn diff_merge_ranged(
     cpu: &[f32],
     original: &[f32],
     ranges: &DirtyRanges,
-) -> ClResult<()> {
+) -> ClResult<u64> {
     if dst_gpu.len() != cpu.len() || cpu.len() != original.len() {
         let got = if cpu.len() != dst_gpu.len() {
             cpu.len()
@@ -271,7 +304,7 @@ pub fn diff_merge_ranged(
     for (s, e) in ranges.iter() {
         merge_span(&mut dst_gpu[s..e], &cpu[s..e], &original[s..e]);
     }
-    Ok(())
+    Ok(ranges.byte_count())
 }
 
 /// Blockwise merge over one span: `dst[i] = cpu[i]` wherever `cpu[i]`

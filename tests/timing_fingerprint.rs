@@ -1,16 +1,35 @@
-//! The timing contract of the co-execution engine, pinned per cell.
+//! The timing and host-work contract of the co-execution engine, pinned
+//! per cell.
 //!
-//! For 9 benchmarks × 4 machines × 9 configs this records every kernel's
-//! virtual timing — each trace event's timestamp, the report's enqueue and
-//! completion times, byte and work-group counters, subkernel log and
-//! finisher — hashed into one line per cell of
-//! `tests/golden/timing_fingerprint.txt`. Event kinds and rendered text
-//! are left out on purpose: renaming or re-rendering events keeps the
-//! contract, while moving any event in time, or adding or dropping one,
-//! breaks it.
+//! For 9 benchmarks × 4 machines × 9 configs this records one line per cell
+//! of `tests/golden/timing_fingerprint.txt`:
+//!
+//! ```text
+//! cell makespan_ns hash groups_executed body_calls merged_bytes copied_bytes des_events
+//! ```
+//!
+//! The hash covers every kernel's virtual timing — each trace event's
+//! timestamp, the report's enqueue and completion times, byte and
+//! work-group counters, subkernel log and finisher. Event kinds and
+//! rendered text are left out on purpose: renaming or re-rendering events
+//! keeps the contract, while moving any event in time, or adding or
+//! dropping one, breaks it.
+//!
+//! The last five columns are the runtime's `WorkCounters`: the host work
+//! that produced those timings. They are exact on every machine and build
+//! profile, so a reintroduced buffer copy (`copied_bytes`), a range
+//! executed twice (`groups_executed`), a kernel falling back to its
+//! per-item body (`body_calls`), a merge walking whole buffers instead of
+//! dirty ranges (`merged_bytes`) or extra simulated events (`des_events`)
+//! fails here even when no virtual time moves. A mismatch names the column
+//! that moved.
 //!
 //! Regenerate with `cargo test --test timing_fingerprint -- --ignored` only
-//! for an intentional timing change, and explain every changed cell.
+//! for an intentional change, and explain every changed cell: a moved
+//! makespan or hash is a virtual-timing change; a moved counter alone is a
+//! host-work change, legitimate when the runtime deliberately does more or
+//! less work for the same virtual result (say, sharing a buffer it used to
+//! copy).
 
 use fluidicl::{Fluidicl, FluidiclConfig};
 use fluidicl_check::{sweep_size, SWEEP_SEED};
@@ -36,8 +55,34 @@ fn fnv(values: &[u64]) -> u64 {
     h
 }
 
-/// One `cell elapsed_ns hash` line per machine × config × benchmark.
-fn fingerprint() -> String {
+/// Column names of a fingerprint line, in order.
+const COLUMNS: [&str; 8] = [
+    "cell",
+    "makespan",
+    "hash",
+    "groups_executed",
+    "body_calls",
+    "merged_bytes",
+    "copied_bytes",
+    "des_events",
+];
+
+/// Every work-group a run executed, by its reports: the owner's, the CPU's
+/// and each peer's executed counts. A solo run credits its lane with the
+/// whole range, and an aborted wave only the groups it executed, exactly as
+/// the executor ran them, so this equals `WorkCounters::groups_executed`
+/// in every cell: any execution the reports do not account for is a stray.
+fn reported_groups(rt: &Fluidicl) -> u64 {
+    rt.reports()
+        .iter()
+        .map(|r| r.gpu_executed_wgs + r.cpu_executed_wgs + r.peer_executed_wgs.iter().sum::<u64>())
+        .sum()
+}
+
+/// One line per machine × config × benchmark (columns: [`COLUMNS`]), and
+/// the cells whose run itself went wrong: output diverged from the
+/// reference, or work-groups executed that the reports do not credit.
+fn fingerprint() -> (String, Vec<String>) {
     let machines = [
         ("paper-testbed", MachineConfig::paper_testbed()),
         ("weak-gpu-laptop", MachineConfig::weak_gpu_laptop()),
@@ -71,42 +116,80 @@ fn fingerprint() -> String {
         ("graph-sched", base().with_graph_scheduling(true)),
     ];
     let mut out = String::new();
+    let mut faults = Vec::new();
     for (mname, machine) in &machines {
         for (cname, config) in &configs {
             for b in all_benchmarks() {
+                let cell = format!("{mname}/{cname}/{}", b.name);
                 let n = sweep_size(b.name);
                 let mut rt = Fluidicl::new(machine.clone(), config.clone(), (b.program)(n));
-                assert!(
-                    b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap(),
-                    "{mname}/{cname}/{}: diverged from reference",
-                    b.name
-                );
+                if !b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap() {
+                    faults.push(format!("  {cell}: diverged from reference"));
+                }
+                let work = rt.work_counters();
+                let credited = reported_groups(&rt);
+                if work.groups_executed != credited {
+                    faults.push(format!(
+                        "  {cell}: executed {} work-groups, the reports credit {credited}",
+                        work.groups_executed
+                    ));
+                }
                 out.push_str(&format!(
-                    "{mname}/{cname}/{} {} {:016x}\n",
-                    b.name,
+                    "{cell} {} {:016x} {} {} {} {} {}\n",
                     fluidicl_vcl::ClDriver::elapsed(&rt).as_nanos(),
-                    fnv(&report_timings(&rt))
+                    fnv(&report_timings(&rt)),
+                    work.groups_executed,
+                    work.body_calls,
+                    work.merged_bytes,
+                    work.copied_bytes,
+                    work.des_events
                 ));
             }
         }
     }
-    out
+    (out, faults)
+}
+
+/// What moved between a pinned line and a new one: `cell: column pinned ->
+/// now` for every differing column.
+fn moved_columns(pinned: &str, now: &str) -> String {
+    let (p, n): (Vec<&str>, Vec<&str>) = (pinned.split(' ').collect(), now.split(' ').collect());
+    let moved: Vec<String> = (0..p.len().max(n.len()))
+        .filter(|&i| p.get(i) != n.get(i))
+        .map(|i| {
+            format!(
+                "{} {} -> {}",
+                COLUMNS.get(i).unwrap_or(&"extra column"),
+                p.get(i).unwrap_or(&"(none)"),
+                n.get(i).unwrap_or(&"(none)")
+            )
+        })
+        .collect();
+    format!(
+        "  {}: {}",
+        n.first().unwrap_or(&"(missing line)"),
+        moved.join(", ")
+    )
 }
 
 #[test]
 fn virtual_timings_match_the_pinned_fingerprint() {
     let golden = std::fs::read_to_string(GOLDEN).expect("read the pinned fingerprint");
-    let now = fingerprint();
+    let (now, faults) = fingerprint();
     let changed: Vec<String> = now
         .lines()
         .zip(golden.lines())
         .filter(|(a, b)| a != b)
-        .map(|(a, b)| format!("  pinned {b}\n  now    {a}"))
+        .map(|(a, b)| moved_columns(b, a))
         .collect();
     assert!(
-        changed.is_empty() && now.lines().count() == golden.lines().count(),
-        "virtual timings changed in {} cell(s):\n{}",
+        faults.is_empty() && changed.is_empty() && now.lines().count() == golden.lines().count(),
+        "{} faulty run(s):\n{}\nfingerprint changed in {} cell(s) ({} pinned lines, {} now):\n{}",
+        faults.len(),
+        faults.join("\n"),
         changed.len(),
+        golden.lines().count(),
+        now.lines().count(),
         changed.join("\n")
     );
 }
@@ -114,5 +197,11 @@ fn virtual_timings_match_the_pinned_fingerprint() {
 #[test]
 #[ignore = "rewrites tests/golden/timing_fingerprint.txt; run only for an intentional timing change"]
 fn regenerate_timing_fingerprint() {
-    std::fs::write(GOLDEN, fingerprint()).expect("write the fingerprint");
+    let (now, faults) = fingerprint();
+    assert!(
+        faults.is_empty(),
+        "refusing to pin faulty runs:\n{}",
+        faults.join("\n")
+    );
+    std::fs::write(GOLDEN, now).expect("write the fingerprint");
 }
