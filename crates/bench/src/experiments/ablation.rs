@@ -11,8 +11,8 @@
 //! A second table compares the dirty-range transfer protocol (an extension
 //! beyond the paper, now the default) against the legacy whole-buffer
 //! protocol, reporting modelled H2D bytes and total time per benchmark. A
-//! third ablates the CPU subkernel pipeline depth: depth 1 is the serial
-//! protocol, depth ≥ 2 overlaps compute with in-flight transfers and
+//! third ablates CPU subkernel pipelining: depth 1 is the serial protocol,
+//! depth 2 (the default) overlaps compute with in-flight transfers and
 //! coalesces back-to-back result shipments.
 //!
 //! The host-side table runs under the legacy whole-buffer serial protocol
@@ -38,7 +38,7 @@ pub(super) fn run(machine: &MachineConfig) -> ExperimentResult {
     let paper = || {
         FluidiclConfig::default()
             .with_dirty_range_transfers(false)
-            .with_pipeline_depth(1)
+            .with_pipelining(false)
     };
     let variants: [(&str, FluidiclConfig); 4] = [
         ("AllOpt", paper()),
@@ -137,14 +137,7 @@ pub(super) fn run(machine: &MachineConfig) -> ExperimentResult {
     let mut pipe_table = Table::new(
         "Pipelined subkernels: total time by pipeline depth \
          (dirty-range protocol, weak-GPU laptop)",
-        &[
-            "benchmark",
-            "depth1_ns",
-            "depth2_ns",
-            "depth4_ns",
-            "d2_vs_d1",
-            "d4_vs_d1",
-        ],
+        &["benchmark", "depth1_ns", "depth2_ns", "d2_vs_d1"],
     );
     let pipe_units = fluidicl_par::par_map(benchmarks(), |b| {
         let n = if b.name == "GESUMMV" {
@@ -152,25 +145,23 @@ pub(super) fn run(machine: &MachineConfig) -> ExperimentResult {
         } else {
             b.default_n
         };
-        let time = |depth: u32| {
+        let time = |pipelined: bool| {
             run_fluidicl(
                 &pipe_machine,
-                &FluidiclConfig::default().with_pipeline_depth(depth),
+                &FluidiclConfig::default().with_pipelining(pipelined),
                 &b,
                 n,
             )
             .0
         };
-        (b.name, time(1), time(2), time(4))
+        (b.name, time(false), time(true))
     });
-    for (name, t1, t2, t4) in pipe_units {
+    for (name, t1, t2) in pipe_units {
         pipe_table.row(vec![
             name.to_string(),
             t1.as_nanos().to_string(),
             t2.as_nanos().to_string(),
-            t4.as_nanos().to_string(),
             ratio(t2.as_nanos() as f64 / t1.as_nanos() as f64),
-            ratio(t4.as_nanos() as f64 / t1.as_nanos() as f64),
         ]);
     }
 
@@ -190,14 +181,14 @@ pub(super) fn run(machine: &MachineConfig) -> ExperimentResult {
              whole-buffer protocol."
                 .to_string(),
             "Pipeline depth 1 serializes each subkernel behind the previous \
-             one's staging copy; depth ≥ 2 starts the next subkernel while \
+             one's staging copy; depth 2 starts the next subkernel while \
              the previous results are in flight and coalesces back-to-back \
              completions into one data+status batch. Final buffers are \
-             bit-identical at every depth. The depth table uses the \
+             bit-identical at both depths. The depth table uses the \
              weak-GPU laptop, where the CPU subkernel path is on the \
              critical path; on the paper testbed the GPU's wave-quantized \
-             exit absorbs the sub-microsecond send shifts and every depth \
-             ties."
+             exit absorbs the sub-microsecond send shifts and both depths \
+             tie."
                 .to_string(),
         ],
     }

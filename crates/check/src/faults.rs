@@ -282,10 +282,10 @@ pub fn run_fault_sweep(seeds: u64) -> Vec<FaultCell> {
 /// owner loss at the sweep's problem sizes), `owner-then-peer-cascade`
 /// (the owner dies, a peer is promoted, then the subkernel-kill latch
 /// takes the non-owner endpoints too), and `promote-mid-batch` (owner
-/// loss under pipeline depth 4, so promotion lands while coalesced
-/// batches are in flight). Every cell must recover bit-identically to the
-/// sequential reference — race-checked — or surface a typed error, twice
-/// over.
+/// loss on a disjoint set of plan seeds, where promotion lands while
+/// coalesced batches are in flight). All three run the default, pipelined
+/// config. Every cell must recover bit-identically to the sequential
+/// reference — race-checked — or surface a typed error, twice over.
 #[derive(Clone, Debug)]
 pub struct FailoverCell {
     /// Benchmark name.
@@ -326,30 +326,13 @@ impl FailoverCell {
 }
 
 /// The three owner-failover families: (name, fault kind, plan-seed kind
-/// offset, config). Offsets keep the derived plan seeds disjoint from the
+/// offset). Offsets keep the derived plan seeds disjoint from the
 /// two-device sweep's (0..7) and the N=3 non-owner sweep's (100+).
-fn failover_families() -> [(&'static str, FaultKind, u64, FluidiclConfig); 3] {
-    [
-        (
-            "owner-loss-promote",
-            FaultKind::GpuLost,
-            200,
-            FluidiclConfig::default(),
-        ),
-        (
-            "owner-then-peer-cascade",
-            FaultKind::DoubleLoss,
-            300,
-            FluidiclConfig::default(),
-        ),
-        (
-            "promote-mid-batch",
-            FaultKind::GpuLost,
-            400,
-            FluidiclConfig::default().with_pipeline_depth(4),
-        ),
-    ]
-}
+const FAILOVER_FAMILIES: [(&str, FaultKind, u64); 3] = [
+    ("owner-loss-promote", FaultKind::GpuLost, 200),
+    ("owner-then-peer-cascade", FaultKind::DoubleLoss, 300),
+    ("promote-mid-batch", FaultKind::GpuLost, 400),
+];
 
 /// Runs the owner-failover sweep: every benchmark × failover family ×
 /// `seeds` seed indices on [`MachineConfig::paper_testbed_3dev`], where
@@ -358,24 +341,24 @@ fn failover_families() -> [(&'static str, FaultKind, u64, FluidiclConfig); 3] {
 pub fn run_failover_sweep(seeds: u64) -> Vec<FailoverCell> {
     let machine = MachineConfig::paper_testbed_3dev();
     let mut units = Vec::new();
-    for (family, kind, offset, config) in failover_families() {
+    for (family, kind, offset) in FAILOVER_FAMILIES {
         let kind_idx = FaultKind::all()
             .iter()
             .position(|k| *k == kind)
             .expect("failover kind") as u64;
         for (bi, b) in all_benchmarks().into_iter().enumerate() {
-            let ff = fault_free_complete_ns(&machine, &b, config.clone());
+            let ff = fault_free_complete_ns(&machine, &b, FluidiclConfig::default());
             for s in 0..seeds {
                 let ps = plan_seed(bi as u64, offset + kind_idx, s);
-                units.push((family, kind, b, s, ps, config.clone(), ff));
+                units.push((family, kind, b, s, ps, ff));
             }
         }
     }
-    fluidicl_par::par_map(units, |(family, kind, b, s, ps, config, ff)| {
+    fluidicl_par::par_map(units, |(family, kind, b, s, ps, ff)| {
         let machine = MachineConfig::paper_testbed_3dev();
         let plan = Some(FaultPlan::new(kind, ps));
-        let p = run_probe(&machine, &b, plan, config.clone());
-        let again = run_probe(&machine, &b, plan, config);
+        let p = run_probe(&machine, &b, plan, FluidiclConfig::default());
+        let again = run_probe(&machine, &b, plan, FluidiclConfig::default());
         let recovery_latency_ns = (p.fired && p.outcome == CellOutcome::Recovered)
             .then(|| p.complete_ns.unwrap_or(ff).saturating_sub(ff));
         FailoverCell {

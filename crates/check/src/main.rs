@@ -284,11 +284,7 @@ fn main() {
         ),
         (
             "pipeline=1",
-            FluidiclConfig::default().with_pipeline_depth(1),
-        ),
-        (
-            "pipeline=4",
-            FluidiclConfig::default().with_pipeline_depth(4),
+            FluidiclConfig::default().with_pipelining(false),
         ),
         (
             "graph-sched",

@@ -27,7 +27,7 @@ pub fn resend_behind_a_live_send() -> (Arc<KernelDef>, KernelReport, usize) {
     for plan_seed in 0..64 {
         let config = FluidiclConfig::default()
             .with_validate_protocol(true)
-            .with_pipeline_depth(1)
+            .with_pipelining(false)
             .with_faults(Some(FaultPlan::new(
                 FaultKind::TransferTransient,
                 plan_seed,

@@ -45,11 +45,7 @@ fn all_benchmarks_race_free_across_configs() {
         ),
         (
             "pipeline=1",
-            FluidiclConfig::default().with_pipeline_depth(1),
-        ),
-        (
-            "pipeline=4",
-            FluidiclConfig::default().with_pipeline_depth(4),
+            FluidiclConfig::default().with_pipelining(false),
         ),
     ];
     let mut checked = 0usize;
@@ -76,12 +72,15 @@ fn all_benchmarks_race_free_across_configs() {
             }
         }
     }
-    assert!(checked >= 9 * 7, "expected full matrix, checked {checked}");
+    assert!(
+        checked >= all_benchmarks().len() * configs.len(),
+        "expected full matrix, checked {checked}"
+    );
 }
 
 /// Finds a cooperative report rich enough to mutate: at least two CPU
 /// subkernel completions, two status acks, a merge, and a non-zero final
-/// watermark. Pipeline depth 1 ships every subkernel individually, so
+/// watermark. The serial protocol ships every subkernel individually, so
 /// acks and sends pair one-to-one — the richest trace shape to mutate.
 fn cooperative_base() -> (Arc<KernelDef>, KernelReport) {
     let mut seen = Vec::new();
@@ -95,7 +94,7 @@ fn cooperative_base() -> (Arc<KernelDef>, KernelReport) {
         let n = sweep_size(b.name);
         let config = FluidiclConfig::default()
             .with_validate_protocol(true)
-            .with_pipeline_depth(1);
+            .with_pipelining(false);
         let mut rt = Fluidicl::new(machine, config, (b.program)(n));
         let ok = b
             .run_and_validate_sized(&mut rt, n, SWEEP_SEED)

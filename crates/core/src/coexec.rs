@@ -25,10 +25,11 @@
 //! * if a single non-owner endpoint (the CPU) computes the whole NDRange
 //!   first, its copy is authoritative and no device-to-host transfer is
 //!   needed (§4.2, §6.2);
-//! * with a pipeline depth ≥ 2 an endpoint starts subkernel *k+1* while
+//! * pipelined (the default), an endpoint starts subkernel *k+1* while
 //!   subkernel *k*'s data + status is still being staged and shipped, and
 //!   copies that complete while its link is busy are coalesced into one
-//!   data payload + one status message; depth 1 is the serial protocol;
+//!   data payload + one status message; unpipelined is the serial
+//!   protocol;
 //! * recovery is per-endpoint: a lost endpoint's claimed-but-unshipped
 //!   ranges return to the frontier for the survivors, and a dead link
 //!   stops only its own endpoint.
@@ -56,6 +57,19 @@ use crate::trace::{TraceEvent, TraceKind, STATUS_MSG_BYTES};
 /// to keep growing (paper §5.1: "so long as the average time per
 /// work-group keeps decreasing").
 const CHUNK_GROWTH_TOLERANCE: f64 = 0.02;
+
+/// Completed-but-unshipped subkernels an endpoint may hold before its
+/// scheduler stops taking work. 1 is the serial protocol: each subkernel
+/// waits for the previous one's staging copy and ships alone. 2 lets
+/// subkernel *k+1* compute while *k* ships; a deeper window reproduced
+/// depth 2's timings on every fingerprint cell, so none is offered.
+pub(crate) const fn in_flight_window(pipelined: bool) -> u32 {
+    if pipelined {
+        2
+    } else {
+        1
+    }
+}
 
 /// One active peer-GPU slot: the machine-config peer plus the stable
 /// endpoint index it traces under (indices survive earlier peers dying in
@@ -156,7 +170,7 @@ enum Ev {
         idx: u32,
     },
     /// Flush an endpoint's pending coalesced batch once its link frees up
-    /// (pipeline depth ≥ 2 only; depth 1 ships each subkernel directly).
+    /// (pipelined only; the serial protocol ships each subkernel directly).
     HdFlush {
         dev: u32,
     },
@@ -370,10 +384,9 @@ pub(crate) struct Coexec<'a> {
     cpu_finished_at: Option<SimTime>,
     /// CPU-endpoint subkernels launched so far (profiling-trial counter).
     ep0_subkernels: usize,
-    // Pipelined execution (config.pipeline_depth).
-    /// Bound on completed-but-unshipped subkernels per endpoint; 1 is the
-    /// serial protocol (compute waits for the previous staging copy).
-    depth: u32,
+    /// Whether endpoints overlap compute with shipping
+    /// ([`FluidiclConfig::pipelined`]).
+    pipelined: bool,
     // Online profiling (paper §6.6) — CPU endpoint only.
     trial_versions: usize,
     trial_results: Vec<(usize, SimDuration)>,
@@ -529,7 +542,7 @@ impl<'a> Coexec<'a> {
             subkernels: Vec::new(),
             cpu_finished_at: None,
             ep0_subkernels: 0,
-            depth: input.config.pipeline_depth.max(1),
+            pipelined: input.config.pipelined,
             trial_versions,
             trial_results: Vec::new(),
             selected_version: 0,
@@ -595,7 +608,7 @@ impl<'a> Coexec<'a> {
             start,
             TraceKind::Enqueued {
                 total_wgs: self.total,
-                pipeline_depth: self.depth,
+                pipelined: self.pipelined,
             },
         );
         let mut sim = Simulation::starting_at(start);
@@ -1018,12 +1031,10 @@ impl<'a> Coexec<'a> {
             {
                 return;
             }
-            // Bounded in-flight window: with `depth` subkernels already
+            // Bounded in-flight window: with a full window of subkernels
             // computed but not yet staged, the scheduler waits for a copy
-            // to complete before taking more work. Depth 1 is the serial
-            // protocol — every subkernel waits for the previous one's
-            // staging copy.
-            if ep.unshipped >= self.depth {
+            // to complete before taking more work.
+            if ep.unshipped >= in_flight_window(self.pipelined) {
                 return;
             }
         }
@@ -1307,10 +1318,10 @@ impl<'a> Coexec<'a> {
         self.eps[d].unshipped += 1;
         let copy_done = self.staging.get_mut(d).enqueue(t, copy);
         sim.schedule_at(copy_done, Ev::CopyDone { idx });
-        // Pipelined launch: with depth ≥ 2 the next subkernel starts now,
-        // while this one's data+status is still in flight. At depth 1 the
-        // window is full (`unshipped == 1`) and this is a no-op — the
-        // launch happens at copy completion, exactly the serial protocol.
+        // Pipelined launch: the next subkernel starts now, while this
+        // one's data+status is still in flight. Unpipelined the window is
+        // full (`unshipped == 1`) and this is a no-op — the launch happens
+        // at copy completion, exactly the serial protocol.
         self.maybe_launch_subkernel(sim, t, d);
         Ok(())
     }
@@ -1324,7 +1335,7 @@ impl<'a> Coexec<'a> {
             // the result must not ship (a survivor owns the range now).
             return;
         }
-        if self.depth <= 1 {
+        if !self.pipelined {
             // Serial protocol: each subkernel ships alone, immediately.
             self.send_batch(sim, t, vec![idx], 1);
         } else if !self.eps[d].pending_batch.is_empty() {
@@ -1756,8 +1767,8 @@ impl<'a> Coexec<'a> {
         }
         self.collect_peer_work();
         // Every peer copy is folded into the owner now: release the
-        // non-owner peers' shares, so the epilogue below writes a CPU
-        // buffer in place even when the CPU never wrote it this kernel.
+        // non-owner peers' shares, so no allocation outlives the kernel
+        // through an endpoint that is done with it.
         for (e, ep) in self.eps.iter_mut().enumerate().skip(1) {
             if self.owner_ep != Some(e) {
                 ep.mem = Some(Memory::new());
@@ -1824,15 +1835,12 @@ impl<'a> Coexec<'a> {
         );
         // Functional epilogue: the merged GPU content is the authoritative
         // final value (identical to each endpoint's copy wherever both
-        // computed); mirror it into the CPU address space as the DH thread
-        // does — ranged when the stale set is known, a whole-buffer share
-        // otherwise.
+        // computed), so the CPU address space shares it, as the DH thread's
+        // copy would leave it. The virtual D2H cost above is charged for
+        // the stale ranges alone; a buffer with none is already current.
         for (i, id) in self.out_ids.iter().enumerate() {
-            if !self.dirty_enabled {
+            if !self.dirty_enabled || !stales[i].is_empty() {
                 self.input.cpu_mem.share_from(owner, *id)?;
-            } else if !stales[i].is_empty() {
-                self.input.work.copied_bytes +=
-                    stales[i].try_copy_ranges(owner.get(*id)?, self.input.cpu_mem.get_mut(*id)?)?;
             }
         }
         self.outcome(
@@ -2108,11 +2116,13 @@ mod tests {
         let want: Vec<f32> = (0..n).map(|i| 2.0 * i as f32).collect();
         assert_eq!(cpu_mem.get(dst).unwrap(), want.as_slice());
         assert_eq!(gpu_mem.get(dst).unwrap(), want.as_slice());
-        // The read-only input was never copied, and no endpoint or
+        // The read-only input was never copied, the CPU mirrors the merged
+        // output by sharing the GPU's allocation, and no endpoint or
         // snapshot of the finished kernel still holds any buffer.
-        assert!(cpu_mem.shares_with(&gpu_mem, src));
-        assert_eq!(cpu_mem.holders(src), 2);
-        assert_eq!((cpu_mem.holders(dst), gpu_mem.holders(dst)), (1, 1));
+        for id in [src, dst] {
+            assert!(cpu_mem.shares_with(&gpu_mem, id));
+            assert_eq!(cpu_mem.holders(id), 2);
+        }
         // Every work-group the report credits ran exactly once, in one of
         // the three address spaces; the peer's work reached the counters
         // before its address space was released.

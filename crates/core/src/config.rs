@@ -13,7 +13,7 @@ use crate::recover::RecoveryPolicy;
 ///
 /// Every field is either a knob the paper varies (chunk sizing, abort
 /// mode, the §6 optimizations), a protocol the experiments compare
-/// (dirty-range transfers, pipeline depth, graph scheduling), or a test
+/// (dirty-range transfers, pipelining, graph scheduling), or a test
 /// and robustness gate (protocol validation, fault injection and its
 /// recovery tuning). The defaults need no tuning: the runtime co-executes
 /// on every device the machine declares.
@@ -59,14 +59,13 @@ pub struct FluidiclConfig {
     /// data. On by default; `with_dirty_range_transfers(false)` restores
     /// the legacy whole-buffer protocol.
     pub dirty_range_transfers: bool,
-    /// Bound on the CPU's compute/transfer overlap: how many completed
-    /// subkernels may sit in the staging-copy/ship window before the
-    /// scheduler stops taking new work. Depth 1 is the serial protocol
-    /// (each subkernel waits for the previous one's staging copy); depth ≥ 2 lets subkernel *k+1* compute while *k*'s
-    /// data+status is still in flight, and back-to-back completed
-    /// subkernels waiting on a busy link are coalesced into one
-    /// data+status batch. Default 2.
-    pub pipeline_depth: u32,
+    /// Overlap each endpoint's compute with its transfers: subkernel *k+1*
+    /// computes while *k*'s data+status is still in flight, and
+    /// back-to-back completed subkernels waiting on a busy link are
+    /// coalesced into one data+status batch. Off is the serial protocol:
+    /// each subkernel waits for the previous one's staging copy and ships
+    /// alone. On by default.
+    pub pipelined: bool,
     /// Seeded fault-injection plan. `None` (the default) means no faults
     /// *and* no recovery machinery on the event timeline — traces and
     /// timings stay byte-identical to a build without the fault subsystem.
@@ -100,7 +99,7 @@ impl Default for FluidiclConfig {
             location_tracking: true,
             validate_protocol: cfg!(debug_assertions),
             dirty_range_transfers: true,
-            pipeline_depth: 2,
+            pipelined: true,
             faults: None,
             recovery: RecoveryPolicy::default(),
             graph_scheduling: false,
@@ -178,11 +177,11 @@ impl FluidiclConfig {
         self
     }
 
-    /// Returns a copy with a different pipeline depth (values below 1 are
-    /// clamped to 1; depth 1 is the serial protocol).
+    /// Returns a copy with pipelined subkernels enabled or disabled
+    /// (disabled is the serial protocol).
     #[must_use]
-    pub fn with_pipeline_depth(mut self, depth: u32) -> Self {
-        self.pipeline_depth = depth.max(1);
+    pub fn with_pipelining(mut self, enabled: bool) -> Self {
+        self.pipelined = enabled;
         self
     }
 
@@ -228,7 +227,7 @@ mod tests {
             cfg.dirty_range_transfers,
             "dirty-range transfers are the default; whole-buffer is the compat path"
         );
-        assert_eq!(cfg.pipeline_depth, 2, "one subkernel overlaps its ship");
+        assert!(cfg.pipelined, "one subkernel overlaps its ship");
         assert_eq!(cfg.faults, None, "fault injection is opt-in");
         assert_eq!(cfg.recovery, RecoveryPolicy::default());
         assert!(!cfg.graph_scheduling, "graph scheduling is opt-in");
@@ -245,7 +244,7 @@ mod tests {
             .with_location_tracking(false)
             .with_validate_protocol(true)
             .with_dirty_range_transfers(false)
-            .with_pipeline_depth(0);
+            .with_pipelining(false);
         assert_eq!(cfg.initial_chunk_pct, 10.0);
         assert_eq!(cfg.step_pct, 0.0);
         assert_eq!(cfg.abort_mode, AbortMode::WorkGroupStart);
@@ -255,10 +254,10 @@ mod tests {
         assert!(!cfg.location_tracking);
         assert!(cfg.validate_protocol);
         assert!(!cfg.dirty_range_transfers, "whole-buffer protocol selected");
-        assert_eq!(cfg.pipeline_depth, 1, "zero is clamped to serial");
-        let cfg = cfg.with_dirty_range_transfers(true).with_pipeline_depth(4);
+        assert!(!cfg.pipelined, "serial protocol selected");
+        let cfg = cfg.with_dirty_range_transfers(true).with_pipelining(true);
         assert!(cfg.dirty_range_transfers);
-        assert_eq!(cfg.pipeline_depth, 4);
+        assert!(cfg.pipelined);
         let cfg = cfg.with_graph_scheduling(true);
         assert!(cfg.graph_scheduling);
         assert!(!cfg.with_graph_scheduling(false).graph_scheduling);

@@ -23,7 +23,7 @@
 //!   send; a status acks the live send carrying its boundary, and may
 //!   overtake an older live send only while a voided send of that
 //!   endpoint awaits its re-ack. A batch of several subkernels may not
-//!   appear in a serial (depth-1) trace;
+//!   appear in a serial (unpipelined) trace;
 //! * the **watermark only decreases** and every status reports exactly the
 //!   covered suffix of the ranges acked so far — a promotion un-credits
 //!   the promoted endpoint's acks and rebuilds it (§4.2);
@@ -169,7 +169,7 @@ fn lint(events: &[TraceEvent]) -> (Vec<LintDiagnostic>, Option<Replay>) {
     };
     let TraceKind::Enqueued {
         total_wgs: total,
-        pipeline_depth: depth,
+        pipelined,
     } = first.kind
     else {
         out.push(LintDiagnostic::error(
@@ -211,7 +211,7 @@ fn lint(events: &[TraceEvent]) -> (Vec<LintDiagnostic>, Option<Replay>) {
                 format!("retired two-device event `{}` in a trace", e.kind),
             )),
             _ if solo => lint_solo_event(e, &mut owner, &mut out),
-            _ => lint_event(e, step, &replay, &mut owner, depth, &mut out),
+            _ => lint_event(e, step, &replay, &mut owner, pipelined, &mut out),
         }
     }
     if solo {
@@ -233,7 +233,7 @@ fn lint_event(
     step: Step,
     r: &Replay,
     owner: &mut Owner,
-    depth: u32,
+    pipelined: bool,
     out: &mut Vec<LintDiagnostic>,
 ) {
     let exited = owner.exit_at.is_some();
@@ -493,12 +493,12 @@ fn lint_event(
                     ),
                 );
             }
-            if subkernels > 1 && depth <= 1 {
+            if subkernels > 1 && !pipelined {
                 err(
                     "coalesced-send",
                     format!(
                         "ep{dev} batch of {subkernels} subkernels in a serial trace (pipeline \
-                         depth {depth})"
+                         depth 1)"
                     ),
                 );
             }
@@ -913,7 +913,7 @@ mod tests {
     fn enqueued(total_wgs: u64) -> TraceKind {
         TraceKind::Enqueued {
             total_wgs,
-            pipeline_depth: 1,
+            pipelined: false,
         }
     }
 

@@ -9,7 +9,20 @@
 
 use fluidicl_des::SimDuration;
 
-/// Watchdog and retry tuning for fault recovery.
+/// Watchdog deadline as a multiple of the operation's expected duration:
+/// room for model error before a healthy operation is declared dead.
+const WATCHDOG_FACTOR: f64 = 4.0;
+
+/// Floor for watchdog deadlines, so near-zero estimated durations still get
+/// a meaningful grace period.
+const WATCHDOG_MIN: SimDuration = SimDuration::from_nanos(1_000);
+
+/// Backoff before the first transfer retry; doubles on each further attempt.
+const BACKOFF_BASE: SimDuration = SimDuration::from_nanos(2_000);
+
+/// Retry and failover choices for fault recovery. The watchdog deadline
+/// (4× the expected duration, at least 1 µs) and the retry backoff (2 µs,
+/// doubling per attempt) are fixed.
 ///
 /// # Examples
 ///
@@ -24,18 +37,9 @@ use fluidicl_des::SimDuration;
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RecoveryPolicy {
-    /// Watchdog deadline as a multiple of the operation's expected
-    /// duration. Larger factors tolerate more model error before declaring
-    /// an operation dead.
-    pub watchdog_factor: f64,
-    /// Floor for watchdog deadlines, so near-zero estimated durations still
-    /// get a meaningful grace period.
-    pub watchdog_min: SimDuration,
     /// Maximum retries for a transient transfer failure before it is
     /// reported as a [`fluidicl_vcl::ClError::Timeout`].
     pub max_transfer_retries: u32,
-    /// Backoff before the first retry; doubles on each further attempt.
-    pub backoff_base: SimDuration,
     /// Halve the next CPU chunk when a transfer retry occurs
     /// ([`crate::ChunkController::on_transfer_retry`]): smaller batches get
     /// acknowledged more often on a flaky link, so more CPU work is already
@@ -52,10 +56,7 @@ pub struct RecoveryPolicy {
 impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
-            watchdog_factor: 4.0,
-            watchdog_min: SimDuration::from_nanos(1_000),
             max_transfer_retries: 3,
-            backoff_base: SimDuration::from_nanos(2_000),
             shrink_chunk_on_retry: true,
             promote_on_owner_loss: true,
         }
@@ -63,27 +64,9 @@ impl Default for RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// Sets the watchdog factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor < 1.0` (a deadline shorter than the estimate would
-    /// declare healthy operations dead).
-    pub fn with_watchdog_factor(mut self, factor: f64) -> Self {
-        assert!(factor >= 1.0, "watchdog factor must be >= 1, got {factor}");
-        self.watchdog_factor = factor;
-        self
-    }
-
     /// Sets the retry budget for transient transfer failures.
     pub fn with_max_transfer_retries(mut self, retries: u32) -> Self {
         self.max_transfer_retries = retries;
-        self
-    }
-
-    /// Sets the backoff before the first retry (doubles per attempt).
-    pub fn with_backoff_base(mut self, base: SimDuration) -> Self {
-        self.backoff_base = base;
         self
     }
 
@@ -104,17 +87,16 @@ impl RecoveryPolicy {
     /// Watchdog deadline (a duration from the operation's start) for an
     /// operation expected to take `expected`.
     pub fn deadline(&self, expected: SimDuration) -> SimDuration {
-        let scaled = SimDuration::from_nanos(
-            (expected.as_nanos() as f64 * self.watchdog_factor).ceil() as u64,
-        );
-        scaled.max(self.watchdog_min)
+        let scaled =
+            SimDuration::from_nanos((expected.as_nanos() as f64 * WATCHDOG_FACTOR).ceil() as u64);
+        scaled.max(WATCHDOG_MIN)
     }
 
     /// Backoff to wait before retry number `attempt` (1-based): exponential
     /// in the attempt count.
     pub fn backoff(&self, attempt: u32) -> SimDuration {
         let factor = 1u64 << (attempt.saturating_sub(1)).min(16);
-        SimDuration::from_nanos(self.backoff_base.as_nanos().saturating_mul(factor))
+        SimDuration::from_nanos(BACKOFF_BASE.as_nanos().saturating_mul(factor))
     }
 }
 
@@ -130,8 +112,8 @@ mod tests {
             SimDuration::from_nanos(40_000)
         );
         // Tiny estimates get the floor.
-        assert_eq!(p.deadline(SimDuration::ZERO), p.watchdog_min);
-        assert_eq!(p.deadline(SimDuration::from_nanos(3)), p.watchdog_min);
+        assert_eq!(p.deadline(SimDuration::ZERO), WATCHDOG_MIN);
+        assert_eq!(p.deadline(SimDuration::from_nanos(3)), WATCHDOG_MIN);
     }
 
     #[test]
@@ -145,11 +127,9 @@ mod tests {
     #[test]
     fn builders_compose() {
         let p = RecoveryPolicy::default()
-            .with_watchdog_factor(8.0)
             .with_max_transfer_retries(0)
             .with_shrink_chunk_on_retry(false)
             .with_promote_on_owner_loss(false);
-        assert_eq!(p.watchdog_factor, 8.0);
         assert_eq!(p.max_transfer_retries, 0);
         assert!(!p.shrink_chunk_on_retry);
         assert!(!p.promote_on_owner_loss);
@@ -161,15 +141,5 @@ mod tests {
             RecoveryPolicy::default().promote_on_owner_loss,
             "owner failover is the default"
         );
-        assert_eq!(
-            p.deadline(SimDuration::from_nanos(1_000)),
-            SimDuration::from_nanos(8_000)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "watchdog factor")]
-    fn rejects_sub_unit_watchdog_factor() {
-        let _ = RecoveryPolicy::default().with_watchdog_factor(0.5);
     }
 }

@@ -468,7 +468,7 @@ impl Fluidicl {
         // as the serial protocol.
         let enqueued = TraceKind::Enqueued {
             total_wgs: total,
-            pipeline_depth: 1,
+            pipelined: false,
         };
         let report = KernelReport {
             kernel: p.kernel.clone(),

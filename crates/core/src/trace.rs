@@ -17,6 +17,7 @@ use std::fmt;
 use fluidicl_des::SimTime;
 use fluidicl_vcl::DeviceKind;
 
+use crate::coexec::in_flight_window;
 use crate::stats::Finisher;
 
 /// Size of the completion-status message sent after each subkernel's data
@@ -55,10 +56,11 @@ pub enum TraceKind {
     Enqueued {
         /// Total flattened work-groups of the launch.
         total_wgs: u64,
-        /// Configured pipeline depth: the bound on completed-but-unshipped
-        /// subkernels per endpoint. Depth 1 is the serial protocol; the
-        /// linter reads this to decide which send-ordering rules apply.
-        pipeline_depth: u32,
+        /// Whether endpoints pipelined their subkernels; rendered as the
+        /// in-flight window (`pipeline depth 2`, or 1 for the serial
+        /// protocol). The linter reads this to decide which send-ordering
+        /// rules apply.
+        pipelined: bool,
     },
     /// The GPU kernel was launched (after scratch setup).
     GpuLaunch,
@@ -138,7 +140,7 @@ pub enum TraceKind {
     },
     /// A non-owner endpoint enqueued results + one status message on its
     /// own upstream link (paper §5.4). One subkernel is the plain send;
-    /// several are a coalesced batch (pipeline depth ≥ 2), whose dirty
+    /// several are a coalesced batch (pipelined runs only), whose dirty
     /// ranges are unioned into one payload.
     EpSend {
         /// Endpoint index.
@@ -253,10 +255,11 @@ impl fmt::Display for TraceKind {
         match self {
             TraceKind::Enqueued {
                 total_wgs,
-                pipeline_depth,
+                pipelined,
             } => write!(
                 f,
-                "[all] kernel enqueued ({total_wgs} work-groups, pipeline depth {pipeline_depth})"
+                "[all] kernel enqueued ({total_wgs} work-groups, pipeline depth {})",
+                in_flight_window(*pipelined)
             ),
             TraceKind::GpuLaunch => write!(f, "[gpu] kernel launched"),
             TraceKind::GpuWaveStart { from, to } => {
@@ -519,7 +522,7 @@ mod tests {
         let kinds = vec![
             TraceKind::Enqueued {
                 total_wgs: 120,
-                pipeline_depth: 4,
+                pipelined: true,
             },
             TraceKind::GpuLaunch,
             TraceKind::GpuWaveStart { from: 0, to: 84 },
@@ -710,7 +713,7 @@ mod tests {
         assert_eq!(
             TraceKind::Enqueued {
                 total_wgs: 16,
-                pipeline_depth: 1,
+                pipelined: false,
             }
             .to_string(),
             "[all] kernel enqueued (16 work-groups, pipeline depth 1)"

@@ -313,63 +313,6 @@ impl DirtyRanges {
     pub fn as_slice(&self) -> &[(usize, usize)] {
         &self.ranges
     }
-
-    /// Copies `src[s..e]` into `dst[s..e]` for every dirty range — the
-    /// partial-mirror primitive for refreshing a stale copy without
-    /// touching clean elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dst` and `src` differ in length or a range exceeds it.
-    /// See [`DirtyRanges::try_copy_ranges`] for the fallible twin.
-    pub fn copy_ranges(&self, src: &[f32], dst: &mut [f32]) {
-        assert_eq!(
-            src.len(),
-            dst.len(),
-            "copy_ranges requires equally sized buffers"
-        );
-        for &(s, e) in &self.ranges {
-            dst[s..e].copy_from_slice(&src[s..e]);
-        }
-    }
-
-    /// Fallible twin of [`DirtyRanges::copy_ranges`]: mismatched buffer
-    /// lengths or an out-of-bounds range — what a corrupted trace's
-    /// recorded ranges look like — surface as
-    /// [`ClError::ProtocolViolation`] instead of a panic. The error's
-    /// `kernel` field carries the primitive name, since the violation
-    /// happens outside any kernel context. Returns the bytes copied.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClError::ProtocolViolation`] if `dst` and `src` differ
-    /// in length or a range exceeds the buffers.
-    pub fn try_copy_ranges(&self, src: &[f32], dst: &mut [f32]) -> ClResult<u64> {
-        if src.len() != dst.len() {
-            return Err(ClError::ProtocolViolation {
-                kernel: "copy_ranges".to_string(),
-                detail: format!(
-                    "copy over unequal buffers: {} vs {} elements",
-                    src.len(),
-                    dst.len()
-                ),
-            });
-        }
-        if self.bound() > src.len() {
-            return Err(ClError::ProtocolViolation {
-                kernel: "copy_ranges".to_string(),
-                detail: format!(
-                    "range bound {} exceeds the {}-element buffer",
-                    self.bound(),
-                    src.len()
-                ),
-            });
-        }
-        for &(s, e) in &self.ranges {
-            dst[s..e].copy_from_slice(&src[s..e]);
-        }
-        Ok(self.byte_count())
-    }
 }
 
 #[cfg(test)]
@@ -522,27 +465,5 @@ mod tests {
             DirtyRanges::try_from_diff(&[0.0, 1.5], &[0.0, 2.5]),
             Ok(DirtyRanges::from_ranges([(1, 2)]))
         );
-        let mut dst = [0.0f32; 2];
-        assert!(matches!(
-            DirtyRanges::full(2).try_copy_ranges(&[0.0; 3], &mut dst),
-            Err(ClError::ProtocolViolation { kernel, .. }) if kernel == "copy_ranges"
-        ));
-        // An out-of-bounds range from a corrupted trace is a typed error.
-        assert!(matches!(
-            DirtyRanges::full(9).try_copy_ranges(&[1.0; 2], &mut dst),
-            Err(ClError::ProtocolViolation { kernel, .. }) if kernel == "copy_ranges"
-        ));
-        DirtyRanges::from_ranges([(1, 2)])
-            .try_copy_ranges(&[3.0, 4.0], &mut dst)
-            .unwrap();
-        assert_eq!(dst, [0.0, 4.0]);
-    }
-
-    #[test]
-    fn copy_ranges_mirrors_only_dirty_spans() {
-        let src = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let mut dst = [0.0; 5];
-        DirtyRanges::from_ranges([(1, 3), (4, 5)]).copy_ranges(&src, &mut dst);
-        assert_eq!(dst, [0.0, 2.0, 3.0, 0.0, 5.0]);
     }
 }

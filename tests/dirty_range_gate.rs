@@ -54,7 +54,7 @@ fn run(name: &str, dirty: bool) -> Fluidicl {
         // The full legacy protocol: whole buffers, serial subkernels.
         FluidiclConfig::default()
             .with_dirty_range_transfers(false)
-            .with_pipeline_depth(1)
+            .with_pipelining(false)
     };
     run_with(name, config)
 }

@@ -78,9 +78,7 @@ fn recovery_policy_is_inert_when_faults_are_off() {
     // policy must leave every report — timings, byte counts, rendered
     // timelines and lanes — bit-identical to the default. This pins the
     // gate-off protocol (and its traces) to the pre-fault-layer behaviour.
-    let extreme = RecoveryPolicy::default()
-        .with_watchdog_factor(100.0)
-        .with_max_transfer_retries(0);
+    let extreme = RecoveryPolicy::default().with_max_transfer_retries(0);
     for name in ["ATAX", "SYRK", "CORR", "2MM"] {
         let a = run(name, FluidiclConfig::default().with_validate_protocol(true));
         let b = run(

@@ -1,7 +1,7 @@
 //! Regenerates the golden serial-protocol traces in `tests/golden/`.
 //!
 //! The goldens pin the pre-pipeline wire protocol: whole-buffer transfers,
-//! pipeline depth 1 (one subkernel in flight, shipped before the next
+//! no pipelining (one subkernel in flight, shipped before the next
 //! launches). `tests/pipeline_determinism.rs` asserts that the compat
 //! configuration still reproduces these bytes exactly.
 //!
@@ -30,7 +30,7 @@ fn serial_config() -> FluidiclConfig {
     FluidiclConfig::default()
         .with_validate_protocol(true)
         .with_dirty_range_transfers(false)
-        .with_pipeline_depth(1)
+        .with_pipelining(false)
 }
 
 fn render_run(name: &str) -> String {

@@ -1,13 +1,14 @@
 //! The pipelined CPU subkernel executor is a *scheduling* change, never a
 //! *functional* one:
 //!
-//! * at every pipeline depth (1 = serial, 2 = default, 4 = deep) each
-//!   benchmark's final buffers are bit-identical to the sequential
-//!   reference — and therefore to each other — and every protocol lint
-//!   passes;
-//! * depth 1 under whole-buffer transfers is byte-for-byte the pre-pipeline
-//!   serial protocol: its rendered traces reproduce `tests/golden/` exactly;
-//! * repeated runs at any depth are deterministic.
+//! * pipelined (the default) and serial, each benchmark's final buffers
+//!   are bit-identical to the sequential reference — and therefore to each
+//!   other — and every protocol lint passes;
+//! * serial under whole-buffer transfers is byte-for-byte the pre-pipeline
+//!   protocol: its rendered traces reproduce `tests/golden/` exactly.
+//!
+//! Repeated runs of both protocols are pinned deterministic by
+//! `tests/dirty_range_gate.rs` and `tests/timing_fingerprint.rs`.
 
 use fluidicl::{lint_report, render_lanes, render_timeline, Fluidicl, FluidiclConfig};
 use fluidicl_hetsim::MachineConfig;
@@ -46,14 +47,14 @@ fn run(name: &str, config: FluidiclConfig) -> Fluidicl {
 #[test]
 fn every_depth_computes_identical_buffers_and_lints_clean() {
     for b in all_benchmarks() {
-        for depth in [1, 2, 4] {
+        for pipelined in [false, true] {
             // `run` validates bit-for-bit against the sequential reference,
-            // so all three depths necessarily agree with each other.
-            let rt = run(b.name, FluidiclConfig::default().with_pipeline_depth(depth));
+            // so both settings necessarily agree with each other.
+            let rt = run(b.name, FluidiclConfig::default().with_pipelining(pipelined));
             for report in rt.reports() {
                 assert!(
                     lint_report(report).is_empty(),
-                    "{} depth {depth}: protocol lints must pass, got {:?}",
+                    "{} pipelined={pipelined}: protocol lints must pass, got {:?}",
                     b.name,
                     lint_report(report)
                 );
@@ -68,7 +69,7 @@ fn render_serial_run(name: &str) -> String {
         name,
         FluidiclConfig::default()
             .with_dirty_range_transfers(false)
-            .with_pipeline_depth(1),
+            .with_pipelining(false),
     );
     let mut out = String::new();
     for r in rt.reports() {
@@ -108,23 +109,5 @@ fn depth_one_whole_buffer_reproduces_the_golden_serial_traces() {
              intentional protocol change)",
             b.name
         );
-    }
-}
-
-#[test]
-fn deep_pipelines_run_deterministically() {
-    for name in ["ATAX", "BICG", "GESUMMV"] {
-        let config = || FluidiclConfig::default().with_pipeline_depth(4);
-        let a = run(name, config());
-        let b = run(name, config());
-        assert_eq!(a.reports().len(), b.reports().len());
-        for (ra, rb) in a.reports().iter().zip(b.reports()) {
-            assert_eq!(ra.duration, rb.duration, "{name}: duration differs");
-            assert_eq!(
-                render_timeline(&ra.kernel, &ra.trace),
-                render_timeline(&rb.kernel, &rb.trace),
-                "{name}: rendered traces differ"
-            );
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! The timing and host-work contract of the co-execution engine, pinned
 //! per cell.
 //!
-//! For 9 benchmarks × 4 machines × 9 configs this records one line per cell
+//! For 9 benchmarks × 4 machines × 8 configs this records one line per cell
 //! of `tests/golden/timing_fingerprint.txt`:
 //!
 //! ```text
@@ -22,7 +22,9 @@
 //! per-item body (`body_calls`), a merge walking whole buffers instead of
 //! dirty ranges (`merged_bytes`) or extra simulated events (`des_events`)
 //! fails here even when no virtual time moves. A mismatch names the column
-//! that moved.
+//! that moved. The same runs also check that the default protocol copies no
+//! more host bytes than the whole-buffer one for any machine and benchmark:
+//! shipping dirty ranges must never make the functional mirror copy more.
 //!
 //! Regenerate with `cargo test --test timing_fingerprint -- --ignored` only
 //! for an intentional change, and explain every changed cell: a moved
@@ -81,7 +83,8 @@ fn reported_groups(rt: &Fluidicl) -> u64 {
 
 /// One line per machine × config × benchmark (columns: [`COLUMNS`]), and
 /// the cells whose run itself went wrong: output diverged from the
-/// reference, or work-groups executed that the reports do not credit.
+/// reference, work-groups executed that the reports do not credit, or the
+/// default protocol copied more host bytes than whole-buffer.
 fn fingerprint() -> (String, Vec<String>) {
     let machines = [
         ("paper-testbed", MachineConfig::paper_testbed()),
@@ -105,21 +108,23 @@ fn fingerprint() -> (String, Vec<String>) {
                 .with_location_tracking(false),
         ),
         ("whole-buffer", base().with_dirty_range_transfers(false)),
-        ("pipeline=1", base().with_pipeline_depth(1)),
-        ("pipeline=4", base().with_pipeline_depth(4)),
+        ("pipeline=1", base().with_pipelining(false)),
         (
             "serial-whole-buffer",
             base()
                 .with_dirty_range_transfers(false)
-                .with_pipeline_depth(1),
+                .with_pipelining(false),
         ),
         ("graph-sched", base().with_graph_scheduling(true)),
     ];
     let mut out = String::new();
     let mut faults = Vec::new();
     for (mname, machine) in &machines {
+        // `copied_bytes` of the `default` run per benchmark, checked
+        // against the `whole-buffer` run (which comes later in `configs`).
+        let mut default_copied = Vec::new();
         for (cname, config) in &configs {
-            for b in all_benchmarks() {
+            for (bi, b) in all_benchmarks().into_iter().enumerate() {
                 let cell = format!("{mname}/{cname}/{}", b.name);
                 let n = sweep_size(b.name);
                 let mut rt = Fluidicl::new(machine.clone(), config.clone(), (b.program)(n));
@@ -133,6 +138,16 @@ fn fingerprint() -> (String, Vec<String>) {
                         "  {cell}: executed {} work-groups, the reports credit {credited}",
                         work.groups_executed
                     ));
+                }
+                match *cname {
+                    "default" => default_copied.push(work.copied_bytes),
+                    "whole-buffer" if default_copied[bi] > work.copied_bytes => {
+                        faults.push(format!(
+                            "  {mname}/{}: default copied {} bytes, whole-buffer {}",
+                            b.name, default_copied[bi], work.copied_bytes
+                        ));
+                    }
+                    _ => {}
                 }
                 out.push_str(&format!(
                     "{cell} {} {:016x} {} {} {} {} {}\n",
