@@ -64,6 +64,8 @@ pub struct SoclRuntime {
     host_clock: SimTime,
     cpu_free: SimTime,
     gpu_free: SimTime,
+    /// When the GPU's buffer allocations issued so far are done.
+    gpu_alloc_at: SimTime,
     round_robin: usize,
     kernel_log: Vec<(String, SimDuration)>,
     task_log: Vec<(String, DeviceKind)>,
@@ -86,6 +88,7 @@ impl SoclRuntime {
             host_clock: SimTime::ZERO,
             cpu_free: SimTime::ZERO,
             gpu_free: SimTime::ZERO,
+            gpu_alloc_at: SimTime::ZERO,
             round_robin: 0,
             kernel_log: Vec::new(),
             task_log: Vec::new(),
@@ -185,7 +188,10 @@ impl ClDriver for SoclRuntime {
         self.gpu_mem
             .share_from(&self.cpu_mem, id)
             .expect("allocated just above");
-        self.host_clock += self.machine.gpu.buffer_create_time(len as u64 * 4);
+        self.gpu_alloc_at =
+            self.machine
+                .gpu
+                .allocate(len as u64 * 4, self.host_clock, self.gpu_alloc_at);
         id
     }
 
@@ -200,11 +206,11 @@ impl ClDriver for SoclRuntime {
         let idx = id.0 as usize;
         self.valid_cpu[idx] = true;
         self.valid_gpu[idx] = true;
-        self.host_clock += self
-            .machine
-            .host
-            .copy_time(bytes)
-            .max(self.machine.h2d.transfer_time(bytes));
+        // The h2d copy cannot start before the GPU allocated the buffer.
+        let copy_done = self.host_clock + self.machine.host.copy_time(bytes);
+        let h2d_done =
+            self.host_clock.max(self.gpu_alloc_at) + self.machine.h2d.transfer_time(bytes);
+        self.host_clock = copy_done.max(h2d_done);
         Ok(())
     }
 
@@ -240,7 +246,11 @@ impl ClDriver for SoclRuntime {
             start.max(free) + self.input_transfer_cost(device, &task_inputs) + exec
         };
         let cpu_completion = est(DeviceKind::Cpu, self.cpu_free, exec_cpu);
-        let gpu_completion = est(DeviceKind::Gpu, self.gpu_free, exec_gpu);
+        let gpu_completion = est(
+            DeviceKind::Gpu,
+            self.gpu_free.max(self.gpu_alloc_at),
+            exec_gpu,
+        );
 
         let informed = self.scheduler == SoclScheduler::Dmda && self.is_calibrated(kernel, ndrange);
         let device = if informed {

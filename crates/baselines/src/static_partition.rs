@@ -43,6 +43,8 @@ pub struct StaticPartitionRuntime {
     buffer_lens: Vec<usize>,
     host_clock: SimTime,
     gpu_free: SimTime,
+    /// When the GPU's buffer allocations issued so far are done.
+    gpu_alloc_at: SimTime,
     scratch_created: bool,
     kernel_log: Vec<(String, SimDuration)>,
 }
@@ -67,6 +69,7 @@ impl StaticPartitionRuntime {
             buffer_lens: Vec::new(),
             host_clock: SimTime::ZERO,
             gpu_free: SimTime::ZERO,
+            gpu_alloc_at: SimTime::ZERO,
             scratch_created: false,
             kernel_log: Vec::new(),
         }
@@ -95,7 +98,10 @@ impl ClDriver for StaticPartitionRuntime {
             .share_from(&self.cpu_mem, id)
             .expect("allocated just above");
         if self.uses_gpu() {
-            self.host_clock += self.machine.gpu.buffer_create_time(len as u64 * 4);
+            self.gpu_alloc_at =
+                self.machine
+                    .gpu
+                    .allocate(len as u64 * 4, self.host_clock, self.gpu_alloc_at);
         }
         id
     }
@@ -109,18 +115,18 @@ impl ClDriver for StaticPartitionRuntime {
         self.cpu_mem.replace(id, data)?;
         self.gpu_mem.share_from(&self.cpu_mem, id)?;
         // Pure-GPU and pure-CPU configurations pay exactly their vendor
-        // runtime's transfer; an interior split writes to both devices.
-        let t = if !self.uses_gpu() {
-            self.machine.host.copy_time(bytes)
+        // runtime's transfer; an interior split writes to both devices. The
+        // h2d copy cannot start before the GPU allocated the buffer.
+        let copy_done = self.host_clock + self.machine.host.copy_time(bytes);
+        let h2d_done =
+            self.host_clock.max(self.gpu_alloc_at) + self.machine.h2d.transfer_time(bytes);
+        self.host_clock = if !self.uses_gpu() {
+            copy_done
         } else if self.cpu_fraction == 0.0 {
-            self.machine.h2d.transfer_time(bytes)
+            h2d_done
         } else {
-            self.machine
-                .host
-                .copy_time(bytes)
-                .max(self.machine.h2d.transfer_time(bytes))
+            copy_done.max(h2d_done)
         };
-        self.host_clock += t;
         Ok(())
     }
 
@@ -167,7 +173,7 @@ impl ClDriver for StaticPartitionRuntime {
         let start = self.host_clock;
         // GPU side.
         let gpu_done = if split > 0 {
-            let t = start.max(self.gpu_free)
+            let t = start.max(self.gpu_free).max(self.gpu_alloc_at)
                 + setup
                 + self.machine.gpu.launch_overhead()
                 + self

@@ -5,13 +5,12 @@
 //! The peer pays an up-front begin broadcast (kernel buffers over its own,
 //! slower link) before its first claim, so the third device only pays off
 //! once kernels are large enough to amortise it — the sizes here are double
-//! the check-sweep sizes for exactly that reason. Memory-bound kernels
-//! (GESUMMV, MVT) can *regress*: when the slow peer claims a range
-//! mid-descent, the contiguous covered suffix — the owner's single
-//! watermark, all the in-loop abort check can consult — stalls until the
-//! peer's results land, and the owner re-executes work-groups the CPU
-//! already shipped. The adaptive chunk controller bounds that tax; it
-//! cannot eliminate it without giving up the paper's one-comparison abort.
+//! the check-sweep sizes for exactly that reason. Three devices are never
+//! slower than two here: the memory-bound kernels (ATAX, BICG, GESUMMV,
+//! MVT) tie, because the CPU computes them alone and finishes next to the
+//! idle peer just as it does on two devices. A peer that claims a range
+//! mid-descent can still gate the owner's single watermark until its
+//! results land; the adaptive chunk controller bounds that tax.
 
 use fluidicl::FluidiclConfig;
 use fluidicl_des::geomean;
@@ -82,8 +81,8 @@ pub(super) fn run(_machine: &MachineConfig) -> ExperimentResult {
         notes: vec![format!(
             "3-device total virtual time beats 2-device on {wins} of 9 \
              benchmarks (geomean 3dev/2dev {g:.3}); the peer helps once its \
-             begin broadcast amortises, and taxes memory-bound kernels \
-             whose watermark it gates."
+             begin broadcast amortises, and stays idle where the CPU \
+             finishes a kernel alone."
         )],
     }
 }
@@ -102,7 +101,7 @@ mod tests {
             let cells: Vec<&str> = line.split(',').collect();
             let ratio: f64 = cells[5].parse().unwrap();
             assert!(
-                ratio <= 1.15,
+                ratio <= 1.0,
                 "{}: 3-device config at {ratio} over 2-device",
                 cells[0]
             );

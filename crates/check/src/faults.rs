@@ -278,14 +278,13 @@ pub fn run_fault_sweep(seeds: u64) -> Vec<FaultCell> {
 /// acting owner mid-kernel and a surviving peer GPU is promoted in its
 /// place (epoch-fenced failover).
 ///
-/// Three families ride the same harness: `owner-loss-promote` (plain
-/// owner loss at the sweep's problem sizes), `owner-then-peer-cascade`
-/// (the owner dies, a peer is promoted, then the subkernel-kill latch
-/// takes the non-owner endpoints too), and `promote-mid-batch` (owner
-/// loss on a disjoint set of plan seeds, where promotion lands while
-/// coalesced batches are in flight). All three run the default, pipelined
-/// config. Every cell must recover bit-identically to the sequential
-/// reference — race-checked — or surface a typed error, twice over.
+/// Two families ride the same harness: `owner-loss-promote` (plain owner
+/// loss at the sweep's problem sizes) and `owner-then-peer-cascade` (the
+/// owner dies, a peer is promoted, then the subkernel-kill latch takes the
+/// non-owner endpoints too). Both run the default, pipelined config, so
+/// promotion can land while coalesced batches are in flight. Every cell
+/// must recover bit-identically to the sequential reference —
+/// race-checked — or surface a typed error, twice over.
 #[derive(Clone, Debug)]
 pub struct FailoverCell {
     /// Benchmark name.
@@ -325,13 +324,12 @@ impl FailoverCell {
     }
 }
 
-/// The three owner-failover families: (name, fault kind, plan-seed kind
+/// The two owner-failover families: (name, fault kind, plan-seed kind
 /// offset). Offsets keep the derived plan seeds disjoint from the
 /// two-device sweep's (0..7) and the N=3 non-owner sweep's (100+).
-const FAILOVER_FAMILIES: [(&str, FaultKind, u64); 3] = [
+const FAILOVER_FAMILIES: [(&str, FaultKind, u64); 2] = [
     ("owner-loss-promote", FaultKind::GpuLost, 200),
     ("owner-then-peer-cascade", FaultKind::DoubleLoss, 300),
-    ("promote-mid-batch", FaultKind::GpuLost, 400),
 ];
 
 /// Runs the owner-failover sweep: every benchmark × failover family ×
@@ -427,7 +425,8 @@ impl NdevLossCell {
 /// indices on [`MachineConfig::paper_testbed_3dev`] under a
 /// [`FaultKind::CpuLost`] plan (the subkernel-kill fault, which on a
 /// three-device machine strikes whichever non-owner launch hits the
-/// trigger).
+/// trigger: the CPU on some seeds, the peer GPU on others, and only that
+/// device dies).
 pub fn run_ndev_loss_sweep(seeds: u64) -> Vec<NdevLossCell> {
     let kind_idx = FaultKind::all()
         .iter()

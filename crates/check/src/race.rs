@@ -604,8 +604,9 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                     // memory into its own copy before the final read. Model
                     // the fold as one join message per peer carrying its
                     // cumulative writes, merged at the host endpoint. With
-                    // the CPU as the sole endpoint there is nothing to fold;
-                    // a promoted peer's writes were rolled back.
+                    // the CPU as the sole endpoint, or beside idle peers on
+                    // a healthy roster, there is nothing to fold; a
+                    // promoted peer's writes were rolled back.
                     let mut folded = none();
                     for (&dev, slots) in done_slots.range(1..) {
                         let ep = &replay.eps[&dev];

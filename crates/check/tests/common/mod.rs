@@ -9,7 +9,7 @@ use fluidicl_polybench::all_benchmarks;
 use fluidicl_vcl::{FaultKind, FaultPlan, KernelDef};
 
 /// Scans transient-fault plan seeds, the way `tests/fault_recovery.rs`
-/// does, for a serial SYRK trace in which a faulted batch is re-sent and
+/// does, for a serial SYR2K trace in which a faulted batch is re-sent and
 /// the re-send's status arrives while another send of that endpoint is in
 /// flight, with a send still in flight when the trace ends. Returns the
 /// kernel, its report and the index of the re-send.
@@ -21,8 +21,8 @@ use fluidicl_vcl::{FaultKind, FaultPlan, KernelDef};
 pub fn resend_behind_a_live_send() -> (Arc<KernelDef>, KernelReport, usize) {
     let b = all_benchmarks()
         .into_iter()
-        .find(|b| b.name == "SYRK")
-        .expect("SYRK is a benchmark");
+        .find(|b| b.name == "SYR2K")
+        .expect("SYR2K is a benchmark");
     let n = sweep_size(b.name);
     for plan_seed in 0..64 {
         let config = FluidiclConfig::default()
@@ -48,7 +48,7 @@ pub fn resend_behind_a_live_send() -> (Arc<KernelDef>, KernelReport, usize) {
             }
         }
     }
-    panic!("no plan seed in 0..64 re-sent a faulted SYRK batch behind a live send");
+    panic!("no plan seed in 0..64 re-sent a faulted SYR2K batch behind a live send");
 }
 
 fn resend_index(t: &[TraceEvent]) -> Option<usize> {

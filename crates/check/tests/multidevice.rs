@@ -61,11 +61,11 @@ fn three_device_coexecution_matches_references() {
 /// least 3 Polybench benchmarks. Measured at 2x the sweep sizes — the peer
 /// pays an up-front begin broadcast over its slower link, so the win only
 /// materialises once kernels are large enough to amortise it (the paper's
-/// scaling argument, §7). The regression bound is deliberately loose:
-/// memory-bound kernels (GESUMMV, MVT) pay a watermark-gating tax when the
-/// slow peer claims a range mid-descent and delays the contiguous covered
-/// suffix; the adaptive chunker bounds that tax but cannot eliminate it
-/// under the paper's single-watermark in-loop abort.
+/// scaling argument, §7). The memory-bound kernels (ATAX, BICG, GESUMMV,
+/// MVT) tie: the CPU computes them alone and finishes next to the idle
+/// peer, exactly as on two devices. The regression bound is the tightest
+/// all nine meet: CORR's kernels take 0.21% longer with the peer, whose
+/// claims on `corr_corr` gate the owner's watermark.
 #[test]
 fn three_devices_beat_two_on_virtual_time() {
     let mut faster = Vec::new();
@@ -85,7 +85,7 @@ fn three_devices_beat_two_on_virtual_time() {
         let three = run(MachineConfig::paper_testbed_3dev());
         if three < two {
             faster.push((b.name, two, three));
-        } else if three.as_nanos() as f64 > two.as_nanos() as f64 * 1.15 {
+        } else if three.as_nanos() as f64 > two.as_nanos() as f64 * 1.003 {
             slower.push((b.name, two, three));
         }
     }
@@ -94,7 +94,10 @@ fn three_devices_beat_two_on_virtual_time() {
         "3 devices beat 2 on only {} benchmark(s): {faster:?}",
         faster.len()
     );
-    assert!(slower.is_empty(), "3 devices regressed >15% on: {slower:?}");
+    assert!(
+        slower.is_empty(),
+        "3 devices regressed >0.3% on: {slower:?}"
+    );
 }
 
 /// A two-version program: the baseline is deliberately CPU-hostile and the

@@ -53,7 +53,7 @@ fn every_polybench_kernel_sanitizes_clean() {
 /// The group bodies the audit above covers: a kernel added with one is
 /// counted here, so dropping one (or its coverage) shows.
 #[test]
-fn the_suite_has_sixteen_group_bodies() {
+fn the_suite_has_eighteen_group_bodies() {
     let mut with_group_body = Vec::new();
     for b in suite() {
         let program = (b.program)(sweep_size(b.name));
@@ -78,6 +78,8 @@ fn the_suite_has_sixteen_group_bodies() {
             "corr_center/baseline",
             "corr_corr/baseline",
             "corr_corr/loop-interchanged",
+            "corr_mean/baseline",
+            "corr_std/baseline",
             "gemm/baseline",
             "gesummv/baseline",
             "mm2_d/baseline",

@@ -239,6 +239,47 @@ fn mutation_peer_claim_below_the_frontier_top() {
 }
 
 #[test]
+fn mutation_cpu_finish_hiding_credited_peer_work() {
+    // A CPU finish makes the CPU's copy final, so it is legal only when no
+    // peer's work was credited: claiming it on a kernel a peer helped with
+    // would drop the peer's ranges, which exist only in the owner's merge.
+    let b = all_benchmarks()
+        .into_iter()
+        .find(|b| b.name == "SYRK")
+        .unwrap();
+    let n = sweep_size(b.name);
+    let mut rt = Fluidicl::new(
+        MachineConfig::paper_testbed_3dev(),
+        FluidiclConfig::default(),
+        (b.program)(n),
+    );
+    assert!(b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap());
+    let report = rt
+        .reports()
+        .iter()
+        .find(|r| r.peer_executed_wgs.iter().any(|&w| w > 0))
+        .expect("a peer executed work-groups");
+    assert_eq!(report.finished_by, Finisher::Gpu);
+    let mut t = report.trace.clone();
+    assert!(
+        errors(&t).is_empty(),
+        "unmutated 3-device trace lints clean"
+    );
+    for e in &mut t {
+        if let TraceKind::KernelComplete { finisher } = &mut e.kind {
+            *finisher = Finisher::Cpu;
+        }
+    }
+    let diags = lint_trace(&t);
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.rule == "completion" && d.message.contains("credited to a peer")),
+        "{diags:?}"
+    );
+}
+
+#[test]
 fn mutation_unsorted_timestamps() {
     let reports = real_reports();
     let mut t = rich_trace(&reports);

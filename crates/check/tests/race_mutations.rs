@@ -291,9 +291,9 @@ fn mutation_forged_watermark_on_a_peer_trace_is_flagged() {
     let (defs, mut report) = all_benchmarks()
         .into_iter()
         .find_map(|b| {
-            // Twice the sweep size: the peer's begin broadcast is amortised
-            // and its results reach the owner before the exit.
-            let n = 2 * sweep_size(b.name);
+            // Three times the sweep size: the peer's begin broadcast is
+            // amortised and its results reach the owner before the exit.
+            let n = 3 * sweep_size(b.name);
             let config = FluidiclConfig::default().with_validate_protocol(true);
             let mut rt = Fluidicl::new(MachineConfig::paper_testbed_3dev(), config, (b.program)(n));
             assert!(b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap());

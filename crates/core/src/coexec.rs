@@ -585,11 +585,11 @@ impl<'a> Coexec<'a> {
             .is_some_and(FaultInjector::kill_gpu_wave)
     }
 
-    fn kill_subkernel(&mut self) -> bool {
+    fn kill_subkernel(&mut self, dev: u32) -> bool {
         self.input
             .injector
             .as_deref_mut()
-            .is_some_and(FaultInjector::kill_cpu_subkernel)
+            .is_some_and(|injector| injector.kill_subkernel(dev))
     }
 
     fn transfer_fate(&mut self, attempt: u32) -> TransferFate {
@@ -1103,7 +1103,7 @@ impl<'a> Coexec<'a> {
         // A killed subkernel launches but never reports completion (and
         // never executes, so no partial writes are published); only its
         // watchdog notices.
-        if !self.kill_subkernel() {
+        if !self.kill_subkernel(dev) {
             sim.schedule_at(t + duration, Ev::SubkernelDone { idx: idx as u32 });
         }
         if self.faulty() {
@@ -1774,13 +1774,19 @@ impl<'a> Coexec<'a> {
                 ep.mem = Some(Memory::new());
             }
         }
-        // With a single endpoint the paper's shortcut applies: a CPU that
-        // computed the whole NDRange holds the authoritative data and the
-        // host call returns at that instant. With several endpoints the
-        // final data only ever exists assembled on the owner, so the
-        // kernel always completes through the merge.
+        // The paper's shortcut (§4.2): a CPU that computed the whole
+        // NDRange holds the authoritative data and the host call returns
+        // at that instant. That holds beside peers too when no peer
+        // work-group was credited on a healthy roster (epoch 0, nothing
+        // lost). After a loss or a promotion the final data exists only
+        // assembled on the owner, so the kernel completes through the
+        // merge.
+        let cpu_alone = self.eps.len() == 1
+            || (self.epoch == 0
+                && self.eps.iter().all(|e| !e.lost)
+                && self.eps[1..].iter().all(|e| e.wgs_executed == 0));
         let (complete_at, finished_by) = match self.cpu_finished_at {
-            Some(tc) if self.eps.len() == 1 && tc < merge_done => (tc, Finisher::Cpu),
+            Some(tc) if cpu_alone && tc < merge_done => (tc, Finisher::Cpu),
             _ => (merge_done, Finisher::Gpu),
         };
         // Host-stale ranges: where the merged GPU content differs from the

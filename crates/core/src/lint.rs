@@ -123,13 +123,19 @@ pub fn lint_trace(events: &[TraceEvent]) -> Vec<LintDiagnostic> {
 }
 
 /// Reports every gap in `[0, total)` that `spans` leave uncovered.
-fn check_cover(out: &mut Vec<LintDiagnostic>, mut spans: Vec<(u64, u64)>, total: u64, by: &str) {
+fn check_cover(
+    out: &mut Vec<LintDiagnostic>,
+    rule: &'static str,
+    mut spans: Vec<(u64, u64)>,
+    total: u64,
+    by: &str,
+) {
     spans.sort_unstable();
     let mut reach = 0u64;
     for (from, to) in spans {
         if from > reach {
             out.push(LintDiagnostic::error(
-                "coverage",
+                rule,
                 format!("work-groups {reach}..{from} were never executed by {by}"),
             ));
         }
@@ -137,7 +143,7 @@ fn check_cover(out: &mut Vec<LintDiagnostic>, mut spans: Vec<(u64, u64)>, total:
     }
     if reach < total {
         out.push(LintDiagnostic::error(
-            "coverage",
+            rule,
             format!("work-groups {reach}..{total} were never executed by {by}"),
         ));
     }
@@ -648,7 +654,7 @@ fn finish_coexec(r: &Replay, mut owner: Owner, out: &mut Vec<LintDiagnostic>) {
             (n, _) => out.push(completion_count_error(n)),
         }
         let done_spans = all_done.iter().map(|&&(_, f, t)| (f, t)).collect();
-        check_cover(out, done_spans, total, "any survivor");
+        check_cover(out, "coverage", done_spans, total, "any survivor");
         return;
     }
     if let Some((wf, wt)) = owner.wave {
@@ -682,16 +688,22 @@ fn finish_coexec(r: &Replay, mut owner: Owner, out: &mut Vec<LintDiagnostic>) {
                 ));
             }
         }
-        // The CPU's copy is authoritative only when it was the sole
-        // endpoint (paper §4.2); with peers the final data only ever exists
-        // assembled on the owner.
+        // The CPU's copy is authoritative if and only if the CPU executed
+        // every work-group itself and no peer's work was credited (paper
+        // §4.2): a peer's results exist only in the owner's merge.
         (1, Some((at, Finisher::Cpu))) => {
-            if r.eps.keys().any(|&dev| dev > 0) {
+            if r.totals.peer_wgs > 0 {
                 out.push(LintDiagnostic::error(
                     "completion",
-                    "a kernel with peer endpoints and a healthy owner must be finished by the gpu",
+                    "a cpu finisher hides work-groups credited to a peer",
                 ));
             }
+            let cpu_spans = r
+                .eps
+                .get(&0)
+                .map(|ep| ep.done.iter().map(|&(_, f, t)| (f, t)).collect())
+                .unwrap_or_default();
+            check_cover(out, "completion", cpu_spans, total, "the cpu finisher");
             if at >= merge {
                 out.push(LintDiagnostic::error(
                     "completion",
@@ -718,7 +730,7 @@ fn finish_coexec(r: &Replay, mut owner: Owner, out: &mut Vec<LintDiagnostic>) {
     if r.watermark < total {
         owner.executed.push((r.watermark, total));
     }
-    check_cover(out, owner.executed, total, "any device");
+    check_cover(out, "coverage", owner.executed, total, "any device");
 }
 
 /// The finding for a kernel that completed `n != 1` times.
@@ -784,7 +796,7 @@ fn finish_solo(r: &Replay, owner: Owner, out: &mut Vec<LintDiagnostic>) {
             ),
         ));
     }
-    check_cover(out, owner.executed, r.total, "the sole device");
+    check_cover(out, "coverage", owner.executed, r.total, "the sole device");
 }
 
 /// Lints a kernel report: runs [`lint_trace`] on its trace and cross-checks
@@ -1162,9 +1174,22 @@ mod tests {
     }
 
     #[test]
-    fn cpu_finisher_is_legal_only_for_a_sole_cpu_endpoint() {
+    fn cpu_finisher_is_legal_only_when_the_cpu_executed_every_group() {
         assert_eq!(lint_trace(&cpu_finished_trace(0)), vec![]);
         assert!(rules(&cpu_finished_trace(1)).contains(&"completion"));
+        // The CPU reached work-group 0, but a peer's range was credited.
+        let mut shared = cpu_finished_trace(0);
+        shared[1] = ev(1, start(1, 1, 2));
+        shared.insert(2, ev(1, start(0, 0, 1)));
+        shared[5] = ev(5, done(0, 0, 1));
+        shared.insert(5, ev(4, done(1, 1, 2)));
+        let diags = lint_trace(&shared);
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.rule == "completion" && d.message.contains("peer")),
+            "{diags:?}"
+        );
     }
 
     #[test]

@@ -776,10 +776,19 @@ impl Fluidicl {
 impl ClDriver for Fluidicl {
     fn create_buffer(&mut self, len: usize) -> BufferId {
         // clCreateBuffer allocates on both devices (paper §4.1); the GPU
-        // allocation dominates the cost.
-        let t = self.machine.gpu.buffer_create_time(len as u64 * 4);
-        self.host_clock += t;
+        // allocation dominates the cost. It sits on the in-order hd queue
+        // ahead of the buffer's first host-to-device copy. After a permanent
+        // GPU loss nothing is allocated there: a re-formed acting owner
+        // receives its launch buffers per kernel.
         let id = self.buffers.register(len, self.host_clock);
+        if self.roster.gpu_healthy() {
+            let at = self
+                .machine
+                .gpu
+                .allocate(len as u64 * 4, self.host_clock, self.hd_free);
+            self.hd_free = at;
+            self.buffers.state_mut(id).gpu_ready_at = at;
+        }
         self.cpu_mem.alloc(id, len);
         self.gpu_mem
             .share_from(&self.cpu_mem, id)
@@ -920,7 +929,7 @@ impl ClDriver for Fluidicl {
 mod tests {
     use super::*;
     use fluidicl_hetsim::KernelProfile;
-    use fluidicl_vcl::{ArgRole, ArgSpec, KernelDef};
+    use fluidicl_vcl::{ArgRole, ArgSpec, FaultKind, FaultPlan, KernelDef};
 
     fn scale_program() -> Program {
         let mut p = Program::new();
@@ -1413,6 +1422,46 @@ mod tests {
         }
         assert_eq!(rt.graph_schedules().len(), 2);
         assert_eq!(rt.reports().len(), 4);
+    }
+
+    #[test]
+    fn a_buffer_created_after_gpu_loss_waits_for_no_gpu_allocation() {
+        let n = 4096;
+        let scale = |rt: &mut Fluidicl, src, dst| {
+            rt.enqueue_kernel(
+                "scale",
+                NdRange::d1(n, 64).unwrap(),
+                &[
+                    KernelArg::Buffer(src),
+                    KernelArg::Buffer(dst),
+                    KernelArg::F32(2.0),
+                ],
+            )
+        };
+        let lost = (0..16)
+            .find_map(|seed| {
+                let plan = FaultPlan::new(FaultKind::GpuLost, seed);
+                let mut rt = Fluidicl::new(
+                    MachineConfig::paper_testbed_3dev(),
+                    FluidiclConfig::default().with_faults(Some(plan)),
+                    scale_program(),
+                );
+                let src = rt.create_buffer(n);
+                let mid = rt.create_buffer(n);
+                rt.write_buffer(src, &vec![1.0; n]).unwrap();
+                scale(&mut rt, src, mid).unwrap();
+                (!rt.roster().gpu_healthy()).then_some((rt, mid))
+            })
+            .expect("some seed loses the primary GPU in the first kernel");
+        let (mut rt, mid) = lost;
+        // An output buffer created now is never host-written, so only its
+        // creation could tie it to the dead card.
+        let (hd_free, host_clock) = (rt.hd_free, rt.host_clock);
+        let dst = rt.create_buffer(1 << 22);
+        assert_eq!(rt.hd_free, hd_free, "nothing queues on a dead GPU");
+        assert_eq!(rt.buffers.state(dst).gpu_ready_at, host_clock);
+        scale(&mut rt, mid, dst).unwrap();
+        assert_eq!(&rt.read_buffer(dst).unwrap()[..n], &vec![4.0; n][..]);
     }
 
     #[test]

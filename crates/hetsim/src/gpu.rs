@@ -11,7 +11,7 @@
 //! abort checks inside loops cost extra instructions and inhibit compiler
 //! loop unrolling unless the manual-unroll transformation is applied.
 
-use fluidicl_des::SimDuration;
+use fluidicl_des::{SimDuration, SimTime};
 
 use crate::KernelProfile;
 
@@ -220,10 +220,27 @@ impl GpuModel {
     }
 
     /// Time to allocate a device buffer of `bytes` (paper §6.1 motivates the
-    /// buffer pool by this cost).
+    /// buffer pool by this cost). Work already on the GPU's own timeline
+    /// (scratch buffers at launch, a single in-order device queue) adds it
+    /// as a duration; [`GpuModel::allocate`] places a host-issued one.
     pub fn buffer_create_time(&self, bytes: u64) -> SimDuration {
         self.alloc_overhead
             + SimDuration::from_nanos((bytes as f64 / self.alloc_bytes_per_ns) as u64)
+    }
+
+    /// When a `bytes`-byte GPU buffer the host creates at `host` exists on
+    /// the GPU, whose in-order queue is busy until `queue`: nothing on that
+    /// queue that touches the buffer, its first host-to-device copy
+    /// included, may start earlier. Every runtime creates buffers through
+    /// this rule, so the co-execution runtime and its baselines pay the
+    /// same.
+    ///
+    /// OpenCL runtimes allocate lazily: `clCreateBuffer` returns at once,
+    /// and the GPU pays for the allocation on its queue, ahead of the
+    /// buffer's first transfer. So the host clock does not advance, and a
+    /// host that never uses the GPU never waits for it.
+    pub fn allocate(&self, bytes: u64, host: SimTime, queue: SimTime) -> SimTime {
+        host.max(queue) + self.buffer_create_time(bytes)
     }
 
     /// Device-wide arithmetic throughput in flops/ns (for reporting).
@@ -386,6 +403,15 @@ mod tests {
         let big = g.buffer_create_time(1 << 26);
         assert!(small >= SimDuration::from_micros(15));
         assert!(big > small);
+    }
+
+    #[test]
+    fn allocation_queues_behind_the_later_of_host_and_gpu() {
+        let g = gpu();
+        let cost = g.buffer_create_time(4096);
+        let (early, late) = (SimTime::from_nanos(1_000), SimTime::from_nanos(50_000));
+        assert_eq!(g.allocate(4096, early, late), late + cost);
+        assert_eq!(g.allocate(4096, late, early), late + cost);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use fluidicl_vcl::{
 };
 
 use crate::data::gen_positive;
-use crate::group::{accumulate, blocks};
+use crate::group::{accumulate, blocks, column_sums};
 
 /// Default (scaled) problem size (paper: 2048²).
 pub const DEFAULT_N: usize = 576;
@@ -186,54 +186,84 @@ fn symmat_footprint(
 /// carries the loop-interchanged alternate version for online profiling.
 pub fn program(n: usize) -> Program {
     let mut p = Program::new();
-    p.register(KernelDef::new(
-        "corr_mean",
-        vec![
-            ArgSpec::new("data", ArgRole::In).with_access(AccessPattern::Col {
-                dim: 0,
-                width_scalar: 0,
-            }),
-            ArgSpec::new("mean", ArgRole::Out).with_access(AccessPattern::Element),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile_mean(n),
-        |item, scalars, ins, outs| {
+    p.register(
+        KernelDef::new(
+            "corr_mean",
+            vec![
+                ArgSpec::new("data", ArgRole::In).with_access(AccessPattern::Col {
+                    dim: 0,
+                    width_scalar: 0,
+                }),
+                ArgSpec::new("mean", ArgRole::Out).with_access(AccessPattern::Element),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile_mean(n),
+            |item, scalars, ins, outs| {
+                let n = scalars.usize(0);
+                let j = item.global[0];
+                let data = ins.get(0);
+                let mut acc = 0.0f32;
+                for i in 0..n {
+                    acc += data[i * n + j];
+                }
+                outs.at(0)[j] = acc / n as f32;
+            },
+        )
+        .with_group_body(|nd, groups, scalars, ins, outs| {
             let n = scalars.usize(0);
-            let j = item.global[0];
-            let data = ins.get(0);
-            let mut acc = 0.0f32;
-            for i in 0..n {
-                acc += data[i * n + j];
-            }
-            outs.at(0)[j] = acc / n as f32;
-        },
-    ));
-    p.register(KernelDef::new(
-        "corr_std",
-        vec![
-            ArgSpec::new("data", ArgRole::In).with_access(AccessPattern::Col {
-                dim: 0,
-                width_scalar: 0,
-            }),
-            ArgSpec::new("mean", ArgRole::In).with_access(AccessPattern::Element),
-            ArgSpec::new("std", ArgRole::Out).with_access(AccessPattern::Element),
-            ArgSpec::new("n", ArgRole::Scalar),
-        ],
-        profile_std(n),
-        |item, scalars, ins, outs| {
+            let mean = outs.at(0);
+            column_sums(
+                ins.get(0),
+                n,
+                nd.range_items(groups),
+                |x, _| x,
+                |j, s| {
+                    mean[j] = s / n as f32;
+                },
+            );
+        }),
+    );
+    p.register(
+        KernelDef::new(
+            "corr_std",
+            vec![
+                ArgSpec::new("data", ArgRole::In).with_access(AccessPattern::Col {
+                    dim: 0,
+                    width_scalar: 0,
+                }),
+                ArgSpec::new("mean", ArgRole::In).with_access(AccessPattern::Element),
+                ArgSpec::new("std", ArgRole::Out).with_access(AccessPattern::Element),
+                ArgSpec::new("n", ArgRole::Scalar),
+            ],
+            profile_std(n),
+            |item, scalars, ins, outs| {
+                let n = scalars.usize(0);
+                let j = item.global[0];
+                let data = ins.get(0);
+                let mean = ins.get(1);
+                let mut acc = 0.0f32;
+                for i in 0..n {
+                    let d = data[i * n + j] - mean[j];
+                    acc += d * d;
+                }
+                let sd = (acc / n as f32).sqrt();
+                outs.at(0)[j] = if sd <= EPS { 1.0 } else { sd };
+            },
+        )
+        .with_group_body(|nd, groups, scalars, ins, outs| {
             let n = scalars.usize(0);
-            let j = item.global[0];
-            let data = ins.get(0);
             let mean = ins.get(1);
-            let mut acc = 0.0f32;
-            for i in 0..n {
-                let d = data[i * n + j] - mean[j];
-                acc += d * d;
-            }
-            let sd = (acc / n as f32).sqrt();
-            outs.at(0)[j] = if sd <= EPS { 1.0 } else { sd };
-        },
-    ));
+            let std = outs.at(0);
+            let square = |x: f32, j: usize| {
+                let d = x - mean[j];
+                d * d
+            };
+            column_sums(ins.get(0), n, nd.range_items(groups), square, |j, s| {
+                let sd = (s / n as f32).sqrt();
+                std[j] = if sd <= EPS { 1.0 } else { sd };
+            });
+        }),
+    );
     p.register(
         KernelDef::new(
             "corr_center",

@@ -93,6 +93,30 @@ pub(crate) fn column_dots(
     }
 }
 
+/// For every column `j` in `cols`, `Σ_{i<n} term(a[i*n + j], j)` summed in
+/// `i` order, handed to `emit(j, sum)`: a column reduction that streams
+/// row segments.
+pub(crate) fn column_sums(
+    a: &[f32],
+    n: usize,
+    cols: Range<usize>,
+    term: impl Fn(f32, usize) -> f32,
+    mut emit: impl FnMut(usize, f32),
+) {
+    for blk in blocks::<COL_BLOCK>(cols) {
+        let mut acc = [0.0f32; COL_BLOCK];
+        let acc = &mut acc[..blk.len()];
+        for row in a[..n * n].chunks_exact(n) {
+            for ((s, &x), j) in acc.iter_mut().zip(&row[blk.clone()]).zip(blk.clone()) {
+                *s += term(x, j);
+            }
+        }
+        for (j, &s) in blk.zip(acc.iter()) {
+            emit(j, s);
+        }
+    }
+}
+
 /// For every row `i` in `rows`, the `M` dot products
 /// `Σ_{k<n} m[i*n + k] * x[k]` of the matrices `m` in `mats`, each summed
 /// in `k` order, handed to `emit(i, sums)`. `R` rows go together, so

@@ -23,7 +23,9 @@ use crate::DeviceKind;
 pub enum FaultKind {
     /// The GPU dies mid-kernel: a launched wave never completes.
     GpuLost,
-    /// The CPU dies mid-kernel: a launched subkernel never completes.
+    /// A subkernel's device dies mid-kernel: a launched subkernel never
+    /// completes. That is the CPU on a two-device machine; with peer GPUs
+    /// it is whichever endpoint's launch hits the trigger.
     CpuLost,
     /// An enqueued host-to-device transfer never completes (queue stall).
     TransferStall,
@@ -33,7 +35,8 @@ pub enum FaultKind {
     CorruptPayload,
     /// A transfer's status message is delivered corrupted.
     CorruptStatus,
-    /// Both devices die (unrecoverable): GPU and CPU kill points both fire.
+    /// Both devices die (unrecoverable): GPU and CPU kill points both fire,
+    /// and a subkernel loss takes every subkernel endpoint with it.
     DoubleLoss,
 }
 
@@ -103,7 +106,8 @@ pub enum TransferFate {
 /// subkernels, first-attempt transfers) and fires its fault when the counter
 /// for the plan's kind reaches a seed-derived trigger index. Device-loss
 /// verdicts are sticky: once a device is declared dead every later operation
-/// on it fails too, exactly like real hardware.
+/// on it fails too, exactly like real hardware, while the devices that were
+/// not struck keep working.
 ///
 /// # Examples
 ///
@@ -128,10 +132,11 @@ pub struct FaultInjector {
     /// Seed material for picking the corruption site and bit flip.
     corrupt_salt: u64,
     gpu_ops: u64,
-    cpu_ops: u64,
+    subkernel_ops: u64,
     transfer_ops: u64,
     gpu_dead: bool,
-    cpu_dead: bool,
+    /// Endpoint (0 is the CPU) whose subkernel launch hit the trigger.
+    subkernel_dead: Option<u32>,
     fired: bool,
 }
 
@@ -148,10 +153,10 @@ impl FaultInjector {
             transient_failures,
             corrupt_salt,
             gpu_ops: 0,
-            cpu_ops: 0,
+            subkernel_ops: 0,
             transfer_ops: 0,
             gpu_dead: false,
-            cpu_dead: false,
+            subkernel_dead: None,
             fired: false,
         }
     }
@@ -170,8 +175,13 @@ impl FaultInjector {
     pub fn device_lost(&self, device: DeviceKind) -> bool {
         match device {
             DeviceKind::Gpu => self.gpu_dead,
-            DeviceKind::Cpu => self.cpu_dead,
+            DeviceKind::Cpu => self.subkernel_endpoint_dead(0),
         }
+    }
+
+    fn subkernel_endpoint_dead(&self, dev: u32) -> bool {
+        self.subkernel_dead
+            .is_some_and(|d| d == dev || self.plan.kind == FaultKind::DoubleLoss)
     }
 
     /// Consulted once per launched GPU wave: `true` means the wave (and the
@@ -192,22 +202,25 @@ impl FaultInjector {
         self.gpu_dead
     }
 
-    /// Consulted once per launched CPU subkernel: `true` means the subkernel
-    /// (and the CPU with it) dies — it will never report completion.
-    pub fn kill_cpu_subkernel(&mut self) -> bool {
+    /// Consulted once per subkernel launched on endpoint `dev` (0 is the
+    /// CPU, higher indices are peer GPUs): `true` means the subkernel (and
+    /// its device with it) dies — it will never report completion. The
+    /// launch that hits the trigger kills its own device only; under a
+    /// double loss every later subkernel dies, whichever device runs it.
+    pub fn kill_subkernel(&mut self, dev: u32) -> bool {
         if !matches!(self.plan.kind, FaultKind::CpuLost | FaultKind::DoubleLoss) {
             return false;
         }
-        if self.cpu_dead {
-            return true;
+        if self.subkernel_dead.is_some() {
+            return self.subkernel_endpoint_dead(dev);
         }
-        let op = self.cpu_ops;
-        self.cpu_ops += 1;
+        let op = self.subkernel_ops;
+        self.subkernel_ops += 1;
         if op == self.trigger {
-            self.cpu_dead = true;
+            self.subkernel_dead = Some(dev);
             self.fired = true;
         }
-        self.cpu_dead
+        self.subkernel_dead.is_some()
     }
 
     /// Consulted once per transfer attempt. `attempt` is 1-based: attempt 1
@@ -306,7 +319,7 @@ mod tests {
             let mut b = FaultInjector::new(FaultPlan::new(kind, 99));
             for _ in 0..6 {
                 assert_eq!(a.kill_gpu_wave(), b.kill_gpu_wave());
-                assert_eq!(a.kill_cpu_subkernel(), b.kill_cpu_subkernel());
+                assert_eq!(a.kill_subkernel(0), b.kill_subkernel(0));
                 assert_eq!(a.transfer_fate(1), b.transfer_fate(1));
             }
             assert_eq!(a.fired(), b.fired());
@@ -326,7 +339,7 @@ mod tests {
         assert!(inj.device_lost(DeviceKind::Gpu));
         assert!(!inj.device_lost(DeviceKind::Cpu));
         // A GPU-loss plan never touches CPU subkernels or transfers.
-        assert!(!inj.kill_cpu_subkernel());
+        assert!(!inj.kill_subkernel(0));
         assert_eq!(inj.transfer_fate(1), TransferFate::Deliver);
     }
 
@@ -335,10 +348,23 @@ mod tests {
         let mut inj = FaultInjector::new(FaultPlan::new(FaultKind::DoubleLoss, 17));
         for _ in 0..4 {
             inj.kill_gpu_wave();
-            inj.kill_cpu_subkernel();
+            inj.kill_subkernel(0);
         }
         assert!(inj.device_lost(DeviceKind::Gpu));
         assert!(inj.device_lost(DeviceKind::Cpu));
+    }
+
+    #[test]
+    fn subkernel_loss_kills_only_the_struck_device() {
+        for (kind, survivors_die) in [(FaultKind::CpuLost, false), (FaultKind::DoubleLoss, true)] {
+            let mut inj = FaultInjector::new(FaultPlan::new(kind, 3));
+            // Peer endpoint 2 launches until the trigger strikes it.
+            while !inj.kill_subkernel(2) {}
+            assert!(inj.kill_subkernel(2), "loss is permanent");
+            assert_eq!(inj.kill_subkernel(0), survivors_die);
+            assert_eq!(inj.kill_subkernel(1), survivors_die);
+            assert_eq!(inj.device_lost(DeviceKind::Cpu), survivors_die);
+        }
     }
 
     #[test]

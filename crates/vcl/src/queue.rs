@@ -98,7 +98,7 @@ impl CommandQueue {
         if let Some(inj) = self.injector.as_mut() {
             let dead = match device {
                 DeviceKind::Gpu => inj.kill_gpu_wave(),
-                DeviceKind::Cpu => inj.kill_cpu_subkernel(),
+                DeviceKind::Cpu => inj.kill_subkernel(0),
             };
             if dead {
                 return Err(ClError::DeviceLost {

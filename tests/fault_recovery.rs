@@ -23,7 +23,7 @@ use common::assert_no_stray_holders;
 fn test_size(name: &str) -> usize {
     match name {
         "ATAX" | "BICG" | "MVT" => 256,
-        "CORR" => 64,
+        "CORR" => 128,
         "GESUMMV" => 512,
         "SYRK" | "SYR2K" | "GEMM" | "2MM" => 64,
         other => panic!("unknown benchmark {other}"),

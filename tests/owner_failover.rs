@@ -16,8 +16,9 @@ use fluidicl_vcl::{ClError, ClResult, DeviceKind, FaultKind, FaultPlan};
 
 fn test_size(name: &str) -> usize {
     match name {
-        "ATAX" | "BICG" | "MVT" => 256,
-        "CORR" => 64,
+        "BICG" | "MVT" => 256,
+        "ATAX" => 512,
+        "CORR" => 128,
         "GESUMMV" => 512,
         "SYRK" | "SYR2K" | "GEMM" | "2MM" => 64,
         other => panic!("unknown benchmark {other}"),

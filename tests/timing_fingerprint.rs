@@ -22,9 +22,13 @@
 //! per-item body (`body_calls`), a merge walking whole buffers instead of
 //! dirty ranges (`merged_bytes`) or extra simulated events (`des_events`)
 //! fails here even when no virtual time moves. A mismatch names the column
-//! that moved. The same runs also check that the default protocol copies no
-//! more host bytes than the whole-buffer one for any machine and benchmark:
-//! shipping dirty ranges must never make the functional mirror copy more.
+//! that moved. The same runs also check three invariants in every cell:
+//! the default protocol copies no more host bytes than the whole-buffer one
+//! for any machine and benchmark (shipping dirty ranges must never make the
+//! functional mirror copy more); no run calls a body more often than it
+//! executes work-groups (every kernel has a range body); and a kernel the
+//! CPU finished credits no peer work-group and copies nothing back to the
+//! host (the CPU's copy is final).
 //!
 //! Regenerate with `cargo test --test timing_fingerprint -- --ignored` only
 //! for an intentional change, and explain every changed cell: a moved
@@ -33,7 +37,7 @@
 //! less work for the same virtual result (say, sharing a buffer it used to
 //! copy).
 
-use fluidicl::{Fluidicl, FluidiclConfig};
+use fluidicl::{Finisher, Fluidicl, FluidiclConfig};
 use fluidicl_check::{sweep_size, SWEEP_SEED};
 use fluidicl_hetsim::{AbortMode, MachineConfig};
 use fluidicl_polybench::all_benchmarks;
@@ -83,8 +87,10 @@ fn reported_groups(rt: &Fluidicl) -> u64 {
 
 /// One line per machine × config × benchmark (columns: [`COLUMNS`]), and
 /// the cells whose run itself went wrong: output diverged from the
-/// reference, work-groups executed that the reports do not credit, or the
-/// default protocol copied more host bytes than whole-buffer.
+/// reference, work-groups executed that the reports do not credit, more
+/// body calls than executed work-groups, a CPU-finished kernel with peer
+/// work or a D2H copy, or the default protocol copied more host bytes than
+/// whole-buffer.
 fn fingerprint() -> (String, Vec<String>) {
     let machines = [
         ("paper-testbed", MachineConfig::paper_testbed()),
@@ -138,6 +144,22 @@ fn fingerprint() -> (String, Vec<String>) {
                         "  {cell}: executed {} work-groups, the reports credit {credited}",
                         work.groups_executed
                     ));
+                }
+                if work.body_calls > work.groups_executed {
+                    faults.push(format!(
+                        "  {cell}: {} body calls for {} executed work-groups",
+                        work.body_calls, work.groups_executed
+                    ));
+                }
+                for r in rt.reports() {
+                    let peer_wgs: u64 = r.peer_executed_wgs.iter().sum();
+                    if r.finished_by == Finisher::Cpu && (peer_wgs > 0 || r.dh_bytes > 0) {
+                        faults.push(format!(
+                            "  {cell}: cpu-finished `{}` credits {peer_wgs} peer work-groups \
+                             and copies {} bytes back",
+                            r.kernel, r.dh_bytes
+                        ));
+                    }
                 }
                 match *cname {
                     "default" => default_copied.push(work.copied_bytes),
