@@ -5,7 +5,7 @@
 //! The peer pays an up-front begin broadcast (kernel buffers over its own,
 //! slower link) before its first claim, so the third device only pays off
 //! once kernels are large enough to amortise it — the sizes here are double
-//! the check-sweep sizes for exactly that reason. Three devices are never
+//! the test-suite sizes for exactly that reason. Three devices are never
 //! slower than two here: the memory-bound kernels (ATAX, BICG, GESUMMV,
 //! MVT) tie, because the CPU computes them alone and finishes next to the
 //! idle peer just as it does on two devices. A peer that claims a range
@@ -22,7 +22,7 @@ use crate::table::{ratio, Table};
 
 use super::ExperimentResult;
 
-/// Double the fluidicl-check sweep sizes (kept in lockstep with
+/// Double the test-suite sizes (kept in lockstep with
 /// `fluidicl_check::sweep_size`, which bench cannot depend on).
 fn scaling_n(name: &str) -> usize {
     match name {

@@ -1,19 +1,19 @@
-//! Fault-injection sweep: every Polybench benchmark × every [`FaultKind`]
+//! Fault-injection sweep: every Polybench benchmark × every fault family
 //! × N seeds, with protocol validation on.
 //!
 //! Each cell runs one benchmark under a seeded, deterministic
 //! [`FaultPlan`]. The recovery contract says the run must either
 //! **recover** — outputs bit-identical to the sequential reference, i.e.
 //! byte-identical to a fault-free run — or surface a **typed** error
-//! ([`ClError::DeviceLost`] / [`ClError::Timeout`]); anything else
-//! (mismatched output, an untyped error) is a sweep failure. Every cell
-//! executes twice and both executions must reach the same outcome,
-//! pinning the determinism the fault layer promises: same seed, same
-//! schedule, same result.
+//! ([`ClError::DeviceLost`] / [`ClError::Timeout`]) where its family
+//! accepts one; anything else (mismatched output, an untyped error, a race
+//! in a recovered trace) is a sweep failure. Every cell executes twice and
+//! both executions must reach the same outcome, pinning the determinism
+//! the fault layer promises: same seed, same schedule, same result.
 //!
-//! The sweep binary runs this via `fluidicl-check --faults [--seeds N]`
-//! and writes a `FAULTS_summary.json` artifact in hand-written JSON, one
-//! record per line.
+//! [`fault_summary`] renders the sweep as the hand-written JSON of the
+//! tracked `FAULTS_summary.json`, one record per line; the `faults_summary`
+//! test compares it byte for byte, and its ignored twin rewrites it.
 
 use fluidicl::{Fluidicl, FluidiclConfig, KernelReport, RecoveryPolicy, TraceKind};
 use fluidicl_hetsim::MachineConfig;
@@ -22,28 +22,23 @@ use fluidicl_vcl::{ClError, FaultKind, FaultPlan};
 
 use crate::{json_escape, sweep_size, SWEEP_SEED};
 
-/// Outcome of one (benchmark × fault kind × seed) sweep cell.
+/// Outcome of one sweep cell.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CellOutcome {
+enum CellOutcome {
     /// Outputs bit-identical to the sequential reference (and therefore to
     /// a fault-free run, which is validated against the same reference).
     Recovered,
     /// The run surfaced a typed, contract-sanctioned error.
     TypedError(String),
-    /// Outputs diverged from the reference — a sweep failure.
+    /// Outputs diverged from the reference.
     Mismatch,
-    /// An error outside the fault contract — a sweep failure.
+    /// An error outside the fault contract, or a race in a recovered trace.
     UnexpectedError(String),
 }
 
 impl CellOutcome {
-    /// Whether this outcome satisfies the recovery contract.
-    pub fn is_ok(&self) -> bool {
-        matches!(self, CellOutcome::Recovered | CellOutcome::TypedError(_))
-    }
-
     /// Stable label used in the JSON summary.
-    pub fn label(&self) -> &'static str {
+    fn label(&self) -> &'static str {
         match self {
             CellOutcome::Recovered => "recovered",
             CellOutcome::TypedError(_) => "typed-error",
@@ -53,43 +48,117 @@ impl CellOutcome {
     }
 }
 
+/// A machine by its summary name.
+type Machine = (&'static str, fn() -> MachineConfig);
+
+const TWO_DEV: Machine = ("paper-testbed", MachineConfig::paper_testbed);
+const THREE_DEV: Machine = ("paper-testbed-3dev", MachineConfig::paper_testbed_3dev);
+
+/// One family of sweep cells: the machine it runs on, the fault it
+/// injects, the offset that keeps its plan seeds disjoint from the other
+/// families', and whether a typed error satisfies its contract.
+#[derive(Clone, Copy, Debug)]
+struct FaultFamily {
+    name: &'static str,
+    machine: Machine,
+    kind: FaultKind,
+    seed_offset: u64,
+    typed_error_ok: bool,
+}
+
+/// Three-device non-owner loss: the subkernel-kill fault strikes whichever
+/// non-owner launch hits the trigger (the CPU on some seeds, the peer GPU
+/// on others, and only that device dies). The owner survives a non-owner
+/// loss by construction, so a typed error fails the cell.
+const NDEV_LOSS: FaultFamily = FaultFamily {
+    name: "ndev-loss",
+    machine: THREE_DEV,
+    kind: FaultKind::CpuLost,
+    seed_offset: 100,
+    typed_error_ok: false,
+};
+
+/// Owner failover on the three-device machine: the acting owner is killed
+/// and a surviving peer GPU is promoted in its place (epoch-fenced).
+/// `owner-then-peer-cascade` then takes the non-owner endpoints too, and
+/// may end in a typed error when no device is left.
+const FAILOVER: [FaultFamily; 2] = [
+    FaultFamily {
+        name: "owner-loss-promote",
+        machine: THREE_DEV,
+        kind: FaultKind::GpuLost,
+        seed_offset: 200,
+        typed_error_ok: true,
+    },
+    FaultFamily {
+        name: "owner-then-peer-cascade",
+        machine: THREE_DEV,
+        kind: FaultKind::DoubleLoss,
+        seed_offset: 300,
+        typed_error_ok: true,
+    },
+];
+
+/// Every family: each fault kind on the two-device testbed, then
+/// [`NDEV_LOSS`] and [`FAILOVER`].
+fn families() -> Vec<FaultFamily> {
+    let two_device = FaultKind::all().map(|kind| FaultFamily {
+        name: kind.name(),
+        machine: TWO_DEV,
+        kind,
+        seed_offset: 0,
+        typed_error_ok: true,
+    });
+    two_device
+        .into_iter()
+        .chain([NDEV_LOSS])
+        .chain(FAILOVER)
+        .collect()
+}
+
 /// One fully-described sweep cell.
 #[derive(Clone, Debug)]
-pub struct FaultCell {
-    /// Benchmark name.
-    pub bench: &'static str,
-    /// Injected fault kind.
-    pub kind: FaultKind,
+struct FaultCell {
+    bench: &'static str,
+    family: FaultFamily,
     /// Sweep seed index (0..seeds).
-    pub seed: u64,
+    seed: u64,
     /// Derived fault-plan seed the cell actually ran with.
-    pub plan_seed: u64,
+    plan_seed: u64,
     /// Outcome of the first execution.
-    pub outcome: CellOutcome,
+    outcome: CellOutcome,
     /// Whether the planned fault actually triggered (small benchmarks may
     /// finish before the trigger point is reached — then the run is simply
     /// fault-free).
-    pub fired: bool,
+    fired: bool,
+    /// Whether an owner promotion appeared in any kernel trace.
+    promoted: bool,
     /// Whether the second execution reproduced the first bit-for-bit.
-    pub deterministic: bool,
+    deterministic: bool,
     /// Simulated instant the first fault-vocabulary trace event was
     /// recorded at, if any fired.
-    pub fault_at_ns: Option<u64>,
+    fault_at_ns: Option<u64>,
     /// Simulated completion instant of the last kernel the run finished.
-    pub complete_ns: Option<u64>,
+    complete_ns: Option<u64>,
     /// Simulated completion instant of the fault-free reference run of the
-    /// same benchmark on the same machine and config.
-    pub fault_free_ns: u64,
-    /// Simulated recovery latency: how much later than the fault-free
-    /// reference the run completed. Only meaningful when the fault fired
-    /// and the run recovered.
-    pub recovery_latency_ns: Option<u64>,
+    /// same benchmark on the same machine.
+    fault_free_ns: u64,
+    /// How much later than the fault-free reference the run completed;
+    /// only for a fired, recovered cell.
+    recovery_latency_ns: Option<u64>,
 }
 
 impl FaultCell {
-    /// Whether this cell fails the sweep.
-    pub fn is_failure(&self) -> bool {
-        !self.outcome.is_ok() || !self.deterministic
+    /// Whether this cell fails the sweep: anything but a deterministic
+    /// bit-identical recovery, or a deterministic typed error where the
+    /// family accepts one.
+    fn is_failure(&self) -> bool {
+        let ok = match self.outcome {
+            CellOutcome::Recovered => true,
+            CellOutcome::TypedError(_) => self.family.typed_error_ok,
+            _ => false,
+        };
+        !ok || !self.deterministic
     }
 }
 
@@ -136,14 +205,12 @@ fn first_fault_ns(report: &KernelReport) -> Option<u64> {
         .map(|ev| ev.at.as_nanos())
 }
 
-fn run_probe(
-    machine: &MachineConfig,
-    b: &BenchmarkSpec,
-    plan: Option<FaultPlan>,
-    base: FluidiclConfig,
-) -> RunProbe {
+/// One execution of `b` on `machine` under the default config and `plan`.
+fn run_probe(machine: &MachineConfig, b: &BenchmarkSpec, plan: Option<FaultPlan>) -> RunProbe {
     let n = sweep_size(b.name);
-    let config = base.with_validate_protocol(true).with_faults(plan);
+    let config = FluidiclConfig::default()
+        .with_validate_protocol(true)
+        .with_faults(plan);
     let mut rt = Fluidicl::new(machine.clone(), config, (b.program)(n));
     let defs = (b.program)(n);
     let mut outcome = match b.run_and_validate_sized(&mut rt, n, SWEEP_SEED) {
@@ -193,275 +260,58 @@ fn run_probe(
     }
 }
 
-/// Simulated completion instant of a fault-free run of `b` on `machine`
-/// under `base`: the reference the recovery-latency numbers are measured
-/// against.
-fn fault_free_complete_ns(machine: &MachineConfig, b: &BenchmarkSpec, base: FluidiclConfig) -> u64 {
-    let p = run_probe(machine, b, None, base);
-    assert_eq!(
-        p.outcome,
-        CellOutcome::Recovered,
-        "{}: fault-free reference run must validate",
-        b.name
-    );
-    p.complete_ns.expect("fault-free run completed kernels")
-}
-
-/// Runs one sweep cell against a precomputed fault-free reference
-/// completion time: two executions of `bench` under `kind` with the given
-/// plan seed, checking the recovery contract and determinism.
-fn run_fault_cell_with_ref(
-    b: &BenchmarkSpec,
-    kind: FaultKind,
-    seed: u64,
-    plan_seed: u64,
-    fault_free_ns: u64,
-) -> FaultCell {
-    let machine = MachineConfig::paper_testbed();
-    let plan = Some(FaultPlan::new(kind, plan_seed));
-    let p = run_probe(&machine, b, plan, FluidiclConfig::default());
-    let again = run_probe(&machine, b, plan, FluidiclConfig::default());
-    let recovery_latency_ns = (p.fired && p.outcome == CellOutcome::Recovered).then(|| {
-        p.complete_ns
-            .unwrap_or(fault_free_ns)
-            .saturating_sub(fault_free_ns)
-    });
-    FaultCell {
-        bench: b.name,
-        kind,
-        seed,
-        plan_seed,
-        deterministic: p == again,
-        outcome: p.outcome,
-        fired: p.fired,
-        fault_at_ns: p.fault_at_ns,
-        complete_ns: p.complete_ns,
-        fault_free_ns,
-        recovery_latency_ns,
-    }
-}
-
-/// Runs one sweep cell: two executions of `bench` under `kind` with the
-/// given plan seed, checking the recovery contract and determinism. The
-/// fault-free latency reference is computed on the spot; the sweep proper
-/// hoists it per benchmark instead.
-pub fn run_fault_cell(b: &BenchmarkSpec, kind: FaultKind, seed: u64, plan_seed: u64) -> FaultCell {
-    let ff = fault_free_complete_ns(
-        &MachineConfig::paper_testbed(),
-        b,
-        FluidiclConfig::default(),
-    );
-    run_fault_cell_with_ref(b, kind, seed, plan_seed, ff)
-}
-
-/// Runs the full sweep — every benchmark × fault kind × `seeds` seed
-/// indices — fanned out over the worker pool, in stable cell order.
-pub fn run_fault_sweep(seeds: u64) -> Vec<FaultCell> {
-    let machine = MachineConfig::paper_testbed();
+/// Runs every benchmark × family × `seeds` seed indices, each cell twice,
+/// fanned out over the worker pool, in stable benchmark-major order. Each
+/// (benchmark, family) unit first runs fault-free on the family's machine:
+/// the reference its cells' recovery latencies are measured against.
+fn run_fault_sweep(seeds: u64) -> Vec<FaultCell> {
     let mut units = Vec::new();
     for (bi, b) in all_benchmarks().into_iter().enumerate() {
-        // One fault-free reference per benchmark: every cell of the row
-        // measures its recovery latency against the same baseline.
-        let ff = fault_free_complete_ns(&machine, &b, FluidiclConfig::default());
-        for (ki, kind) in FaultKind::all().into_iter().enumerate() {
-            for s in 0..seeds {
-                units.push((b, kind, s, plan_seed(bi as u64, ki as u64, s), ff));
-            }
+        for family in families() {
+            units.push((bi as u64, b, family));
         }
     }
-    fluidicl_par::par_map(units, |(b, kind, s, ps, ff)| {
-        run_fault_cell_with_ref(&b, kind, s, ps, ff)
-    })
-}
-
-/// One cell of the owner-failover sweep: a three-device machine loses its
-/// acting owner mid-kernel and a surviving peer GPU is promoted in its
-/// place (epoch-fenced failover).
-///
-/// Two families ride the same harness: `owner-loss-promote` (plain owner
-/// loss at the sweep's problem sizes) and `owner-then-peer-cascade` (the
-/// owner dies, a peer is promoted, then the subkernel-kill latch takes the
-/// non-owner endpoints too). Both run the default, pipelined config, so
-/// promotion can land while coalesced batches are in flight. Every cell
-/// must recover bit-identically to the sequential reference —
-/// race-checked — or surface a typed error, twice over.
-#[derive(Clone, Debug)]
-pub struct FailoverCell {
-    /// Benchmark name.
-    pub bench: &'static str,
-    /// Which failover family the cell belongs to.
-    pub family: &'static str,
-    /// Injected fault kind.
-    pub kind: FaultKind,
-    /// Sweep seed index (0..seeds).
-    pub seed: u64,
-    /// Derived fault-plan seed the cell ran with.
-    pub plan_seed: u64,
-    /// Outcome of the first execution.
-    pub outcome: CellOutcome,
-    /// Whether the planned fault actually triggered.
-    pub fired: bool,
-    /// Whether an owner promotion appeared in any kernel trace.
-    pub promoted: bool,
-    /// Whether the second execution reproduced the first bit-for-bit.
-    pub deterministic: bool,
-    /// Simulated instant the first fault-vocabulary trace event fired at.
-    pub fault_at_ns: Option<u64>,
-    /// Simulated completion instant of the last kernel the run finished.
-    pub complete_ns: Option<u64>,
-    /// Fault-free reference completion for the same benchmark and config.
-    pub fault_free_ns: u64,
-    /// Simulated recovery latency vs the fault-free reference (fired,
-    /// recovered cells only).
-    pub recovery_latency_ns: Option<u64>,
-}
-
-impl FailoverCell {
-    /// Whether this cell fails the sweep: anything but a deterministic
-    /// bit-identical recovery or a deterministic typed error.
-    pub fn is_failure(&self) -> bool {
-        !self.outcome.is_ok() || !self.deterministic
-    }
-}
-
-/// The two owner-failover families: (name, fault kind, plan-seed kind
-/// offset). Offsets keep the derived plan seeds disjoint from the
-/// two-device sweep's (0..7) and the N=3 non-owner sweep's (100+).
-const FAILOVER_FAMILIES: [(&str, FaultKind, u64); 2] = [
-    ("owner-loss-promote", FaultKind::GpuLost, 200),
-    ("owner-then-peer-cascade", FaultKind::DoubleLoss, 300),
-];
-
-/// Runs the owner-failover sweep: every benchmark × failover family ×
-/// `seeds` seed indices on [`MachineConfig::paper_testbed_3dev`], where
-/// the injected owner loss exercises peer promotion instead of the
-/// two-device survivor fallback.
-pub fn run_failover_sweep(seeds: u64) -> Vec<FailoverCell> {
-    let machine = MachineConfig::paper_testbed_3dev();
-    let mut units = Vec::new();
-    for (family, kind, offset) in FAILOVER_FAMILIES {
+    let rows = fluidicl_par::par_map(units, |(bi, b, family)| {
+        let machine = (family.machine.1)();
+        let reference = run_probe(&machine, &b, None);
+        assert_eq!(
+            reference.outcome,
+            CellOutcome::Recovered,
+            "{}: fault-free reference run must validate",
+            b.name
+        );
+        let ff = reference
+            .complete_ns
+            .expect("fault-free run completed kernels");
         let kind_idx = FaultKind::all()
             .iter()
-            .position(|k| *k == kind)
-            .expect("failover kind") as u64;
-        for (bi, b) in all_benchmarks().into_iter().enumerate() {
-            let ff = fault_free_complete_ns(&machine, &b, FluidiclConfig::default());
-            for s in 0..seeds {
-                let ps = plan_seed(bi as u64, offset + kind_idx, s);
-                units.push((family, kind, b, s, ps, ff));
-            }
-        }
-    }
-    fluidicl_par::par_map(units, |(family, kind, b, s, ps, ff)| {
-        let machine = MachineConfig::paper_testbed_3dev();
-        let plan = Some(FaultPlan::new(kind, ps));
-        let p = run_probe(&machine, &b, plan, FluidiclConfig::default());
-        let again = run_probe(&machine, &b, plan, FluidiclConfig::default());
-        let recovery_latency_ns = (p.fired && p.outcome == CellOutcome::Recovered)
-            .then(|| p.complete_ns.unwrap_or(ff).saturating_sub(ff));
-        FailoverCell {
-            bench: b.name,
-            family,
-            kind,
-            seed: s,
-            plan_seed: ps,
-            deterministic: p == again,
-            outcome: p.outcome,
-            fired: p.fired,
-            promoted: p.promoted,
-            fault_at_ns: p.fault_at_ns,
-            complete_ns: p.complete_ns,
-            fault_free_ns: ff,
-            recovery_latency_ns,
-        }
-    })
-}
-
-/// One cell of the N=3 non-owner-loss sweep: a three-device machine
-/// (CPU + owner GPU + peer GPU) loses a non-owner endpoint mid-kernel.
-///
-/// The injector's subkernel-kill trigger counts launches across *all*
-/// non-owner endpoints, so across seeds the victim alternates between the
-/// CPU and the peer GPU. The contract is stricter than the two-device
-/// sweep's: the owner survives a non-owner loss by construction, so the
-/// survivors must always finish with output bit-identical to the sequential
-/// reference (and therefore to a fault-free run) — a typed error is a
-/// failure here, not an accepted outcome. Recovered traces are additionally
-/// happens-before checked, and every cell runs twice for determinism.
-#[derive(Clone, Debug)]
-pub struct NdevLossCell {
-    /// Benchmark name.
-    pub bench: &'static str,
-    /// Sweep seed index (0..seeds).
-    pub seed: u64,
-    /// Derived fault-plan seed the cell ran with.
-    pub plan_seed: u64,
-    /// Outcome of the first execution.
-    pub outcome: CellOutcome,
-    /// Whether the planned loss actually triggered.
-    pub fired: bool,
-    /// Whether the second execution reproduced the first bit-for-bit.
-    pub deterministic: bool,
-    /// Simulated instant the first fault-vocabulary trace event fired at.
-    pub fault_at_ns: Option<u64>,
-    /// Simulated completion instant of the last kernel the run finished.
-    pub complete_ns: Option<u64>,
-    /// Fault-free reference completion for the same benchmark and machine.
-    pub fault_free_ns: u64,
-    /// Simulated recovery latency vs the fault-free reference (fired,
-    /// recovered cells only).
-    pub recovery_latency_ns: Option<u64>,
-}
-
-impl NdevLossCell {
-    /// Whether this cell fails the sweep (anything but a deterministic,
-    /// bit-identical recovery).
-    pub fn is_failure(&self) -> bool {
-        self.outcome != CellOutcome::Recovered || !self.deterministic
-    }
-}
-
-/// Runs the N=3 non-owner-loss sweep: every benchmark × `seeds` seed
-/// indices on [`MachineConfig::paper_testbed_3dev`] under a
-/// [`FaultKind::CpuLost`] plan (the subkernel-kill fault, which on a
-/// three-device machine strikes whichever non-owner launch hits the
-/// trigger: the CPU on some seeds, the peer GPU on others, and only that
-/// device dies).
-pub fn run_ndev_loss_sweep(seeds: u64) -> Vec<NdevLossCell> {
-    let kind_idx = FaultKind::all()
-        .iter()
-        .position(|k| *k == FaultKind::CpuLost)
-        .expect("subkernel-kill kind") as u64;
-    let machine = MachineConfig::paper_testbed_3dev();
-    let mut units = Vec::new();
-    for (bi, b) in all_benchmarks().into_iter().enumerate() {
-        let ff = fault_free_complete_ns(&machine, &b, FluidiclConfig::default());
-        for s in 0..seeds {
-            // Offset the kind coordinate so these cells draw plan seeds
-            // disjoint from the two-device sweep's.
-            units.push((b, s, plan_seed(bi as u64, 100 + kind_idx, s), ff));
-        }
-    }
-    fluidicl_par::par_map(units, |(b, s, ps, ff)| {
-        let machine = MachineConfig::paper_testbed_3dev();
-        let plan = Some(FaultPlan::new(FaultKind::CpuLost, ps));
-        let p = run_probe(&machine, &b, plan, FluidiclConfig::default());
-        let again = run_probe(&machine, &b, plan, FluidiclConfig::default());
-        let recovery_latency_ns = (p.fired && p.outcome == CellOutcome::Recovered)
-            .then(|| p.complete_ns.unwrap_or(ff).saturating_sub(ff));
-        NdevLossCell {
-            bench: b.name,
-            seed: s,
-            plan_seed: ps,
-            deterministic: p == again,
-            outcome: p.outcome,
-            fired: p.fired,
-            fault_at_ns: p.fault_at_ns,
-            complete_ns: p.complete_ns,
-            fault_free_ns: ff,
-            recovery_latency_ns,
-        }
-    })
+            .position(|k| *k == family.kind)
+            .expect("listed kind") as u64;
+        (0..seeds)
+            .map(|seed| {
+                let plan_seed = plan_seed(bi, family.seed_offset + kind_idx, seed);
+                let plan = Some(FaultPlan::new(family.kind, plan_seed));
+                let p = run_probe(&machine, &b, plan);
+                let again = run_probe(&machine, &b, plan);
+                FaultCell {
+                    bench: b.name,
+                    family,
+                    seed,
+                    plan_seed,
+                    deterministic: p == again,
+                    recovery_latency_ns: (p.fired && p.outcome == CellOutcome::Recovered)
+                        .then(|| p.complete_ns.unwrap_or(ff).saturating_sub(ff)),
+                    outcome: p.outcome,
+                    fired: p.fired,
+                    promoted: p.promoted,
+                    fault_at_ns: p.fault_at_ns,
+                    complete_ns: p.complete_ns,
+                    fault_free_ns: ff,
+                }
+            })
+            .collect::<Vec<_>>()
+    });
+    rows.into_iter().flatten().collect()
 }
 
 /// One row of the fault-aware chunk-shrink comparison: the same benchmark
@@ -578,157 +428,180 @@ pub fn run_shrink_comparison(seeds: u64) -> Vec<ShrinkCell> {
     })
 }
 
-/// The `detail` field of a cell row: the error text of a typed or
-/// unexpected error, empty for every other outcome.
-fn detail_field(outcome: &CellOutcome) -> String {
-    match outcome {
-        CellOutcome::TypedError(d) | CellOutcome::UnexpectedError(d) => {
-            format!(", \"detail\": \"{}\"", json_escape(d))
-        }
-        _ => String::new(),
-    }
-}
-
 /// Renders an `Option<u64>` as a JSON number or `null`.
 fn opt(v: Option<u64>) -> String {
     v.map_or_else(|| "null".to_string(), |n| n.to_string())
 }
 
-/// The shared latency tail of every cell row: when the fault fired and
-/// when the run completed relative to its fault-free reference.
-fn latency_fields(
-    fault_at_ns: Option<u64>,
-    complete_ns: Option<u64>,
-    fault_free_ns: u64,
-    recovery_latency_ns: Option<u64>,
-) -> String {
+/// One cell's JSON record. `head` follows the benchmark name (the fields
+/// that place the cell in its section); `promoted` adds the promotion flag.
+fn cell_row(c: &FaultCell, head: &str, promoted: bool) -> String {
+    let promoted = if promoted {
+        format!(", \"promoted\": {}", c.promoted)
+    } else {
+        String::new()
+    };
+    let detail = match &c.outcome {
+        CellOutcome::TypedError(d) | CellOutcome::UnexpectedError(d) => {
+            format!(", \"detail\": \"{}\"", json_escape(d))
+        }
+        _ => String::new(),
+    };
     format!(
-        ", \"fault_at_ns\": {}, \"complete_ns\": {}, \"fault_free_ns\": {fault_free_ns}, \
-         \"recovery_latency_ns\": {}",
-        opt(fault_at_ns),
-        opt(complete_ns),
-        opt(recovery_latency_ns)
+        "{{\"bench\": \"{}\"{head}, \"seed\": {}, \"plan_seed\": {}, \"outcome\": \"{}\", \
+         \"fired\": {}{promoted}, \"deterministic\": {}, \"fault_at_ns\": {}, \
+         \"complete_ns\": {}, \"fault_free_ns\": {}, \"recovery_latency_ns\": {}{detail}}}",
+        c.bench,
+        c.seed,
+        c.plan_seed,
+        c.outcome.label(),
+        c.fired,
+        c.deterministic,
+        opt(c.fault_at_ns),
+        opt(c.complete_ns),
+        c.fault_free_ns,
+        opt(c.recovery_latency_ns)
     )
 }
 
+/// Appends `"key": [rows]` with one record per line; `last` drops the
+/// trailing comma of the list.
+fn push_list(s: &mut String, key: &str, rows: Vec<String>, last: bool) {
+    s.push_str(&format!("  \"{key}\": [\n"));
+    for (i, row) in rows.iter().enumerate() {
+        let comma = if i + 1 < rows.len() { "," } else { "" };
+        s.push_str(&format!("    {row}{comma}\n"));
+    }
+    s.push_str(if last { "  ]\n" } else { "  ],\n" });
+}
+
 /// Renders the sweep as hand-written JSON, one cell per line so the file
-/// diffs line by line: the CI artifact `FAULTS_summary.json`.
-pub fn render_faults_json(
-    cells: &[FaultCell],
-    ndev: &[NdevLossCell],
-    failover: &[FailoverCell],
-    shrink: &[ShrinkCell],
-    seeds: u64,
-) -> String {
-    let recovered = cells
+/// diffs line by line. The header counts the two-device cells, listed
+/// under `results`; the non-owner-loss cells follow under `ndev_loss`, and
+/// the failover cells under `owner_failover`, family by family.
+fn render_faults_json(cells: &[FaultCell], shrink: &[ShrinkCell], seeds: u64) -> String {
+    let two_device: Vec<&FaultCell> = cells
         .iter()
-        .filter(|c| c.outcome == CellOutcome::Recovered)
-        .count();
-    let typed = cells
+        .filter(|c| c.family.machine.0 == TWO_DEV.0)
+        .collect();
+    let count = |pred: &dyn Fn(&FaultCell) -> bool| two_device.iter().filter(|c| pred(c)).count();
+    let mut s = String::from("{\n");
+    for (key, value) in [
+        ("seeds", seeds as usize),
+        ("cells", two_device.len()),
+        ("fired", count(&|c| c.fired)),
+        ("recovered", count(&|c| c.outcome == CellOutcome::Recovered)),
+        (
+            "typed_errors",
+            count(&|c| matches!(c.outcome, CellOutcome::TypedError(_))),
+        ),
+        ("failures", count(&|c| c.is_failure())),
+    ] {
+        s.push_str(&format!("  \"{key}\": {value},\n"));
+    }
+    let results = two_device
         .iter()
-        .filter(|c| matches!(c.outcome, CellOutcome::TypedError(_)))
-        .count();
-    let fired = cells.iter().filter(|c| c.fired).count();
-    let failures = cells.iter().filter(|c| c.is_failure()).count();
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"seeds\": {seeds},\n"));
-    s.push_str(&format!("  \"cells\": {},\n", cells.len()));
-    s.push_str(&format!("  \"fired\": {fired},\n"));
-    s.push_str(&format!("  \"recovered\": {recovered},\n"));
-    s.push_str(&format!("  \"typed_errors\": {typed},\n"));
-    s.push_str(&format!("  \"failures\": {failures},\n"));
-    s.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        let detail = detail_field(&c.outcome);
-        let latency = latency_fields(
-            c.fault_at_ns,
-            c.complete_ns,
-            c.fault_free_ns,
-            c.recovery_latency_ns,
-        );
-        s.push_str(&format!(
-            "    {{\"bench\": \"{}\", \"kind\": \"{}\", \"seed\": {}, \"plan_seed\": {}, \
-             \"outcome\": \"{}\", \"fired\": {}, \"deterministic\": {}{latency}{detail}}}{comma}\n",
-            c.bench,
-            c.kind.name(),
-            c.seed,
-            c.plan_seed,
-            c.outcome.label(),
-            c.fired,
-            c.deterministic
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"ndev_loss\": [\n");
-    for (i, c) in ndev.iter().enumerate() {
-        let comma = if i + 1 < ndev.len() { "," } else { "" };
-        let detail = detail_field(&c.outcome);
-        let latency = latency_fields(
-            c.fault_at_ns,
-            c.complete_ns,
-            c.fault_free_ns,
-            c.recovery_latency_ns,
-        );
-        s.push_str(&format!(
-            "    {{\"bench\": \"{}\", \"machine\": \"paper-testbed-3dev\", \"seed\": {}, \
-             \"plan_seed\": {}, \"outcome\": \"{}\", \"fired\": {}, \
-             \"deterministic\": {}{latency}{detail}}}{comma}\n",
-            c.bench,
-            c.seed,
-            c.plan_seed,
-            c.outcome.label(),
-            c.fired,
-            c.deterministic
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"owner_failover\": [\n");
-    for (i, c) in failover.iter().enumerate() {
-        let comma = if i + 1 < failover.len() { "," } else { "" };
-        let detail = detail_field(&c.outcome);
-        let latency = latency_fields(
-            c.fault_at_ns,
-            c.complete_ns,
-            c.fault_free_ns,
-            c.recovery_latency_ns,
-        );
-        s.push_str(&format!(
-            "    {{\"bench\": \"{}\", \"family\": \"{}\", \"kind\": \"{}\", \
-             \"machine\": \"paper-testbed-3dev\", \"seed\": {}, \"plan_seed\": {}, \
-             \"outcome\": \"{}\", \"fired\": {}, \"promoted\": {}, \
-             \"deterministic\": {}{latency}{detail}}}{comma}\n",
-            c.bench,
-            c.family,
-            c.kind.name(),
-            c.seed,
-            c.plan_seed,
-            c.outcome.label(),
-            c.fired,
-            c.promoted,
-            c.deterministic
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"shrink_on_retry\": [\n");
-    for (i, c) in shrink.iter().enumerate() {
-        let comma = if i + 1 < shrink.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"bench\": \"{}\", \"plan_seed\": {}, \"fired\": {}, \
-             \"at_risk_with_shrink\": {}, \"at_risk_without_shrink\": {}, \
-             \"merged_with_shrink\": {}, \"merged_without_shrink\": {}}}{comma}\n",
-            c.bench,
-            c.plan_seed,
-            c.fired,
-            c.at_risk_with_shrink,
-            c.at_risk_without_shrink,
-            c.merged_with_shrink,
-            c.merged_without_shrink
-        ));
-    }
-    s.push_str("  ]\n}\n");
+        .map(|c| {
+            cell_row(
+                c,
+                &format!(", \"kind\": \"{}\"", c.family.kind.name()),
+                false,
+            )
+        })
+        .collect();
+    push_list(&mut s, "results", results, false);
+    let ndev = cells
+        .iter()
+        .filter(|c| c.family.name == NDEV_LOSS.name)
+        .map(|c| {
+            cell_row(
+                c,
+                &format!(", \"machine\": \"{}\"", c.family.machine.0),
+                false,
+            )
+        })
+        .collect();
+    push_list(&mut s, "ndev_loss", ndev, false);
+    let failover = FAILOVER
+        .iter()
+        .flat_map(|f| cells.iter().filter(move |c| c.family.name == f.name))
+        .map(|c| {
+            let head = format!(
+                ", \"family\": \"{}\", \"kind\": \"{}\", \"machine\": \"{}\"",
+                c.family.name,
+                c.family.kind.name(),
+                c.family.machine.0
+            );
+            cell_row(c, &head, true)
+        })
+        .collect();
+    push_list(&mut s, "owner_failover", failover, false);
+    let shrink = shrink
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"bench\": \"{}\", \"plan_seed\": {}, \"fired\": {}, \
+                 \"at_risk_with_shrink\": {}, \"at_risk_without_shrink\": {}, \
+                 \"merged_with_shrink\": {}, \"merged_without_shrink\": {}}}",
+                c.bench,
+                c.plan_seed,
+                c.fired,
+                c.at_risk_with_shrink,
+                c.at_risk_without_shrink,
+                c.merged_with_shrink,
+                c.merged_without_shrink
+            )
+        })
+        .collect();
+    push_list(&mut s, "shrink_on_retry", shrink, true);
+    s.push_str("}\n");
     s
+}
+
+/// Runs the fault sweep and the chunk-shrink comparison over `seeds` seed
+/// indices and renders them as the JSON of `FAULTS_summary.json`.
+///
+/// # Panics
+///
+/// Panics, naming every violation, if the sweep breaks its contract: a
+/// failing cell, no failover cell that promoted a peer, a shrink that
+/// enlarged the at-risk window, or no shrink that reduced it.
+pub fn fault_summary(seeds: u64) -> String {
+    let cells = run_fault_sweep(seeds);
+    let shrink = run_shrink_comparison(seeds);
+    let mut violations: Vec<String> = cells
+        .iter()
+        .filter(|c| c.is_failure())
+        .map(|c| {
+            let twice = if c.deterministic {
+                ""
+            } else {
+                ", not reproduced"
+            };
+            format!(
+                "  {} {} seed {}: {:?}{twice}",
+                c.bench, c.family.name, c.seed, c.outcome
+            )
+        })
+        .collect();
+    if !cells.iter().any(|c| c.promoted) {
+        violations.push("  owner failover: no cell promoted a peer to owner".to_string());
+    }
+    violations.extend(shrink.iter().filter(|c| c.is_failure()).map(|c| {
+        format!(
+            "  {} plan_seed {}: shrink-on-retry at-risk window grew ({} wgs vs {} without)",
+            c.bench, c.plan_seed, c.at_risk_with_shrink, c.at_risk_without_shrink
+        )
+    }));
+    if !shrink.iter().any(ShrinkCell::improved) {
+        violations.push("  shrink-on-retry: no cell shrank its at-risk window".to_string());
+    }
+    assert!(
+        violations.is_empty(),
+        "the fault sweep breaks its contract:\n{}",
+        violations.join("\n")
+    );
+    render_faults_json(&cells, &shrink, seeds)
 }
 
 #[cfg(test)]
@@ -751,18 +624,19 @@ mod tests {
     fn error_details_render_as_valid_json_strings() {
         let cell = FaultCell {
             bench: "GEMM",
-            kind: FaultKind::GpuLost,
+            family: families()[0],
             seed: 0,
             plan_seed: 1,
             outcome: CellOutcome::TypedError("a \"b\" \\c\nline\u{1}end".to_string()),
             fired: true,
+            promoted: false,
             deterministic: true,
             fault_at_ns: None,
             complete_ns: None,
             fault_free_ns: 0,
             recovery_latency_ns: None,
         };
-        let json = render_faults_json(&[cell], &[], &[], &[], 1);
+        let json = render_faults_json(&[cell], &[], 1);
         assert!(
             json.contains(r#""detail": "a \"b\" \\c\nline\u0001end""#),
             "{json}"

@@ -19,9 +19,10 @@
 //!
 //! [`AuditDriver`] packages the sanitizer as a drop-in
 //! [`ClDriver`](fluidicl_vcl::ClDriver), so any host program — every
-//! Polybench benchmark — can be audited unmodified. The `fluidicl-check`
-//! binary sweeps the whole suite across several machine models and runtime
-//! configurations: `cargo run -p fluidicl-check`.
+//! Polybench benchmark — can be audited unmodified. The race checker
+//! ([`race_check_report`]), the graph-schedule checker ([`check_schedule`])
+//! and the fault sweep ([`fault_summary`]) complete the set; the test
+//! suites run them all over the Polybench suite.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,17 +34,13 @@ pub mod race;
 pub mod sanitize;
 
 pub use audit::{AuditDriver, KernelFinding};
-pub use faults::{
-    render_faults_json, run_failover_sweep, run_fault_cell, run_fault_sweep, run_ndev_loss_sweep,
-    run_shrink_comparison, CellOutcome, FailoverCell, FaultCell, NdevLossCell, ShrinkCell,
-};
+pub use faults::{fault_summary, run_shrink_comparison, ShrinkCell};
 pub use fluidicl::{lint_report, lint_trace, LintDiagnostic, LintSeverity};
 pub use graph::{check_schedule, max_overlap};
 pub use race::{check_hb, race_check_report, HbEvent, HbOp, VClock, CONTRIB, OWNER};
 pub use sanitize::{sanitize_launch, SENTINEL_A, SENTINEL_B};
 
-/// Reduced Polybench problem sizes used by the sweep binary and the test
-/// suites (kernel structure is preserved, runtimes stay in milliseconds).
+/// Reduced Polybench problem sizes used by the test suites (kernel structure is preserved, runtimes stay in milliseconds).
 ///
 /// # Panics
 ///
@@ -59,12 +56,12 @@ pub fn sweep_size(name: &str) -> usize {
     }
 }
 
-/// Data seed shared by the sweep binary and the test suites.
+/// Data seed shared by the test suites.
 pub const SWEEP_SEED: u64 = 0xF1D1C1;
 
 /// Escapes `s` for use inside a JSON string literal: quotes, backslashes
-/// and every control character. Shared by the sweep's `--report-json`
-/// artifact and `FAULTS_summary.json`.
+/// and every control character (the `detail` fields of
+/// `FAULTS_summary.json`).
 ///
 /// # Examples
 ///

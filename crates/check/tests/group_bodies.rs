@@ -21,7 +21,8 @@ fn dims(kernel: &str) -> usize {
     match kernel {
         "atax_k1" | "atax_k2" | "bicg_q" | "bicg_s" | "mvt_x1" | "mvt_x2" | "gesummv"
         | "corr_corr" | "corr_mean" | "corr_std" => 1,
-        "gemm" | "mm2_tmp" | "mm2_d" | "batchmm_mul" | "syrk" | "syr2k" | "corr_center" => 2,
+        "gemm" | "mm2_tmp" | "mm2_d" | "batchmm_mul" | "batchmm_sum" | "syrk" | "syr2k"
+        | "corr_center" => 2,
         other => panic!("add the launch dimensions of `{other}` here"),
     }
 }
@@ -135,7 +136,7 @@ fn group_bodies_match_their_per_item_bodies_on_random_slices() {
             }
         }
     }
-    assert_eq!(covered, 18, "every group body is exercised");
+    assert_eq!(covered, 19, "every group body is exercised");
 }
 
 /// CORR sizes where the last `j2` block of an item is shorter than the

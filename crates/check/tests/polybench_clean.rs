@@ -53,7 +53,7 @@ fn every_polybench_kernel_sanitizes_clean() {
 /// The group bodies the audit above covers: a kernel added with one is
 /// counted here, so dropping one (or its coverage) shows.
 #[test]
-fn the_suite_has_eighteen_group_bodies() {
+fn the_suite_has_nineteen_group_bodies() {
     let mut with_group_body = Vec::new();
     for b in suite() {
         let program = (b.program)(sweep_size(b.name));
@@ -73,6 +73,7 @@ fn the_suite_has_eighteen_group_bodies() {
             "atax_k1/baseline",
             "atax_k2/baseline",
             "batchmm_mul/baseline",
+            "batchmm_sum/baseline",
             "bicg_q/baseline",
             "bicg_s/baseline",
             "corr_center/baseline",

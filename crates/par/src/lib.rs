@@ -1,6 +1,6 @@
 //! # fluidicl-par — a minimal, deterministic fan-out pool
 //!
-//! The experiment sweep and the `fluidicl-check` sweep both consist of
+//! The experiment sweep and the `fluidicl-check` fault sweep both consist of
 //! *independent* units of work: each benchmark run owns its own `Memory`
 //! and runtime, so units can execute on any thread in any order as long as
 //! the *results* are assembled in input order. This crate provides exactly
@@ -13,7 +13,7 @@
 //! * a process-global worker count resolved from `FLUIDICL_JOBS`, then
 //!   `RAYON_NUM_THREADS` (for drop-in compatibility with rayon-based
 //!   tooling), then the machine's available parallelism — overridable by
-//!   the binaries' `--jobs` flag via [`configure_jobs`];
+//!   the `repro` binary's `--jobs` flag via [`configure_jobs`];
 //! * a nesting guard: a `par_map` issued *from inside* a pool worker runs
 //!   sequentially, so two fan-out layers (experiments × benchmarks) never
 //!   multiply thread counts.

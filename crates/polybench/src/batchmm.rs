@@ -91,21 +91,41 @@ pub fn program(n: usize) -> Program {
             }
         }),
     );
-    p.register(KernelDef::new(
-        "batchmm_sum",
-        vec![
-            ArgSpec::new("e0", ArgRole::In).with_access(AccessPattern::Element),
-            ArgSpec::new("e1", ArgRole::In).with_access(AccessPattern::Element),
-            ArgSpec::new("e2", ArgRole::In).with_access(AccessPattern::Element),
-            ArgSpec::new("e3", ArgRole::In).with_access(AccessPattern::Element),
-            ArgSpec::new("g", ArgRole::Out).with_access(AccessPattern::Element),
-        ],
-        sum_profile(),
-        |item, _, ins, outs| {
-            let at = item.global_linear();
-            outs.at(0)[at] = ins.get(0)[at] + ins.get(1)[at] + ins.get(2)[at] + ins.get(3)[at];
-        },
-    ));
+    p.register(
+        KernelDef::new(
+            "batchmm_sum",
+            vec![
+                ArgSpec::new("e0", ArgRole::In).with_access(AccessPattern::Element),
+                ArgSpec::new("e1", ArgRole::In).with_access(AccessPattern::Element),
+                ArgSpec::new("e2", ArgRole::In).with_access(AccessPattern::Element),
+                ArgSpec::new("e3", ArgRole::In).with_access(AccessPattern::Element),
+                ArgSpec::new("g", ArgRole::Out).with_access(AccessPattern::Element),
+            ],
+            sum_profile(),
+            |item, _, ins, outs| {
+                let at = item.global_linear();
+                outs.at(0)[at] = ins.get(0)[at] + ins.get(1)[at] + ins.get(2)[at] + ins.get(3)[at];
+            },
+        )
+        .with_group_body(|nd, groups, _, ins, outs| {
+            let n = nd.global()[0];
+            let (e0, e1, e2, e3) = (ins.get(0), ins.get(1), ins.get(2), ins.get(3));
+            let g = outs.at(0);
+            for (rows, cols) in nd.row_spans(groups) {
+                for i in rows {
+                    let span = i * n + cols.start..i * n + cols.end;
+                    let terms = e0[span.clone()]
+                        .iter()
+                        .zip(&e1[span.clone()])
+                        .zip(&e2[span.clone()])
+                        .zip(&e3[span.clone()]);
+                    for (x, (((&a, &b), &c), &d)) in g[span].iter_mut().zip(terms) {
+                        *x = a + b + c + d;
+                    }
+                }
+            }
+        }),
+    );
     p
 }
 

@@ -18,8 +18,8 @@
 //!   data;
 //! * [`access`] — a shadow-memory layer over the executor recording
 //!   per-work-group read/write sets for the `fluidicl-check` sanitizer;
-//! * [`CommandQueue`] / [`Event`] / [`Platform`] — in-order command queues
-//!   with completion events and cross-queue waits (paper §2, §5.4);
+//! * [`CommandQueue`] / [`Event`] — an in-order command queue with
+//!   completion events (paper §2), behind [`SingleDeviceRuntime`];
 //! * [`ClDriver`] — the driver trait every runtime (single-device, FluidiCL,
 //!   static partition, SOCL) implements, letting one host program run on all
 //!   of them;
@@ -60,6 +60,6 @@ pub use kernel::{
 };
 pub use memory::{diff_merge, diff_merge_ranged, BufferId, Memory};
 pub use ndrange::{NdRange, WorkItem};
-pub use queue::{CommandQueue, Event, Platform};
+pub use queue::{CommandQueue, Event};
 pub use single::SingleDeviceRuntime;
 pub use work::WorkCounters;

@@ -9,31 +9,21 @@
 
 use fluidicl::{Fluidicl, FluidiclConfig};
 use fluidicl_baselines::{SoclRuntime, SoclScheduler, StaticPartitionRuntime};
+use fluidicl_check::{sweep_size, SWEEP_SEED};
 use fluidicl_hetsim::{AbortMode, MachineConfig};
 use fluidicl_polybench::{all_benchmarks, benchmarks};
 use fluidicl_vcl::{DeviceKind, SingleDeviceRuntime};
 
 /// Reduced sizes for test speed; kernel structure is preserved.
-fn test_size(name: &str) -> usize {
-    match name {
-        "ATAX" | "BICG" | "MVT" => 256,
-        "CORR" => 64,
-        "GESUMMV" => 512,
-        "SYRK" | "SYR2K" | "GEMM" | "2MM" => 64,
-        other => panic!("unknown benchmark {other}"),
-    }
-}
-
-const SEED: u64 = 0xF1D1C1;
 
 #[test]
 fn single_device_runtimes_match_reference() {
     let machine = MachineConfig::paper_testbed();
     for b in all_benchmarks() {
-        let n = test_size(b.name);
+        let n = sweep_size(b.name);
         for device in [DeviceKind::Cpu, DeviceKind::Gpu] {
             let mut rt = SingleDeviceRuntime::new(machine.clone(), device, (b.program)(n));
-            let ok = b.run_and_validate_sized(&mut rt, n, SEED).unwrap();
+            let ok = b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap();
             assert!(ok, "{} on {device:?} diverged from reference", b.name);
         }
     }
@@ -43,9 +33,9 @@ fn single_device_runtimes_match_reference() {
 fn fluidicl_matches_reference_under_default_config() {
     let machine = MachineConfig::paper_testbed();
     for b in all_benchmarks() {
-        let n = test_size(b.name);
+        let n = sweep_size(b.name);
         let mut rt = Fluidicl::new(machine.clone(), FluidiclConfig::default(), (b.program)(n));
-        let ok = b.run_and_validate_sized(&mut rt, n, SEED).unwrap();
+        let ok = b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap();
         assert!(ok, "{} under FluidiCL diverged from reference", b.name);
     }
 }
@@ -59,10 +49,10 @@ fn fluidicl_matches_reference_under_every_abort_mode() {
         AbortMode::InLoopUnrolled,
     ] {
         for b in benchmarks() {
-            let n = test_size(b.name);
+            let n = sweep_size(b.name);
             let config = FluidiclConfig::default().with_abort_mode(mode);
             let mut rt = Fluidicl::new(machine.clone(), config, (b.program)(n));
-            let ok = b.run_and_validate_sized(&mut rt, n, SEED).unwrap();
+            let ok = b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap();
             assert!(ok, "{} with {mode:?} diverged from reference", b.name);
         }
     }
@@ -73,10 +63,10 @@ fn fluidicl_matches_reference_with_extreme_chunk_settings() {
     let machine = MachineConfig::paper_testbed();
     for (chunk, step) in [(1.0, 0.0), (1.0, 9.0), (75.0, 2.0), (100.0, 0.0)] {
         for b in benchmarks() {
-            let n = test_size(b.name);
+            let n = sweep_size(b.name);
             let config = FluidiclConfig::default().with_chunk(chunk, step);
             let mut rt = Fluidicl::new(machine.clone(), config, (b.program)(n));
-            let ok = b.run_and_validate_sized(&mut rt, n, SEED).unwrap();
+            let ok = b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap();
             assert!(
                 ok,
                 "{} with chunk {chunk}%/{step}% diverged from reference",
@@ -95,9 +85,9 @@ fn fluidicl_matches_reference_with_optimizations_disabled() {
         .with_location_tracking(false)
         .with_online_profiling(true);
     for b in benchmarks() {
-        let n = test_size(b.name);
+        let n = sweep_size(b.name);
         let mut rt = Fluidicl::new(machine.clone(), config.clone(), (b.program)(n));
-        let ok = b.run_and_validate_sized(&mut rt, n, SEED).unwrap();
+        let ok = b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap();
         assert!(ok, "{} with opts disabled diverged from reference", b.name);
     }
 }
@@ -106,11 +96,11 @@ fn fluidicl_matches_reference_with_optimizations_disabled() {
 fn static_partition_matches_reference_at_every_split() {
     let machine = MachineConfig::paper_testbed();
     for b in all_benchmarks() {
-        let n = test_size(b.name);
+        let n = sweep_size(b.name);
         for i in 0..=10 {
             let f = i as f64 / 10.0;
             let mut rt = StaticPartitionRuntime::new(machine.clone(), (b.program)(n), f);
-            let ok = b.run_and_validate_sized(&mut rt, n, SEED).unwrap();
+            let ok = b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap();
             assert!(ok, "{} at static split {f} diverged from reference", b.name);
         }
     }
@@ -121,9 +111,9 @@ fn socl_matches_reference_under_both_schedulers() {
     let machine = MachineConfig::paper_testbed();
     for scheduler in [SoclScheduler::Eager, SoclScheduler::Dmda] {
         for b in benchmarks() {
-            let n = test_size(b.name);
+            let n = sweep_size(b.name);
             let mut rt = SoclRuntime::new(machine.clone(), (b.program)(n), scheduler);
-            let ok = b.run_and_validate_sized(&mut rt, n, SEED).unwrap();
+            let ok = b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap();
             assert!(ok, "{} under SOCL {scheduler:?} diverged", b.name);
         }
     }
@@ -135,7 +125,7 @@ fn results_are_seed_sensitive_but_runtime_insensitive() {
     // while different runtimes with the same seed agree exactly.
     let machine = MachineConfig::paper_testbed();
     let b = benchmarks().into_iter().find(|b| b.name == "SYRK").unwrap();
-    let n = test_size("SYRK");
+    let n = sweep_size("SYRK");
     let run = |seed: u64| {
         let mut rt = Fluidicl::new(machine.clone(), FluidiclConfig::default(), (b.program)(n));
         (b.run)(&mut rt, n, seed).unwrap()

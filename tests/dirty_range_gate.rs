@@ -14,34 +14,23 @@
 use fluidicl::{
     lint_report, render_timeline, Fluidicl, FluidiclConfig, TraceKind, STATUS_MSG_BYTES,
 };
+use fluidicl_check::{sweep_size, SWEEP_SEED};
 use fluidicl_hetsim::MachineConfig;
 use fluidicl_polybench::all_benchmarks;
-
-fn test_size(name: &str) -> usize {
-    match name {
-        "ATAX" | "BICG" | "MVT" => 256,
-        "CORR" => 64,
-        "GESUMMV" => 512,
-        "SYRK" | "SYR2K" | "GEMM" | "2MM" => 64,
-        other => panic!("unknown benchmark {other}"),
-    }
-}
-
-const SEED: u64 = 0xF1D1C1;
 
 fn run_with(name: &str, config: FluidiclConfig) -> Fluidicl {
     let b = all_benchmarks()
         .into_iter()
         .find(|b| b.name == name)
         .expect("benchmark");
-    let n = test_size(name);
+    let n = sweep_size(name);
     let mut rt = Fluidicl::new(
         MachineConfig::paper_testbed(),
         config.with_validate_protocol(true),
         (b.program)(n),
     );
     assert!(
-        b.run_and_validate_sized(&mut rt, n, SEED).unwrap(),
+        b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap(),
         "{name} diverged from reference"
     );
     rt

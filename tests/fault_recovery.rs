@@ -4,15 +4,16 @@
 //! `ClError::Timeout`). Never a panic, never a hang, never silent
 //! corruption; and the same plan seed always reproduces the same schedule.
 //!
-//! The full 9-benchmark × 7-kind × N-seed grid runs in
-//! `fluidicl-check --faults`; these tests pin one hand-picked scenario per
-//! fault kind plus the pool-accounting and determinism guarantees.
+//! The full 9-benchmark × 7-kind × 8-seed grid runs in the fault sweep
+//! (`crates/check/tests/faults_summary.rs`); these tests pin one
+//! hand-picked scenario per fault kind plus the pool-accounting and
+//! determinism guarantees.
 
 use fluidicl::{
     lint_report, render_timeline, Finisher, Fluidicl, FluidiclConfig, Lane, RecoveryPolicy,
     TraceKind,
 };
-use fluidicl_check::race_check_report;
+use fluidicl_check::{race_check_report, SWEEP_SEED};
 use fluidicl_hetsim::MachineConfig;
 use fluidicl_polybench::{all_benchmarks, syrk};
 use fluidicl_vcl::{ClError, ClResult, FaultKind, FaultPlan};
@@ -30,7 +31,6 @@ fn test_size(name: &str) -> usize {
     }
 }
 
-const SEED: u64 = 0xF1D1C1;
 const SCAN: u64 = 64;
 
 fn faulty(kind: FaultKind, plan_seed: u64) -> FluidiclConfig {
@@ -46,7 +46,7 @@ fn run_with(name: &str, config: FluidiclConfig) -> (Fluidicl, ClResult<bool>) {
         .expect("benchmark");
     let n = test_size(name);
     let mut rt = Fluidicl::new(MachineConfig::paper_testbed(), config, (b.program)(n));
-    let res = b.run_and_validate_sized(&mut rt, n, SEED);
+    let res = b.run_and_validate_sized(&mut rt, n, SWEEP_SEED);
     (rt, res)
 }
 
@@ -229,8 +229,8 @@ fn exhausted_retries_surface_a_typed_timeout_and_pools_stay_balanced() {
         syrk::program(n),
     );
     assert_eq!(
-        syrk::run(&mut clean, n, SEED).unwrap(),
-        syrk::reference(n, SEED)
+        syrk::run(&mut clean, n, SWEEP_SEED).unwrap(),
+        syrk::reference(n, SWEEP_SEED)
     );
     let scf_ok = clean.scratch_free_count();
     assert_no_stray_holders(&clean);
@@ -241,7 +241,7 @@ fn exhausted_retries_surface_a_typed_timeout_and_pools_stay_balanced() {
             .with_faults(Some(FaultPlan::new(FaultKind::TransferTransient, ps)))
             .with_recovery(RecoveryPolicy::default().with_max_transfer_retries(0));
         let mut rt = Fluidicl::new(machine.clone(), config, syrk::program(n));
-        match syrk::run(&mut rt, n, SEED) {
+        match syrk::run(&mut rt, n, SWEEP_SEED) {
             Err(ClError::Timeout { .. }) => {
                 assert_no_stray_holders(&rt);
                 assert_eq!(
@@ -252,8 +252,8 @@ fn exhausted_retries_surface_a_typed_timeout_and_pools_stay_balanced() {
                 // The transient trigger is consumed: a follow-on launch on
                 // the same runtime succeeds and matches the reference.
                 assert_eq!(
-                    syrk::run(&mut rt, n, SEED).unwrap(),
-                    syrk::reference(n, SEED)
+                    syrk::run(&mut rt, n, SWEEP_SEED).unwrap(),
+                    syrk::reference(n, SWEEP_SEED)
                 );
                 return;
             }
@@ -308,7 +308,7 @@ fn fault_plans_keep_graph_scheduling_on_the_eager_path() {
     let run = |graph: bool, ps: u64| {
         let config = faulty(FaultKind::TransferTransient, ps).with_graph_scheduling(graph);
         let mut rt = Fluidicl::new(MachineConfig::paper_testbed_3dev(), config, (b.program)(n));
-        let res = b.run_and_validate_sized(&mut rt, n, SEED);
+        let res = b.run_and_validate_sized(&mut rt, n, SWEEP_SEED);
         (rt, res)
     };
     let ps = (0..SCAN)

@@ -9,20 +9,9 @@
 //! intentional protocol change, then review the diff.
 
 use fluidicl::{render_lanes, render_timeline, Fluidicl, FluidiclConfig};
+use fluidicl_check::{sweep_size, SWEEP_SEED};
 use fluidicl_hetsim::MachineConfig;
 use fluidicl_polybench::all_benchmarks;
-
-fn test_size(name: &str) -> usize {
-    match name {
-        "ATAX" | "BICG" | "MVT" => 256,
-        "CORR" => 64,
-        "GESUMMV" => 512,
-        "SYRK" | "SYR2K" | "GEMM" | "2MM" => 64,
-        other => panic!("unknown benchmark {other}"),
-    }
-}
-
-const SEED: u64 = 0xF1D1C1;
 
 /// The configuration whose traces the goldens pin: the legacy serial
 /// protocol (whole-buffer transfers, no pipelining).
@@ -38,14 +27,14 @@ fn render_run(name: &str) -> String {
         .into_iter()
         .find(|b| b.name == name)
         .expect("benchmark");
-    let n = test_size(name);
+    let n = sweep_size(name);
     let mut rt = Fluidicl::new(
         MachineConfig::paper_testbed(),
         serial_config(),
         (b.program)(n),
     );
     assert!(
-        b.run_and_validate_sized(&mut rt, n, SEED).unwrap(),
+        b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap(),
         "{name} diverged from reference"
     );
     let mut out = String::new();

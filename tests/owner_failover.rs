@@ -6,10 +6,12 @@
 //! recomputed exactly once, and follow-on kernels re-form co-execution on
 //! every healthy survivor instead of degrading to a single device.
 //!
-//! The full grid runs in `fluidicl-check --faults` (the owner-failover
-//! sweep families); these tests pin one hand-picked scenario per guarantee.
+//! The full grid runs in the fault sweep's owner-failover families
+//! (`crates/check/tests/faults_summary.rs`); these tests pin one
+//! hand-picked scenario per guarantee.
 
 use fluidicl::{render_timeline, Fluidicl, FluidiclConfig, RecoveryPolicy, TraceKind};
+use fluidicl_check::SWEEP_SEED;
 use fluidicl_hetsim::MachineConfig;
 use fluidicl_polybench::all_benchmarks;
 use fluidicl_vcl::{ClError, ClResult, DeviceKind, FaultKind, FaultPlan};
@@ -25,7 +27,6 @@ fn test_size(name: &str) -> usize {
     }
 }
 
-const SEED: u64 = 0xF1D1C1;
 const SCAN: u64 = 64;
 
 fn faulty(kind: FaultKind, plan_seed: u64) -> FluidiclConfig {
@@ -44,7 +45,7 @@ fn run3(name: &str, config: FluidiclConfig) -> (Fluidicl, ClResult<bool>) {
         .expect("benchmark");
     let n = test_size(name);
     let mut rt = Fluidicl::new(MachineConfig::paper_testbed_3dev(), config, (b.program)(n));
-    let res = b.run_and_validate_sized(&mut rt, n, SEED);
+    let res = b.run_and_validate_sized(&mut rt, n, SWEEP_SEED);
     (rt, res)
 }
 

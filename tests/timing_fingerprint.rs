@@ -1,8 +1,10 @@
-//! The timing and host-work contract of the co-execution engine, pinned
-//! per cell.
+//! The checked cell matrix: the timing and host-work contract of the
+//! co-execution engine, pinned per cell, with every protocol check run on
+//! every cell.
 //!
-//! For 9 benchmarks × 4 machines × 8 configs this records one line per cell
-//! of `tests/golden/timing_fingerprint.txt`:
+//! For 10 benchmarks (the nine Polybench apps plus the BATCHMM pipeline) ×
+//! 4 machines × 8 configs this records one line per cell of
+//! `tests/golden/timing_fingerprint.txt`:
 //!
 //! ```text
 //! cell makespan_ns hash groups_executed body_calls merged_bytes copied_bytes des_events
@@ -30,6 +32,12 @@
 //! CPU finished credits no peer work-group and copies nothing back to the
 //! host (the CPU's copy is final).
 //!
+//! Every cell runs with protocol validation on, and every finding of the
+//! three trace checkers fails it, warnings included: the protocol linter
+//! (`lint_report`) and the happens-before race checker
+//! (`race_check_report`) on each kernel report, and the schedule checker
+//! (`check_schedule`) on each graph flush schedule.
+//!
 //! Regenerate with `cargo test --test timing_fingerprint -- --ignored` only
 //! for an intentional change, and explain every changed cell: a moved
 //! makespan or hash is a virtual-timing change; a moved counter alone is a
@@ -37,10 +45,10 @@
 //! less work for the same virtual result (say, sharing a buffer it used to
 //! copy).
 
-use fluidicl::{Finisher, Fluidicl, FluidiclConfig};
-use fluidicl_check::{sweep_size, SWEEP_SEED};
+use fluidicl::{lint_report, Finisher, Fluidicl, FluidiclConfig};
+use fluidicl_check::{check_schedule, race_check_report, sweep_size, SWEEP_SEED};
 use fluidicl_hetsim::{AbortMode, MachineConfig};
-use fluidicl_polybench::all_benchmarks;
+use fluidicl_polybench::{all_benchmarks, pipeline_benchmark, BenchmarkSpec};
 
 mod common;
 use common::report_timings;
@@ -85,11 +93,19 @@ fn reported_groups(rt: &Fluidicl) -> u64 {
         .sum()
 }
 
+/// The nine Polybench apps plus the BATCHMM pipeline.
+fn suite() -> Vec<BenchmarkSpec> {
+    let mut all = all_benchmarks();
+    all.push(pipeline_benchmark());
+    all
+}
+
 /// One line per machine × config × benchmark (columns: [`COLUMNS`]), and
 /// the cells whose run itself went wrong: output diverged from the
-/// reference, work-groups executed that the reports do not credit, more
-/// body calls than executed work-groups, a CPU-finished kernel with peer
-/// work or a D2H copy, or the default protocol copied more host bytes than
+/// reference or the run failed, a lint, race or schedule finding,
+/// work-groups executed that the reports do not credit, more body calls
+/// than executed work-groups, a CPU-finished kernel with peer work or a
+/// D2H copy, or the default protocol copied more host bytes than
 /// whole-buffer.
 fn fingerprint() -> (String, Vec<String>) {
     let machines = [
@@ -130,12 +146,29 @@ fn fingerprint() -> (String, Vec<String>) {
         // against the `whole-buffer` run (which comes later in `configs`).
         let mut default_copied = Vec::new();
         for (cname, config) in &configs {
-            for (bi, b) in all_benchmarks().into_iter().enumerate() {
+            for (bi, b) in suite().into_iter().enumerate() {
                 let cell = format!("{mname}/{cname}/{}", b.name);
                 let n = sweep_size(b.name);
-                let mut rt = Fluidicl::new(machine.clone(), config.clone(), (b.program)(n));
-                if !b.run_and_validate_sized(&mut rt, n, SWEEP_SEED).unwrap() {
-                    faults.push(format!("  {cell}: diverged from reference"));
+                let config = config.clone().with_validate_protocol(true);
+                let mut rt = Fluidicl::new(machine.clone(), config, (b.program)(n));
+                match b.run_and_validate_sized(&mut rt, n, SWEEP_SEED) {
+                    Ok(true) => {}
+                    Ok(false) => faults.push(format!("  {cell}: diverged from reference")),
+                    Err(e) => faults.push(format!("  {cell}: {e}")),
+                }
+                // The runtime consumed the first program; the race checker
+                // lowers each trace through the declared access patterns.
+                let defs = (b.program)(n);
+                for r in rt.reports() {
+                    let kdef = defs
+                        .kernel(&r.kernel)
+                        .expect("reported kernel is registered");
+                    for d in lint_report(r).iter().chain(&race_check_report(&kdef, r)) {
+                        faults.push(format!("  {cell} kernel `{}`: {d}", r.kernel));
+                    }
+                }
+                for d in rt.graph_schedules().iter().flat_map(check_schedule) {
+                    faults.push(format!("  {cell} schedule: {d}"));
                 }
                 let work = rt.work_counters();
                 let credited = reported_groups(&rt);
