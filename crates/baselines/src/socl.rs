@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 
 use fluidicl_des::{SimDuration, SimTime};
-use fluidicl_hetsim::{AbortMode, MachineConfig};
+use fluidicl_hetsim::MachineConfig;
 use fluidicl_vcl::exec::{execute_all, Launch};
 use fluidicl_vcl::{BufferId, ClDriver, ClResult, DeviceKind, KernelArg, Memory, NdRange, Program};
 
@@ -112,11 +112,7 @@ impl SoclRuntime {
             .machine
             .cpu
             .subkernel_time(profile, items, total, false);
-        let gpu = self.machine.gpu.launch_overhead()
-            + self
-                .machine
-                .gpu
-                .range_time(profile, items, total, AbortMode::None);
+        let gpu = self.machine.gpu.launch_time(profile, items, total);
         self.calibration
             .insert((kernel.to_string(), total), (cpu, gpu));
         Ok(())
@@ -235,11 +231,7 @@ impl ClDriver for SoclRuntime {
             .machine
             .cpu
             .subkernel_time(&profile, items, total, false);
-        let exec_gpu = self.machine.gpu.launch_overhead()
-            + self
-                .machine
-                .gpu
-                .range_time(&profile, items, total, AbortMode::None);
+        let exec_gpu = self.machine.gpu.launch_time(&profile, items, total);
 
         let start = self.host_clock;
         let est = |device: DeviceKind, free: SimTime, exec: SimDuration| {

@@ -9,7 +9,7 @@
 //! kernel finishes when the slower side (plus coherence) does.
 
 use fluidicl_des::{SimDuration, SimTime};
-use fluidicl_hetsim::{AbortMode, MachineConfig};
+use fluidicl_hetsim::MachineConfig;
 use fluidicl_vcl::exec::{execute_groups, Launch};
 use fluidicl_vcl::{diff_merge, BufferId, ClDriver, ClResult, KernelArg, Memory, NdRange, Program};
 
@@ -175,11 +175,7 @@ impl ClDriver for StaticPartitionRuntime {
         let gpu_done = if split > 0 {
             let t = start.max(self.gpu_free).max(self.gpu_alloc_at)
                 + setup
-                + self.machine.gpu.launch_overhead()
-                + self
-                    .machine
-                    .gpu
-                    .range_time(&profile, items, split, AbortMode::None);
+                + self.machine.gpu.launch_time(&profile, items, split);
             execute_groups(&launch, &mut self.gpu_mem, 0, split)?;
             t
         } else {

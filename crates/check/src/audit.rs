@@ -1,6 +1,6 @@
 //! A sanitizing [`ClDriver`]: run any host program, audit every launch.
 
-use fluidicl::{LintDiagnostic, LintSeverity};
+use fluidicl::LintDiagnostic;
 use fluidicl_des::SimDuration;
 use fluidicl_vcl::exec::execute_all;
 use fluidicl_vcl::{BufferId, ClDriver, ClResult, KernelArg, Launch, Memory, NdRange, Program};
@@ -35,7 +35,7 @@ pub struct KernelFinding {
 /// let b = find("SYRK").unwrap();
 /// let mut driver = AuditDriver::new((b.program)(16));
 /// assert!(b.run_and_validate_sized(&mut driver, 16, 7).unwrap());
-/// assert_eq!(driver.error_count(), 0);
+/// assert_eq!(driver.diagnostic_count(), 0);
 /// ```
 pub struct AuditDriver {
     program: Program,
@@ -63,15 +63,6 @@ impl AuditDriver {
     /// Total diagnostics across all launches.
     pub fn diagnostic_count(&self) -> usize {
         self.findings.iter().map(|f| f.diagnostics.len()).sum()
-    }
-
-    /// Error-severity diagnostics across all launches.
-    pub fn error_count(&self) -> usize {
-        self.findings
-            .iter()
-            .flat_map(|f| &f.diagnostics)
-            .filter(|d| d.severity == LintSeverity::Error)
-            .count()
     }
 }
 

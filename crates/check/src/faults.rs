@@ -13,14 +13,17 @@
 //!
 //! [`fault_summary`] renders the sweep as the hand-written JSON of the
 //! tracked `FAULTS_summary.json`, one record per line; the `faults_summary`
-//! test compares it byte for byte, and its ignored twin rewrites it.
+//! test compares it byte for byte, and its ignored twin rewrites it. Each
+//! cell records its [`timing_hash`], so the file pins every event time of
+//! a faulted run (retry backoffs, watchdogs, re-sends), not only its
+//! first-fault and last-event instants.
 
 use fluidicl::{Fluidicl, FluidiclConfig, KernelReport, RecoveryPolicy, TraceKind};
 use fluidicl_hetsim::MachineConfig;
 use fluidicl_polybench::{all_benchmarks, BenchmarkSpec};
 use fluidicl_vcl::{ClError, FaultKind, FaultPlan};
 
-use crate::{json_escape, sweep_size, SWEEP_SEED};
+use crate::{json_escape, sweep_size, timing_hash, SWEEP_SEED};
 
 /// Outcome of one sweep cell.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -146,6 +149,9 @@ struct FaultCell {
     /// How much later than the fault-free reference the run completed;
     /// only for a fired, recovered cell.
     recovery_latency_ns: Option<u64>,
+    /// [`timing_hash`] of the first execution: pins every event time of
+    /// the run, retries and backoffs included.
+    timing_hash: u64,
 }
 
 impl FaultCell {
@@ -175,7 +181,8 @@ fn plan_seed(bench_idx: u64, kind_idx: u64, seed: u64) -> u64 {
 }
 
 /// Everything one execution of a sweep cell observed, compared wholesale
-/// between the two runs for the determinism check.
+/// between the two runs for the determinism check: the timing hash makes
+/// that a comparison of whole timelines.
 #[derive(Clone, Debug, PartialEq)]
 struct RunProbe {
     outcome: CellOutcome,
@@ -184,6 +191,7 @@ struct RunProbe {
     promoted: bool,
     fault_at_ns: Option<u64>,
     complete_ns: Option<u64>,
+    timing_hash: u64,
 }
 
 /// Simulated instant of the first fault-vocabulary event in `report`, if
@@ -257,6 +265,7 @@ fn run_probe(machine: &MachineConfig, b: &BenchmarkSpec, plan: Option<FaultPlan>
         promoted,
         fault_at_ns,
         complete_ns,
+        timing_hash: timing_hash(&rt),
     }
 }
 
@@ -307,6 +316,7 @@ fn run_fault_sweep(seeds: u64) -> Vec<FaultCell> {
                     fault_at_ns: p.fault_at_ns,
                     complete_ns: p.complete_ns,
                     fault_free_ns: ff,
+                    timing_hash: p.timing_hash,
                 }
             })
             .collect::<Vec<_>>()
@@ -450,7 +460,8 @@ fn cell_row(c: &FaultCell, head: &str, promoted: bool) -> String {
     format!(
         "{{\"bench\": \"{}\"{head}, \"seed\": {}, \"plan_seed\": {}, \"outcome\": \"{}\", \
          \"fired\": {}{promoted}, \"deterministic\": {}, \"fault_at_ns\": {}, \
-         \"complete_ns\": {}, \"fault_free_ns\": {}, \"recovery_latency_ns\": {}{detail}}}",
+         \"complete_ns\": {}, \"fault_free_ns\": {}, \"recovery_latency_ns\": {}, \
+         \"timing_hash\": \"{:016x}\"{detail}}}",
         c.bench,
         c.seed,
         c.plan_seed,
@@ -460,7 +471,8 @@ fn cell_row(c: &FaultCell, head: &str, promoted: bool) -> String {
         opt(c.fault_at_ns),
         opt(c.complete_ns),
         c.fault_free_ns,
-        opt(c.recovery_latency_ns)
+        opt(c.recovery_latency_ns),
+        c.timing_hash
     )
 }
 
@@ -635,6 +647,7 @@ mod tests {
             complete_ns: None,
             fault_free_ns: 0,
             recovery_latency_ns: None,
+            timing_hash: 0,
         };
         let json = render_faults_json(&[cell], &[], 1);
         assert!(

@@ -33,6 +33,8 @@ pub mod graph;
 pub mod race;
 pub mod sanitize;
 
+use fluidicl::{Finisher, Fluidicl};
+
 pub use audit::{AuditDriver, KernelFinding};
 pub use faults::{fault_summary, run_shrink_comparison, ShrinkCell};
 pub use fluidicl::{lint_report, lint_trace, LintDiagnostic, LintSeverity};
@@ -82,4 +84,44 @@ pub fn json_escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// FNV-1a hash of every kernel's virtual timing in `rt`'s reports, in
+/// report order: each report's enqueue and completion times, work-group
+/// and byte counters, subkernel log, finisher and trace event times.
+///
+/// Event kinds and rendered text are left out on purpose: renaming or
+/// re-rendering events keeps the hash, while moving any event in time, or
+/// adding or dropping one, changes it. The timing fingerprint and the
+/// fault sweep pin runs by this hash.
+pub fn timing_hash(rt: &Fluidicl) -> u64 {
+    let mut v = Vec::new();
+    for r in rt.reports() {
+        v.extend([
+            r.enqueued_at.as_nanos(),
+            r.complete_at.as_nanos(),
+            r.total_wgs,
+            r.gpu_executed_wgs,
+            r.cpu_executed_wgs,
+            r.cpu_merged_wgs,
+            r.subkernels,
+            r.hd_bytes,
+            r.dh_bytes,
+            r.cpu_version_used as u64,
+            u64::from(r.finished_by == Finisher::Cpu),
+        ]);
+        v.extend(r.peer_executed_wgs.iter().copied());
+        v.extend(
+            r.subkernel_log
+                .iter()
+                .flat_map(|(wgs, d)| [*wgs, d.as_nanos()]),
+        );
+        v.push(r.trace.len() as u64);
+        v.extend(r.trace.iter().map(|e| e.at.as_nanos()));
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in v.iter().flat_map(|x| x.to_le_bytes()) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }

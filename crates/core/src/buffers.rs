@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use fluidicl_des::SimTime;
-use fluidicl_vcl::{BufferId, ClError, ClResult, DirtyRanges};
+use fluidicl_vcl::{BufferId, ClError, ClResult};
 
 /// Monotonic kernel identifier assigned per launch (paper §5.3 uses these as
 /// buffer version numbers).
@@ -35,19 +35,15 @@ pub struct BufferState {
     /// Virtual time at which the GPU copy of the current version became
     /// usable.
     pub gpu_ready_at: SimTime,
-    /// Whether the GPU-side "original" snapshot for diff-merge is current
-    /// (made at the end of the previous kernel, paper §5.5).
-    pub orig_snapshot_current: bool,
-    /// Elements of the GPU copy modified since the `orig_snapshot` was
-    /// last refreshed: a stale snapshot needs only these re-copied.
-    /// `None` means unknown (the whole buffer must be treated as dirty);
-    /// only maintained under dirty-range transfers.
-    pub gpu_dirty: Option<DirtyRanges>,
-    /// Elements where the host/CPU copy is stale relative to the
-    /// authoritative device copy — what a D2H read-back must ship. `None`
-    /// means unknown (whole buffer); only maintained under dirty-range
-    /// transfers.
-    pub host_dirty: Option<DirtyRanges>,
+    /// Whether the GPU-side "original" snapshot for diff-merge matches
+    /// the GPU copy, so the next kernel's setup copies nothing: the
+    /// previous co-executed kernel's epilogue refreshed it (paper §5.5).
+    /// Set only under dirty-range transfers; a host write clears it.
+    pub snapshot_current: bool,
+    /// Whether the host copy matches the authoritative device copy, so a
+    /// D2H read-back ships nothing. A host write sets it, a kernel write
+    /// clears it; consulted only under dirty-range transfers.
+    pub host_current: bool,
 }
 
 impl BufferState {
@@ -59,9 +55,8 @@ impl BufferState {
             cpu_ready_at: now,
             gpu_version: None,
             gpu_ready_at: now,
-            orig_snapshot_current: false,
-            gpu_dirty: None,
-            host_dirty: None,
+            snapshot_current: false,
+            host_current: false,
         }
     }
 
@@ -71,20 +66,24 @@ impl BufferState {
         self.expected_version != self.cpu_version
     }
 
-    /// Bytes a refresh of the `orig_snapshot` must copy: the known GPU
-    /// dirty ranges, or the whole buffer when tracking is off/unknown.
+    /// Bytes a refresh of the diff-merge snapshot must copy: nothing when
+    /// it is current, else the whole buffer.
     pub fn snapshot_refresh_bytes(&self) -> u64 {
-        self.gpu_dirty
-            .as_ref()
-            .map_or_else(|| self.bytes(), |r| r.byte_count().min(self.bytes()))
+        if self.snapshot_current {
+            0
+        } else {
+            self.bytes()
+        }
     }
 
     /// Bytes a D2H read-back of this buffer must ship to bring the host
-    /// copy current: the known host-stale ranges, or the whole buffer.
+    /// copy current: nothing when it is current, else the whole buffer.
     pub fn read_back_bytes(&self) -> u64 {
-        self.host_dirty
-            .as_ref()
-            .map_or_else(|| self.bytes(), |r| r.byte_count().min(self.bytes()))
+        if self.host_current {
+            0
+        } else {
+            self.bytes()
+        }
     }
 
     /// Size in bytes.
@@ -141,11 +140,6 @@ impl BufferTable {
         self.states.get(&id).ok_or(ClError::InvalidBuffer(id.0))
     }
 
-    /// Mutable variant of [`BufferTable::try_state`].
-    pub fn try_state_mut(&mut self, id: BufferId) -> ClResult<&mut BufferState> {
-        self.states.get_mut(&id).ok_or(ClError::InvalidBuffer(id.0))
-    }
-
     /// Whether the table knows this buffer.
     pub fn contains(&self, id: BufferId) -> bool {
         self.states.contains_key(&id)
@@ -160,11 +154,10 @@ impl BufferTable {
         s.cpu_ready_at = cpu_at;
         s.gpu_version = None;
         s.gpu_ready_at = gpu_at;
-        s.orig_snapshot_current = false;
-        // The host replaced the content: the snapshot's delta vs the new
-        // content is unknown, while host and device copies now agree.
-        s.gpu_dirty = None;
-        s.host_dirty = Some(DirtyRanges::empty());
+        // The host replaced the content: the snapshot no longer matches
+        // it, while host and device copies now agree.
+        s.snapshot_current = false;
+        s.host_current = true;
     }
 
     /// Marks the start of kernel `kid` writing `id`: the expected version
@@ -172,26 +165,19 @@ impl BufferTable {
     pub fn begin_kernel_write(&mut self, id: BufferId, kid: KernelId) {
         let s = self.state_mut(id);
         s.expected_version = Some(kid);
-        s.orig_snapshot_current = false;
-        // The kernel will dirty the host copy in as-yet-unknown ranges.
-        s.host_dirty = None;
+        // The kernel will make the host copy stale.
+        s.host_current = false;
     }
 
-    /// Records the dirty state after a co-executed kernel completed on
-    /// `id` (dirty-range transfers only): the epilogue refreshed the orig
-    /// snapshot and the D2H return (or CPU finish) brought the host copy
-    /// current, so both dirty sets collapse to `stale_after` — empty in
-    /// the steady state, which is what lets the *next* kernel's snapshot
-    /// refresh and read-backs skip whole-buffer copies.
-    pub fn record_kernel_dirty(
-        &mut self,
-        id: BufferId,
-        gpu_dirty: DirtyRanges,
-        host_dirty: DirtyRanges,
-    ) {
+    /// Records that a co-executed kernel completed on `id` (dirty-range
+    /// transfers only): the epilogue refreshed the snapshot and the D2H
+    /// return (or CPU finish) brought the host copy current, which lets
+    /// the *next* kernel's snapshot refresh and read-backs skip
+    /// whole-buffer copies.
+    pub fn record_kernel_coherent(&mut self, id: BufferId) {
         let s = self.state_mut(id);
-        s.gpu_dirty = Some(gpu_dirty);
-        s.host_dirty = Some(host_dirty);
+        s.snapshot_current = true;
+        s.host_current = true;
     }
 
     /// Records that kernel `kid`'s result for `id` is available on the CPU
@@ -330,10 +316,6 @@ mod tests {
             t.try_state(forged),
             Err(ClError::InvalidBuffer(id)) if id == forged.0
         ));
-        assert!(matches!(
-            t.try_state_mut(forged),
-            Err(ClError::InvalidBuffer(_))
-        ));
     }
 
     #[test]
@@ -391,61 +373,30 @@ mod tests {
     }
 
     #[test]
-    fn fresh_buffer_has_unknown_dirty_ranges() {
+    fn fresh_buffer_copies_whole() {
         let mut t = BufferTable::new();
         let a = t.register(256, SimTime::ZERO);
-        assert_eq!(t.state(a).gpu_dirty, None);
-        assert_eq!(t.state(a).host_dirty, None);
-        // Unknown ranges must be treated as whole-buffer copies.
         assert_eq!(t.state(a).snapshot_refresh_bytes(), 1024);
         assert_eq!(t.state(a).read_back_bytes(), 1024);
     }
 
     #[test]
-    fn kernel_dirty_ranges_bound_refresh_and_read_back() {
+    fn coherent_kernels_skip_refresh_and_read_back() {
         let mut t = BufferTable::new();
         let a = t.register(256, SimTime::ZERO);
-        t.record_kernel_dirty(
-            a,
-            DirtyRanges::from_ranges([(0, 64), (128, 160)]),
-            DirtyRanges::from_ranges([(200, 220)]),
-        );
-        // 96 elements GPU-dirty, 20 elements host-stale (×4 bytes each).
-        assert_eq!(t.state(a).snapshot_refresh_bytes(), 384);
-        assert_eq!(t.state(a).read_back_bytes(), 80);
-        // A host write invalidates the snapshot delta but makes host and
-        // device copies agree.
+        t.record_kernel_coherent(a);
+        assert_eq!(t.state(a).snapshot_refresh_bytes(), 0);
+        assert_eq!(t.state(a).read_back_bytes(), 0);
+        // The next kernel write makes the host copy stale; the snapshot
+        // still matches the GPU copy the kernel starts from.
+        t.begin_kernel_write(a, 1);
+        assert_eq!(t.state(a).read_back_bytes(), 1024);
+        assert_eq!(t.state(a).snapshot_refresh_bytes(), 0);
+        // A host write invalidates the snapshot but makes host and device
+        // copies agree.
         t.record_host_write(a, SimTime::from_nanos(10), SimTime::from_nanos(40));
-        assert_eq!(t.state(a).gpu_dirty, None);
-        assert_eq!(t.state(a).host_dirty, Some(DirtyRanges::empty()));
         assert_eq!(t.state(a).snapshot_refresh_bytes(), 1024);
         assert_eq!(t.state(a).read_back_bytes(), 0);
-    }
-
-    #[test]
-    fn kernel_write_makes_host_staleness_unknown() {
-        let mut t = BufferTable::new();
-        let a = t.register(64, SimTime::ZERO);
-        t.record_kernel_dirty(a, DirtyRanges::empty(), DirtyRanges::empty());
-        assert_eq!(t.state(a).snapshot_refresh_bytes(), 0);
-        t.begin_kernel_write(a, 1);
-        assert_eq!(t.state(a).host_dirty, None, "in-flight writes are unknown");
-        assert_eq!(t.state(a).read_back_bytes(), 256);
-        // The snapshot delta is untouched: nothing changed the GPU copy yet.
-        assert_eq!(t.state(a).snapshot_refresh_bytes(), 0);
-    }
-
-    #[test]
-    fn dirty_byte_counts_clamp_to_the_buffer_size() {
-        let mut t = BufferTable::new();
-        let a = t.register(8, SimTime::ZERO);
-        t.record_kernel_dirty(
-            a,
-            DirtyRanges::from_ranges([(0, 1000)]),
-            DirtyRanges::from_ranges([(0, 1000)]),
-        );
-        assert_eq!(t.state(a).snapshot_refresh_bytes(), 32);
-        assert_eq!(t.state(a).read_back_bytes(), 32);
     }
 
     #[test]
@@ -476,31 +427,6 @@ mod tests {
         t.record_gpu_arrival(b, 2, SimTime::from_nanos(700));
         assert_eq!(t.gpu_ready_time(&[a, b]), SimTime::from_nanos(700));
         assert_eq!(t.gpu_ready_time(&[]), SimTime::ZERO);
-    }
-
-    #[test]
-    fn orig_snapshot_tracks_write_boundaries() {
-        // The diff-merge "original" snapshot is taken at the end of a
-        // kernel and invalidated by the next write to the buffer (either a
-        // new kernel or the host).
-        let mut t = BufferTable::new();
-        let a = t.register(4, SimTime::ZERO);
-        assert!(
-            !t.state(a).orig_snapshot_current,
-            "fresh buffers start cold"
-        );
-        t.state_mut(a).orig_snapshot_current = true; // snapshot taken
-        t.begin_kernel_write(a, 1);
-        assert!(
-            !t.state(a).orig_snapshot_current,
-            "a new kernel write invalidates the snapshot"
-        );
-        t.state_mut(a).orig_snapshot_current = true;
-        t.record_host_write(a, SimTime::ZERO, SimTime::ZERO);
-        assert!(
-            !t.state(a).orig_snapshot_current,
-            "a host write invalidates the snapshot"
-        );
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! the protocol decides, so a scheduling bug produces wrong numbers, not
 //! just wrong timings.
 
-use fluidicl_des::{ChannelBank, SimDuration, SimTime, Simulation};
+use fluidicl_des::{SimDuration, SimTime, Simulation};
 use fluidicl_hetsim::{GpuModel, LinkModel, MachineConfig, PeerGpu};
 use fluidicl_vcl::exec::{execute_groups, Launch};
 use fluidicl_vcl::{
@@ -306,6 +306,9 @@ struct EpState {
     /// clock is the machine's hd queue (threaded across kernels by the
     /// runtime); peer clocks are kernel-local.
     hd_free: SimTime,
+    /// When this endpoint's staging-copy engine is free: it copies one
+    /// subkernel's results at a time, in completion order (kernel-local).
+    staging_free: SimTime,
     /// Copies that completed while the link was busy, waiting to be
     /// coalesced into one data+status batch at the next link-free instant.
     pending_batch: Vec<u32>,
@@ -339,8 +342,6 @@ pub(crate) struct Coexec<'a> {
     /// Non-owner endpoints: `eps[0]` is always the CPU, the rest peers.
     /// With the CPU alone this is the paper's two-device protocol.
     eps: Vec<EpState>,
-    /// One staging-copy engine per endpoint, each one copy at a time.
-    staging: ChannelBank,
     // Geometry.
     total: u64,
     items: u64,
@@ -391,7 +392,7 @@ pub(crate) struct Coexec<'a> {
     trial_versions: usize,
     trial_results: Vec<(usize, SimDuration)>,
     selected_version: usize,
-    // Channels.
+    // Owner-link clock and transfer totals.
     dh_free: SimTime,
     hd_bytes: u64,
     dh_bytes: u64,
@@ -467,6 +468,7 @@ impl<'a> Coexec<'a> {
             unshipped: 0,
             free_at: None,
             hd_free: input.hd_free,
+            staging_free: SimTime::ZERO,
             pending_batch: Vec::new(),
             lost: input.dead_cpu,
             promoted: false,
@@ -506,6 +508,7 @@ impl<'a> Coexec<'a> {
                 // this kernel's shipping alone); the CPU's hd clock above
                 // is the one the runtime threads across kernels.
                 hd_free: SimTime::ZERO,
+                staging_free: SimTime::ZERO,
                 pending_batch: Vec::new(),
                 lost: false,
                 promoted: false,
@@ -516,11 +519,9 @@ impl<'a> Coexec<'a> {
                 wgs_executed: 0,
             });
         }
-        let staging = ChannelBank::new(eps.len(), SimTime::ZERO);
         let dh_free = input.dh_free;
         Ok(Coexec {
             eps,
-            staging,
             total,
             items,
             out_bytes,
@@ -762,14 +763,12 @@ impl<'a> Coexec<'a> {
         self.record(t, TraceKind::OwnerLost);
         // Owner failover (epoch-fenced): promote the lowest surviving peer
         // to owner instead of abandoning the run to survivor-finishes.
-        if self.input.config.recovery.promote_on_owner_loss {
-            let candidate = self
-                .eps
-                .iter()
-                .position(|e| e.dev > 0 && !e.lost && !e.promoted);
-            if let Some(p) = candidate {
-                return self.promote_owner(sim, t, p);
-            }
+        let candidate = self
+            .eps
+            .iter()
+            .position(|e| e.dev > 0 && !e.lost && !e.promoted);
+        if let Some(p) = candidate {
+            return self.promote_owner(sim, t, p);
         }
         // No failover target: the non-owner schedulers keep claiming
         // (their gpu-exit guard never fires, since a dead GPU never
@@ -1157,23 +1156,13 @@ impl<'a> Coexec<'a> {
         self.record(t, TraceKind::NonOwnerLost { dev });
         self.return_lost_ranges(d);
         if self.gpu_lost && self.eps.iter().all(|e| e.lost || e.promoted) {
-            // Name the device that actually missed the deadline: the CPU
-            // endpoint or a peer GPU (previously this always blamed the
-            // CPU, even when the last survivor was a peer card).
+            // The owner is lost only once no peer is left to promote, so
+            // the last endpoint to miss a deadline is the CPU.
+            debug_assert_eq!(dev, 0, "a live peer would have been promoted");
             return Err(ClError::DeviceLost {
-                device: if dev == 0 {
-                    DeviceKind::Cpu
-                } else {
-                    DeviceKind::Gpu
-                },
-                detail: if dev == 0 {
-                    "CPU subkernel missed its watchdog deadline after the GPU was already lost"
-                        .into()
-                } else {
-                    format!(
-                        "peer GPU ep{dev} subkernel missed its watchdog deadline after the GPU was already lost"
-                    )
-                },
+                device: DeviceKind::Cpu,
+                detail: "CPU subkernel missed its watchdog deadline after the GPU was already lost"
+                    .into(),
             });
         }
         // Survivors take over the returned work immediately.
@@ -1314,9 +1303,10 @@ impl<'a> Coexec<'a> {
         } else {
             self.out_bytes
         };
-        let copy = self.eps[d].model.stage_time(copy_bytes);
-        self.eps[d].unshipped += 1;
-        let copy_done = self.staging.get_mut(d).enqueue(t, copy);
+        let ep = &mut self.eps[d];
+        ep.unshipped += 1;
+        ep.staging_free = ep.staging_free.max(t) + ep.model.stage_time(copy_bytes);
+        let copy_done = ep.staging_free;
         sim.schedule_at(copy_done, Ev::CopyDone { idx });
         // Pipelined launch: the next subkernel starts now, while this
         // one's data+status is still in flight. Unpipelined the window is

@@ -17,7 +17,7 @@
 
 use fluidicl_des::SimDuration;
 use fluidicl_hetsim::{
-    AbortMode, CpuModel, GpuModel, HostModel, KernelProfile, LinkModel, MachineConfig, PeerGpu,
+    CpuModel, GpuModel, HostModel, KernelProfile, LinkModel, MachineConfig, PeerGpu,
 };
 
 /// Cost surface of a non-owner device running the claim/compute/ship loop.
@@ -142,7 +142,7 @@ impl NonOwnerEndpoint for PeerGpuEndpoint {
         // Every claimed range is one launch on the peer: launch overhead
         // plus the wave walk. The peer runs the untransformed kernel — no
         // abort checks; it never races anyone inside its claimed range.
-        self.gpu.launch_overhead() + self.gpu.range_time(profile, items, wgs, AbortMode::None)
+        self.gpu.launch_time(profile, items, wgs)
     }
 
     fn stage_time(&self, bytes: u64) -> SimDuration {

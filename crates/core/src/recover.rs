@@ -20,9 +20,10 @@ const WATCHDOG_MIN: SimDuration = SimDuration::from_nanos(1_000);
 /// Backoff before the first transfer retry; doubles on each further attempt.
 const BACKOFF_BASE: SimDuration = SimDuration::from_nanos(2_000);
 
-/// Retry and failover choices for fault recovery. The watchdog deadline
-/// (4× the expected duration, at least 1 µs) and the retry backoff (2 µs,
-/// doubling per attempt) are fixed.
+/// Retry choices for fault recovery. The watchdog deadline (4× the
+/// expected duration, at least 1 µs) and the retry backoff (2 µs, doubling
+/// per attempt) are fixed, and a lost owner always hands its kernel to a
+/// surviving peer GPU when one exists.
 ///
 /// # Examples
 ///
@@ -46,11 +47,6 @@ pub struct RecoveryPolicy {
     /// mergeable if the watchdog later abandons it. On by default; only
     /// consulted when fault injection is active.
     pub shrink_chunk_on_retry: bool,
-    /// Promote a surviving peer GPU to owner when the acting owner misses
-    /// a wave watchdog (epoch-fenced failover), instead of degrading to
-    /// survivor-finishes. On by default; only consulted when fault
-    /// injection is active and at least one healthy peer exists.
-    pub promote_on_owner_loss: bool,
 }
 
 impl Default for RecoveryPolicy {
@@ -58,7 +54,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             max_transfer_retries: 3,
             shrink_chunk_on_retry: true,
-            promote_on_owner_loss: true,
         }
     }
 }
@@ -74,13 +69,6 @@ impl RecoveryPolicy {
     /// retries.
     pub fn with_shrink_chunk_on_retry(mut self, enabled: bool) -> Self {
         self.shrink_chunk_on_retry = enabled;
-        self
-    }
-
-    /// Enables or disables owner failover (promotion of a surviving peer
-    /// GPU after an owner loss).
-    pub fn with_promote_on_owner_loss(mut self, enabled: bool) -> Self {
-        self.promote_on_owner_loss = enabled;
         self
     }
 
@@ -128,18 +116,12 @@ mod tests {
     fn builders_compose() {
         let p = RecoveryPolicy::default()
             .with_max_transfer_retries(0)
-            .with_shrink_chunk_on_retry(false)
-            .with_promote_on_owner_loss(false);
+            .with_shrink_chunk_on_retry(false);
         assert_eq!(p.max_transfer_retries, 0);
         assert!(!p.shrink_chunk_on_retry);
-        assert!(!p.promote_on_owner_loss);
         assert!(
             RecoveryPolicy::default().shrink_chunk_on_retry,
             "fault-aware shrink is the default"
-        );
-        assert!(
-            RecoveryPolicy::default().promote_on_owner_loss,
-            "owner failover is the default"
         );
     }
 }

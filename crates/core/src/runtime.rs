@@ -15,8 +15,8 @@ use fluidicl_des::{SimDuration, SimTime};
 use fluidicl_hetsim::MachineConfig;
 use fluidicl_vcl::exec::Launch;
 use fluidicl_vcl::{
-    execute_groups_injected, BufferId, ClDriver, ClError, ClResult, DeviceKind, DirtyRanges,
-    FaultInjector, KernelArg, Memory, NdRange, Program, WorkCounters,
+    execute_groups_injected, BufferId, ClDriver, ClError, ClResult, DeviceKind, FaultInjector,
+    KernelArg, Memory, NdRange, Program, WorkCounters,
 };
 
 use crate::buffers::{BufferTable, KernelId, PoolStats, ScratchPool};
@@ -241,14 +241,7 @@ impl Fluidicl {
             let state = self.buffers.state(*id);
             let len = state.len;
             let bytes = state.bytes();
-            let snapshot_current = state.orig_snapshot_current;
-            // Under dirty-range transfers a stale snapshot only re-copies
-            // the ranges the GPU copy changed since the last refresh.
-            let refresh_bytes = if self.config.dirty_range_transfers {
-                state.snapshot_refresh_bytes()
-            } else {
-                bytes
-            };
+            let refresh_bytes = state.snapshot_refresh_bytes();
             // Two scratch buffers per modified buffer: the CPU-data landing
             // area and the pristine original (paper §4.1).
             for _ in 0..2 {
@@ -258,10 +251,8 @@ impl Fluidicl {
             }
             // Snapshot the original on the GPU unless the previous kernel's
             // end-of-kernel copy already did (paper §5.5).
-            if !snapshot_current {
-                let copy_ns = 2.0 * refresh_bytes as f64 / self.machine.gpu.peak_mem_bytes_per_ns();
-                cost += SimDuration::from_nanos(copy_ns as u64);
-            }
+            let copy_ns = 2.0 * refresh_bytes as f64 / self.machine.gpu.peak_mem_bytes_per_ns();
+            cost += SimDuration::from_nanos(copy_ns as u64);
         }
         cost
     }
@@ -618,19 +609,11 @@ impl Fluidicl {
             if record_gpu {
                 self.buffers
                     .record_gpu_arrival(*id, kid, outcome.gpu_results_at);
-                // The end-of-kernel copy refreshed the original snapshot
-                // (paper §5.5).
-                self.buffers.state_mut(*id).orig_snapshot_current = true;
                 if self.config.dirty_range_transfers {
-                    // The epilogue just refreshed the snapshot and the
-                    // return path (D2H thread or CPU finish, §4.4) brought
-                    // the host copy current, so both dirty sets collapse to
-                    // empty.
-                    self.buffers.record_kernel_dirty(
-                        *id,
-                        DirtyRanges::empty(),
-                        DirtyRanges::empty(),
-                    );
+                    // The end-of-kernel copy refreshed the original
+                    // snapshot (paper §5.5) and the return path (D2H thread
+                    // or CPU finish, §4.4) brought the host copy current.
+                    self.buffers.record_kernel_coherent(*id);
                 }
             }
         }
@@ -898,8 +881,8 @@ impl ClDriver for Fluidicl {
         } else {
             let data = self.gpu_mem.get(id)?.to_vec();
             self.work.copied_bytes += data.len() as u64 * 4;
-            // Under dirty-range transfers only the ranges where the host
-            // copy is stale cross the link; the rest is already resident.
+            // Under dirty-range transfers a host copy that is already
+            // current ships nothing.
             let bytes = if self.config.dirty_range_transfers {
                 state.read_back_bytes()
             } else {

@@ -11,10 +11,13 @@
 //! * [`Simulation`] — a generic event queue with deterministic total
 //!   ordering `(timestamp, scheduling sequence)`, lazy cancellation, and a
 //!   caller-owned dispatch loop.
-//! * [`Channel`] — an in-order, single-occupancy resource timeline (a
-//!   transfer link, a staging-copy engine) that serializes timed operations.
-//! * [`DurationSeries`], [`Counter`], [`geomean`] — the statistics helpers
-//!   shared by the runtime's adaptive heuristics and the experiment harness.
+//! * [`SplitMix64`] — the seeded generator behind fault plans, benchmark
+//!   data and the randomized property tests.
+//! * [`geomean`] — the geometric mean the experiment harness reports.
+//!
+//! A resource that serializes timed operations (a transfer link, a
+//! staging-copy engine) needs no type of its own: its clock is a plain
+//! [`SimTime`] advanced as `free = free.max(now) + duration`.
 //!
 //! The engine is intentionally synchronous and single-threaded: determinism
 //! is a feature. Two runs of the same experiment produce bit-identical
@@ -33,23 +36,23 @@
 //! }
 //!
 //! let mut sim = Simulation::new();
-//! sim.schedule_in(SimDuration::from_micros(10), Ev::TransferDone);
-//! sim.schedule_in(SimDuration::from_micros(25), Ev::KernelDone);
-//! let end = sim.run(|_sim, _t, _ev| { /* react */ });
-//! assert_eq!(end, fluidicl_des::SimTime::from_nanos(25_000));
+//! let start = sim.now();
+//! sim.schedule_at(start + SimDuration::from_micros(25), Ev::KernelDone);
+//! sim.schedule_at(start + SimDuration::from_micros(10), Ev::TransferDone);
+//! let (t, first) = sim.pop().unwrap();
+//! assert!(matches!(first, Ev::TransferDone));
+//! assert_eq!(t, fluidicl_des::SimTime::from_nanos(10_000));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod channel;
 mod rng;
 mod sim;
 mod stats;
 mod time;
 
-pub use channel::{Channel, ChannelBank};
 pub use rng::SplitMix64;
 pub use sim::{EventToken, Simulation};
-pub use stats::{geomean, Counter, DurationSeries};
+pub use stats::geomean;
 pub use time::{SimDuration, SimTime};

@@ -96,12 +96,6 @@ impl SplitMix64 {
     pub fn next_bool(&mut self) -> bool {
         self.next_u64() & 1 == 1
     }
-
-    /// A derived generator, decorrelated from this one; useful for giving
-    /// each sub-task its own stream.
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
-    }
 }
 
 /// `bits / 2^24` for `bits < 2^24`, converted through `i32` (exact there).
@@ -166,12 +160,5 @@ mod tests {
             let v = r.range_usize(0, 2);
             assert!(v < 2);
         }
-    }
-
-    #[test]
-    fn fork_departs_from_parent() {
-        let mut a = SplitMix64::new(11);
-        let mut child = a.fork();
-        assert_ne!(a.next_u64(), child.next_u64());
     }
 }

@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::fmt;
 
-use crate::{SimDuration, SimTime};
+use crate::SimTime;
 
 /// Token identifying a scheduled event, usable for cancellation.
 ///
@@ -59,13 +59,13 @@ impl<E> Ord for Scheduled<E> {
 /// enum Ev { Ping, Pong }
 ///
 /// let mut sim = Simulation::new();
-/// sim.schedule_in(SimDuration::from_nanos(5), Ev::Ping);
+/// sim.schedule_at(sim.now() + SimDuration::from_nanos(5), Ev::Ping);
 /// let mut log = Vec::new();
 /// while let Some((t, ev)) = sim.pop() {
 ///     match ev {
 ///         Ev::Ping => {
 ///             log.push((t, "ping"));
-///             sim.schedule_in(SimDuration::from_nanos(3), Ev::Pong);
+///             sim.schedule_at(t + SimDuration::from_nanos(3), Ev::Pong);
 ///         }
 ///         Ev::Pong => log.push((t, "pong")),
 ///     }
@@ -79,7 +79,6 @@ pub struct Simulation<E> {
     queue: BinaryHeap<Scheduled<E>>,
     cancelled: Vec<u64>,
     delivered: u64,
-    scheduled: u64,
 }
 
 impl<E> Default for Simulation<E> {
@@ -105,7 +104,6 @@ impl<E> Simulation<E> {
             queue: BinaryHeap::new(),
             cancelled: Vec::new(),
             delivered: 0,
-            scheduled: 0,
         }
     }
 
@@ -118,22 +116,6 @@ impl<E> Simulation<E> {
     /// Number of events delivered so far.
     pub fn delivered(&self) -> u64 {
         self.delivered
-    }
-
-    /// Number of events ever scheduled (including cancelled ones).
-    pub fn scheduled(&self) -> u64 {
-        self.scheduled
-    }
-
-    /// Number of events currently pending (scheduled, not yet delivered or
-    /// cancelled).
-    pub fn pending(&self) -> usize {
-        self.queue.len() - self.cancelled.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_idle(&self) -> bool {
-        self.pending() == 0
     }
 
     /// Schedules `payload` at absolute time `at`.
@@ -150,7 +132,6 @@ impl<E> Simulation<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled += 1;
         self.queue.push(Scheduled {
             at,
             seq,
@@ -158,11 +139,6 @@ impl<E> Simulation<E> {
             payload,
         });
         EventToken(seq)
-    }
-
-    /// Schedules `payload` at `delay` after the current clock.
-    pub fn schedule_in(&mut self, delay: SimDuration, payload: E) -> EventToken {
-        self.schedule_at(self.now + delay, payload)
     }
 
     /// Cancels a previously scheduled event. Returns `true` if the event was
@@ -202,53 +178,13 @@ impl<E> Simulation<E> {
         }
         None
     }
-
-    /// Peeks at the timestamp of the next pending event without delivering it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        // The heap may have cancelled entries at the top; scan for the
-        // earliest live one.
-        self.queue
-            .iter()
-            .filter(|s| !self.cancelled.contains(&s.seq))
-            .map(|s| s.at)
-            .min()
-    }
-
-    /// Runs the event loop to completion, calling `handler` for every event.
-    ///
-    /// The handler receives the simulation (to schedule follow-up events) and
-    /// the event. Returns the final clock value.
-    pub fn run(&mut self, mut handler: impl FnMut(&mut Simulation<E>, SimTime, E)) -> SimTime {
-        while let Some((t, ev)) = self.pop() {
-            handler(self, t, ev);
-        }
-        self.now
-    }
-
-    /// Advances the clock manually to `t` (used when external bookkeeping
-    /// knows time passed without an event, e.g. a blocking host call).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the past or earlier than a pending event: jumping
-    /// over pending events would deliver them late.
-    pub fn advance_to(&mut self, t: SimTime) {
-        assert!(t >= self.now, "cannot move the clock backwards");
-        if let Some(next) = self.peek_time() {
-            assert!(
-                t <= next,
-                "cannot jump past a pending event at {next:?} (target {t:?})"
-            );
-        }
-        self.now = t;
-    }
 }
 
 impl<E> fmt::Debug for Simulation<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Simulation")
             .field("now", &self.now)
-            .field("pending", &self.pending())
+            .field("pending", &(self.queue.len() - self.cancelled.len()))
             .field("delivered", &self.delivered)
             .finish()
     }
@@ -257,6 +193,7 @@ impl<E> fmt::Debug for Simulation<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimDuration;
 
     #[test]
     fn delivers_in_time_order() {
@@ -282,20 +219,10 @@ mod tests {
     #[test]
     fn clock_advances_with_pops() {
         let mut sim = Simulation::new();
-        sim.schedule_in(SimDuration::from_nanos(7), ());
+        sim.schedule_at(SimTime::from_nanos(7), ());
         assert_eq!(sim.now(), SimTime::ZERO);
         sim.pop();
         assert_eq!(sim.now(), SimTime::from_nanos(7));
-    }
-
-    #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut sim = Simulation::new();
-        sim.schedule_in(SimDuration::from_nanos(5), 1);
-        sim.pop();
-        sim.schedule_in(SimDuration::from_nanos(5), 2);
-        let (t, _) = sim.pop().unwrap();
-        assert_eq!(t, SimTime::from_nanos(10));
     }
 
     #[test]
@@ -327,61 +254,10 @@ mod tests {
     }
 
     #[test]
-    fn pending_counts_live_events() {
-        let mut sim = Simulation::new();
-        let a = sim.schedule_at(SimTime::from_nanos(1), ());
-        sim.schedule_at(SimTime::from_nanos(2), ());
-        assert_eq!(sim.pending(), 2);
-        sim.cancel(a);
-        assert_eq!(sim.pending(), 1);
-        sim.pop();
-        assert_eq!(sim.pending(), 0);
-        assert!(sim.is_idle());
-    }
-
-    #[test]
-    fn run_drains_queue() {
-        let mut sim = Simulation::new();
-        sim.schedule_at(SimTime::from_nanos(1), 3u64);
-        let mut acc = 0u64;
-        let end = sim.run(|sim, _, v| {
-            acc += v;
-            if v > 1 {
-                sim.schedule_in(SimDuration::from_nanos(1), v - 1);
-            }
-        });
-        assert_eq!(acc, 3 + 2 + 1);
-        assert_eq!(end, SimTime::from_nanos(3));
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut sim = Simulation::new();
-        let a = sim.schedule_at(SimTime::from_nanos(1), ());
-        sim.schedule_at(SimTime::from_nanos(2), ());
-        sim.cancel(a);
-        assert_eq!(sim.peek_time(), Some(SimTime::from_nanos(2)));
-    }
-
-    #[test]
-    fn advance_to_respects_pending_events() {
-        let mut sim = Simulation::<()>::new();
-        sim.advance_to(SimTime::from_nanos(4));
-        assert_eq!(sim.now(), SimTime::from_nanos(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot jump past a pending event")]
-    fn advance_past_pending_panics() {
-        let mut sim = Simulation::new();
-        sim.schedule_at(SimTime::from_nanos(2), ());
-        sim.advance_to(SimTime::from_nanos(3));
-    }
-
-    #[test]
     fn starting_at_offsets_timeline() {
         let mut sim = Simulation::starting_at(SimTime::from_nanos(100));
-        sim.schedule_in(SimDuration::from_nanos(5), ());
+        assert_eq!(sim.now(), SimTime::from_nanos(100));
+        sim.schedule_at(sim.now() + SimDuration::from_nanos(5), ());
         let (t, _) = sim.pop().unwrap();
         assert_eq!(t, SimTime::from_nanos(105));
     }
@@ -393,7 +269,6 @@ mod tests {
         sim.schedule_at(SimTime::from_nanos(2), ());
         sim.cancel(a);
         while sim.pop().is_some() {}
-        assert_eq!(sim.scheduled(), 2);
-        assert_eq!(sim.delivered(), 1);
+        assert_eq!(sim.delivered(), 1, "cancelled events are not delivered");
     }
 }

@@ -1,96 +1,4 @@
-//! Lightweight statistics collection for simulated runs.
-//!
-//! The experiment harness needs averages, geomeans and min/max over virtual
-//! durations; the runtime needs running averages for the adaptive chunk-size
-//! heuristic. Both live here so every crate shares one tested implementation.
-
-use std::fmt;
-
-use crate::SimDuration;
-
-/// Running summary of a stream of virtual durations.
-///
-/// # Examples
-///
-/// ```
-/// use fluidicl_des::{DurationSeries, SimDuration};
-///
-/// let mut s = DurationSeries::new();
-/// s.record(SimDuration::from_nanos(10));
-/// s.record(SimDuration::from_nanos(30));
-/// assert_eq!(s.mean(), Some(SimDuration::from_nanos(20)));
-/// assert_eq!(s.min(), Some(SimDuration::from_nanos(10)));
-/// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DurationSeries {
-    count: u64,
-    total: SimDuration,
-    min: Option<SimDuration>,
-    max: Option<SimDuration>,
-    last: Option<SimDuration>,
-}
-
-impl DurationSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, d: SimDuration) {
-        self.count += 1;
-        self.total += d;
-        self.min = Some(self.min.map_or(d, |m| m.min(d)));
-        self.max = Some(self.max.map_or(d, |m| m.max(d)));
-        self.last = Some(d);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations.
-    pub fn total(&self) -> SimDuration {
-        self.total
-    }
-
-    /// Arithmetic mean, or `None` if empty.
-    pub fn mean(&self) -> Option<SimDuration> {
-        (self.count > 0).then(|| self.total.div_count(self.count))
-    }
-
-    /// Smallest observation, or `None` if empty.
-    pub fn min(&self) -> Option<SimDuration> {
-        self.min
-    }
-
-    /// Largest observation, or `None` if empty.
-    pub fn max(&self) -> Option<SimDuration> {
-        self.max
-    }
-
-    /// Most recent observation, or `None` if empty.
-    pub fn last(&self) -> Option<SimDuration> {
-        self.last
-    }
-}
-
-impl fmt::Display for DurationSeries {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.mean() {
-            Some(mean) => write!(
-                f,
-                "n={} mean={} min={} max={}",
-                self.count,
-                mean,
-                self.min.unwrap_or(SimDuration::ZERO),
-                self.max.unwrap_or(SimDuration::ZERO)
-            ),
-            None => write!(f, "n=0"),
-        }
-    }
-}
+//! Summary statistics for the experiment harness.
 
 /// Geometric mean of positive ratios (speedups, normalized times).
 ///
@@ -126,58 +34,9 @@ pub fn geomean(values: &[f64]) -> Option<f64> {
     Some((log_sum / values.len() as f64).exp())
 }
 
-/// A named monotonically increasing counter.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Increments the counter by one.
-    pub fn incr(&mut self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn series_tracks_summary() {
-        let mut s = DurationSeries::new();
-        assert_eq!(s.mean(), None);
-        for n in [5u64, 1, 9] {
-            s.record(SimDuration::from_nanos(n));
-        }
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.total(), SimDuration::from_nanos(15));
-        assert_eq!(s.mean(), Some(SimDuration::from_nanos(5)));
-        assert_eq!(s.min(), Some(SimDuration::from_nanos(1)));
-        assert_eq!(s.max(), Some(SimDuration::from_nanos(9)));
-        assert_eq!(s.last(), Some(SimDuration::from_nanos(9)));
-    }
 
     #[test]
     fn geomean_basics() {
@@ -190,22 +49,5 @@ mod tests {
     #[should_panic(expected = "strictly positive")]
     fn geomean_rejects_zero() {
         let _ = geomean(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.to_string(), "5");
-    }
-
-    #[test]
-    fn series_display_nonempty() {
-        let mut s = DurationSeries::new();
-        assert_eq!(s.to_string(), "n=0");
-        s.record(SimDuration::from_nanos(3));
-        assert!(s.to_string().contains("n=1"));
     }
 }

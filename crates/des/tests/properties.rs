@@ -115,21 +115,21 @@ fn clock_tracks_last_event() {
     }
 }
 
-/// Relative scheduling composes: a chain of `schedule_in` calls lands at
-/// the prefix sums of the delays.
+/// Relative scheduling composes: a chain of events each scheduled a delay
+/// after the one before lands at the prefix sums of the delays.
 #[test]
 fn relative_chains_accumulate() {
     let mut rng = SplitMix64::new(0xDE56);
     for _ in 0..CASES {
         let delays = arb_times(&mut rng, 50, 1000);
         let mut sim = Simulation::new();
-        sim.schedule_in(SimDuration::from_nanos(delays[0]), 0usize);
+        sim.schedule_at(sim.now() + SimDuration::from_nanos(delays[0]), 0usize);
         let mut stamps = Vec::new();
         while let Some((t, i)) = sim.pop() {
             stamps.push(t.as_nanos());
             let next = i + 1;
             if next < delays.len() {
-                sim.schedule_in(SimDuration::from_nanos(delays[next]), next);
+                sim.schedule_at(t + SimDuration::from_nanos(delays[next]), next);
             }
         }
         let mut acc = 0u64;

@@ -37,11 +37,6 @@ impl AbortMode {
     pub fn allows_early_abort(self) -> bool {
         matches!(self, AbortMode::InLoop | AbortMode::InLoopUnrolled)
     }
-
-    /// Whether the kernel contains any abort check at all.
-    pub fn has_checks(self) -> bool {
-        !matches!(self, AbortMode::None)
-    }
 }
 
 /// Analytic performance model of a discrete GPU.
@@ -185,6 +180,14 @@ impl GpuModel {
         }
         let waves = wg_count.div_ceil(self.wave_width());
         self.wg_time(p, items, abort) * waves
+    }
+
+    /// Time of one whole launch of the unmodified kernel (no abort checks)
+    /// over `wg_count` work-groups: launch overhead plus the wave walk.
+    /// What a single-device queue, the baselines' schedulers and a peer
+    /// GPU's claimed range each pay per launch.
+    pub fn launch_time(&self, p: &KernelProfile, items: u64, wg_count: u64) -> SimDuration {
+        self.launch_overhead + self.range_time(p, items, wg_count, AbortMode::None)
     }
 
     /// The granularity at which a *running* wave can abort: the virtual time

@@ -145,16 +145,6 @@ impl KernelProfile {
         self.bytes_read_per_item + self.bytes_written_per_item
     }
 
-    /// Bytes read per work-item.
-    pub fn bytes_read(&self) -> f64 {
-        self.bytes_read_per_item
-    }
-
-    /// Bytes written per work-item.
-    pub fn bytes_written(&self) -> f64 {
-        self.bytes_written_per_item
-    }
-
     /// Innermost-loop trip count.
     pub fn loop_trips(&self) -> u32 {
         self.inner_loop_trips
@@ -205,8 +195,6 @@ mod tests {
         assert_eq!(p.name(), "k");
         assert_eq!(p.flops(), 10.0);
         assert_eq!(p.bytes(), 6.0);
-        assert_eq!(p.bytes_read(), 4.0);
-        assert_eq!(p.bytes_written(), 2.0);
         assert_eq!(p.loop_trips(), 5);
         assert_eq!(p.coalescing(), 0.5);
         assert_eq!(p.divergence(), 0.25);

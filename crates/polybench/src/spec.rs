@@ -47,22 +47,13 @@ impl std::fmt::Debug for BenchmarkSpec {
 }
 
 impl BenchmarkSpec {
-    /// Runs the benchmark on `driver` at its default size and validates the
-    /// outputs against the sequential reference.
+    /// Runs the benchmark on `driver` at size `n` and validates the outputs
+    /// against the sequential reference.
     ///
     /// # Errors
     ///
     /// Propagates driver errors; a mismatch against the reference is
     /// reported as `Ok(false)`.
-    pub fn run_and_validate(&self, driver: &mut dyn ClDriver, seed: u64) -> ClResult<bool> {
-        self.run_and_validate_sized(driver, self.default_n, seed)
-    }
-
-    /// Runs at an explicit size and validates against the reference.
-    ///
-    /// # Errors
-    ///
-    /// Propagates driver errors.
     pub fn run_and_validate_sized(
         &self,
         driver: &mut dyn ClDriver,

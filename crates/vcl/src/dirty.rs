@@ -12,7 +12,6 @@
 //!
 //! [`diff_merge_ranged`]: crate::memory::diff_merge_ranged
 
-use crate::access::WriteMap;
 use crate::{ClError, ClResult};
 
 /// A sorted, coalesced set of half-open `[start, end)` element ranges.
@@ -71,22 +70,6 @@ impl DirtyRanges {
             match ranges.last_mut() {
                 Some((_, end)) if i < *end => {} // duplicate
                 Some((_, end)) if i == *end => *end += 1,
-                _ => ranges.push((i, i + 1)),
-            }
-        }
-        Self { ranges }
-    }
-
-    /// Builds from a sanitizer write map (element index → written bits).
-    ///
-    /// `BTreeMap` keys are already sorted, so this is a single coalescing
-    /// pass over the map — the bulk sibling of [`DirtyRanges::from_indices`],
-    /// with the sort already paid by the map.
-    pub fn from_write_map(map: &WriteMap) -> Self {
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
-        for &i in map.keys() {
-            match ranges.last_mut() {
-                Some((_, end)) if *end == i => *end += 1,
                 _ => ranges.push((i, i + 1)),
             }
         }
@@ -425,16 +408,6 @@ mod tests {
             s.insert(a, b);
         }
         assert_eq!(s, DirtyRanges::from_ranges([(0, 10)]));
-    }
-
-    #[test]
-    fn from_write_map_coalesces_sorted_keys() {
-        let mut map = WriteMap::new();
-        for i in [5usize, 6, 7, 12] {
-            map.insert(i, 1.0f32.to_bits());
-        }
-        let r = DirtyRanges::from_write_map(&map);
-        assert_eq!(r.as_slice(), &[(5, 8), (12, 13)]);
     }
 
     #[test]

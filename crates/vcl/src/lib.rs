@@ -18,13 +18,12 @@
 //!   data;
 //! * [`access`] — a shadow-memory layer over the executor recording
 //!   per-work-group read/write sets for the `fluidicl-check` sanitizer;
-//! * [`CommandQueue`] / [`Event`] — an in-order command queue with
-//!   completion events (paper §2), behind [`SingleDeviceRuntime`];
 //! * [`ClDriver`] — the driver trait every runtime (single-device, FluidiCL,
 //!   static partition, SOCL) implements, letting one host program run on all
 //!   of them;
 //! * [`SingleDeviceRuntime`] — the vendor-runtime stand-in used for the
-//!   paper's CPU-only and GPU-only baselines.
+//!   paper's CPU-only and GPU-only baselines: one in-order device queue
+//!   (paper §2) over its own address space and clock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +38,6 @@ pub mod footprint;
 mod kernel;
 mod memory;
 mod ndrange;
-mod queue;
 mod single;
 mod work;
 
@@ -60,6 +58,5 @@ pub use kernel::{
 };
 pub use memory::{diff_merge, diff_merge_ranged, BufferId, Memory};
 pub use ndrange::{NdRange, WorkItem};
-pub use queue::{CommandQueue, Event};
 pub use single::SingleDeviceRuntime;
 pub use work::WorkCounters;

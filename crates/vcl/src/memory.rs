@@ -227,11 +227,6 @@ impl Memory {
     pub fn contains(&self, id: BufferId) -> bool {
         self.buffers.contains_key(&id)
     }
-
-    /// Number of buffers resident.
-    pub fn buffer_count(&self) -> usize {
-        self.buffers.len()
-    }
 }
 
 /// Writable view of one buffer allocation, copying it first when another
@@ -656,7 +651,7 @@ mod tests {
                     }
                 }
                 for (mem, want) in mems.iter().zip(&model) {
-                    assert_eq!(mem.buffer_count(), want.len(), "seed {seed} step {step}");
+                    assert_eq!(mem.ids().count(), want.len(), "seed {seed} step {step}");
                     for (id, v) in want {
                         assert_eq!(
                             mem.get(*id).unwrap(),

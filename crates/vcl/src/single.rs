@@ -2,13 +2,18 @@
 //! OpenCL stack when it targets just the CPU or just the GPU. This is the
 //! baseline FluidiCL is measured against ("CPU-only" and "GPU-only" in every
 //! figure of the paper).
+//!
+//! OpenCL's execution model (paper §2) revolves around in-order command
+//! queues: transfers and kernel launches execute in enqueue order. The
+//! runtime is one such queue: every call executes functionally right away
+//! and advances the queue's virtual tail by the command's modelled
+//! duration.
 
 use fluidicl_des::{SimDuration, SimTime};
-use fluidicl_hetsim::{AbortMode, MachineConfig};
+use fluidicl_hetsim::{KernelProfile, MachineConfig};
 
-use crate::exec::Launch;
-use crate::queue::CommandQueue;
-use crate::{BufferId, ClDriver, ClResult, DeviceKind, KernelArg, NdRange, Program};
+use crate::exec::{execute_all, Launch};
+use crate::{BufferId, ClDriver, ClResult, DeviceKind, KernelArg, Memory, NdRange, Program};
 
 /// A single-device OpenCL-style runtime over the simulated machine.
 ///
@@ -46,26 +51,34 @@ use crate::{BufferId, ClDriver, ClResult, DeviceKind, KernelArg, NdRange, Progra
 #[derive(Debug)]
 pub struct SingleDeviceRuntime {
     machine: MachineConfig,
+    device: DeviceKind,
     program: Program,
-    queue: CommandQueue,
+    /// The device's address space.
+    memory: Memory,
+    /// The instant the last enqueued command completes (`clFinish`).
+    tail: SimTime,
+    next_buffer: u64,
     kernel_log: Vec<(String, SimDuration)>,
 }
 
 impl SingleDeviceRuntime {
-    /// Creates a runtime targeting `device` on `machine` with `program`.
+    /// Creates a runtime targeting `device` on `machine` with `program`,
+    /// with an empty address space and its clock at zero.
     pub fn new(machine: MachineConfig, device: DeviceKind, program: Program) -> Self {
-        let queue = CommandQueue::new(machine.clone(), device);
         SingleDeviceRuntime {
             machine,
+            device,
             program,
-            queue,
+            memory: Memory::new(),
+            tail: SimTime::ZERO,
+            next_buffer: 0,
             kernel_log: Vec::new(),
         }
     }
 
     /// The device this runtime targets.
     pub fn device(&self) -> DeviceKind {
-        self.queue.device()
+        self.device
     }
 
     /// Virtual duration of one full kernel launch on this device (including
@@ -73,28 +86,43 @@ impl SingleDeviceRuntime {
     /// need estimates (OracleSP sweeps, SOCL calibration).
     pub fn kernel_duration(&self, kernel: &str, ndrange: NdRange) -> ClResult<SimDuration> {
         let def = self.program.kernel(kernel)?;
-        let profile = &def.default_version().profile;
+        Ok(self.launch_time(&def.default_version().profile, ndrange))
+    }
+
+    /// One whole launch of the unmodified kernel on this device.
+    fn launch_time(&self, profile: &KernelProfile, ndrange: NdRange) -> SimDuration {
         let items = ndrange.items_per_group();
         let groups = ndrange.num_groups();
-        Ok(match self.device() {
-            DeviceKind::Gpu => {
-                self.machine.gpu.launch_overhead()
-                    + self
-                        .machine
-                        .gpu
-                        .range_time(profile, items, groups, AbortMode::None)
-            }
+        match self.device {
+            DeviceKind::Gpu => self.machine.gpu.launch_time(profile, items, groups),
             DeviceKind::Cpu => self
                 .machine
                 .cpu
                 .subkernel_time(profile, items, groups, false),
-        })
+        }
+    }
+
+    /// Copying `bytes` between the host and this device's buffers.
+    fn transfer_time(&self, bytes: u64, to_device: bool) -> SimDuration {
+        match (self.device, to_device) {
+            (DeviceKind::Gpu, true) => self.machine.h2d.transfer_time(bytes),
+            (DeviceKind::Gpu, false) => self.machine.d2h.transfer_time(bytes),
+            (DeviceKind::Cpu, _) => self.machine.host.copy_time(bytes),
+        }
     }
 }
 
 impl ClDriver for SingleDeviceRuntime {
+    /// Allocates a buffer, charging the device's allocation cost on the
+    /// queue (GPU only; CPU-device buffers are host memory).
     fn create_buffer(&mut self, len: usize) -> BufferId {
-        self.queue.create_buffer(len)
+        let id = BufferId(self.next_buffer);
+        self.next_buffer += 1;
+        self.memory.alloc(id, len);
+        if self.device == DeviceKind::Gpu {
+            self.tail += self.machine.gpu.buffer_create_time(len as u64 * 4);
+        }
+        id
     }
 
     fn write_buffer(&mut self, id: BufferId, data: &[f32]) -> ClResult<()> {
@@ -102,7 +130,9 @@ impl ClDriver for SingleDeviceRuntime {
     }
 
     fn write_buffer_owned(&mut self, id: BufferId, data: Vec<f32>) -> ClResult<()> {
-        self.queue.enqueue_write_owned(id, data)?;
+        let bytes = data.len() as u64 * 4;
+        self.memory.replace(id, data)?;
+        self.tail += self.transfer_time(bytes, true);
         Ok(())
     }
 
@@ -114,22 +144,21 @@ impl ClDriver for SingleDeviceRuntime {
     ) -> ClResult<()> {
         let def = self.program.kernel(kernel)?;
         let launch = Launch::new(def, ndrange, args.to_vec());
-        let before = self.queue.tail();
-        let ev = self.queue.enqueue_ndrange(&launch)?;
-        self.kernel_log.push((
-            kernel.to_string(),
-            ev.complete_at().saturating_since(before),
-        ));
+        execute_all(&launch, &mut self.memory)?;
+        let d = self.launch_time(&launch.kernel.default_version().profile, ndrange);
+        self.tail += d;
+        self.kernel_log.push((kernel.to_string(), d));
         Ok(())
     }
 
     fn read_buffer(&mut self, id: BufferId) -> ClResult<Vec<f32>> {
-        let (data, _) = self.queue.enqueue_read(id)?;
+        let data = self.memory.get(id)?.to_vec();
+        self.tail += self.transfer_time(data.len() as u64 * 4, false);
         Ok(data)
     }
 
     fn elapsed(&self) -> SimDuration {
-        self.queue.tail().saturating_since(SimTime::ZERO)
+        self.tail.saturating_since(SimTime::ZERO)
     }
 
     fn kernel_times(&self) -> Vec<(String, SimDuration)> {

@@ -21,7 +21,9 @@
 //! * [`vcl`] — the OpenCL-style runtime (buffers, kernels, NDRanges,
 //!   single-device execution).
 //! * [`runtime`] — FluidiCL itself.
-//! * [`polybench`] — the six benchmark applications of the evaluation.
+//! * [`polybench`] — the benchmark applications: nine Polybench apps (the
+//!   paper's six plus MVT, GEMM and 2MM) and the BATCHMM kernel-graph
+//!   workload.
 //! * [`baselines`] — static partitioning, OracleSP and SOCL (eager/dmda).
 
 #![forbid(unsafe_code)]

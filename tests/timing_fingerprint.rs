@@ -10,12 +10,12 @@
 //! cell makespan_ns hash groups_executed body_calls merged_bytes copied_bytes des_events
 //! ```
 //!
-//! The hash covers every kernel's virtual timing — each trace event's
-//! timestamp, the report's enqueue and completion times, byte and
-//! work-group counters, subkernel log and finisher. Event kinds and
-//! rendered text are left out on purpose: renaming or re-rendering events
-//! keeps the contract, while moving any event in time, or adding or
-//! dropping one, breaks it.
+//! The hash is `fluidicl_check::timing_hash`: every kernel's virtual
+//! timing — each trace event's timestamp, the report's enqueue and
+//! completion times, byte and work-group counters, subkernel log and
+//! finisher. Event kinds and rendered text are left out on purpose:
+//! renaming or re-rendering events keeps the contract, while moving any
+//! event in time, or adding or dropping one, breaks it.
 //!
 //! The last five columns are the runtime's `WorkCounters`: the host work
 //! that produced those timings. They are exact on every machine and build
@@ -46,28 +46,14 @@
 //! copy).
 
 use fluidicl::{lint_report, Finisher, Fluidicl, FluidiclConfig};
-use fluidicl_check::{check_schedule, race_check_report, sweep_size, SWEEP_SEED};
+use fluidicl_check::{check_schedule, race_check_report, sweep_size, timing_hash, SWEEP_SEED};
 use fluidicl_hetsim::{AbortMode, MachineConfig};
 use fluidicl_polybench::{all_benchmarks, pipeline_benchmark, BenchmarkSpec};
-
-mod common;
-use common::report_timings;
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/timing_fingerprint.txt"
 );
-
-/// FNV-1a over the little-endian bytes of each value.
-fn fnv(values: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in values {
-        for b in v.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// Column names of a fingerprint line, in order.
 const COLUMNS: [&str; 8] = [
@@ -207,7 +193,7 @@ fn fingerprint() -> (String, Vec<String>) {
                 out.push_str(&format!(
                     "{cell} {} {:016x} {} {} {} {} {}\n",
                     fluidicl_vcl::ClDriver::elapsed(&rt).as_nanos(),
-                    fnv(&report_timings(&rt)),
+                    timing_hash(&rt),
                     work.groups_executed,
                     work.body_calls,
                     work.merged_bytes,
