@@ -132,7 +132,7 @@ impl SoclRuntime {
     }
 
     /// Whether a (kernel, work-group count) pair has a calibrated model.
-    pub fn is_calibrated(&self, kernel: &str, ndrange: NdRange) -> bool {
+    fn is_calibrated(&self, kernel: &str, ndrange: NdRange) -> bool {
         self.calibration
             .contains_key(&(kernel.to_string(), ndrange.num_groups()))
     }

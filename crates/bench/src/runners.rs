@@ -97,19 +97,6 @@ pub fn run_socl(
     rt.elapsed()
 }
 
-/// Normalizes `times` to the best (smallest) entry of `baselines`: the
-/// paper's usual presentation "execution time normalized to the best
-/// single device".
-pub fn normalize_to_best(time: SimDuration, baselines: &[SimDuration]) -> f64 {
-    let best = baselines
-        .iter()
-        .copied()
-        .min()
-        .expect("at least one baseline")
-        .as_nanos() as f64;
-    time.as_nanos() as f64 / best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,13 +117,5 @@ mod tests {
             assert!(!t.is_zero());
         }
         assert_eq!(reports.len(), 2);
-    }
-
-    #[test]
-    fn normalization_is_relative_to_best() {
-        let a = SimDuration::from_nanos(100);
-        let b = SimDuration::from_nanos(50);
-        assert_eq!(normalize_to_best(a, &[a, b]), 2.0);
-        assert_eq!(normalize_to_best(b, &[a, b]), 1.0);
     }
 }

@@ -1,20 +1,21 @@
-//! Buffer bookkeeping: version tracking, location tracking and the GPU
-//! scratch-buffer pool.
+//! Buffer bookkeeping: coherence tracking and the GPU scratch-buffer pool.
 //!
 //! FluidiCL keeps one copy of every application buffer per device and must
-//! know, for each, *which kernel's output* it holds and *when* that content
-//! became available (paper §5.3, §6.2). It also needs two extra GPU buffers
-//! per modified buffer (the CPU-data landing area and the pristine original
-//! for diff-merge), which are pooled to avoid per-kernel allocation costs
-//! (paper §6.1).
+//! know, for each, *when* its current content became available and whether
+//! the host copy and the diff-merge snapshot still match the device copy
+//! (paper §5.3, §5.5, §6.2). A placement begins and records a kernel's
+//! writes in one synchronous call, so ready instants carry what the paper's
+//! version numbers carry: no result of a superseded kernel can arrive late.
+//! FluidiCL also needs two extra GPU buffers per modified buffer (the
+//! CPU-data landing area and the pristine original for diff-merge), which
+//! are pooled to avoid per-kernel allocation costs (paper §6.1).
 
 use std::collections::HashMap;
 
 use fluidicl_des::SimTime;
 use fluidicl_vcl::{BufferId, ClError, ClResult};
 
-/// Monotonic kernel identifier assigned per launch (paper §5.3 uses these as
-/// buffer version numbers).
+/// Monotonic kernel identifier assigned per launch.
 pub type KernelId = u64;
 
 /// Per-buffer coherence state across the host/CPU and GPU copies.
@@ -22,48 +23,34 @@ pub type KernelId = u64;
 pub struct BufferState {
     /// Element count.
     pub len: usize,
-    /// Version (kernel id) the buffer is expected to reach: the id of the
-    /// latest kernel that writes it.
-    pub expected_version: Option<KernelId>,
-    /// Version held by the CPU copy and when it arrived.
-    pub cpu_version: Option<KernelId>,
-    /// Virtual time at which the CPU copy of the current version became
+    /// Virtual time at which the CPU copy of the current content became
     /// usable.
     pub cpu_ready_at: SimTime,
-    /// Version held by the GPU copy.
-    pub gpu_version: Option<KernelId>,
-    /// Virtual time at which the GPU copy of the current version became
+    /// Virtual time at which the GPU copy of the current content became
     /// usable.
     pub gpu_ready_at: SimTime,
+    /// Whether the host copy matches the authoritative device copy: the
+    /// CPU may read it (location tracking, paper §6.2) and a D2H read-back
+    /// ships nothing. A host write or a kernel result on the host sets it;
+    /// a kernel write clears it until then.
+    pub host_current: bool,
     /// Whether the GPU-side "original" snapshot for diff-merge matches
     /// the GPU copy, so the next kernel's setup copies nothing: the
     /// previous co-executed kernel's epilogue refreshed it (paper §5.5).
-    /// Set only under dirty-range transfers; a host write clears it.
+    /// A host write or a solo run clears it.
     pub snapshot_current: bool,
-    /// Whether the host copy matches the authoritative device copy, so a
-    /// D2H read-back ships nothing. A host write sets it, a kernel write
-    /// clears it; consulted only under dirty-range transfers.
-    pub host_current: bool,
 }
 
 impl BufferState {
     fn new(len: usize, now: SimTime) -> Self {
         BufferState {
             len,
-            expected_version: None,
-            cpu_version: None,
             cpu_ready_at: now,
-            gpu_version: None,
             gpu_ready_at: now,
+            // A fresh buffer is the same on both devices.
+            host_current: true,
             snapshot_current: false,
-            host_current: false,
         }
-    }
-
-    /// Whether the CPU copy is stale relative to the expected version —
-    /// the condition under which the CPU scheduler must wait (paper §5.3).
-    pub fn cpu_is_stale(&self) -> bool {
-        self.expected_version != self.cpu_version
     }
 
     /// Bytes a refresh of the diff-merge snapshot must copy: nothing when
@@ -140,19 +127,11 @@ impl BufferTable {
         self.states.get(&id).ok_or(ClError::InvalidBuffer(id.0))
     }
 
-    /// Whether the table knows this buffer.
-    pub fn contains(&self, id: BufferId) -> bool {
-        self.states.contains_key(&id)
-    }
-
-    /// Marks a host write: both copies now hold a fresh (pre-kernel)
-    /// version.
+    /// Marks a host write: both copies now hold the host's content, the
+    /// CPU copy from `cpu_at` and the GPU copy from `gpu_at`.
     pub fn record_host_write(&mut self, id: BufferId, cpu_at: SimTime, gpu_at: SimTime) {
         let s = self.state_mut(id);
-        s.expected_version = None;
-        s.cpu_version = None;
         s.cpu_ready_at = cpu_at;
-        s.gpu_version = None;
         s.gpu_ready_at = gpu_at;
         // The host replaced the content: the snapshot no longer matches
         // it, while host and device copies now agree.
@@ -160,46 +139,35 @@ impl BufferTable {
         s.host_current = true;
     }
 
-    /// Marks the start of kernel `kid` writing `id`: the expected version
-    /// advances (paper §5.3 sets expected versions at kernel begin).
-    pub fn begin_kernel_write(&mut self, id: BufferId, kid: KernelId) {
-        let s = self.state_mut(id);
-        s.expected_version = Some(kid);
-        // The kernel will make the host copy stale.
-        s.host_current = false;
+    /// Marks the start of a kernel writing `id`: the host copy is stale
+    /// until the kernel's result reaches it (paper §5.3).
+    pub fn begin_kernel_write(&mut self, id: BufferId) {
+        self.state_mut(id).host_current = false;
     }
 
-    /// Records that a co-executed kernel completed on `id` (dirty-range
-    /// transfers only): the epilogue refreshed the snapshot and the D2H
-    /// return (or CPU finish) brought the host copy current, which lets
-    /// the *next* kernel's snapshot refresh and read-backs skip
-    /// whole-buffer copies.
-    pub fn record_kernel_coherent(&mut self, id: BufferId) {
+    /// Records a kernel's result for `id`: it is usable on the CPU at
+    /// `cpu_at` (the device-to-host thread finished, or the CPU or a peer
+    /// computed into the host copy — paper §5.6) and on the GPU at
+    /// `gpu_at`; `None` leaves that side as it was (the host copy stale,
+    /// or the GPU copy frozen on a dead card). `snapshot_current` says
+    /// whether the kernel's epilogue refreshed the diff-merge original, so
+    /// the next co-executed kernel that writes `id` skips the copy.
+    pub fn record_kernel(
+        &mut self,
+        id: BufferId,
+        cpu_at: Option<SimTime>,
+        gpu_at: Option<SimTime>,
+        snapshot_current: bool,
+    ) {
         let s = self.state_mut(id);
-        s.snapshot_current = true;
-        s.host_current = true;
-    }
-
-    /// Records that kernel `kid`'s result for `id` is available on the CPU
-    /// at `at` (the device-to-host thread finished, or the CPU executed the
-    /// whole NDRange — paper §5.6).
-    pub fn record_cpu_arrival(&mut self, id: BufferId, kid: KernelId, at: SimTime) {
-        let s = self.state_mut(id);
-        // Stale messages (older kernel ids) are discarded (paper §5.3).
-        if s.expected_version == Some(kid) {
-            s.cpu_version = Some(kid);
+        if let Some(at) = cpu_at {
             s.cpu_ready_at = at;
         }
-    }
-
-    /// Records that kernel `kid`'s merged result for `id` is resident on the
-    /// GPU at `at`.
-    pub fn record_gpu_arrival(&mut self, id: BufferId, kid: KernelId, at: SimTime) {
-        let s = self.state_mut(id);
-        if s.expected_version == Some(kid) {
-            s.gpu_version = Some(kid);
+        if let Some(at) = gpu_at {
             s.gpu_ready_at = at;
         }
+        s.host_current = cpu_at.is_some();
+        s.snapshot_current = snapshot_current;
     }
 
     /// Earliest time the CPU may start executing a kernel that reads
@@ -303,7 +271,6 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(t.state(a).len, 10);
         assert_eq!(t.state(b).bytes(), 80);
-        assert!(t.contains(a));
     }
 
     #[test]
@@ -319,34 +286,17 @@ mod tests {
     }
 
     #[test]
-    fn fresh_buffer_is_not_stale() {
+    fn kernel_write_makes_the_host_copy_stale_until_its_result_arrives() {
         let mut t = BufferTable::new();
         let a = t.register(4, SimTime::ZERO);
-        assert!(!t.state(a).cpu_is_stale());
-    }
-
-    #[test]
-    fn kernel_write_makes_cpu_stale_until_arrival() {
-        let mut t = BufferTable::new();
-        let a = t.register(4, SimTime::ZERO);
-        t.begin_kernel_write(a, 7);
-        assert!(t.state(a).cpu_is_stale());
-        t.record_cpu_arrival(a, 7, SimTime::from_nanos(100));
-        assert!(!t.state(a).cpu_is_stale());
+        assert!(t.state(a).host_current, "a fresh buffer is current");
+        t.begin_kernel_write(a);
+        assert!(!t.state(a).host_current);
+        t.record_kernel(a, Some(SimTime::from_nanos(100)), None, false);
+        assert!(t.state(a).host_current);
         assert_eq!(t.state(a).cpu_ready_at, SimTime::from_nanos(100));
-    }
-
-    #[test]
-    fn stale_arrivals_are_discarded() {
-        // Paper §5.3: version numbers discard messages that arrive late.
-        let mut t = BufferTable::new();
-        let a = t.register(4, SimTime::ZERO);
-        t.begin_kernel_write(a, 7);
-        t.begin_kernel_write(a, 9); // a newer kernel supersedes kernel 7
-        t.record_cpu_arrival(a, 7, SimTime::from_nanos(50));
-        assert!(t.state(a).cpu_is_stale(), "old version must not satisfy");
-        t.record_cpu_arrival(a, 9, SimTime::from_nanos(80));
-        assert!(!t.state(a).cpu_is_stale());
+        // A host-side result leaves the GPU copy's ready time alone.
+        assert_eq!(t.gpu_ready_time(&[a]), SimTime::ZERO);
     }
 
     #[test]
@@ -354,92 +304,69 @@ mod tests {
         let mut t = BufferTable::new();
         let a = t.register(4, SimTime::ZERO);
         let b = t.register(4, SimTime::ZERO);
-        t.begin_kernel_write(a, 1);
-        t.record_cpu_arrival(a, 1, SimTime::from_nanos(500));
-        t.begin_kernel_write(b, 2);
-        t.record_cpu_arrival(b, 2, SimTime::from_nanos(300));
+        t.record_kernel(a, Some(SimTime::from_nanos(500)), None, false);
+        t.record_kernel(b, Some(SimTime::from_nanos(300)), None, false);
         assert_eq!(t.cpu_ready_time(&[a, b]), SimTime::from_nanos(500));
         assert_eq!(t.cpu_ready_time(&[]), SimTime::ZERO);
+        t.record_kernel(a, None, Some(SimTime::from_nanos(250)), false);
+        t.record_kernel(b, None, Some(SimTime::from_nanos(700)), false);
+        assert_eq!(t.gpu_ready_time(&[a, b]), SimTime::from_nanos(700));
+        assert_eq!(t.gpu_ready_time(&[]), SimTime::ZERO);
     }
 
     #[test]
-    fn host_write_resets_versions() {
+    fn a_gpu_result_leaves_the_host_copy_stale() {
+        // CPU and GPU readiness are independent: a GPU result moves only
+        // the GPU copy's ready time and leaves the host copy stale.
         let mut t = BufferTable::new();
         let a = t.register(4, SimTime::ZERO);
-        t.begin_kernel_write(a, 3);
-        t.record_host_write(a, SimTime::from_nanos(10), SimTime::from_nanos(40));
-        assert!(!t.state(a).cpu_is_stale());
+        t.begin_kernel_write(a);
+        t.record_kernel(a, None, Some(SimTime::from_nanos(40)), false);
+        assert!(!t.state(a).host_current);
+        assert_eq!(t.cpu_ready_time(&[a]), SimTime::ZERO);
         assert_eq!(t.gpu_ready_time(&[a]), SimTime::from_nanos(40));
     }
 
     #[test]
-    fn fresh_buffer_copies_whole() {
+    fn host_write_makes_both_copies_current() {
+        let mut t = BufferTable::new();
+        let a = t.register(4, SimTime::ZERO);
+        t.begin_kernel_write(a);
+        t.record_host_write(a, SimTime::from_nanos(10), SimTime::from_nanos(40));
+        assert!(t.state(a).host_current);
+        assert_eq!(t.gpu_ready_time(&[a]), SimTime::from_nanos(40));
+    }
+
+    #[test]
+    fn fresh_buffer_refreshes_its_whole_snapshot() {
         let mut t = BufferTable::new();
         let a = t.register(256, SimTime::ZERO);
         assert_eq!(t.state(a).snapshot_refresh_bytes(), 1024);
-        assert_eq!(t.state(a).read_back_bytes(), 1024);
+        assert_eq!(t.state(a).read_back_bytes(), 0);
     }
 
     #[test]
     fn coherent_kernels_skip_refresh_and_read_back() {
         let mut t = BufferTable::new();
         let a = t.register(256, SimTime::ZERO);
-        t.record_kernel_coherent(a);
+        let (cpu_at, gpu_at) = (SimTime::from_nanos(20), SimTime::from_nanos(30));
+        t.record_kernel(a, Some(cpu_at), Some(gpu_at), true);
         assert_eq!(t.state(a).snapshot_refresh_bytes(), 0);
         assert_eq!(t.state(a).read_back_bytes(), 0);
         // The next kernel write makes the host copy stale; the snapshot
         // still matches the GPU copy the kernel starts from.
-        t.begin_kernel_write(a, 1);
+        t.begin_kernel_write(a);
         assert_eq!(t.state(a).read_back_bytes(), 1024);
         assert_eq!(t.state(a).snapshot_refresh_bytes(), 0);
+        // A solo run leaves the snapshot behind the outputs it wrote.
+        t.record_kernel(a, None, Some(gpu_at), false);
+        assert_eq!(t.state(a).snapshot_refresh_bytes(), 1024);
         // A host write invalidates the snapshot but makes host and device
         // copies agree.
+        t.record_kernel(a, Some(cpu_at), Some(gpu_at), true);
         t.record_host_write(a, SimTime::from_nanos(10), SimTime::from_nanos(40));
         assert_eq!(t.state(a).snapshot_refresh_bytes(), 1024);
         assert_eq!(t.state(a).read_back_bytes(), 0);
-    }
-
-    #[test]
-    fn stale_gpu_arrivals_are_discarded() {
-        // The GPU side uses the same version filter as the CPU side: a
-        // merge result for a superseded kernel must not mark the buffer
-        // ready (paper §5.3).
-        let mut t = BufferTable::new();
-        let a = t.register(4, SimTime::ZERO);
-        t.begin_kernel_write(a, 3);
-        t.begin_kernel_write(a, 5);
-        t.record_gpu_arrival(a, 3, SimTime::from_nanos(60));
-        assert_eq!(t.state(a).gpu_version, None, "old merge must be ignored");
-        assert_eq!(t.state(a).gpu_ready_at, SimTime::ZERO);
-        t.record_gpu_arrival(a, 5, SimTime::from_nanos(90));
-        assert_eq!(t.state(a).gpu_version, Some(5));
-        assert_eq!(t.gpu_ready_time(&[a]), SimTime::from_nanos(90));
-    }
-
-    #[test]
-    fn gpu_ready_time_takes_the_maximum() {
-        let mut t = BufferTable::new();
-        let a = t.register(4, SimTime::ZERO);
-        let b = t.register(4, SimTime::ZERO);
-        t.begin_kernel_write(a, 1);
-        t.record_gpu_arrival(a, 1, SimTime::from_nanos(250));
-        t.begin_kernel_write(b, 2);
-        t.record_gpu_arrival(b, 2, SimTime::from_nanos(700));
-        assert_eq!(t.gpu_ready_time(&[a, b]), SimTime::from_nanos(700));
-        assert_eq!(t.gpu_ready_time(&[]), SimTime::ZERO);
-    }
-
-    #[test]
-    fn arrivals_do_not_clear_staleness_of_the_other_side() {
-        // CPU and GPU readiness are independent: a CPU arrival satisfies
-        // cpu_is_stale but leaves the GPU copy at its old version.
-        let mut t = BufferTable::new();
-        let a = t.register(4, SimTime::ZERO);
-        t.begin_kernel_write(a, 2);
-        t.record_cpu_arrival(a, 2, SimTime::from_nanos(40));
-        assert!(!t.state(a).cpu_is_stale());
-        assert_eq!(t.state(a).gpu_version, None);
-        assert_eq!(t.gpu_ready_time(&[a]), SimTime::ZERO);
     }
 
     #[test]

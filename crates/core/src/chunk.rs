@@ -9,11 +9,9 @@
 //!
 //! Two refinements on top of the paper's controller:
 //!
-//! * the growth decision is fed **compute** time only; the *exposed*
-//!   transfer stall (the wait between finishing a subkernel and launching
-//!   the next) is tracked separately, so pipelined execution — which hides
-//!   most of that stall — cannot inflate the apparent per-work-group
-//!   throughput and over-grow the chunk;
+//! * the growth decision is fed **compute** time only, never the transfer
+//!   stall between finishing a subkernel and launching the next, so the
+//!   serial and pipelined protocols grow the chunk on the same schedule;
 //! * when the transfer layer reports a retry ([`ChunkController::
 //!   on_transfer_retry`]), the next chunk is halved and growth stops: on a
 //!   flaky link, smaller batches produce more frequent statuses, so more
@@ -32,10 +30,6 @@ pub struct ChunkController {
     growing: bool,
     best_per_wg: Option<SimDuration>,
     tolerance: f64,
-    /// Accumulated transfer stall the CPU actually experienced (time between
-    /// a subkernel finishing and the next launching). Observed but never fed
-    /// into the growth decision.
-    exposed_stall: SimDuration,
 }
 
 impl ChunkController {
@@ -76,7 +70,6 @@ impl ChunkController {
             growing: step_pct > 0.0,
             best_per_wg: None,
             tolerance,
-            exposed_stall: SimDuration::ZERO,
         }
     }
 
@@ -95,16 +88,11 @@ impl ChunkController {
         self.growing
     }
 
-    /// Feeds back one completed subkernel: `wgs` work-groups, its pure
-    /// `compute` duration, and the transfer stall that was *exposed* before
-    /// it launched (the wait the CPU could not hide behind compute). Only
-    /// `compute` drives the growth decision — exposed stall is accumulated
-    /// for reporting, so deeper pipelines observe the same growth schedule
-    /// as the serial protocol. Grows the chunk by one step if the average
+    /// Feeds back one completed subkernel: `wgs` work-groups and its pure
+    /// `compute` duration. Grows the chunk by one step if the average
     /// compute time per work-group improved by more than the tolerance;
     /// otherwise stops growing.
-    pub fn observe(&mut self, wgs: u64, compute: SimDuration, exposed: SimDuration) {
-        self.exposed_stall += exposed;
+    pub fn observe(&mut self, wgs: u64, compute: SimDuration) {
         if wgs == 0 {
             return;
         }
@@ -131,11 +119,6 @@ impl ChunkController {
                 }
             }
         }
-    }
-
-    /// Total transfer stall the CPU could not hide behind compute.
-    pub fn exposed_stall(&self) -> SimDuration {
-        self.exposed_stall
     }
 
     /// Reacts to a transfer retry on the hd link: the next chunk is halved
@@ -176,47 +159,27 @@ mod tests {
     #[test]
     fn chunk_grows_while_per_wg_time_improves() {
         let mut c = controller();
-        c.observe(20, SimDuration::from_micros(200), SimDuration::ZERO); // 10 µs/wg
+        c.observe(20, SimDuration::from_micros(200)); // 10 µs/wg
         assert_eq!(c.chunk(), 40);
-        c.observe(40, SimDuration::from_micros(320), SimDuration::ZERO); // 8 µs/wg — improving
+        c.observe(40, SimDuration::from_micros(320)); // 8 µs/wg — improving
         assert_eq!(c.chunk(), 60);
-        c.observe(60, SimDuration::from_micros(480), SimDuration::ZERO); // 8 µs/wg — flat
+        c.observe(60, SimDuration::from_micros(480)); // 8 µs/wg — flat
         assert_eq!(c.chunk(), 60, "growth stops when improvement stalls");
         assert!(!c.is_growing());
-        c.observe(60, SimDuration::from_micros(120), SimDuration::ZERO); // improvement after stop
+        c.observe(60, SimDuration::from_micros(120)); // improvement after stop
         assert_eq!(c.chunk(), 60, "growth never restarts");
-    }
-
-    #[test]
-    fn exposed_stall_accumulates_without_touching_growth() {
-        let mut c = controller();
-        c.observe(
-            20,
-            SimDuration::from_micros(200),
-            SimDuration::from_micros(50),
-        );
-        c.observe(
-            40,
-            SimDuration::from_micros(320),
-            SimDuration::from_micros(30),
-        );
-        assert_eq!(c.exposed_stall(), SimDuration::from_micros(80));
-        // Identical compute observations as the test above: the stall
-        // changed nothing about the growth schedule.
-        assert_eq!(c.chunk(), 60);
-        assert!(c.is_growing());
     }
 
     #[test]
     fn transfer_retry_halves_the_chunk_and_stops_growth() {
         let mut c = controller();
-        c.observe(20, SimDuration::from_micros(200), SimDuration::ZERO);
-        c.observe(40, SimDuration::from_micros(320), SimDuration::ZERO);
+        c.observe(20, SimDuration::from_micros(200));
+        c.observe(40, SimDuration::from_micros(320));
         assert_eq!(c.chunk(), 60);
         c.on_transfer_retry();
         assert_eq!(c.chunk(), 30);
         assert!(!c.is_growing(), "a flaky link ends the growth phase");
-        c.observe(30, SimDuration::from_micros(60), SimDuration::ZERO);
+        c.observe(30, SimDuration::from_micros(60));
         assert_eq!(c.chunk(), 30, "growth never restarts after a retry");
         // Repeated retries bottom out at the compute-unit floor.
         for _ in 0..8 {
@@ -229,8 +192,8 @@ mod tests {
     fn zero_step_freezes_chunk() {
         let mut c = ChunkController::new(1000, 2.0, 0.0, 8, 0.02);
         assert!(!c.is_growing());
-        c.observe(20, SimDuration::from_micros(100), SimDuration::ZERO);
-        c.observe(20, SimDuration::from_micros(10), SimDuration::ZERO);
+        c.observe(20, SimDuration::from_micros(100));
+        c.observe(20, SimDuration::from_micros(10));
         assert_eq!(c.chunk(), 20);
     }
 
@@ -247,11 +210,7 @@ mod tests {
         let mut c = ChunkController::new(10, 50.0, 50.0, 8, 0.02);
         for i in 0..20 {
             // Strictly improving observations try to grow forever.
-            c.observe(
-                5,
-                SimDuration::from_micros(1000 / (i + 1)),
-                SimDuration::ZERO,
-            );
+            c.observe(5, SimDuration::from_micros(1000 / (i + 1)));
         }
         assert!(c.chunk() <= 10);
     }

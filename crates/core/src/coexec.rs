@@ -237,10 +237,6 @@ struct Subkernel {
     abandoned: bool,
     /// Whether this is an online-profiling trial (CPU endpoint only).
     trial: bool,
-    /// Transfer stall exposed before this subkernel launched (the wait
-    /// between the previous subkernel finishing and this one starting) —
-    /// fed to the chunk controller separately from compute time.
-    exposed: SimDuration,
 }
 
 /// One in-order send (data + status) and its recovery bookkeeping. A send
@@ -299,9 +295,6 @@ struct EpState {
     busy: bool,
     /// Completed subkernels whose staging copy has not finished yet.
     unshipped: u32,
-    /// When the endpoint last went idle; the gap until the next launch is
-    /// the *exposed* transfer stall reported to the chunk controller.
-    free_at: Option<SimTime>,
     /// This endpoint's upstream link availability. The CPU endpoint's
     /// clock is the machine's hd queue (threaded across kernels by the
     /// runtime); peer clocks are kernel-local.
@@ -466,7 +459,6 @@ impl<'a> Coexec<'a> {
             cum_dirty: vec![DirtyRanges::empty(); out_lens.len()],
             busy: false,
             unshipped: 0,
-            free_at: None,
             hd_free: input.hd_free,
             staging_free: SimTime::ZERO,
             pending_batch: Vec::new(),
@@ -503,7 +495,6 @@ impl<'a> Coexec<'a> {
                 cum_dirty: vec![DirtyRanges::empty(); out_lens.len()],
                 busy: false,
                 unshipped: 0,
-                free_at: None,
                 // Peer link clocks are kernel-local (the link belongs to
                 // this kernel's shipping alone); the CPU's hd clock above
                 // is the one the runtime threads across kernels.
@@ -1037,10 +1028,6 @@ impl<'a> Coexec<'a> {
                 return;
             }
         }
-        let exposed = self.eps[d]
-            .free_at
-            .take()
-            .map_or(SimDuration::ZERO, |f| t.saturating_since(f));
         let idx = self.subkernels.len();
         let trial = d == 0 && self.ep0_subkernels < self.trial_versions;
         let version = if d == 0 {
@@ -1093,7 +1080,6 @@ impl<'a> Coexec<'a> {
             done: false,
             abandoned: false,
             trial,
-            exposed,
         });
         if d == 0 {
             self.ep0_subkernels += 1;
@@ -1216,23 +1202,14 @@ impl<'a> Coexec<'a> {
             self.eps[d].busy = false;
             return Ok(());
         }
-        let (dev, from, to, version, duration, exposed, trial) = {
+        let (dev, from, to, version, duration, trial) = {
             let sk = &mut self.subkernels[idx as usize];
             sk.done = true;
-            (
-                sk.dev,
-                sk.from,
-                sk.to,
-                sk.version,
-                sk.duration,
-                sk.exposed,
-                sk.trial,
-            )
+            (sk.dev, sk.from, sk.to, sk.version, sk.duration, sk.trial)
         };
         {
             let ep = &mut self.eps[d];
             ep.busy = false;
-            ep.free_at = Some(t);
             // The subkernel really computes its work-groups on the
             // endpoint's copy, using the selected kernel version's body.
             ep.launch.version = version;
@@ -1272,7 +1249,7 @@ impl<'a> Coexec<'a> {
                     .unwrap_or(0);
             }
         } else {
-            self.eps[d].chunk.observe(wgs, duration, exposed);
+            self.eps[d].chunk.observe(wgs, duration);
         }
         if self.cpu_finished_at.is_none()
             && self.frontier.is_empty()
@@ -1488,7 +1465,8 @@ impl<'a> Coexec<'a> {
     ) -> ClResult<()> {
         self.sends[seq as usize].resolved = true;
         if self.gpu_exited_at.is_some() || self.gpu_lost {
-            // Late message: discarded via buffer versions (paper §5.3).
+            // Late message: the GPU already finished without it, so it is
+            // discarded (paper §5.3).
             return Ok(());
         }
         self.accept_status(sim, t, seq)
@@ -1826,9 +1804,7 @@ impl<'a> Coexec<'a> {
         };
         // The originals are done with: release their shares too.
         self.orig = Memory::new();
-        let orig_copy = SimDuration::from_nanos(
-            (2.0 * orig_copy_bytes as f64 / self.owner_gpu.peak_mem_bytes_per_ns()) as u64,
-        );
+        let orig_copy = self.owner_gpu.copy_time(orig_copy_bytes);
         // Functional epilogue: the merged GPU content is the authoritative
         // final value (identical to each endpoint's copy wherever both
         // computed), so the CPU address space shares it, as the DH thread's

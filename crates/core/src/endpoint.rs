@@ -51,11 +51,6 @@ pub trait NonOwnerEndpoint {
     /// launch: broadcasting the kernel's buffers to the device plus its
     /// launch overhead. Zero for the CPU, which shares host memory.
     fn begin_delay(&self, launch_bytes: u64) -> SimDuration;
-
-    /// Whether online-profiling trials (paper §6.6) run on this endpoint.
-    /// Alternate kernel versions are CPU-oriented, so only the CPU answers
-    /// true.
-    fn supports_profiling(&self) -> bool;
 }
 
 /// The paper's CPU in the non-owner role.
@@ -101,10 +96,6 @@ impl NonOwnerEndpoint for CpuEndpoint {
 
     fn begin_delay(&self, _launch_bytes: u64) -> SimDuration {
         SimDuration::ZERO
-    }
-
-    fn supports_profiling(&self) -> bool {
-        true
     }
 }
 
@@ -159,10 +150,6 @@ impl NonOwnerEndpoint for PeerGpuEndpoint {
     fn begin_delay(&self, launch_bytes: u64) -> SimDuration {
         self.h2d.transfer_time(launch_bytes) + self.gpu.launch_overhead()
     }
-
-    fn supports_profiling(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +164,6 @@ mod tests {
         assert_eq!(ep.stage_time(4096), m.host.copy_time(4096));
         assert_eq!(ep.ship_time(4096), m.h2d.transfer_time(4096));
         assert_eq!(ep.begin_delay(1 << 20), SimDuration::ZERO);
-        assert!(ep.supports_profiling());
     }
 
     #[test]
@@ -186,7 +172,6 @@ mod tests {
         let ep = PeerGpuEndpoint::new(&m.peers[0]);
         assert_eq!(ep.min_chunk(), m.peers[0].gpu.wave_width());
         assert!(ep.begin_delay(1 << 20) > m.peers[0].gpu.launch_overhead());
-        assert!(!ep.supports_profiling());
         let profile = KernelProfile::new("probe");
         let small = ep.compute_time(&profile, 64, 8, false);
         let large = ep.compute_time(&profile, 64, 64, false);

@@ -5,14 +5,14 @@
 //! runtime manages both devices underneath — duplicating buffers and writes
 //! (§4.1), co-executing every kernel (§4.2), merging results (§4.3),
 //! returning data to the host in a background thread (§4.4, §5.6), and
-//! tracking buffer versions and locations across kernels (§5.3, §6.2).
+//! tracking buffer coherence and locations across kernels (§5.3, §6.2).
 //!
 //! Every kernel executes through one placement routine, `place`: a prepared
 //! launch on a set of healthy lanes. Two or more lanes co-execute; one lane
 //! runs the whole NDRange alone (a degraded run, or a graph node on a peer).
 
 use fluidicl_des::{SimDuration, SimTime};
-use fluidicl_hetsim::MachineConfig;
+use fluidicl_hetsim::{AbortMode, MachineConfig};
 use fluidicl_vcl::exec::Launch;
 use fluidicl_vcl::{
     execute_groups_injected, BufferId, ClDriver, ClError, ClResult, DeviceKind, FaultInjector,
@@ -251,8 +251,7 @@ impl Fluidicl {
             }
             // Snapshot the original on the GPU unless the previous kernel's
             // end-of-kernel copy already did (paper §5.5).
-            let copy_ns = 2.0 * refresh_bytes as f64 / self.machine.gpu.peak_mem_bytes_per_ns();
-            cost += SimDuration::from_nanos(copy_ns as u64);
+            cost += self.machine.gpu.copy_time(refresh_bytes);
         }
         cost
     }
@@ -336,11 +335,16 @@ impl Fluidicl {
     /// lead-in precedes the solo span (a GPU's launch overhead; a peer
     /// first receives a host-to-device broadcast of every launch buffer,
     /// since it starts from a clean slate), and the run is the span itself.
+    /// A peer only ever runs unmodified ranges it claimed, so it has no
+    /// abort-checked binary: its pair sums to the broadcast plus
+    /// [`GpuModel::launch_time`](fluidicl_hetsim::GpuModel::launch_time),
+    /// the price `PeerGpuEndpoint::compute_time` charges. The launch
+    /// overhead stays in the lead-in, as on the primary GPU, because the
+    /// solo span in the trace begins when the kernel starts computing.
     fn solo_cost(&self, p: &PreparedLaunch, lane: Lane) -> (SimDuration, SimDuration) {
         let total = p.launch.ndrange.num_groups();
         let items = p.launch.ndrange.items_per_group();
         let profile = &p.launch.kernel.default_version().profile;
-        let abort = self.config.abort_mode;
         match lane {
             Lane::Cpu => (
                 SimDuration::ZERO,
@@ -350,14 +354,16 @@ impl Fluidicl {
             ),
             Lane::Gpu => (
                 self.machine.gpu.launch_overhead(),
-                self.machine.gpu.range_time(profile, items, total, abort),
+                self.machine
+                    .gpu
+                    .range_time(profile, items, total, self.config.abort_mode),
             ),
             Lane::Peer(dev) => {
                 let peer = &self.machine.peers[dev as usize - 1];
                 let broadcast = peer.h2d.transfer_time(self.broadcast_bytes(&p.buffers));
                 (
                     broadcast + peer.gpu.launch_overhead(),
-                    peer.gpu.range_time(profile, items, total, abort),
+                    peer.gpu.range_time(profile, items, total, AbortMode::None),
                 )
             }
         }
@@ -381,7 +387,7 @@ impl Fluidicl {
         let kid = self.next_kernel_id;
         self.next_kernel_id += 1;
         for id in &p.out_ids {
-            self.buffers.begin_kernel_write(*id, kid);
+            self.buffers.begin_kernel_write(*id);
         }
         let times = (ready, enqueued_at);
         let placed = match (lanes.cpu, lanes.gpu, lanes.peers.as_slice()) {
@@ -503,16 +509,19 @@ impl Fluidicl {
         };
         self.gate_report(&p.kernel, &report)?;
         for id in &p.out_ids {
-            if lane == Lane::Gpu {
-                self.buffers.record_gpu_arrival(*id, kid, complete_at);
-            } else {
-                self.buffers.record_cpu_arrival(*id, kid, complete_at);
-            }
-            if mirror {
+            // The GPU computes into its own copy; everyone else into the
+            // host copy, which the mirror ships on to the GPU's. The run
+            // wrote the outputs without refreshing any diff-merge snapshot.
+            let (cpu_at, gpu_at) = if lane == Lane::Gpu {
+                (None, Some(complete_at))
+            } else if mirror {
                 let bytes = self.buffers.state(*id).bytes();
                 let at = complete_at + self.machine.h2d.transfer_time(bytes);
-                self.buffers.record_gpu_arrival(*id, kid, at);
-            }
+                (Some(complete_at), Some(at))
+            } else {
+                (Some(complete_at), None)
+            };
+            self.buffers.record_kernel(*id, cpu_at, gpu_at, false);
         }
         if on_gpu_timeline {
             self.gpu_free = complete_at;
@@ -600,22 +609,19 @@ impl Fluidicl {
         self.gpu_free = outcome.gpu_busy_until;
         self.hd_free = outcome.hd_free;
         self.dh_free = outcome.dh_free;
-        // On a re-formed run the primary card stays dead and its buffer
-        // tracking stays frozen — the next launch re-broadcasts anyway.
+        // The return path (D2H thread or CPU finish, §4.4) brings the host
+        // copy current, and the end-of-kernel copy refreshed the original
+        // snapshot (paper §5.5) — which outlives the kernel only in a
+        // pooled scratch buffer: without the pool, `release_scratch`
+        // destroys it. On a re-formed run the primary card stays dead and
+        // its buffer tracking stays frozen — the next launch re-broadcasts
+        // anyway.
         let record_gpu = acting.is_none() && !outcome.lost_gpu;
+        let gpu_at = record_gpu.then_some(outcome.gpu_results_at);
+        let snapshot_kept = record_gpu && self.config.buffer_pool;
         for id in &p.out_ids {
             self.buffers
-                .record_cpu_arrival(*id, kid, outcome.cpu_results_at);
-            if record_gpu {
-                self.buffers
-                    .record_gpu_arrival(*id, kid, outcome.gpu_results_at);
-                if self.config.dirty_range_transfers {
-                    // The end-of-kernel copy refreshed the original
-                    // snapshot (paper §5.5) and the return path (D2H thread
-                    // or CPU finish, §4.4) brought the host copy current.
-                    self.buffers.record_kernel_coherent(*id);
-                }
-            }
+                .record_kernel(*id, Some(outcome.cpu_results_at), gpu_at, snapshot_kept);
         }
         self.release_scratch(&p.out_ids);
         if outcome.lost_cpu {
@@ -866,7 +872,7 @@ impl ClDriver for Fluidicl {
         } else if !self.roster.cpu_healthy() {
             false
         } else {
-            self.config.location_tracking && !state.cpu_is_stale()
+            self.config.location_tracking && state.host_current
         };
         if use_cpu_copy {
             // Data-location tracking (paper §6.2): the device-to-host thread
@@ -941,6 +947,153 @@ mod tests {
             FluidiclConfig::default(),
             scale_program(),
         )
+    }
+
+    fn scale_args(src: BufferId, dst: BufferId, f: f32) -> [KernelArg; 3] {
+        [
+            KernelArg::Buffer(src),
+            KernelArg::Buffer(dst),
+            KernelArg::F32(f),
+        ]
+    }
+
+    /// Places `dst = f × src` on `lanes` as an eager enqueue does: ready
+    /// and enqueued at the host clock, which then advances to completion.
+    /// Returns the instant the placement was ready.
+    fn place_scale(
+        rt: &mut Fluidicl,
+        lanes: Lanes,
+        src: BufferId,
+        dst: BufferId,
+        f: f32,
+    ) -> SimTime {
+        let nd = NdRange::d1(rt.buffers.state(src).len, 64).unwrap();
+        let p = rt.prepare("scale", nd, &scale_args(src, dst, f)).unwrap();
+        let now = rt.host_clock;
+        let (_, complete) = rt.place(&p, None, lanes, now, now).unwrap();
+        rt.host_clock = complete;
+        now
+    }
+
+    fn cpu_and_gpu() -> Lanes {
+        Lanes {
+            cpu: true,
+            gpu: true,
+            peers: Vec::new(),
+        }
+    }
+
+    /// When a co-executed launch of `bufs` enqueued now may start on the
+    /// GPU: its GPU copies are current and the card is free.
+    fn gpu_start(rt: &Fluidicl, bufs: &[BufferId]) -> SimTime {
+        rt.buffers
+            .gpu_ready_time(bufs)
+            .max(rt.host_clock)
+            .max(rt.gpu_free)
+    }
+
+    /// When the last report's GPU kernel launched.
+    fn last_gpu_launch(rt: &Fluidicl) -> SimTime {
+        rt.reports()
+            .last()
+            .and_then(|r| r.trace.iter().find(|e| e.kind == TraceKind::GpuLaunch))
+            .expect("a co-executed kernel launches on the GPU")
+            .at
+    }
+
+    #[test]
+    fn a_whole_buffer_chain_pays_each_snapshot_once() {
+        // The first kernel's epilogue copies its output into the diff-merge
+        // original (paper §5.5). With the pool, the second kernel writing
+        // that buffer gets it back and starts without a refresh; without
+        // it, the snapshot was destroyed with its scratch buffer, so the
+        // second kernel creates and fills a new one.
+        for pooled in [true, false] {
+            let mut rt = Fluidicl::new(
+                MachineConfig::paper_testbed(),
+                FluidiclConfig::default()
+                    .with_dirty_range_transfers(false)
+                    .with_buffer_pool(pooled),
+                scale_program(),
+            );
+            let n = 1 << 14;
+            let (a, b) = (rt.create_buffer(n), rt.create_buffer(n));
+            rt.write_buffer(a, &vec![1.0; n]).unwrap();
+            place_scale(&mut rt, cpu_and_gpu(), a, b, 2.0);
+            let start = gpu_start(&rt, &[a, b]);
+            place_scale(&mut rt, cpu_and_gpu(), a, b, 3.0);
+            let gpu = &rt.machine.gpu;
+            let bytes = n as u64 * 4;
+            let setup = if pooled {
+                SimDuration::ZERO
+            } else {
+                gpu.buffer_create_time(bytes) * 2 + gpu.copy_time(bytes)
+            };
+            assert_eq!(
+                last_gpu_launch(&rt),
+                start + setup + gpu.launch_overhead(),
+                "the second kernel's snapshot set-up is wrong (pool {pooled})"
+            );
+            assert_eq!(rt.read_buffer(b).unwrap(), vec![3.0; n]);
+        }
+    }
+
+    #[test]
+    fn a_solo_run_leaves_the_next_co_executed_kernel_a_snapshot_to_refresh() {
+        let mut rt = runtime();
+        let n = 1 << 14;
+        let (a, b) = (rt.create_buffer(n), rt.create_buffer(n));
+        rt.write_buffer(a, &vec![1.0; n]).unwrap();
+        // Co-executed: the epilogue leaves b's snapshot current.
+        place_scale(&mut rt, cpu_and_gpu(), a, b, 2.0);
+        // The GPU alone overwrites b, so the snapshot falls behind it.
+        let gpu_alone = Lanes {
+            cpu: false,
+            gpu: true,
+            peers: Vec::new(),
+        };
+        place_scale(&mut rt, gpu_alone, a, b, 3.0);
+        let start = gpu_start(&rt, &[a, b]);
+        place_scale(&mut rt, cpu_and_gpu(), a, b, 4.0);
+        let gpu = &rt.machine.gpu;
+        assert_eq!(
+            last_gpu_launch(&rt),
+            start + gpu.copy_time(n as u64 * 4) + gpu.launch_overhead(),
+            "the kernel after a solo run must refresh its snapshot"
+        );
+        assert_eq!(rt.read_buffer(b).unwrap(), vec![4.0; n]);
+    }
+
+    #[test]
+    fn a_solo_peer_pays_the_price_of_its_co_executed_ranges() {
+        // A peer runs only ranges it owns, so it never carries abort
+        // checks: alone it pays its broadcast plus one unmodified launch,
+        // whatever abort mode the owner's kernels use.
+        let mut rt = Fluidicl::new(
+            MachineConfig::paper_testbed_3dev(),
+            FluidiclConfig::default().with_abort_mode(AbortMode::InLoop),
+            scale_program(),
+        );
+        let n = 1 << 14;
+        let (a, b) = (rt.create_buffer(n), rt.create_buffer(n));
+        rt.write_buffer(a, &vec![1.0; n]).unwrap();
+        let slot = rt.healthy_peers().remove(0);
+        let peer = slot.peer.clone();
+        let lanes = Lanes {
+            cpu: false,
+            gpu: false,
+            peers: vec![slot],
+        };
+        let ready = place_scale(&mut rt, lanes, a, b, 2.0);
+        let nd = NdRange::d1(n, 64).unwrap();
+        let kernel = rt.program.kernel("scale").unwrap();
+        let profile = &kernel.default_version().profile;
+        let launch = peer
+            .gpu
+            .launch_time(profile, nd.items_per_group(), nd.num_groups());
+        let broadcast = peer.h2d.transfer_time(2 * n as u64 * 4);
+        assert_eq!(rt.host_clock, ready + broadcast + launch);
+        assert_eq!(rt.read_buffer(b).unwrap(), vec![2.0; n]);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub enum Finisher {
 pub struct KernelReport {
     /// Kernel name.
     pub kernel: String,
-    /// Monotonic kernel id (also the buffer version number, paper §5.3).
+    /// Monotonic kernel id, in placement order.
     pub kernel_id: u64,
     /// Host time of the blocking enqueue call.
     pub enqueued_at: SimTime,

@@ -1,11 +1,10 @@
-//! Randomized property tests for the runtime's heuristics and bookkeeping:
-//! the adaptive chunk controller (paper §5.1) and buffer version tracking
-//! (paper §5.3) under arbitrary inputs, plus correctness under arbitrary
-//! machine configurations (model fuzzing). Cases come from the in-tree
-//! deterministic generator so failures replay bit-for-bit.
+//! Randomized property tests for the runtime's heuristics: the adaptive
+//! chunk controller (paper §5.1) under arbitrary inputs, plus correctness
+//! under arbitrary machine configurations (model fuzzing). Cases come from
+//! the in-tree deterministic generator so failures replay bit-for-bit.
 
-use fluidicl::{BufferTable, ChunkController, Fluidicl, FluidiclConfig};
-use fluidicl_des::{SimDuration, SimTime, SplitMix64};
+use fluidicl::{ChunkController, Fluidicl, FluidiclConfig};
+use fluidicl_des::{SimDuration, SplitMix64};
 use fluidicl_hetsim::{CpuModel, GpuModel, HostModel, KernelProfile, LinkModel, MachineConfig};
 use fluidicl_vcl::{
     ArgRole, ArgSpec, ClDriver, DeviceKind, KernelArg, KernelDef, NdRange, Program,
@@ -31,7 +30,7 @@ fn chunk_controller_stays_in_bounds() {
             let next = c.next_chunk(remaining);
             assert!(next >= 1);
             assert!(next <= remaining.max(1));
-            c.observe(wgs, SimDuration::from_nanos(ns), SimDuration::ZERO);
+            c.observe(wgs, SimDuration::from_nanos(ns));
         }
     }
 }
@@ -50,7 +49,7 @@ fn chunk_growth_is_monotone_then_flat() {
             .map(|_| (rng.range_u64(1, 200), rng.range_u64(1, 1_000_000)))
             .collect();
         for (i, (wgs, ns)) in observations.iter().enumerate() {
-            c.observe(*wgs, SimDuration::from_nanos(*ns), SimDuration::ZERO);
+            c.observe(*wgs, SimDuration::from_nanos(*ns));
             sizes.push(c.chunk());
             if !c.is_growing() && stopped_at.is_none() {
                 stopped_at = Some(i);
@@ -65,33 +64,6 @@ fn chunk_growth_is_monotone_then_flat() {
             let tail = &sizes[stop + 1..];
             assert!(tail.windows(2).all(|w| w[0] == w[1]));
         }
-    }
-}
-
-/// Buffer versions: only the expected version satisfies staleness, and
-/// late (superseded) arrivals are discarded.
-#[test]
-fn version_tracking_discards_stale() {
-    let mut rng = SplitMix64::new(0xC053);
-    for _ in 0..128 {
-        let mut versions: Vec<u64> = (0..rng.range_usize(1, 20))
-            .map(|_| rng.range_u64(1, 100))
-            .collect();
-        let mut t = BufferTable::new();
-        let id = t.register(16, SimTime::ZERO);
-        versions.sort_unstable();
-        versions.dedup();
-        let latest = *versions.last().expect("non-empty");
-        for v in &versions {
-            t.begin_kernel_write(id, *v);
-        }
-        // Arrivals of every superseded version leave the buffer stale.
-        for v in &versions[..versions.len() - 1] {
-            t.record_cpu_arrival(id, *v, SimTime::from_nanos(*v));
-            assert!(t.state(id).cpu_is_stale());
-        }
-        t.record_cpu_arrival(id, latest, SimTime::from_nanos(latest));
-        assert!(!t.state(id).cpu_is_stale());
     }
 }
 

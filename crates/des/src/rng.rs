@@ -46,7 +46,7 @@ impl SplitMix64 {
 
     /// Uniform `f32` in `[0, 1)` (24 random bits).
     #[inline]
-    pub fn next_f32(&mut self) -> f32 {
+    fn next_f32(&mut self) -> f32 {
         // The 24-bit value converts exactly through `i32`, which is one
         // instruction on x86-64; a `u64` → `f32` cast is a branchy sequence.
         unit_f32(self.next_u64() >> 40)

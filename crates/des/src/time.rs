@@ -107,16 +107,6 @@ impl SimDuration {
         SimDuration(secs * 1_000_000_000)
     }
 
-    /// Creates a duration from fractional seconds, rounding to the nearest
-    /// nanosecond and saturating at zero for negative inputs.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        SimDuration(if secs <= 0.0 {
-            0
-        } else {
-            (secs * 1e9).round() as u64
-        })
-    }
-
     /// The duration in nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -274,16 +264,6 @@ mod tests {
         assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1_000));
         assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1_000));
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1_000));
-    }
-
-    #[test]
-    fn from_secs_f64_rounds_and_saturates() {
-        assert_eq!(SimDuration::from_secs_f64(1e-9), SimDuration::from_nanos(1));
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(
-            SimDuration::from_secs_f64(0.5),
-            SimDuration::from_millis(500)
-        );
     }
 
     #[test]

@@ -116,20 +116,6 @@ impl CpuModel {
         self.launch_overhead + body
     }
 
-    /// Average time per work-group for a given subkernel size — the quantity
-    /// the adaptive chunk heuristic observes (paper §5.1). Monotonically
-    /// improves with `wg_count` until launch overhead is amortised.
-    pub fn per_wg_time(
-        &self,
-        p: &KernelProfile,
-        items: u64,
-        wg_count: u64,
-        split: bool,
-    ) -> SimDuration {
-        self.subkernel_time(p, items, wg_count, split)
-            .div_count(wg_count.max(1))
-    }
-
     /// Returns a copy with a different thread count.
     #[must_use]
     pub fn with_threads(mut self, threads: u32) -> Self {
@@ -178,16 +164,6 @@ mod tests {
         let two_rounds = c.subkernel_time(&p, 256, 9, false);
         let wg = c.wg_time(&p, 256);
         assert_eq!(two_rounds - one_round, wg);
-    }
-
-    #[test]
-    fn per_wg_time_improves_with_chunk_size() {
-        // The adaptive heuristic relies on launch-overhead amortisation.
-        let c = cpu();
-        let p = profile();
-        let small = c.per_wg_time(&p, 256, 8, false);
-        let large = c.per_wg_time(&p, 256, 64, false);
-        assert!(large < small);
     }
 
     #[test]

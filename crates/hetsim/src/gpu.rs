@@ -222,6 +222,12 @@ impl GpuModel {
         self.launch_overhead + SimDuration::from_nanos((traffic / self.mem_bytes_per_ns) as u64)
     }
 
+    /// Time for an on-device copy of `bytes` (the diff-merge snapshot of
+    /// paper §5.5): each byte is read once and written once.
+    pub fn copy_time(&self, bytes: u64) -> SimDuration {
+        SimDuration::from_nanos((2.0 * bytes as f64 / self.mem_bytes_per_ns) as u64)
+    }
+
     /// Time to allocate a device buffer of `bytes` (paper §6.1 motivates the
     /// buffer pool by this cost). Work already on the GPU's own timeline
     /// (scratch buffers at launch, a single in-order device queue) adds it
@@ -249,11 +255,6 @@ impl GpuModel {
     /// Device-wide arithmetic throughput in flops/ns (for reporting).
     pub fn peak_flops_per_ns(&self) -> f64 {
         self.flops_per_ns
-    }
-
-    /// Device-wide memory bandwidth in bytes/ns (for reporting).
-    pub fn peak_mem_bytes_per_ns(&self) -> f64 {
-        self.mem_bytes_per_ns
     }
 
     /// Returns a copy with a different wave width (for sensitivity tests).

@@ -63,7 +63,7 @@ impl MachineConfig {
 
     /// Adds a non-owner peer GPU with its own link pair.
     #[must_use]
-    pub fn with_peer(mut self, peer: PeerGpu) -> Self {
+    fn with_peer(mut self, peer: PeerGpu) -> Self {
         self.peers.push(peer);
         self
     }
@@ -71,7 +71,7 @@ impl MachineConfig {
     /// A mid-range peer card: laptop-class wave geometry but on a decent
     /// link, the kind of second GPU a workstation actually has next to the
     /// primary card.
-    pub fn midrange_peer() -> PeerGpu {
+    fn midrange_peer() -> PeerGpu {
         PeerGpu {
             gpu: GpuModel::tesla_c2070_like()
                 .with_wave(8, 4)
@@ -85,21 +85,6 @@ impl MachineConfig {
     /// three-device configuration the N-way ablation runs on.
     pub fn paper_testbed_3dev() -> Self {
         Self::paper_testbed().with_peer(Self::midrange_peer())
-    }
-
-    /// The paper's testbed extended with `n - 2` identical mid-range peer
-    /// GPUs, for an `n`-device machine (CPU + owner GPU + peers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`: the protocol always has the CPU and the owner.
-    pub fn paper_testbed_ndev(n: usize) -> Self {
-        assert!(n >= 2, "an n-device machine needs at least CPU + owner GPU");
-        let mut m = Self::paper_testbed();
-        for _ in 2..n {
-            m = m.with_peer(Self::midrange_peer());
-        }
-        m
     }
 
     /// A machine with a much weaker GPU (a laptop-class part: fewer SMs,
@@ -157,28 +142,11 @@ mod tests {
     }
 
     #[test]
-    fn ndev_constructor_counts_peers() {
-        assert!(MachineConfig::paper_testbed_ndev(2).peers.is_empty());
-        assert_eq!(MachineConfig::paper_testbed_ndev(3).peers.len(), 1);
-        assert_eq!(MachineConfig::paper_testbed_ndev(5).peers.len(), 3);
-        assert_eq!(
-            MachineConfig::paper_testbed_3dev(),
-            MachineConfig::paper_testbed_ndev(3)
-        );
-    }
-
-    #[test]
     fn peer_is_weaker_than_owner() {
         let m = MachineConfig::paper_testbed_3dev();
         let peer = &m.peers[0];
         assert!(peer.gpu.peak_flops_per_ns() < m.gpu.peak_flops_per_ns());
         assert!(peer.h2d.bandwidth() < m.h2d.bandwidth());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least CPU + owner GPU")]
-    fn ndev_rejects_fewer_than_two_devices() {
-        let _ = MachineConfig::paper_testbed_ndev(1);
     }
 
     #[test]

@@ -41,7 +41,7 @@ thread_local! {
 /// `RAYON_NUM_THREADS`, then [`std::thread::available_parallelism`].
 ///
 /// Invalid or zero values in the environment are ignored.
-pub fn default_jobs() -> usize {
+fn default_jobs() -> usize {
     for var in ["FLUIDICL_JOBS", "RAYON_NUM_THREADS"] {
         if let Ok(v) = std::env::var(var) {
             if let Ok(n) = v.trim().parse::<usize>() {
@@ -62,7 +62,9 @@ pub fn configure_jobs(jobs: usize) {
     JOBS.store(jobs.max(1), Ordering::SeqCst);
 }
 
-/// Current global worker count, resolving [`default_jobs`] on first use.
+/// Current global worker count, resolved on first use from
+/// `FLUIDICL_JOBS`, then `RAYON_NUM_THREADS`, then
+/// [`std::thread::available_parallelism`].
 pub fn jobs() -> usize {
     let j = JOBS.load(Ordering::SeqCst);
     if j != 0 {
@@ -77,12 +79,23 @@ pub fn jobs() -> usize {
 /// Whether the calling thread is a pool worker. Nested [`par_map`] calls
 /// detect this and run sequentially instead of spawning a second layer of
 /// threads.
-pub fn in_pool() -> bool {
+fn in_pool() -> bool {
     IN_POOL.with(Cell::get)
 }
 
-/// Maps `f` over `items` using the global worker count ([`jobs`]); see
-/// [`par_map_jobs`].
+/// Maps `f` over `items` on up to [`jobs`] scoped threads, returning
+/// results **in input order**.
+///
+/// Workers claim items through an atomic cursor and write each result into
+/// the slot matching its input index, so the output is byte-identical to
+/// `items.into_iter().map(f).collect()` regardless of scheduling. With one
+/// worker, a single item, or when called from inside a pool worker, the
+/// map runs sequentially on the calling thread with no pool overhead.
+///
+/// # Panics
+///
+/// Panics if any worker's `f` panicked (scoped threads re-raise on join,
+/// with the original panic printed by the worker thread).
 pub fn par_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -92,21 +105,8 @@ where
     par_map_jobs(items, jobs(), f)
 }
 
-/// Maps `f` over `items` on up to `jobs` scoped threads, returning results
-/// **in input order**.
-///
-/// Workers claim items through an atomic cursor and write each result into
-/// the slot matching its input index, so the output is byte-identical to
-/// `items.into_iter().map(f).collect()` regardless of scheduling. With
-/// `jobs <= 1`, a single item, or when called from inside a pool worker
-/// (see [`in_pool`]), the map runs sequentially on the calling thread with
-/// no pool overhead.
-///
-/// # Panics
-///
-/// Panics if any worker's `f` panicked (scoped threads re-raise on join,
-/// with the original panic printed by the worker thread).
-pub fn par_map_jobs<T, R, F>(items: Vec<T>, jobs: usize, f: F) -> Vec<R>
+/// [`par_map`] on up to `jobs` threads.
+fn par_map_jobs<T, R, F>(items: Vec<T>, jobs: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,

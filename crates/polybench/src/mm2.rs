@@ -3,7 +3,7 @@
 //! Not part of the paper's six-benchmark suite; included because the second
 //! kernel consumes the first one's *entire* output, which stresses the
 //! cross-kernel coherence machinery hardest: the CPU scheduler must wait
-//! for the device-to-host thread of kernel 1 (buffer versions, paper §5.3)
+//! for the device-to-host thread of kernel 1 (buffer ready times, paper §5.3)
 //! while the GPU proceeds immediately from its merged copy.
 
 use fluidicl_hetsim::KernelProfile;

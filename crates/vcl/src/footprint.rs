@@ -20,7 +20,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::dirty::DirtyRanges;
-use crate::kernel::{ArgRole, KernelDef, Scalars};
+use crate::kernel::{KernelDef, Scalars};
 use crate::ndrange::NdRange;
 
 /// Range function of a [`AccessPattern::Custom`] declaration: given the
@@ -270,42 +270,12 @@ impl KernelDef {
             })
             .collect()
     }
-
-    /// Symbolic *read* footprints of flattened work-groups `[from, to)`:
-    /// one [`DirtyRanges`] per `In` argument, in signature order, against
-    /// buffer lengths `in_lens`. `InOut` reads are covered by
-    /// [`KernelDef::write_footprints`] (each item reads what it writes).
-    ///
-    /// Returns `None` if any `In` argument lacks a declaration.
-    pub fn read_footprints(
-        &self,
-        nd: &NdRange,
-        scalars: &Scalars,
-        in_lens: &[usize],
-        from: u64,
-        to: u64,
-    ) -> Option<Vec<DirtyRanges>> {
-        let ins: Vec<&crate::kernel::ArgSpec> = self
-            .args()
-            .iter()
-            .filter(|a| a.role == ArgRole::In)
-            .collect();
-        debug_assert_eq!(ins.len(), in_lens.len(), "one length per input arg");
-        ins.iter()
-            .zip(in_lens)
-            .map(|(a, &len)| {
-                a.access
-                    .as_ref()
-                    .map(|p| p.footprint(nd, scalars, len, from, to))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{ArgSpec, KernelArg, KernelDef};
+    use crate::kernel::{ArgRole, ArgSpec, KernelArg, KernelDef};
     use crate::ndrange::{for_each_item_in_group, WorkItem};
     use fluidicl_des::SplitMix64;
     use fluidicl_hetsim::KernelProfile;
@@ -550,8 +520,6 @@ mod tests {
         let s = scalars_n(8);
         let w = k.write_footprints(&nd, &s, &[8], 0, 2).unwrap();
         assert_eq!(w[0].as_slice(), &[(0, 4)]);
-        let r = k.read_footprints(&nd, &s, &[8], 0, 4).unwrap();
-        assert!(r[0].is_full(8));
     }
 
     #[test]
@@ -569,9 +537,6 @@ mod tests {
         let nd = NdRange::d1(8, 2).unwrap();
         assert!(k
             .write_footprints(&nd, &Scalars::default(), &[8], 0, 2)
-            .is_none());
-        assert!(k
-            .read_footprints(&nd, &Scalars::default(), &[8], 0, 2)
             .is_none());
     }
 }

@@ -122,13 +122,6 @@ impl NdRange {
         self.num_groups() * self.items_per_group()
     }
 
-    /// Global indices along dimension `dim` of the work-items in the
-    /// work-group at coordinates `group` — the loop bounds of a group body.
-    pub fn group_items(&self, group: [usize; 3], dim: usize) -> Range<usize> {
-        let l = self.local[dim];
-        group[dim] * l..(group[dim] + 1) * l
-    }
-
     /// Global indices of the work-items in the flattened work-groups
     /// `groups` of a 1-D range — the loop bounds of a 1-D group body.
     ///
@@ -392,23 +385,6 @@ mod tests {
         assert_eq!(seen.len(), 4);
         assert!(seen.contains(&[2, 2, 0]));
         assert!(seen.contains(&[3, 3, 0]));
-    }
-
-    #[test]
-    fn group_items_match_the_enumerated_items() {
-        let nd = NdRange::d2(12, 8, 3, 4).unwrap();
-        let group = [2, 1, 0];
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for_each_item_in_group(&nd, group, |it| {
-            xs.push(it.global[0]);
-            ys.push(it.global[1]);
-        });
-        assert!(xs.iter().all(|x| nd.group_items(group, 0).contains(x)));
-        assert!(ys.iter().all(|y| nd.group_items(group, 1).contains(y)));
-        assert_eq!(nd.group_items(group, 0), 6..9);
-        assert_eq!(nd.group_items(group, 1), 4..8);
-        assert_eq!(nd.group_items(group, 2), 0..1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! BICG launches two kernels with opposite device preferences over shared
 //! data. A fixed device choice loses on one of them; FluidiCL executes each
 //! kernel cooperatively and lets the work flow to whichever device is
-//! faster *per kernel*, while buffer-version tracking keeps the shared
+//! faster *per kernel*, while buffer coherence tracking keeps the shared
 //! matrix coherent between launches.
 
 use fluidicl_suite::polybench::{bicg, find};

@@ -19,7 +19,7 @@ use fluidicl_polybench::{all_benchmarks, syrk};
 use fluidicl_vcl::{ClError, ClResult, FaultKind, FaultPlan};
 
 mod common;
-use common::assert_no_stray_holders;
+use common::{assert_no_stray_holders, faulty, has_event, SCAN};
 
 fn test_size(name: &str) -> usize {
     match name {
@@ -31,46 +31,22 @@ fn test_size(name: &str) -> usize {
     }
 }
 
-const SCAN: u64 = 64;
-
-fn faulty(kind: FaultKind, plan_seed: u64) -> FluidiclConfig {
-    FluidiclConfig::default()
-        .with_validate_protocol(true)
-        .with_faults(Some(FaultPlan::new(kind, plan_seed)))
-}
-
 fn run_with(name: &str, config: FluidiclConfig) -> (Fluidicl, ClResult<bool>) {
-    let b = all_benchmarks()
-        .into_iter()
-        .find(|b| b.name == name)
-        .expect("benchmark");
-    let n = test_size(name);
-    let mut rt = Fluidicl::new(MachineConfig::paper_testbed(), config, (b.program)(n));
-    let res = b.run_and_validate_sized(&mut rt, n, SWEEP_SEED);
-    (rt, res)
+    common::run(
+        &MachineConfig::paper_testbed(),
+        name,
+        test_size(name),
+        config,
+    )
 }
 
-fn has_event(rt: &Fluidicl, pred: impl Fn(&TraceKind) -> bool) -> bool {
-    rt.reports()
-        .iter()
-        .any(|r| r.trace.iter().any(|e| pred(&e.kind)))
-}
-
-/// Scans plan seeds until a run matching `pred` appears — fault triggers
-/// are seed-positioned, so a given scenario only materialises on some
-/// seeds. Deterministic: the same seed always yields the same run.
 fn scan(
     name: &str,
     kind: FaultKind,
     pred: impl Fn(&Fluidicl, &ClResult<bool>) -> bool,
 ) -> (Fluidicl, ClResult<bool>) {
-    for ps in 0..SCAN {
-        let (rt, res) = run_with(name, faulty(kind, ps));
-        if pred(&rt, &res) {
-            return (rt, res);
-        }
-    }
-    panic!("no plan seed in 0..{SCAN} produced the scenario for {name}/{kind:?}");
+    let machine = MachineConfig::paper_testbed();
+    common::scan(&machine, name, test_size(name), |ps| faulty(kind, ps), pred)
 }
 
 #[test]

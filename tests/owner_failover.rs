@@ -11,10 +11,11 @@
 //! hand-picked scenario per guarantee.
 
 use fluidicl::{render_timeline, Fluidicl, FluidiclConfig, TraceKind};
-use fluidicl_check::SWEEP_SEED;
 use fluidicl_hetsim::MachineConfig;
-use fluidicl_polybench::all_benchmarks;
-use fluidicl_vcl::{ClError, ClResult, FaultKind, FaultPlan};
+use fluidicl_vcl::{ClError, ClResult, FaultKind};
+
+mod common;
+use common::{faulty, has_event, SCAN};
 
 fn test_size(name: &str) -> usize {
     match name {
@@ -27,49 +28,25 @@ fn test_size(name: &str) -> usize {
     }
 }
 
-const SCAN: u64 = 64;
-
-fn faulty(kind: FaultKind, plan_seed: u64) -> FluidiclConfig {
-    FluidiclConfig::default()
-        .with_validate_protocol(true)
-        .with_faults(Some(FaultPlan::new(kind, plan_seed)))
-}
-
 /// Runs `name` on the paper testbed extended with one peer GPU (a CPU, the
 /// primary owner card and one midrange peer — the smallest machine where
 /// owner loss leaves two survivors).
 fn run3(name: &str, config: FluidiclConfig) -> (Fluidicl, ClResult<bool>) {
-    let b = all_benchmarks()
-        .into_iter()
-        .find(|b| b.name == name)
-        .expect("benchmark");
-    let n = test_size(name);
-    let mut rt = Fluidicl::new(MachineConfig::paper_testbed_3dev(), config, (b.program)(n));
-    let res = b.run_and_validate_sized(&mut rt, n, SWEEP_SEED);
-    (rt, res)
+    common::run(
+        &MachineConfig::paper_testbed_3dev(),
+        name,
+        test_size(name),
+        config,
+    )
 }
 
-fn has_event(rt: &Fluidicl, pred: impl Fn(&TraceKind) -> bool) -> bool {
-    rt.reports()
-        .iter()
-        .any(|r| r.trace.iter().any(|e| pred(&e.kind)))
-}
-
-/// Scans plan seeds until a run matching `pred` appears — fault triggers
-/// are seed-positioned, so a given scenario only materialises on some
-/// seeds. Deterministic: the same seed always yields the same run.
 fn scan3(
     name: &str,
     config: impl Fn(u64) -> FluidiclConfig,
     pred: impl Fn(&Fluidicl, &ClResult<bool>) -> bool,
 ) -> (Fluidicl, ClResult<bool>) {
-    for ps in 0..SCAN {
-        let (rt, res) = run3(name, config(ps));
-        if pred(&rt, &res) {
-            return (rt, res);
-        }
-    }
-    panic!("no plan seed in 0..{SCAN} produced the scenario for {name}");
+    let machine = MachineConfig::paper_testbed_3dev();
+    common::scan(&machine, name, test_size(name), config, pred)
 }
 
 fn promoted(rt: &Fluidicl) -> bool {

@@ -24,13 +24,15 @@
 //! per-item body (`body_calls`), a merge walking whole buffers instead of
 //! dirty ranges (`merged_bytes`) or extra simulated events (`des_events`)
 //! fails here even when no virtual time moves. A mismatch names the column
-//! that moved. The same runs also check three invariants in every cell:
+//! that moved. The same runs also check four invariants in every cell:
 //! the default protocol copies no more host bytes than the whole-buffer one
 //! for any machine and benchmark (shipping dirty ranges must never make the
-//! functional mirror copy more); no run calls a body more often than it
-//! executes work-groups (every kernel has a range body); and a kernel the
-//! CPU finished credits no peer work-group and copies nothing back to the
-//! host (the CPU's copy is final).
+//! functional mirror copy more); graph dispatch takes at most
+//! [`GRAPH_SLACK`] times the eager `default` makespan of the same machine
+//! and benchmark; no run calls a body more often than it executes
+//! work-groups (every kernel has a range body); and a kernel the CPU
+//! finished credits no peer work-group and copies nothing back to the host
+//! (the CPU's copy is final).
 //!
 //! Every cell runs with protocol validation on, and every finding of the
 //! three trace checkers fails it, warnings included: the protocol linter
@@ -54,6 +56,11 @@ const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/timing_fingerprint.txt"
 );
+
+/// How much longer than eager dispatch (`default`) a `graph-sched` run of
+/// the same machine and benchmark may take: the graph may reorder and
+/// re-place kernels, but not lose to placing every kernel on every device.
+const GRAPH_SLACK: f64 = 1.05;
 
 /// Column names of a fingerprint line, in order.
 const COLUMNS: [&str; 8] = [
@@ -91,8 +98,9 @@ fn suite() -> Vec<BenchmarkSpec> {
 /// reference or the run failed, a lint, race or schedule finding,
 /// work-groups executed that the reports do not credit, more body calls
 /// than executed work-groups, a CPU-finished kernel with peer work or a
-/// D2H copy, or the default protocol copied more host bytes than
-/// whole-buffer.
+/// D2H copy, the default protocol copied more host bytes than
+/// whole-buffer, or graph dispatch lost to eager dispatch by more than
+/// [`GRAPH_SLACK`].
 fn fingerprint() -> (String, Vec<String>) {
     let machines = [
         ("paper-testbed", MachineConfig::paper_testbed()),
@@ -128,9 +136,10 @@ fn fingerprint() -> (String, Vec<String>) {
     let mut out = String::new();
     let mut faults = Vec::new();
     for (mname, machine) in &machines {
-        // `copied_bytes` of the `default` run per benchmark, checked
-        // against the `whole-buffer` run (which comes later in `configs`).
-        let mut default_copied = Vec::new();
+        // `copied_bytes` and makespan of the `default` run per benchmark,
+        // checked against the `whole-buffer` and `graph-sched` runs (which
+        // come later in `configs`).
+        let mut defaults = Vec::new();
         for (cname, config) in &configs {
             for (bi, b) in suite().into_iter().enumerate() {
                 let cell = format!("{mname}/{cname}/{}", b.name);
@@ -180,19 +189,27 @@ fn fingerprint() -> (String, Vec<String>) {
                         ));
                     }
                 }
+                let makespan = fluidicl_vcl::ClDriver::elapsed(&rt).as_nanos();
                 match *cname {
-                    "default" => default_copied.push(work.copied_bytes),
-                    "whole-buffer" if default_copied[bi] > work.copied_bytes => {
+                    "default" => defaults.push((work.copied_bytes, makespan)),
+                    "whole-buffer" if defaults[bi].0 > work.copied_bytes => {
                         faults.push(format!(
                             "  {mname}/{}: default copied {} bytes, whole-buffer {}",
-                            b.name, default_copied[bi], work.copied_bytes
+                            b.name, defaults[bi].0, work.copied_bytes
+                        ));
+                    }
+                    "graph-sched" if makespan as f64 > GRAPH_SLACK * defaults[bi].1 as f64 => {
+                        faults.push(format!(
+                            "  {cell}: {makespan} ns is {:.4}x the default cell's {} ns \
+                             (bound {GRAPH_SLACK})",
+                            makespan as f64 / defaults[bi].1 as f64,
+                            defaults[bi].1
                         ));
                     }
                     _ => {}
                 }
                 out.push_str(&format!(
-                    "{cell} {} {:016x} {} {} {} {} {}\n",
-                    fluidicl_vcl::ClDriver::elapsed(&rt).as_nanos(),
+                    "{cell} {makespan} {:016x} {} {} {} {} {}\n",
                     timing_hash(&rt),
                     work.groups_executed,
                     work.body_calls,
