@@ -63,9 +63,9 @@ fn three_device_coexecution_matches_references() {
 /// materialises once kernels are large enough to amortise it (the paper's
 /// scaling argument, §7). The memory-bound kernels (ATAX, BICG, GESUMMV,
 /// MVT) tie: the CPU computes them alone and finishes next to the idle
-/// peer, exactly as on two devices. The regression bound is the tightest
-/// all nine meet: CORR's kernels take 0.21% longer with the peer, whose
-/// claims on `corr_corr` gate the owner's watermark.
+/// peer, exactly as on two devices. The other five win (CORR 465,423 →
+/// 453,843 ns), and no benchmark may take longer on three devices than on
+/// two.
 #[test]
 fn three_devices_beat_two_on_virtual_time() {
     let mut faster = Vec::new();
@@ -85,7 +85,7 @@ fn three_devices_beat_two_on_virtual_time() {
         let three = run(MachineConfig::paper_testbed_3dev());
         if three < two {
             faster.push((b.name, two, three));
-        } else if three.as_nanos() as f64 > two.as_nanos() as f64 * 1.003 {
+        } else if three > two {
             slower.push((b.name, two, three));
         }
     }
@@ -96,7 +96,7 @@ fn three_devices_beat_two_on_virtual_time() {
     );
     assert!(
         slower.is_empty(),
-        "3 devices regressed >0.3% on: {slower:?}"
+        "3 devices took longer than 2 on: {slower:?}"
     );
 }
 

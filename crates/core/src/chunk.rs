@@ -7,8 +7,15 @@
 //! training-free heuristic that lands near the launch-overhead knee on any
 //! machine.
 //!
-//! Two refinements on top of the paper's controller:
+//! Refinements on top of the paper's controller:
 //!
+//! * the chunk grows in whole waves: each grown chunk rounds up to a
+//!   multiple of the compute-unit floor, so no subkernel leaves a second
+//!   wave mostly idle (which would read as a worse time per work-group and
+//!   stop growth after one step);
+//! * [`ChunkController::next_claim`] absorbs a tail of at most one floor
+//!   into the current claim when one launch is predicted to beat two: on a
+//!   small kernel the CPU then pays its launch overhead once;
 //! * the growth decision is fed **compute** time only, never the transfer
 //!   stall between finishing a subkernel and launching the next, so the
 //!   serial and pipelined protocols grow the chunk on the same schedule;
@@ -78,6 +85,27 @@ impl ChunkController {
         self.chunk.min(remaining).max(1)
     }
 
+    /// The work-groups the next subkernel should claim out of `remaining`,
+    /// given `launch_cost(n)`, the endpoint's predicted time for one launch
+    /// of `n` work-groups: the next chunk, or the whole of `remaining` when
+    /// the tail past the chunk is at most one minimum chunk and one launch
+    /// of everything is predicted to take no longer than the chunk's launch
+    /// followed by the tail's. A short tail then costs no extra launch
+    /// overhead, while a tail the device splits more cheaply than it runs as
+    /// a second, part-filled wave stays separate.
+    pub fn next_claim(&self, remaining: u64, launch_cost: impl Fn(u64) -> SimDuration) -> u64 {
+        let chunk = self.next_chunk(remaining);
+        let tail = remaining.saturating_sub(chunk);
+        if tail > 0
+            && tail <= self.min_chunk
+            && launch_cost(remaining) <= launch_cost(chunk) + launch_cost(tail)
+        {
+            remaining
+        } else {
+            chunk
+        }
+    }
+
     /// Current unclamped chunk size.
     pub fn chunk(&self) -> u64 {
         self.chunk
@@ -131,8 +159,12 @@ impl ChunkController {
         self.growing = false;
     }
 
+    /// Grows the chunk by one step, rounded up to whole waves of
+    /// `min_chunk`: a chunk that spills a few work-groups into a second,
+    /// mostly idle wave takes longer per work-group and would end growth.
     fn grow(&mut self) {
         self.chunk = (self.chunk + self.step)
+            .next_multiple_of(self.min_chunk)
             .min(self.total_wgs)
             .max(self.min_chunk);
     }
@@ -162,12 +194,12 @@ mod tests {
         c.observe(20, SimDuration::from_micros(200)); // 10 µs/wg
         assert_eq!(c.chunk(), 40);
         c.observe(40, SimDuration::from_micros(320)); // 8 µs/wg — improving
-        assert_eq!(c.chunk(), 60);
-        c.observe(60, SimDuration::from_micros(480)); // 8 µs/wg — flat
-        assert_eq!(c.chunk(), 60, "growth stops when improvement stalls");
+        assert_eq!(c.chunk(), 64, "40 + 20 rounds up to eight waves of 8");
+        c.observe(64, SimDuration::from_micros(512)); // 8 µs/wg — flat
+        assert_eq!(c.chunk(), 64, "growth stops when improvement stalls");
         assert!(!c.is_growing());
-        c.observe(60, SimDuration::from_micros(120)); // improvement after stop
-        assert_eq!(c.chunk(), 60, "growth never restarts");
+        c.observe(64, SimDuration::from_micros(128)); // improvement after stop
+        assert_eq!(c.chunk(), 64, "growth never restarts");
     }
 
     #[test]
@@ -175,17 +207,73 @@ mod tests {
         let mut c = controller();
         c.observe(20, SimDuration::from_micros(200));
         c.observe(40, SimDuration::from_micros(320));
-        assert_eq!(c.chunk(), 60);
+        assert_eq!(c.chunk(), 64);
         c.on_transfer_retry();
-        assert_eq!(c.chunk(), 30);
+        assert_eq!(c.chunk(), 32);
         assert!(!c.is_growing(), "a flaky link ends the growth phase");
-        c.observe(30, SimDuration::from_micros(60));
-        assert_eq!(c.chunk(), 30, "growth never restarts after a retry");
+        c.observe(32, SimDuration::from_micros(64));
+        assert_eq!(c.chunk(), 32, "growth never restarts after a retry");
         // Repeated retries bottom out at the compute-unit floor.
         for _ in 0..8 {
             c.on_transfer_retry();
         }
         assert_eq!(c.chunk(), 8);
+    }
+
+    #[test]
+    fn growth_comes_in_whole_waves() {
+        // 8 threads and a 2-group step: 8 + 2 would leave a second wave a
+        // quarter full, so each grown chunk rounds up to a multiple of 8.
+        let mut c = ChunkController::new(100, 2.0, 2.0, 8, 0.02);
+        assert_eq!(c.chunk(), 8);
+        c.observe(8, SimDuration::from_micros(80));
+        assert_eq!(c.chunk(), 16);
+        c.observe(16, SimDuration::from_micros(120));
+        assert_eq!(c.chunk(), 24);
+        // Rounding never carries the chunk past the kernel.
+        let mut small = ChunkController::new(20, 40.0, 50.0, 8, 0.02);
+        small.observe(8, SimDuration::from_micros(80));
+        assert_eq!(small.chunk(), 20);
+    }
+
+    /// One launch on 8 threads, with work-group splitting: a 25 µs launch
+    /// overhead, then `wg` per wave, or a fair share of one group's work
+    /// per thread (plus 10%) for fewer groups than threads.
+    fn cpu_launch(wg: SimDuration) -> impl Fn(u64) -> SimDuration {
+        move |n| {
+            let body = if n < 8 {
+                (wg * n).div_count(8).mul_f64(1.1)
+            } else {
+                wg * n.div_ceil(8)
+            };
+            SimDuration::from_micros(25) + body
+        }
+    }
+
+    #[test]
+    fn a_short_tail_is_absorbed_when_one_launch_wins() {
+        // 16 cheap groups on 8 threads: one launch of two waves saves the
+        // second launch's overhead.
+        let c = ChunkController::new(16, 2.0, 2.0, 8, 0.02);
+        let launch = cpu_launch(SimDuration::from_micros(4));
+        assert_eq!(c.next_chunk(16), 8);
+        assert_eq!(c.next_claim(16, &launch), 16);
+        // A tail longer than one minimum chunk is never absorbed, and
+        // nothing is left to absorb when the chunk covers everything.
+        assert_eq!(c.next_claim(17, &launch), 8);
+        assert_eq!(c.next_claim(8, &launch), 8);
+        assert_eq!(c.next_claim(5, &launch), 5);
+    }
+
+    #[test]
+    fn a_split_tail_stays_separate_when_two_launches_win() {
+        // 8 + 2 costly groups: absorbing the 2 would run them as a second
+        // wave of 2 on 8 threads, while their own launch splits them over
+        // every thread.
+        let c = ChunkController::new(10, 2.0, 2.0, 8, 0.02);
+        let launch = cpu_launch(SimDuration::from_micros(400));
+        assert!(launch(10) > launch(8) + launch(2));
+        assert_eq!(c.next_claim(10, &launch), 8);
     }
 
     #[test]

@@ -1042,9 +1042,17 @@ impl<'a> Coexec<'a> {
         let want = if trial {
             // Profiling trials run a small fixed allocation (paper §6.6).
             self.eps[d].model.min_chunk()
+        } else if d == 0 {
+            // The CPU absorbs a short tail when one launch is predicted to
+            // win: its launch overhead is what a second subkernel costs.
+            let ep = &self.eps[0];
+            let profile = self.cpu_profile(version);
+            ep.chunk.next_claim(self.frontier.available(), |wgs| {
+                ep.model
+                    .compute_time(profile, self.items, wgs, self.input.config.wg_split)
+            })
         } else {
-            let avail = self.frontier.available();
-            self.eps[d].chunk.next_chunk(avail)
+            self.eps[d].chunk.next_chunk(self.frontier.available())
         };
         let Some((from, to)) = self.frontier.claim(want) else {
             return;

@@ -201,7 +201,8 @@ pub struct GraphNodeSummary {
     /// Runtime kernel id assigned at flush.
     pub kernel_id: u64,
     /// Execution lane: 0 is the owner co-execution path (CPU + owner
-    /// GPU), lane `p >= 1` is peer GPU `p` running the node alone.
+    /// GPU, joined by every idle peer the plan has no further node for),
+    /// lane `p >= 1` is peer GPU `p` running the node alone.
     pub lane: usize,
     /// When the node's device work started.
     pub start_at: SimTime,

@@ -78,12 +78,14 @@ fn owner_loss_promotes_a_surviving_peer_and_recovers_bit_identically() {
 
 #[test]
 fn promotion_rejects_stale_old_epoch_messages() {
-    // ATAX's many small work-groups keep sends in flight at the instant
-    // the owner dies, so some status messages arrive addressed to the dead
+    // SYRK at n = 128 keeps several CPU sends in flight at the instant the
+    // owner dies, so some status messages arrive addressed to the dead
     // epoch. The new owner must reject them (their ranges stay below the
     // watermark and the wave walk re-covers them) and still validate.
-    let (rt, res) = scan3(
-        "ATAX",
+    let (rt, res) = common::scan(
+        &MachineConfig::paper_testbed_3dev(),
+        "SYRK",
+        128,
         |ps| faulty(FaultKind::GpuLost, ps),
         |rt, _| promoted(rt) && has_event(rt, |k| matches!(k, TraceKind::EpochRejected { .. })),
     );

@@ -7,7 +7,7 @@
 //! `tests/golden/timing_fingerprint.txt`:
 //!
 //! ```text
-//! cell makespan_ns hash groups_executed body_calls merged_bytes copied_bytes des_events
+//! cell makespan_ns hash groups_executed body_calls merged_bytes copied_bytes des_events [best_single_ns]
 //! ```
 //!
 //! The hash is `fluidicl_check::timing_hash`: every kernel's virtual
@@ -24,7 +24,11 @@
 //! per-item body (`body_calls`), a merge walking whole buffers instead of
 //! dirty ranges (`merged_bytes`) or extra simulated events (`des_events`)
 //! fails here even when no virtual time moves. A mismatch names the column
-//! that moved. The same runs also check four invariants in every cell:
+//! that moved. A `default` cell has a ninth column: the app's virtual time
+//! on the faster of the CPU and the primary GPU alone
+//! (`SingleDeviceRuntime`), the paper's headline comparison. FluidiCL may
+//! take at most [`BEST_DEVICE_SLACK`] times that in any `default` cell.
+//! The same runs also check four invariants in every cell:
 //! the default protocol copies no more host bytes than the whole-buffer one
 //! for any machine and benchmark (shipping dirty ranges must never make the
 //! functional mirror copy more); graph dispatch takes at most
@@ -49,8 +53,10 @@
 
 use fluidicl::{lint_report, Finisher, Fluidicl, FluidiclConfig};
 use fluidicl_check::{check_schedule, race_check_report, sweep_size, timing_hash, SWEEP_SEED};
+use fluidicl_des::geomean;
 use fluidicl_hetsim::{AbortMode, MachineConfig};
 use fluidicl_polybench::{all_benchmarks, pipeline_benchmark, BenchmarkSpec};
+use fluidicl_vcl::{ClDriver, DeviceKind, SingleDeviceRuntime};
 
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -60,10 +66,15 @@ const GOLDEN: &str = concat!(
 /// How much longer than eager dispatch (`default`) a `graph-sched` run of
 /// the same machine and benchmark may take: the graph may reorder and
 /// re-place kernels, but not lose to placing every kernel on every device.
-const GRAPH_SLACK: f64 = 1.05;
+const GRAPH_SLACK: f64 = 1.0;
+
+/// How much longer than the faster single device a `default` cell may
+/// take: the measured worst cell, to be tightened as the small-input gap
+/// closes.
+const BEST_DEVICE_SLACK: f64 = 1.666;
 
 /// Column names of a fingerprint line, in order.
-const COLUMNS: [&str; 8] = [
+const COLUMNS: [&str; 9] = [
     "cell",
     "makespan",
     "hash",
@@ -72,6 +83,7 @@ const COLUMNS: [&str; 8] = [
     "merged_bytes",
     "copied_bytes",
     "des_events",
+    "best_single",
 ];
 
 /// Every work-group a run executed, by its reports: the owner's, the CPU's
@@ -93,14 +105,35 @@ fn suite() -> Vec<BenchmarkSpec> {
     all
 }
 
+/// The app's virtual time on the faster of the CPU and the primary GPU of
+/// `machine` alone, or why a run failed or diverged.
+fn best_single_device(machine: &MachineConfig, b: &BenchmarkSpec, n: usize) -> Result<u64, String> {
+    let mut best = u64::MAX;
+    for device in [DeviceKind::Cpu, DeviceKind::Gpu] {
+        let mut rt = SingleDeviceRuntime::new(machine.clone(), device, (b.program)(n));
+        match b.run_and_validate_sized(&mut rt, n, SWEEP_SEED) {
+            Ok(true) => best = best.min(rt.elapsed().as_nanos()),
+            Ok(false) => {
+                return Err(format!(
+                    "{}-only run diverged from reference",
+                    device.name()
+                ))
+            }
+            Err(e) => return Err(format!("{}-only run failed: {e}", device.name())),
+        }
+    }
+    Ok(best)
+}
+
 /// One line per machine × config × benchmark (columns: [`COLUMNS`]), and
 /// the cells whose run itself went wrong: output diverged from the
 /// reference or the run failed, a lint, race or schedule finding,
 /// work-groups executed that the reports do not credit, more body calls
 /// than executed work-groups, a CPU-finished kernel with peer work or a
 /// D2H copy, the default protocol copied more host bytes than
-/// whole-buffer, or graph dispatch lost to eager dispatch by more than
-/// [`GRAPH_SLACK`].
+/// whole-buffer, graph dispatch lost to eager dispatch by more than
+/// [`GRAPH_SLACK`], or a `default` cell took more than
+/// [`BEST_DEVICE_SLACK`] times the faster single device.
 fn fingerprint() -> (String, Vec<String>) {
     let machines = [
         ("paper-testbed", MachineConfig::paper_testbed()),
@@ -135,6 +168,8 @@ fn fingerprint() -> (String, Vec<String>) {
     ];
     let mut out = String::new();
     let mut faults = Vec::new();
+    // FluidiCL ÷ best single device, per `default` cell.
+    let mut vs_best = Vec::new();
     for (mname, machine) in &machines {
         // `copied_bytes` and makespan of the `default` run per benchmark,
         // checked against the `whole-buffer` and `graph-sched` runs (which
@@ -189,9 +224,19 @@ fn fingerprint() -> (String, Vec<String>) {
                         ));
                     }
                 }
-                let makespan = fluidicl_vcl::ClDriver::elapsed(&rt).as_nanos();
+                let makespan = rt.elapsed().as_nanos();
+                let mut best_column = String::new();
                 match *cname {
-                    "default" => defaults.push((work.copied_bytes, makespan)),
+                    "default" => {
+                        defaults.push((work.copied_bytes, makespan));
+                        match best_single_device(machine, &b, n) {
+                            Ok(best) => {
+                                vs_best.push((cell.clone(), makespan, best));
+                                best_column = format!(" {best}");
+                            }
+                            Err(e) => faults.push(format!("  {cell}: {e}")),
+                        }
+                    }
                     "whole-buffer" if defaults[bi].0 > work.copied_bytes => {
                         faults.push(format!(
                             "  {mname}/{}: default copied {} bytes, whole-buffer {}",
@@ -209,7 +254,7 @@ fn fingerprint() -> (String, Vec<String>) {
                     _ => {}
                 }
                 out.push_str(&format!(
-                    "{cell} {makespan} {:016x} {} {} {} {} {}\n",
+                    "{cell} {makespan} {:016x} {} {} {} {} {}{best_column}\n",
                     timing_hash(&rt),
                     work.groups_executed,
                     work.body_calls,
@@ -218,6 +263,20 @@ fn fingerprint() -> (String, Vec<String>) {
                     work.des_events
                 ));
             }
+        }
+    }
+    let ratios: Vec<f64> = vs_best
+        .iter()
+        .map(|(_, ns, best)| *ns as f64 / *best as f64)
+        .collect();
+    let geomean = geomean(&ratios).unwrap_or(1.0);
+    for ((cell, ns, best), ratio) in vs_best.iter().zip(&ratios) {
+        if *ratio > BEST_DEVICE_SLACK {
+            faults.push(format!(
+                "  {cell}: {ns} ns is {ratio:.4}x the best single device's {best} ns \
+                 (bound {BEST_DEVICE_SLACK}; geomean over {} default cells {geomean:.4})",
+                ratios.len()
+            ));
         }
     }
     (out, faults)
