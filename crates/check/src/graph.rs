@@ -58,9 +58,31 @@ fn conflicts(s: &GraphSchedule) -> Vec<(usize, usize, BufferId, DepKind)> {
 ///   producer completed (the executor ignored a dependence it knew about);
 /// * `graph-race` — a conflicting pair's execution windows overlap in
 ///   virtual time, independent of whether an edge exists. This is the
-///   materialized race a dropped edge permits.
+///   materialized race a dropped edge permits;
+/// * `graph-lane-overlap` — two nodes that occupy the same device, by
+///   their lane or by joining a lane-0 node, overlap in virtual time (one
+///   device ran two nodes at once).
 pub fn check_schedule(s: &GraphSchedule) -> Vec<LintDiagnostic> {
     let mut out = Vec::new();
+    for (i, a) in s.nodes.iter().enumerate() {
+        for (j, b) in s.nodes.iter().enumerate().skip(i + 1) {
+            let shared = std::iter::once(&a.lane)
+                .chain(&a.joined)
+                .find(|&l| *l == b.lane || b.joined.contains(l));
+            if let Some(lane) = shared {
+                if a.start_at < b.complete_at && b.start_at < a.complete_at {
+                    out.push(LintDiagnostic::error(
+                        "graph-lane-overlap",
+                        format!(
+                            "nodes {i} (`{}`) and {j} (`{}`) both occupy lane {lane} \
+                             and ran concurrently",
+                            a.kernel, b.kernel
+                        ),
+                    ));
+                }
+            }
+        }
+    }
     for e in &s.edges {
         if e.from >= s.nodes.len() || e.to >= s.nodes.len() || e.from >= e.to {
             out.push(LintDiagnostic::error(
@@ -235,6 +257,35 @@ mod tests {
         assert!(
             diags.iter().any(|d| d.rule == "graph-race"),
             "overlapping conflict not detected: {diags:?}"
+        );
+    }
+
+    #[test]
+    fn a_node_overlapping_a_joined_lane_is_reported() {
+        // Forge a lane-0 node that a peer joined while that peer's own
+        // node was running: one device would have run two nodes at once.
+        let mut s = batchmm_schedules().into_iter().next().expect("one flush");
+        let peer_node = s
+            .nodes
+            .iter()
+            .position(|n| n.lane > 0)
+            .expect("a node runs on a peer lane");
+        let (lane, start, complete) = {
+            let n = &s.nodes[peer_node];
+            (n.lane, n.start_at, n.complete_at)
+        };
+        let owner_node = s
+            .nodes
+            .iter()
+            .position(|n| n.lane == 0)
+            .expect("a node runs on lane 0");
+        s.nodes[owner_node].joined = vec![lane];
+        s.nodes[owner_node].start_at = start;
+        s.nodes[owner_node].complete_at = complete;
+        let diags = check_schedule(&s);
+        assert!(
+            diags.iter().any(|d| d.rule == "graph-lane-overlap"),
+            "a doubly booked lane was not detected: {diags:?}"
         );
     }
 

@@ -204,6 +204,9 @@ pub struct GraphNodeSummary {
     /// GPU, joined by every idle peer the plan has no further node for),
     /// lane `p >= 1` is peer GPU `p` running the node alone.
     pub lane: usize,
+    /// Peer lanes that joined a lane-0 node's co-execution, busy for its
+    /// whole window as well; empty on a peer lane.
+    pub joined: Vec<usize>,
     /// When the node's device work started.
     pub start_at: SimTime,
     /// When the node's results were complete.
