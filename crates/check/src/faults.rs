@@ -136,6 +136,8 @@ struct FaultCell {
     fired: bool,
     /// Whether an owner promotion appeared in any kernel trace.
     promoted: bool,
+    /// Devices the runtime's roster reports lost at the end of the run.
+    lost: usize,
     /// Whether the second execution reproduced the first bit-for-bit.
     deterministic: bool,
     /// Simulated instant the first fault-vocabulary trace event was
@@ -155,6 +157,15 @@ struct FaultCell {
 }
 
 impl FaultCell {
+    /// Whether this cell breaks the one-device contract: a fired plan that
+    /// strikes a single device (`GpuLost`, `CpuLost`) must leave exactly
+    /// that device lost, while the devices it did not strike keep working.
+    fn loses_other_devices(&self) -> bool {
+        matches!(self.family.kind, FaultKind::GpuLost | FaultKind::CpuLost)
+            && self.fired
+            && self.lost != 1
+    }
+
     /// Whether this cell fails the sweep: anything but a deterministic
     /// bit-identical recovery, or a deterministic typed error where the
     /// family accepts one.
@@ -189,6 +200,8 @@ struct RunProbe {
     fired: bool,
     /// Whether any kernel's trace recorded an owner promotion.
     promoted: bool,
+    /// Devices the roster reports lost at the end of the run.
+    lost: usize,
     fault_at_ns: Option<u64>,
     complete_ns: Option<u64>,
     timing_hash: u64,
@@ -259,10 +272,15 @@ fn run_probe(machine: &MachineConfig, b: &BenchmarkSpec, plan: Option<FaultPlan>
             .iter()
             .any(|ev| matches!(ev.kind, TraceKind::OwnerPromoted { .. }))
     });
+    let roster = rt.roster();
+    let lost = usize::from(!roster.cpu_healthy())
+        + usize::from(!roster.gpu_healthy())
+        + roster.dead_peers().len();
     RunProbe {
         outcome,
         fired: rt.fault_fired(),
         promoted,
+        lost,
         fault_at_ns,
         complete_ns,
         timing_hash: timing_hash(&rt),
@@ -313,6 +331,7 @@ fn run_fault_sweep(seeds: u64) -> Vec<FaultCell> {
                     outcome: p.outcome,
                     fired: p.fired,
                     promoted: p.promoted,
+                    lost: p.lost,
                     fault_at_ns: p.fault_at_ns,
                     complete_ns: p.complete_ns,
                     fault_free_ns: ff,
@@ -576,7 +595,8 @@ fn render_faults_json(cells: &[FaultCell], shrink: &[ShrinkCell], seeds: u64) ->
 /// # Panics
 ///
 /// Panics, naming every violation, if the sweep breaks its contract: a
-/// failing cell, no failover cell that promoted a peer, a shrink that
+/// failing cell, a fired single-device plan that did not end with exactly
+/// one device lost, no failover cell that promoted a peer, a shrink that
 /// enlarged the at-risk window, or no shrink that reduced it.
 pub fn fault_summary(seeds: u64) -> String {
     let cells = run_fault_sweep(seeds);
@@ -596,6 +616,12 @@ pub fn fault_summary(seeds: u64) -> String {
             )
         })
         .collect();
+    violations.extend(cells.iter().filter(|c| c.loses_other_devices()).map(|c| {
+        format!(
+            "  {} {} seed {}: a single-device fault left {} devices lost",
+            c.bench, c.family.name, c.seed, c.lost
+        )
+    }));
     if !cells.iter().any(|c| c.promoted) {
         violations.push("  owner failover: no cell promoted a peer to owner".to_string());
     }
@@ -642,6 +668,7 @@ mod tests {
             outcome: CellOutcome::TypedError("a \"b\" \\c\nline\u{1}end".to_string()),
             fired: true,
             promoted: false,
+            lost: 0,
             deterministic: true,
             fault_at_ns: None,
             complete_ns: None,

@@ -2,7 +2,7 @@
 //! family — the two-device grid, three-device non-owner loss, owner
 //! failover and shrink-on-retry — must reproduce `FAULTS_summary.json`
 //! byte for byte. No timing-fingerprint config carries a fault plan, so
-//! this is the exact gate on degraded, peer-solo and re-formed timings.
+//! this is the exact gate on degraded, peer-solo and peer-owned timings.
 //!
 //! After an intended change to those timings, regenerate the file with
 //! `cargo test --release -p fluidicl-check --test faults_summary --
@@ -30,8 +30,9 @@ fn fault_sweep_reproduces_the_tracked_summary() {
     }
 }
 
-/// `fault_summary` refuses a sweep with a failing cell, no promotion or no
-/// shrink gain, so a faulty sweep is never written.
+/// `fault_summary` refuses a sweep with a failing cell, a fired
+/// single-device plan that did not end with exactly one device lost, no
+/// promotion or no shrink gain, so a faulty sweep is never written.
 #[test]
 #[ignore = "rewrites FAULTS_summary.json; run only for an intentional change"]
 fn regenerate_fault_summary() {
