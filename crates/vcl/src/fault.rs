@@ -21,7 +21,9 @@ use crate::DeviceKind;
 /// The fault classes the injector can produce, one per plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// The GPU dies mid-kernel: a launched wave never completes.
+    /// The primary GPU dies mid-kernel: a launched wave never completes.
+    /// A peer GPU that owns a kernel is another device, which this fault
+    /// does not strike.
     GpuLost,
     /// A subkernel's device dies mid-kernel: a launched subkernel never
     /// completes. That is the CPU on a two-device machine; with peer GPUs
@@ -184,8 +186,9 @@ impl FaultInjector {
             .is_some_and(|d| d == dev || self.plan.kind == FaultKind::DoubleLoss)
     }
 
-    /// Consulted once per launched GPU wave: `true` means the wave (and the
-    /// GPU with it) dies — it will never report completion.
+    /// Consulted once per wave launched on the primary GPU: `true` means
+    /// the wave (and the GPU with it) dies — it will never report
+    /// completion.
     pub fn kill_gpu_wave(&mut self) -> bool {
         if !matches!(self.plan.kind, FaultKind::GpuLost | FaultKind::DoubleLoss) {
             return false;
