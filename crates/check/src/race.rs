@@ -560,7 +560,7 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                 // program order (its subkernels, its sends) happens-before
                 // everything the owner role does from here on. An
                 // empty-ranges message carries the clock join without
-                // shipping any data — the re-formed wave walk re-executes
+                // shipping any data — the new owner's wave walk re-executes
                 // everything below the watermark instead.
                 events.push(Some(HbEvent::new(
                     dev as usize + 1,
