@@ -36,7 +36,7 @@ pub mod sanitize;
 use fluidicl::{Finisher, Fluidicl};
 
 pub use audit::{AuditDriver, KernelFinding};
-pub use faults::{fault_summary, run_shrink_comparison, ShrinkCell};
+pub use faults::fault_summary;
 pub use fluidicl::{lint_report, lint_trace, LintDiagnostic, LintSeverity};
 pub use graph::{check_schedule, max_overlap};
 pub use race::{check_hb, race_check_report, HbEvent, HbOp, VClock, CONTRIB, OWNER};

@@ -1,8 +1,8 @@
 //! The tracked 8-seed fault summary is a contract: every fault-sweep
-//! family — the two-device grid, three-device non-owner loss, owner
-//! failover and shrink-on-retry — must reproduce `FAULTS_summary.json`
-//! byte for byte. No timing-fingerprint config carries a fault plan, so
-//! this is the exact gate on degraded, peer-solo and peer-owned timings.
+//! family — the two-device grid, three-device non-owner loss and owner
+//! failover — must reproduce `FAULTS_summary.json` byte for byte. No
+//! timing-fingerprint config carries a fault plan, so this is the exact
+//! gate on degraded, peer-solo and peer-owned timings.
 //!
 //! After an intended change to those timings, regenerate the file with
 //! `cargo test --release -p fluidicl-check --test faults_summary --
@@ -31,8 +31,8 @@ fn fault_sweep_reproduces_the_tracked_summary() {
 }
 
 /// `fault_summary` refuses a sweep with a failing cell, a fired
-/// single-device plan that did not end with exactly one device lost, no
-/// promotion or no shrink gain, so a faulty sweep is never written.
+/// single-device plan that did not end with exactly one device lost, or
+/// no promotion, so a faulty sweep is never written.
 #[test]
 #[ignore = "rewrites FAULTS_summary.json; run only for an intentional change"]
 fn regenerate_fault_summary() {

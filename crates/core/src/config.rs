@@ -3,8 +3,6 @@
 use fluidicl_hetsim::AbortMode;
 use fluidicl_vcl::FaultPlan;
 
-use crate::recover::RecoveryPolicy;
-
 /// Configuration of the FluidiCL runtime.
 ///
 /// Defaults follow the paper's experimental setup (§5.1, §9.5): an initial
@@ -14,8 +12,9 @@ use crate::recover::RecoveryPolicy;
 /// Every field is either a knob the paper varies (chunk sizing, abort
 /// mode, the §6 optimizations), a protocol the experiments compare
 /// (dirty-range transfers, pipelining, graph scheduling), or a test
-/// and robustness gate (protocol validation, fault injection and its
-/// recovery tuning). The defaults need no tuning: the runtime co-executes
+/// and robustness gate (protocol validation, fault injection). Recovery
+/// from injected faults has no knobs: its deadlines, retry budget and
+/// backoff are fixed. The defaults need no tuning: the runtime co-executes
 /// on every device the machine declares.
 ///
 /// # Examples
@@ -70,8 +69,6 @@ pub struct FluidiclConfig {
     /// *and* no recovery machinery on the event timeline — traces and
     /// timings stay byte-identical to a build without the fault subsystem.
     pub faults: Option<FaultPlan>,
-    /// Watchdog/retry tuning used when `faults` is set.
-    pub recovery: RecoveryPolicy,
     /// Defer enqueued kernels into a dependence DAG and dispatch
     /// independent nodes concurrently across devices (HEFT-style lookahead
     /// over footprint-derived edges). Off by default: single-kernel
@@ -101,7 +98,6 @@ impl Default for FluidiclConfig {
             dirty_range_transfers: true,
             pipelined: true,
             faults: None,
-            recovery: RecoveryPolicy::default(),
             graph_scheduling: false,
         }
     }
@@ -193,13 +189,6 @@ impl FluidiclConfig {
         self
     }
 
-    /// Returns a copy with different recovery tuning.
-    #[must_use]
-    pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = policy;
-        self
-    }
-
     /// Returns a copy with kernel-graph scheduling enabled or disabled.
     #[must_use]
     pub fn with_graph_scheduling(mut self, enabled: bool) -> Self {
@@ -229,7 +218,6 @@ mod tests {
         );
         assert!(cfg.pipelined, "one subkernel overlaps its ship");
         assert_eq!(cfg.faults, None, "fault injection is opt-in");
-        assert_eq!(cfg.recovery, RecoveryPolicy::default());
         assert!(!cfg.graph_scheduling, "graph scheduling is opt-in");
     }
 
@@ -267,11 +255,8 @@ mod tests {
     fn fault_builders_compose() {
         use fluidicl_vcl::FaultKind;
         let plan = FaultPlan::new(FaultKind::TransferStall, 3);
-        let cfg = FluidiclConfig::default()
-            .with_faults(Some(plan))
-            .with_recovery(RecoveryPolicy::default().with_max_transfer_retries(1));
+        let cfg = FluidiclConfig::default().with_faults(Some(plan));
         assert_eq!(cfg.faults, Some(plan));
-        assert_eq!(cfg.recovery.max_transfer_retries, 1);
         assert_eq!(cfg.with_faults(None).faults, None);
     }
 

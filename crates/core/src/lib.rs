@@ -56,7 +56,6 @@ pub use frontier::{Coverage, Frontier};
 pub use graph::{DepKind, GraphEdge, GraphNodeSummary, GraphSchedule, NodeAccess};
 pub use heft::{HeftEdge, HeftPlan, WeightTable};
 pub use lint::{lint_report, lint_trace, LintDiagnostic, LintSeverity};
-pub use recover::RecoveryPolicy;
 pub use roster::DeviceRoster;
 pub use runtime::Fluidicl;
 pub use stats::{Finisher, KernelReport, LaunchMeta, RuntimeSummary};

@@ -1,11 +1,11 @@
-//! Recovery policy: watchdog deadlines, bounded retry, backoff.
+//! Recovery timing: watchdog deadlines, bounded retry, backoff.
 //!
 //! The co-execution engine never waits unboundedly: every enqueued
 //! operation (GPU wave, CPU subkernel, hd transfer) gets a watchdog
 //! deadline derived from its *expected* duration, and every transient
-//! transfer failure is retried a bounded number of times with exponential
-//! backoff. The policy lives here so the coexec state machine reads like
-//! the protocol and the tuning knobs read like configuration.
+//! transfer failure is retried at most [`MAX_TRANSFER_RETRIES`] times with
+//! exponential backoff. None of it is configurable: the rules live here so
+//! the coexec state machine reads like the protocol.
 
 use fluidicl_des::SimDuration;
 
@@ -20,72 +20,29 @@ const WATCHDOG_MIN: SimDuration = SimDuration::from_nanos(1_000);
 /// Backoff before the first transfer retry; doubles on each further attempt.
 const BACKOFF_BASE: SimDuration = SimDuration::from_nanos(2_000);
 
-/// Retry choices for fault recovery. The watchdog deadline (4× the
-/// expected duration, at least 1 µs) and the retry backoff (2 µs, doubling
-/// per attempt) are fixed, and a lost owner always hands its kernel to a
-/// surviving peer GPU when one exists.
-///
-/// # Examples
-///
-/// ```
-/// use fluidicl::RecoveryPolicy;
-/// use fluidicl_des::SimDuration;
-///
-/// let p = RecoveryPolicy::default();
-/// let expected = SimDuration::from_nanos(500);
-/// assert!(p.deadline(expected) >= expected, "deadlines trail the estimate");
-/// assert!(p.backoff(2) > p.backoff(1), "backoff grows per attempt");
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Maximum retries for a transient transfer failure before it is
-    /// reported as a [`fluidicl_vcl::ClError::Timeout`].
-    pub max_transfer_retries: u32,
-    /// Halve the next CPU chunk when a transfer retry occurs
-    /// ([`crate::ChunkController::on_transfer_retry`]): smaller batches get
-    /// acknowledged more often on a flaky link, so more CPU work is already
-    /// mergeable if the watchdog later abandons it. On by default; only
-    /// consulted when fault injection is active.
-    pub shrink_chunk_on_retry: bool,
+/// Retries a failing transfer gets before it surfaces as a
+/// [`fluidicl_vcl::ClError::Timeout`].
+const MAX_TRANSFER_RETRIES: u32 = 3;
+
+/// Watchdog deadline (a duration from the operation's start) for an
+/// operation expected to take `expected`.
+pub(crate) fn deadline(expected: SimDuration) -> SimDuration {
+    let scaled =
+        SimDuration::from_nanos((expected.as_nanos() as f64 * WATCHDOG_FACTOR).ceil() as u64);
+    scaled.max(WATCHDOG_MIN)
 }
 
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_transfer_retries: 3,
-            shrink_chunk_on_retry: true,
-        }
+/// Backoff to wait before retrying a transfer whose attempt number
+/// `attempt` (1-based) just failed: exponential in the attempt count, or
+/// `None` once the retry budget is spent.
+pub(crate) fn backoff(attempt: u32) -> Option<SimDuration> {
+    if attempt > MAX_TRANSFER_RETRIES {
+        return None;
     }
-}
-
-impl RecoveryPolicy {
-    /// Sets the retry budget for transient transfer failures.
-    pub fn with_max_transfer_retries(mut self, retries: u32) -> Self {
-        self.max_transfer_retries = retries;
-        self
-    }
-
-    /// Enables or disables the fault-aware chunk shrink on transfer
-    /// retries.
-    pub fn with_shrink_chunk_on_retry(mut self, enabled: bool) -> Self {
-        self.shrink_chunk_on_retry = enabled;
-        self
-    }
-
-    /// Watchdog deadline (a duration from the operation's start) for an
-    /// operation expected to take `expected`.
-    pub fn deadline(&self, expected: SimDuration) -> SimDuration {
-        let scaled =
-            SimDuration::from_nanos((expected.as_nanos() as f64 * WATCHDOG_FACTOR).ceil() as u64);
-        scaled.max(WATCHDOG_MIN)
-    }
-
-    /// Backoff to wait before retry number `attempt` (1-based): exponential
-    /// in the attempt count.
-    pub fn backoff(&self, attempt: u32) -> SimDuration {
-        let factor = 1u64 << (attempt.saturating_sub(1)).min(16);
-        SimDuration::from_nanos(BACKOFF_BASE.as_nanos().saturating_mul(factor))
-    }
+    let factor = 1u64 << (attempt.saturating_sub(1)).min(16);
+    Some(SimDuration::from_nanos(
+        BACKOFF_BASE.as_nanos().saturating_mul(factor),
+    ))
 }
 
 #[cfg(test)]
@@ -94,34 +51,26 @@ mod tests {
 
     #[test]
     fn deadline_scales_and_floors() {
-        let p = RecoveryPolicy::default();
         assert_eq!(
-            p.deadline(SimDuration::from_nanos(10_000)),
+            deadline(SimDuration::from_nanos(10_000)),
             SimDuration::from_nanos(40_000)
         );
         // Tiny estimates get the floor.
-        assert_eq!(p.deadline(SimDuration::ZERO), WATCHDOG_MIN);
-        assert_eq!(p.deadline(SimDuration::from_nanos(3)), WATCHDOG_MIN);
+        assert_eq!(deadline(SimDuration::ZERO), WATCHDOG_MIN);
+        assert_eq!(deadline(SimDuration::from_nanos(3)), WATCHDOG_MIN);
     }
 
     #[test]
     fn backoff_is_exponential() {
-        let p = RecoveryPolicy::default();
-        assert_eq!(p.backoff(1), SimDuration::from_nanos(2_000));
-        assert_eq!(p.backoff(2), SimDuration::from_nanos(4_000));
-        assert_eq!(p.backoff(3), SimDuration::from_nanos(8_000));
+        assert_eq!(backoff(1), Some(SimDuration::from_nanos(2_000)));
+        assert_eq!(backoff(2), Some(SimDuration::from_nanos(4_000)));
+        assert_eq!(backoff(3), Some(SimDuration::from_nanos(8_000)));
     }
 
     #[test]
-    fn builders_compose() {
-        let p = RecoveryPolicy::default()
-            .with_max_transfer_retries(0)
-            .with_shrink_chunk_on_retry(false);
-        assert_eq!(p.max_transfer_retries, 0);
-        assert!(!p.shrink_chunk_on_retry);
-        assert!(
-            RecoveryPolicy::default().shrink_chunk_on_retry,
-            "fault-aware shrink is the default"
-        );
+    fn a_retry_past_the_budget_is_refused() {
+        assert!(backoff(MAX_TRANSFER_RETRIES).is_some());
+        assert_eq!(backoff(MAX_TRANSFER_RETRIES + 1), None);
+        assert_eq!(backoff(u32::MAX), None);
     }
 }

@@ -6,17 +6,14 @@
 //!
 //! The full 9-benchmark × 7-kind × 8-seed grid runs in the fault sweep
 //! (`crates/check/tests/faults_summary.rs`); these tests pin one
-//! hand-picked scenario per fault kind plus the pool-accounting and
-//! determinism guarantees.
+//! hand-picked scenario per fault kind plus the chunk-rule,
+//! pool-accounting and determinism guarantees.
 
-use fluidicl::{
-    lint_report, render_timeline, Finisher, Fluidicl, FluidiclConfig, Lane, RecoveryPolicy,
-    TraceKind,
-};
-use fluidicl_check::{race_check_report, SWEEP_SEED};
+use fluidicl::{lint_report, render_timeline, Finisher, Fluidicl, FluidiclConfig, Lane, TraceKind};
+use fluidicl_check::{race_check_report, sweep_size, SWEEP_SEED};
 use fluidicl_hetsim::MachineConfig;
-use fluidicl_polybench::{all_benchmarks, syrk};
-use fluidicl_vcl::{ClError, ClResult, FaultKind, FaultPlan};
+use fluidicl_polybench::all_benchmarks;
+use fluidicl_vcl::{ClError, ClResult, FaultKind};
 
 mod common;
 use common::{assert_no_stray_holders, faulty, has_event, SCAN};
@@ -114,11 +111,27 @@ fn transfer_stalls_hit_the_watchdog_and_the_run_still_completes() {
 
 #[test]
 fn double_loss_surfaces_a_typed_device_lost_error() {
-    let (_, res) = scan("SYRK", FaultKind::DoubleLoss, |_, res| res.is_err());
+    // A launch that errors mid-flight must hand back every scratch buffer
+    // it acquired — the free count after the error must equal that after
+    // a clean run — and must leave no output buffer shared with the
+    // abandoned launch's snapshots.
+    let (clean, res) = run_with(
+        "SYRK",
+        FluidiclConfig::default().with_validate_protocol(true),
+    );
+    assert!(res.unwrap());
+    assert_no_stray_holders(&clean);
+    let (rt, res) = scan("SYRK", FaultKind::DoubleLoss, |_, res| res.is_err());
     match res {
         Err(ClError::DeviceLost { .. }) => {}
         other => panic!("double loss must surface ClError::DeviceLost, got {other:?}"),
     }
+    assert_no_stray_holders(&rt);
+    assert_eq!(
+        rt.scratch_free_count(),
+        clean.scratch_free_count(),
+        "scratch pool leaked across a mid-flight error"
+    );
 }
 
 #[test]
@@ -190,82 +203,68 @@ fn same_plan_seed_reproduces_the_same_schedule() {
     }
 }
 
+/// The chunk rule after a transfer retry: the first retry (or checksum
+/// reject) on the CPU's link halves its chunk, never below the floor of
+/// one work-group per hardware thread, and stops its growth. A claim off
+/// the frontier takes exactly the chunk unless it ends the descent at
+/// work-group 0, where it may absorb a tail of up to one floor. So the
+/// first subkernel launched after the retry is at most half the one
+/// launched just before it (when no completion in between could have grown
+/// the chunk), and no later one is larger than its predecessor.
 #[test]
-fn exhausted_retries_surface_a_typed_timeout_and_pools_stay_balanced() {
-    // Satellite: a launch that errors mid-flight must hand back every
-    // scratch buffer it acquired — the free count after the error must
-    // equal that after a clean run — must leave no output buffer shared
-    // with the abandoned launch's snapshots, and the runtime must stay
-    // usable for follow-on launches.
-    let n = 64;
+fn subkernels_launched_after_a_retry_never_outgrow_the_chunk_rule() {
     let machine = MachineConfig::paper_testbed();
-    let mut clean = Fluidicl::new(
-        machine.clone(),
-        FluidiclConfig::default().with_validate_protocol(true),
-        syrk::program(n),
-    );
-    assert_eq!(
-        syrk::run(&mut clean, n, SWEEP_SEED).unwrap(),
-        syrk::reference(n, SWEEP_SEED)
-    );
-    let scf_ok = clean.scratch_free_count();
-    assert_no_stray_holders(&clean);
-
-    for ps in 0..SCAN {
-        let config = FluidiclConfig::default()
-            .with_validate_protocol(true)
-            .with_faults(Some(FaultPlan::new(FaultKind::TransferTransient, ps)))
-            .with_recovery(RecoveryPolicy::default().with_max_transfer_retries(0));
-        let mut rt = Fluidicl::new(machine.clone(), config, syrk::program(n));
-        match syrk::run(&mut rt, n, SWEEP_SEED) {
-            Err(ClError::Timeout { .. }) => {
-                assert_no_stray_holders(&rt);
-                assert_eq!(
-                    rt.scratch_free_count(),
-                    scf_ok,
-                    "scratch pool leaked across a mid-flight error"
-                );
-                // The transient trigger is consumed: a follow-on launch on
-                // the same runtime succeeds and matches the reference.
-                assert_eq!(
-                    syrk::run(&mut rt, n, SWEEP_SEED).unwrap(),
-                    syrk::reference(n, SWEEP_SEED)
-                );
-                return;
+    let floor = u64::from(machine.cpu.threads());
+    let mut checked = 0;
+    for b in all_benchmarks() {
+        let n = sweep_size(b.name);
+        for kind in [
+            FaultKind::TransferTransient,
+            FaultKind::CorruptPayload,
+            FaultKind::CorruptStatus,
+        ] {
+            for ps in 0..8 {
+                let (rt, res) = common::run(&machine, b.name, n, faulty(kind, ps));
+                assert!(res.unwrap(), "{} {kind:?} plan seed {ps}", b.name);
+                for r in rt.reports() {
+                    // The chunk in force, where the trace pins it.
+                    let mut chunk = None;
+                    let mut retried = false;
+                    for e in &r.trace {
+                        match e.kind {
+                            TraceKind::EpTransferFault { dev: 0, .. }
+                            | TraceKind::EpTransferRejected { dev: 0, .. }
+                                if !retried =>
+                            {
+                                retried = true;
+                                chunk = chunk.map(|c: u64| (c / 2).max(floor));
+                            }
+                            TraceKind::EpSubkernelDone { dev: 0, .. } if !retried => chunk = None,
+                            TraceKind::EpSubkernelStart {
+                                dev: 0, from, to, ..
+                            } => {
+                                let wgs = to - from;
+                                if let Some(c) = chunk.filter(|_| retried) {
+                                    let bound = if from == 0 { c + floor } else { c };
+                                    assert!(
+                                        wgs <= bound,
+                                        "{} {kind:?} plan seed {ps}, {}: a {wgs}-group \
+                                         subkernel after a retry, where the chunk is {c}",
+                                        b.name,
+                                        r.kernel
+                                    );
+                                    checked += 1;
+                                }
+                                chunk = Some(wgs);
+                            }
+                            _ => {}
+                        }
+                    }
+                }
             }
-            Ok(_) => continue, // fault never fired on this seed
-            Err(e) => panic!("expected a typed timeout, got {e}"),
         }
     }
-    panic!("no plan seed in 0..{SCAN} exhausted the zero-retry budget");
-}
-
-#[test]
-fn chunk_shrink_on_retry_keeps_more_cpu_work_mergeable() {
-    // The fault-aware shrink contract, end to end: under transient
-    // transfer faults, halving the CPU chunk on retry must never launch a
-    // *larger* subkernel after the fault than the no-shrink run would
-    // (that post-fault batch is exactly the work a watchdog abandonment
-    // strands un-merged), and must strictly shrink it somewhere in the
-    // sweep — finer batches keep more of the CPU's work acknowledged and
-    // mergeable on a flaky link.
-    let cells = fluidicl_check::run_shrink_comparison(2);
-    assert!(cells.iter().any(|c| c.fired), "no transient fault fired");
-    for c in &cells {
-        assert!(
-            !c.is_failure(),
-            "{} (plan_seed {}): shrink-on-retry launched a larger post-fault \
-             subkernel ({} wgs vs {} without)",
-            c.bench,
-            c.plan_seed,
-            c.at_risk_with_shrink,
-            c.at_risk_without_shrink
-        );
-    }
-    assert!(
-        cells.iter().any(|c| c.improved()),
-        "shrink-on-retry never reduced the post-fault at-risk window"
-    );
+    assert!(checked > 0, "no subkernel launched after a retry");
 }
 
 /// Graph scheduling does not compose with fault plans yet: `enqueue` keeps
