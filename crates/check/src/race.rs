@@ -599,47 +599,9 @@ fn lower_trace(kernel: &KernelDef, meta: &LaunchMeta, report: &KernelReport) -> 
                 events.push(None);
             }
             TraceKind::KernelComplete { finisher } => {
-                if finisher == Finisher::Cpu {
-                    // Owner-GPU loss: the host folds each surviving peer's
-                    // memory into its own copy before the final read. Model
-                    // the fold as one join message per peer carrying its
-                    // cumulative writes, merged at the host endpoint. With
-                    // the CPU as the sole endpoint, or beside idle peers on
-                    // a healthy roster, there is nothing to fold; a
-                    // promoted peer's writes were rolled back.
-                    let mut folded = none();
-                    for (&dev, slots) in done_slots.range(1..) {
-                        let ep = &replay.eps[&dev];
-                        if ep.lost || ep.promoted {
-                            continue;
-                        }
-                        let ranges = slots
-                            .iter()
-                            .fold(none(), |a, &w| union_fp(a, carried(&events[w])));
-                        events.push(Some(HbEvent::new(
-                            dev as usize + 1,
-                            format!("ep{dev} memory fold"),
-                            HbOp::Send {
-                                msg: next_msg,
-                                ranges: ranges.clone(),
-                            },
-                        )));
-                        events.push(Some(HbEvent::new(
-                            CONTRIB,
-                            format!("ep{dev} fold join"),
-                            HbOp::Recv { msg: next_msg },
-                        )));
-                        folded = union_fp(folded, &ranges);
-                        next_msg += 1;
-                    }
-                    if folded.iter().any(|r| !r.is_empty()) {
-                        events.push(Some(HbEvent::new(
-                            CONTRIB,
-                            "host fold of peer results".to_string(),
-                            HbOp::Merge { ranges: folded },
-                        )));
-                    }
-                }
+                // A CPU finisher reads its own copy, and nothing folds
+                // into it: on a healthy roster the CPU executed every
+                // work-group, and after an owner loss every peer is dead.
                 let read_ep = solo_ep.unwrap_or(match finisher {
                     Finisher::Gpu => OWNER,
                     Finisher::Cpu => CONTRIB,

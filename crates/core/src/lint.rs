@@ -619,13 +619,15 @@ fn finish_coexec(r: &Replay, mut owner: Owner, out: &mut Vec<LintDiagnostic>) {
             }
         }
     }
-    let all_done: Vec<_> = r.eps.values().flat_map(|ep| &ep.done).collect();
+    // The CPU's own completions: all that survives an ownerless endgame.
+    let cpu_done: &[(SimTime, u64, u64)] = r.eps.get(&0).map_or(&[], |ep| &ep.done);
     // The lost-owner endgame applies only when the *final* acting owner is
     // dead — a promotion that installed a healthy new owner means the
     // kernel still exits, merges and completes through the owner role.
     if owner.losses > r.epoch as usize {
-        // A lost owner never exits and never merges; the non-owners finish
-        // the whole NDRange among themselves and the host assembles.
+        // A lost owner never exits and never merges. No peer is left to
+        // promote, so every peer is dead and its memory with it: the CPU
+        // alone must have executed the whole NDRange.
         if owner.exit_at.is_some() {
             out.push(LintDiagnostic::error(
                 "recovery",
@@ -640,10 +642,10 @@ fn finish_coexec(r: &Replay, mut owner: Owner, out: &mut Vec<LintDiagnostic>) {
         }
         match (r.completions, r.complete) {
             (1, Some((at, Finisher::Cpu))) => {
-                if !all_done.iter().any(|&&(t, _, _)| t == at) {
+                if !cpu_done.iter().any(|&(t, _, _)| t == at) {
                     out.push(LintDiagnostic::error(
                         "completion",
-                        "cpu finisher without any subkernel completing at that time",
+                        "cpu finisher without a cpu subkernel completing at that time",
                     ));
                 }
             }
@@ -653,8 +655,8 @@ fn finish_coexec(r: &Replay, mut owner: Owner, out: &mut Vec<LintDiagnostic>) {
             )),
             (n, _) => out.push(completion_count_error(n)),
         }
-        let done_spans = all_done.iter().map(|&&(_, f, t)| (f, t)).collect();
-        check_cover(out, "coverage", done_spans, total, "any survivor");
+        let done_spans = cpu_done.iter().map(|&(_, f, t)| (f, t)).collect();
+        check_cover(out, "coverage", done_spans, total, "the cpu");
         return;
     }
     if let Some((wf, wt)) = owner.wave {
@@ -698,11 +700,7 @@ fn finish_coexec(r: &Replay, mut owner: Owner, out: &mut Vec<LintDiagnostic>) {
                     "a cpu finisher hides work-groups credited to a peer",
                 ));
             }
-            let cpu_spans = r
-                .eps
-                .get(&0)
-                .map(|ep| ep.done.iter().map(|&(_, f, t)| (f, t)).collect())
-                .unwrap_or_default();
+            let cpu_spans = cpu_done.iter().map(|&(_, f, t)| (f, t)).collect();
             check_cover(out, "completion", cpu_spans, total, "the cpu finisher");
             if at >= merge {
                 out.push(LintDiagnostic::error(
@@ -710,11 +708,7 @@ fn finish_coexec(r: &Replay, mut owner: Owner, out: &mut Vec<LintDiagnostic>) {
                     "cpu-finished kernel must complete strictly before the merge",
                 ));
             }
-            if !r
-                .eps
-                .get(&0)
-                .is_some_and(|ep| ep.done.iter().any(|&(t, f, _)| f == 0 && t == at))
-            {
+            if !cpu_done.iter().any(|&(t, f, _)| f == 0 && t == at) {
                 out.push(LintDiagnostic::error(
                     "completion",
                     "cpu finisher without a subkernel reaching work-group 0 at that time",
@@ -1275,6 +1269,31 @@ mod tests {
             )
         });
         assert!(rules(&t).contains(&"coverage"));
+    }
+
+    /// An ownerless endgame whose coverage needs a lost peer's work: peer 1
+    /// executes work-group 3 and dies after the owner, and the CPU executes
+    /// the rest. The peer's copy of work-group 3 died with it, so the CPU's
+    /// finish holds no result for it.
+    #[test]
+    fn owner_loss_covered_only_with_a_lost_peers_work_is_flagged() {
+        let t = vec![
+            ev(0, enqueued(4)),
+            ev(5, start(1, 3, 4)),
+            ev(6, start(0, 2, 3)),
+            ev(10, TraceKind::GpuLaunch),
+            ev(10, TraceKind::GpuWaveStart { from: 0, to: 2 }),
+            ev(15, done(1, 3, 4)),
+            ev(20, done(0, 2, 3)),
+            ev(21, start(0, 1, 2)),
+            ev(30, done(0, 1, 2)),
+            ev(31, start(0, 0, 1)),
+            ev(35, TraceKind::OwnerLost),
+            ev(38, TraceKind::NonOwnerLost { dev: 1 }),
+            ev(40, done(0, 0, 1)),
+            ev(40, complete(Finisher::Cpu)),
+        ];
+        assert!(rules(&t).contains(&"coverage"), "{:?}", lint_trace(&t));
     }
 
     #[test]
