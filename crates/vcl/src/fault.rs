@@ -38,7 +38,8 @@ pub enum FaultKind {
     /// A transfer's status message is delivered corrupted.
     CorruptStatus,
     /// Both devices die (unrecoverable): GPU and CPU kill points both fire,
-    /// and a subkernel loss takes every subkernel endpoint with it.
+    /// and a subkernel loss takes every subkernel endpoint with it — a
+    /// peer GPU promoted to owner included, whose waves then die too.
     DoubleLoss,
 }
 
@@ -177,11 +178,15 @@ impl FaultInjector {
     pub fn device_lost(&self, device: DeviceKind) -> bool {
         match device {
             DeviceKind::Gpu => self.gpu_dead,
-            DeviceKind::Cpu => self.subkernel_endpoint_dead(0),
+            DeviceKind::Cpu => self.endpoint_lost(0),
         }
     }
 
-    fn subkernel_endpoint_dead(&self, dev: u32) -> bool {
+    /// Whether subkernel endpoint `dev` (0 is the CPU, higher indices are
+    /// peer GPUs) has been declared dead by an earlier verdict: the
+    /// endpoint the subkernel trigger struck, or under a double loss every
+    /// endpoint. A read-only query: it advances no counter.
+    pub fn endpoint_lost(&self, dev: u32) -> bool {
         self.subkernel_dead
             .is_some_and(|d| d == dev || self.plan.kind == FaultKind::DoubleLoss)
     }
@@ -215,7 +220,7 @@ impl FaultInjector {
             return false;
         }
         if self.subkernel_dead.is_some() {
-            return self.subkernel_endpoint_dead(dev);
+            return self.endpoint_lost(dev);
         }
         let op = self.subkernel_ops;
         self.subkernel_ops += 1;
