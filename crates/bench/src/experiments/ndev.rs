@@ -8,9 +8,10 @@
 //! the test-suite sizes for exactly that reason. Three devices are never
 //! slower than two here: the memory-bound kernels (ATAX, BICG, GESUMMV,
 //! MVT) tie, because the CPU computes them alone and finishes next to the
-//! idle peer just as it does on two devices. A peer that claims a range
-//! mid-descent can still gate the owner's single watermark until its
-//! results land; the adaptive chunk controller bounds that tax.
+//! idle peer just as it does on two devices. A peer claims a range only
+//! when its results are predicted to land before the owner's walk would
+//! finish that range itself, so it no longer pays a duplicated range, or
+//! holds the owner's single watermark until a late result lands.
 
 use fluidicl::FluidiclConfig;
 use fluidicl_des::geomean;

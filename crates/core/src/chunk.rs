@@ -16,6 +16,9 @@
 //! * [`ChunkController::next_claim`] absorbs a tail of at most one floor
 //!   into the current claim when one launch is predicted to beat two: on a
 //!   small kernel the CPU then pays its launch overhead once;
+//! * [`ChunkController::next_peer_claim`] keeps a peer GPU's claim to what
+//!   it can deliver before the owner would run the range itself: the chunk,
+//!   else one floor, else nothing;
 //! * the growth decision is fed **compute** time only, never the transfer
 //!   stall between finishing a subkernel and launching the next, so the
 //!   serial and pipelined protocols grow the chunk on the same schedule;
@@ -103,6 +106,22 @@ impl ChunkController {
             remaining
         } else {
             chunk
+        }
+    }
+
+    /// The work-groups a peer should claim out of `remaining`, given
+    /// `in_time(n)`, whether a claim of `n` work-groups is predicted to
+    /// deliver before the owner would finish the range itself: the next
+    /// chunk if it does, else one minimum chunk if that does, else zero.
+    pub fn next_peer_claim(&self, remaining: u64, in_time: impl Fn(u64) -> bool) -> u64 {
+        let chunk = self.next_chunk(remaining);
+        let floor = self.min_chunk.min(chunk);
+        if in_time(chunk) {
+            chunk
+        } else if floor < chunk && in_time(floor) {
+            floor
+        } else {
+            0
         }
     }
 
@@ -274,6 +293,16 @@ mod tests {
         let launch = cpu_launch(SimDuration::from_micros(400));
         assert!(launch(10) > launch(8) + launch(2));
         assert_eq!(c.next_claim(10, &launch), 8);
+    }
+
+    #[test]
+    fn a_peer_claim_falls_back_to_one_floor_then_to_nothing() {
+        let c = controller();
+        assert_eq!(c.next_peer_claim(1000, |_| true), 20);
+        assert_eq!(c.next_peer_claim(1000, |n| n <= 8), 8);
+        assert_eq!(c.next_peer_claim(1000, |_| false), 0);
+        // A chunk clamped to the floor is tried once.
+        assert_eq!(c.next_peer_claim(5, |n| n < 5), 0);
     }
 
     #[test]

@@ -55,6 +55,16 @@ impl Frontier {
         highest.map_or(self.top, |(from, to)| to - from)
     }
 
+    /// The top of the range the next claim draws from: the highest
+    /// returned range's, or else the untouched region's.
+    pub fn claim_top(&self) -> u64 {
+        self.returned
+            .iter()
+            .map(|(_, to)| *to)
+            .max()
+            .unwrap_or(self.top)
+    }
+
     /// Claims up to `want` contiguous work-group IDs off the top of the
     /// pool, preferring returned ranges (they sit above `top`, closest to
     /// where the owner's wave walk will arrive last). Returns `None` when
