@@ -14,7 +14,6 @@ mod fig17;
 mod fig18;
 mod fig2;
 mod fig3;
-mod graph;
 mod ndev;
 mod overall;
 mod portability;
@@ -150,11 +149,6 @@ pub fn experiments() -> Vec<Experiment> {
             title: "Extension: N-device scaling with a mid-range peer GPU",
             run: ndev::run,
         },
-        Experiment {
-            id: "graph",
-            title: "Extension: kernel-graph scheduling of independent kernels (BATCHMM)",
-            run: graph::run,
-        },
     ]
 }
 
@@ -170,11 +164,11 @@ mod tests {
     #[test]
     fn registry_is_complete_and_unique() {
         let all = experiments();
-        assert_eq!(all.len(), 16);
+        assert_eq!(all.len(), 15);
         let mut ids: Vec<_> = all.iter().map(|e| e.id).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 16, "experiment ids must be unique");
+        assert_eq!(ids.len(), 15, "experiment ids must be unique");
     }
 
     #[test]

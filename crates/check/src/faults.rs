@@ -7,9 +7,10 @@
 //! byte-identical to a fault-free run — or surface a **typed** error
 //! ([`ClError::DeviceLost`] / [`ClError::Timeout`]) where its family
 //! accepts one; anything else (mismatched output, an untyped error, a race
-//! in a recovered trace) is a sweep failure. Every cell executes twice and
-//! both executions must reach the same outcome, pinning the determinism
-//! the fault layer promises: same seed, same schedule, same result.
+//! in a recovered trace, a finding of the schedule checker) is a sweep
+//! failure. Every cell executes twice and both executions must reach the
+//! same outcome, pinning the determinism the fault layer promises: same
+//! seed, same schedule, same result.
 //!
 //! [`fault_summary`] renders the sweep as the hand-written JSON of the
 //! tracked `FAULTS_summary.json`, one record per line; the `faults_summary`
@@ -243,6 +244,16 @@ fn run_probe(machine: &MachineConfig, b: &BenchmarkSpec, plan: Option<FaultPlan>
         }
         Err(e) => CellOutcome::UnexpectedError(e.to_string()),
     };
+    // Faults flow through the kernel graph, so every flushed schedule must
+    // be clean too: a finding fails the cell whatever its outcome.
+    if let Some(d) = rt
+        .graph_schedules()
+        .iter()
+        .flat_map(crate::check_schedule)
+        .next()
+    {
+        outcome = CellOutcome::UnexpectedError(format!("schedule: {d}"));
+    }
     // Happens-before check over the faulted traces: a fault edge must
     // excuse exactly the transfer it damaged, nothing more, so even a
     // recovered run with a racy merge fails the cell.

@@ -1,5 +1,5 @@
 //! Kernel-graph schedule validator: structural checks over the
-//! [`GraphSchedule`]s a graph-scheduling runtime records at each flush.
+//! [`GraphSchedule`]s the runtime records at each flush.
 //!
 //! The runtime's DAG builder promises *conservative* edges: every pair of
 //! launches whose declared footprints conflict on a buffer must be ordered
@@ -188,13 +188,13 @@ mod tests {
         let n = 96;
         let mut rt = Fluidicl::new(
             MachineConfig::paper_testbed_3dev(),
-            FluidiclConfig::default().with_graph_scheduling(true),
+            FluidiclConfig::default(),
             (spec.program)(n),
         );
         let ok = spec
             .run_and_validate_sized(&mut rt, n, 0x6A_F9)
             .expect("batchmm runs");
-        assert!(ok, "graph-scheduled BATCHMM output mismatch");
+        assert!(ok, "BATCHMM output mismatch");
         rt.graph_schedules().to_vec()
     }
 

@@ -11,8 +11,8 @@ use fluidicl_vcl::FaultPlan;
 ///
 /// Every field is either a knob the paper varies (chunk sizing, abort
 /// mode, the §6 optimizations), a protocol the experiments compare
-/// (dirty-range transfers, pipelining, graph scheduling), or a test
-/// and robustness gate (protocol validation, fault injection). Recovery
+/// (dirty-range transfers, pipelining), or a test and robustness gate
+/// (protocol validation, fault injection). Recovery
 /// from injected faults has no knobs: its deadlines, retry budget and
 /// backoff are fixed. The defaults need no tuning: the runtime co-executes
 /// on every device the machine declares.
@@ -69,19 +69,6 @@ pub struct FluidiclConfig {
     /// *and* no recovery machinery on the event timeline — traces and
     /// timings stay byte-identical to a build without the fault subsystem.
     pub faults: Option<FaultPlan>,
-    /// Defer enqueued kernels into a dependence DAG and dispatch
-    /// independent nodes concurrently across devices (HEFT-style lookahead
-    /// over footprint-derived edges). Off by default: single-kernel
-    /// programs and the gate-off path stay byte-identical to the serial
-    /// enqueue protocol. When on, launches accumulate until a buffer read
-    /// (or an explicit [`Fluidicl::flush_graph`](crate::Fluidicl::flush_graph))
-    /// forces the graph to execute.
-    ///
-    /// Ignored while `faults` is set: the watchdog and failover protocol is
-    /// defined over immediate execution order, so every launch then runs
-    /// eagerly, one report per launch in enqueue order, exactly as with
-    /// this flag off.
-    pub graph_scheduling: bool,
 }
 
 impl Default for FluidiclConfig {
@@ -98,7 +85,6 @@ impl Default for FluidiclConfig {
             dirty_range_transfers: true,
             pipelined: true,
             faults: None,
-            graph_scheduling: false,
         }
     }
 }
@@ -188,13 +174,6 @@ impl FluidiclConfig {
         self.faults = plan;
         self
     }
-
-    /// Returns a copy with kernel-graph scheduling enabled or disabled.
-    #[must_use]
-    pub fn with_graph_scheduling(mut self, enabled: bool) -> Self {
-        self.graph_scheduling = enabled;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -218,7 +197,6 @@ mod tests {
         );
         assert!(cfg.pipelined, "one subkernel overlaps its ship");
         assert_eq!(cfg.faults, None, "fault injection is opt-in");
-        assert!(!cfg.graph_scheduling, "graph scheduling is opt-in");
     }
 
     #[test]
@@ -246,9 +224,6 @@ mod tests {
         let cfg = cfg.with_dirty_range_transfers(true).with_pipelining(true);
         assert!(cfg.dirty_range_transfers);
         assert!(cfg.pipelined);
-        let cfg = cfg.with_graph_scheduling(true);
-        assert!(cfg.graph_scheduling);
-        assert!(!cfg.with_graph_scheduling(false).graph_scheduling);
     }
 
     #[test]

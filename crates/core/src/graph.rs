@@ -1,7 +1,7 @@
-//! Kernel-graph dependence analysis (`with_graph_scheduling`).
+//! Kernel-graph dependence analysis.
 //!
-//! When graph scheduling is on, the runtime defers enqueued launches into a
-//! DAG instead of executing them immediately. This module derives the
+//! The runtime defers every enqueued launch into a DAG and executes it at
+//! the next flush. This module derives the
 //! edges: for every pair of deferred launches that touch a common buffer,
 //! the per-arg [`AccessPattern`] declarations are evaluated over the
 //! *whole* NDRange and the element footprints intersected —
@@ -200,9 +200,11 @@ pub struct GraphNodeSummary {
     pub kernel: String,
     /// Runtime kernel id assigned at flush.
     pub kernel_id: u64,
-    /// Execution lane: 0 is the owner co-execution path (CPU + owner
-    /// GPU, joined by every idle peer the plan has no further node for),
-    /// lane `p >= 1` is peer GPU `p` running the node alone.
+    /// Execution lane: 0 is the owner co-execution path (the healthy CPU
+    /// and owner GPU, joined by every idle peer the plan has no further
+    /// node for), lane `p >= 1` is peer GPU `p` running the node alone.
+    /// A node whose planned lane had no healthy device left records where
+    /// it ran instead.
     pub lane: usize,
     /// Peer lanes that joined a lane-0 node's co-execution, busy for its
     /// whole window as well; empty on a peer lane.

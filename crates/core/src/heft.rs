@@ -27,12 +27,10 @@ pub struct HeftEdge {
     pub cost_ns: u64,
 }
 
-/// The placement the planner chose.
+/// The placement the planner chose. The runtime takes only the lanes:
+/// it executes nodes in enqueue order, which every edge already respects.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HeftPlan {
-    /// Node indices in scheduling order (decreasing upward rank — a
-    /// topological order of the DAG).
-    pub order: Vec<usize>,
     /// Chosen lane per node (indexed by node).
     pub lane: Vec<usize>,
     /// Estimated start per node, ns (indexed by node).
@@ -61,7 +59,6 @@ pub fn plan(weights: &[Vec<u64>], edges: &[HeftEdge]) -> HeftPlan {
     let n = weights.len();
     if n == 0 {
         return HeftPlan {
-            order: Vec::new(),
             lane: Vec::new(),
             start_ns: Vec::new(),
             finish_ns: Vec::new(),
@@ -123,7 +120,6 @@ pub fn plan(weights: &[Vec<u64>], edges: &[HeftEdge]) -> HeftPlan {
         lane_free[l] = eft;
     }
     HeftPlan {
-        order,
         lane,
         start_ns,
         finish_ns,
@@ -193,7 +189,7 @@ mod tests {
     #[test]
     fn empty_graph_plans_empty() {
         let p = plan(&[], &[]);
-        assert!(p.order.is_empty());
+        assert!(p.lane.is_empty());
         assert_eq!(p.makespan_ns(), 0);
     }
 
@@ -228,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn order_is_topological() {
+    fn estimates_respect_every_edge() {
         // Diamond: 0 -> {1, 2} -> 3.
         let w = vec![vec![10, 10]; 4];
         let edges = [
@@ -254,9 +250,11 @@ mod tests {
             },
         ];
         let p = plan(&w, &edges);
-        let pos = |i: usize| p.order.iter().position(|&x| x == i).expect("scheduled");
         for e in &edges {
-            assert!(pos(e.from) < pos(e.to), "rank order respects {e:?}");
+            assert!(
+                p.start_ns[e.to] >= p.finish_ns[e.from],
+                "the estimate respects {e:?}"
+            );
         }
         // The two middle nodes overlap on distinct lanes.
         assert_ne!(p.lane[1], p.lane[2]);

@@ -1403,7 +1403,7 @@ mod tests {
     fn degraded(lane: Lane, to: u64) -> TraceKind {
         TraceKind::SoloRun {
             lane,
-            node: None,
+            node: 0,
             from: 0,
             to,
         }
@@ -1412,7 +1412,7 @@ mod tests {
     fn graph_run(dev: u32, from: u64, to: u64) -> TraceKind {
         TraceKind::SoloRun {
             lane: Lane::Peer(dev),
-            node: Some(1),
+            node: 1,
             from,
             to,
         }

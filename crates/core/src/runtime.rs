@@ -7,9 +7,11 @@
 //! returning data to the host in a background thread (§4.4, §5.6), and
 //! tracking buffer coherence and locations across kernels (§5.3, §6.2).
 //!
-//! Every kernel executes through one placement routine, `place`: a prepared
-//! launch on a set of healthy lanes. Two or more lanes co-execute; one lane
-//! runs the whole NDRange alone (a degraded run, or a graph node on a peer).
+//! Every enqueue is deferred into a kernel graph, and every kernel executes
+//! when the graph is flushed, through one placement routine, `place`: a
+//! prepared launch on a set of healthy lanes. Two or more lanes co-execute;
+//! one lane runs the whole NDRange alone (a degraded run, or a graph node
+//! on a peer).
 
 use fluidicl_des::{SimDuration, SimTime};
 use fluidicl_hetsim::{AbortMode, MachineConfig};
@@ -94,8 +96,11 @@ pub struct Fluidicl {
     /// Unrecoverable device loss: every later enqueue returns a clone of it
     /// instead of touching dead hardware.
     fatal: Option<ClError>,
-    /// Launches deferred by kernel-graph scheduling, awaiting a flush.
+    /// Enqueued launches awaiting the next flush.
     pending: Vec<PreparedLaunch>,
+    /// The error of a flush that a buffer creation forced, returned by the
+    /// next flush: `create_buffer` has no error to return it with.
+    flush_error: Option<ClError>,
     /// Online-profiled per-(kernel, lane) node weights for HEFT lookahead,
     /// carried across flushes.
     weights: WeightTable,
@@ -109,8 +114,8 @@ pub struct Fluidicl {
 }
 
 /// A launch validated at enqueue time: signature, scalars and buffer
-/// handles are checked once, eager or deferred, and the launch keeps its
-/// cached argument classification until it runs.
+/// handles are checked once, and the launch keeps its cached argument
+/// classification until a flush runs it.
 #[derive(Debug)]
 struct PreparedLaunch {
     kernel: String,
@@ -154,6 +159,7 @@ impl Fluidicl {
             last_cpu_version: 0,
             fatal: None,
             pending: Vec::new(),
+            flush_error: None,
             weights: WeightTable::new(),
             graph_schedules: Vec::new(),
             work: WorkCounters::default(),
@@ -165,18 +171,20 @@ impl Fluidicl {
         &self.config
     }
 
-    /// Per-kernel execution reports, in launch order.
+    /// Per-kernel execution reports of the flushed kernels, in enqueue
+    /// order. A kernel reports once a flush has run it: after a buffer
+    /// read, write or creation, or an explicit [`Fluidicl::flush_graph`].
     pub fn reports(&self) -> &[KernelReport] {
         &self.reports
     }
 
-    /// Aggregate statistics.
+    /// Aggregate statistics over the flushed kernels' reports.
     pub fn summary(&self) -> RuntimeSummary {
         RuntimeSummary::from_reports(&self.reports)
     }
 
-    /// Schedules recorded by kernel-graph flushes, in flush order (empty
-    /// unless [`FluidiclConfig::with_graph_scheduling`] is on).
+    /// One schedule per kernel-graph flush that ran a kernel, in flush
+    /// order.
     pub fn graph_schedules(&self) -> &[GraphSchedule] {
         &self.graph_schedules
     }
@@ -292,10 +300,9 @@ impl Fluidicl {
         Ok(())
     }
 
-    /// Validates a launch against the program and the buffer table. Eager
-    /// and deferred enqueues both come through here, so a malformed launch
-    /// fails with the same typed error at enqueue time either way, and
-    /// every later table access may index infallibly.
+    /// Validates a launch against the program and the buffer table, so a
+    /// malformed launch fails with a typed error at enqueue time, and every
+    /// later table access may index infallibly.
     fn prepare(
         &self,
         kernel: &str,
@@ -372,35 +379,33 @@ impl Fluidicl {
     }
 
     /// Runs one prepared launch on `lanes`, no earlier than `ready`, and
-    /// reports it as enqueued at `enqueued_at` — the one routine every
-    /// kernel executes through. No lane is a stable typed error, one lane
-    /// runs the whole NDRange alone, and two or more co-execute under the
-    /// fluidic protocol. `node` names the graph node a flush is placing.
-    /// The launch takes the next kernel id. Returns when the placement
-    /// started and when the kernel completed.
+    /// reports it as enqueued at `ready` — the one routine every kernel
+    /// executes through. No lane is a stable typed error, one lane runs the
+    /// whole NDRange alone, and two or more co-execute under the fluidic
+    /// protocol. `node` names the graph node the flush is placing. The
+    /// launch takes the next kernel id. Returns when the placement started
+    /// and when the kernel completed.
     fn place(
         &mut self,
         p: &PreparedLaunch,
-        node: Option<usize>,
+        node: usize,
         lanes: Lanes,
         ready: SimTime,
-        enqueued_at: SimTime,
     ) -> ClResult<(SimTime, SimTime)> {
         let kid = self.next_kernel_id;
         self.next_kernel_id += 1;
         for id in &p.out_ids {
             self.buffers.begin_kernel_write(*id);
         }
-        let times = (ready, enqueued_at);
         let placed = match (lanes.cpu, lanes.gpu, lanes.peers.as_slice()) {
             (false, false, []) => Err(ClError::DeviceLost {
                 device: DeviceKind::Gpu,
                 detail: "no healthy device remains to execute the kernel".into(),
             }),
-            (true, false, []) => self.place_solo(p, kid, node, Lane::Cpu, times),
-            (false, true, []) => self.place_solo(p, kid, node, Lane::Gpu, times),
-            (false, false, [slot]) => self.place_solo(p, kid, node, Lane::Peer(slot.dev), times),
-            _ => self.place_coexec(p, kid, lanes, times),
+            (true, false, []) => self.place_solo(p, kid, node, Lane::Cpu, ready),
+            (false, true, []) => self.place_solo(p, kid, node, Lane::Gpu, ready),
+            (false, false, [slot]) => self.place_solo(p, kid, node, Lane::Peer(slot.dev), ready),
+            _ => self.place_coexec(p, kid, lanes, ready),
         };
         if let Err(e @ ClError::DeviceLost { .. }) = &placed {
             // Unrecoverable: every later enqueue replays the loss instead
@@ -422,9 +427,9 @@ impl Fluidicl {
         &mut self,
         p: &PreparedLaunch,
         kid: KernelId,
-        node: Option<usize>,
+        node: usize,
         lane: Lane,
-        (ready, enqueued_at): (SimTime, SimTime),
+        ready: SimTime,
     ) -> ClResult<(SimTime, SimTime)> {
         let total = p.launch.ndrange.num_groups();
         let mirror = matches!(lane, Lane::Peer(_)) && self.roster.gpu_healthy();
@@ -458,7 +463,7 @@ impl Fluidicl {
         };
         let span = TraceKind::SoloRun {
             lane,
-            node: node.map(|n| n as u32),
+            node: node as u32,
             from: 0,
             to: total,
         };
@@ -472,7 +477,7 @@ impl Fluidicl {
         let report = KernelReport {
             kernel: p.kernel.clone(),
             kernel_id: kid,
-            enqueued_at,
+            enqueued_at: ready,
             complete_at,
             total_wgs: total,
             gpu_executed_wgs,
@@ -488,9 +493,9 @@ impl Fluidicl {
             cpu_version_used: self.last_cpu_version,
             peer_executed_wgs,
             finished_by,
-            duration: complete_at.saturating_since(enqueued_at),
+            duration: complete_at.saturating_since(ready),
             trace: vec![
-                event(enqueued_at, enqueued),
+                event(ready, enqueued),
                 event(start, span),
                 event(
                     complete_at,
@@ -542,7 +547,7 @@ impl Fluidicl {
         p: &PreparedLaunch,
         kid: KernelId,
         lanes: Lanes,
-        (ready, enqueued_at): (SimTime, SimTime),
+        ready: SimTime,
     ) -> ClResult<(SimTime, SimTime)> {
         // Each side waits for its copy of the launch buffers to be current
         // (paper §5.3); `begin_kernel_write` leaves the ready times alone.
@@ -561,7 +566,7 @@ impl Fluidicl {
             config: &self.config,
             launch: &p.launch,
             kernel_id: kid,
-            enqueue_at: enqueued_at,
+            enqueue_at: ready,
             gpu_start,
             cpu_start,
             hd_free: self.hd_free,
@@ -625,27 +630,65 @@ impl Fluidicl {
         Ok((ready, complete))
     }
 
-    /// Executes every deferred launch according to a HEFT placement over
-    /// the kernel dependence graph, then clears the pending queue.
+    /// The graph lane a node planned on `planned` runs on, and the peer
+    /// lanes that join it, by the roster at placement. Lane 0 is the healthy
+    /// CPU and primary GPU, joined by every healthy peer lane `idle` admits;
+    /// peer lane `l >= 1` is `peers[l - 1]` alone. A planned lane with no
+    /// healthy device falls back to every healthy device: lane 0 joined by
+    /// every healthy peer or, with neither the CPU nor the GPU left, the
+    /// first healthy peer alone.
+    fn node_lanes(
+        &self,
+        peers: &[PeerSlot],
+        planned: usize,
+        idle: impl Fn(usize) -> bool,
+    ) -> (usize, Vec<usize>) {
+        let live = |l: usize| !self.roster.peer_dead(peers[l - 1].dev);
+        if planned > 0 && live(planned) {
+            return (planned, Vec::new());
+        }
+        let owner_pair = self.roster.cpu_healthy() || self.roster.gpu_healthy();
+        let fallback = planned > 0 || !owner_pair;
+        let joined: Vec<usize> = (1..=peers.len())
+            .filter(|&l| live(l) && (fallback || idle(l)))
+            .collect();
+        match joined.first() {
+            Some(&first) if !owner_pair => (first, Vec::new()),
+            _ => (0, joined),
+        }
+    }
+
+    /// Executes every enqueued launch over its kernel dependence graph,
+    /// then clears the pending queue: the one place a kernel is placed.
     ///
-    /// Called automatically before any buffer read or write; applications
-    /// may also call it directly as an explicit synchronization point.
-    /// Reports, kernel times and the clock only reflect deferred launches
-    /// once a flush has run, so query statistics after the flush (or after
-    /// the buffer read that forced it).
+    /// HEFT picks each node's lane, and the nodes execute in enqueue order,
+    /// which every dependence edge already respects. A node is ready once
+    /// its producers have completed and its lanes are free, and reports
+    /// itself enqueued at that instant, so a chain on lane 0 runs exactly as
+    /// if each kernel had been placed when it was enqueued. Lanes are read
+    /// from the roster as each node is placed, so a device lost earlier in
+    /// the flush takes no later node.
+    ///
+    /// Called automatically before any buffer read, write or creation;
+    /// applications may also call it directly as an explicit
+    /// synchronization point. Reports, kernel times and the clock reflect
+    /// an enqueued launch only once a flush has run it.
     ///
     /// # Errors
     ///
     /// Propagates execution and protocol-gate errors from the flushed
-    /// nodes; nodes already executed when the error surfaces stay
-    /// executed, and the remaining pending launches are dropped.
+    /// nodes, and the error of a flush a buffer creation forced; nodes
+    /// already executed when the error surfaces stay executed, and the
+    /// remaining pending launches are dropped.
     pub fn flush_graph(&mut self) -> ClResult<()> {
+        if let Some(e) = self.flush_error.take() {
+            return Err(e);
+        }
         if self.pending.is_empty() {
             return Ok(());
         }
         let pending = std::mem::take(&mut self.pending);
-        let n = pending.len();
-        // Footprints and dependence edges over the deferred launches.
+        // Footprints and dependence edges over the enqueued launches.
         let buffers = &self.buffers;
         let accesses = pending
             .iter()
@@ -683,73 +726,67 @@ impl Fluidicl {
             })
             .collect();
         let plan = heft::plan(&weights, &heft_edges);
-        // Execute in rank order. Every edge kind serializes its endpoints
-        // (conservative: anti/output deps wait for full completion too), so
-        // memory effects match the serial enqueue order exactly.
+        // Every edge kind serializes its endpoints (conservative: anti and
+        // output dependences wait for full completion too), so memory
+        // effects match the enqueue order exactly.
+        let mut producers = vec![Vec::new(); pending.len()];
+        for e in &edges {
+            producers[e.to].push(e.from);
+        }
         let flush_at = self.host_clock;
-        let mut node_start = vec![SimTime::ZERO; n];
-        let mut node_complete = vec![SimTime::ZERO; n];
-        let mut node_kid = vec![0u64; n];
-        let mut node_joined = vec![Vec::new(); n];
         let mut lane_free = vec![flush_at; 1 + peers.len()];
         // Nodes the plan still has to place on each lane.
-        let mut unplaced = vec![0usize; 1 + peers.len()];
+        let mut unplaced = vec![0usize; lane_free.len()];
         for &lane in &plan.lane {
             unplaced[lane] += 1;
         }
-        for &node in &plan.order {
-            let p = &pending[node];
-            let dep_ready = edges
+        let mut nodes: Vec<GraphNodeSummary> = Vec::with_capacity(pending.len());
+        for (node, (p, access)) in pending.iter().zip(accesses).enumerate() {
+            let dep_ready = producers[node]
                 .iter()
-                .filter(|e| e.to == node)
-                .map(|e| node_complete[e.from])
+                .map(|&from| nodes[from].complete_at)
                 .fold(flush_at, SimTime::max);
-            let lane = plan.lane[node];
-            unplaced[lane] -= 1;
-            let ready = dep_ready.max(lane_free[lane]);
-            // A peer lane runs its nodes alone. The owner lane co-executes
-            // on the CPU and the primary GPU, joined by every peer the plan
-            // has no further node for and that is idle when the node starts.
-            let joined: Vec<usize> = if lane == 0 {
-                (1..lane_free.len())
-                    .filter(|&l| unplaced[l] == 0 && lane_free[l] <= ready)
-                    .collect()
-            } else {
-                vec![lane]
-            };
+            let planned = plan.lane[node];
+            unplaced[planned] -= 1;
+            // A lane-0 node co-executes with every peer the plan has no
+            // further node for and that is idle when the node starts.
+            let owner_ready = dep_ready.max(lane_free[0]);
+            let (lane, joined) = self.node_lanes(&peers, planned, |l| {
+                unplaced[l] == 0 && lane_free[l] <= owner_ready
+            });
+            let used = || std::iter::once(lane).chain(joined.iter().copied());
+            let ready = used().map(|l| lane_free[l]).fold(dep_ready, SimTime::max);
             let lanes = Lanes {
-                cpu: lane == 0,
-                gpu: lane == 0,
-                peers: joined.iter().map(|&l| peers[l - 1].clone()).collect(),
+                cpu: lane == 0 && self.roster.cpu_healthy(),
+                gpu: lane == 0 && self.roster.gpu_healthy(),
+                peers: used()
+                    .filter(|&l| l > 0)
+                    .map(|l| peers[l - 1].clone())
+                    .collect(),
             };
-            node_kid[node] = self.next_kernel_id;
-            let (start, complete) = self.place(p, Some(node), lanes, ready, flush_at)?;
-            lane_free[lane] = complete;
-            for &l in &joined {
+            let kernel_id = self.next_kernel_id;
+            let (start, complete) = self.place(p, node, lanes, ready)?;
+            for l in used() {
                 lane_free[l] = complete;
             }
-            if lane == 0 {
-                node_joined[node] = joined;
-            }
-            node_start[node] = start;
-            node_complete[node] = complete;
             self.weights
                 .observe_ns(&p.kernel, lane, complete.saturating_since(start).as_nanos());
+            nodes.push(GraphNodeSummary {
+                node,
+                kernel: access.kernel,
+                kernel_id,
+                lane,
+                joined,
+                start_at: start,
+                complete_at: complete,
+                reads: access.reads,
+                writes: access.writes,
+            });
         }
-        self.host_clock = node_complete.iter().copied().fold(flush_at, SimTime::max);
-        let nodes = (0..n)
-            .map(|i| GraphNodeSummary {
-                node: i,
-                kernel: pending[i].kernel.clone(),
-                kernel_id: node_kid[i],
-                lane: plan.lane[i],
-                joined: std::mem::take(&mut node_joined[i]),
-                start_at: node_start[i],
-                complete_at: node_complete[i],
-                reads: accesses[i].reads.clone(),
-                writes: accesses[i].writes.clone(),
-            })
-            .collect();
+        self.host_clock = nodes
+            .iter()
+            .map(|n| n.complete_at)
+            .fold(flush_at, SimTime::max);
         self.graph_schedules.push(GraphSchedule { nodes, edges });
         Ok(())
     }
@@ -757,6 +794,12 @@ impl Fluidicl {
 
 impl ClDriver for Fluidicl {
     fn create_buffer(&mut self, len: usize) -> BufferId {
+        // A buffer creation is a synchronization point for the kernel
+        // graph: the allocation must see the clocks and the roster the
+        // enqueued kernels leave.
+        if let Err(e) = self.flush_graph() {
+            self.flush_error = Some(e);
+        }
         // clCreateBuffer allocates on both devices (paper §4.1); the GPU
         // allocation dominates the cost. It sits on the in-order hd queue
         // ahead of the buffer's first host-to-device copy. After a permanent
@@ -825,28 +868,9 @@ impl ClDriver for Fluidicl {
             // error.
             return Err(fatal.clone());
         }
+        // Deferred into the kernel graph; the next flush places it.
         let prepared = self.prepare(kernel, ndrange, args)?;
-        // Kernel-graph scheduling: defer into the DAG instead of executing
-        // now. Fault plans keep the eager path — the watchdog/failover
-        // protocol is defined over immediate execution order.
-        if self.config.graph_scheduling && self.injector.is_none() {
-            self.pending.push(prepared);
-            return Ok(());
-        }
-        // An eager launch is the next node of a chain: ready when the host
-        // issues it, placed on every healthy lane. With both the CPU and the
-        // primary GPU lost no owner pair remains: the first peer runs alone.
-        let mut lanes = Lanes {
-            cpu: self.roster.cpu_healthy(),
-            gpu: self.roster.gpu_healthy(),
-            peers: self.healthy_peers(),
-        };
-        if !lanes.cpu && !lanes.gpu {
-            lanes.peers.truncate(1);
-        }
-        let now = self.host_clock;
-        let (_, complete) = self.place(&prepared, None, lanes, now, now)?;
-        self.host_clock = complete;
+        self.pending.push(prepared);
         Ok(())
     }
 
@@ -895,10 +919,13 @@ impl ClDriver for Fluidicl {
         }
     }
 
+    /// The host clock, which reflects an enqueued kernel only once a flush
+    /// has run it.
     fn elapsed(&self) -> SimDuration {
         self.host_clock.saturating_since(SimTime::ZERO)
     }
 
+    /// The flushed kernels' durations, in enqueue order.
     fn kernel_times(&self) -> Vec<(String, SimDuration)> {
         self.reports
             .iter()
@@ -984,7 +1011,7 @@ mod tests {
         ]
     }
 
-    /// Places `dst = f × src` on `lanes` as an eager enqueue does: ready
+    /// Places `dst = f × src` on `lanes` as the only node of a flush: ready
     /// and enqueued at the host clock, which then advances to completion.
     /// Returns the instant the placement was ready.
     fn place_scale(
@@ -997,7 +1024,7 @@ mod tests {
         let nd = NdRange::d1(rt.buffers.state(src).len, 64).unwrap();
         let p = rt.prepare("scale", nd, &scale_args(src, dst, f)).unwrap();
         let now = rt.host_clock;
-        let (_, complete) = rt.place(&p, None, lanes, now, now).unwrap();
+        let (_, complete) = rt.place(&p, 0, lanes, now).unwrap();
         rt.host_clock = complete;
         now
     }
@@ -1239,6 +1266,8 @@ mod tests {
             ],
         )
         .unwrap();
+        assert!(rt.reports().is_empty(), "the kernel waits for a flush");
+        rt.flush_graph().unwrap();
         let summary = rt.summary();
         assert_eq!(summary.kernels, 1);
         assert_eq!(summary.total_wgs, 32);
@@ -1308,6 +1337,7 @@ mod tests {
                 ],
             )
             .unwrap();
+            rt.flush_graph().unwrap();
             let before = rt.dh_free;
             let v = rt.read_buffer(b).unwrap();
             assert_eq!(v[0], 2.0);
@@ -1366,6 +1396,7 @@ mod tests {
                 )
                 .unwrap();
             }
+            rt.flush_graph().unwrap();
             let hd: u64 = rt.reports().iter().map(|r| r.hd_bytes).sum();
             (rt.read_buffer(b).unwrap(), rt.elapsed(), hd)
         };
@@ -1384,20 +1415,18 @@ mod tests {
     }
 
     #[test]
-    fn graph_scheduling_defers_until_read_then_matches_serial_results() {
+    fn enqueues_defer_until_a_read_then_match_serial_results() {
         let mut rt = Fluidicl::new(
             MachineConfig::paper_testbed(),
-            FluidiclConfig::default()
-                .with_graph_scheduling(true)
-                .with_validate_protocol(true),
+            FluidiclConfig::default().with_validate_protocol(true),
             scale_program(),
         );
         let n = 2048;
         let a = rt.create_buffer(n);
         let b = rt.create_buffer(n);
         rt.write_buffer(a, &vec![1.0; n]).unwrap();
-        // a -> b (x2), b -> a (x2): a should end at 4.0, exactly like the
-        // eager chained test — the graph serializes the true dependences.
+        // a -> b (x2), b -> a (x2): a should end at 4.0 — the graph
+        // serializes the true dependences.
         for (src, dst) in [(a, b), (b, a)] {
             rt.enqueue_kernel(
                 "scale",
@@ -1428,16 +1457,14 @@ mod tests {
     }
 
     #[test]
-    fn graph_scheduling_overlaps_independent_kernels_on_peers() {
-        // Compute-heavy independent launches: serial co-execution leaves
-        // the mid-range peer nearly idle (it joins each kernel too late to
-        // claim waves), while the graph dedicates it whole sibling nodes.
-        let run = |graph: bool| {
+    fn graph_flushes_overlap_independent_kernels_on_peers() {
+        // Compute-heavy independent launches: flushed one by one, they run
+        // back to back, while one flush over all four dedicates the
+        // mid-range peer whole sibling nodes next to the owner pair.
+        let run = |flush_each: bool| {
             let mut rt = Fluidicl::new(
                 MachineConfig::paper_testbed_3dev(),
-                FluidiclConfig::default()
-                    .with_graph_scheduling(graph)
-                    .with_validate_protocol(true),
+                FluidiclConfig::default().with_validate_protocol(true),
                 heavy_program(),
             );
             let n = 1 << 13;
@@ -1449,16 +1476,12 @@ mod tests {
             }
             let before = rt.elapsed();
             for (src, dst) in &bufs {
-                rt.enqueue_kernel(
-                    "heavy",
-                    NdRange::d1(n, 64).unwrap(),
-                    &[
-                        KernelArg::Buffer(*src),
-                        KernelArg::Buffer(*dst),
-                        KernelArg::F32(3.0),
-                    ],
-                )
-                .unwrap();
+                let nd = NdRange::d1(n, 64).unwrap();
+                rt.enqueue_kernel("heavy", nd, &scale_args(*src, *dst, 3.0))
+                    .unwrap();
+                if flush_each {
+                    rt.flush_graph().unwrap();
+                }
             }
             rt.flush_graph().unwrap();
             let makespan = rt.elapsed() - before;
@@ -1467,9 +1490,9 @@ mod tests {
             }
             (makespan, rt.graph_schedules().to_vec())
         };
-        let (serial, s0) = run(false);
-        let (graphed, s1) = run(true);
-        assert!(s0.is_empty(), "gate off records no schedules");
+        let (serial, s0) = run(true);
+        let (graphed, s1) = run(false);
+        assert!(s0.len() == 4 && s0.iter().all(|s| s.nodes.len() == 1));
         assert_eq!(s1.len(), 1);
         assert!(
             s1[0].nodes.iter().any(|nd| nd.lane >= 1),
@@ -1515,86 +1538,141 @@ mod tests {
 
     #[test]
     fn a_lane_zero_node_co_executes_with_every_idle_peer() {
-        // One deferred kernel: HEFT keeps it on lane 0 and has no node for
-        // the peer, so the peer joins it, exactly as an eager enqueue places
-        // it on every device.
-        let run = |graph: bool| {
+        // One enqueued kernel: HEFT keeps it on lane 0 and has no node for
+        // the peer, so the peer joins it, exactly as placing it directly on
+        // every device does.
+        let setup = || {
             let mut rt = Fluidicl::new(
                 MachineConfig::paper_testbed_3dev(),
-                FluidiclConfig::default().with_graph_scheduling(graph),
+                FluidiclConfig::default(),
                 heavy_program(),
             );
             let n = 1 << 14;
             let (src, dst) = (rt.create_buffer(n), rt.create_buffer(n));
             rt.write_buffer(src, &vec![1.0; n]).unwrap();
             let nd = NdRange::d1(n, 64).unwrap();
-            rt.enqueue_kernel("heavy", nd, &scale_args(src, dst, 3.0))
-                .unwrap();
-            assert_eq!(rt.read_buffer(dst).unwrap(), vec![3.0; n]);
-            let lanes: Vec<(usize, Vec<usize>)> = rt
-                .graph_schedules()
-                .iter()
-                .flat_map(|s| s.nodes.iter().map(|nd| (nd.lane, nd.joined.clone())))
-                .collect();
-            let report = &rt.reports()[0];
-            (lanes, report.peer_executed_wgs.clone(), report.complete_at)
+            (rt, nd, scale_args(src, dst, 3.0))
         };
-        let (_, eager_peers, eager_done) = run(false);
-        let (lanes, graph_peers, graph_done) = run(true);
+        let (mut rt, nd, args) = setup();
+        rt.enqueue_kernel("heavy", nd, &args).unwrap();
+        rt.flush_graph().unwrap();
+        let lanes: Vec<(usize, Vec<usize>)> = rt
+            .graph_schedules()
+            .iter()
+            .flat_map(|s| s.nodes.iter().map(|nd| (nd.lane, nd.joined.clone())))
+            .collect();
         // The schedule names the peer the node kept busy.
         assert_eq!(lanes, [(0, vec![1])]);
-        assert_eq!(graph_peers.len(), 1, "the idle peer joins the node");
-        assert!(graph_peers.iter().all(|&wgs| wgs > 0));
-        assert_eq!((graph_peers, graph_done), (eager_peers, eager_done));
+        let report = &rt.reports()[0];
+        assert_eq!(report.peer_executed_wgs.len(), 1, "the idle peer joins");
+        assert!(report.peer_executed_wgs.iter().all(|&wgs| wgs > 0));
+
+        let (mut direct, nd, args) = setup();
+        let p = direct.prepare("heavy", nd, &args).unwrap();
+        let everywhere = Lanes {
+            cpu: true,
+            gpu: true,
+            peers: direct.healthy_peers(),
+        };
+        let now = direct.host_clock;
+        direct.place(&p, 0, everywhere, now).unwrap();
+        let placed = &direct.reports()[0];
+        assert_eq!(
+            (&report.peer_executed_wgs, report.complete_at),
+            (&placed.peer_executed_wgs, placed.complete_at)
+        );
     }
 
     #[test]
-    fn eager_and_deferred_enqueues_reject_malformed_launches_alike() {
-        let run = |graph: bool| {
-            let mut rt = Fluidicl::new(
-                MachineConfig::paper_testbed_3dev(),
-                FluidiclConfig::default().with_graph_scheduling(graph),
-                scale_program(),
-            );
-            let n = 1024;
-            let (a, b) = (rt.create_buffer(n), rt.create_buffer(n));
-            rt.write_buffer(a, &vec![1.0; n]).unwrap();
-            let nd = NdRange::d1(n, 64).unwrap();
-            let forged = BufferId(a.0 + b.0 + 100);
-            let launches = [
-                ("nope", vec![KernelArg::Buffer(a), KernelArg::Buffer(b)]),
-                ("scale", vec![KernelArg::Buffer(a), KernelArg::Buffer(b)]),
-                (
-                    "scale",
-                    vec![
-                        KernelArg::Buffer(forged),
-                        KernelArg::Buffer(b),
-                        KernelArg::F32(2.0),
-                    ],
-                ),
-            ];
-            let errors: Vec<ClError> = launches
-                .iter()
-                .map(|(kernel, args)| rt.enqueue_kernel(kernel, nd, args).unwrap_err())
-                .collect();
-            // Rejected at enqueue time: nothing was deferred or executed.
-            assert!(rt.pending.is_empty() && rt.reports().is_empty());
-            rt.flush_graph().unwrap();
-            assert!(rt.reports().is_empty() && rt.graph_schedules().is_empty());
-            errors
-        };
-        let eager = run(false);
-        assert_eq!(eager, run(true), "deferral must not change the error");
-        assert_eq!(eager[0], ClError::UnknownKernel("nope".into()));
+    fn a_node_whose_lane_was_lost_runs_on_every_healthy_device() {
+        let mut rt = Fluidicl::new(
+            MachineConfig::paper_testbed_3dev(),
+            FluidiclConfig::default(),
+            scale_program(),
+        );
+        // The lanes a flush planned on, before any loss.
+        let peers = rt.healthy_peers();
+        let busy = |_| false;
+        assert_eq!(rt.node_lanes(&peers, 1, busy), (1, vec![]));
+        assert_eq!(rt.node_lanes(&peers, 0, busy), (0, vec![]));
+        assert_eq!(rt.node_lanes(&peers, 0, |_| true), (0, vec![1]));
+        // A peer lost earlier in the flush hands its node to the CPU and
+        // the GPU; without them, lane 0 falls to the first healthy peer.
+        rt.roster.lose_peer(1);
+        assert_eq!(rt.node_lanes(&peers, 1, busy), (0, vec![]));
+        let mut rt = Fluidicl::new(
+            MachineConfig::paper_testbed_3dev(),
+            FluidiclConfig::default(),
+            scale_program(),
+        );
+        rt.roster.lose_cpu();
+        rt.roster.lose_gpu();
+        assert_eq!(rt.node_lanes(&peers, 0, busy), (1, vec![]));
+        // The flush places the node there, and it validates.
+        let n = 1024;
+        let (a, b) = (rt.create_buffer(n), rt.create_buffer(n));
+        rt.write_buffer(a, &vec![1.0; n]).unwrap();
+        let nd = NdRange::d1(n, 64).unwrap();
+        rt.enqueue_kernel("scale", nd, &scale_args(a, b, 2.0))
+            .unwrap();
+        assert_eq!(rt.read_buffer(b).unwrap(), vec![2.0; n]);
+        assert!(rt.reports()[0].trace.iter().any(|e| matches!(
+            e.kind,
+            TraceKind::SoloRun {
+                lane: Lane::Peer(1),
+                ..
+            }
+        )));
+        // With no device left the node is a typed loss.
+        rt.roster.lose_peer(1);
+        assert_eq!(rt.node_lanes(&peers, 1, busy), (0, vec![]));
+        rt.enqueue_kernel("scale", nd, &scale_args(a, b, 2.0))
+            .unwrap();
+        assert!(matches!(rt.read_buffer(b), Err(ClError::DeviceLost { .. })));
+    }
+
+    #[test]
+    fn enqueues_reject_malformed_launches_before_deferring() {
+        let mut rt = Fluidicl::new(
+            MachineConfig::paper_testbed_3dev(),
+            FluidiclConfig::default(),
+            scale_program(),
+        );
+        let n = 1024;
+        let (a, b) = (rt.create_buffer(n), rt.create_buffer(n));
+        rt.write_buffer(a, &vec![1.0; n]).unwrap();
+        let nd = NdRange::d1(n, 64).unwrap();
+        let forged = BufferId(a.0 + b.0 + 100);
+        let launches = [
+            ("nope", vec![KernelArg::Buffer(a), KernelArg::Buffer(b)]),
+            ("scale", vec![KernelArg::Buffer(a), KernelArg::Buffer(b)]),
+            (
+                "scale",
+                vec![
+                    KernelArg::Buffer(forged),
+                    KernelArg::Buffer(b),
+                    KernelArg::F32(2.0),
+                ],
+            ),
+        ];
+        let errors: Vec<ClError> = launches
+            .iter()
+            .map(|(kernel, args)| rt.enqueue_kernel(kernel, nd, args).unwrap_err())
+            .collect();
+        // Rejected at enqueue time: nothing was deferred or executed.
+        assert!(rt.pending.is_empty() && rt.reports().is_empty());
+        rt.flush_graph().unwrap();
+        assert!(rt.reports().is_empty() && rt.graph_schedules().is_empty());
+        assert_eq!(errors[0], ClError::UnknownKernel("nope".into()));
         assert!(
-            matches!(&eager[1], ClError::ArgMismatch { kernel, .. } if kernel == "scale"),
+            matches!(&errors[1], ClError::ArgMismatch { kernel, .. } if kernel == "scale"),
             "{:?}",
-            eager[1]
+            errors[1]
         );
         assert!(
-            matches!(eager[2], ClError::InvalidBuffer(_)),
+            matches!(errors[2], ClError::InvalidBuffer(_)),
             "{:?}",
-            eager[2]
+            errors[2]
         );
     }
 
@@ -1602,7 +1680,7 @@ mod tests {
     fn graph_flush_is_explicit_and_idempotent() {
         let mut rt = Fluidicl::new(
             MachineConfig::paper_testbed_3dev(),
-            FluidiclConfig::default().with_graph_scheduling(true),
+            FluidiclConfig::default(),
             scale_program(),
         );
         let n = 1024;
@@ -1635,7 +1713,7 @@ mod tests {
         // stay correct either way.
         let mut rt = Fluidicl::new(
             MachineConfig::paper_testbed_3dev(),
-            FluidiclConfig::default().with_graph_scheduling(true),
+            FluidiclConfig::default(),
             scale_program(),
         );
         let n = 4096;
@@ -1684,27 +1762,36 @@ mod tests {
                 ],
             )
         };
-        let lost = (0..16)
-            .find_map(|seed| {
-                let plan = FaultPlan::new(FaultKind::GpuLost, seed);
-                let mut rt = Fluidicl::new(
-                    MachineConfig::paper_testbed_3dev(),
-                    FluidiclConfig::default().with_faults(Some(plan)),
-                    scale_program(),
-                );
-                let src = rt.create_buffer(n);
-                let mid = rt.create_buffer(n);
-                rt.write_buffer(src, &vec![1.0; n]).unwrap();
-                scale(&mut rt, src, mid).unwrap();
-                (!rt.roster().gpu_healthy()).then_some((rt, mid))
-            })
+        // An output buffer created after the first kernel is never
+        // host-written, so only its creation could tie it to the dead card.
+        // `flush` first runs the kernel explicitly, showing the clocks the
+        // creation must see.
+        let run = |seed, flush: bool| {
+            let plan = FaultPlan::new(FaultKind::GpuLost, seed);
+            let mut rt = Fluidicl::new(
+                MachineConfig::paper_testbed_3dev(),
+                FluidiclConfig::default().with_faults(Some(plan)),
+                scale_program(),
+            );
+            let src = rt.create_buffer(n);
+            let mid = rt.create_buffer(n);
+            rt.write_buffer(src, &vec![1.0; n]).unwrap();
+            scale(&mut rt, src, mid).unwrap();
+            if flush {
+                rt.flush_graph().unwrap();
+            }
+            let clocks = (rt.hd_free, rt.host_clock);
+            let dst = rt.create_buffer(1 << 22);
+            (rt, mid, dst, clocks)
+        };
+        let seed = (0..16)
+            .find(|&seed| !run(seed, false).0.roster().gpu_healthy())
             .expect("some seed loses the primary GPU in the first kernel");
-        let (mut rt, mid) = lost;
-        // An output buffer created now is never host-written, so only its
-        // creation could tie it to the dead card.
-        let (hd_free, host_clock) = (rt.hd_free, rt.host_clock);
-        let dst = rt.create_buffer(1 << 22);
-        assert_eq!(rt.hd_free, hd_free, "nothing queues on a dead GPU");
+        let (flushed, _, _, (hd_free, host_clock)) = run(seed, true);
+        assert_eq!(flushed.hd_free, hd_free, "nothing queues on a dead GPU");
+        // The creation alone flushes the kernel and sees the loss.
+        let (mut rt, mid, dst, _) = run(seed, false);
+        assert_eq!((rt.hd_free, rt.host_clock), (hd_free, host_clock));
         assert_eq!(rt.buffers.state(dst).gpu_ready_at, host_clock);
         scale(&mut rt, mid, dst).unwrap();
         assert_eq!(&rt.read_buffer(dst).unwrap()[..n], &vec![4.0; n][..]);
@@ -1734,6 +1821,7 @@ mod tests {
                 )
                 .unwrap();
             }
+            rt.flush_graph().unwrap();
             (rt.elapsed(), rt.pool_stats())
         };
         let (t_pool, s_pool) = run(true);

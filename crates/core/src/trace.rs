@@ -102,15 +102,14 @@ pub enum TraceKind {
     /// declared lost: a surviving peer is promoted, or the non-owners
     /// finish the range alone.
     OwnerLost,
-    /// One device executed work-groups `[from, to)` alone: a launch placed
-    /// on a single healthy lane — a degraded run after permanent losses,
-    /// or a graph node placed on a peer lane.
+    /// One device executed work-groups `[from, to)` alone: a graph node
+    /// placed on a single healthy lane — a degraded run after permanent
+    /// losses, or a node on a peer lane.
     SoloRun {
         /// The device that ran the span.
         lane: Lane,
-        /// Node index within the flushed kernel graph (enqueue order) when
-        /// a graph flush placed the run; `None` for an eager launch.
-        node: Option<u32>,
+        /// Node index within the flushed kernel graph (enqueue order).
+        node: u32,
         /// First flattened work-group of the run.
         from: u64,
         /// One past the last work-group of the run.
@@ -293,10 +292,7 @@ impl fmt::Display for TraceKind {
                 node,
                 from,
                 to,
-            } => match node {
-                None => write!(f, "[deg] {lane} finishing {from}..{to} alone"),
-                Some(node) => write!(f, "[gph] node {node} ran {from}..{to} on {lane}"),
-            },
+            } => write!(f, "[one] node {node} ran {from}..{to} on {lane} alone"),
             TraceKind::EpSubkernelStart {
                 dev,
                 from,
@@ -469,15 +465,12 @@ pub fn render_lanes(kernel: &str, events: &[TraceEvent], width: usize) -> String
             TraceKind::MergeDone => gpu[b] = 'M',
             TraceKind::KernelComplete { .. } => gpu[b] = '!',
             TraceKind::OwnerLost => gpu[b] = 'X',
-            // A solo run occupies its device's lane: `D` for a degraded
-            // run, `G` for a graph node; peer GPUs draw on the gpu lane.
-            TraceKind::SoloRun { lane, node, .. } => {
-                let mark = if node.is_some() { 'G' } else { 'D' };
-                match lane {
-                    Lane::Cpu => cpu[b] = mark,
-                    Lane::Gpu | Lane::Peer(_) => gpu[b] = mark,
-                }
-            }
+            // A solo run occupies its device's lane; peer GPUs draw on the
+            // gpu lane.
+            TraceKind::SoloRun { lane, .. } => match lane {
+                Lane::Cpu => cpu[b] = 'S',
+                Lane::Gpu | Lane::Peer(_) => gpu[b] = 'S',
+            },
             // Every non-owner endpoint computes on the cpu lane and ships
             // on the hd lane.
             TraceKind::EpSubkernelStart { .. } => cpu[b] = '[',
@@ -545,7 +538,7 @@ mod tests {
             TraceKind::OwnerLost,
             TraceKind::SoloRun {
                 lane: Lane::Cpu,
-                node: None,
+                node: 0,
                 from: 0,
                 to: 120,
             },
@@ -600,7 +593,7 @@ mod tests {
             },
             TraceKind::SoloRun {
                 lane: Lane::Peer(2),
-                node: Some(1),
+                node: 1,
                 from: 0,
                 to: 120,
             },
@@ -618,14 +611,14 @@ mod tests {
     fn graph_run_renders_node_and_endpoint() {
         let k = TraceKind::SoloRun {
             lane: Lane::Peer(1),
-            node: Some(3),
+            node: 3,
             from: 0,
             to: 64,
         };
-        assert_eq!(k.to_string(), "[gph] node 3 ran 0..64 on ep1");
+        assert_eq!(k.to_string(), "[one] node 3 ran 0..64 on ep1 alone");
         let events = vec![ev(0, TraceKind::GpuLaunch), ev(100, k)];
         let text = render_lanes("k", &events, 40);
-        assert!(text.contains('G'), "graph run marks the gpu lane: {text}");
+        assert!(text.contains('S'), "a solo run marks the gpu lane: {text}");
     }
 
     #[test]
@@ -645,22 +638,22 @@ mod tests {
         assert_eq!(
             TraceKind::SoloRun {
                 lane: Lane::Peer(1),
-                node: None,
+                node: 0,
                 from: 0,
                 to: 64
             }
             .to_string(),
-            "[deg] ep1 finishing 0..64 alone"
+            "[one] node 0 ran 0..64 on ep1 alone"
         );
         assert_eq!(
             TraceKind::SoloRun {
                 lane: Lane::Cpu,
-                node: None,
+                node: 0,
                 from: 0,
                 to: 64
             }
             .to_string(),
-            "[deg] CPU finishing 0..64 alone"
+            "[one] node 0 ran 0..64 on CPU alone"
         );
         let events = vec![
             ev(0, TraceKind::OwnerPromoted { dev: 1, epoch: 1 }),
@@ -806,7 +799,7 @@ mod tests {
                 200,
                 TraceKind::SoloRun {
                     lane: Lane::Cpu,
-                    node: None,
+                    node: 0,
                     from: 0,
                     to: 16,
                 },
@@ -816,7 +809,7 @@ mod tests {
         let text = render_lanes("k", &events, 40);
         assert!(text.contains('f'), "fault marker missing: {text}");
         assert!(text.contains('X'), "loss marker missing: {text}");
-        assert!(text.contains('D'), "degraded marker missing: {text}");
+        assert!(text.contains('S'), "solo-run marker missing: {text}");
         assert!(text.starts_with(
             "lanes of `k` over 0.3us ([ start, ] done, x abort, > send, * status, M merge, ! complete)\n"
         ));

@@ -151,6 +151,7 @@ fn co_executed_kernels_keep_inputs_shared_and_outputs_exact() {
                     ],
                 )
                 .unwrap();
+                rt.flush_graph().unwrap();
                 let report = rt.reports().last().unwrap();
                 assert!(report.cpu_executed_wgs > 0, "the CPU took part");
                 assert!(report.peer_executed_wgs.iter().all(|w| *w > 0));

@@ -25,11 +25,13 @@ fn run(name: &str, config: FluidiclConfig) -> Fluidicl {
     rt
 }
 
+/// Whether `kind` belongs to fault handling. On the two-device testbed only
+/// a device loss runs a kernel alone, so a solo run counts too.
 fn is_fault_event(kind: &TraceKind) -> bool {
     matches!(
         kind,
         TraceKind::OwnerLost
-            | TraceKind::SoloRun { node: None, .. }
+            | TraceKind::SoloRun { .. }
             | TraceKind::EpTransferFault { .. }
             | TraceKind::EpTransferRejected { .. }
             | TraceKind::EpTransferTimeout { .. }

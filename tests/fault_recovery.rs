@@ -10,9 +10,9 @@
 //! pool-accounting and determinism guarantees.
 
 use fluidicl::{lint_report, render_timeline, Finisher, Fluidicl, FluidiclConfig, Lane, TraceKind};
-use fluidicl_check::{race_check_report, sweep_size, SWEEP_SEED};
+use fluidicl_check::{check_schedule, race_check_report, sweep_size, SWEEP_SEED};
 use fluidicl_hetsim::MachineConfig;
-use fluidicl_polybench::all_benchmarks;
+use fluidicl_polybench::{all_benchmarks, pipeline_benchmark};
 use fluidicl_vcl::{ClError, ClResult, FaultKind};
 
 mod common;
@@ -267,51 +267,83 @@ fn subkernels_launched_after_a_retry_never_outgrow_the_chunk_rule() {
     assert!(checked > 0, "no subkernel launched after a retry");
 }
 
-/// Graph scheduling does not compose with fault plans yet: `enqueue` keeps
-/// the eager path whenever a plan is set (documented on
-/// `FluidiclConfig::graph_scheduling`). Pinned on the multi-kernel 2MM on
-/// the three-device machine: one report per launch in enqueue order, no
-/// graph node, the same schedule as the graph-off run, output bit-exact
-/// with the reference, and every report lint- and race-clean.
+/// Fault plans run through the kernel graph like every other launch. On
+/// the three-device BATCHMM pipeline HEFT gives one of the four products
+/// to the peer lane. A primary-GPU loss in the first lane-0 node leaves
+/// every later node of the same flush on the survivors: the peer runs its
+/// own node, the CPU the next lane-0 nodes, and the CPU joined by the idle
+/// peer the last. The output matches the reference, the schedule is clean,
+/// and every report is lint- and race-clean.
 #[test]
-fn fault_plans_keep_graph_scheduling_on_the_eager_path() {
-    let b = all_benchmarks()
-        .into_iter()
-        .find(|b| b.name == "2MM")
-        .expect("benchmark");
-    let n = test_size(b.name);
-    let run = |graph: bool, ps: u64| {
-        let config = faulty(FaultKind::TransferTransient, ps).with_graph_scheduling(graph);
+fn fault_plans_run_through_the_kernel_graph() {
+    let b = pipeline_benchmark();
+    let n = sweep_size(b.name);
+    let run = |ps: u64| {
+        let config = faulty(FaultKind::GpuLost, ps);
         let mut rt = Fluidicl::new(MachineConfig::paper_testbed_3dev(), config, (b.program)(n));
         let res = b.run_and_validate_sized(&mut rt, n, SWEEP_SEED);
         (rt, res)
     };
-    let ps = (0..SCAN)
-        .find(|ps| run(true, *ps).0.fault_fired())
-        .unwrap_or_else(|| panic!("no transient fault fired on 2MM in 0..{SCAN}"));
-    let (graph, res) = run(true, ps);
-    assert!(res.unwrap(), "2MM must recover bit-exactly");
-    let kernels: Vec<&str> = graph.reports().iter().map(|r| r.kernel.as_str()).collect();
-    assert_eq!(kernels, ["mm2_tmp", "mm2_d"], "one report per launch");
-    assert!(graph.reports()[0].kernel_id < graph.reports()[1].kernel_id);
-    assert!(!has_event(&graph, |k| matches!(
-        k,
-        TraceKind::SoloRun { node: Some(_), .. }
-    )));
+    let lost_first = |rt: &Fluidicl| {
+        rt.reports().first().is_some_and(|r| {
+            r.finished_by == Finisher::Cpu && r.trace.iter().any(|e| e.kind == TraceKind::OwnerLost)
+        })
+    };
+    let (rt, res) = (0..SCAN)
+        .map(run)
+        .find(|(rt, _)| lost_first(rt))
+        .unwrap_or_else(|| panic!("no plan seed in 0..{SCAN} lost the GPU in the first node"));
+    assert!(res.unwrap(), "BATCHMM must recover bit-exactly");
+    assert!(!rt.roster().gpu_healthy() && rt.roster().cpu_healthy());
 
-    let (eager, res) = run(false, ps);
-    assert!(res.unwrap());
-    assert_eq!(graph.reports().len(), eager.reports().len());
-    for (g, e) in graph.reports().iter().zip(eager.reports()) {
-        assert_eq!(
-            render_timeline(&g.kernel, &g.trace),
-            render_timeline(&e.kernel, &e.trace),
-            "graph scheduling must be inert under a fault plan"
-        );
-    }
-
+    let schedules = rt.graph_schedules();
+    assert_eq!(schedules.len(), 1, "every kernel ran in the read's flush");
+    let findings = check_schedule(&schedules[0]);
+    assert!(findings.is_empty(), "{findings:?}");
+    let lanes: Vec<(usize, Vec<usize>)> = schedules[0]
+        .nodes
+        .iter()
+        .map(|nd| (nd.lane, nd.joined.clone()))
+        .collect();
+    assert_eq!(
+        lanes,
+        [
+            (0, vec![]),
+            (1, vec![]),
+            (0, vec![]),
+            (0, vec![]),
+            (0, vec![1])
+        ],
+        "the peer keeps its node, then joins the reduction"
+    );
+    // Where each node ran alone: the peer its own product, the CPU the two
+    // lane-0 products after the loss. The first node and the reduction
+    // co-execute.
+    let reports = rt.reports();
+    let solo: Vec<Vec<Lane>> = reports
+        .iter()
+        .map(|r| {
+            r.trace
+                .iter()
+                .filter_map(|e| match e.kind {
+                    TraceKind::SoloRun { lane, .. } => Some(lane),
+                    _ => None,
+                })
+                .collect()
+        })
+        .collect();
+    assert_eq!(
+        solo,
+        [
+            vec![],
+            vec![Lane::Peer(1)],
+            vec![Lane::Cpu],
+            vec![Lane::Cpu],
+            vec![]
+        ]
+    );
     let defs = (b.program)(n);
-    for report in graph.reports() {
+    for report in reports {
         assert!(lint_report(report).is_empty(), "{}", report.kernel);
         let kdef = defs.kernel(&report.kernel).unwrap();
         let findings = race_check_report(&kdef, report);

@@ -3,7 +3,7 @@
 //! every cell.
 //!
 //! For 10 benchmarks (the nine Polybench apps plus the BATCHMM pipeline) ×
-//! 4 machines × 8 configs this records one line per cell of
+//! 4 machines × 7 configs this records one line per cell of
 //! `tests/golden/timing_fingerprint.txt`:
 //!
 //! ```text
@@ -28,15 +28,13 @@
 //! on the faster of the CPU and the primary GPU alone
 //! (`SingleDeviceRuntime`), the paper's headline comparison. FluidiCL may
 //! take at most [`BEST_DEVICE_SLACK`] times that in any `default` cell.
-//! The same runs also check four invariants in every cell:
-//! the default protocol copies no more host bytes than the whole-buffer one
-//! for any machine and benchmark (shipping dirty ranges must never make the
-//! functional mirror copy more); graph dispatch takes at most
-//! [`GRAPH_SLACK`] times the eager `default` makespan of the same machine
-//! and benchmark; no run calls a body more often than it executes
-//! work-groups (every kernel has a range body); and a kernel the CPU
-//! finished credits no peer work-group and copies nothing back to the host
-//! (the CPU's copy is final).
+//! The same runs also check three invariants in every cell: the default
+//! protocol copies no more host bytes than the whole-buffer one for any
+//! machine and benchmark (shipping dirty ranges must never make the
+//! functional mirror copy more); no run calls a body more often than it
+//! executes work-groups (every kernel has a range body); and a kernel the
+//! CPU finished credits no peer work-group and copies nothing back to the
+//! host (the CPU's copy is final).
 //!
 //! Every cell runs with protocol validation on, and every finding of the
 //! three trace checkers fails it, warnings included: the protocol linter
@@ -62,11 +60,6 @@ const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/timing_fingerprint.txt"
 );
-
-/// How much longer than eager dispatch (`default`) a `graph-sched` run of
-/// the same machine and benchmark may take: the graph may reorder and
-/// re-place kernels, but not lose to placing every kernel on every device.
-const GRAPH_SLACK: f64 = 1.0;
 
 /// How much longer than the faster single device a `default` cell may
 /// take: the measured worst cell, to be tightened as the small-input gap
@@ -131,8 +124,7 @@ fn best_single_device(machine: &MachineConfig, b: &BenchmarkSpec, n: usize) -> R
 /// work-groups executed that the reports do not credit, more body calls
 /// than executed work-groups, a CPU-finished kernel with peer work or a
 /// D2H copy, the default protocol copied more host bytes than
-/// whole-buffer, graph dispatch lost to eager dispatch by more than
-/// [`GRAPH_SLACK`], or a `default` cell took more than
+/// whole-buffer, or a `default` cell took more than
 /// [`BEST_DEVICE_SLACK`] times the faster single device.
 fn fingerprint() -> (String, Vec<String>) {
     let machines = [
@@ -164,16 +156,14 @@ fn fingerprint() -> (String, Vec<String>) {
                 .with_dirty_range_transfers(false)
                 .with_pipelining(false),
         ),
-        ("graph-sched", base().with_graph_scheduling(true)),
     ];
     let mut out = String::new();
     let mut faults = Vec::new();
     // FluidiCL ÷ best single device, per `default` cell.
     let mut vs_best = Vec::new();
     for (mname, machine) in &machines {
-        // `copied_bytes` and makespan of the `default` run per benchmark,
-        // checked against the `whole-buffer` and `graph-sched` runs (which
-        // come later in `configs`).
+        // `copied_bytes` of the `default` run per benchmark, checked
+        // against the `whole-buffer` run (which comes later in `configs`).
         let mut defaults = Vec::new();
         for (cname, config) in &configs {
             for (bi, b) in suite().into_iter().enumerate() {
@@ -228,7 +218,7 @@ fn fingerprint() -> (String, Vec<String>) {
                 let mut best_column = String::new();
                 match *cname {
                     "default" => {
-                        defaults.push((work.copied_bytes, makespan));
+                        defaults.push(work.copied_bytes);
                         match best_single_device(machine, &b, n) {
                             Ok(best) => {
                                 vs_best.push((cell.clone(), makespan, best));
@@ -237,18 +227,10 @@ fn fingerprint() -> (String, Vec<String>) {
                             Err(e) => faults.push(format!("  {cell}: {e}")),
                         }
                     }
-                    "whole-buffer" if defaults[bi].0 > work.copied_bytes => {
+                    "whole-buffer" if defaults[bi] > work.copied_bytes => {
                         faults.push(format!(
                             "  {mname}/{}: default copied {} bytes, whole-buffer {}",
-                            b.name, defaults[bi].0, work.copied_bytes
-                        ));
-                    }
-                    "graph-sched" if makespan as f64 > GRAPH_SLACK * defaults[bi].1 as f64 => {
-                        faults.push(format!(
-                            "  {cell}: {makespan} ns is {:.4}x the default cell's {} ns \
-                             (bound {GRAPH_SLACK})",
-                            makespan as f64 / defaults[bi].1 as f64,
-                            defaults[bi].1
+                            b.name, defaults[bi], work.copied_bytes
                         ));
                     }
                     _ => {}
